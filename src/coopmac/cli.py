@@ -105,8 +105,10 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if any(d <= 0 for d in self.densities):
-            raise ConfigError("lambda values must be positive")
+        if not all(np.isfinite(d) and d > 0 for d in self.densities):
+            raise ConfigError("lambda values must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         self.channel()
         self.k_value()
         return self

@@ -1,12 +1,25 @@
 """Seeded Monte-Carlo estimation of cooperative throughput.
 
 Each trial places a source at the origin and a destination at a distance
-drawn from the link-class band (uniform-area law by default), drops a PPP
-of helpers around the link, runs the selection scheme, and scores the
-trial's throughput.  Trials are generated in fixed-size chunks whose rng
-streams are derived from (base seed, cell, chunk index), so results are
-bit-identical for a given seed regardless of how chunks are distributed
-across workers.
+drawn from the link-class band (uniform-area law by default), draws the
+helper the selection scheme picks, and scores the trial's throughput.
+
+Under PPP conditioning only the helpers a scheme can see are drawn
+(tier-first sampling).  The proposed scheme settles on the lowest non-empty
+tier, and the void probabilities exp(-lam * (S_1 + ... + S_i)) of the tier
+regions give that tier's law exactly; the trial then draws the tier's helper
+count from the zero-truncated Poisson law, places the helpers uniformly in
+the tier region by rejection from the bounding box of its lens, and keeps the
+largest G.  The conventional scheme picks a uniform helper from the union of
+the tier regions, which is non-empty with probability 1 - exp(-lam * S_total).
+Under k-nearest conditioning the k-1 nearer neighbors are placed uniformly in
+the disk of radius r and every one is classified.
+
+Trials are generated in fixed-size chunks whose rng streams are derived
+from (base seed, cell, chunk index), and every draw of a chunk, the
+variable-length rejection rounds included, comes from its own stream, so
+results are bit-identical for a given seed regardless of how chunks are
+distributed across workers.
 
 Throughput scoring follows the rate-times-success-probability metric: in
 analytic mode a trial contributes rate * G(d_SH, d_HD) of the selected
@@ -25,7 +38,7 @@ import numpy as np
 from scipy.stats import gamma as _gamma_dist
 
 from .channel_model import ChannelParams, g_joint, p_success_direct
-from .stochastic_geometry import BAND_11, BAND_2, BAND_55, MAX_RANGE, tier_index
+from .stochastic_geometry import BAND_11, BAND_2, BAND_55, MAX_RANGE, _areas_d, tier_index
 from .protocol import TIER_RATES
 from .analytic_bounds import REGIMES
 
@@ -38,8 +51,11 @@ _BANDS = {
     "all": (0.0, MAX_RANGE),
 }
 
-# helpers are only useful within 74.7 m of both endpoints
-_HELPER_REACH = BAND_2
+# outer hop radius of each tier's region: tier i lies in the lens of two
+# circles of this radius around S and D
+_TIER_REACH = np.array([0.0, BAND_11, BAND_55, BAND_55, BAND_2, BAND_2])
+# rejection rounds after which a placement that never completes fails
+_MAX_ROUNDS = 100
 
 _TIER_RATE_ARR = np.array([0.0] + [TIER_RATES[t] for t in (1, 2, 3, 4, 5)])
 
@@ -67,8 +83,12 @@ class ExperimentConfig:
         object.__setattr__(self, "densities", tuple(float(d) for d in np.atleast_1d(self.densities)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if any(d <= 0 for d in self.densities):
-            raise ValueError("densities must be positive")
+        if not all(math.isfinite(d) and d > 0 for d in self.densities):
+            raise ValueError("densities must be positive and finite")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
+        if self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1")
         if self.scheme not in ("proposed", "conventional", "both"):
             raise ValueError("unknown scheme %r" % (self.scheme,))
         if self.regime not in _BANDS:
@@ -97,10 +117,19 @@ def _draw_link_distance(rng, n, band, density, k):
     if k is None:
         r = np.sqrt(a * a + u * (b * b - a * a))
     else:
-        # lam*pi*r^2 is Gamma(k, 1) distributed; invert its CDF on the band
-        lo = _gamma_dist.cdf(density * np.pi * a * a, k)
-        hi = _gamma_dist.cdf(density * np.pi * b * b, k)
-        r = np.sqrt(_gamma_dist.ppf(lo + u * (hi - lo), k) / (density * np.pi))
+        # lam*pi*r^2 is Gamma(k, 1) distributed; invert its distribution on the
+        # band, through the upper tail when the band lies beyond the median so
+        # that neither band end rounds to 1
+        x = density * np.pi * np.array([a * a, b * b])
+        upper = _gamma_dist.sf(x[0], k) < 0.5
+        lo, hi = _gamma_dist.sf(x, k) if upper else _gamma_dist.cdf(x, k)
+        if lo == hi:
+            raise ValueError(
+                "the link band [%g, %g] m holds no probability in double precision "
+                "under the k=%d nearest-neighbor law at density %g" % (a, b, k, density)
+            )
+        inverse = _gamma_dist.isf if upper else _gamma_dist.ppf
+        r = np.sqrt(inverse(lo + u * (hi - lo), k) / (density * np.pi))
     return np.maximum(r, 1e-9)
 
 
@@ -108,31 +137,145 @@ def _direct_rate(r):
     return np.select([r < BAND_11, r < BAND_55, r < BAND_2], [11.0, 5.5, 2.0], default=1.0)
 
 
-def _helper_points(rng, r_elig, density, k):
-    """Candidate-helper positions for each eligible trial.
+def _region_areas(r):
+    """(n, 5) tier-region areas for link lengths r >= 67.1 m.
 
-    PPP conditioning restricts the process to the bounding box of the two
-    74.7 m reach disks (exact: a PPP restricted to a box is a PPP).
-    k-nearest conditioning places the k-1 nearer neighbors uniformly in
-    the disk of radius r around the source.
+    Tiers 4 and 5 exist only for Type-D links (r >= 74.7 m).
     """
-    W = _HELPER_REACH
-    if k is None:
-        box_area = (r_elig + 2 * W) * (2 * W)
-        counts = rng.poisson(density * box_area)
-        tid = np.repeat(np.arange(r_elig.size), counts)
-        total = int(counts.sum())
-        x = rng.uniform(size=total) * (r_elig[tid] + 2 * W) - W
-        y = (rng.uniform(size=total) * 2.0 - 1.0) * W
+    areas = np.maximum(np.column_stack(_areas_d(r)), 0.0)
+    areas[r < BAND_2, 3:] = 0.0
+    return areas
+
+
+def _lens_box(r, reach):
+    """Bounding box of the lens of two circles of radius `reach` around S and D.
+
+    Returns (x of the left edge, width, half-height); the box is centered on
+    the S-D axis.
+    """
+    return r - reach, 2.0 * reach - r, np.sqrt(reach * reach - 0.25 * r * r)
+
+
+def _zero_truncated_poisson(rng, mu):
+    """Poisson(mu) draws conditioned on being >= 1, exactly.
+
+    Given that a unit-rate Poisson process on [0, mu] has a point, its first
+    point sits at T1 = -log(1 - u * (1 - exp(-mu))), and the points after it
+    are Poisson(mu - T1).
+    """
+    t1 = -np.log1p(rng.uniform(size=mu.size) * np.expm1(-mu))
+    return 1 + rng.poisson(np.maximum(mu - t1, 0.0))
+
+
+def _place_in_tier(rng, r, tier, area, count):
+    """count[j] >= 1 points uniform in the tier[j] region (area area[j]) of a link of length r[j].
+
+    Rejection from the bounding box of the lens that holds the region: each
+    round draws about need/p candidates for every unfinished trial, where p
+    is the region's share of its box, and keeps the first accepted ones up to
+    the number still needed.  Returns (trial index, d_SH, d_HD), sorted by trial.
+    """
+    x0, width, half = _lens_box(r, _TIER_REACH[tier])
+    share = area / (2.0 * width * half)
+    need = np.array(count, dtype=np.int64)
+    parts = []
+    todo = np.flatnonzero(need)
+    for _ in range(_MAX_ROUNDS):
+        if not todo.size:
+            break
+        m = np.ceil(need[todo] / share[todo]).astype(np.int64)
+        tid = np.repeat(todo, m)
+        x = x0[tid] + width[tid] * rng.uniform(size=tid.size)
+        y = half[tid] * (2.0 * rng.uniform(size=tid.size) - 1.0)
+        d_sh = np.hypot(x, y)
+        d_hd = np.hypot(x - r[tid], y)
+        ok = tier_index(d_sh, d_hd, "D") == tier[tid]
+        # rank of each accepted candidate among its trial's accepted ones
+        before = np.cumsum(ok) - ok
+        starts = np.cumsum(m) - m
+        rank = before - np.repeat(before[starts], m)
+        keep = ok & (rank < need[tid])
+        parts.append((tid[keep], d_sh[keep], d_hd[keep]))
+        need[todo] -= np.minimum(np.add.reduceat(ok, starts, dtype=np.int64), need[todo])
+        todo = todo[need[todo] > 0]
     else:
-        counts = np.full(r_elig.size, k - 1)
-        tid = np.repeat(np.arange(r_elig.size), counts)
-        total = tid.size
-        rad = r_elig[tid] * np.sqrt(rng.uniform(size=total))
-        ang = rng.uniform(size=total) * 2.0 * np.pi
-        x = rad * np.cos(ang)
-        y = rad * np.sin(ang)
-    return tid, x, y
+        raise RuntimeError("rejection sampling of helper positions did not finish")
+    tid, d_sh, d_hd = (np.concatenate(p) for p in zip(*parts))
+    order = np.argsort(tid, kind="stable")
+    return tid[order], d_sh[order], d_hd[order]
+
+
+def _ppp_helpers(rng, r, density, scheme, params):
+    """Selected helper of each link under a PPP helper field.
+
+    Only the helpers the scheme can see are drawn.  The proposed scheme takes
+    the best helper of the lowest non-empty tier, whose law is given by the
+    void probabilities of the tier regions; the conventional scheme takes one
+    helper uniformly from the union of the regions.  Returns (index into r of
+    the links with a helper, its tier, its G).
+    """
+    areas = _region_areas(r)
+    cum = np.cumsum(areas, axis=1)
+    u = rng.uniform(size=r.size)
+    if scheme == "proposed":
+        # P{tiers 1..i all empty} = exp(-lam * (S_1 + ... + S_i))
+        tier = 1 + np.sum(np.exp(-density * cum) > u[:, None], axis=1)
+        has = np.flatnonzero(tier <= areas.shape[1])
+        tier = tier[has]
+        area = areas[has, tier - 1]
+        count = _zero_truncated_poisson(rng, density * area)
+    elif scheme == "conventional":
+        has = np.flatnonzero(u < -np.expm1(-density * cum[:, -1]))
+        # region j with probability S_j / S_total; w < S_total, so S_j > 0
+        w = rng.uniform(size=has.size) * cum[has, -1]
+        tier = 1 + np.sum(cum[has] <= w[:, None], axis=1)
+        area = areas[has, tier - 1]
+        count = np.ones(has.size, dtype=np.int64)
+    else:
+        raise ValueError("unknown scheme %r" % (scheme,))
+    if not has.size:
+        return has, tier, np.empty(0)
+    _, d_sh, d_hd = _place_in_tier(rng, r[has], tier, area, count)
+    g = g_joint(d_sh, d_hd, params)
+    # best G of each link's points (one point per link for the conventional scheme)
+    return has, tier, np.maximum.reduceat(g, np.cumsum(count) - count)
+
+
+def _knn_helpers(rng, r, k, scheme, params):
+    """Selected helper of each link when its k-1 nearer neighbors are uniform in the disk of radius r.
+
+    Returns (index into r of the links with a helper, its tier, its G).
+    """
+    tid = np.repeat(np.arange(r.size), k - 1)
+    rad = r[tid] * np.sqrt(rng.uniform(size=tid.size))
+    ang = rng.uniform(size=tid.size) * 2.0 * np.pi
+    x = rad * np.cos(ang)
+    y = rad * np.sin(ang)
+    d_sh = np.hypot(x, y)
+    d_hd = np.hypot(x - r[tid], y)
+    tier = tier_index(d_sh, d_hd, "D")
+    # Type-C links have no tier-4/5 rows
+    tier[(r[tid] < BAND_2) & (tier > 3)] = 0
+    keep = tier > 0
+    tid, tier = tid[keep], tier[keep]
+    if not tid.size:
+        return tid, tier, np.empty(0)
+    g = g_joint(d_sh[keep], d_hd[keep], params)
+    first = np.r_[True, tid[1:] != tid[:-1]]
+    starts = np.flatnonzero(first)
+    seg = np.cumsum(first) - 1  # segment of each point
+    if scheme == "proposed":
+        # lowest tier, then largest G within it
+        best = np.minimum.reduceat(tier, starts)
+        g_best = np.maximum.reduceat(np.where(tier == best[seg], g, -1.0), starts)
+        return tid[starts], best, g_best
+    if scheme == "conventional":
+        # a uniformly random point: the first one holding its trial's smallest key
+        key = rng.uniform(size=g.size)
+        hit = np.flatnonzero(key == np.minimum.reduceat(key, starts)[seg])
+        sel = hit[np.r_[True, seg[hit][1:] != seg[hit][:-1]]]
+        return tid[starts], tier[sel], g[sel]
+    raise ValueError("unknown scheme %r" % (scheme,))
 
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
@@ -144,29 +287,13 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
 
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     if elig.size:
-        tid, x, y = _helper_points(rng, r[elig], density, k)
-        d_sh = np.hypot(x, y)
-        d_hd = np.hypot(x - r[elig][tid], y)
-        tier = tier_index(d_sh, d_hd, "D")
-        # Type-C links have no tier-4/5 rows
-        tier[(r[elig][tid] < BAND_2) & (tier > 3)] = 0
-        keep = tier > 0
-        if np.any(keep):
-            tid_k = tid[keep]
-            tier_k = tier[keep]
-            d_sh_k = d_sh[keep]
-            g = g_joint(d_sh_k, d_hd[keep], params)
-            if scheme == "proposed":
-                order = np.lexsort((d_sh_k, -g, tier_k, tid_k))
-            elif scheme == "conventional":
-                order = np.lexsort((rng.uniform(size=g.size), tid_k))
-            else:
-                raise ValueError("unknown scheme %r" % (scheme,))
-            winners, first = np.unique(tid_k[order], return_index=True)
-            sel = order[first]
-            chosen = elig[winners]
-            rate[chosen] = _TIER_RATE_ARR[tier_k[sel]]
-            success_p[chosen] = g[sel]
+        if k is None:
+            has, tier, g = _ppp_helpers(rng, r[elig], density, scheme, params)
+        else:
+            has, tier, g = _knn_helpers(rng, r[elig], k, scheme, params)
+        chosen = elig[has]
+        rate[chosen] = _TIER_RATE_ARR[tier]
+        success_p[chosen] = g
 
     if estimator_mode == "sampled":
         return rate * (rng.uniform(size=n) < success_p)

@@ -45,6 +45,11 @@ def test_parse_config_rejections(tmp_path):
         parse_config(str(bad))
     with pytest.raises(ConfigError):
         parse_config(overrides={"conditioning": "k=x"})
+    for value in ("nan", "inf", "0.001 -inf"):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(overrides={"lambda": value})
+    with pytest.raises(ConfigError, match="seed"):
+        parse_config(overrides={"seed": "-1"})
 
 
 def test_config_hash_ignores_output_path():
@@ -60,6 +65,8 @@ def test_exit_codes(tmp_path):
     assert main([]) == 1
     assert main(["bounds", "--class", "C", "--lambda", "-1"]) == 2
     assert main(["bounds", "--class", "C", "--lambda", "0.002", "--conditioning", "k=oops"]) == 2
+    assert main(["simulate", "--class", "C", "--lambda", "nan", "--trials", "10"]) == 2
+    assert main(["simulate", "--class", "C", "--lambda", "0.002", "--seed", "-3", "--trials", "10"]) == 2
 
 
 def test_bounds_csv_shape(tmp_path):

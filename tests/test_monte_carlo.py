@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,6 +12,8 @@ from coopmac.monte_carlo import (
     DENSITY_GRID,
     ExperimentConfig,
     SimEstimate,
+    _BANDS,
+    _draw_link_distance,
     contour_grid,
     estimate_throughput,
     reproduce_figure,
@@ -31,6 +35,15 @@ def test_config_validation():
         ExperimentConfig(estimator_mode="exact")
     with pytest.raises(ValueError):
         ExperimentConfig(k=0)
+    for density in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(densities=(0.001, density))
+    with pytest.raises(ValueError, match="base_seed"):
+        ExperimentConfig(base_seed=-1)
+    # constructed only: a chunk size below 1 would never finish the job loop
+    for chunk_size in (0, -5):
+        with pytest.raises(ValueError, match="chunk_size"):
+            ExperimentConfig(chunk_size=chunk_size)
 
 
 def test_density_grid_matches_sweep():
@@ -41,6 +54,18 @@ def test_density_grid_matches_sweep():
 
 def test_determinism_across_runs_and_workers():
     config = ExperimentConfig(densities=(0.002, 0.004), scheme="both", regime="C", trials=6000, base_seed=17)
+    a = estimate_throughput(config)
+    b = estimate_throughput(config)
+    c = estimate_throughput(config, workers=2)
+    assert a == b == c
+
+
+@pytest.mark.parametrize("k", [None, 10])
+def test_determinism_all_links_both_schemes_sampled(k):
+    # every draw of a chunk, the variable-length rejection rounds included,
+    # comes from the chunk's own stream
+    config = ExperimentConfig(densities=(0.001, 0.005), scheme="both", regime="all", trials=3000,
+                              estimator_mode="sampled", base_seed=23, k=k, chunk_size=700)
     a = estimate_throughput(config)
     b = estimate_throughput(config)
     c = estimate_throughput(config, workers=2)
@@ -113,6 +138,27 @@ def test_k_conditioned_estimates_bracketed():
         ExperimentConfig(densities=(lam,), regime="C", trials=30000, base_seed=8, k=k)
     )[0]
     assert pair.lower / mass - 3 * est.stderr <= est.mean <= pair.upper / mass + 3 * est.stderr
+
+
+@pytest.mark.parametrize("k", [1, 10])
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+def test_k_conditioned_band_deep_in_the_tail(regime, k):
+    # at this density the band lies so far in the upper tail of the kth-NN
+    # law that both CDF ends round to 1; the draw must invert the tail instead
+    config = ExperimentConfig(densities=(0.005,), regime=regime, trials=4000, base_seed=9, k=k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = estimate_throughput(config)[0]
+    assert np.isfinite(est.mean) and 0.0 < est.mean <= 11.0
+    lo, hi = _BANDS[regime]
+    r = _draw_link_distance(np.random.default_rng(9), 1000, (lo, hi), 0.005, k)
+    assert np.all((r >= lo) & (r <= hi))
+
+
+def test_k_conditioned_band_without_mass_raises():
+    config = ExperimentConfig(densities=(0.05,), regime="D2", trials=100, k=1)
+    with pytest.raises(ValueError, match="no probability"):
+        estimate_throughput(config)
 
 
 # ---------------------------------------------------------------- contour_grid
