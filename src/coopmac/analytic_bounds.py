@@ -32,21 +32,17 @@ from .stochastic_geometry import (
     BAND_11,
     BAND_2,
     BAND_55,
+    CLASS_RATES,
+    CLASS_TIERS,
+    DIRECT_CLASSES,
+    HELPER_REGIMES,
     MAX_RANGE,
-    TIER1_MAX_SEPARATION,
-    _areas_c,
-    _areas_d,
+    REGIMES,
+    check_band,
     nn_distance_pdf,
+    tier_areas,
 )
 from .protocol import TIER_RATES
-
-# regime -> (r_k range, direct rate Mbps).  D splits at 96.4 m, beyond
-# which no tier-1 helper can exist.
-REGIMES = {
-    "C": (BAND_55, BAND_2, 2.0),
-    "D1": (BAND_2, TIER1_MAX_SEPARATION, 1.0),
-    "D2": (TIER1_MAX_SEPARATION, MAX_RANGE, 1.0),
-}
 
 
 @dataclass(frozen=True)
@@ -78,22 +74,6 @@ class TierProbabilityVector:
     conditioning: tuple  # ("ppp", density) or ("k", k)
 
 
-def _regime_info(regime: str):
-    regime = str(regime).upper()
-    if regime == "D":
-        raise ValueError("use 'D1' or 'D2' to pick the Type-D regime")
-    if regime not in REGIMES:
-        raise ValueError("regime must be one of %s, got %r" % (sorted(REGIMES), regime))
-    return regime, REGIMES[regime]
-
-
-def _check_regime_distance(regime: str, r_k: float):
-    regime, (lo, hi, rate) = _regime_info(regime)
-    if not lo <= r_k <= hi:
-        raise ValueError("r_k=%r outside the %s range [%s, %s]" % (r_k, regime, lo, hi))
-    return regime, lo, hi, rate
-
-
 def h_integral(r_min: float, r_max: float, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
     """Integral of Q(nu + mu*log10 r) against the kth-NN distance PDF.
 
@@ -120,18 +100,8 @@ def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelP
     Class A: H(0, 48.2) x 11; class B: H(48.2, 67.1) x 5.5, where H
     weighs the direct success probability by the kth-NN distance law.
     """
-    link_class = str(link_class).upper()
-    if link_class == "A":
-        return h_integral(0.0, BAND_11, k, density, params) * 11.0
-    if link_class == "B":
-        return h_integral(BAND_11, BAND_55, k, density, params) * 5.5
-    raise ValueError("link_class must be 'A' or 'B', got %r" % (link_class,))
-
-
-def _tier_areas(link_class: str, r_k: float):
-    if link_class == "C":
-        return _areas_c(r_k), (1, 2, 3)
-    return _areas_d(r_k), (1, 2, 3, 4, 5)
+    lo, hi = check_band(link_class, DIRECT_CLASSES)
+    return h_integral(lo, hi, k, density, params) * CLASS_RATES[link_class]
 
 
 def tier_probabilities(
@@ -148,19 +118,11 @@ def tier_probabilities(
     probability is the probability that regions 1..i-1 are empty and
     region i is not.
     """
-    link_class = str(link_class).upper()
-    if link_class == "C":
-        lo, hi = BAND_55, BAND_2
-    elif link_class == "D":
-        lo, hi = BAND_2, MAX_RANGE
-    else:
-        raise ValueError("link_class must be 'C' or 'D', got %r" % (link_class,))
-    if not lo <= r_k <= hi:
-        raise ValueError("r_k=%r outside the class %s range [%s, %s]" % (r_k, link_class, lo, hi))
+    check_band(link_class, CLASS_TIERS, r_k)
     if (density is None) == (k is None):
         raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
 
-    areas, tiers = _tier_areas(link_class, float(r_k))
+    areas = tier_areas(float(r_k), CLASS_TIERS[link_class])
     cum = np.concatenate(([0.0], np.cumsum(areas)))
     if density is not None:
         if not density > 0:
@@ -174,7 +136,7 @@ def tier_probabilities(
         empty = (1.0 - cum / disk) ** (k - 1)
         conditioning = ("k", int(k))
     p = empty[:-1] - empty[1:]
-    probs = {t: float(pi) for t, pi in zip(tiers, p)}
+    probs = {t: float(pi) for t, pi in enumerate(p, 1)}
     return TierProbabilityVector(
         link_class=link_class,
         r_k=float(r_k),
@@ -193,7 +155,9 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     hops stretch to 48.2 m.  Tier 1 does not exist in the D2 regime
     (r_k > 96.4 m).
     """
-    regime, lo, hi, _ = _check_regime_distance(regime, r_k)
+    check_band(regime, HELPER_REGIMES, r_k)
+    if tier not in range(1, CLASS_TIERS[REGIMES[regime][2]] + 1):
+        raise ValueError("tier %r is not defined for regime %s" % (tier, regime))
     r = float(r_k)
     g = lambda a, b: float(g_joint(a, b, params))
     if tier == 1:
@@ -205,12 +169,10 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     elif tier == 3:
         best = g(r / 2, r / 2) if regime == "D2" else g(BAND_11, BAND_11)
         pair = (g(BAND_55, BAND_55), best)
-    elif tier == 4 and regime in ("D1", "D2"):
+    elif tier == 4:
         pair = (g(BAND_11, BAND_2), g(BAND_55, r - BAND_55))
-    elif tier == 5 and regime in ("D1", "D2"):
-        pair = (g(BAND_55, BAND_2), g(BAND_11, BAND_55))
     else:
-        raise ValueError("tier %r is not defined for regime %s" % (tier, regime))
+        pair = (g(BAND_55, BAND_2), g(BAND_11, BAND_55))
     rate = TIER_RATES[tier]
     return BoundPair(pair[0] * rate, pair[1] * rate, context=(regime, tier, r))
 
@@ -227,10 +189,10 @@ def link_bounds_at_distance(
     Probability-weighted mixture of the per-tier bound pairs plus the
     residual direct-transmission term Ps(r_k) x direct rate.
     """
-    regime, lo, hi, direct_rate = _check_regime_distance(regime, r_k)
-    link_class = "C" if regime == "C" else "D"
+    check_band(regime, HELPER_REGIMES, r_k)
+    link_class = REGIMES[regime][2]
     vec = tier_probabilities(link_class, r_k, density=density, k=k)
-    lower = upper = vec.residual * float(p_success_direct(r_k, params)) * direct_rate
+    lower = upper = vec.residual * float(p_success_direct(r_k, params)) * CLASS_RATES[link_class]
     for tier, p in vec.probs.items():
         if p == 0.0:
             continue
@@ -259,7 +221,7 @@ def averaged_bounds(
     printed in the closed-form expressions (unnormalized partial
     expectation over the band).
     """
-    regime, (a, b, _) = _regime_info(regime)
+    a, b = check_band(regime, HELPER_REGIMES)
 
     if k is None:
         weight = lambda r: 2.0 * r / (b * b - a * a)
@@ -294,13 +256,15 @@ def total_throughput_bounds(
     """
     if k is not None:
         lower = upper = 0.0
-        for regime in ("D2", "D1", "C"):
+        for regime in HELPER_REGIMES[::-1]:
             pair = averaged_bounds(regime, density, k=k, params=params)
             lower += pair.lower
             upper += pair.upper
-        ta = type_ab_throughput("A", k, density, params)
-        tb = type_ab_throughput("B", k, density, params)
-        return BoundPair(lower + ta + tb, upper + ta + tb, context=("total", ("k", k)))
+        for link_class in DIRECT_CLASSES:
+            direct = type_ab_throughput(link_class, k, density, params)
+            lower += direct
+            upper += direct
+        return BoundPair(lower, upper, context=("total", ("k", k)))
 
     weight = lambda r: 2.0 * r / MAX_RANGE ** 2
 
@@ -314,9 +278,9 @@ def total_throughput_bounds(
     def direct(a, b, rate):
         return adaptive_simpson(lambda r: float(p_success_direct(r, params)) * rate * weight(r), max(a, 1e-9), b)
 
-    lower = upper = direct(0.0, BAND_11, 11.0) + direct(BAND_11, BAND_55, 5.5)
-    for regime in ("C", "D1", "D2"):
-        a, b, _ = REGIMES[regime]
+    lower = upper = sum(direct(*REGIMES[c][:2], CLASS_RATES[c]) for c in DIRECT_CLASSES)
+    for regime in HELPER_REGIMES:
+        a, b = REGIMES[regime][:2]
         lower += band("lower", regime, a, b)
         upper += band("upper", regime, a, b)
     return BoundPair(lower, upper, context=("total", ("ppp", density)))

@@ -26,10 +26,10 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, q_function
-from .stochastic_geometry import lens_area, tier_region_areas
+from .stochastic_geometry import CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, lens_area, tier_region_areas
 from .analytic_bounds import averaged_bounds, tier_probabilities, total_throughput_bounds
 from .quadrature import adaptive_simpson
-from .monte_carlo import DENSITY_GRID, ExperimentConfig, contour_grid, estimate_throughput, reproduce_figure
+from .monte_carlo import DENSITY_GRID, FIGURES, ExperimentConfig, contour_grid, estimate_throughput, reproduce_figure
 
 
 class UsageError(Exception):
@@ -42,7 +42,7 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Full run configuration: channel, frame sizes, experiment, output."""
+    """Full run configuration: channel, experiment, output."""
 
     # channel (dBm / dB)
     pt: float = 0.0
@@ -50,12 +50,6 @@ class RunConfig:
     k_const: float = -40.0
     alpha: float = 3.0
     sigma: float = 6.0
-    # frame sizes, stored for protocol-level accounting only
-    rts_bits: int = 352
-    cooprts_bits: int = 352
-    cts_bits: int = 304
-    hts_bits: int = 304
-    data_bytes: int = 1000
     # experiment
     link_class: str = "C"  # A | B | C | D | all
     scheme: str = "both"
@@ -95,7 +89,7 @@ class RunConfig:
         raise ConfigError("conditioning must be 'ppp' or 'k=<int>', got %r" % (c,))
 
     def validate(self):
-        if self.link_class not in ("A", "B", "C", "D", "all"):
+        if self.link_class not in CLASS_REGIMES:
             raise ConfigError("class must be one of A, B, C, D, all")
         if self.scheme not in ("proposed", "conventional", "both"):
             raise ConfigError("scheme must be proposed, conventional or both")
@@ -122,8 +116,7 @@ class RunConfig:
 
 
 _FLOAT_FIELDS = {"pt", "pth", "k_const", "alpha", "sigma", "r_k", "resolution"}
-_INT_FIELDS = {"rts_bits", "cooprts_bits", "cts_bits", "hts_bits", "data_bytes", "trials", "seed", "workers"}
-_VALID_KEYS = {f.name for f in fields(RunConfig)} | {"lambda", "class"}
+_INT_FIELDS = {"trials", "seed", "workers"}
 
 
 def _assign(cfg: RunConfig, key: str, value: str):
@@ -194,8 +187,11 @@ def _emit(rows, cfg: RunConfig, float_cols=None):
 def _cmd_bounds(cfg: RunConfig):
     params = cfg.channel()
     k = cfg.k_value()
-    regimes = {"C": ["C"], "D": ["D1", "D2"], "all": ["C", "D1", "D2", "total"]}.get(cfg.link_class)
-    if regimes is None:
+    if cfg.link_class == "all":
+        regimes = HELPER_REGIMES + ("total",)
+    elif cfg.link_class in CLASS_TIERS:
+        regimes = CLASS_REGIMES[cfg.link_class]
+    else:
         raise ConfigError("bounds requires class C, D or all (A/B links have no cooperative bounds)")
     rows = []
     for d in cfg.densities:
@@ -209,9 +205,8 @@ def _cmd_bounds(cfg: RunConfig):
 
 
 def _cmd_simulate(cfg: RunConfig):
-    regimes = {"A": ["A"], "B": ["B"], "C": ["C"], "D": ["D1", "D2"], "all": ["all"]}[cfg.link_class]
     rows = []
-    for regime in regimes:
+    for regime in CLASS_REGIMES[cfg.link_class]:
         config = ExperimentConfig(
             densities=cfg.densities,
             scheme=cfg.scheme,
@@ -237,11 +232,10 @@ def _cmd_simulate(cfg: RunConfig):
 
 
 def _cmd_contour(cfg: RunConfig):
-    if cfg.link_class not in ("C", "D"):
+    if cfg.link_class not in CLASS_TIERS:
         raise ConfigError("contour requires class C or D")
-    regimes = ["C"] if cfg.link_class == "C" else ["D1", "D2"]
     rows = []
-    for regime in regimes:
+    for regime in CLASS_REGIMES[cfg.link_class]:
         grid = contour_grid(regime, r_k=cfg.r_k if cfg.r_k > 0 else None,
                             resolution=cfg.resolution, params=cfg.channel())
         yy, xx = np.nonzero(~np.isnan(grid["throughput"]))
@@ -259,18 +253,15 @@ def _cmd_contour(cfg: RunConfig):
 
 
 def _cmd_reproduce(cfg: RunConfig):
-    try:
-        return reproduce_figure(
-            cfg.figure,
-            densities=cfg.densities,
-            trials=cfg.trials,
-            base_seed=cfg.seed,
-            params=cfg.channel(),
-            k=cfg.k_value(),
-            workers=cfg.workers,
-        )
-    except ValueError as e:
-        raise UsageError(str(e))
+    return reproduce_figure(
+        cfg.figure,
+        densities=cfg.densities,
+        trials=cfg.trials,
+        base_seed=cfg.seed,
+        params=cfg.channel(),
+        k=cfg.k_value(),
+        workers=cfg.workers,
+    )
 
 
 def _cmd_selftest(cfg: RunConfig):
@@ -326,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bounds", "simulate", "contour", "reproduce", "selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--class", dest="link_class", choices=["A", "B", "C", "D", "all"])
+        p.add_argument("--class", dest="link_class", choices=list(CLASS_REGIMES))
         p.add_argument("--scheme", choices=["proposed", "conventional", "both"])
         p.add_argument("--lambda", dest="densities", help="space/comma separated density list")
         p.add_argument("--trials", type=int)
@@ -340,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--r-k", dest="r_k", type=float)
             p.add_argument("--resolution", type=float)
         if name == "reproduce":
-            p.add_argument("figure", nargs="?")
+            p.add_argument("figure", nargs="?", choices=FIGURES)
     return parser
 
 
@@ -381,7 +372,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print("usage error: %s" % (e,), file=sys.stderr)
         return 1
-    except ConfigError as e:
+    except (ConfigError, ValueError) as e:  # bad input, found here or by the library's own checks
         print("config error: %s" % (e,), file=sys.stderr)
         return 2
     except Exception as e:  # runtime failure

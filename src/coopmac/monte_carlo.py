@@ -38,29 +38,37 @@ import numpy as np
 from scipy.stats import gamma as _gamma_dist
 
 from .channel_model import ChannelParams, g_joint, p_success_direct
-from .stochastic_geometry import BAND_11, BAND_2, BAND_55, MAX_RANGE, _areas_d, tier_index
+from .stochastic_geometry import (
+    BAND_2,
+    BAND_55,
+    BAND_RATES,
+    CLASS_REGIMES,
+    CLASS_TIERS,
+    HELPER_REGIMES,
+    REGIMES,
+    TIER_REACH,
+    check_band,
+    hop_band,
+    tier_areas,
+    tier_index,
+)
 from .protocol import TIER_RATES
-from .analytic_bounds import REGIMES
 
-_BANDS = {
-    "A": (0.0, BAND_11),
-    "B": (BAND_11, BAND_55),
-    "C": REGIMES["C"][:2],
-    "D1": REGIMES["D1"][:2],
-    "D2": REGIMES["D2"][:2],
-    "all": (0.0, MAX_RANGE),
-}
-
-# outer hop radius of each tier's region: tier i lies in the lens of two
-# circles of this radius around S and D
-_TIER_REACH = np.array([0.0, BAND_11, BAND_55, BAND_55, BAND_2, BAND_2])
+_BANDS = {regime: band[:2] for regime, band in REGIMES.items()}
+# indexed by tier, with 0 (no helper) in front
+_TIER_REACH = np.array((0.0,) + TIER_REACH)
+_TIER_RATE_ARR = np.array([0.0] + list(TIER_RATES.values()))
+_BAND_RATE_ARR = np.array(BAND_RATES)
 # rejection rounds after which a placement that never completes fails
 _MAX_ROUNDS = 100
 
-_TIER_RATE_ARR = np.array([0.0] + [TIER_RATES[t] for t in (1, 2, 3, 4, 5)])
-
-# r_k used for the contour figures when not overridden: class-range midpoint
+# r_k used for the contour figures when not overridden: class-range midpoint,
+# written out because (74.7 + 96.4) / 2 is 85.55000000000001 in floating point
 CONTOUR_DEFAULT_RK = {"C": 70.9, "D1": 85.55, "D2": 98.2}
+# figure id -> regimes of its density sweep, and one contour map per helper regime
+SWEEP_FIGURES = {"fig7": CLASS_REGIMES["C"], "fig9": CLASS_REGIMES["D"], "fig10": CLASS_REGIMES["all"]}
+CONTOUR_FIGURES = {"contour_" + regime.lower(): regime for regime in HELPER_REGIMES}
+FIGURES = (*SWEEP_FIGURES, *CONTOUR_FIGURES)
 
 DENSITY_GRID = tuple(round(0.0005 * i, 6) for i in range(1, 11))
 
@@ -91,8 +99,7 @@ class ExperimentConfig:
             raise ValueError("chunk_size must be >= 1")
         if self.scheme not in ("proposed", "conventional", "both"):
             raise ValueError("unknown scheme %r" % (self.scheme,))
-        if self.regime not in _BANDS:
-            raise ValueError("regime must be one of %s" % (sorted(_BANDS),))
+        check_band(self.regime, REGIMES)
         if self.estimator_mode not in ("analytic", "sampled"):
             raise ValueError("estimator_mode must be 'analytic' or 'sampled'")
         if self.k is not None and not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
@@ -134,7 +141,7 @@ def _draw_link_distance(rng, n, band, density, k):
 
 
 def _direct_rate(r):
-    return np.select([r < BAND_11, r < BAND_55, r < BAND_2], [11.0, 5.5, 2.0], default=1.0)
+    return _BAND_RATE_ARR[hop_band(r)]
 
 
 def _region_areas(r):
@@ -142,8 +149,8 @@ def _region_areas(r):
 
     Tiers 4 and 5 exist only for Type-D links (r >= 74.7 m).
     """
-    areas = np.maximum(np.column_stack(_areas_d(r)), 0.0)
-    areas[r < BAND_2, 3:] = 0.0
+    areas = np.maximum(np.column_stack(tier_areas(r)), 0.0)
+    areas[r < BAND_2, CLASS_TIERS["C"]:] = 0.0
     return areas
 
 
@@ -255,7 +262,7 @@ def _knn_helpers(rng, r, k, scheme, params):
     d_hd = np.hypot(x - r[tid], y)
     tier = tier_index(d_sh, d_hd, "D")
     # Type-C links have no tier-4/5 rows
-    tier[(r[tid] < BAND_2) & (tier > 3)] = 0
+    tier[(r[tid] < BAND_2) & (tier > CLASS_TIERS["C"])] = 0
     keep = tier > 0
     tid, tier = tid[keep], tier[keep]
     if not tid.size:
@@ -381,17 +388,13 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
     nodes outside every tier region are NaN.  Returns a dict with 1-D
     ``x``/``y`` axes and a 2-D ``throughput`` array (y rows, x columns).
     """
-    if regime not in ("C", "D1", "D2"):
-        raise ValueError("regime must be C, D1 or D2")
     if r_k is None:
-        r_k = CONTOUR_DEFAULT_RK[regime]
-    lo, hi = _BANDS[regime]
-    if not lo <= r_k <= hi:
-        raise ValueError("r_k=%r outside the %s range" % (r_k, regime))
+        r_k = CONTOUR_DEFAULT_RK.get(regime)
+    check_band(regime, HELPER_REGIMES, r_k)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    link_class = "C" if regime == "C" else "D"
-    reach = BAND_55 if link_class == "C" else BAND_2
+    link_class = REGIMES[regime][2]
+    reach = TIER_REACH[CLASS_TIERS[link_class] - 1]
     x = np.arange(-reach, r_k + reach + resolution, resolution)
     y = np.arange(-reach, reach + resolution, resolution)
     xx, yy = np.meshgrid(x, y)
@@ -422,8 +425,8 @@ def reproduce_figure(
     """
     from .analytic_bounds import averaged_bounds, total_throughput_bounds
 
-    if figure in ("contour_c", "contour_d1", "contour_d2"):
-        grid = contour_grid(figure.split("_", 1)[1].upper(), params=params)
+    if figure in CONTOUR_FIGURES:
+        grid = contour_grid(CONTOUR_FIGURES[figure], params=params)
         rows = []
         yy, xx = np.nonzero(~np.isnan(grid["throughput"]))
         for i, j in zip(yy, xx):
@@ -431,14 +434,11 @@ def reproduce_figure(
                          "throughput": float(grid["throughput"][i, j]),
                          "tier": int(grid["tier"][i, j])})
         return rows
-    if figure not in ("fig7", "fig9", "fig10"):
-        raise ValueError(
-            "unknown figure %r; valid ids: fig7, fig9, fig10, contour_c, contour_d1, contour_d2" % (figure,)
-        )
+    if figure not in SWEEP_FIGURES:
+        raise ValueError("unknown figure %r; valid ids: %s" % (figure, ", ".join(FIGURES)))
 
-    regimes = {"fig7": ("C",), "fig9": ("D1", "D2"), "fig10": ("all",)}[figure]
     rows = []
-    for regime in regimes:
+    for regime in SWEEP_FIGURES[figure]:
         config = ExperimentConfig(
             densities=tuple(densities),
             scheme="both",

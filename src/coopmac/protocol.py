@@ -20,7 +20,17 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, shadowing_sample
-from .stochastic_geometry import BAND_11, BAND_2, BAND_55, MAX_RANGE, NetworkRealization, tier_index
+from .stochastic_geometry import (
+    BAND_EDGES,
+    BAND_RATES,
+    CLASS_NAMES,
+    CLASS_TIERS,
+    MAX_RANGE,
+    TIER_BANDS,
+    NetworkRealization,
+    hop_band,
+    tier_index,
+)
 
 
 @dataclass(frozen=True)
@@ -31,11 +41,8 @@ class LinkClass:
     rate: float  # direct transmission rate, Mbps
 
 
-LINK_CLASSES = (
-    LinkClass("A", 0.0, BAND_11, 11.0),
-    LinkClass("B", BAND_11, BAND_55, 5.5),
-    LinkClass("C", BAND_55, BAND_2, 2.0),
-    LinkClass("D", BAND_2, MAX_RANGE, 1.0),
+LINK_CLASSES = tuple(
+    LinkClass(label, BAND_EDGES[i], BAND_EDGES[i + 1], BAND_RATES[i]) for i, label in enumerate(CLASS_NAMES)
 )
 
 
@@ -49,10 +56,7 @@ def classify_link(distance: float) -> LinkClass:
         raise ValueError("distance must be non-negative")
     if distance > MAX_RANGE:
         raise ValueError("distance %r exceeds the 100 m maximum transmission range" % (distance,))
-    for lc in LINK_CLASSES:
-        if lc.d_min <= distance < lc.d_max:
-            return lc
-    return LINK_CLASSES[-1]  # distance == 100.0
+    return LINK_CLASSES[int(hop_band(distance))]
 
 
 def coop_rate(r_sh: float, r_hd: float) -> float:
@@ -78,23 +82,12 @@ class TierSpec:
         return coop_rate(self.r_sh, self.r_hd)
 
 
-_B0 = (0.0, BAND_11)
-_B1 = (BAND_11, BAND_55)
-_B2 = (BAND_55, BAND_2)
-
 TIER_SPECS = {
-    "C": (
-        TierSpec("C", 1, _B0, _B0, 11.0, 11.0),
-        TierSpec("C", 2, _B0, _B1, 11.0, 5.5),
-        TierSpec("C", 3, _B1, _B1, 5.5, 5.5),
-    ),
-    "D": (
-        TierSpec("D", 1, _B0, _B0, 11.0, 11.0),
-        TierSpec("D", 2, _B0, _B1, 11.0, 5.5),
-        TierSpec("D", 3, _B1, _B1, 5.5, 5.5),
-        TierSpec("D", 4, _B0, _B2, 11.0, 2.0),
-        TierSpec("D", 5, _B1, _B2, 5.5, 2.0),
-    ),
+    link_class: tuple(
+        TierSpec(link_class, t, BAND_EDGES[i:i + 2], BAND_EDGES[j:j + 2], BAND_RATES[i], BAND_RATES[j])
+        for t, (i, j) in enumerate(TIER_BANDS[:n_tiers], 1)
+    )
+    for link_class, n_tiers in CLASS_TIERS.items()
 }
 
 # Exact cooperative rates by tier (shared by C and D tables).
@@ -145,7 +138,7 @@ def enumerate_candidates(
     sx, sy = float(source[0]), float(source[1])
     dx, dy = float(dest[0]), float(dest[1])
     link = classify_link(float(np.hypot(dx - sx, dy - sy)))
-    if link.label not in ("C", "D"):
+    if link.label not in CLASS_TIERS:
         return []
     nodes = realization.nodes
     d_sh = np.hypot(nodes[:, 0] - sx, nodes[:, 1] - sy)

@@ -5,6 +5,9 @@ bands on the two hop lengths (d_SH, d_HD).  The band edges 48.2 / 67.1 /
 74.7 m are the rate breakpoints of the 11/5.5/2 Mbps link classes; each
 tier region is an intersection of two annuli centered on S and D, so its
 area reduces to differences of two-circle lens areas.
+
+The band edges, their rates, the tiers and the regimes are declared once
+below; the other modules derive their tables from them.
 """
 
 from __future__ import annotations
@@ -20,23 +23,69 @@ BAND_11 = 48.2   # below: 11 Mbps hop
 BAND_55 = 67.1   # below: 5.5 Mbps hop
 BAND_2 = 74.7    # below: 2 Mbps hop
 MAX_RANGE = 100.0
-
-_BAND_EDGES = np.array([BAND_11, BAND_55, BAND_2])
-
-# tier index by (hop band, hop band); 0 = helper not beneficial.
-# Bands: 0 -> [0,48.2), 1 -> [48.2,67.1), 2 -> [67.1,74.7), 3 -> beyond.
-_TIER_C = np.zeros((4, 4), dtype=np.int8)
-_TIER_C[0, 0] = 1
-_TIER_C[0, 1] = _TIER_C[1, 0] = 2
-_TIER_C[1, 1] = 3
-
-_TIER_D = _TIER_C.copy()
-_TIER_D[0, 2] = _TIER_D[2, 0] = 4
-_TIER_D[1, 2] = _TIER_D[2, 1] = 5
-
 # Source-destination separation beyond which the tier-1 region (both hops
 # under 48.2 m) is empty.
 TIER1_MAX_SEPARATION = 2 * BAND_11  # 96.4 m
+
+# The model's one table; every other band, class, tier and rate table is
+# derived from it.  Hop band i spans [BAND_EDGES[i], BAND_EDGES[i + 1]) m at
+# BAND_RATES[i] Mbps, and a link whose length lies in band i has class
+# CLASS_NAMES[i].
+BAND_EDGES = (0.0, BAND_11, BAND_55, BAND_2, MAX_RANGE)
+BAND_RATES = (11.0, 5.5, 2.0, 1.0)
+CLASS_NAMES = "ABCD"
+# Hop bands of tier t's (S-H, H-D) hops, in either order.  Class C links use
+# tiers 1-3, class D links all five.
+TIER_BANDS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2))
+CLASS_TIERS = {"C": 3, "D": 5}
+# regime -> (link-length band in m, link class).  The bounds and the
+# simulation split class D at 96.4 m, beyond which no tier-1 helper exists;
+# "all" is every in-range link.
+REGIMES = {
+    "A": (0.0, BAND_11, "A"),
+    "B": (BAND_11, BAND_55, "B"),
+    "C": (BAND_55, BAND_2, "C"),
+    "D1": (BAND_2, TIER1_MAX_SEPARATION, "D"),
+    "D2": (TIER1_MAX_SEPARATION, MAX_RANGE, "D"),
+    "all": (0.0, MAX_RANGE, "all"),
+}
+
+CLASS_RATES = dict(zip(CLASS_NAMES, BAND_RATES))
+DIRECT_CLASSES = tuple(c for c in CLASS_NAMES if c not in CLASS_TIERS)  # no helper tiers
+CLASS_REGIMES = {c: tuple(r for r, band in REGIMES.items() if band[2] == c) for c in (*CLASS_NAMES, "all")}
+HELPER_REGIMES = tuple(r for r, band in REGIMES.items() if band[2] in CLASS_TIERS)
+# outer hop edge of each tier: tier t lies in the lens of two circles of
+# radius TIER_REACH[t - 1] around S and D
+TIER_REACH = tuple(BAND_EDGES[max(bands) + 1] for bands in TIER_BANDS)
+_BAND_OF = {c: BAND_EDGES[i:i + 2] for i, c in enumerate(CLASS_NAMES)}
+_BAND_OF.update((r, band[:2]) for r, band in REGIMES.items())
+_INNER_EDGES = np.array(BAND_EDGES[1:-1])
+
+
+def _tier_table(n_tiers):
+    """Tier index by (hop band, hop band); 0 = helper not beneficial."""
+    table = np.zeros((len(BAND_RATES),) * 2, dtype=np.int8)
+    for t, (i, j) in enumerate(TIER_BANDS[:n_tiers], 1):
+        table[i, j] = table[j, i] = t
+    return table
+
+
+_TIER_TABLES = {c: _tier_table(n) for c, n in CLASS_TIERS.items()}
+
+
+def check_band(name, allowed, r_k=None):
+    """(lo, hi) link-length band of the link class or regime `name`.
+
+    `allowed` holds the names the caller accepts; with `r_k` given, it must
+    also lie in the closed band [lo, hi].  Every class and regime argument
+    of the package is checked here; a failed check raises ValueError.
+    """
+    if not isinstance(name, str) or name not in allowed:
+        raise ValueError("expected one of %s, got %r" % (", ".join(allowed), name))
+    lo, hi = _BAND_OF[name]
+    if r_k is not None and not lo <= r_k <= hi:
+        raise ValueError("r_k=%r outside the %s range [%s, %s]" % (r_k, name, lo, hi))
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -132,21 +181,21 @@ def lens_area(r1, r2, separation):
     return float(out[0]) if scalar else out
 
 
-def _areas_c(r: float):
-    """Tier-1..3 region areas for a Type-C link of length r (no validation)."""
-    s1 = lens_area(BAND_11, BAND_11, r)
-    s2 = 2.0 * (lens_area(BAND_55, BAND_11, r) - s1)
-    s3 = lens_area(BAND_55, BAND_55, r) - s2 - s1
-    return (s1, s2, s3)
+def tier_areas(r, n_tiers: int = 5):
+    """Tier-1..n_tiers region areas for link length(s) r (no validation).
 
-
-def _areas_d(r: float):
-    """Tier-1..5 region areas for a Type-D link of length r (no validation)."""
-    s1 = lens_area(BAND_11, BAND_11, r)  # 0 for r > 96.4
-    s2 = 2.0 * (lens_area(BAND_11, BAND_55, r) - s1)
-    s3 = lens_area(BAND_55, BAND_55, r) - s2 - s1
-    s4 = 2.0 * (lens_area(BAND_11, BAND_2, r) - s1) - s2
-    s5 = 2.0 * (lens_area(BAND_55, BAND_2, r) - lens_area(BAND_55, BAND_55, r)) - s4
+    lens[t - 1] is the lens of tier t's outer hop edges.  It holds tier t and
+    the tiers inside it, which are subtracted; a tier whose hops lie in two
+    different bands counts both hop orders, hence the factors of 2.
+    """
+    lens = [lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r) for i, j in TIER_BANDS[:n_tiers]]
+    s1 = lens[0]  # 0 for r > 96.4
+    s2 = 2.0 * (lens[1] - s1)
+    s3 = lens[2] - s2 - s1
+    if n_tiers == 3:
+        return (s1, s2, s3)
+    s4 = 2.0 * (lens[3] - s1) - s2
+    s5 = 2.0 * (lens[4] - lens[2]) - s4
     return (s1, s2, s3, s4, s5)
 
 
@@ -157,35 +206,20 @@ def tier_region_areas(link_class: str, r_k: float) -> RegionAreas:
     link vanishes for r_k > 96.4 m (the two 48.2 m circles no longer
     intersect).
     """
-    link_class = str(link_class).upper()
-    if link_class == "C":
-        if not BAND_55 <= r_k < BAND_2:
-            raise ValueError("Type C requires 67.1 <= r_k < 74.7, got %r" % (r_k,))
-        areas = _areas_c(float(r_k))
-    elif link_class == "D":
-        if not BAND_2 <= r_k <= MAX_RANGE:
-            raise ValueError("Type D requires 74.7 <= r_k <= 100, got %r" % (r_k,))
-        areas = _areas_d(float(r_k))
-    else:
-        raise ValueError("link_class must be 'C' or 'D', got %r" % (link_class,))
+    check_band(link_class, CLASS_TIERS, r_k)
+    areas = tier_areas(float(r_k), CLASS_TIERS[link_class])
     return RegionAreas(link_class=link_class, r_k=float(r_k), areas=areas)
 
 
-def _tier_table(link_class: str) -> np.ndarray:
-    link_class = str(link_class).upper()
-    if link_class == "C":
-        return _TIER_C
-    if link_class == "D":
-        return _TIER_D
-    raise ValueError("link_class must be 'C' or 'D', got %r" % (link_class,))
+def hop_band(d):
+    """Hop band index of distance(s) d: 0 below 48.2 m, ..., 3 from 74.7 m on."""
+    return np.searchsorted(_INNER_EDGES, np.asarray(d, dtype=float), side="right")
 
 
 def tier_index(d_sh, d_hd, link_class: str):
     """Vectorized tier lookup; 0 means the helper is not beneficial."""
-    table = _tier_table(link_class)
-    b1 = np.searchsorted(_BAND_EDGES, np.asarray(d_sh, dtype=float), side="right")
-    b2 = np.searchsorted(_BAND_EDGES, np.asarray(d_hd, dtype=float), side="right")
-    return table[b1, b2]
+    check_band(link_class, CLASS_TIERS)
+    return _TIER_TABLES[link_class][hop_band(d_sh), hop_band(d_hd)]
 
 
 def classify_helper_tier(d_sh: float, d_hd: float, link_class: str) -> Optional[int]:

@@ -13,7 +13,6 @@ def test_defaults_are_reference_parameters():
     assert cfg.k_const == -40.0
     assert cfg.alpha == 3.0
     assert cfg.sigma == 6.0
-    assert cfg.rts_bits == 352 and cfg.cts_bits == 304
     assert cfg.channel().nu == pytest.approx(-58 / 6)
 
 
@@ -50,6 +49,11 @@ def test_parse_config_rejections(tmp_path):
             parse_config(overrides={"lambda": value})
     with pytest.raises(ConfigError, match="seed"):
         parse_config(overrides={"seed": "-1"})
+    # the frame-size keys are gone; nothing read them
+    frames = tmp_path / "frames.cfg"
+    frames.write_text("rts_bits=352\n")
+    with pytest.raises(ConfigError, match="unknown config key 'rts_bits'"):
+        parse_config(str(frames))
 
 
 def test_config_hash_ignores_output_path():
@@ -67,6 +71,11 @@ def test_exit_codes(tmp_path):
     assert main(["bounds", "--class", "C", "--lambda", "0.002", "--conditioning", "k=oops"]) == 2
     assert main(["simulate", "--class", "C", "--lambda", "nan", "--trials", "10"]) == 2
     assert main(["simulate", "--class", "C", "--lambda", "0.002", "--seed", "-3", "--trials", "10"]) == 2
+    # input-determined failures found by the library are config errors too
+    assert main(["simulate", "--class", "D", "--lambda", "0.05", "--conditioning", "k=1", "--trials", "10"]) == 2
+    assert main(["reproduce", "fig9", "--lambda", "0.05", "--conditioning", "k=1", "--trials", "100"]) == 2
+    assert main(["contour", "--class", "C", "--r-k", "90"]) == 2
+    assert main(["reproduce", "fig99"]) == 1
 
 
 def test_bounds_csv_shape(tmp_path):
