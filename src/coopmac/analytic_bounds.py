@@ -9,18 +9,15 @@ evaluating the two-hop success G at the extremal helper positions inside
 the tier region, which yields computable lower/upper bounds on the mean
 throughput.
 
-Two conditionings are supported for the tier probabilities:
-
-- ``ppp`` (default): the helper field is an unconditioned PPP, so the
-  probability that a region of area S is empty is exp(-density*S).
-- ``k``-nearest: the destination is the kth nearest neighbor of the
-  source, leaving k-1 nodes uniform in the disk of radius r_k, giving
-  (1 - cum_area/(pi r_k^2))**(k-1) telescoping differences.
+The tier probabilities are differences of the void probabilities of the
+tier regions (`stochastic_geometry.void_probability`, which the Monte Carlo
+shares) under one of two conditionings: ``ppp`` (default), an unconditioned
+PPP helper field, or ``k``-nearest, the destination being the source's kth
+nearest neighbor.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +38,7 @@ from .stochastic_geometry import (
     check_band,
     nn_distance_pdf,
     tier_areas,
+    void_probability,
 )
 from .protocol import TIER_RATES
 
@@ -122,19 +120,17 @@ def tier_probabilities(
     if (density is None) == (k is None):
         raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
 
-    areas = tier_areas(float(r_k), CLASS_TIERS[link_class])
-    cum = np.concatenate(([0.0], np.cumsum(areas)))
     if density is not None:
         if not density > 0:
             raise ValueError("density must be positive")
-        empty = np.exp(-density * cum)  # P{regions 1..i all void}
         conditioning = ("ppp", float(density))
     else:
         if not (isinstance(k, (int, np.integer)) and k >= 1):
             raise ValueError("k must be an integer >= 1")
-        disk = math.pi * r_k ** 2
-        empty = (1.0 - cum / disk) ** (k - 1)
         conditioning = ("k", int(k))
+    areas = tier_areas(float(r_k), CLASS_TIERS[link_class])
+    cum = np.concatenate(([0.0], np.cumsum(areas)))
+    empty = void_probability(cum, r_k, density, k)  # P{regions 1..i all void}
     p = empty[:-1] - empty[1:]
     probs = {t: float(pi) for t, pi in enumerate(p, 1)}
     return TierProbabilityVector(

@@ -26,7 +26,8 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, q_function
-from .stochastic_geometry import CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, lens_area, tier_region_areas
+from .stochastic_geometry import (CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, REGIMES, check_band, lens_area,
+                                  tier_region_areas)
 from .analytic_bounds import averaged_bounds, tier_probabilities, total_throughput_bounds
 from .quadrature import adaptive_simpson
 from .monte_carlo import DENSITY_GRID, FIGURES, ExperimentConfig, contour_grid, estimate_throughput, reproduce_figure
@@ -234,10 +235,14 @@ def _cmd_simulate(cfg: RunConfig):
 def _cmd_contour(cfg: RunConfig):
     if cfg.link_class not in CLASS_TIERS:
         raise ConfigError("contour requires class C or D")
+    r_k = cfg.r_k if cfg.r_k > 0 else None
+    check_band(cfg.link_class, CLASS_TIERS, r_k)
     rows = []
+    # a given r_k selects the regimes whose closed band holds it (96.4 m: both D1 and D2)
     for regime in CLASS_REGIMES[cfg.link_class]:
-        grid = contour_grid(regime, r_k=cfg.r_k if cfg.r_k > 0 else None,
-                            resolution=cfg.resolution, params=cfg.channel())
+        if r_k is not None and not REGIMES[regime][0] <= r_k <= REGIMES[regime][1]:
+            continue
+        grid = contour_grid(regime, r_k=r_k, resolution=cfg.resolution, params=cfg.channel())
         yy, xx = np.nonzero(~np.isnan(grid["throughput"]))
         for i, j in zip(yy, xx):
             rows.append(
@@ -317,12 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bounds", "simulate", "contour", "reproduce", "selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--class", dest="link_class", choices=list(CLASS_REGIMES))
-        p.add_argument("--scheme", choices=["proposed", "conventional", "both"])
+        if name != "reproduce":  # a figure fixes its classes and runs both schemes in analytic mode
+            p.add_argument("--class", dest="link_class", choices=list(CLASS_REGIMES))
+            p.add_argument("--scheme", choices=["proposed", "conventional", "both"])
+            p.add_argument("--mode", choices=["analytic", "sampled"])
         p.add_argument("--lambda", dest="densities", help="space/comma separated density list")
         p.add_argument("--trials", type=int)
         p.add_argument("--seed", type=int)
-        p.add_argument("--mode", choices=["analytic", "sampled"])
         p.add_argument("--conditioning", help="ppp or k=<int>")
         p.add_argument("--workers", type=int)
         p.add_argument("--out")

@@ -4,16 +4,16 @@ Each trial places a source at the origin and a destination at a distance
 drawn from the link-class band (uniform-area law by default), draws the
 helper the selection scheme picks, and scores the trial's throughput.
 
-Under PPP conditioning only the helpers a scheme can see are drawn
-(tier-first sampling).  The proposed scheme settles on the lowest non-empty
-tier, and the void probabilities exp(-lam * (S_1 + ... + S_i)) of the tier
-regions give that tier's law exactly; the trial then draws the tier's helper
-count from the zero-truncated Poisson law, places the helpers uniformly in
-the tier region by rejection from the bounding box of its lens, and keeps the
-largest G.  The conventional scheme picks a uniform helper from the union of
-the tier regions, which is non-empty with probability 1 - exp(-lam * S_total).
-Under k-nearest conditioning the k-1 nearer neighbors are placed uniformly in
-the disk of radius r and every one is classified.
+Only the helpers a scheme can see are drawn (tier-first sampling), under
+both conditionings.  The proposed scheme settles on the lowest non-empty
+tier, whose law the void probabilities of the tier regions give exactly
+(`void_probability`, shared with the bounds); the trial then draws the
+tier's helper count (zero-truncated Poisson under the PPP, zero-truncated
+Binomial over the k-1 nodes nearer than the destination), places the helpers
+uniformly in the tier region by rejection from the bounding box of its lens,
+and keeps the largest G.  The conventional scheme picks a uniform helper from
+the union of the tier regions, which is non-empty unless all are void.  With
+k = 1 no node is nearer than the destination, so no link has a helper.
 
 Trials are generated in fixed-size chunks whose rng streams are derived
 from (base seed, cell, chunk index), and every draw of a chunk, the
@@ -51,6 +51,7 @@ from .stochastic_geometry import (
     hop_band,
     tier_areas,
     tier_index,
+    void_probability,
 )
 from .protocol import TIER_RATES
 
@@ -174,6 +175,20 @@ def _zero_truncated_poisson(rng, mu):
     return 1 + rng.poisson(np.maximum(mu - t1, 0.0))
 
 
+def _zero_truncated_binomial(rng, n, p):
+    """Binomial(n, p) draws conditioned on being >= 1, exactly.
+
+    Given that n trials hold a success, the first one is trial J with
+    P{J <= j} = (1 - q^j) / (1 - q^n), q = 1 - p, and the trials after it
+    are Binomial(n - J, p).
+    """
+    with np.errstate(divide="ignore"):  # p = 1: log q = -inf, and J = 1
+        log_q = np.log1p(-p)
+    j = np.ceil(np.log1p(rng.uniform(size=p.size) * np.expm1(n * log_q)) / log_q)
+    j = np.clip(j, 1, n).astype(np.int64)
+    return 1 + rng.binomial(n - j, p)
+
+
 def _place_in_tier(rng, r, tier, area, count):
     """count[j] >= 1 points uniform in the tier[j] region (area area[j]) of a link of length r[j].
 
@@ -212,8 +227,8 @@ def _place_in_tier(rng, r, tier, area, count):
     return tid[order], d_sh[order], d_hd[order]
 
 
-def _ppp_helpers(rng, r, density, scheme, params):
-    """Selected helper of each link under a PPP helper field.
+def _tier_first_helpers(rng, r, density, k, scheme, params):
+    """Selected helper of each link, under the PPP (k None) or with k-1 nodes nearer than the destination.
 
     Only the helpers the scheme can see are drawn.  The proposed scheme takes
     the best helper of the lowest non-empty tier, whose law is given by the
@@ -225,14 +240,20 @@ def _ppp_helpers(rng, r, density, scheme, params):
     cum = np.cumsum(areas, axis=1)
     u = rng.uniform(size=r.size)
     if scheme == "proposed":
-        # P{tiers 1..i all empty} = exp(-lam * (S_1 + ... + S_i))
-        tier = 1 + np.sum(np.exp(-density * cum) > u[:, None], axis=1)
+        void = void_probability(cum, r[:, None], density, k)  # P{tiers 1..i all empty}
+        tier = 1 + np.sum(void > u[:, None], axis=1)
         has = np.flatnonzero(tier <= areas.shape[1])
         tier = tier[has]
         area = areas[has, tier - 1]
-        count = _zero_truncated_poisson(rng, density * area)
+        if k is None:
+            count = _zero_truncated_poisson(rng, density * area)
+        else:
+            # each of the k-1 nodes avoids tiers 1..i-1, so it lies in tier i
+            # with probability S_i / (disk area - S_1 - ... - S_(i-1))
+            rest = np.pi * r[has] ** 2 - (cum[has, tier - 1] - area)
+            count = _zero_truncated_binomial(rng, k - 1, area / rest)
     elif scheme == "conventional":
-        has = np.flatnonzero(u < -np.expm1(-density * cum[:, -1]))
+        has = np.flatnonzero(u < 1.0 - void_probability(cum[:, -1], r, density, k))
         # region j with probability S_j / S_total; w < S_total, so S_j > 0
         w = rng.uniform(size=has.size) * cum[has, -1]
         tier = 1 + np.sum(cum[has] <= w[:, None], axis=1)
@@ -248,43 +269,6 @@ def _ppp_helpers(rng, r, density, scheme, params):
     return has, tier, np.maximum.reduceat(g, np.cumsum(count) - count)
 
 
-def _knn_helpers(rng, r, k, scheme, params):
-    """Selected helper of each link when its k-1 nearer neighbors are uniform in the disk of radius r.
-
-    Returns (index into r of the links with a helper, its tier, its G).
-    """
-    tid = np.repeat(np.arange(r.size), k - 1)
-    rad = r[tid] * np.sqrt(rng.uniform(size=tid.size))
-    ang = rng.uniform(size=tid.size) * 2.0 * np.pi
-    x = rad * np.cos(ang)
-    y = rad * np.sin(ang)
-    d_sh = np.hypot(x, y)
-    d_hd = np.hypot(x - r[tid], y)
-    tier = tier_index(d_sh, d_hd, "D")
-    # Type-C links have no tier-4/5 rows
-    tier[(r[tid] < BAND_2) & (tier > CLASS_TIERS["C"])] = 0
-    keep = tier > 0
-    tid, tier = tid[keep], tier[keep]
-    if not tid.size:
-        return tid, tier, np.empty(0)
-    g = g_joint(d_sh[keep], d_hd[keep], params)
-    first = np.r_[True, tid[1:] != tid[:-1]]
-    starts = np.flatnonzero(first)
-    seg = np.cumsum(first) - 1  # segment of each point
-    if scheme == "proposed":
-        # lowest tier, then largest G within it
-        best = np.minimum.reduceat(tier, starts)
-        g_best = np.maximum.reduceat(np.where(tier == best[seg], g, -1.0), starts)
-        return tid[starts], best, g_best
-    if scheme == "conventional":
-        # a uniformly random point: the first one holding its trial's smallest key
-        key = rng.uniform(size=g.size)
-        hit = np.flatnonzero(key == np.minimum.reduceat(key, starts)[seg])
-        sel = hit[np.r_[True, seg[hit][1:] != seg[hit][:-1]]]
-        return tid[starts], tier[sel], g[sel]
-    raise ValueError("unknown scheme %r" % (scheme,))
-
-
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples."""
     r = _draw_link_distance(rng, n, _BANDS[regime], density, k)
@@ -293,11 +277,9 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     success_p = ps_r.copy()
 
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
-    if elig.size:
-        if k is None:
-            has, tier, g = _ppp_helpers(rng, r[elig], density, scheme, params)
-        else:
-            has, tier, g = _knn_helpers(rng, r[elig], k, scheme, params)
+    # with k = 1 the destination is the source's nearest node: no helper is nearer
+    if elig.size and k != 1:
+        has, tier, g = _tier_first_helpers(rng, r[elig], density, k, scheme, params)
         chosen = elig[has]
         rate[chosen] = _TIER_RATE_ARR[tier]
         success_p[chosen] = g

@@ -199,6 +199,20 @@ def tier_areas(r, n_tiers: int = 5):
     return (s1, s2, s3, s4, s5)
 
 
+def void_probability(cum_area, r, density, k):
+    """P{no node in helper regions of total area cum_area} for a link of length r.
+
+    With cum_area = S_1 + ... + S_i this is P{tiers 1..i all empty}.  Under
+    the PPP (k None) it is exp(-density * cum_area).  When the destination is
+    the source's kth nearest neighbor, the k-1 nearer nodes are uniform in the
+    disk of radius r, which holds every tier region of a class C or D link:
+    (1 - cum_area / (pi r^2))^(k-1).  Vectorized; no validation.
+    """
+    if k is None:
+        return np.exp(-density * cum_area)
+    return (1.0 - cum_area / (np.pi * r ** 2)) ** (k - 1)
+
+
 def tier_region_areas(link_class: str, r_k: float) -> RegionAreas:
     """Analytic tier-region areas for a class C or D link of length r_k.
 

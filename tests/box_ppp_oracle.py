@@ -1,12 +1,13 @@
-"""Reference sampler for the PPP Monte Carlo: box-PPP helper field + global lexsort.
+"""Reference sampler for the Monte Carlo: every point of the helper field + global lexsort.
 
-This is the simulator's earlier sampling path, kept verbatim as a test oracle
-for the tier-first sampler in `coopmac.monte_carlo`.  Every trial fills the
-bounding box of the two 74.7 m reach disks with a PPP, classifies every point
-into its tier and selects the helper with one lexsort over all points of the
-chunk.  It is exact but slow (cost grows with the density), and it draws a
-different rng stream, so it is compared with the package in distribution,
-not bit for bit.
+This is the simulator's earlier sampling path, kept as a test oracle for the
+tier-first sampler in `coopmac.monte_carlo`.  Under the PPP every trial fills
+the bounding box of the two 74.7 m reach disks with a PPP; under k-nearest
+conditioning it places the k-1 nearer neighbors uniformly in the disk of
+radius r.  It classifies every point into its tier and selects the helper
+with one lexsort over all points of the chunk.  It is exact but slow (cost
+grows with the density or with k), and it draws a different rng stream, so
+it is compared with the package in distribution, not bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +51,32 @@ def _helper_points(rng, r_elig, density, k):
     return tid, x, y
 
 
+def _select_helpers(rng, r_elig, tid, x, y, scheme, params):
+    """Classify the points (x, y) of trials tid and pick each trial's helper.
+
+    Returns (index into r_elig of the trials with a helper, its tier, its G).
+    """
+    d_sh = np.hypot(x, y)
+    d_hd = np.hypot(x - r_elig[tid], y)
+    tier = tier_index(d_sh, d_hd, "D")
+    # Type-C links have no tier-4/5 rows
+    tier[(r_elig[tid] < BAND_2) & (tier > 3)] = 0
+    keep = tier > 0
+    tid_k = tid[keep]
+    tier_k = tier[keep]
+    d_sh_k = d_sh[keep]
+    g = g_joint(d_sh_k, d_hd[keep], params)
+    if scheme == "proposed":
+        order = np.lexsort((d_sh_k, -g, tier_k, tid_k))
+    elif scheme == "conventional":
+        order = np.lexsort((rng.uniform(size=g.size), tid_k))
+    else:
+        raise ValueError("unknown scheme %r" % (scheme,))
+    winners, first = np.unique(tid_k[order], return_index=True)
+    sel = order[first]
+    return winners, tier_k[sel], g[sel]
+
+
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples."""
     r = _draw_link_distance(rng, n, _BANDS[regime], density, k)
@@ -60,28 +87,10 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     if elig.size:
         tid, x, y = _helper_points(rng, r[elig], density, k)
-        d_sh = np.hypot(x, y)
-        d_hd = np.hypot(x - r[elig][tid], y)
-        tier = tier_index(d_sh, d_hd, "D")
-        # Type-C links have no tier-4/5 rows
-        tier[(r[elig][tid] < BAND_2) & (tier > 3)] = 0
-        keep = tier > 0
-        if np.any(keep):
-            tid_k = tid[keep]
-            tier_k = tier[keep]
-            d_sh_k = d_sh[keep]
-            g = g_joint(d_sh_k, d_hd[keep], params)
-            if scheme == "proposed":
-                order = np.lexsort((d_sh_k, -g, tier_k, tid_k))
-            elif scheme == "conventional":
-                order = np.lexsort((rng.uniform(size=g.size), tid_k))
-            else:
-                raise ValueError("unknown scheme %r" % (scheme,))
-            winners, first = np.unique(tid_k[order], return_index=True)
-            sel = order[first]
-            chosen = elig[winners]
-            rate[chosen] = _TIER_RATE_ARR[tier_k[sel]]
-            success_p[chosen] = g[sel]
+        winners, tier, g = _select_helpers(rng, r[elig], tid, x, y, scheme, params)
+        chosen = elig[winners]
+        rate[chosen] = _TIER_RATE_ARR[tier]
+        success_p[chosen] = g
 
     if estimator_mode == "sampled":
         return rate * (rng.uniform(size=n) < success_p)

@@ -76,6 +76,10 @@ def test_exit_codes(tmp_path):
     assert main(["reproduce", "fig9", "--lambda", "0.05", "--conditioning", "k=1", "--trials", "100"]) == 2
     assert main(["contour", "--class", "C", "--r-k", "90"]) == 2
     assert main(["reproduce", "fig99"]) == 1
+    # a figure fixes its classes, schemes and mode, so reproduce takes none of these flags
+    assert main(["reproduce", "fig7", "--mode", "sampled", "--trials", "100"]) == 1
+    assert main(["reproduce", "fig7", "--scheme", "proposed", "--trials", "100"]) == 1
+    assert main(["reproduce", "fig7", "--class", "D", "--trials", "100"]) == 1
 
 
 def test_bounds_csv_shape(tmp_path):
@@ -128,6 +132,17 @@ def test_contour_command(tmp_path):
     rows = list(csv.DictReader(out.open()))
     assert rows
     assert max(float(r["throughput"]) for r in rows) <= 5.5
+
+
+@pytest.mark.parametrize("r_k,regimes", [("80", {"D1"}), ("99", {"D2"}), ("96.4", {"D1", "D2"}), ("101", None)])
+def test_contour_class_d_picks_the_regimes_holding_r_k(tmp_path, r_k, regimes):
+    out = tmp_path / "contour.csv"
+    code = main(["contour", "--class", "D", "--r-k", r_k, "--resolution", "2", "--out", str(out)])
+    if regimes is None:
+        assert code == 2 and not out.exists()
+        return
+    assert code == 0
+    assert {r["regime"] for r in csv.DictReader(out.open())} == regimes
 
 
 def test_reproduce_requires_known_figure(tmp_path):

@@ -1,18 +1,20 @@
-"""The object-level protocol path against the vectorized selection kernel.
+"""The object-level protocol path against the vectorized point-classification kernel.
 
-`monte_carlo._knn_helpers` places each link's k-1 nearer neighbors and picks
-the helper for every link at once.  Here its seeded draws are replayed to get
-the same points, and each link goes through `enumerate_candidates` ->
-`select_helper_proposed` -> `run_exchange(mode="analytic")` on its own.  The
-proposed pick must agree exactly (tier, rate and G); the conventional pick
-must be one of the link's candidates.
+The k-nearest branch of the oracle in `box_ppp_oracle.py` places each link's
+k-1 nearer neighbors in the disk of radius r and picks the helper for every
+link at once.  The same disk points are replayed here, and each link goes
+through `enumerate_candidates` -> `select_helper_proposed` ->
+`run_exchange(mode="analytic")` on its own.  The proposed pick must agree
+exactly (tier, rate and G); the conventional pick must be one of the link's
+candidates.
 """
 
 import numpy as np
 import pytest
 
+from box_ppp_oracle import _helper_points, _select_helpers
 from coopmac.channel_model import ChannelParams, p_success_direct
-from coopmac.monte_carlo import _TIER_RATE_ARR, _direct_rate, _knn_helpers
+from coopmac.monte_carlo import _TIER_RATE_ARR, _direct_rate
 from coopmac.protocol import enumerate_candidates, run_exchange, select_helper_proposed
 from coopmac.stochastic_geometry import NetworkRealization, check_band
 
@@ -25,14 +27,14 @@ def _links(link_class, seed):
     return np.random.default_rng(1000 + seed).uniform(lo, hi, N_LINKS)
 
 
-def _replayed_points(r, k, seed):
-    """The neighbor positions `_knn_helpers` draws from rng(seed), per link."""
+def _kernel_picks(r, k, seed, scheme):
+    """The kernel's pick of each link from rng(seed), and each link's disk points."""
     rng = np.random.default_rng(seed)
-    tid = np.repeat(np.arange(r.size), k - 1)
-    rad = r[tid] * np.sqrt(rng.uniform(size=tid.size))
-    ang = rng.uniform(size=tid.size) * 2.0 * np.pi
-    xy = np.column_stack((rad * np.cos(ang), rad * np.sin(ang)))
-    return [xy[tid == j] for j in range(r.size)]
+    tid, x, y = _helper_points(rng, r, None, k)
+    links, tiers, gs = _select_helpers(rng, r, tid, x, y, scheme, PARAMS)
+    picked = {int(j): (int(t), float(g)) for j, t, g in zip(links, tiers, gs)}
+    xy = np.column_stack((x, y))
+    return picked, [xy[tid == j] for j in range(r.size)]
 
 
 def _candidates(points, r_j):
@@ -45,10 +47,9 @@ def _candidates(points, r_j):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_proposed_protocol_path_matches_kernel(link_class, k, seed):
     r = _links(link_class, seed)
-    links, tiers, gs = _knn_helpers(np.random.default_rng(seed), r, k, "proposed", PARAMS)
-    picked = {int(j): (int(t), float(g)) for j, t, g in zip(links, tiers, gs)}
+    picked, points_of = _kernel_picks(r, k, seed, "proposed")
     cooperative = 0
-    for j, points in enumerate(_replayed_points(r, k, seed)):
+    for j, points in enumerate(points_of):
         out = run_exchange(select_helper_proposed(_candidates(points, r[j])), r[j], PARAMS, mode="analytic")
         if j in picked:
             tier, g = picked[j]
@@ -70,9 +71,8 @@ def test_proposed_protocol_path_matches_kernel(link_class, k, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_conventional_kernel_pick_is_a_candidate(link_class, k, seed):
     r = _links(link_class, seed)
-    links, tiers, gs = _knn_helpers(np.random.default_rng(seed), r, k, "conventional", PARAMS)
-    picked = {int(j): (int(t), float(g)) for j, t, g in zip(links, tiers, gs)}
-    for j, points in enumerate(_replayed_points(r, k, seed)):
+    picked, points_of = _kernel_picks(r, k, seed, "conventional")
+    for j, points in enumerate(points_of):
         candidates = {(c.tier, c.g_score) for c in _candidates(points, r[j])}
         if j in picked:
             assert picked[j] in candidates
