@@ -14,6 +14,11 @@ tier regions (`stochastic_geometry.void_probability`, which the Monte Carlo
 shares) under one of two conditionings: ``ppp`` (default), an unconditioned
 PPP helper field, or ``k``-nearest, the destination being the source's kth
 nearest neighbor.
+
+Every average is one band integral (`_law_integral`) of a per-link value,
+the (lower, upper) bound pair in one joint pass or the direct success
+probability, against the link-length law: 2r/100^2 under the PPP, the kth-NN
+distance PDF under k-nearest conditioning.
 """
 
 from __future__ import annotations
@@ -72,24 +77,19 @@ class TierProbabilityVector:
     conditioning: tuple  # ("ppp", density) or ("k", k)
 
 
-def h_integral(r_min: float, r_max: float, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
-    """Integral of Q(nu + mu*log10 r) against the kth-NN distance PDF.
+def h_integral(
+    r_min: float, r_max: float, k: Optional[int], density: float, params: ChannelParams = ChannelParams()
+) -> float:
+    """Integral of Q(nu + mu*log10 r) against the link-length law on [r_min, r_max].
 
     The building block of the Type A/B throughput expressions: the
-    probability that the kth neighbor lies in [r_min, r_max] *and* a
-    direct transmission to it succeeds.
+    probability that the link length lies in [r_min, r_max] *and* a direct
+    transmission over it succeeds.  The law is the kth-NN distance PDF, or
+    with k None the PPP's uniform-area law 2r/100^2 (see `_law_integral`).
     """
     if r_min < 0 or r_max < r_min:
         raise ValueError("need 0 <= r_min <= r_max")
-    if r_min == r_max:
-        return 0.0
-
-    def integrand(r):
-        if r <= 0.0:
-            return 0.0
-        return float(p_success_direct(r, params)) * nn_distance_pdf(k, density, r)
-
-    return adaptive_simpson(integrand, r_min, r_max)
+    return _law_integral(lambda r: float(p_success_direct(r, params)), r_min, r_max, density, k)
 
 
 def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
@@ -190,15 +190,39 @@ def link_bounds_at_distance(
     vec = tier_probabilities(link_class, r_k, density=density, k=k)
     lower = upper = vec.residual * float(p_success_direct(r_k, params)) * CLASS_RATES[link_class]
     for tier, p in vec.probs.items():
-        if p == 0.0:
-            continue
-        if tier == 1 and regime == "D2":
-            # geometry guarantees p == 0 here up to round-off
+        if p == 0.0:  # e.g. tier 1 of a D2 link: the two 48.2 m circles no longer meet
             continue
         pair = tier_bound_pair(regime, tier, r_k, params)
         lower += p * pair.lower
         upper += p * pair.upper
     return BoundPair(lower, upper, context=(regime, "mixture", float(r_k), vec.conditioning))
+
+
+def _law_integral(value, a: float, b: float, density: float, k: Optional[int], tol: float = 1e-8):
+    """Integral over [a, b] of value(r) x w(r), w the link-length law over the 100 m range.
+
+    w is 2r/100^2 under the PPP (k None), else the kth-NN distance PDF; both
+    vanish at r = 0, where value is not called.  `value` may return a
+    (lower, upper) array, integrated jointly to `tol` in both components.
+    """
+    if k is None:
+        weight = lambda r: 2.0 * r / MAX_RANGE ** 2
+    else:
+        weight = lambda r: nn_distance_pdf(k, density, r)
+    return adaptive_simpson(lambda r: value(r) * weight(r) if r > 0.0 else 0.0, a, b, tol=tol)
+
+
+def _regime_part(regime: str, density: float, k: Optional[int], params: ChannelParams, tol: float = 1e-8):
+    """E[throughput; link length in the regime's band] as a (lower, upper) array."""
+    a, b, link_class = REGIMES[regime]
+    if link_class in DIRECT_CLASSES:
+        return np.full(2, h_integral(a, b, k, density, params) * CLASS_RATES[link_class])
+
+    def pair(r):
+        bounds = link_bounds_at_distance(regime, r, density=density if k is None else None, k=k, params=params)
+        return np.array((bounds.lower, bounds.upper))
+
+    return _law_integral(pair, a, b, density, k, tol)
 
 
 def averaged_bounds(
@@ -210,29 +234,17 @@ def averaged_bounds(
 ) -> BoundPair:
     """Class-averaged throughput bounds over the regime's distance band.
 
-    With the default PPP conditioning the link distance is weighted by
-    the uniform-area law 2r/(b^2-a^2) on the band (normalized, i.e. the
-    average is conditional on the link falling in this class).  With
-    k-nearest conditioning the weight is the kth-NN distance PDF as
-    printed in the closed-form expressions (unnormalized partial
-    expectation over the band).
+    One joint quadrature of the per-link bound pair against the link-length
+    law.  Under the PPP the band's partial expectation (law 2r/100^2) is
+    divided by the band's area share (b^2-a^2)/100^2, giving the average
+    conditional on the link falling in this class; it is integrated to
+    tol x share, so `tol` is the absolute tolerance of the returned average.
+    Under k-nearest conditioning it is the unnormalized partial expectation
+    under the kth-NN distance PDF, as in the closed-form expressions.
     """
     a, b = check_band(regime, HELPER_REGIMES)
-
-    if k is None:
-        weight = lambda r: 2.0 * r / (b * b - a * a)
-    else:
-        weight = lambda r: nn_distance_pdf(k, density, r)
-
-    def make(which):
-        def f(r):
-            pair = link_bounds_at_distance(regime, r, density=None if k is not None else density, k=k, params=params)
-            return getattr(pair, which) * weight(r)
-
-        return f
-
-    lower = adaptive_simpson(make("lower"), a, b, tol=tol)
-    upper = adaptive_simpson(make("upper"), a, b, tol=tol)
+    share = 1.0 if k is not None else (b * b - a * a) / MAX_RANGE ** 2
+    lower, upper = _regime_part(regime, density, k, params, tol * share) / share
     conditioning = ("k", k) if k is not None else ("ppp", density)
     return BoundPair(lower, upper, context=(regime, "averaged", conditioning))
 
@@ -242,41 +254,14 @@ def total_throughput_bounds(
     k: Optional[int] = None,
     params: ChannelParams = ChannelParams(),
 ) -> BoundPair:
-    """Network-total bound: D2 + D1 + C class averages plus A/B throughput.
+    """Network-total bound: the sum of the A, B, C, D1 and D2 partial expectations.
 
-    With k-nearest conditioning this is the literal closed-form sum of the
-    per-band partial expectations under the kth-NN distance law.  With PPP
-    conditioning the same sum is taken under the uniform-area law
-    2r/100^2 over the whole 100 m disk, i.e. the unconditional mean
-    throughput of a random in-range pair.
+    Each part is integrated to absolute tolerance 1e-8.  Under k-nearest
+    conditioning the parts are the very integrals of `averaged_bounds` and
+    `type_ab_throughput`, as in the closed-form sum.  Under the PPP it is
+    the unconditional mean throughput of a random in-range pair: the A/B
+    parts plus share x `averaged_bounds` of each helper regime.
     """
-    if k is not None:
-        lower = upper = 0.0
-        for regime in HELPER_REGIMES[::-1]:
-            pair = averaged_bounds(regime, density, k=k, params=params)
-            lower += pair.lower
-            upper += pair.upper
-        for link_class in DIRECT_CLASSES:
-            direct = type_ab_throughput(link_class, k, density, params)
-            lower += direct
-            upper += direct
-        return BoundPair(lower, upper, context=("total", ("k", k)))
-
-    weight = lambda r: 2.0 * r / MAX_RANGE ** 2
-
-    def band(which, regime, a, b):
-        def f(r):
-            pair = link_bounds_at_distance(regime, r, density=density, params=params)
-            return getattr(pair, which) * weight(r)
-
-        return adaptive_simpson(f, a, b)
-
-    def direct(a, b, rate):
-        return adaptive_simpson(lambda r: float(p_success_direct(r, params)) * rate * weight(r), max(a, 1e-9), b)
-
-    lower = upper = sum(direct(*REGIMES[c][:2], CLASS_RATES[c]) for c in DIRECT_CLASSES)
-    for regime in HELPER_REGIMES:
-        a, b = REGIMES[regime][:2]
-        lower += band("lower", regime, a, b)
-        upper += band("upper", regime, a, b)
-    return BoundPair(lower, upper, context=("total", ("ppp", density)))
+    lower, upper = sum(_regime_part(regime, density, k, params) for regime in DIRECT_CLASSES + HELPER_REGIMES)
+    conditioning = ("k", k) if k is not None else ("ppp", density)
+    return BoundPair(lower, upper, context=("total", conditioning))

@@ -118,10 +118,14 @@ class RunConfig:
 
 _FLOAT_FIELDS = {"pt", "pth", "k_const", "alpha", "sigma", "r_k", "resolution"}
 _INT_FIELDS = {"trials", "seed", "workers"}
+_KEY_ALIASES = {"lambda": "densities", "class": "link_class"}
+# A `reproduce` figure fixes its classes and runs both schemes in analytic
+# mode, so it takes none of these keys, neither as flags nor from a file.
+_FIGURE_FIXED_KEYS = ("link_class", "scheme", "mode")
 
 
 def _assign(cfg: RunConfig, key: str, value: str):
-    key = {"lambda": "densities", "class": "link_class"}.get(key, key)
+    key = _KEY_ALIASES.get(key, key)
     if key not in {f.name for f in fields(RunConfig)}:
         raise ConfigError("unknown config key %r" % (key,))
     try:
@@ -137,8 +141,8 @@ def _assign(cfg: RunConfig, key: str, value: str):
         raise ConfigError("invalid value %r for key %r" % (value, key))
 
 
-def parse_config(path=None, overrides=None) -> RunConfig:
-    """Merge defaults, an optional key=value file, and flag overrides."""
+def parse_config(path=None, overrides=None, fixed=()) -> RunConfig:
+    """Merge defaults, an optional key=value file (setting none of `fixed`), and flag overrides."""
     cfg = RunConfig()
     if path:
         try:
@@ -153,6 +157,8 @@ def parse_config(path=None, overrides=None) -> RunConfig:
             if "=" not in line:
                 raise ConfigError("line %d: expected key=value, got %r" % (ln, line))
             key, value = line.split("=", 1)
+            if _KEY_ALIASES.get(key.strip(), key.strip()) in fixed:
+                raise ConfigError("line %d: this subcommand does not take %r" % (ln, key.strip()))
             _assign(cfg, key.strip(), value.strip())
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -322,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("bounds", "simulate", "contour", "reproduce", "selftest"):
         p = sub.add_parser(name)
         p.add_argument("--config", help="flat key=value config file")
-        if name != "reproduce":  # a figure fixes its classes and runs both schemes in analytic mode
+        if name != "reproduce":  # see _FIGURE_FIXED_KEYS
             p.add_argument("--class", dest="link_class", choices=list(CLASS_REGIMES))
             p.add_argument("--scheme", choices=["proposed", "conventional", "both"])
             p.add_argument("--mode", choices=["analytic", "sampled"])
@@ -373,7 +379,8 @@ def main(argv=None) -> int:
         }
         if getattr(args, "figure", None):
             overrides["figure"] = args.figure
-        cfg = parse_config(getattr(args, "config", None), overrides)
+        fixed = _FIGURE_FIXED_KEYS if args.command == "reproduce" else ()
+        cfg = parse_config(getattr(args, "config", None), overrides, fixed)
         return dispatch(args.command, cfg)
     except UsageError as e:
         print("usage error: %s" % (e,), file=sys.stderr)

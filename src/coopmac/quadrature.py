@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def _panel(f, a, fa, b, fb):
     m = 0.5 * (a + b)
@@ -13,9 +15,11 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_bisections: i
     """Integrate f over [a, b] to absolute tolerance `tol`.
 
     Classic adaptive Simpson with Richardson error control: intervals are
-    bisected (worst first) until each local two-panel estimate agrees with
+    bisected depth first until each local two-panel estimate agrees with
     its one-panel estimate to 15x the locally allotted tolerance, with a
-    global cap on the number of bisections.
+    global cap on the number of bisections.  `f` may return an array, e.g. a
+    (lower, upper) pair: the components share the nodes and the largest
+    component error decides each bisection.
     """
     if b < a:
         raise ValueError("integration bounds out of order")
@@ -31,7 +35,7 @@ def _recurse(f, a, fa, m, fm, b, fb, whole, tol, budget):
     lm, flm, left = _panel(f, a, fa, m, fm)
     rm, frm, right = _panel(f, m, fm, b, fb)
     err = left + right - whole
-    if budget[0] <= 0 or abs(err) <= 15.0 * tol:
+    if budget[0] <= 0 or np.max(np.abs(err)) <= 15.0 * tol:
         return left + right + err / 15.0
     budget[0] -= 1
     half = 0.5 * tol

@@ -111,8 +111,12 @@ def test_tier_probs_ppp_value():
 
 
 def test_tier_probs_d_tier1_zero_past_96_4():
-    vec = tier_probabilities("D", 97.0, density=0.005)
-    assert vec.probs[1] == 0.0
+    # the two 48.2 m circles meet at most tangentially, so the tier-1 area and
+    # probability are exactly 0 and link_bounds_at_distance skips the tier
+    for r in (96.4, 97.0, 100.0):
+        for conditioning in ({"density": 0.005}, {"k": 10}):
+            vec = tier_probabilities("D", r, **conditioning)
+            assert vec.probs[1] == 0.0, (r, conditioning)
 
 
 def test_tier_probs_validation():
@@ -219,15 +223,18 @@ def test_link_bounds_ordered_random():
 
 # ------------------------------------------------------------- averaged_bounds
 
+BANDS = {"C": (67.1, 74.7), "D1": (74.7, 96.4), "D2": (96.4, 100.0)}
+
+
 def test_averaged_bounds_against_scipy_quad():
     lam = 0.005
-    a, b = 67.1, 74.7
-    w = lambda r: 2 * r / (b * b - a * a)
-    lo_expected, _ = quad(lambda r: link_bounds_at_distance("C", r, density=lam).lower * w(r), a, b)
-    hi_expected, _ = quad(lambda r: link_bounds_at_distance("C", r, density=lam).upper * w(r), a, b)
-    pair = averaged_bounds("C", lam)
-    assert pair.lower == pytest.approx(lo_expected, abs=1e-6)
-    assert pair.upper == pytest.approx(hi_expected, abs=1e-6)
+    for regime, (a, b) in BANDS.items():  # D1 ends at the 96.4 m tier-1 tangency
+        w = lambda r: 2 * r / (b * b - a * a)
+        lo_expected, _ = quad(lambda r: link_bounds_at_distance(regime, r, density=lam).lower * w(r), a, b)
+        hi_expected, _ = quad(lambda r: link_bounds_at_distance(regime, r, density=lam).upper * w(r), a, b)
+        pair = averaged_bounds(regime, lam)
+        assert pair.lower == pytest.approx(lo_expected, abs=1e-6), regime
+        assert pair.upper == pytest.approx(hi_expected, abs=1e-6), regime
 
 
 def test_averaged_bounds_quadrature_self_check():
@@ -252,12 +259,17 @@ def test_averaged_bounds_k_conditioning_partial_expectation():
     # with k-nearest conditioning the average is weighted by the literal
     # kth-neighbor distance pdf (unnormalized over the class band)
     k, lam = 25, 0.001
-    a, b = 67.1, 74.7
-    lo_expected, _ = quad(
-        lambda r: link_bounds_at_distance("C", r, k=k).lower * nn_distance_pdf(k, lam, r), a, b
-    )
-    pair = averaged_bounds("C", lam, k=k)
-    assert pair.lower == pytest.approx(lo_expected, abs=1e-6)
+    for regime in ("C", "D1"):
+        a, b = BANDS[regime]
+        lo_expected, _ = quad(
+            lambda r: link_bounds_at_distance(regime, r, k=k).lower * nn_distance_pdf(k, lam, r), a, b
+        )
+        hi_expected, _ = quad(
+            lambda r: link_bounds_at_distance(regime, r, k=k).upper * nn_distance_pdf(k, lam, r), a, b
+        )
+        pair = averaged_bounds(regime, lam, k=k)
+        assert pair.lower == pytest.approx(lo_expected, abs=1e-6), regime
+        assert pair.upper == pytest.approx(hi_expected, abs=1e-6), regime
 
 
 # ----------------------------------------------------- total_throughput_bounds
@@ -272,7 +284,7 @@ def test_total_bounds_ppp_against_quad_oracle():
 
     expected_lo = direct(0, 48.2, 11.0) + direct(48.2, 67.1, 5.5)
     expected_hi = expected_lo
-    for regime, (a, b) in {"C": (67.1, 74.7), "D1": (74.7, 96.4), "D2": (96.4, 100.0)}.items():
+    for regime, (a, b) in BANDS.items():
         lo, _ = quad(lambda r: link_bounds_at_distance(regime, r, density=lam).lower * w(r), a, b)
         hi, _ = quad(lambda r: link_bounds_at_distance(regime, r, density=lam).upper * w(r), a, b)
         expected_lo += lo
@@ -294,3 +306,22 @@ def test_total_bounds_k_conditioning_is_sum_of_parts():
     pair = total_throughput_bounds(lam, k=k)
     assert pair.lower == pytest.approx(parts_lo + ta + tb, abs=1e-9)
     assert pair.upper == pytest.approx(parts_hi + ta + tb, abs=1e-9)
+
+
+def test_total_bounds_ppp_is_sum_of_parts():
+    # under the PPP each helper regime contributes its area share of the
+    # network times its class average
+    lam = 0.002
+    parts_lo = parts_hi = 0.0
+    for regime, (a, b) in BANDS.items():
+        share = (b * b - a * a) / 100.0**2
+        p = averaged_bounds(regime, lam)
+        parts_lo += share * p.lower
+        parts_hi += share * p.upper
+    for (a, b), rate in (((1e-9, 48.2), 11.0), ((48.2, 67.1), 5.5)):
+        direct, _ = quad(lambda r: float(p_success_direct(r)) * rate * 2 * r / 100.0**2, a, b)
+        parts_lo += direct
+        parts_hi += direct
+    pair = total_throughput_bounds(lam)
+    assert pair.lower == pytest.approx(parts_lo, abs=1e-7)
+    assert pair.upper == pytest.approx(parts_hi, abs=1e-7)

@@ -80,6 +80,12 @@ def test_exit_codes(tmp_path):
     assert main(["reproduce", "fig7", "--mode", "sampled", "--trials", "100"]) == 1
     assert main(["reproduce", "fig7", "--scheme", "proposed", "--trials", "100"]) == 1
     assert main(["reproduce", "fig7", "--class", "D", "--trials", "100"]) == 1
+    # ... nor as keys of a config file, which would otherwise be ignored
+    for line in ("mode=sampled", "scheme=proposed", "class=D", "link_class=D"):
+        config = tmp_path / "figure.cfg"
+        config.write_text("trials=100\n%s\n" % line)
+        assert main(["reproduce", "fig7", "--lambda", "0.002", "--config", str(config)]) == 2
+    assert main(["simulate", "--lambda", "0.002", "--config", str(config)]) == 0
 
 
 def test_bounds_csv_shape(tmp_path):

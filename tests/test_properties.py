@@ -1,0 +1,57 @@
+"""Property tests of the tier law and the per-link bounds over random links.
+
+Each property is checked on a small, fixed set of examples (derandomized),
+so the suite stays fast and reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coopmac.analytic_bounds import link_bounds_at_distance, tier_probabilities
+from coopmac.stochastic_geometry import REGIMES, void_probability
+
+SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
+
+
+@st.composite
+def links(draw):
+    """(regime, link length, conditioning) with the conditioning as keyword arguments."""
+    regime = draw(st.sampled_from(["C", "D1", "D2"]))
+    a, b = REGIMES[regime][:2]
+    r = a + (b - a) * draw(st.floats(0.0, 1.0))
+    conditioning = draw(
+        st.one_of(
+            st.builds(lambda lam: {"density": lam}, st.floats(1e-5, 0.1)),
+            st.builds(lambda k: {"k": k}, st.integers(1, 200)),
+        )
+    )
+    return regime, r, conditioning
+
+
+@SETTINGS
+@given(links())
+def test_tier_probabilities_and_residual_are_a_distribution(link):
+    regime, r, conditioning = link
+    vec = tier_probabilities(REGIMES[regime][2], r, **conditioning)
+    parts = list(vec.probs.values()) + [vec.residual]
+    assert all(p >= 0.0 for p in parts)
+    assert abs(sum(parts) - 1.0) <= 1e-12
+
+
+@SETTINGS
+@given(links())
+def test_link_bounds_are_ordered(link):
+    regime, r, conditioning = link
+    pair = link_bounds_at_distance(regime, r, **conditioning)
+    assert 0.0 <= pair.lower <= pair.upper
+
+
+@SETTINGS
+@given(links(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_void_probability_non_increasing_in_area(link, u, v):
+    _, r, conditioning = link
+    disk = np.pi * r**2  # every tier region lies in the disk of radius r
+    small, large = sorted((u * disk, v * disk))
+    density, k = conditioning.get("density"), conditioning.get("k")
+    assert void_probability(large, r, density, k) <= void_probability(small, r, density, k)

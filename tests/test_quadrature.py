@@ -38,3 +38,26 @@ def test_tolerance_refinement():
     fine = adaptive_simpson(f, 0.0, 1.0, tol=1e-10)
     assert abs(fine - expected) <= abs(coarse - expected) + 1e-12
     assert fine == pytest.approx(expected, abs=1e-7)
+
+
+
+def test_vector_integrand_refines_to_the_worst_component():
+    # sin needs a uniform grid of ~2^10 panels; sqrt's infinite slope at 0
+    # needs ~2^57 there.  Jointly both components share the deeper grid and
+    # each still meets the tolerance of its own scalar run.
+    tol = 1e-10
+    components = (np.sin, np.sqrt)
+    exact = (1.0 - np.cos(6.0), 2.0 / 3.0 * 6.0**1.5)
+
+    def run(f):
+        nodes = []
+        value = adaptive_simpson(lambda x: (nodes.append(x), f(x))[1], 0.0, 6.0, tol=tol)
+        return value, np.log2(6.0 / np.diff(np.unique(nodes)).min())
+
+    alone = [run(f) for f in components]
+    joint, joint_depth = run(lambda x: np.array([f(x) for f in components]))
+    assert alone[1][1] > alone[0][1] + 20
+    assert joint_depth == max(depth for _, depth in alone)
+    for got, (want, _), truth in zip(joint, alone, exact):
+        assert got == pytest.approx(want, abs=tol)
+        assert got == pytest.approx(truth, abs=tol)
