@@ -43,6 +43,7 @@ from .analytic_bounds import (
     BoundPair,
     TierProbabilityVector,
     averaged_bounds,
+    band_mass,
     h_integral,
     link_bounds_at_distance,
     tier_bound_pair,
@@ -83,6 +84,7 @@ __all__ = [
     "tier_bound_pair",
     "link_bounds_at_distance",
     "averaged_bounds",
+    "band_mass",
     "total_throughput_bounds",
     "ExperimentConfig",
     "SimEstimate",

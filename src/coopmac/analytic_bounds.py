@@ -18,7 +18,14 @@ nearest neighbor.
 Every average is one band integral (`_law_integral`) of a per-link value,
 the (lower, upper) bound pair in one joint pass or the direct success
 probability, against the link-length law: 2r/100^2 under the PPP, the kth-NN
-distance PDF under k-nearest conditioning.
+distance PDF under k-nearest conditioning.  The per-link pair comes from one
+array kernel, `_link_bounds(regime, r, density, k, params)`, which maps a 1-D
+array of link lengths to a (2, n) lower/upper array: the tier law from the
+vectorized `tier_areas` and `void_probability`, and G at each tier's extremal
+helper positions (`_extremal_g`), where the positions that do not depend on
+the link length are evaluated once per call.  The quadrature calls it once
+per bisection depth on all of that depth's nodes; `link_bounds_at_distance`,
+`tier_probabilities` and `tier_bound_pair` are scalar views of the same code.
 """
 
 from __future__ import annotations
@@ -89,7 +96,7 @@ def h_integral(
     """
     if r_min < 0 or r_max < r_min:
         raise ValueError("need 0 <= r_min <= r_max")
-    return _law_integral(lambda r: float(p_success_direct(r, params)), r_min, r_max, density, k)
+    return _law_integral(lambda r: p_success_direct(r, params), r_min, r_max, density, k)
 
 
 def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
@@ -100,6 +107,32 @@ def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelP
     """
     lo, hi = check_band(link_class, DIRECT_CLASSES)
     return h_integral(lo, hi, k, density, params) * CLASS_RATES[link_class]
+
+
+def _conditioning(density, k) -> tuple:
+    """("ppp", density) or ("k", k), checking that exactly one is given and valid."""
+    if (density is None) == (k is None):
+        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
+    if density is not None:
+        if not density > 0:
+            raise ValueError("density must be positive")
+        return ("ppp", float(density))
+    if not (isinstance(k, (int, np.integer)) and k >= 1):
+        raise ValueError("k must be an integer >= 1")
+    return ("k", int(k))
+
+
+def _tier_law(link_class: str, r, density, k):
+    """Tier probabilities, shape (tiers, n), and residual, shape (n,), at link lengths r.
+
+    P_i = P{regions 1..i-1 void} - P{regions 1..i void}.  Vectorized over the
+    1-D array r; no validation.  Under k-nearest conditioning `density` is not
+    used.
+    """
+    areas = tier_areas(r, CLASS_TIERS[link_class])
+    cum = np.cumsum((np.zeros_like(r),) + areas, axis=0)
+    empty = void_probability(cum, r, density, k)  # P{regions 1..i all void}
+    return empty[:-1] - empty[1:], empty[-1]
 
 
 def tier_probabilities(
@@ -117,60 +150,74 @@ def tier_probabilities(
     region i is not.
     """
     check_band(link_class, CLASS_TIERS, r_k)
-    if (density is None) == (k is None):
-        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
-
-    if density is not None:
-        if not density > 0:
-            raise ValueError("density must be positive")
-        conditioning = ("ppp", float(density))
-    else:
-        if not (isinstance(k, (int, np.integer)) and k >= 1):
-            raise ValueError("k must be an integer >= 1")
-        conditioning = ("k", int(k))
-    areas = tier_areas(float(r_k), CLASS_TIERS[link_class])
-    cum = np.concatenate(([0.0], np.cumsum(areas)))
-    empty = void_probability(cum, r_k, density, k)  # P{regions 1..i all void}
-    p = empty[:-1] - empty[1:]
-    probs = {t: float(pi) for t, pi in enumerate(p, 1)}
+    conditioning = _conditioning(density, k)
+    p, residual = _tier_law(link_class, np.array([float(r_k)]), density, k)
     return TierProbabilityVector(
         link_class=link_class,
         r_k=float(r_k),
-        probs=probs,
-        residual=float(empty[-1]),
+        probs={t: float(pi) for t, pi in enumerate(p[:, 0], 1)},
+        residual=float(residual[0]),
         conditioning=conditioning,
     )
+
+
+def _extremal_g(regime: str, r, params: ChannelParams):
+    """(worst, best) joint success G of each tier of the regime at link length(s) r.
+
+    G at the worst and best helper positions the tier region admits: e.g. a
+    tier-1 helper is best at the S-D midpoint and worst at a corner where both
+    hops stretch to 48.2 m.  Entries that do not depend on r are scalars.
+    """
+    g = lambda h1, h2: g_joint(h1, h2, params)
+    corner = g(BAND_11, BAND_11)
+    mid = g(r / 2, r / 2)
+    inner = g(BAND_11, BAND_55)
+    pairs = [
+        (corner, mid),
+        (inner, g(BAND_11, r - BAND_11)),
+        (g(BAND_55, BAND_55), mid if regime == "D2" else corner),
+    ]
+    if CLASS_TIERS[REGIMES[regime][2]] == 5:
+        pairs += [(g(BAND_11, BAND_2), g(BAND_55, r - BAND_55)), (g(BAND_55, BAND_2), inner)]
+    return pairs
 
 
 def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = ChannelParams()) -> BoundPair:
     """Lower/upper throughput bounds (Mbps) for one tier of a given link.
 
-    The bounds evaluate the joint success probability G at the worst and
-    best helper positions admitted by the tier region: e.g. a tier-1
-    helper is best at the S-D midpoint and worst at a corner where both
-    hops stretch to 48.2 m.  Tier 1 does not exist in the D2 regime
+    The tier rate times G at the tier region's worst and best helper
+    positions (`_extremal_g`).  Tier 1 does not exist in the D2 regime
     (r_k > 96.4 m).
     """
     check_band(regime, HELPER_REGIMES, r_k)
     if tier not in range(1, CLASS_TIERS[REGIMES[regime][2]] + 1):
         raise ValueError("tier %r is not defined for regime %s" % (tier, regime))
+    if tier == 1 and regime == "D2":
+        raise ValueError("tier 1 is infeasible for D2 links (r_k > 96.4)")
     r = float(r_k)
-    g = lambda a, b: float(g_joint(a, b, params))
-    if tier == 1:
-        if regime == "D2":
-            raise ValueError("tier 1 is infeasible for D2 links (r_k > 96.4)")
-        pair = (g(BAND_11, BAND_11), g(r / 2, r / 2))
-    elif tier == 2:
-        pair = (g(BAND_11, BAND_55), g(BAND_11, r - BAND_11))
-    elif tier == 3:
-        best = g(r / 2, r / 2) if regime == "D2" else g(BAND_11, BAND_11)
-        pair = (g(BAND_55, BAND_55), best)
-    elif tier == 4:
-        pair = (g(BAND_11, BAND_2), g(BAND_55, r - BAND_55))
-    else:
-        pair = (g(BAND_55, BAND_2), g(BAND_11, BAND_55))
+    worst, best = _extremal_g(regime, r, params)[tier - 1]
     rate = TIER_RATES[tier]
-    return BoundPair(pair[0] * rate, pair[1] * rate, context=(regime, tier, r))
+    return BoundPair(float(worst) * rate, float(best) * rate, context=(regime, tier, r))
+
+
+def _link_bounds(regime: str, r, density, k, params: ChannelParams):
+    """(2, n) lower/upper throughput bounds of links of lengths r (a 1-D array).
+
+    The array kernel behind `link_bounds_at_distance` and every bound
+    integral: the residual direct term Ps(r) x direct rate plus the tier
+    mixture of `_extremal_g`.  No validation; under k-nearest conditioning
+    `density` is not used.
+    """
+    link_class = REGIMES[regime][2]
+    p, residual = _tier_law(link_class, r, density, k)
+    lower = upper = residual * p_success_direct(r, params) * CLASS_RATES[link_class]
+    # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
+    # the two 48.2 m circles no longer meet)
+    for tier, (p_i, (worst, best)) in enumerate(zip(p, _extremal_g(regime, r, params)), 1):
+        rate = TIER_RATES[tier]
+        lower = lower + p_i * (worst * rate)
+        upper = upper + p_i * (best * rate)
+    return np.stack((lower, upper))
 
 
 def link_bounds_at_distance(
@@ -186,30 +233,45 @@ def link_bounds_at_distance(
     residual direct-transmission term Ps(r_k) x direct rate.
     """
     check_band(regime, HELPER_REGIMES, r_k)
-    link_class = REGIMES[regime][2]
-    vec = tier_probabilities(link_class, r_k, density=density, k=k)
-    lower = upper = vec.residual * float(p_success_direct(r_k, params)) * CLASS_RATES[link_class]
-    for tier, p in vec.probs.items():
-        if p == 0.0:  # e.g. tier 1 of a D2 link: the two 48.2 m circles no longer meet
-            continue
-        pair = tier_bound_pair(regime, tier, r_k, params)
-        lower += p * pair.lower
-        upper += p * pair.upper
-    return BoundPair(lower, upper, context=(regime, "mixture", float(r_k), vec.conditioning))
+    conditioning = _conditioning(density, k)
+    lower, upper = _link_bounds(regime, np.array([float(r_k)]), density, k, params)[:, 0]
+    return BoundPair(float(lower), float(upper), context=(regime, "mixture", float(r_k), conditioning))
 
 
 def _law_integral(value, a: float, b: float, density: float, k: Optional[int], tol: float = 1e-8):
     """Integral over [a, b] of value(r) x w(r), w the link-length law over the 100 m range.
 
     w is 2r/100^2 under the PPP (k None), else the kth-NN distance PDF; both
-    vanish at r = 0, where value is not called.  `value` may return a
-    (lower, upper) array, integrated jointly to `tol` in both components.
+    vanish at r = 0, where value is not called.  `value` maps a 1-D array of
+    n link lengths to shape (n,), or to (c, n) for c components such as a
+    (lower, upper) pair, which are integrated jointly to `tol` in each.
     """
-    if k is None:
-        weight = lambda r: 2.0 * r / MAX_RANGE ** 2
-    else:
-        weight = lambda r: nn_distance_pdf(k, density, r)
-    return adaptive_simpson(lambda r: value(r) * weight(r) if r > 0.0 else 0.0, a, b, tol=tol)
+    _conditioning(density if k is None else None, k)  # under k, nn_distance_pdf checks density
+
+    def integrand(r):
+        pos = r > 0.0
+        rp = r[pos]
+        weight = 2.0 * rp / MAX_RANGE ** 2 if k is None else nn_distance_pdf(k, density, rp)
+        part = value(rp) * weight
+        out = np.zeros(part.shape[:-1] + r.shape)
+        out[..., pos] = part
+        return out
+
+    return adaptive_simpson(integrand, a, b, tol=tol)
+
+
+def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
+    """Probability that a link's length lies in the regime's band.
+
+    The band's area share (b^2 - a^2)/100^2 under the PPP (k None), else
+    P{kth-NN distance in [a, b]}: the link-length law integrated over the
+    band by `_law_integral`; regime "all" is the whole 100 m range.  Under
+    k-nearest conditioning `averaged_bounds` is a partial expectation;
+    divided by this mass it bounds the mean throughput of the links in the
+    band, the quantity `estimate_throughput` reports.
+    """
+    a, b = check_band(regime, REGIMES)
+    return float(_law_integral(np.ones_like, a, b, density, k))
 
 
 def _regime_part(regime: str, density: float, k: Optional[int], params: ChannelParams, tol: float = 1e-8):
@@ -217,12 +279,7 @@ def _regime_part(regime: str, density: float, k: Optional[int], params: ChannelP
     a, b, link_class = REGIMES[regime]
     if link_class in DIRECT_CLASSES:
         return np.full(2, h_integral(a, b, k, density, params) * CLASS_RATES[link_class])
-
-    def pair(r):
-        bounds = link_bounds_at_distance(regime, r, density=density if k is None else None, k=k, params=params)
-        return np.array((bounds.lower, bounds.upper))
-
-    return _law_integral(pair, a, b, density, k, tol)
+    return _law_integral(lambda r: _link_bounds(regime, r, density, k, params), a, b, density, k, tol)
 
 
 def averaged_bounds(
@@ -240,7 +297,8 @@ def averaged_bounds(
     conditional on the link falling in this class; it is integrated to
     tol x share, so `tol` is the absolute tolerance of the returned average.
     Under k-nearest conditioning it is the unnormalized partial expectation
-    under the kth-NN distance PDF, as in the closed-form expressions.
+    under the kth-NN distance PDF, as in the closed-form expressions; divide
+    by `band_mass` for bounds on the mean given the band.
     """
     a, b = check_band(regime, HELPER_REGIMES)
     share = 1.0 if k is not None else (b * b - a * a) / MAX_RANGE ** 2

@@ -28,7 +28,7 @@ import numpy as np
 from .channel_model import ChannelParams, g_joint, p_success_direct, q_function
 from .stochastic_geometry import (CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, REGIMES, check_band, lens_area,
                                   tier_region_areas)
-from .analytic_bounds import averaged_bounds, tier_probabilities, total_throughput_bounds
+from .analytic_bounds import averaged_bounds, band_mass, tier_probabilities, total_throughput_bounds
 from .quadrature import adaptive_simpson
 from .monte_carlo import DENSITY_GRID, FIGURES, ExperimentConfig, contour_grid, estimate_throughput, reproduce_figure
 
@@ -205,9 +205,11 @@ def _cmd_bounds(cfg: RunConfig):
         for regime in regimes:
             if regime == "total":
                 pair = total_throughput_bounds(d, k=k, params=params)
+                mass = band_mass("all", d, k=k)
             else:
                 pair = averaged_bounds(regime, d, k=k, params=params)
-            rows.append({"density": d, "regime": regime, "lower": pair.lower, "upper": pair.upper})
+                mass = band_mass(regime, d, k=k)
+            rows.append({"density": d, "regime": regime, "lower": pair.lower, "upper": pair.upper, "band_mass": mass})
     return rows
 
 

@@ -6,6 +6,7 @@ from scipy.stats import gamma as gamma_dist
 from coopmac.analytic_bounds import (
     BoundPair,
     averaged_bounds,
+    band_mass,
     h_integral,
     link_bounds_at_distance,
     tier_bound_pair,
@@ -14,7 +15,7 @@ from coopmac.analytic_bounds import (
     type_ab_throughput,
 )
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
-from coopmac.stochastic_geometry import nn_distance_pdf, tier_region_areas
+from coopmac.stochastic_geometry import REGIMES, nn_distance_pdf, tier_region_areas
 
 PARAMS = ChannelParams()
 
@@ -270,6 +271,21 @@ def test_averaged_bounds_k_conditioning_partial_expectation():
         pair = averaged_bounds(regime, lam, k=k)
         assert pair.lower == pytest.approx(lo_expected, abs=1e-6), regime
         assert pair.upper == pytest.approx(hi_expected, abs=1e-6), regime
+
+
+def test_band_mass_is_the_link_length_law_over_the_band():
+    lam = 0.002
+    for regime in ("C", "D1", "D2", "all"):
+        a, b = REGIMES[regime][:2]
+        assert band_mass(regime, lam) == pytest.approx((b * b - a * a) / 100.0**2, abs=1e-12), regime
+        for k in (1, 10):
+            # lam*pi*r^2 of the kth-NN distance r is Gamma(k, 1) distributed
+            expected = gamma_dist.cdf(lam * np.pi * b * b, k) - gamma_dist.cdf(lam * np.pi * a * a, k)
+            assert band_mass(regime, lam, k=k) == pytest.approx(expected, abs=1e-8), (regime, k)
+    with pytest.raises(ValueError):
+        band_mass("E", lam)
+    with pytest.raises(ValueError):
+        band_mass("C", lam, k=0)
 
 
 # ----------------------------------------------------- total_throughput_bounds

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
-from coopmac.analytic_bounds import averaged_bounds
+from coopmac.analytic_bounds import averaged_bounds, band_mass
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
 from coopmac.monte_carlo import (
     CONTOUR_DEFAULT_RK,
@@ -219,3 +219,16 @@ def test_reproduce_contour_rows():
     assert rows
     assert all(set(r) == {"x", "y", "throughput", "tier"} for r in rows)
     assert max(r["throughput"] for r in rows) <= 5.5
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+def test_k_conditioned_bounds_over_band_mass_bracket_simulation(regime):
+    # under k-nearest conditioning averaged_bounds is the partial expectation
+    # over the band; the simulation reports the mean given the band
+    k, lam = 10, 0.0005
+    est = estimate_throughput(
+        ExperimentConfig(densities=(lam,), regime=regime, trials=20000, base_seed=12, k=k)
+    )[0]
+    pair = averaged_bounds(regime, lam, k=k)
+    mass = band_mass(regime, lam, k=k)
+    assert pair.lower / mass - 5 * est.stderr <= est.mean <= pair.upper / mass + 5 * est.stderr

@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopmac.analytic_bounds import link_bounds_at_distance, tier_probabilities
-from coopmac.stochastic_geometry import REGIMES, void_probability
+from coopmac.analytic_bounds import _link_bounds, link_bounds_at_distance, tier_probabilities
+from coopmac.channel_model import ChannelParams
+from coopmac.stochastic_geometry import REGIMES, TIER1_MAX_SEPARATION, void_probability
 
 SETTINGS = settings(derandomize=True, database=None, max_examples=30, deadline=None)
 
@@ -27,6 +28,29 @@ def links(draw):
         )
     )
     return regime, r, conditioning
+
+
+@st.composite
+def link_batches(draw):
+    """(regime, array of link lengths, conditioning): lengths anywhere in the band,
+    with its edges and the floats next to 96.4 m mixed in."""
+    regime, _, conditioning = draw(links())
+    a, b = REGIMES[regime][:2]
+    special = [x for x in (a, b, np.nextafter(TIER1_MAX_SEPARATION, 0.0), TIER1_MAX_SEPARATION,
+                           np.nextafter(TIER1_MAX_SEPARATION, np.inf)) if a <= x <= b]
+    r = draw(st.lists(st.one_of(st.floats(a, b), st.sampled_from(special)), min_size=1, max_size=40))
+    return regime, np.array(r), conditioning
+
+
+@SETTINGS
+@given(link_batches())
+def test_link_bound_kernel_columns_equal_single_links(batch):
+    regime, r, conditioning = batch
+    got = _link_bounds(regime, r, conditioning.get("density"), conditioning.get("k"), ChannelParams())
+    assert got.shape == (2, r.size)
+    for j, rj in enumerate(r):
+        pair = link_bounds_at_distance(regime, float(rj), **conditioning)
+        assert (got[0, j], got[1, j]) == (pair.lower, pair.upper), rj
 
 
 @SETTINGS

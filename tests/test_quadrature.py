@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import simpson_oracle
+from coopmac import analytic_bounds
 from coopmac.quadrature import adaptive_simpson
 
 
@@ -40,7 +42,6 @@ def test_tolerance_refinement():
     assert fine == pytest.approx(expected, abs=1e-7)
 
 
-
 def test_vector_integrand_refines_to_the_worst_component():
     # sin needs a uniform grid of ~2^10 panels; sqrt's infinite slope at 0
     # needs ~2^57 there.  Jointly both components share the deeper grid and
@@ -52,7 +53,7 @@ def test_vector_integrand_refines_to_the_worst_component():
     def run(f):
         nodes = []
         value = adaptive_simpson(lambda x: (nodes.append(x), f(x))[1], 0.0, 6.0, tol=tol)
-        return value, np.log2(6.0 / np.diff(np.unique(nodes)).min())
+        return value, np.log2(6.0 / np.diff(np.unique(np.concatenate(nodes))).min())
 
     alone = [run(f) for f in components]
     joint, joint_depth = run(lambda x: np.array([f(x) for f in components]))
@@ -61,3 +62,72 @@ def test_vector_integrand_refines_to_the_worst_component():
     for got, (want, _), truth in zip(joint, alone, exact):
         assert got == pytest.approx(want, abs=tol)
         assert got == pytest.approx(truth, abs=tol)
+
+
+def test_exhausted_bisection_budget_raises():
+    # sin over [0, 50] needs far more than 3 bisections at the default tol
+    with pytest.raises(RuntimeError, match="bisections"):
+        adaptive_simpson(np.sin, 0.0, 50.0, max_bisections=3)
+
+
+def test_non_finite_integrand_raises():
+    # 0.75 is a node of the second depth on [0, 1]
+    with pytest.raises(RuntimeError, match="not finite"):
+        adaptive_simpson(lambda x: np.where(x == 0.75, np.nan, x), 0.0, 1.0)
+
+
+def _against_oracle(f, a, b, tol):
+    """Run f through the package's integrator and the depth-first oracle; compare.
+
+    f maps an array of n nodes to shape (n,) or (c, n); the oracle calls it
+    one node at a time.  Both must visit the same node set and return the
+    same value to 1e-14 relative.
+    """
+    batches, single = [], []
+
+    def batched(x):
+        batches.append(x)
+        return f(x)
+
+    def scalar(x):
+        single.append(x)
+        return f(np.array([x]))[..., 0]
+
+    got = adaptive_simpson(batched, a, b, tol=tol)
+    want = simpson_oracle.adaptive_simpson(scalar, a, b, tol=tol)
+    nodes = np.concatenate(batches)
+    assert np.unique(nodes).size == nodes.size  # no node evaluated twice
+    assert np.array_equal(np.sort(nodes), np.sort(single))
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    return nodes.size
+
+
+@pytest.mark.parametrize(
+    "f, a, b, tol",
+    [
+        (lambda x: x**3 - 2 * x + 1, 0.0, 2.0, 1e-8),
+        (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 5.0, 1e-10),
+        (lambda x: np.exp(-((x - 3.0) ** 2) / 0.02), 0.0, 6.0, 1e-10),
+        (np.sqrt, 0.0, 1.0, 1e-4),
+        (np.sqrt, 0.0, 1.0, 1e-10),
+        (lambda x: np.array([np.sin(x), np.sqrt(x)]), 0.0, 6.0, 1e-10),
+    ],
+)
+def test_matches_depth_first_oracle(f, a, b, tol):
+    _against_oracle(f, a, b, tol)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+@pytest.mark.parametrize("density, k", [(0.005, None), (0.0005, 10)])
+def test_bound_integrands_match_depth_first_oracle(monkeypatch, regime, density, k):
+    # capture the joint (lower, upper) integrand averaged_bounds hands the integrator
+    calls = []
+
+    def recording(f, a, b, tol=1e-8):
+        calls.append((f, a, b, tol))
+        return adaptive_simpson(f, a, b, tol=tol)
+
+    monkeypatch.setattr(analytic_bounds, "adaptive_simpson", recording)
+    analytic_bounds.averaged_bounds(regime, density, k=k)
+    (f, a, b, tol), = calls
+    assert _against_oracle(f, a, b, tol) > 5  # 5 nodes: the first panel accepted unsplit
