@@ -10,22 +10,26 @@ the tier region, which yields computable lower/upper bounds on the mean
 throughput.
 
 The tier probabilities are differences of the void probabilities of the
-tier regions (`stochastic_geometry.void_probability`, which the Monte Carlo
-shares) under one of two conditionings: ``ppp`` (default), an unconditioned
-PPP helper field, or ``k``-nearest, the destination being the source's kth
-nearest neighbor.
+tier regions, `stochastic_geometry.tier_void_law`, the tier law the Monte
+Carlo draws from too, under one of two conditionings: ``ppp`` (default), an
+unconditioned PPP helper field, or ``k``-nearest, the destination being the
+source's kth nearest neighbor.  Tier rates come from the band table
+(`stochastic_geometry.TIER_RATES`).
 
 Every average is one band integral (`_law_integral`) of a per-link value,
 the (lower, upper) bound pair in one joint pass or the direct success
 probability, against the link-length law: 2r/100^2 under the PPP, the kth-NN
 distance PDF under k-nearest conditioning.  The per-link pair comes from one
-array kernel, `_link_bounds(regime, r, density, k, params)`, which maps a 1-D
-array of link lengths to a (2, n) lower/upper array: the tier law from the
-vectorized `tier_areas` and `void_probability`, and G at each tier's extremal
-helper positions (`_extremal_g`), where the positions that do not depend on
-the link length are evaluated once per call.  The quadrature calls it once
-per bisection depth on all of that depth's nodes; `link_bounds_at_distance`,
-`tier_probabilities` and `tier_bound_pair` are scalar views of the same code.
+array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
+(2, n) lower/upper array: the tier law of the link class's tier-region areas,
+and G at each tier's extremal helper positions (`_extremal_g`, keyed by link
+class).  The worst positions, at the outer edges of each tier's hop bands,
+do not depend on the link length and take one `g_joint` call for all tiers.
+The quadrature calls the kernel once per bisection depth on all of that
+depth's nodes; `link_bounds_at_distance`, `tier_probabilities` and
+`tier_bound_pair` are scalar views of the same code.  `band_mass` is closed
+form, from the kth-NN band law the Monte Carlo inverts
+(`stochastic_geometry.nn_distance_band`).
 """
 
 from __future__ import annotations
@@ -39,20 +43,23 @@ from .channel_model import ChannelParams, g_joint, p_success_direct
 from .quadrature import adaptive_simpson
 from .stochastic_geometry import (
     BAND_11,
-    BAND_2,
     BAND_55,
+    BAND_EDGES,
     CLASS_RATES,
     CLASS_TIERS,
     DIRECT_CLASSES,
     HELPER_REGIMES,
     MAX_RANGE,
     REGIMES,
+    TIER1_MAX_SEPARATION,
+    TIER_BANDS,
+    TIER_RATES,
     check_band,
+    nn_distance_band,
     nn_distance_pdf,
     tier_areas,
-    void_probability,
+    tier_void_law,
 )
-from .protocol import TIER_RATES
 
 
 @dataclass(frozen=True)
@@ -122,19 +129,6 @@ def _conditioning(density, k) -> tuple:
     return ("k", int(k))
 
 
-def _tier_law(link_class: str, r, density, k):
-    """Tier probabilities, shape (tiers, n), and residual, shape (n,), at link lengths r.
-
-    P_i = P{regions 1..i-1 void} - P{regions 1..i void}.  Vectorized over the
-    1-D array r; no validation.  Under k-nearest conditioning `density` is not
-    used.
-    """
-    areas = tier_areas(r, CLASS_TIERS[link_class])
-    cum = np.cumsum((np.zeros_like(r),) + areas, axis=0)
-    empty = void_probability(cum, r, density, k)  # P{regions 1..i all void}
-    return empty[:-1] - empty[1:], empty[-1]
-
-
 def tier_probabilities(
     link_class: str,
     r_k: float,
@@ -151,35 +145,36 @@ def tier_probabilities(
     """
     check_band(link_class, CLASS_TIERS, r_k)
     conditioning = _conditioning(density, k)
-    p, residual = _tier_law(link_class, np.array([float(r_k)]), density, k)
+    r = np.array([float(r_k)])
+    empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)[:, 0]
     return TierProbabilityVector(
         link_class=link_class,
         r_k=float(r_k),
-        probs={t: float(pi) for t, pi in enumerate(p[:, 0], 1)},
-        residual=float(residual[0]),
+        probs={t: float(pi) for t, pi in enumerate(empty[:-1] - empty[1:], 1)},
+        residual=float(empty[-1]),
         conditioning=conditioning,
     )
 
 
-def _extremal_g(regime: str, r, params: ChannelParams):
-    """(worst, best) joint success G of each tier of the regime at link length(s) r.
+def _extremal_g(link_class: str, r, params: ChannelParams):
+    """(worst, best) joint success G of each tier of the link class at link length(s) r.
 
-    G at the worst and best helper positions the tier region admits: e.g. a
-    tier-1 helper is best at the S-D midpoint and worst at a corner where both
-    hops stretch to 48.2 m.  Entries that do not depend on r are scalars.
+    G at the worst and best helper positions the tier region admits.  The
+    worst is where both hops reach the outer edges of the tier's hop bands,
+    one `g_joint` call for every tier; e.g. a tier-1 helper is worst at a
+    corner where both hops stretch to 48.2 m and best at the S-D midpoint.
+    Entries that do not depend on r are scalars.
     """
-    g = lambda h1, h2: g_joint(h1, h2, params)
-    corner = g(BAND_11, BAND_11)
-    mid = g(r / 2, r / 2)
-    inner = g(BAND_11, BAND_55)
-    pairs = [
-        (corner, mid),
-        (inner, g(BAND_11, r - BAND_11)),
-        (g(BAND_55, BAND_55), mid if regime == "D2" else corner),
-    ]
-    if CLASS_TIERS[REGIMES[regime][2]] == 5:
-        pairs += [(g(BAND_11, BAND_2), g(BAND_55, r - BAND_55)), (g(BAND_55, BAND_2), inner)]
-    return pairs
+    n = CLASS_TIERS[link_class]
+    worst = g_joint(*np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS[:n])), params)
+    corner, inner = worst[:2]
+    mid = g_joint(r / 2, r / 2, params)
+    # tier 3 is best at its inner corner (both hops 48.2 m) while S and D are
+    # within 96.4 m of each other, and at the midpoint beyond
+    best = [mid, g_joint(BAND_11, r - BAND_11, params), np.where(r > TIER1_MAX_SEPARATION, mid, corner)]
+    if n == 5:
+        best += [g_joint(BAND_55, r - BAND_55, params), inner]
+    return list(zip(worst, best))
 
 
 def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = ChannelParams()) -> BoundPair:
@@ -192,11 +187,11 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     check_band(regime, HELPER_REGIMES, r_k)
     if tier not in range(1, CLASS_TIERS[REGIMES[regime][2]] + 1):
         raise ValueError("tier %r is not defined for regime %s" % (tier, regime))
-    if tier == 1 and regime == "D2":
-        raise ValueError("tier 1 is infeasible for D2 links (r_k > 96.4)")
+    if tier == 1 and REGIMES[regime][0] >= TIER1_MAX_SEPARATION:
+        raise ValueError("tier 1 is infeasible for %s links (r_k > 96.4)" % regime)
     r = float(r_k)
-    worst, best = _extremal_g(regime, r, params)[tier - 1]
-    rate = TIER_RATES[tier]
+    worst, best = _extremal_g(REGIMES[regime][2], r, params)[tier - 1]
+    rate = TIER_RATES[tier - 1]
     return BoundPair(float(worst) * rate, float(best) * rate, context=(regime, tier, r))
 
 
@@ -209,12 +204,11 @@ def _link_bounds(regime: str, r, density, k, params: ChannelParams):
     `density` is not used.
     """
     link_class = REGIMES[regime][2]
-    p, residual = _tier_law(link_class, r, density, k)
-    lower = upper = residual * p_success_direct(r, params) * CLASS_RATES[link_class]
+    empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)
+    lower = upper = empty[-1] * p_success_direct(r, params) * CLASS_RATES[link_class]
     # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
     # the two 48.2 m circles no longer meet)
-    for tier, (p_i, (worst, best)) in enumerate(zip(p, _extremal_g(regime, r, params)), 1):
-        rate = TIER_RATES[tier]
+    for p_i, (worst, best), rate in zip(empty[:-1] - empty[1:], _extremal_g(link_class, r, params), TIER_RATES):
         lower = lower + p_i * (worst * rate)
         upper = upper + p_i * (best * rate)
     return np.stack((lower, upper))
@@ -264,14 +258,19 @@ def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
     """Probability that a link's length lies in the regime's band.
 
     The band's area share (b^2 - a^2)/100^2 under the PPP (k None), else
-    P{kth-NN distance in [a, b]}: the link-length law integrated over the
-    band by `_law_integral`; regime "all" is the whole 100 m range.  Under
-    k-nearest conditioning `averaged_bounds` is a partial expectation;
-    divided by this mass it bounds the mean throughput of the links in the
-    band, the quantity `estimate_throughput` reports.
+    P{kth-NN distance in [a, b]} in closed form (`nn_distance_band`, the law
+    the Monte Carlo draws link lengths from); regime "all" is the whole 100 m
+    range.  Under k-nearest conditioning `averaged_bounds` is a partial
+    expectation; divided by this mass it bounds the mean throughput of the
+    links in the band, the quantity `estimate_throughput` reports.
     """
     a, b = check_band(regime, REGIMES)
-    return float(_law_integral(np.ones_like, a, b, density, k))
+    _conditioning(density, None)
+    if k is None:
+        return (b * b - a * a) / MAX_RANGE ** 2
+    _conditioning(None, k)
+    lo, hi, _ = nn_distance_band(a, b, density, k)
+    return float(abs(hi - lo))
 
 
 def _regime_part(regime: str, density: float, k: Optional[int], params: ChannelParams, tol: float = 1e-8):
@@ -300,8 +299,8 @@ def averaged_bounds(
     under the kth-NN distance PDF, as in the closed-form expressions; divide
     by `band_mass` for bounds on the mean given the band.
     """
-    a, b = check_band(regime, HELPER_REGIMES)
-    share = 1.0 if k is not None else (b * b - a * a) / MAX_RANGE ** 2
+    check_band(regime, HELPER_REGIMES)
+    share = 1.0 if k is not None else band_mass(regime, density)
     lower, upper = _regime_part(regime, density, k, params, tol * share) / share
     conditioning = ("k", k) if k is not None else ("ppp", density)
     return BoundPair(lower, upper, context=(regime, "averaged", conditioning))

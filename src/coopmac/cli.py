@@ -116,8 +116,6 @@ class RunConfig:
         return hashlib.sha256(json.dumps(payload, sort_keys=True, default=list).encode()).hexdigest()[:12]
 
 
-_FLOAT_FIELDS = {"pt", "pth", "k_const", "alpha", "sigma", "r_k", "resolution"}
-_INT_FIELDS = {"trials", "seed", "workers"}
 _KEY_ALIASES = {"lambda": "densities", "class": "link_class"}
 # A `reproduce` figure fixes its classes and runs both schemes in analytic
 # mode, so it takes none of these keys, neither as flags nor from a file.
@@ -125,18 +123,15 @@ _FIGURE_FIXED_KEYS = ("link_class", "scheme", "mode")
 
 
 def _assign(cfg: RunConfig, key: str, value: str):
+    """Set one field from its text, parsed as the type of the field's default."""
     key = _KEY_ALIASES.get(key, key)
     if key not in {f.name for f in fields(RunConfig)}:
         raise ConfigError("unknown config key %r" % (key,))
     try:
         if key == "densities":
             cfg.densities = tuple(float(v) for v in str(value).replace(",", " ").split())
-        elif key in _FLOAT_FIELDS:
-            setattr(cfg, key, float(value))
-        elif key in _INT_FIELDS:
-            setattr(cfg, key, int(value))
         else:
-            setattr(cfg, key, str(value))
+            setattr(cfg, key, type(getattr(RunConfig, key))(value))
     except ValueError:
         raise ConfigError("invalid value %r for key %r" % (value, key))
 
@@ -166,10 +161,8 @@ def parse_config(path=None, overrides=None, fixed=()) -> RunConfig:
     return cfg.validate()
 
 
-def _emit(rows, cfg: RunConfig, float_cols=None):
-    """Write rows (list of dicts) as CSV (4-decimal Mbps) or JSON."""
-    if not rows:
-        rows = []
+def _emit(rows, cfg: RunConfig):
+    """Write rows (a non-empty list of dicts) as CSV (4-decimal Mbps) or JSON."""
     meta = {"seed": cfg.seed, "config_hash": cfg.hash()}
     out_rows = [{**row, **meta} for row in rows]
     stream = sys.stdout if cfg.out in ("-", "") else open(cfg.out, "w", newline="", encoding="utf-8")
@@ -178,8 +171,6 @@ def _emit(rows, cfg: RunConfig, float_cols=None):
             json.dump(out_rows, stream, indent=2)
             stream.write("\n")
         else:
-            if not out_rows:
-                return
             writer = csv.DictWriter(stream, fieldnames=list(out_rows[0].keys()), lineterminator="\n")
             writer.writeheader()
             for row in out_rows:
@@ -374,13 +365,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not args.command:
             raise UsageError("a subcommand is required (bounds, simulate, contour, reproduce, selftest)")
-        overrides = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("command", "config", "figure") and v is not None
-        }
-        if getattr(args, "figure", None):
-            overrides["figure"] = args.figure
+        overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config") and v is not None}
         fixed = _FIGURE_FIXED_KEYS if args.command == "reproduce" else ()
         cfg = parse_config(getattr(args, "config", None), overrides, fixed)
         return dispatch(args.command, cfg)

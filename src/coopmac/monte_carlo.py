@@ -7,11 +7,11 @@ helper the selection scheme picks, and scores the trial's throughput.
 Only the helpers a scheme can see are drawn (tier-first sampling), under
 both conditionings.  The proposed scheme settles on the lowest non-empty
 tier, whose law the void probabilities of the tier regions give exactly
-(`void_probability`, shared with the bounds); the trial then draws the
-tier's helper count (zero-truncated Poisson under the PPP, zero-truncated
-Binomial over the k-1 nodes nearer than the destination), places the helpers
-uniformly in the tier region by rejection from the bounding box of its lens,
-and keeps the largest G.  The conventional scheme picks a uniform helper from
+(`stochastic_geometry.tier_void_law`, the tier law of the bounds too); the
+trial then draws the tier's helper count (zero-truncated Poisson under the
+PPP, zero-truncated Binomial over the k-1 nodes nearer than the
+destination), places the helpers uniformly in the tier region by rejection
+from the bounding box of its lens, and keeps the largest G.  The conventional scheme picks a uniform helper from
 the union of the tier regions, which is non-empty unless all are void.  With
 k = 1 no node is nearer than the destination, so no link has a helper.
 
@@ -24,7 +24,10 @@ distributed across workers.
 Throughput scoring follows the rate-times-success-probability metric: in
 analytic mode a trial contributes rate * G(d_SH, d_HD) of the selected
 helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
-probability with a Bernoulli draw of the same mean.
+probability with a Bernoulli draw of the same mean.  Link lengths, tier
+reaches and rates are read from the band table of `stochastic_geometry`
+(`REGIMES`, `TIER_REACH`, `BAND_RATES`, `TIER_RATES`), and a kth-NN link
+length is drawn by inverting `nn_distance_band`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
-from scipy.stats import gamma as _gamma_dist
 
 from .channel_model import ChannelParams, g_joint, p_success_direct
 from .stochastic_geometry import (
@@ -46,20 +48,16 @@ from .stochastic_geometry import (
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
+    TIER_RATES,
     TIER_REACH,
     check_band,
     hop_band,
+    nn_distance_band,
     tier_areas,
     tier_index,
-    void_probability,
+    tier_void_law,
 )
-from .protocol import TIER_RATES
 
-_BANDS = {regime: band[:2] for regime, band in REGIMES.items()}
-# indexed by tier, with 0 (no helper) in front
-_TIER_REACH = np.array((0.0,) + TIER_REACH)
-_TIER_RATE_ARR = np.array([0.0] + list(TIER_RATES.values()))
-_BAND_RATE_ARR = np.array(BAND_RATES)
 # rejection rounds after which a placement that never completes fails
 _MAX_ROUNDS = 100
 
@@ -125,34 +123,14 @@ def _draw_link_distance(rng, n, band, density, k):
     if k is None:
         r = np.sqrt(a * a + u * (b * b - a * a))
     else:
-        # lam*pi*r^2 is Gamma(k, 1) distributed; invert its distribution on the
-        # band, through the upper tail when the band lies beyond the median so
-        # that neither band end rounds to 1
-        x = density * np.pi * np.array([a * a, b * b])
-        upper = _gamma_dist.sf(x[0], k) < 0.5
-        lo, hi = _gamma_dist.sf(x, k) if upper else _gamma_dist.cdf(x, k)
+        lo, hi, inverse = nn_distance_band(a, b, density, k)
         if lo == hi:
             raise ValueError(
                 "the link band [%g, %g] m holds no probability in double precision "
                 "under the k=%d nearest-neighbor law at density %g" % (a, b, k, density)
             )
-        inverse = _gamma_dist.isf if upper else _gamma_dist.ppf
         r = np.sqrt(inverse(lo + u * (hi - lo), k) / (density * np.pi))
     return np.maximum(r, 1e-9)
-
-
-def _direct_rate(r):
-    return _BAND_RATE_ARR[hop_band(r)]
-
-
-def _region_areas(r):
-    """(n, 5) tier-region areas for link lengths r >= 67.1 m.
-
-    Tiers 4 and 5 exist only for Type-D links (r >= 74.7 m).
-    """
-    areas = np.maximum(np.column_stack(tier_areas(r)), 0.0)
-    areas[r < BAND_2, CLASS_TIERS["C"]:] = 0.0
-    return areas
 
 
 def _lens_box(r, reach):
@@ -197,7 +175,7 @@ def _place_in_tier(rng, r, tier, area, count):
     is the region's share of its box, and keeps the first accepted ones up to
     the number still needed.  Returns (trial index, d_SH, d_HD), sorted by trial.
     """
-    x0, width, half = _lens_box(r, _TIER_REACH[tier])
+    x0, width, half = _lens_box(r, np.take(TIER_REACH, tier - 1))
     share = area / (2.0 * width * half)
     need = np.array(count, dtype=np.int64)
     parts = []
@@ -236,28 +214,33 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     helper uniformly from the union of the regions.  Returns (index into r of
     the links with a helper, its tier, its G).
     """
-    areas = _region_areas(r)
-    cum = np.cumsum(areas, axis=1)
+    # (5, n) tier-region areas of links r >= 67.1 m, floored at 0 against the
+    # lens round-off near tangency; a class C link has no tiers 4 and 5
+    areas = np.maximum(tier_areas(r), 0.0)
+    areas[CLASS_TIERS["C"]:, r < BAND_2] = 0.0
     u = rng.uniform(size=r.size)
     if scheme == "proposed":
-        void = void_probability(cum, r[:, None], density, k)  # P{tiers 1..i all empty}
-        tier = 1 + np.sum(void > u[:, None], axis=1)
-        has = np.flatnonzero(tier <= areas.shape[1])
+        # the lowest non-empty tier is the number of terms of P{tiers 1..i all
+        # empty}, i = 0..5, above u; 6 is none
+        tier = np.sum(tier_void_law(areas, r, density, k) > u, axis=0)
+        has = np.flatnonzero(tier <= areas.shape[0])
         tier = tier[has]
-        area = areas[has, tier - 1]
+        area = areas[tier - 1, has]
         if k is None:
             count = _zero_truncated_poisson(rng, density * area)
         else:
             # each of the k-1 nodes avoids tiers 1..i-1, so it lies in tier i
             # with probability S_i / (disk area - S_1 - ... - S_(i-1))
-            rest = np.pi * r[has] ** 2 - (cum[has, tier - 1] - area)
+            rest = np.pi * r[has] ** 2 - (np.cumsum(areas, axis=0)[tier - 1, has] - area)
             count = _zero_truncated_binomial(rng, k - 1, area / rest)
     elif scheme == "conventional":
-        has = np.flatnonzero(u < 1.0 - void_probability(cum[:, -1], r, density, k))
+        cum = np.cumsum(areas, axis=0)
+        # a helper exists unless the union of the regions, taken as one tier, is empty
+        has = np.flatnonzero(u < 1.0 - tier_void_law(cum[-1:], r, density, k)[-1])
         # region j with probability S_j / S_total; w < S_total, so S_j > 0
-        w = rng.uniform(size=has.size) * cum[has, -1]
-        tier = 1 + np.sum(cum[has] <= w[:, None], axis=1)
-        area = areas[has, tier - 1]
+        w = rng.uniform(size=has.size) * cum[-1, has]
+        tier = 1 + np.sum(cum[:, has] <= w, axis=0)
+        area = areas[tier - 1, has]
         count = np.ones(has.size, dtype=np.int64)
     else:
         raise ValueError("unknown scheme %r" % (scheme,))
@@ -271,9 +254,9 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples."""
-    r = _draw_link_distance(rng, n, _BANDS[regime], density, k)
+    r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
     ps_r = p_success_direct(r, params)
-    rate = _direct_rate(r)
+    rate = np.take(BAND_RATES, hop_band(r))
     success_p = ps_r.copy()
 
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
@@ -281,7 +264,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     if elig.size and k != 1:
         has, tier, g = _tier_first_helpers(rng, r[elig], density, k, scheme, params)
         chosen = elig[has]
-        rate[chosen] = _TIER_RATE_ARR[tier]
+        rate[chosen] = np.take(TIER_RATES, tier - 1)
         success_p[chosen] = g
 
     if estimator_mode == "sampled":
@@ -289,10 +272,10 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     return rate * success_p
 
 
-def _run_chunk(args):
-    (regime, density, scheme, n, params, estimator_mode, k, base_seed, cell, chunk) = args
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=base_seed, spawn_key=(cell, chunk)))
-    t = _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng)
+def _run_chunk(job):
+    config, cell, density, scheme, chunk, n = job
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.base_seed, spawn_key=(cell, chunk)))
+    t = _chunk_throughput(config.regime, density, scheme, n, config.channel, config.estimator_mode, config.k, rng)
     return float(t.sum()), float(np.dot(t, t))
 
 
@@ -305,29 +288,9 @@ def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimE
     """
     schemes = ("proposed", "conventional") if config.scheme == "both" else (config.scheme,)
     cells = [(d, s) for d in config.densities for s in schemes]
-
-    jobs = []
-    for cell_idx, (density, scheme) in enumerate(cells):
-        left = config.trials
-        chunk_idx = 0
-        while left > 0:
-            n = min(config.chunk_size, left)
-            jobs.append(
-                (
-                    config.regime,
-                    density,
-                    scheme,
-                    n,
-                    config.channel,
-                    config.estimator_mode,
-                    config.k,
-                    config.base_seed,
-                    cell_idx,
-                    chunk_idx,
-                )
-            )
-            left -= n
-            chunk_idx += 1
+    sizes = [min(config.chunk_size, config.trials - start) for start in range(0, config.trials, config.chunk_size)]
+    jobs = [(config, cell, density, scheme, chunk, n)
+            for cell, (density, scheme) in enumerate(cells) for chunk, n in enumerate(sizes)]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -336,28 +299,17 @@ def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimE
         results = [_run_chunk(j) for j in jobs]
 
     out = []
-    for cell_idx, (density, scheme) in enumerate(cells):
-        sums = [res[0] for job, res in zip(jobs, results) if job[8] == cell_idx]
-        sqs = [res[1] for job, res in zip(jobs, results) if job[8] == cell_idx]
-        n = config.trials
-        total = math.fsum(sums)
-        mean = total / n
+    n = config.trials
+    for cell, (density, scheme) in enumerate(cells):
+        sums, sqs = zip(*results[cell * len(sizes):(cell + 1) * len(sizes)])
+        mean = math.fsum(sums) / n
         if n > 1:
             var = max(math.fsum(sqs) - n * mean * mean, 0.0) / (n - 1)
             stderr = math.sqrt(var / n)
         else:
             stderr = 0.0
-        out.append(
-            SimEstimate(
-                mean=mean,
-                stderr=stderr,
-                trials=n,
-                density=density,
-                scheme=scheme,
-                regime=config.regime,
-                seed=config.base_seed,
-            )
-        )
+        out.append(SimEstimate(mean=mean, stderr=stderr, trials=n, density=density, scheme=scheme,
+                               regime=config.regime, seed=config.base_seed))
     return out
 
 
@@ -385,7 +337,7 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
     tier = tier_index(d_sh, d_hd, link_class)
     value = np.full(xx.shape, np.nan)
     mask = tier > 0
-    value[mask] = _TIER_RATE_ARR[tier[mask]] * g_joint(np.maximum(d_sh[mask], 1e-9), np.maximum(d_hd[mask], 1e-9), params)
+    value[mask] = np.take(TIER_RATES, tier[mask] - 1) * g_joint(np.maximum(d_sh[mask], 1e-9), np.maximum(d_hd[mask], 1e-9), params)
     return {"x": x, "y": y, "throughput": value, "tier": tier, "r_k": float(r_k), "regime": regime}
 
 

@@ -27,6 +27,7 @@ from .stochastic_geometry import (
     CLASS_TIERS,
     MAX_RANGE,
     TIER_BANDS,
+    TIER_RATES as _TIER_RATES,
     NetworkRealization,
     hop_band,
     tier_index,
@@ -90,8 +91,8 @@ TIER_SPECS = {
     for link_class, n_tiers in CLASS_TIERS.items()
 }
 
-# Exact cooperative rates by tier (shared by C and D tables).
-TIER_RATES = {spec.tier: spec.coop_rate for spec in TIER_SPECS["D"]}
+# Cooperative rate by tier (shared by C and D tables), from the band table.
+TIER_RATES = dict(enumerate(_TIER_RATES, 1))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.special import gammaln
+from scipy.stats import gamma as _gamma_dist
 
 # Distance band edges shared by link classification and tier geometry (m).
 BAND_11 = 48.2   # below: 11 Mbps hop
@@ -34,9 +35,11 @@ TIER1_MAX_SEPARATION = 2 * BAND_11  # 96.4 m
 BAND_EDGES = (0.0, BAND_11, BAND_55, BAND_2, MAX_RANGE)
 BAND_RATES = (11.0, 5.5, 2.0, 1.0)
 CLASS_NAMES = "ABCD"
-# Hop bands of tier t's (S-H, H-D) hops, in either order.  Class C links use
-# tiers 1-3, class D links all five.
+# Hop bands of tier t's (S-H, H-D) hops, in either order, and the tier's
+# cooperative rate: the two hops share the airtime, so r_SH*r_HD/(r_SH+r_HD)
+# Mbps.  Class C links use tiers 1-3, class D links all five.
 TIER_BANDS = ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2))
+TIER_RATES = tuple(BAND_RATES[i] * BAND_RATES[j] / (BAND_RATES[i] + BAND_RATES[j]) for i, j in TIER_BANDS)
 CLASS_TIERS = {"C": 3, "D": 5}
 # regime -> (link-length band in m, link class).  The bounds and the
 # simulation split class D at 96.4 m, beyond which no tier-1 helper exists;
@@ -199,6 +202,21 @@ def tier_areas(r, n_tiers: int = 5):
     return (s1, s2, s3, s4, s5)
 
 
+def tier_void_law(areas, r, density, k):
+    """P{tiers 1..i all empty} for i = 0..tiers, shape (tiers + 1, n).
+
+    `areas` holds the tier-region areas of links of lengths r (a 1-D array),
+    one row per tier.  Helper selection settles on tier i with probability
+    term i-1 minus term i, and the last term is the probability that no tier
+    holds a helper.  The tier law of both the bounds and the Monte Carlo;
+    vectorized, no validation.
+    """
+    cum = np.array(areas, dtype=float)
+    for i in range(1, len(cum)):  # a running sum; np.cumsum along this short axis is several times slower
+        cum[i] += cum[i - 1]
+    return np.concatenate((np.ones_like(cum[:1]), void_probability(cum, r, density, k)))
+
+
 def void_probability(cum_area, r, density, k):
     """P{no node in helper regions of total area cum_area} for a link of length r.
 
@@ -246,6 +264,21 @@ def classify_helper_tier(d_sh: float, d_hd: float, link_class: str) -> Optional[
         raise ValueError("hop distances must be non-negative")
     t = int(tier_index(d_sh, d_hd, link_class))
     return t if t else None
+
+
+def nn_distance_band(a, b, density, k):
+    """The kth-NN distance law on the band [a, b] m, as (lo, hi, inverse).
+
+    density*pi*R^2 is Gamma(k, 1) distributed.  lo and hi are its
+    distribution function at the band ends, or its upper tail when the band
+    lies beyond the median, so that neither end rounds to 1.  The band's mass
+    is |hi - lo|, and inverse(u, k) maps u between lo and hi to
+    density*pi*R^2 on the band.  No validation.
+    """
+    x = density * np.pi * np.array([a * a, b * b])
+    upper = _gamma_dist.sf(x[0], k) < 0.5
+    lo, hi = _gamma_dist.sf(x, k) if upper else _gamma_dist.cdf(x, k)
+    return lo, hi, _gamma_dist.isf if upper else _gamma_dist.ppf
 
 
 def nn_distance_pdf(k: int, density: float, r):

@@ -17,8 +17,8 @@ import math
 import numpy as np
 
 from coopmac.channel_model import g_joint, p_success_direct
-from coopmac.monte_carlo import _BANDS, _TIER_RATE_ARR, _direct_rate, _draw_link_distance
-from coopmac.stochastic_geometry import BAND_2, BAND_55, tier_index
+from coopmac.monte_carlo import _draw_link_distance
+from coopmac.stochastic_geometry import BAND_2, BAND_55, BAND_RATES, REGIMES, TIER_RATES, hop_band, tier_index
 
 # helpers are only useful within 74.7 m of both endpoints
 _HELPER_REACH = BAND_2
@@ -79,9 +79,9 @@ def _select_helpers(rng, r_elig, tid, x, y, scheme, params):
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples."""
-    r = _draw_link_distance(rng, n, _BANDS[regime], density, k)
+    r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
     ps_r = p_success_direct(r, params)
-    rate = _direct_rate(r)
+    rate = np.take(BAND_RATES, hop_band(r))
     success_p = ps_r.copy()
 
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
@@ -89,7 +89,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         tid, x, y = _helper_points(rng, r[elig], density, k)
         winners, tier, g = _select_helpers(rng, r[elig], tid, x, y, scheme, params)
         chosen = elig[winners]
-        rate[chosen] = _TIER_RATE_ARR[tier]
+        rate[chosen] = np.take(TIER_RATES, tier - 1)
         success_p[chosen] = g
 
     if estimator_mode == "sampled":

@@ -15,6 +15,7 @@ from coopmac.analytic_bounds import (
     type_ab_throughput,
 )
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
+from coopmac.monte_carlo import DENSITY_GRID
 from coopmac.stochastic_geometry import REGIMES, nn_distance_pdf, tier_region_areas
 
 PARAMS = ChannelParams()
@@ -286,6 +287,23 @@ def test_band_mass_is_the_link_length_law_over_the_band():
         band_mass("E", lam)
     with pytest.raises(ValueError):
         band_mass("C", lam, k=0)
+
+
+def test_band_mass_is_a_probability_exact_in_the_deep_tail():
+    """Under k the band mass is P{a <= R <= b} with lam*pi*R^2 ~ Gamma(k, 1): never above 1,
+    and equal to the better-conditioned of scipy's two tail differences even where it is
+    far below the quadrature tolerance."""
+    for lam in DENSITY_GRID:
+        for k in (1, 3, 10, 30):
+            for regime in ("C", "D1", "D2", "all"):
+                a, b = REGIMES[regime][:2]
+                x = lam * np.pi * np.array([a * a, b * b])
+                cdf, sf = gamma_dist.cdf(x, k), gamma_dist.sf(x, k)
+                # the difference of the two smaller tail values cancels least
+                expected = sf[0] - sf[1] if sf.sum() < cdf.sum() else cdf[1] - cdf[0]
+                mass = band_mass(regime, lam, k=k)
+                assert 0.0 <= mass <= 1.0, (regime, lam, k, mass)
+                assert mass == pytest.approx(expected, rel=1e-12, abs=0.0), (regime, lam, k)
 
 
 # ----------------------------------------------------- total_throughput_bounds

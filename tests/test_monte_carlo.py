@@ -12,12 +12,12 @@ from coopmac.monte_carlo import (
     DENSITY_GRID,
     ExperimentConfig,
     SimEstimate,
-    _BANDS,
     _draw_link_distance,
     contour_grid,
     estimate_throughput,
     reproduce_figure,
 )
+from coopmac.stochastic_geometry import REGIMES
 
 PARAMS = ChannelParams()
 
@@ -150,7 +150,7 @@ def test_k_conditioned_band_deep_in_the_tail(regime, k):
         warnings.simplefilter("error", RuntimeWarning)
         est = estimate_throughput(config)[0]
     assert np.isfinite(est.mean) and 0.0 < est.mean <= 11.0
-    lo, hi = _BANDS[regime]
+    lo, hi = REGIMES[regime][:2]
     r = _draw_link_distance(np.random.default_rng(9), 1000, (lo, hi), 0.005, k)
     assert np.all((r >= lo) & (r <= hi))
 

@@ -8,7 +8,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopmac.analytic_bounds import _link_bounds, link_bounds_at_distance, tier_probabilities
+from coopmac.analytic_bounds import (
+    _link_bounds,
+    averaged_bounds,
+    link_bounds_at_distance,
+    tier_probabilities,
+    total_throughput_bounds,
+)
 from coopmac.channel_model import ChannelParams
 from coopmac.stochastic_geometry import REGIMES, TIER1_MAX_SEPARATION, void_probability
 
@@ -79,3 +85,18 @@ def test_void_probability_non_increasing_in_area(link, u, v):
     small, large = sorted((u * disk, v * disk))
     density, k = conditioning.get("density"), conditioning.get("k")
     assert void_probability(large, r, density, k) <= void_probability(small, r, density, k)
+
+
+@SETTINGS
+@given(st.floats(1e-5, 0.05), st.floats(1e-5, 0.05))
+def test_ppp_bounds_non_decreasing_in_density(lam1, lam2):
+    """More helpers never lower a bound under the PPP: the tier law moves towards faster
+    tiers.  Each bound is a quadrature to 1e-8 absolute per band, hence the slack.  (Under
+    k-nearest conditioning the bounds are partial expectations over a band whose mass moves
+    with the density, so they are not monotone.)"""
+    small, large = sorted((lam1, lam2))
+    for regime in ("C", "D1", "D2"):
+        lo, hi = averaged_bounds(regime, small), averaged_bounds(regime, large)
+        assert hi.lower >= lo.lower - 2e-8 and hi.upper >= lo.upper - 2e-8, (regime, small, large)
+    lo, hi = total_throughput_bounds(small), total_throughput_bounds(large)
+    assert hi.lower >= lo.lower - 1e-7 and hi.upper >= lo.upper - 1e-7, (small, large)

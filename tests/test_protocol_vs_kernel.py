@@ -14,9 +14,8 @@ import pytest
 
 from box_ppp_oracle import _helper_points, _select_helpers
 from coopmac.channel_model import ChannelParams, p_success_direct
-from coopmac.monte_carlo import _TIER_RATE_ARR, _direct_rate
 from coopmac.protocol import enumerate_candidates, run_exchange, select_helper_proposed
-from coopmac.stochastic_geometry import NetworkRealization, check_band
+from coopmac.stochastic_geometry import BAND_RATES, TIER_RATES, NetworkRealization, check_band, hop_band
 
 PARAMS = ChannelParams()
 N_LINKS = 300
@@ -56,11 +55,11 @@ def test_proposed_protocol_path_matches_kernel(link_class, k, seed):
             cooperative += 1
             assert out.mode == "cooperative"
             assert out.helper.tier == tier
-            assert out.rate == _TIER_RATE_ARR[tier]
+            assert out.rate == TIER_RATES[tier - 1]
             assert out.success_prob == g
         else:
             assert out.mode == "direct"
-            assert out.rate == _direct_rate(r[j:j + 1])[0]
+            assert out.rate == BAND_RATES[hop_band(r[j])]
             assert out.success_prob == float(p_success_direct(r[j], PARAMS))
     # both outcomes occur, so neither branch above is vacuous
     assert 0 < cooperative < N_LINKS

@@ -17,16 +17,14 @@ from coopmac.channel_model import ChannelParams
 from coopmac.monte_carlo import (
     DENSITY_GRID,
     ExperimentConfig,
-    _TIER_REACH,
     _lens_box,
     _place_in_tier,
-    _region_areas,
     _tier_first_helpers,
     _zero_truncated_binomial,
     _zero_truncated_poisson,
     estimate_throughput,
 )
-from coopmac.stochastic_geometry import tier_index
+from coopmac.stochastic_geometry import TIER_REACH, tier_areas, tier_index
 
 PARAMS = ChannelParams()
 # one link length per regime, and the tiers whose regions are non-empty there
@@ -84,7 +82,7 @@ def test_placed_points_lie_in_the_requested_tier(regime):
     tier = np.repeat(np.array(tiers), 500)
     r = np.full(tier.size, r_k)
     count = rng.integers(1, 6, size=tier.size)
-    area = _region_areas(r)[np.arange(tier.size), tier - 1]
+    area = np.array(tier_areas(r))[tier - 1, np.arange(tier.size)]
     tid, d_sh, d_hd = _place_in_tier(rng, r, tier, area, count)
     assert np.all(np.diff(tid) >= 0)
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
@@ -108,12 +106,12 @@ def test_accepted_share_of_box_candidates(regime, monkeypatch):
         n = 20_000
         r = np.full(n, r_k)
         tier = np.full(n, t)
-        area = _region_areas(r)[:, t - 1]
+        area = tier_areas(r)[t - 1]
         _place_in_tier(np.random.default_rng(13 + t), r, tier, area, np.ones(n, dtype=np.int64))
         d_sh = np.concatenate([s for s, _ in seen])
         d_hd = np.concatenate([h for _, h in seen])
         accepted = np.mean(tier_index(d_sh, d_hd, "D") == t)
-        _, width, half = _lens_box(r_k, _TIER_REACH[t])
+        _, width, half = _lens_box(r_k, TIER_REACH[t - 1])
         share = area[0] / (2.0 * width * half)
         assert _within(accepted, share, np.sqrt(share * (1 - share) / d_sh.size)), (regime, t)
 
@@ -167,7 +165,7 @@ def test_conventional_region_choice_follows_areas(regime, k):
     r_k, _, _ = LINKS[regime]
     n, density = 50_000, 0.0003
     has, tier, _ = _tier_first_helpers(np.random.default_rng(15), np.full(n, r_k), density, k, "conventional", PARAMS)
-    areas = _region_areas(np.array([r_k]))[0]
+    areas = np.where(np.isin(np.arange(1, 6), LINKS[regime][2]), tier_areas(r_k), 0.0)
     if k is None:
         p_any = -np.expm1(-density * areas.sum())
     else:
