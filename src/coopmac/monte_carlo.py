@@ -10,10 +10,15 @@ tier, whose law the void probabilities of the tier regions give exactly
 (`stochastic_geometry.tier_void_law`, the tier law of the bounds too); the
 trial then draws the tier's helper count (zero-truncated Poisson under the
 PPP, zero-truncated Binomial over the k-1 nodes nearer than the
-destination), places the helpers uniformly in the tier region by rejection
-from the bounding box of its lens, and keeps the largest G.  The conventional scheme picks a uniform helper from
-the union of the tier regions, which is non-empty unless all are void.  With
+destination), places the helpers uniformly in the tier region, and keeps
+the largest G.  The conventional scheme picks a uniform helper from the
+union of the tier regions, which is non-empty unless all are void.  With
 k = 1 no node is nearer than the destination, so no link has a helper.
+
+Placement is bipolar: a helper is drawn as (d_SH^2, angle at S), uniform
+in area, by rejection from the polar box that holds its hop order's region
+(d_SH in one hop band, d_HD in the other), and d_HD follows from the law
+of cosines, so a candidate costs no hypot and no tier lookup.
 
 Trials are generated in fixed-size chunks whose rng streams are derived
 from (base seed, cell, chunk index), and every draw of a chunk, the
@@ -24,10 +29,10 @@ distributed across workers.
 Throughput scoring follows the rate-times-success-probability metric: in
 analytic mode a trial contributes rate * G(d_SH, d_HD) of the selected
 helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
-probability with a Bernoulli draw of the same mean.  Link lengths, tier
-reaches and rates are read from the band table of `stochastic_geometry`
-(`REGIMES`, `TIER_REACH`, `BAND_RATES`, `TIER_RATES`), and a kth-NN link
-length is drawn by inverting `nn_distance_band`.
+probability with a Bernoulli draw of the same mean.  Link lengths, hop
+bands, tiers and rates are read from the band table of `stochastic_geometry`
+(`REGIMES`, `BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`), and a
+kth-NN link length is drawn by inverting `nn_distance_band`.
 """
 
 from __future__ import annotations
@@ -43,14 +48,17 @@ from .channel_model import ChannelParams, g_joint, p_success_direct
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
+    BAND_EDGES,
     BAND_RATES,
     CLASS_REGIMES,
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
+    TIER_BANDS,
     TIER_RATES,
     TIER_REACH,
     check_band,
+    cumulative_areas,
     hop_band,
     nn_distance_band,
     tier_areas,
@@ -133,15 +141,6 @@ def _draw_link_distance(rng, n, band, density, k):
     return np.maximum(r, 1e-9)
 
 
-def _lens_box(r, reach):
-    """Bounding box of the lens of two circles of radius `reach` around S and D.
-
-    Returns (x of the left edge, width, half-height); the box is centered on
-    the S-D axis.
-    """
-    return r - reach, 2.0 * reach - r, np.sqrt(reach * reach - 0.25 * r * r)
-
-
 def _zero_truncated_poisson(rng, mu):
     """Poisson(mu) draws conditioned on being >= 1, exactly.
 
@@ -167,42 +166,108 @@ def _zero_truncated_binomial(rng, n, p):
     return 1 + rng.binomial(n - j, p)
 
 
+def _theta(x, rho, r):
+    """Angle at S between the S-D axis and the point at distance rho from S and x from D.
+
+    The points at distance rho from S nearer than x to D are those at angles
+    below it; where there are none it is 0, where all are it is pi.  At
+    rho = 0 it is the limit rho -> 0: 0 for r > x, pi for r < x, pi/2 for
+    r = x.
+    """
+    num = rho * rho + r * r - x * x
+    cos = np.divide(num, 2.0 * rho * r, out=np.sign(num), where=rho > 0)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
+
+
+def _polar_box(r, a, b, c, d):
+    """(rho_lo, rho_hi, theta_lo, theta_hi) of the region d_SH in I = [a, b), d_HD in J = [c, d).
+
+    In polar coordinates (rho, theta) around S, with D at angle 0, the
+    region's upper half-plane part is rho in I, |r - rho| < d and
+    theta(c; rho) <= theta < theta(d; rho) for J = [c, d).  The cosine of
+    theta(x; rho) is (rho^2 + r^2 - x^2) / (2 rho r): convex in rho for r > x,
+    with its least value at rho* = sqrt(r^2 - x^2), and increasing for r <= x.
+    So theta(d; rho) is largest at rho* clipped to the rho range, and
+    theta(c; rho) is smallest at an end of it (and 0 for c = 0).
+    """
+    lo = np.maximum(a, r - d)
+    hi = np.minimum(b, r + d)
+    t_hi = _theta(d, np.clip(np.sqrt(np.maximum(r * r - d * d, 0.0)), lo, hi), r)
+    t_lo = np.where(c > 0, np.minimum(_theta(c, lo, r), _theta(c, hi, r)), 0.0)
+    return lo, hi, t_lo, t_hi
+
+
+def _draw_polar(rng, lo, hi, t_lo, t_span, r):
+    """One candidate per entry, uniform in area over its polar box; returns (d_SH, d_HD).
+
+    d_SH^2 is uniform on [lo^2, hi^2) and the angle on [t_lo, t_lo + t_span),
+    and d_HD^2 = (d_SH - r)^2 + 4 d_SH r sin^2(angle / 2) is the law of
+    cosines in a form that is never negative.
+    """
+    lo2 = lo * lo
+    d_sh = np.sqrt(lo2 + (hi * hi - lo2) * rng.random(r.size))
+    half = np.sin(0.5 * (t_lo + t_span * rng.random(r.size)))
+    d_hd = np.sqrt((d_sh - r) ** 2 + 4.0 * d_sh * r * half * half)
+    return d_sh, d_hd
+
+
 def _place_in_tier(rng, r, tier, area, count):
     """count[j] >= 1 points uniform in the tier[j] region (area area[j]) of a link of length r[j].
 
-    Rejection from the bounding box of the lens that holds the region: each
-    round draws about need/p candidates for every unfinished trial, where p
-    is the region's share of its box, and keeps the first accepted ones up to
+    Bipolar placement: each point is drawn in polar coordinates around S by
+    rejection from the (d_SH^2, angle) box of its hop order (`_polar_box`),
+    and kept when its hop lengths lie in the order's two bands.  A tier with
+    hops in two different bands has two hop orders, mirror images of equal
+    area, so a Binomial(count, 1/2) draw splits each trial's points between
+    them, and each order is placed as a sub-trial of its own.  Each round
+    draws about need/p candidates for every unfinished sub-trial, where p is
+    the region's share of its box, and keeps the first accepted ones up to
     the number still needed.  Returns (trial index, d_SH, d_HD), sorted by trial.
     """
-    x0, width, half = _lens_box(r, np.take(TIER_REACH, tier - 1))
-    share = area / (2.0 * width * half)
-    need = np.array(count, dtype=np.int64)
+    count = np.asarray(count, dtype=np.int64)
+    hops = np.take(TIER_BANDS, tier - 1, axis=0)
+    mixed = hops[:, 0] != hops[:, 1]
+    in_order = count.copy()
+    in_order[mixed] = rng.binomial(count[mixed], 0.5)
+    # sub-trial 2j + o holds trial j's points of hop order o; order 1 swaps the bands
+    split = np.column_stack((in_order, count - in_order)).ravel()
+    sub = np.flatnonzero(split)
+    need = split[sub]
+    trial = sub >> 1
+    rs = r[trial]
+    # hop-band edges of each sub-trial's d_SH, [a, b), and d_HD, [c, d)
+    a, b = (np.take(BAND_EDGES, hops.ravel()[sub] + i) for i in (0, 1))
+    c, d = (np.take(BAND_EDGES, hops[:, ::-1].ravel()[sub] + i) for i in (0, 1))
+    lo, hi, t_lo, t_hi = _polar_box(rs, a, b, c, d)
+    t_span = t_hi - t_lo
+    # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2
+    share = area[trial] / (np.where(mixed[trial], 2.0, 1.0) * (hi * hi - lo * lo) * t_span)
     parts = []
-    todo = np.flatnonzero(need)
+    todo = np.arange(sub.size)
     for _ in range(_MAX_ROUNDS):
         if not todo.size:
             break
         m = np.ceil(need[todo] / share[todo]).astype(np.int64)
         tid = np.repeat(todo, m)
-        x = x0[tid] + width[tid] * rng.uniform(size=tid.size)
-        y = half[tid] * (2.0 * rng.uniform(size=tid.size) - 1.0)
-        d_sh = np.hypot(x, y)
-        d_hd = np.hypot(x - r[tid], y)
-        ok = tier_index(d_sh, d_hd, "D") == tier[tid]
-        # rank of each accepted candidate among its trial's accepted ones
-        before = np.cumsum(ok) - ok
-        starts = np.cumsum(m) - m
-        rank = before - np.repeat(before[starts], m)
-        keep = ok & (rank < need[tid])
+        d_sh, d_hd = _draw_polar(rng, lo[tid], hi[tid], t_lo[tid], t_span[tid], rs[tid])
+        # the returned distances themselves, so that hop_band agrees at the band edges;
+        # [lo, hi) lies in the S-hop band
+        ok = (d_sh >= lo[tid]) & (d_sh < hi[tid]) & (d_hd >= c[tid]) & (d_hd < d[tid])
+        # keep the first min(accepted, needed) accepted candidates of each sub-trial:
+        # sub-trial j's accepted ones sit at acc_start[j] onward in flatnonzero(ok)
+        got = np.add.reduceat(ok, np.cumsum(m) - m, dtype=np.int64)
+        take = np.minimum(got, need[todo])
+        acc_start, out_start = np.cumsum(got) - got, np.cumsum(take) - take
+        keep = np.flatnonzero(ok)[np.repeat(acc_start - out_start, take) + np.arange(take.sum())]
         parts.append((tid[keep], d_sh[keep], d_hd[keep]))
-        need[todo] -= np.minimum(np.add.reduceat(ok, starts, dtype=np.int64), need[todo])
+        need[todo] -= take
         todo = todo[need[todo] > 0]
     else:
         raise RuntimeError("rejection sampling of helper positions did not finish")
     tid, d_sh, d_hd = (np.concatenate(p) for p in zip(*parts))
+    # sub-trials are in trial order, so sorting by sub-trial sorts by trial
     order = np.argsort(tid, kind="stable")
-    return tid[order], d_sh[order], d_hd[order]
+    return trial[tid[order]], d_sh[order], d_hd[order]
 
 
 def _tier_first_helpers(rng, r, density, k, scheme, params):
@@ -214,9 +279,8 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     helper uniformly from the union of the regions.  Returns (index into r of
     the links with a helper, its tier, its G).
     """
-    # (5, n) tier-region areas of links r >= 67.1 m, floored at 0 against the
-    # lens round-off near tangency; a class C link has no tiers 4 and 5
-    areas = np.maximum(tier_areas(r), 0.0)
+    # (5, n) tier-region areas of links r >= 67.1 m; a class C link has no tiers 4 and 5
+    areas = np.array(tier_areas(r))
     areas[CLASS_TIERS["C"]:, r < BAND_2] = 0.0
     u = rng.uniform(size=r.size)
     if scheme == "proposed":
@@ -231,10 +295,10 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
         else:
             # each of the k-1 nodes avoids tiers 1..i-1, so it lies in tier i
             # with probability S_i / (disk area - S_1 - ... - S_(i-1))
-            rest = np.pi * r[has] ** 2 - (np.cumsum(areas, axis=0)[tier - 1, has] - area)
+            rest = np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area)
             count = _zero_truncated_binomial(rng, k - 1, area / rest)
     elif scheme == "conventional":
-        cum = np.cumsum(areas, axis=0)
+        cum = cumulative_areas(areas)
         # a helper exists unless the union of the regions, taken as one tier, is empty
         has = np.flatnonzero(u < 1.0 - tier_void_law(cum[-1:], r, density, k)[-1])
         # region j with probability S_j / S_total; w < S_total, so S_j > 0

@@ -180,7 +180,8 @@ def lens_area(r1, r2, separation):
     tri = 0.5 * np.sqrt(
         np.maximum((-dm + r1 + r2) * (dm + r1 - r2) * (dm - r1 + r2) * (dm + r1 + r2), 0.0)
     )
-    out[mid] = a1 + a2 - tri
+    # floored at 0: just below tangency the three terms cancel to round-off of either sign
+    out[mid] = np.maximum(a1 + a2 - tri, 0.0)
     return float(out[0]) if scalar else out
 
 
@@ -202,6 +203,19 @@ def tier_areas(r, n_tiers: int = 5):
     return (s1, s2, s3, s4, s5)
 
 
+def cumulative_areas(areas):
+    """S_1 + ... + S_i for i = 1..tiers, one row per tier, as a new float array.
+
+    A running sum of rows: the same additions in the same order as
+    np.cumsum(areas, axis=0), hence the same bits, but np.cumsum along this
+    short axis is several times slower.
+    """
+    cum = np.array(areas, dtype=float)
+    for i in range(1, len(cum)):
+        cum[i] += cum[i - 1]
+    return cum
+
+
 def tier_void_law(areas, r, density, k):
     """P{tiers 1..i all empty} for i = 0..tiers, shape (tiers + 1, n).
 
@@ -211,9 +225,7 @@ def tier_void_law(areas, r, density, k):
     holds a helper.  The tier law of both the bounds and the Monte Carlo;
     vectorized, no validation.
     """
-    cum = np.array(areas, dtype=float)
-    for i in range(1, len(cum)):  # a running sum; np.cumsum along this short axis is several times slower
-        cum[i] += cum[i - 1]
+    cum = cumulative_areas(areas)
     return np.concatenate((np.ones_like(cum[:1]), void_probability(cum, r, density, k)))
 
 

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from coopmac.analytic_bounds import tier_probabilities
 from coopmac.stochastic_geometry import (
     classify_helper_tier,
+    cumulative_areas,
     lens_area,
     nn_distance_pdf,
     sample_ppp,
+    tier_areas,
     tier_index,
     tier_region_areas,
 )
@@ -95,6 +98,19 @@ def test_lens_symmetry_monotonicity_bounds():
         assert np.all(np.diff(a) <= 1e-9)  # non-increasing in separation
         assert np.all(a <= np.pi * min(r1, r2) ** 2 + 1e-9)
         assert np.all(a >= 0)
+
+
+def test_lens_area_not_negative_just_below_tangency():
+    # the terms of the lens formula cancel to round-off here; it was -7.98e-5 m^2,
+    # and the tier-1 probability of the bounds -3.99e-7
+    r = np.nextafter(96.4, 0)
+    assert lens_area(48.2, 48.2, r) >= 0.0
+    assert tier_probabilities("D", r, density=0.005).probs[1] >= 0.0
+
+
+def test_cumulative_areas_is_the_cumsum_bit_for_bit():
+    areas = np.array(tier_areas(np.random.default_rng(3).uniform(67.1, 100.0, 8000)))
+    assert np.array_equal(cumulative_areas(areas), np.cumsum(areas, axis=0))
 
 
 def test_lens_rejects_bad_inputs():

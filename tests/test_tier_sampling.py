@@ -1,8 +1,8 @@
 """Tier-first helper sampling of the Monte Carlo, under PPP and k-nearest conditioning.
 
 The sampler is checked piece by piece (zero-truncated Poisson and Binomial
-counts, rejection placement, tier and region choice against the analytic
-probabilities) and as a whole against the oracle in `box_ppp_oracle.py`,
+counts, bipolar rejection placement, tier and region choice against the
+analytic probabilities) and as a whole against the oracle in `box_ppp_oracle.py`,
 which samples every point of the helper field (every point of a box-PPP,
 or all k-1 nearer neighbors) and classifies each one.
 """
@@ -17,14 +17,15 @@ from coopmac.channel_model import ChannelParams
 from coopmac.monte_carlo import (
     DENSITY_GRID,
     ExperimentConfig,
-    _lens_box,
+    _draw_polar,
     _place_in_tier,
+    _polar_box,
     _tier_first_helpers,
     _zero_truncated_binomial,
     _zero_truncated_poisson,
     estimate_throughput,
 )
-from coopmac.stochastic_geometry import TIER_REACH, tier_areas, tier_index
+from coopmac.stochastic_geometry import BAND_EDGES, TIER_BANDS, tier_areas, tier_index
 
 PARAMS = ChannelParams()
 # one link length per regime, and the tiers whose regions are non-empty there
@@ -89,31 +90,123 @@ def test_placed_points_lie_in_the_requested_tier(regime):
     assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
 
 
+def _band_edge_links():
+    """Link lengths on and one ulp either side of the band edges 67.1, 74.7 and 96.4 m, and 1 mm below 96.4 m."""
+    edges = (67.1, 74.7, 96.4)
+    return [*edges[:2], 96.4 - 1e-3, *(np.nextafter(e, e + side) for e in edges for side in (-1.0, 1.0))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("r_k", _band_edge_links(), ids=lambda r: repr(float(r)))
+def test_placement_at_band_edges(r_k):
+    """On a band edge the link length equals a hop edge x, so a hop order whose d_SH range starts
+    at 0 takes its angle bound there from the limit rho -> 0 (pi/2 for r = x); every point must
+    still classify into its tier, and no warning may be raised."""
+    areas = np.array(tier_areas(r_k))
+    tiers = np.flatnonzero(areas > 0) + 1
+    rng = np.random.default_rng(19)
+    tier = np.repeat(tiers, 400)
+    count = rng.integers(1, 6, size=tier.size)
+    tid, d_sh, d_hd = _place_in_tier(rng, np.full(tier.size, r_k), tier, areas[tier - 1], count)
+    assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
+    assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
+
+
+class _TopDrawRng:
+    """A generator whose first draws of d_SH^2 and of the angle are all the largest double below 1."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self._draws = 0
+
+    def binomial(self, n, p):
+        return self._rng.binomial(n, p)
+
+    def random(self, size):
+        self._draws += 1
+        return np.full(size, np.nextafter(1.0, 0.0)) if self._draws <= 2 else self._rng.random(size)
+
+
+@pytest.mark.parametrize("r_k", [70.9, 85.55, 98.2, *_band_edge_links()], ids=lambda r: repr(float(r)))
+def test_last_ulp_draws_keep_their_bands(r_k, monkeypatch):
+    """A draw of d_SH^2 just below hi^2 can round to d_SH = hi, a band edge; such a point
+    must be rejected, so that every returned point classifies into its tier."""
+    first = []
+
+    def recording_draw_polar(rng, lo, hi, t_lo, t_span, r):
+        d_sh, d_hd = _draw_polar(rng, lo, hi, t_lo, t_span, r)
+        first.append(np.any(d_sh == hi))
+        return d_sh, d_hd
+
+    monkeypatch.setattr(mc, "_draw_polar", recording_draw_polar)
+    areas = np.array(tier_areas(r_k))
+    tier = np.repeat(np.flatnonzero(areas > 0) + 1, 3)
+    count = np.full(tier.size, 2)
+    tid, d_sh, d_hd = _place_in_tier(_TopDrawRng(21), np.full(tier.size, r_k), tier, areas[tier - 1], count)
+    assert first[0], "no draw landed on the edge"
+    assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
+    assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
+
+
+@pytest.mark.parametrize("r_k", [67.1, 70.9, 74.7, 85.55, 96.4 - 1e-3, 98.2, 100.0])
+def test_polar_box_holds_its_region(r_k):
+    """At every d_SH of the order's band, the angles whose d_HD lies in the other band fall in the box."""
+    for s_band, d_band in {(i, j) for bands in TIER_BANDS for i, j in (bands, bands[::-1])}:
+        (a, b), (c, d) = BAND_EDGES[s_band:s_band + 2], BAND_EDGES[d_band:d_band + 2]
+        lo, hi, t_lo, t_hi = _polar_box(np.array([r_k]), a, b, c, d)
+        rho = np.linspace(max(a, 1e-6), b, 20_001)[:-1]
+        # the nearest and farthest points from D at distance rho from S lie on the axis
+        inside = (np.abs(r_k - rho) < d) & (rho + r_k >= c)
+        assert np.all((rho[inside] >= lo) & (rho[inside] < hi)), (r_k, s_band, d_band)
+        rho = rho[inside]
+        angle = lambda x: np.arccos(np.clip((rho ** 2 + r_k ** 2 - x ** 2) / (2 * rho * r_k), -1.0, 1.0))  # noqa: E731
+        assert np.all(angle(d) <= t_hi + 1e-12) and np.all(angle(c) >= t_lo - 1e-12), (r_k, s_band, d_band)
+
+
 @pytest.mark.parametrize("regime", sorted(LINKS))
-def test_accepted_share_of_box_candidates(regime, monkeypatch):
-    """Every candidate the sampler classifies is uniform in the lens's bounding box,
-    so the accepted share estimates region area / box area."""
+def test_accepted_share_of_polar_box_candidates(regime, monkeypatch):
+    """Every candidate the sampler draws is uniform in area over its hop order's polar box,
+    so the accepted share estimates the order's region area / box area.  The order's region
+    is the tier's (one order) or half of it (two), and the box covers the upper half-plane."""
     r_k, _, tiers = LINKS[regime]
     seen = []
 
-    def recording_tier_index(d_sh, d_hd, link_class):
-        seen.append((d_sh, d_hd))
-        return tier_index(d_sh, d_hd, link_class)
+    def recording_draw_polar(rng, lo, hi, t_lo, t_span, r):
+        d_sh, d_hd = _draw_polar(rng, lo, hi, t_lo, t_span, r)
+        seen.append((lo, hi, t_span, d_sh, d_hd))
+        return d_sh, d_hd
 
-    monkeypatch.setattr(mc, "tier_index", recording_tier_index)
+    monkeypatch.setattr(mc, "_draw_polar", recording_draw_polar)
     for t in tiers:
         seen.clear()
         n = 20_000
-        r = np.full(n, r_k)
-        tier = np.full(n, t)
-        area = tier_areas(r)[t - 1]
-        _place_in_tier(np.random.default_rng(13 + t), r, tier, area, np.ones(n, dtype=np.int64))
-        d_sh = np.concatenate([s for s, _ in seen])
-        d_hd = np.concatenate([h for _, h in seen])
-        accepted = np.mean(tier_index(d_sh, d_hd, "D") == t)
-        _, width, half = _lens_box(r_k, TIER_REACH[t - 1])
-        share = area[0] / (2.0 * width * half)
-        assert _within(accepted, share, np.sqrt(share * (1 - share) / d_sh.size)), (regime, t)
+        area = tier_areas(r_k)[t - 1]
+        _place_in_tier(np.random.default_rng(13 + t), np.full(n, r_k), np.full(n, t), np.full(n, area),
+                       np.ones(n, dtype=np.int64))
+        lo, hi, t_span, d_sh, d_hd = (np.concatenate(column) for column in zip(*seen))
+        orders = len(set(TIER_BANDS[t - 1]))
+        # one box per hop order; the orders' d_SH ranges lie in different bands
+        for box in np.unique(np.column_stack((lo, hi, t_span)), axis=0):
+            mine = (lo == box[0]) & (hi == box[1]) & (t_span == box[2])
+            accepted = np.mean(tier_index(d_sh[mine], d_hd[mine], "D") == t)
+            share = area / (2 * orders) / (0.5 * (box[1] ** 2 - box[0] ** 2) * box[2])
+            assert _within(accepted, share, np.sqrt(share * (1 - share) / mine.sum())), (regime, t, box)
+
+
+@pytest.mark.parametrize("r_k", [70.9, 85.55, 98.2])
+@pytest.mark.parametrize("t", [2, 4, 5])
+def test_hop_orders_split_evenly(t, r_k):
+    """A tier with hops in two bands has two mirror-image hop orders of equal area: each
+    placed point has d_SH < d_HD with probability 1/2, independently of the trial's other points."""
+    rng = np.random.default_rng(20 + t)
+    n = 20_000
+    count = rng.integers(1, 6, size=n)
+    _, d_sh, d_hd = _place_in_tier(rng, np.full(n, r_k), np.full(n, t), np.full(n, tier_areas(r_k)[t - 1]), count)
+    near_first = d_sh < d_hd
+    assert _within(np.mean(near_first), 0.5, np.sqrt(0.25 / d_sh.size)), (t, r_k)
+    # the two points of a two-point trial share their hop order with probability 1/2
+    pair = (np.cumsum(count) - count)[count == 2]
+    assert _within(np.mean(near_first[pair] == near_first[pair + 1]), 0.5, np.sqrt(0.25 / pair.size)), (t, r_k)
 
 
 @pytest.mark.parametrize("regime,density,k",
