@@ -13,7 +13,9 @@ The tier probabilities are differences of the void probabilities of the
 tier regions, `stochastic_geometry.tier_void_law`, the tier law the Monte
 Carlo draws from too, under one of two conditionings: ``ppp`` (default), an
 unconditioned PPP helper field, or ``k``-nearest, the destination being the
-source's kth nearest neighbor.  Tier rates come from the band table
+source's kth nearest neighbor.  Every density and k argument is checked by
+`stochastic_geometry.check_conditioning`, so a density that is not finite
+and positive raises ValueError.  Tier rates come from the band table
 (`stochastic_geometry.TIER_RATES`).
 
 Every average is one band integral (`_law_integral`) of a per-link value,
@@ -55,6 +57,7 @@ from .stochastic_geometry import (
     TIER_BANDS,
     TIER_RATES,
     check_band,
+    check_conditioning,
     nn_distance_band,
     nn_distance_pdf,
     tier_areas,
@@ -64,11 +67,10 @@ from .stochastic_geometry import (
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Lower/upper throughput bounds in Mbps, with provenance context."""
+    """Lower/upper throughput bounds in Mbps."""
 
     lower: float
     upper: float
-    context: tuple = ()
 
     def __post_init__(self):
         if not (0.0 <= self.lower <= self.upper + 1e-12):
@@ -84,11 +86,8 @@ class TierProbabilityVector:
     residual sum to 1.
     """
 
-    link_class: str
-    r_k: float
     probs: dict
     residual: float
-    conditioning: tuple  # ("ppp", density) or ("k", k)
 
 
 def h_integral(
@@ -116,19 +115,6 @@ def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelP
     return h_integral(lo, hi, k, density, params) * CLASS_RATES[link_class]
 
 
-def _conditioning(density, k) -> tuple:
-    """("ppp", density) or ("k", k), checking that exactly one is given and valid."""
-    if (density is None) == (k is None):
-        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
-    if density is not None:
-        if not density > 0:
-            raise ValueError("density must be positive")
-        return ("ppp", float(density))
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError("k must be an integer >= 1")
-    return ("k", int(k))
-
-
 def tier_probabilities(
     link_class: str,
     r_k: float,
@@ -144,15 +130,14 @@ def tier_probabilities(
     region i is not.
     """
     check_band(link_class, CLASS_TIERS, r_k)
-    conditioning = _conditioning(density, k)
+    if (density is None) == (k is None):
+        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
+    check_conditioning(density, k)
     r = np.array([float(r_k)])
     empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)[:, 0]
     return TierProbabilityVector(
-        link_class=link_class,
-        r_k=float(r_k),
         probs={t: float(pi) for t, pi in enumerate(empty[:-1] - empty[1:], 1)},
         residual=float(empty[-1]),
-        conditioning=conditioning,
     )
 
 
@@ -192,7 +177,7 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     r = float(r_k)
     worst, best = _extremal_g(REGIMES[regime][2], r, params)[tier - 1]
     rate = TIER_RATES[tier - 1]
-    return BoundPair(float(worst) * rate, float(best) * rate, context=(regime, tier, r))
+    return BoundPair(float(worst) * rate, float(best) * rate)
 
 
 def _link_bounds(regime: str, r, density, k, params: ChannelParams):
@@ -227,9 +212,11 @@ def link_bounds_at_distance(
     residual direct-transmission term Ps(r_k) x direct rate.
     """
     check_band(regime, HELPER_REGIMES, r_k)
-    conditioning = _conditioning(density, k)
+    if (density is None) == (k is None):
+        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
+    check_conditioning(density, k)
     lower, upper = _link_bounds(regime, np.array([float(r_k)]), density, k, params)[:, 0]
-    return BoundPair(float(lower), float(upper), context=(regime, "mixture", float(r_k), conditioning))
+    return BoundPair(float(lower), float(upper))
 
 
 def _law_integral(value, a: float, b: float, density: float, k: Optional[int], tol: float = 1e-8):
@@ -240,7 +227,7 @@ def _law_integral(value, a: float, b: float, density: float, k: Optional[int], t
     n link lengths to shape (n,), or to (c, n) for c components such as a
     (lower, upper) pair, which are integrated jointly to `tol` in each.
     """
-    _conditioning(density if k is None else None, k)  # under k, nn_distance_pdf checks density
+    check_conditioning(density, k)
 
     def integrand(r):
         pos = r > 0.0
@@ -265,10 +252,9 @@ def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
     links in the band, the quantity `estimate_throughput` reports.
     """
     a, b = check_band(regime, REGIMES)
-    _conditioning(density, None)
+    check_conditioning(density, k)
     if k is None:
         return (b * b - a * a) / MAX_RANGE ** 2
-    _conditioning(None, k)
     lo, hi, _ = nn_distance_band(a, b, density, k)
     return float(abs(hi - lo))
 
@@ -302,8 +288,7 @@ def averaged_bounds(
     check_band(regime, HELPER_REGIMES)
     share = 1.0 if k is not None else band_mass(regime, density)
     lower, upper = _regime_part(regime, density, k, params, tol * share) / share
-    conditioning = ("k", k) if k is not None else ("ppp", density)
-    return BoundPair(lower, upper, context=(regime, "averaged", conditioning))
+    return BoundPair(lower, upper)
 
 
 def total_throughput_bounds(
@@ -320,5 +305,4 @@ def total_throughput_bounds(
     parts plus share x `averaged_bounds` of each helper regime.
     """
     lower, upper = sum(_regime_part(regime, density, k, params) for regime in DIRECT_CLASSES + HELPER_REGIMES)
-    conditioning = ("k", k) if k is not None else ("ppp", density)
-    return BoundPair(lower, upper, context=("total", conditioning))
+    return BoundPair(lower, upper)

@@ -59,7 +59,7 @@ class RunConfig:
     seed: int = 0
     mode: str = "analytic"
     conditioning: str = "ppp"  # "ppp" or "k=<int>"
-    r_k: float = -1.0  # contour link length; <0 -> regime midpoint
+    r_k: float = -1.0  # contour link length; this default -> regime midpoint
     resolution: float = 0.5
     figure: str = "fig7"
     workers: int = 1
@@ -68,11 +68,7 @@ class RunConfig:
     format: str = "csv"
 
     def channel(self) -> ChannelParams:
-        try:
-            return ChannelParams(pt=self.pt, pth=self.pth, k_const=self.k_const,
-                                 alpha=self.alpha, sigma_sh=self.sigma)
-        except ValueError as e:
-            raise ConfigError(str(e))
+        return ChannelParams(pt=self.pt, pth=self.pth, k_const=self.k_const, alpha=self.alpha, sigma_sh=self.sigma)
 
     def k_value(self):
         """None for ppp conditioning, else the neighbor order k."""
@@ -81,31 +77,21 @@ class RunConfig:
             return None
         if c.startswith("k="):
             try:
-                k = int(c[2:])
+                return int(c[2:])
             except ValueError:
                 raise ConfigError("conditioning: expected k=<int>, got %r" % (c,))
-            if k < 1:
-                raise ConfigError("conditioning: k must be >= 1")
-            return k
         raise ConfigError("conditioning must be 'ppp' or 'k=<int>', got %r" % (c,))
 
     def validate(self):
-        if self.link_class not in CLASS_REGIMES:
-            raise ConfigError("class must be one of A, B, C, D, all")
-        if self.scheme not in ("proposed", "conventional", "both"):
-            raise ConfigError("scheme must be proposed, conventional or both")
-        if self.mode not in ("analytic", "sampled"):
-            raise ConfigError("mode must be analytic or sampled")
+        """Check the CLI's own fields here and the experiment fields through `ExperimentConfig`."""
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not all(np.isfinite(d) and d > 0 for d in self.densities):
-            raise ConfigError("lambda values must be positive and finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        self.channel()
-        self.k_value()
+        try:
+            check_band(self.link_class, CLASS_REGIMES)
+            ExperimentConfig(densities=self.densities, scheme=self.scheme, trials=self.trials,
+                             estimator_mode=self.mode, base_seed=self.seed, channel=self.channel(), k=self.k_value())
+        except ValueError as e:
+            raise ConfigError(str(e))
         return self
 
     def hash(self) -> str:
@@ -234,7 +220,7 @@ def _cmd_simulate(cfg: RunConfig):
 def _cmd_contour(cfg: RunConfig):
     if cfg.link_class not in CLASS_TIERS:
         raise ConfigError("contour requires class C or D")
-    r_k = cfg.r_k if cfg.r_k > 0 else None
+    r_k = None if cfg.r_k == RunConfig.r_k else cfg.r_k
     check_band(cfg.link_class, CLASS_TIERS, r_k)
     rows = []
     # a given r_k selects the regimes whose closed band holds it (96.4 m: both D1 and D2)

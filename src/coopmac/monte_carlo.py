@@ -58,6 +58,7 @@ from .stochastic_geometry import (
     TIER_RATES,
     TIER_REACH,
     check_band,
+    check_conditioning,
     cumulative_areas,
     hop_band,
     nn_distance_band,
@@ -82,7 +83,12 @@ DENSITY_GRID = tuple(round(0.0005 * i, 6) for i in range(1, 11))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte-Carlo experiment: density sweep x scheme x link regime."""
+    """One Monte-Carlo experiment: density sweep x scheme x link regime.
+
+    Every field is checked on construction, each density and k by
+    `stochastic_geometry.check_conditioning`; a failed check raises
+    ValueError.  The CLI runs its experiment fields through this class.
+    """
 
     densities: tuple = (0.001,)
     scheme: str = "proposed"  # proposed | conventional | both
@@ -98,8 +104,10 @@ class ExperimentConfig:
         object.__setattr__(self, "densities", tuple(float(d) for d in np.atleast_1d(self.densities)))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not all(math.isfinite(d) and d > 0 for d in self.densities):
-            raise ValueError("densities must be positive and finite")
+        if not self.densities:
+            raise ValueError("densities must not be empty")
+        for d in self.densities:
+            check_conditioning(d, self.k)
         if self.base_seed < 0:
             raise ValueError("base_seed must be >= 0")
         if self.chunk_size < 1:
@@ -109,8 +117,6 @@ class ExperimentConfig:
         check_band(self.regime, REGIMES)
         if self.estimator_mode not in ("analytic", "sampled"):
             raise ValueError("estimator_mode must be 'analytic' or 'sampled'")
-        if self.k is not None and not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValueError("k must be an integer >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -297,7 +303,7 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
             # with probability S_i / (disk area - S_1 - ... - S_(i-1))
             rest = np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area)
             count = _zero_truncated_binomial(rng, k - 1, area / rest)
-    elif scheme == "conventional":
+    else:  # conventional
         cum = cumulative_areas(areas)
         # a helper exists unless the union of the regions, taken as one tier, is empty
         has = np.flatnonzero(u < 1.0 - tier_void_law(cum[-1:], r, density, k)[-1])
@@ -306,8 +312,6 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
         tier = 1 + np.sum(cum[:, has] <= w, axis=0)
         area = areas[tier - 1, has]
         count = np.ones(has.size, dtype=np.int64)
-    else:
-        raise ValueError("unknown scheme %r" % (scheme,))
     if not has.size:
         return has, tier, np.empty(0)
     _, d_sh, d_hd = _place_in_tier(rng, r[has], tier, area, count)

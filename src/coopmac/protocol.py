@@ -21,7 +21,6 @@ import numpy as np
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, shadowing_sample
 from .stochastic_geometry import (
-    BAND_EDGES,
     BAND_RATES,
     CLASS_NAMES,
     CLASS_TIERS,
@@ -37,14 +36,10 @@ from .stochastic_geometry import (
 @dataclass(frozen=True)
 class LinkClass:
     label: str
-    d_min: float
-    d_max: float
     rate: float  # direct transmission rate, Mbps
 
 
-LINK_CLASSES = tuple(
-    LinkClass(label, BAND_EDGES[i], BAND_EDGES[i + 1], BAND_RATES[i]) for i, label in enumerate(CLASS_NAMES)
-)
+LINK_CLASSES = tuple(LinkClass(label, rate) for label, rate in zip(CLASS_NAMES, BAND_RATES))
 
 
 def classify_link(distance: float) -> LinkClass:
@@ -69,12 +64,10 @@ def coop_rate(r_sh: float, r_hd: float) -> float:
 
 @dataclass(frozen=True)
 class TierSpec:
-    """One helper tier: hop distance bands, hop rates, cooperative rate."""
+    """One helper tier: hop rates and cooperative rate."""
 
     link_class: str
     tier: int
-    d_sh_range: tuple
-    d_hd_range: tuple
     r_sh: float
     r_hd: float
 
@@ -85,7 +78,7 @@ class TierSpec:
 
 TIER_SPECS = {
     link_class: tuple(
-        TierSpec(link_class, t, BAND_EDGES[i:i + 2], BAND_EDGES[j:j + 2], BAND_RATES[i], BAND_RATES[j])
+        TierSpec(link_class, t, BAND_RATES[i], BAND_RATES[j])
         for t, (i, j) in enumerate(TIER_BANDS[:n_tiers], 1)
     )
     for link_class, n_tiers in CLASS_TIERS.items()

@@ -91,6 +91,22 @@ def check_band(name, allowed, r_k=None):
     return lo, hi
 
 
+def check_conditioning(density, k=None):
+    """Check a PPP density (nodes/m^2) and a neighbor order k.
+
+    `density` must be finite and positive, or None with a k, where a
+    k-nearest form takes no density; `k` must be None (the PPP) or an
+    integer >= 1, a bool not counting as one.  Every density and k argument
+    of the package is checked here; a failed check raises ValueError.
+    """
+    if density is None and k is None:
+        raise ValueError("density is required under the PPP (k None)")
+    if density is not None and not 0 < density < np.inf:
+        raise ValueError("density must be positive and finite, got %r" % (density,))
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
+        raise ValueError("k must be an integer >= 1, got %r" % (k,))
+
+
 @dataclass(frozen=True)
 class NetworkRealization:
     """One sampled PPP: density, observation window, node coordinates.
@@ -119,10 +135,6 @@ class RegionAreas:
     def area(self, tier: int) -> float:
         return self.areas[tier - 1]
 
-    @property
-    def total(self) -> float:
-        return float(sum(self.areas))
-
 
 def sample_ppp(density: float, window, seed) -> NetworkRealization:
     """Sample a homogeneous PPP of the given density on a rectangle.
@@ -136,8 +148,7 @@ def sample_ppp(density: float, window, seed) -> NetworkRealization:
     The node count is Poisson(density * area) and positions are i.i.d.
     uniform; the draw is deterministic for a fixed integer seed.
     """
-    if not density > 0:
-        raise ValueError("density must be positive, got %r" % (density,))
+    check_conditioning(density)
     xmin, ymin, xmax, ymax = map(float, window)
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("window must be a non-degenerate rectangle")
@@ -300,10 +311,7 @@ def nn_distance_pdf(k: int, density: float, r):
     f(r) = 0 for r <= 0.  Vectorized in r; uses log-gamma for stability at
     large k.
     """
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise ValueError("k must be an integer >= 1, got %r" % (k,))
-    if not density > 0:
-        raise ValueError("density must be positive")
+    check_conditioning(density, k)
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)

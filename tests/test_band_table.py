@@ -1,16 +1,27 @@
-"""One class-range rule for every public entry point that takes a link length.
+"""One class-range rule for every public entry point that takes a link length,
+and one density and k rule for every entry point that takes those.
 
 The link-length band of a class or regime is closed: the band edges
 themselves are accepted, and the nearest doubles outside them are rejected,
-whichever function is called.
+whichever function is called.  A density must be finite and positive, and k
+an integer >= 1 that is not a bool.
 """
 
 import numpy as np
 import pytest
 
-from coopmac.analytic_bounds import link_bounds_at_distance, tier_bound_pair, tier_probabilities
-from coopmac.monte_carlo import contour_grid
-from coopmac.stochastic_geometry import check_band, tier_region_areas
+from coopmac.analytic_bounds import (
+    averaged_bounds,
+    band_mass,
+    h_integral,
+    link_bounds_at_distance,
+    tier_bound_pair,
+    tier_probabilities,
+    total_throughput_bounds,
+    type_ab_throughput,
+)
+from coopmac.monte_carlo import ExperimentConfig, contour_grid
+from coopmac.stochastic_geometry import check_band, nn_distance_pdf, sample_ppp, tier_region_areas
 
 # entry point -> call with (link class, regime, r_k)
 ENTRY_POINTS = {
@@ -42,3 +53,41 @@ def test_closed_band_edges_accepted_and_outside_rejected(entry, link_class, regi
 def test_unknown_regime_names_get_one_message(name):
     with pytest.raises(ValueError, match="expected one of C, D1, D2"):
         check_band(name, ("C", "D1", "D2"))
+
+
+def _one_of(density, k):
+    """The keyword of an entry that takes exactly one of density (ppp) or k."""
+    return {"density": density} if k is None else {"k": k}
+
+
+# entry point -> call with (density, k), k None for the PPP
+CONDITIONING_ENTRIES = {
+    "tier_probabilities": lambda d, k: tier_probabilities("D", 98.0, **_one_of(d, k)),
+    "link_bounds_at_distance": lambda d, k: link_bounds_at_distance("D2", 98.0, **_one_of(d, k)),
+    "averaged_bounds": lambda d, k: averaged_bounds("C", d, k=k),
+    "total_throughput_bounds": lambda d, k: total_throughput_bounds(d, k=k),
+    "band_mass": lambda d, k: band_mass("C", d, k=k),
+    "h_integral": lambda d, k: h_integral(0.0, 48.2, k, d),
+    "type_ab_throughput": lambda d, k: type_ab_throughput("A", k, d),
+    "nn_distance_pdf": lambda d, k: nn_distance_pdf(k, d, 50.0),
+    "sample_ppp": lambda d, k: sample_ppp(d, (0, 0, 10, 10), seed=0),
+    "ExperimentConfig": lambda d, k: ExperimentConfig(densities=(0.001, d), k=k),
+}
+# the entries above that take no density under k-nearest conditioning
+NO_DENSITY_UNDER_K = ("tier_probabilities", "link_bounds_at_distance")
+
+
+@pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+@pytest.mark.parametrize(
+    "entry,k", [(e, k) for e in CONDITIONING_ENTRIES for k in (None, 10) if k is None or e not in NO_DENSITY_UNDER_K]
+)
+def test_non_finite_or_non_positive_density_rejected(entry, k, density):
+    with pytest.raises(ValueError, match="density must be positive and finite"):
+        CONDITIONING_ENTRIES[entry](density, k)
+
+
+@pytest.mark.parametrize("k", [0, True])
+@pytest.mark.parametrize("entry", [e for e in CONDITIONING_ENTRIES if e != "sample_ppp"])
+def test_k_below_one_or_bool_rejected(entry, k):
+    with pytest.raises(ValueError, match="k must be an integer >= 1"):
+        CONDITIONING_ENTRIES[entry](0.001, k)

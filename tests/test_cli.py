@@ -71,6 +71,9 @@ def test_exit_codes(tmp_path):
     assert main(["bounds", "--class", "C", "--lambda", "0.002", "--conditioning", "k=oops"]) == 2
     assert main(["simulate", "--class", "C", "--lambda", "nan", "--trials", "10"]) == 2
     assert main(["simulate", "--class", "C", "--lambda", "0.002", "--seed", "-3", "--trials", "10"]) == 2
+    assert main(["bounds", "--class", "C", "--lambda", ""]) == 2
+    assert main(["simulate", "--class", "C", "--lambda", "", "--trials", "10"]) == 2
+    assert main(["reproduce", "fig7", "--lambda", "", "--trials", "10"]) == 2
     # input-determined failures found by the library are config errors too
     assert main(["simulate", "--class", "D", "--lambda", "0.05", "--conditioning", "k=1", "--trials", "10"]) == 2
     assert main(["reproduce", "fig9", "--lambda", "0.05", "--conditioning", "k=1", "--trials", "100"]) == 2
@@ -140,7 +143,10 @@ def test_contour_command(tmp_path):
     assert max(float(r["throughput"]) for r in rows) <= 5.5
 
 
-@pytest.mark.parametrize("r_k,regimes", [("80", {"D1"}), ("99", {"D2"}), ("96.4", {"D1", "D2"}), ("101", None)])
+@pytest.mark.parametrize(
+    "r_k,regimes",
+    [("80", {"D1"}), ("99", {"D2"}), ("96.4", {"D1", "D2"}), ("101", None), ("nan", None), ("0", None), ("-3", None)],
+)
 def test_contour_class_d_picks_the_regimes_holding_r_k(tmp_path, r_k, regimes):
     out = tmp_path / "contour.csv"
     code = main(["contour", "--class", "D", "--r-k", r_k, "--resolution", "2", "--out", str(out)])

@@ -35,6 +35,10 @@ def test_config_validation():
         ExperimentConfig(estimator_mode="exact")
     with pytest.raises(ValueError):
         ExperimentConfig(k=0)
+    with pytest.raises(ValueError, match="k must be an integer"):
+        ExperimentConfig(k=True)
+    with pytest.raises(ValueError, match="empty"):
+        ExperimentConfig(densities=())
     for density in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError, match="finite"):
             ExperimentConfig(densities=(0.001, density))
