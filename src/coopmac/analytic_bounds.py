@@ -23,31 +23,41 @@ the (lower, upper) bound pair in one joint pass or the direct success
 probability, against the link-length law: 2r/100^2 under the PPP, the kth-NN
 distance PDF under k-nearest conditioning.  The per-link pair comes from one
 array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
-(2, n) lower/upper array: the tier law of the link class's tier-region areas,
+(2, n) lower/upper array: the tier law of the link class's tier-region areas
+(all tier lenses in one broadcast call, `stochastic_geometry.tier_lenses`),
 and G at each tier's extremal helper positions (`_extremal_g`, keyed by link
 class).  The worst positions, at the outer edges of each tier's hop bands,
-do not depend on the link length and take one `g_joint` call for all tiers.
+do not depend on the link length; their G is computed once per
+`ChannelParams` (`_fixed_g`).  Inside the kernel and the integrands every
+hop length is known to be positive, so Ps is taken unchecked
+(`channel_model._p_success`); the public functions keep their checks.
 The quadrature calls the kernel once per bisection depth on all of that
-depth's nodes; `link_bounds_at_distance`, `tier_probabilities` and
+depth's nodes; `total_throughput_bounds` refines its five parts in lockstep
+(`quadrature.simpson_lockstep`), one call per depth for A and B, one for C
+and one for D1 and D2.  `link_bounds_at_distance`, `tier_probabilities` and
 `tier_bound_pair` are scalar views of the same code.  `band_mass` is closed
 form, from the kth-NN band law the Monte Carlo inverts
-(`stochastic_geometry.nn_distance_band`).
+(`stochastic_geometry.nn_distance_band`); a k-nearest band whose mass is 0
+in double precision raises ValueError, for the bounds as for the Monte
+Carlo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .channel_model import ChannelParams, g_joint, p_success_direct
-from .quadrature import adaptive_simpson
+from .channel_model import ChannelParams, _p_success, g_joint, p_success_direct
+from .quadrature import adaptive_simpson, simpson_lockstep
 from .stochastic_geometry import (
     BAND_11,
     BAND_55,
     BAND_EDGES,
     CLASS_RATES,
+    CLASS_REGIMES,
     CLASS_TIERS,
     DIRECT_CLASSES,
     HELPER_REGIMES,
@@ -102,7 +112,7 @@ def h_integral(
     """
     if r_min < 0 or r_max < r_min:
         raise ValueError("need 0 <= r_min <= r_max")
-    return _law_integral(lambda r: p_success_direct(r, params), r_min, r_max, density, k)
+    return _law_integral(_link_value("A", density, k, params), r_min, r_max, density, k)
 
 
 def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
@@ -132,7 +142,7 @@ def tier_probabilities(
     check_band(link_class, CLASS_TIERS, r_k)
     if (density is None) == (k is None):
         raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
-    check_conditioning(density, k)
+    check_conditioning(density, k, density_optional=True)
     r = np.array([float(r_k)])
     empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)[:, 0]
     return TierProbabilityVector(
@@ -141,25 +151,40 @@ def tier_probabilities(
     )
 
 
+@lru_cache(maxsize=64)
+def _fixed_g(params: ChannelParams):
+    """The parts of `_extremal_g` that do not depend on the link length, once per ChannelParams.
+
+    G at each tier's worst helper position, where both hops reach the outer
+    edges of the tier's hop bands (one `g_joint` call for all five tiers),
+    and Ps at 48.2 m and at 67.1 m, the fixed hop of tiers 2 and 4 at their
+    best positions.
+    """
+    worst = g_joint(*np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS)), params)
+    return tuple(worst), float(p_success_direct(BAND_11, params)), float(p_success_direct(BAND_55, params))
+
+
 def _extremal_g(link_class: str, r, params: ChannelParams):
     """(worst, best) joint success G of each tier of the link class at link length(s) r.
 
-    G at the worst and best helper positions the tier region admits.  The
-    worst is where both hops reach the outer edges of the tier's hop bands,
-    one `g_joint` call for every tier; e.g. a tier-1 helper is worst at a
-    corner where both hops stretch to 48.2 m and best at the S-D midpoint.
-    Entries that do not depend on r are scalars.
+    G at the worst and best helper positions the tier region admits; e.g. a
+    tier-1 helper is worst at a corner where both hops stretch to 48.2 m
+    (`_fixed_g`) and best at the S-D midpoint.  Entries that do not depend on
+    r are scalars.  No validation: every hop length must be positive, which
+    holds for any r in a class C or D band.
     """
     n = CLASS_TIERS[link_class]
-    worst = g_joint(*np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS[:n])), params)
+    worst, ps_11, ps_55 = _fixed_g(params)
     corner, inner = worst[:2]
-    mid = g_joint(r / 2, r / 2, params)
+    # Ps of the r-dependent hops: to the midpoint, and the far hops of tiers 2 and 4
+    ps_mid, ps_2, *ps_4 = _p_success(np.array([r / 2, r - BAND_11, r - BAND_55][:n - 1]), params)
+    mid = ps_mid * ps_mid
     # tier 3 is best at its inner corner (both hops 48.2 m) while S and D are
     # within 96.4 m of each other, and at the midpoint beyond
-    best = [mid, g_joint(BAND_11, r - BAND_11, params), np.where(r > TIER1_MAX_SEPARATION, mid, corner)]
+    best = [mid, ps_11 * ps_2, np.where(r > TIER1_MAX_SEPARATION, mid, corner)]
     if n == 5:
-        best += [g_joint(BAND_55, r - BAND_55, params), inner]
-    return list(zip(worst, best))
+        best += [ps_55 * ps_4[0], inner]
+    return list(zip(worst[:n], best))
 
 
 def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = ChannelParams()) -> BoundPair:
@@ -185,12 +210,13 @@ def _link_bounds(regime: str, r, density, k, params: ChannelParams):
 
     The array kernel behind `link_bounds_at_distance` and every bound
     integral: the residual direct term Ps(r) x direct rate plus the tier
-    mixture of `_extremal_g`.  No validation; under k-nearest conditioning
-    `density` is not used.
+    mixture of `_extremal_g`.  It depends on the regime only through its
+    link class.  No validation; under k-nearest conditioning `density` is
+    not used.
     """
     link_class = REGIMES[regime][2]
     empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)
-    lower = upper = empty[-1] * p_success_direct(r, params) * CLASS_RATES[link_class]
+    lower = upper = empty[-1] * _p_success(r, params) * CLASS_RATES[link_class]
     # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
     # the two 48.2 m circles no longer meet)
     for p_i, (worst, best), rate in zip(empty[:-1] - empty[1:], _extremal_g(link_class, r, params), TIER_RATES):
@@ -214,21 +240,32 @@ def link_bounds_at_distance(
     check_band(regime, HELPER_REGIMES, r_k)
     if (density is None) == (k is None):
         raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
-    check_conditioning(density, k)
+    check_conditioning(density, k, density_optional=True)
     lower, upper = _link_bounds(regime, np.array([float(r_k)]), density, k, params)[:, 0]
     return BoundPair(float(lower), float(upper))
 
 
-def _law_integral(value, a: float, b: float, density: float, k: Optional[int], tol: float = 1e-8):
-    """Integral over [a, b] of value(r) x w(r), w the link-length law over the 100 m range.
+def _link_value(regime: str, density, k, params: ChannelParams):
+    """The per-link value whose law-weighted integral gives a regime's part.
+
+    Ps(r) for a class A or B link (direct only; times the class rate after
+    the integral), the (2, n) bound pair of `_link_bounds` for a class C or
+    D link.  Its links are longer than 0 (`_law_weighted`), so Ps needs no
+    check.
+    """
+    if REGIMES[regime][2] in DIRECT_CLASSES:
+        return lambda r: _p_success(r, params)
+    return lambda r: _link_bounds(regime, r, density, k, params)
+
+
+def _law_weighted(value, density: float, k: Optional[int]):
+    """The integrand r -> value(r) x w(r), w the link-length law over the 100 m range.
 
     w is 2r/100^2 under the PPP (k None), else the kth-NN distance PDF; both
     vanish at r = 0, where value is not called.  `value` maps a 1-D array of
     n link lengths to shape (n,), or to (c, n) for c components such as a
-    (lower, upper) pair, which are integrated jointly to `tol` in each.
+    (lower, upper) pair, which are integrated jointly.
     """
-    check_conditioning(density, k)
-
     def integrand(r):
         pos = r > 0.0
         rp = r[pos]
@@ -238,7 +275,13 @@ def _law_integral(value, a: float, b: float, density: float, k: Optional[int], t
         out[..., pos] = part
         return out
 
-    return adaptive_simpson(integrand, a, b, tol=tol)
+    return integrand
+
+
+def _law_integral(value, a: float, b: float, density: float, k: Optional[int], tol: float = 1e-8):
+    """Integral over [a, b] of `_law_weighted(value, density, k)` to `tol` in each component."""
+    check_conditioning(density, k)
+    return adaptive_simpson(_law_weighted(value, density, k), a, b, tol=tol)
 
 
 def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
@@ -249,7 +292,8 @@ def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
     the Monte Carlo draws link lengths from); regime "all" is the whole 100 m
     range.  Under k-nearest conditioning `averaged_bounds` is a partial
     expectation; divided by this mass it bounds the mean throughput of the
-    links in the band, the quantity `estimate_throughput` reports.
+    links in the band, the quantity `estimate_throughput` reports.  A band
+    whose mass is 0 in double precision raises ValueError.
     """
     a, b = check_band(regime, REGIMES)
     check_conditioning(density, k)
@@ -257,14 +301,6 @@ def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
         return (b * b - a * a) / MAX_RANGE ** 2
     lo, hi, _ = nn_distance_band(a, b, density, k)
     return float(abs(hi - lo))
-
-
-def _regime_part(regime: str, density: float, k: Optional[int], params: ChannelParams, tol: float = 1e-8):
-    """E[throughput; link length in the regime's band] as a (lower, upper) array."""
-    a, b, link_class = REGIMES[regime]
-    if link_class in DIRECT_CLASSES:
-        return np.full(2, h_integral(a, b, k, density, params) * CLASS_RATES[link_class])
-    return _law_integral(lambda r: _link_bounds(regime, r, density, k, params), a, b, density, k, tol)
 
 
 def averaged_bounds(
@@ -283,11 +319,15 @@ def averaged_bounds(
     tol x share, so `tol` is the absolute tolerance of the returned average.
     Under k-nearest conditioning it is the unnormalized partial expectation
     under the kth-NN distance PDF, as in the closed-form expressions; divide
-    by `band_mass` for bounds on the mean given the band.
+    by `band_mass` for bounds on the mean given the band; a band that holds
+    no probability in double precision raises ValueError.
     """
     check_band(regime, HELPER_REGIMES)
-    share = 1.0 if k is not None else band_mass(regime, density)
-    lower, upper = _regime_part(regime, density, k, params, tol * share) / share
+    a, b, _ = REGIMES[regime]
+    mass = band_mass(regime, density, k)
+    share = mass if k is None else 1.0
+    value = _link_value(regime, density, k, params)
+    lower, upper = _law_integral(value, a, b, density, k, tol * share) / share
     return BoundPair(lower, upper)
 
 
@@ -300,9 +340,19 @@ def total_throughput_bounds(
 
     Each part is integrated to absolute tolerance 1e-8.  Under k-nearest
     conditioning the parts are the very integrals of `averaged_bounds` and
-    `type_ab_throughput`, as in the closed-form sum.  Under the PPP it is
-    the unconditional mean throughput of a random in-range pair: the A/B
-    parts plus share x `averaged_bounds` of each helper regime.
+    `type_ab_throughput`, as in the closed-form sum; the 100 m range must
+    hold probability (`band_mass`).  Under the PPP it is the unconditional
+    mean throughput of a random in-range pair: the A/B parts plus share x
+    `averaged_bounds` of each helper regime.  The five integrals are refined
+    in lockstep (`simpson_lockstep`), one integrand call per depth for the
+    A and B parts, one for C and one for D1 and D2, each part on its own
+    nodes.
     """
-    lower, upper = sum(_regime_part(regime, density, k, params) for regime in DIRECT_CLASSES + HELPER_REGIMES)
+    band_mass("all", density, k)
+    # A and B share one integrand, Ps(r), and D1 and D2 the class-D bound pair
+    direct = _law_weighted(_link_value("A", density, k, params), density, k)
+    helper = {c: _law_weighted(_link_value(CLASS_REGIMES[c][0], density, k, params), density, k) for c in CLASS_TIERS}
+    regimes = DIRECT_CLASSES + HELPER_REGIMES
+    parts = simpson_lockstep([(helper.get(REGIMES[g][2], direct), *REGIMES[g][:2], 1e-8) for g in regimes])
+    lower, upper = sum(np.full(2, v * CLASS_RATES[g]) if g in DIRECT_CLASSES else v for g, v in zip(regimes, parts))
     return BoundPair(lower, upper)

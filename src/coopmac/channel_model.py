@@ -76,7 +76,11 @@ def p_success_direct(distance, params: ChannelParams = ChannelParams()):
 
     Equals Q(nu + mu*log10(d)); strictly decreasing in d.
     """
-    d = _check_distance(distance)
+    return _p_success(_check_distance(distance), params)
+
+
+def _p_success(d, params: ChannelParams):
+    """`p_success_direct` without its check, for distances d already known to be positive."""
     return q_function(params.nu + params.mu * np.log10(d))
 
 

@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class RunConfig:
     seed: int = 0
     mode: str = "analytic"
     conditioning: str = "ppp"  # "ppp" or "k=<int>"
-    r_k: float = -1.0  # contour link length; this default -> regime midpoint
+    r_k: Optional[float] = None  # contour link length; None (no --r-k) -> regime midpoint
     resolution: float = 0.5
     figure: str = "fig7"
     workers: int = 1
@@ -99,6 +100,8 @@ class RunConfig:
         payload = asdict(self)
         for key in ("out", "format", "workers"):
             payload.pop(key, None)
+        # an absent --r-k hashes as the -1.0 that stood for it before, so hashes stay comparable
+        payload["r_k"] = -1.0 if self.r_k is None else self.r_k
         return hashlib.sha256(json.dumps(payload, sort_keys=True, default=list).encode()).hexdigest()[:12]
 
 
@@ -116,6 +119,8 @@ def _assign(cfg: RunConfig, key: str, value: str):
     try:
         if key == "densities":
             cfg.densities = tuple(float(v) for v in str(value).replace(",", " ").split())
+        elif key == "r_k":
+            cfg.r_k = float(value)
         else:
             setattr(cfg, key, type(getattr(RunConfig, key))(value))
     except ValueError:
@@ -220,14 +225,13 @@ def _cmd_simulate(cfg: RunConfig):
 def _cmd_contour(cfg: RunConfig):
     if cfg.link_class not in CLASS_TIERS:
         raise ConfigError("contour requires class C or D")
-    r_k = None if cfg.r_k == RunConfig.r_k else cfg.r_k
-    check_band(cfg.link_class, CLASS_TIERS, r_k)
+    check_band(cfg.link_class, CLASS_TIERS, cfg.r_k)
     rows = []
     # a given r_k selects the regimes whose closed band holds it (96.4 m: both D1 and D2)
     for regime in CLASS_REGIMES[cfg.link_class]:
-        if r_k is not None and not REGIMES[regime][0] <= r_k <= REGIMES[regime][1]:
+        if cfg.r_k is not None and not REGIMES[regime][0] <= cfg.r_k <= REGIMES[regime][1]:
             continue
-        grid = contour_grid(regime, r_k=r_k, resolution=cfg.resolution, params=cfg.channel())
+        grid = contour_grid(regime, r_k=cfg.r_k, resolution=cfg.resolution, params=cfg.channel())
         yy, xx = np.nonzero(~np.isnan(grid["throughput"]))
         for i, j in zip(yy, xx):
             rows.append(

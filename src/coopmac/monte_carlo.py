@@ -138,12 +138,7 @@ def _draw_link_distance(rng, n, band, density, k):
         r = np.sqrt(a * a + u * (b * b - a * a))
     else:
         lo, hi, inverse = nn_distance_band(a, b, density, k)
-        if lo == hi:
-            raise ValueError(
-                "the link band [%g, %g] m holds no probability in double precision "
-                "under the k=%d nearest-neighbor law at density %g" % (a, b, k, density)
-            )
-        r = np.sqrt(inverse(lo + u * (hi - lo), k) / (density * np.pi))
+        r = np.sqrt(inverse(k, lo + u * (hi - lo)) / (density * np.pi))
     return np.maximum(r, 1e-9)
 
 

@@ -1,13 +1,20 @@
 """Adaptive Simpson quadrature for smooth 1-D integrands, refined level by level.
 
-The panels still open at one bisection depth are held in arrays, and all of
-their new midpoints go to the integrand in one array call, so an integral
-costs one call per depth instead of one per node.  The panels, the nodes and
-the acceptance test are those of the classic depth-first recursion, and the
-accepted panel values are summed back up the same bisection tree, so the
-result is the recursion's to the last bit whenever f's value at a node does
-not depend on the other nodes of the call.  The recursion itself is kept as
-the test oracle `tests/simpson_oracle.py`.
+The panels still open at one bisection depth are held as the columns of one
+state array, and all of their new midpoints go to the integrand in one array
+call, so an integral costs one call per depth instead of one per node.  The
+halves of the panels that must be split are carried to the next depth by one
+gather of that array.  The panels, the nodes and the acceptance test are
+those of the classic depth-first recursion, and the accepted panel values are
+summed back up the same bisection tree, so the result is the recursion's to
+the last bit whenever f's value at a node does not depend on the other nodes
+of the call.  The recursion itself is kept as the test oracle
+`tests/simpson_oracle.py`.
+
+`simpson_lockstep` steps several integrals through their depths together,
+and the integrals that share an integrand are evaluated in one call per
+depth on all of their nodes; each keeps the nodes, the tolerance and the
+result it has on its own.
 """
 
 from __future__ import annotations
@@ -26,10 +33,62 @@ def _values(f, x):
     return fx
 
 
-def _halves(lo, hi, split):
-    """Interleave the split columns of lo and hi: each left half next to its right half."""
-    both = np.stack((lo[..., split], hi[..., split]), axis=-1)
-    return both.reshape(lo.shape[:-1] + (-1,))
+def _refine(a: float, b: float, tol: float, max_bisections: int):
+    """The refinement of `adaptive_simpson` as a generator.
+
+    It yields the nodes of each depth, is sent the integrand's values there
+    (as checked by `_values`), and returns the integral.
+    """
+    if b < a:
+        raise ValueError("integration bounds out of order")
+    if a == b:
+        return 0.0
+    x = np.array((a, 0.5 * (a + b), b), dtype=float)
+    fx = yield x
+    vector = fx.ndim == 2
+    c = fx.shape[0] if vector else 1
+    # One column per open panel.  Its first 3(1 + c) rows are triples (value
+    # at the left end, at the midpoint, at the right end): first of the node
+    # itself, then of each of the c components of f; its last c rows hold the
+    # components of the panel's one-panel Simpson estimate.
+    q = 1 + c
+    state = np.empty((3 * q + c, 1))
+    state[:3 * q, 0] = np.vstack((x, fx)).ravel()
+    fx = np.atleast_2d(fx)
+    state[3 * q:] = (x[2] - x[0]) / 6.0 * (fx[:, :1] + 4.0 * fx[:, 1:2] + fx[:, 2:])
+    levels = []  # per depth: (which panels were accepted, their values)
+    bisections = 0
+    while state.shape[1]:
+        n = state.shape[1]
+        # the two halves of every panel, left halves in columns :n, right ones in n:
+        ends = state[:3 * q].reshape(q, 3, n)
+        kids = np.empty((3 * q + c, 2 * n))
+        tri = kids[:3 * q].reshape(q, 3, 2 * n)
+        tri[:, 0] = ends[:, :2].reshape(q, 2 * n)  # [a | m], [f(a) | f(m)]
+        tri[:, 2] = ends[:, 1:].reshape(q, 2 * n)  # [m | b], [f(m) | f(b)]
+        tri[0, 1] = 0.5 * (tri[0, 0] + tri[0, 2])  # the new nodes
+        tri[1:, 1] = yield tri[0, 1]
+        one = kids[3 * q:]
+        one[...] = (tri[0, 2] - tri[0, 0]) / 6.0 * (tri[1:, 0] + 4.0 * tri[1:, 1] + tri[1:, 2])
+        two = one[:, :n] + one[:, n:]  # each panel's two-panel estimate
+        err = two - state[3 * q:]
+        done = np.max(np.abs(err), axis=0) <= 15.0 * tol
+        levels.append((done, two + err / 15.0))
+        split = np.flatnonzero(~done)
+        bisections += split.size
+        if bisections > max_bisections:
+            raise RuntimeError("adaptive_simpson: more than %d bisections needed on [%r, %r]"
+                               % (max_bisections, float(x[0]), float(x[-1])))
+        # each split panel's left half next to its right half
+        state = kids[:, (split[:, None] + (0, n)).ravel()]
+        tol = 0.5 * tol
+    # a split panel's value is the sum of its two halves, as in the recursion
+    below = None
+    for done, value in reversed(levels):
+        if below is not None:
+            value[:, ~done] = below[:, 0::2] + below[:, 1::2]
+        below = value
+    return below[:, 0] if vector else float(below[0, 0])
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_bisections: int = 1000):
@@ -47,43 +106,39 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_bisections: i
     Raises RuntimeError when more than `max_bisections` bisections would be
     needed or when `f` returns a non-finite value.
     """
-    if b < a:
-        raise ValueError("integration bounds out of order")
-    if a == b:
-        return 0.0
-    x = np.array((a, 0.5 * (a + b), b), dtype=float)
-    fx = _values(f, x)
-    vector = fx.ndim == 2
-    fx = np.atleast_2d(fx)
-    # the open panels [a, b] with midpoint m, one per column
-    a, m, b = x[:1], x[1:2], x[2:]
-    fa, fm, fb = fx[:, :1], fx[:, 1:2], fx[:, 2:]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    levels = []  # per depth: (which panels were accepted, their values)
-    bisections = 0
-    while a.size:
-        n = a.size
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        fx = np.atleast_2d(_values(f, np.concatenate((lm, rm))))
-        flm, frm = fx[:, :n], fx[:, n:]
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        err = left + right - whole
-        done = np.max(np.abs(err), axis=0) <= 15.0 * tol
-        levels.append((done, left + right + err / 15.0))
-        split = ~done
-        bisections += int(split.sum())
-        if bisections > max_bisections:
-            raise RuntimeError("adaptive_simpson: more than %d bisections needed on [%r, %r]"
-                               % (max_bisections, float(x[0]), float(x[-1])))
-        a, m, b = _halves(a, m, split), _halves(lm, rm, split), _halves(m, b, split)
-        fa, fm, fb = _halves(fa, fm, split), _halves(flm, frm, split), _halves(fm, fb, split)
-        whole = _halves(left, right, split)
-        tol = 0.5 * tol
-    # a split panel's value is the sum of its two halves, as in the recursion
-    below = None
-    for done, value in reversed(levels):
-        if below is not None:
-            value[:, ~done] = below[:, 0::2] + below[:, 1::2]
-        below = value
-    return below[:, 0] if vector else float(below[0, 0])
+    return simpson_lockstep([(f, a, b, tol)], max_bisections)[0]
+
+
+def simpson_lockstep(parts, max_bisections: int = 1000):
+    """`adaptive_simpson(f, a, b, tol, max_bisections)` of every (f, a, b, tol) in `parts`, as a list.
+
+    The integrals are refined together, one depth at a time, and the parts
+    that share an integrand (the same object f) are evaluated in one call
+    per depth on all of their nodes, in the order of `parts`.  Each result
+    is the one `adaptive_simpson` gives for its part alone.
+    """
+    results = [None] * len(parts)
+    nodes = {}  # part index -> the nodes its refinement waits on
+    steps = [_refine(a, b, tol, max_bisections) for _, a, b, tol in parts]
+
+    def advance(i, fx=None):
+        try:
+            nodes[i] = steps[i].send(fx)
+        except StopIteration as stop:
+            results[i] = stop.value
+            nodes.pop(i, None)
+
+    for i in range(len(parts)):
+        advance(i)
+    while nodes:
+        groups = {}
+        for i in nodes:
+            groups.setdefault(id(parts[i][0]), []).append(i)
+        for members in groups.values():
+            xs = [nodes[i] for i in members]
+            fx = _values(parts[members[0]][0], np.concatenate(xs))
+            lo = 0
+            for i, x in zip(members, xs):
+                advance(i, fx[..., lo:lo + x.size])
+                lo += x.size
+    return results

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import gamma as _gamma_dist
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
 # Distance band edges shared by link classification and tier geometry (m).
 BAND_11 = 48.2   # below: 11 Mbps hop
@@ -91,20 +90,25 @@ def check_band(name, allowed, r_k=None):
     return lo, hi
 
 
-def check_conditioning(density, k=None):
+# largest neighbor order: numpy and scipy take k as an int64
+MAX_K = int(np.iinfo(np.int64).max)
+
+
+def check_conditioning(density, k=None, density_optional=False):
     """Check a PPP density (nodes/m^2) and a neighbor order k.
 
-    `density` must be finite and positive, or None with a k, where a
-    k-nearest form takes no density; `k` must be None (the PPP) or an
-    integer >= 1, a bool not counting as one.  Every density and k argument
-    of the package is checked here; a failed check raises ValueError.
+    `density` must be finite and positive; with `density_optional`, for the
+    k-nearest forms that take no density, it may also be None when k is
+    given.  `k` must be None (the PPP) or an integer in [1, MAX_K], a bool not
+    counting as one.  Every density and k argument of the package is checked
+    here; a failed check raises ValueError.
     """
-    if density is None and k is None:
-        raise ValueError("density is required under the PPP (k None)")
-    if density is not None and not 0 < density < np.inf:
+    if density is None and density_optional and k is not None:
+        pass  # a k-nearest form that takes no density
+    elif density is None or not 0 < density < np.inf:
         raise ValueError("density must be positive and finite, got %r" % (density,))
-    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1):
-        raise ValueError("k must be an integer >= 1, got %r" % (k,))
+    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_K):
+        raise ValueError("k must be an integer >= 1 and <= %d, got %r" % (MAX_K, k))
 
 
 @dataclass(frozen=True)
@@ -184,34 +188,88 @@ def lens_area(r1, r2, separation):
     mid = ~(full | none)
     out[full] = np.pi * min(r1, r2) ** 2
     out[none] = 0.0
-    dm = d[mid]
-    # clip guards the arccos arguments against round-off at the tangency edges
-    a1 = r1 ** 2 * np.arccos(np.clip((dm ** 2 + r1 ** 2 - r2 ** 2) / (2 * dm * r1), -1.0, 1.0))
-    a2 = r2 ** 2 * np.arccos(np.clip((dm ** 2 + r2 ** 2 - r1 ** 2) / (2 * dm * r2), -1.0, 1.0))
-    tri = 0.5 * np.sqrt(
-        np.maximum((-dm + r1 + r2) * (dm + r1 - r2) * (dm - r1 + r2) * (dm + r1 + r2), 0.0)
-    )
-    # floored at 0: just below tangency the three terms cancel to round-off of either sign
-    out[mid] = np.maximum(a1 + a2 - tri, 0.0)
+    out[mid] = _lens_formula(r1, r2, d[mid])
     return float(out[0]) if scalar else out
 
 
+def _lens_formula(r1, r2, d):
+    """The lens formula at separations d > 0, broadcast over r1, r2 and d.
+
+    Exact where |r1 - r2| < d < r1 + r2; the callers set the full and empty
+    lenses outside that range.
+    """
+    # a1 + a2 - tri with
+    #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
+    #   tri = sqrt((-d + r1 + r2)(d + r1 - r2)(d - r1 + r2)(d + r1 + r2)) / 2,
+    # in that order of operations but in place: at the thousands of links of a
+    # Monte Carlo chunk, a temporary per operation costs more than the math
+    sq1, sq2, d2, twice_d = r1 ** 2, r2 ** 2, d ** 2, 2 * d
+    arcs = []
+    for ra, sa, sb in ((r1, sq1, sq2), (r2, sq2, sq1)):
+        x = d2 + sa
+        x -= sb
+        x /= twice_d * ra
+        # clip guards the arccos arguments against round-off at the tangency edges
+        np.arccos(np.clip(x, -1.0, 1.0, out=x), out=x)
+        x *= sa
+        arcs.append(x)
+    area, a2 = arcs
+    area += a2
+    tri = -d + r1
+    tri += r2
+    side = d + r1
+    tri *= side - r2
+    side += r2
+    gap = d - r1
+    gap += r2
+    tri *= gap
+    tri *= side
+    np.sqrt(np.maximum(tri, 0.0, out=tri), out=tri)
+    tri *= 0.5
+    area -= tri
+    # floored at 0: just below tangency the three terms cancel to round-off of either sign
+    return np.maximum(area, 0.0, out=area)
+
+
+# The radii of tier t's lens (its outer hop edges) in row t - 1, as (tiers, 1)
+# columns; the separations from which the lens is empty and up to which it is
+# the smaller circle; and that circle's area.
+_LENS_R1, _LENS_R2 = (np.array([[BAND_EDGES[b + 1]] for b in bands]) for bands in zip(*TIER_BANDS))
+_LENS_APART, _LENS_INSIDE = _LENS_R1 + _LENS_R2, abs(_LENS_R1 - _LENS_R2)
+_LENS_FULL = np.pi * np.minimum(_LENS_R1, _LENS_R2) ** 2
+
+
+def tier_lenses(r, n_tiers: int = 5):
+    """(n_tiers, n) lens areas of tiers 1..n_tiers at link lengths r > 0 (a 1-D array).
+
+    Row t - 1 is `lens_area` of tier t's outer hop edges at r, bit for bit,
+    from one broadcast evaluation for all tiers; no validation.
+    """
+    lens = _lens_formula(_LENS_R1[:n_tiers], _LENS_R2[:n_tiers], r)
+    # past tangency arccos(1 - eps) would leave a sliver where the lens is empty
+    np.copyto(lens, 0.0, where=r >= _LENS_APART[:n_tiers])
+    np.copyto(lens, _LENS_FULL[:n_tiers], where=r <= _LENS_INSIDE[:n_tiers])
+    return lens
+
+
 def tier_areas(r, n_tiers: int = 5):
-    """Tier-1..n_tiers region areas for link length(s) r (no validation).
+    """Tier-1..n_tiers region areas for link length(s) r > 0 (no validation).
 
     lens[t - 1] is the lens of tier t's outer hop edges.  It holds tier t and
     the tiers inside it, which are subtracted; a tier whose hops lie in two
-    different bands counts both hop orders, hence the factors of 2.
+    different bands counts both hop orders, hence the factors of 2.  A 1-D
+    array r gives a tuple of arrays, a scalar a tuple of floats.
     """
-    lens = [lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r) for i, j in TIER_BANDS[:n_tiers]]
+    scalar = np.ndim(r) == 0
+    lens = tier_lenses(np.atleast_1d(np.asarray(r, dtype=float)), n_tiers)
     s1 = lens[0]  # 0 for r > 96.4
     s2 = 2.0 * (lens[1] - s1)
     s3 = lens[2] - s2 - s1
-    if n_tiers == 3:
-        return (s1, s2, s3)
-    s4 = 2.0 * (lens[3] - s1) - s2
-    s5 = 2.0 * (lens[4] - lens[2]) - s4
-    return (s1, s2, s3, s4, s5)
+    areas = (s1, s2, s3)
+    if n_tiers == 5:
+        s4 = 2.0 * (lens[3] - s1) - s2
+        areas += (s4, 2.0 * (lens[4] - lens[2]) - s4)
+    return tuple(float(s[0]) for s in areas) if scalar else areas
 
 
 def cumulative_areas(areas):
@@ -295,13 +353,19 @@ def nn_distance_band(a, b, density, k):
     density*pi*R^2 is Gamma(k, 1) distributed.  lo and hi are its
     distribution function at the band ends, or its upper tail when the band
     lies beyond the median, so that neither end rounds to 1.  The band's mass
-    is |hi - lo|, and inverse(u, k) maps u between lo and hi to
-    density*pi*R^2 on the band.  No validation.
+    is |hi - lo|, and inverse(k, u) maps u between lo and hi to
+    density*pi*R^2 on the band.  A band whose mass is 0 in double precision
+    raises ValueError; no other validation.
     """
     x = density * np.pi * np.array([a * a, b * b])
-    upper = _gamma_dist.sf(x[0], k) < 0.5
-    lo, hi = _gamma_dist.sf(x, k) if upper else _gamma_dist.cdf(x, k)
-    return lo, hi, _gamma_dist.isf if upper else _gamma_dist.ppf
+    upper = gammaincc(k, x[0]) < 0.5
+    lo, hi = gammaincc(k, x) if upper else gammainc(k, x)
+    if lo == hi:
+        raise ValueError(
+            "the link band [%g, %g] m holds no probability in double precision "
+            "under the k=%d nearest-neighbor law at density %g" % (a, b, k, density)
+        )
+    return lo, hi, gammainccinv if upper else gammaincinv
 
 
 def nn_distance_pdf(k: int, density: float, r):

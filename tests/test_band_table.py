@@ -91,3 +91,18 @@ def test_non_finite_or_non_positive_density_rejected(entry, k, density):
 def test_k_below_one_or_bool_rejected(entry, k):
     with pytest.raises(ValueError, match="k must be an integer >= 1"):
         CONDITIONING_ENTRIES[entry](0.001, k)
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in CONDITIONING_ENTRIES if e not in NO_DENSITY_UNDER_K + ("sample_ppp", "ExperimentConfig")]
+)
+def test_k_nearest_integrals_need_a_density(entry):
+    # the band integrals and the kth-NN law use the density under k too; a missing
+    # one used to surface as a TypeError from the arithmetic
+    with pytest.raises(ValueError, match="density must be positive and finite, got None"):
+        CONDITIONING_ENTRIES[entry](None, 10)
+
+
+@pytest.mark.parametrize("entry", NO_DENSITY_UNDER_K)
+def test_k_nearest_forms_take_no_density(entry):
+    CONDITIONING_ENTRIES[entry](None, 10)

@@ -157,6 +157,38 @@ def test_contour_class_d_picks_the_regimes_holding_r_k(tmp_path, r_k, regimes):
     assert {r["regime"] for r in csv.DictReader(out.open())} == regimes
 
 
+@pytest.mark.parametrize("how", ["flag", "file"])
+def test_contour_negative_r_k_is_a_config_error(tmp_path, how):
+    # -1 once stood for an absent --r-k and mapped the regime midpoint
+    out = tmp_path / "contour.csv"
+    if how == "flag":
+        args = ["--r-k", "-1"]
+    else:
+        config = tmp_path / "contour.cfg"
+        config.write_text("r_k = -1\n")
+        args = ["--config", str(config)]
+    assert main(["contour", "--class", "C", *args, "--resolution", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert parse_config().r_k is None
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_k_band_without_probability_is_a_config_error(command, capsys):
+    # the 10000th neighbor at 0.005 nodes/m^2 lies ~800 m away: the C band's mass
+    # is 0.0 in double precision, and bounds used to print 0.0000 for every value
+    args = [command, "--class", "C", "--lambda", "0.005", "--conditioning", "k=10000", "--trials", "10"]
+    assert main(args) == 2
+    assert "holds no probability" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+def test_k_beyond_int64_is_a_config_error(command, capsys):
+    # 2^70 used to reach scipy as a Python int and fail with a ufunc TypeError (exit 3)
+    args = [command, "--class", "C", "--lambda", "0.005", "--conditioning", "k=%d" % 2**70, "--trials", "10"]
+    assert main(args) == 2
+    assert "k must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_reproduce_requires_known_figure(tmp_path):
     assert main(["reproduce", "fig99", "--out", str(tmp_path / "x.csv")]) == 1
 

@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import gamma
 
 from coopmac.analytic_bounds import tier_probabilities
 from coopmac.stochastic_geometry import (
+    BAND_EDGES,
+    TIER_BANDS,
     classify_helper_tier,
     cumulative_areas,
     lens_area,
+    nn_distance_band,
     nn_distance_pdf,
     sample_ppp,
     tier_areas,
     tier_index,
+    tier_lenses,
     tier_region_areas,
 )
 
@@ -111,6 +116,38 @@ def test_lens_area_not_negative_just_below_tangency():
 def test_cumulative_areas_is_the_cumsum_bit_for_bit():
     areas = np.array(tier_areas(np.random.default_rng(3).uniform(67.1, 100.0, 8000)))
     assert np.array_equal(cumulative_areas(areas), np.cumsum(areas, axis=0))
+
+
+def _ulps_around(x, n=64):
+    """The n doubles below x, x itself and the n doubles above it."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
+
+
+def test_tier_lenses_are_lens_area_bit_for_bit():
+    # the fused lenses of all tiers at once against one lens_area call per tier,
+    # over (0, 100] m and the doubles around the band edges, the tier-1 tangency
+    # (96.4 m) and the separations below which one circle holds the other
+    r = np.concatenate(
+        [np.linspace(0.0, 100.0, 40_001)[1:], np.random.default_rng(5).uniform(0.0, 100.0, 20_000)]
+        + [_ulps_around(x) for x in (48.2, 67.1, 74.7, 96.4, 100.0, 18.9, 26.5, 7.6)]
+    )
+    r = r[(r > 0.0) & (r <= 100.0)]
+    fused = tier_lenses(r)
+    for t, (i, j) in enumerate(TIER_BANDS):
+        want = lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r)
+        assert fused[t].tobytes() == want.tobytes(), "tier %d" % (t + 1)
+    for n_tiers in (3, 5):
+        assert tier_lenses(r, n_tiers).tobytes() == fused[:n_tiers].tobytes()
+
+
+def test_tier_areas_of_a_scalar_are_floats():
+    areas = tier_areas(70.0)
+    assert all(type(a) is float for a in areas)
+    assert areas == tuple(float(a[0]) for a in tier_areas(np.array([70.0])))
 
 
 def test_lens_rejects_bad_inputs():
@@ -280,3 +317,31 @@ def test_nn_pdf_matches_empirical_kth_neighbor_distances():
     hist, edges = np.histogram(dists, bins=30)
     emp_mode = 0.5 * (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1])
     assert abs(emp_mode - mode) < 8.0
+
+
+# ------------------------------------------------------------ nn_distance_band
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 30, 100])
+def test_nn_distance_band_is_the_gamma_law_bit_for_bit(k):
+    # scipy.special's incomplete gamma functions against scipy.stats.gamma, whose
+    # import is slow; at density 1/pi, density*pi*R^2 = R^2 is Gamma(k, 1)
+    density = 1.0 / np.pi
+    x = np.concatenate([np.geomspace(1e-30, 1e3, 300), np.linspace(0.0, 3.0 * k + 30.0, 300)])
+    ends = np.unique(np.sqrt(x))
+    u = np.concatenate([np.geomspace(1e-300, 1.0, 2000), 1.0 - np.geomspace(1e-16, 1.0, 2000)])
+    tails = set()
+    for a, b in zip(ends[:-1], ends[1:]):
+        x_ab = density * np.pi * np.array([a * a, b * b])
+        upper = gamma.sf(x_ab[0], k) < 0.5
+        want = gamma.sf(x_ab, k) if upper else gamma.cdf(x_ab, k)
+        if want[0] == want[1]:
+            with pytest.raises(ValueError, match="holds no probability"):
+                nn_distance_band(a, b, density, k)
+            continue
+        lo, hi, inverse = nn_distance_band(a, b, density, k)
+        assert (lo, hi) == tuple(want)
+        if upper not in tails:
+            tails.add(upper)
+            assert inverse(k, u).tobytes() == (gamma.isf if upper else gamma.ppf)(u, k).tobytes()
+    assert tails == {False, True}
+
