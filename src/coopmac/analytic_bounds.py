@@ -28,7 +28,19 @@ array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
 and G at each tier's extremal helper positions (`_extremal_g`, keyed by link
 class).  The worst positions, at the outer edges of each tier's hop bands,
 do not depend on the link length; their G is computed once per
-`ChannelParams` (`_fixed_g`).  Inside the kernel and the integrands every
+`ChannelParams` (`_fixed_g`).  Everything else the kernel needs but the tier
+law depends on the link length alone: the tier areas, Ps(r) and each tier's
+rate times its best-position G.  A node store per link class and
+`ChannelParams` (`_NodeStore`) keeps these rows for every link length seen
+and finds them by exact equality, so only the tier law and the mixture are
+computed per call.  Adaptive Simpson builds every node by repeated
+midpoints from the band ends, so the integrals of all densities and
+conditionings land on the same node floats (a pass over `DENSITY_GRID` x
+C/D1/D2/total x {ppp, k=1, k=10} sees 33 class-C and 225 class-D nodes).
+A stored row comes from the same floats by the same element-wise
+operations as a fresh one, so it is the same float, and every bound keeps
+its bits.  A store holds at most `_STORE_CAP` link lengths; a call that
+would pass the cap empties it first.  Inside the kernel and the integrands every
 hop length is known to be positive, so Ps is taken unchecked
 (`channel_model._p_success`); the public functions keep their checks.
 The quadrature calls the kernel once per bisection depth on all of that
@@ -205,24 +217,93 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     return BoundPair(float(worst) * rate, float(best) * rate)
 
 
+# link lengths a node store holds before it starts over
+_STORE_CAP = 4096
+
+
+def _node_rows(link_class: str, r, params: ChannelParams):
+    """(2n + 1, len(r)) kernel rows of a class C or D link that depend on its length r alone.
+
+    The n tier-region areas (`tier_areas`), Ps(r), and the n tier rates
+    times G at each tier's best helper position (`_extremal_g`).
+    """
+    n = CLASS_TIERS[link_class]
+    rows = np.empty((2 * n + 1, len(r)))
+    rows[:n] = tier_areas(r, n)
+    rows[n] = _p_success(r, params)
+    for row, (_, best), rate in zip(rows[n + 1:], _extremal_g(link_class, r, params), TIER_RATES):
+        row[...] = best * rate
+    return rows
+
+
+class _NodeStore:
+    """`_node_rows` of every link length the kernel has seen, for one link class and ChannelParams.
+
+    Nodes are looked up by exact equality in a sorted key array.  When a
+    call's new nodes would take the store past `_STORE_CAP` it starts over,
+    and a call with more distinct nodes than that computes them without
+    storing any.
+    """
+
+    def __init__(self, link_class: str, params: ChannelParams):
+        self.link_class, self.params = link_class, params
+        n = CLASS_TIERS[link_class]
+        # the tier rates times G at each tier's worst helper position, which r does not move
+        self.worst = np.array(_fixed_g(params)[0][:n]) * TIER_RATES[:n]
+        # keys and rows swap together, so a reader never pairs one with the other's old value
+        self.table = np.empty(0), np.empty((2 * n + 1, 0))
+
+    def rows(self, r):
+        """`_node_rows` at link lengths r (a 1-D array), computing and storing the missing ones."""
+        keys, rows = self.table
+        at = np.searchsorted(keys, r)
+        found = keys[np.minimum(at, len(keys) - 1)] == r if len(keys) else np.zeros(len(r), bool)
+        if found.all():
+            return rows[:, at]
+        new = np.unique(r[~found])
+        if len(keys) + len(new) > _STORE_CAP:
+            keys, rows = np.empty(0), rows[:, :0]
+            new = np.unique(r)
+        new_rows = _node_rows(self.link_class, new, self.params)
+        if len(new) > _STORE_CAP:
+            self.table = keys, rows
+            return new_rows[:, np.searchsorted(new, r)]
+        keys = np.concatenate((keys, new))
+        order = np.argsort(keys)
+        keys, rows = keys[order], np.concatenate((rows, new_rows), axis=1)[:, order]
+        self.table = keys, rows
+        return rows[:, np.searchsorted(keys, r)]
+
+
+@lru_cache(maxsize=8)
+def _node_store(link_class: str, params: ChannelParams) -> _NodeStore:
+    return _NodeStore(link_class, params)
+
+
 def _link_bounds(regime: str, r, density, k, params: ChannelParams):
     """(2, n) lower/upper throughput bounds of links of lengths r (a 1-D array).
 
     The array kernel behind `link_bounds_at_distance` and every bound
     integral: the residual direct term Ps(r) x direct rate plus the tier
-    mixture of `_extremal_g`.  It depends on the regime only through its
-    link class.  No validation; under k-nearest conditioning `density` is
-    not used.
+    mixture of `_extremal_g`, whose r-only rows come from the link class's
+    `_NodeStore`; only the tier law depends on the density.  The mixture's
+    terms are stacked and summed over the tier axis in one ordered reduction,
+    the direct term first.  It depends on the regime only through its link
+    class.  No validation; under k-nearest conditioning `density` is not used.
     """
     link_class = REGIMES[regime][2]
-    empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)
-    lower = upper = empty[-1] * _p_success(r, params) * CLASS_RATES[link_class]
+    n = CLASS_TIERS[link_class]
+    store = _node_store(link_class, params)
+    rows = store.rows(r)
+    empty = tier_void_law(rows[:n], r, density, k)
     # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
     # the two 48.2 m circles no longer meet)
-    for p_i, (worst, best), rate in zip(empty[:-1] - empty[1:], _extremal_g(link_class, r, params), TIER_RATES):
-        lower = lower + p_i * (worst * rate)
-        upper = upper + p_i * (best * rate)
-    return np.stack((lower, upper))
+    p = empty[:-1] - empty[1:]
+    terms = np.empty((n + 1, 2, len(r)))
+    terms[0] = empty[-1] * rows[n] * CLASS_RATES[link_class]
+    terms[1:, 0] = p * store.worst[:, None]
+    terms[1:, 1] = p * rows[n + 1:]
+    return np.add.reduce(terms, axis=0)
 
 
 def link_bounds_at_distance(

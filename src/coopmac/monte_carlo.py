@@ -86,8 +86,10 @@ class ExperimentConfig:
     """One Monte-Carlo experiment: density sweep x scheme x link regime.
 
     Every field is checked on construction, each density and k by
-    `stochastic_geometry.check_conditioning`; a failed check raises
-    ValueError.  The CLI runs its experiment fields through this class.
+    `stochastic_geometry.check_conditioning` (a density before it is
+    converted to float), and trials, base_seed and chunk_size must be
+    integers, a bool not counting as one; a failed check raises ValueError.
+    The CLI runs its experiment fields through this class.
     """
 
     densities: tuple = (0.001,)
@@ -101,17 +103,16 @@ class ExperimentConfig:
     chunk_size: int = 10_000
 
     def __post_init__(self):
-        object.__setattr__(self, "densities", tuple(float(d) for d in np.atleast_1d(self.densities)))
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        densities = tuple(np.atleast_1d(self.densities))
+        for d in densities:
+            check_conditioning(d, self.k)
+        object.__setattr__(self, "densities", tuple(float(d) for d in densities))
         if not self.densities:
             raise ValueError("densities must not be empty")
-        for d in self.densities:
-            check_conditioning(d, self.k)
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
+        for name, least in (("trials", 1), ("base_seed", 0), ("chunk_size", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
         if self.scheme not in ("proposed", "conventional", "both"):
             raise ValueError("unknown scheme %r" % (self.scheme,))
         check_band(self.regime, REGIMES)

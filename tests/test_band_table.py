@@ -94,11 +94,12 @@ def test_k_below_one_or_bool_rejected(entry, k):
 
 
 @pytest.mark.parametrize(
-    "entry", [e for e in CONDITIONING_ENTRIES if e not in NO_DENSITY_UNDER_K + ("sample_ppp", "ExperimentConfig")]
+    "entry", [e for e in CONDITIONING_ENTRIES if e not in NO_DENSITY_UNDER_K + ("sample_ppp",)]
 )
 def test_k_nearest_integrals_need_a_density(entry):
-    # the band integrals and the kth-NN law use the density under k too; a missing
-    # one used to surface as a TypeError from the arithmetic
+    # the band integrals, the kth-NN law and the simulator use the density under k
+    # too; a missing one used to surface as a TypeError from the arithmetic (from
+    # float() in ExperimentConfig)
     with pytest.raises(ValueError, match="density must be positive and finite, got None"):
         CONDITIONING_ENTRIES[entry](None, 10)
 

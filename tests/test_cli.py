@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,13 @@ def test_selftest_passes(capsys):
     printed = capsys.readouterr().out
     assert "FAIL" not in printed
     assert "PASS" in printed
+
+
+def test_python_m_coopmac_runs_the_cli_from_a_checkout(capsys):
+    argv = ["bounds", "--class", "C", "--lambda", "0.001 0.004", "--conditioning", "k=10"]
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "coopmac", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out

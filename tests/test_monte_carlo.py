@@ -48,6 +48,10 @@ def test_config_validation():
     for chunk_size in (0, -5):
         with pytest.raises(ValueError, match="chunk_size"):
             ExperimentConfig(chunk_size=chunk_size)
+    # counts must be integers: a bool ran as 1 trial, a float failed inside numpy
+    for name, value in (("trials", True), ("trials", 2.5), ("chunk_size", 2.5), ("base_seed", 1.5)):
+        with pytest.raises(ValueError, match="%s must be an integer" % name):
+            ExperimentConfig(**{name: value})
 
 
 def test_density_grid_matches_sweep():
