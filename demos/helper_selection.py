@@ -1,4 +1,4 @@
-"""One sampled network: candidate helpers, attempt orders, exchanges.
+"""One sampled network: candidate helpers, attempt orders, the exchange's score.
 
 Run: python demos/helper_selection.py
 """
@@ -34,13 +34,6 @@ conv = select_helper_conventional(cands, rng)
 print("Conventional order (uniformly random):")
 print("  " + " -> ".join("T%d/G=%.3f" % (c.tier, c.g_score) for c in conv))
 
-out = run_exchange(order, 72.0, params, mode="analytic")
-print("\nAnalytic outcome: %s at %.2f Mbps, success prob %.4f"
-      % (out.mode, out.rate, out.success_prob))
-
-print("\nSampled exchanges (fresh shadowing draws):")
-for i in range(5):
-    out = run_exchange(order, 72.0, params, mode="sampled", rng=rng)
-    helper = "T%d" % out.helper.tier if out.helper else "-"
-    print("  run %d: %-11s rate=%.2f Mbps  helper=%s attempts=%d backoffs=%d"
-          % (i + 1, out.mode, out.rate, helper, out.attempts, out.backoffs))
+out = run_exchange(order, 72.0, params)
+print("\nOutcome: %s at %.2f Mbps, success prob %.4f, expected throughput %.4f Mbps"
+      % (out.mode, out.rate, out.success_prob, out.rate * out.success_prob))

@@ -8,13 +8,15 @@ provides:
   two-hop success probabilities.
 - ``stochastic_geometry``: PPP sampling, circle-lens areas, helper-tier
   region geometry, nearest-neighbor distance laws.
-- ``protocol``: link classification, cooperative rates, tier-priority
-  helper selection and the random-selection baseline.
+- ``protocol``: link classification, tier-priority helper selection, the
+  random-selection baseline, and the rate x success-probability score of
+  the selected helper (the object-level oracle of the simulator).
 - ``analytic_bounds``: closed-form lower/upper throughput bounds per tier,
   per link distance, and averaged over a link class.
-- ``monte_carlo``: seeded vectorized simulation of both selection schemes,
-  contour grids, and figure-style sweep tables.
-- ``cli``: command-line front end emitting CSV/JSON datasets.
+- ``monte_carlo``: seeded vectorized simulation of both selection schemes
+  and contour grids.
+- ``cli``: command-line front end emitting CSV/JSON datasets, including the
+  ``reproduce`` figure tables; not imported by the package itself.
 """
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, q_function, shadowing_sample
@@ -31,9 +33,7 @@ from .protocol import (
     HelperCandidate,
     LinkClass,
     SelectionOutcome,
-    TierSpec,
     classify_link,
-    coop_rate,
     enumerate_candidates,
     run_exchange,
     select_helper_conventional,
@@ -51,7 +51,7 @@ from .analytic_bounds import (
     total_throughput_bounds,
     type_ab_throughput,
 )
-from .monte_carlo import ExperimentConfig, SimEstimate, contour_grid, estimate_throughput, reproduce_figure
+from .monte_carlo import ExperimentConfig, SimEstimate, contour_grid, estimate_throughput
 
 __all__ = [
     "ChannelParams",
@@ -67,11 +67,9 @@ __all__ = [
     "classify_helper_tier",
     "nn_distance_pdf",
     "LinkClass",
-    "TierSpec",
     "HelperCandidate",
     "SelectionOutcome",
     "classify_link",
-    "coop_rate",
     "enumerate_candidates",
     "select_helper_proposed",
     "select_helper_conventional",
@@ -90,7 +88,6 @@ __all__ = [
     "SimEstimate",
     "estimate_throughput",
     "contour_grid",
-    "reproduce_figure",
 ]
 
 __version__ = "0.1.0"

@@ -21,17 +21,22 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, q_function
-from .stochastic_geometry import (CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, REGIMES, check_band, lens_area,
-                                  tier_region_areas)
+from .stochastic_geometry import (CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, REGIMES, check_band, check_integer,
+                                  lens_area, tier_region_areas)
 from .analytic_bounds import averaged_bounds, band_mass, tier_probabilities, total_throughput_bounds
 from .quadrature import adaptive_simpson
-from .monte_carlo import DENSITY_GRID, FIGURES, ExperimentConfig, contour_grid, estimate_throughput, reproduce_figure
+from .monte_carlo import DENSITY_GRID, ExperimentConfig, contour_grid, estimate_throughput
+
+# figure id -> regimes of its density sweep, and one contour map per helper regime
+SWEEP_FIGURES = {"fig7": CLASS_REGIMES["C"], "fig9": CLASS_REGIMES["D"], "fig10": CLASS_REGIMES["all"]}
+CONTOUR_FIGURES = {"contour_" + regime.lower(): regime for regime in HELPER_REGIMES}
+FIGURES = (*SWEEP_FIGURES, *CONTOUR_FIGURES)
 
 
 class UsageError(Exception):
@@ -87,8 +92,11 @@ class RunConfig:
         """Check the CLI's own fields here and the experiment fields through `ExperimentConfig`."""
         if self.format not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        if self.figure not in FIGURES:
+            raise ConfigError("unknown figure %r; valid ids: %s" % (self.figure, ", ".join(FIGURES)))
         try:
             check_band(self.link_class, CLASS_REGIMES)
+            check_integer("workers", self.workers, 1)
             ExperimentConfig(densities=self.densities, scheme=self.scheme, trials=self.trials,
                              estimator_mode=self.mode, base_seed=self.seed, channel=self.channel(), k=self.k_value())
         except ValueError as e:
@@ -173,11 +181,18 @@ def _emit(rows, cfg: RunConfig):
             stream.close()
 
 
+def _bound_pair(regime, density, k, params):
+    """Averaged bounds of one regime; regime "all" is the network total."""
+    if regime == "all":
+        return total_throughput_bounds(density, k=k, params=params)
+    return averaged_bounds(regime, density, k=k, params=params)
+
+
 def _cmd_bounds(cfg: RunConfig):
     params = cfg.channel()
     k = cfg.k_value()
     if cfg.link_class == "all":
-        regimes = HELPER_REGIMES + ("total",)
+        regimes = HELPER_REGIMES + ("all",)
     elif cfg.link_class in CLASS_TIERS:
         regimes = CLASS_REGIMES[cfg.link_class]
     else:
@@ -185,30 +200,23 @@ def _cmd_bounds(cfg: RunConfig):
     rows = []
     for d in cfg.densities:
         for regime in regimes:
-            if regime == "total":
-                pair = total_throughput_bounds(d, k=k, params=params)
-                mass = band_mass("all", d, k=k)
-            else:
-                pair = averaged_bounds(regime, d, k=k, params=params)
-                mass = band_mass(regime, d, k=k)
-            rows.append({"density": d, "regime": regime, "lower": pair.lower, "upper": pair.upper, "band_mass": mass})
+            pair = _bound_pair(regime, d, k, params)
+            rows.append({"density": d, "regime": "total" if regime == "all" else regime, "lower": pair.lower,
+                         "upper": pair.upper, "band_mass": band_mass(regime, d, k=k)})
     return rows
+
+
+def _estimates(cfg: RunConfig, regime, scheme, mode):
+    """The Monte-Carlo estimates of one regime over the run's densities, one per (density, scheme)."""
+    config = ExperimentConfig(densities=cfg.densities, scheme=scheme, regime=regime, trials=cfg.trials,
+                              estimator_mode=mode, base_seed=cfg.seed, channel=cfg.channel(), k=cfg.k_value())
+    return estimate_throughput(config, workers=cfg.workers)
 
 
 def _cmd_simulate(cfg: RunConfig):
     rows = []
     for regime in CLASS_REGIMES[cfg.link_class]:
-        config = ExperimentConfig(
-            densities=cfg.densities,
-            scheme=cfg.scheme,
-            regime=regime,
-            trials=cfg.trials,
-            estimator_mode=cfg.mode,
-            base_seed=cfg.seed,
-            channel=cfg.channel(),
-            k=cfg.k_value(),
-        )
-        for est in estimate_throughput(config, workers=cfg.workers):
+        for est in _estimates(cfg, regime, cfg.scheme, cfg.mode):
             rows.append(
                 {
                     "density": est.density,
@@ -222,16 +230,11 @@ def _cmd_simulate(cfg: RunConfig):
     return rows
 
 
-def _cmd_contour(cfg: RunConfig):
-    if cfg.link_class not in CLASS_TIERS:
-        raise ConfigError("contour requires class C or D")
-    check_band(cfg.link_class, CLASS_TIERS, cfg.r_k)
+def _contour_rows(regimes, **grid_args):
+    """One row per grid node inside a tier region, for each regime's `contour_grid`."""
     rows = []
-    # a given r_k selects the regimes whose closed band holds it (96.4 m: both D1 and D2)
-    for regime in CLASS_REGIMES[cfg.link_class]:
-        if cfg.r_k is not None and not REGIMES[regime][0] <= cfg.r_k <= REGIMES[regime][1]:
-            continue
-        grid = contour_grid(regime, r_k=cfg.r_k, resolution=cfg.resolution, params=cfg.channel())
+    for regime in regimes:
+        grid = contour_grid(regime, **grid_args)
         yy, xx = np.nonzero(~np.isnan(grid["throughput"]))
         for i, j in zip(yy, xx):
             rows.append(
@@ -246,16 +249,48 @@ def _cmd_contour(cfg: RunConfig):
     return rows
 
 
+def _cmd_contour(cfg: RunConfig):
+    if cfg.link_class not in CLASS_TIERS:
+        raise ConfigError("contour requires class C or D")
+    check_band(cfg.link_class, CLASS_TIERS, cfg.r_k)
+    # a given r_k selects the regimes whose closed band holds it (96.4 m: both D1 and D2)
+    regimes = [regime for regime in CLASS_REGIMES[cfg.link_class]
+               if cfg.r_k is None or REGIMES[regime][0] <= cfg.r_k <= REGIMES[regime][1]]
+    return _contour_rows(regimes, r_k=cfg.r_k, resolution=cfg.resolution, params=cfg.channel())
+
+
 def _cmd_reproduce(cfg: RunConfig):
-    return reproduce_figure(
-        cfg.figure,
-        densities=cfg.densities,
-        trials=cfg.trials,
-        base_seed=cfg.seed,
-        params=cfg.channel(),
-        k=cfg.k_value(),
-        workers=cfg.workers,
-    )
+    """Tabular dataset behind one of the headline figures.
+
+    ``fig7``: Type-C density sweep (upper/proposed/conventional/lower).
+    ``fig9``: Type-D sweep, one row group per regime (D1 and D2).
+    ``fig10``: network-total sweep (all link classes combined).
+    ``contour_c`` / ``contour_d1`` / ``contour_d2``: the `contour` command's
+    rows for the regime's default link length and resolution.
+    """
+    params = cfg.channel()
+    if cfg.figure in CONTOUR_FIGURES:
+        return _contour_rows([CONTOUR_FIGURES[cfg.figure]], params=params)
+    k = cfg.k_value()
+    rows = []
+    for regime in SWEEP_FIGURES[cfg.figure]:
+        by_cell = {(e.density, e.scheme): e for e in _estimates(cfg, regime, "both", "analytic")}
+        for d in cfg.densities:
+            pair = _bound_pair(regime, d, k, params)
+            proposed, conventional = by_cell[d, "proposed"], by_cell[d, "conventional"]
+            rows.append(
+                {
+                    "density": d,
+                    "regime": regime,
+                    "upper": pair.upper,
+                    "proposed": proposed.mean,
+                    "conventional": conventional.mean,
+                    "lower": pair.lower,
+                    "proposed_stderr": proposed.stderr,
+                    "conventional_stderr": conventional.stderr,
+                }
+            )
+    return rows
 
 
 def _cmd_selftest(cfg: RunConfig):

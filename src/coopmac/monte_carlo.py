@@ -29,10 +29,15 @@ distributed across workers.
 Throughput scoring follows the rate-times-success-probability metric: in
 analytic mode a trial contributes rate * G(d_SH, d_HD) of the selected
 helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
-probability with a Bernoulli draw of the same mean.  Link lengths, hop
-bands, tiers and rates are read from the band table of `stochastic_geometry`
-(`REGIMES`, `BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`), and a
-kth-NN link length is drawn by inverting `nn_distance_band`.
+probability with a Bernoulli draw of the same mean; that draw is the one
+meaning of "sampled" in the package.  Link lengths, hop bands, tiers and
+rates are read from the band table of `stochastic_geometry` (`REGIMES`,
+`BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`), and a kth-NN link
+length is drawn by inverting `nn_distance_band`.
+
+The `reproduce` figure tables, which set these estimates beside the
+bounds, are built by the `cli` module; this module imports no other layer
+above `channel_model` and `stochastic_geometry`.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from .stochastic_geometry import (
     BAND_55,
     BAND_EDGES,
     BAND_RATES,
-    CLASS_REGIMES,
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
@@ -59,6 +63,7 @@ from .stochastic_geometry import (
     TIER_REACH,
     check_band,
     check_conditioning,
+    check_integer,
     cumulative_areas,
     hop_band,
     nn_distance_band,
@@ -73,10 +78,6 @@ _MAX_ROUNDS = 100
 # r_k used for the contour figures when not overridden: class-range midpoint,
 # written out because (74.7 + 96.4) / 2 is 85.55000000000001 in floating point
 CONTOUR_DEFAULT_RK = {"C": 70.9, "D1": 85.55, "D2": 98.2}
-# figure id -> regimes of its density sweep, and one contour map per helper regime
-SWEEP_FIGURES = {"fig7": CLASS_REGIMES["C"], "fig9": CLASS_REGIMES["D"], "fig10": CLASS_REGIMES["all"]}
-CONTOUR_FIGURES = {"contour_" + regime.lower(): regime for regime in HELPER_REGIMES}
-FIGURES = (*SWEEP_FIGURES, *CONTOUR_FIGURES)
 
 DENSITY_GRID = tuple(round(0.0005 * i, 6) for i in range(1, 11))
 
@@ -87,8 +88,8 @@ class ExperimentConfig:
 
     Every field is checked on construction, each density and k by
     `stochastic_geometry.check_conditioning` (a density before it is
-    converted to float), and trials, base_seed and chunk_size must be
-    integers, a bool not counting as one; a failed check raises ValueError.
+    converted to float), and trials, base_seed and chunk_size by
+    `stochastic_geometry.check_integer`; a failed check raises ValueError.
     The CLI runs its experiment fields through this class.
     """
 
@@ -103,16 +104,17 @@ class ExperimentConfig:
     chunk_size: int = 10_000
 
     def __post_init__(self):
-        densities = tuple(np.atleast_1d(self.densities))
+        # a bare density is a sweep of one; a tuple or list is not made an array
+        # first, which would turn a bool among floats into a float
+        given = self.densities
+        densities = tuple(given) if isinstance(given, (tuple, list)) or np.ndim(given) else (given,)
         for d in densities:
             check_conditioning(d, self.k)
         object.__setattr__(self, "densities", tuple(float(d) for d in densities))
         if not self.densities:
             raise ValueError("densities must not be empty")
         for name, least in (("trials", 1), ("base_seed", 0), ("chunk_size", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError("%s must be an integer >= %d, got %r" % (name, least, value))
+            check_integer(name, getattr(self, name), least)
         if self.scheme not in ("proposed", "conventional", "both"):
             raise ValueError("unknown scheme %r" % (self.scheme,))
         check_band(self.regime, REGIMES)
@@ -348,8 +350,10 @@ def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimE
 
     Deterministic for a fixed base seed at any worker count: every chunk's
     rng stream depends only on (seed, cell index, chunk index) and the
-    reduction is exactly-rounded summation in chunk order.
+    reduction is exactly-rounded summation in chunk order.  `workers` must
+    be an integer >= 1; with 1 the chunks run in this process.
     """
+    check_integer("workers", workers, 1)
     schemes = ("proposed", "conventional") if config.scheme == "both" else (config.scheme,)
     cells = [(d, s) for d in config.densities for s in schemes]
     sizes = [min(config.chunk_size, config.trials - start) for start in range(0, config.trials, config.chunk_size)]
@@ -389,8 +393,8 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
     if r_k is None:
         r_k = CONTOUR_DEFAULT_RK.get(regime)
     check_band(regime, HELPER_REGIMES, r_k)
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0 < resolution < np.inf:
+        raise ValueError("resolution must be positive and finite, got %r" % (resolution,))
     link_class = REGIMES[regime][2]
     reach = TIER_REACH[CLASS_TIERS[link_class] - 1]
     x = np.arange(-reach, r_k + reach + resolution, resolution)
@@ -403,65 +407,3 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
     mask = tier > 0
     value[mask] = np.take(TIER_RATES, tier[mask] - 1) * g_joint(np.maximum(d_sh[mask], 1e-9), np.maximum(d_hd[mask], 1e-9), params)
     return {"x": x, "y": y, "throughput": value, "tier": tier, "r_k": float(r_k), "regime": regime}
-
-
-def reproduce_figure(
-    figure: str,
-    densities=DENSITY_GRID,
-    trials: int = 200_000,
-    base_seed: int = 0,
-    params: ChannelParams = ChannelParams(),
-    k: Optional[int] = None,
-    workers: int = 1,
-):
-    """Tabular dataset behind one of the headline figures.
-
-    ``fig7``: Type-C density sweep (upper/proposed/conventional/lower).
-    ``fig9``: Type-D sweep, one row group per regime (D1 and D2).
-    ``fig10``: network-total sweep (all link classes combined).
-    ``contour_c`` / ``contour_d1`` / ``contour_d2``: throughput maps.
-    """
-    from .analytic_bounds import averaged_bounds, total_throughput_bounds
-
-    if figure in CONTOUR_FIGURES:
-        grid = contour_grid(CONTOUR_FIGURES[figure], params=params)
-        rows = []
-        yy, xx = np.nonzero(~np.isnan(grid["throughput"]))
-        for i, j in zip(yy, xx):
-            rows.append({"x": float(grid["x"][j]), "y": float(grid["y"][i]),
-                         "throughput": float(grid["throughput"][i, j]),
-                         "tier": int(grid["tier"][i, j])})
-        return rows
-    if figure not in SWEEP_FIGURES:
-        raise ValueError("unknown figure %r; valid ids: %s" % (figure, ", ".join(FIGURES)))
-
-    rows = []
-    for regime in SWEEP_FIGURES[figure]:
-        config = ExperimentConfig(
-            densities=tuple(densities),
-            scheme="both",
-            regime=regime,
-            trials=trials,
-            base_seed=base_seed,
-            channel=params,
-            k=k,
-        )
-        estimates = estimate_throughput(config, workers=workers)
-        by_cell = {(e.density, e.scheme): e for e in estimates}
-        for d in config.densities:
-            if regime == "all":
-                pair = total_throughput_bounds(d, k=k, params=params)
-            else:
-                pair = averaged_bounds(regime, d, k=k, params=params)
-            row = {
-                "density": d,
-                "regime": regime,
-                "upper": pair.upper,
-                "proposed": by_cell[(d, "proposed")].mean,
-                "conventional": by_cell[(d, "conventional")].mean,
-                "lower": pair.lower,
-                "proposed_stderr": by_cell[(d, "proposed")].stderr,
-                "conventional_stderr": by_cell[(d, "conventional")].stderr,
-            }
-            rows.append(row)
-    return rows

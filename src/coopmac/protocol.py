@@ -1,15 +1,16 @@
-"""Link classification, cooperative rates, and helper selection.
+"""Link classification, helper selection, and the score of one exchange.
 
 A link is classed A/B/C/D by its length, with direct rates 11/5.5/2/1
 Mbps.  For the slow classes (C and D) a helper relays the frame over two
-faster hops; the effective cooperative rate of a (r_SH, r_HD) hop-rate
-pair is the harmonic combination r_SH*r_HD/(r_SH+r_HD), since the two
-transmissions share the airtime.
+faster hops, at its tier's cooperative rate (`stochastic_geometry.TIER_RATES`,
+the table the simulator and the bounds read too).
 
 The proposed selection scheme tries helpers tier by tier (ascending tier
 index) and inside each tier in order of decreasing joint success
 probability; the conventional baseline picks uniformly at random among all
-beneficial helpers.
+beneficial helpers.  `run_exchange` scores the first helper of an order
+as rate x success probability, the metric of the simulator's analytic
+mode; it is the object-level oracle of the vectorized kernel.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel_model import ChannelParams, g_joint, p_success_direct, shadowing_sample
+from .channel_model import ChannelParams, g_joint, p_success_direct
 from .stochastic_geometry import (
     BAND_RATES,
     CLASS_NAMES,
     CLASS_TIERS,
     MAX_RANGE,
-    TIER_BANDS,
-    TIER_RATES as _TIER_RATES,
+    TIER_RATES,
     NetworkRealization,
     hop_band,
     tier_index,
@@ -55,39 +55,6 @@ def classify_link(distance: float) -> LinkClass:
     return LINK_CLASSES[int(hop_band(distance))]
 
 
-def coop_rate(r_sh: float, r_hd: float) -> float:
-    """Effective rate of a two-hop relay path: r_sh*r_hd/(r_sh+r_hd)."""
-    if r_sh <= 0 or r_hd <= 0:
-        raise ValueError("hop rates must be positive")
-    return r_sh * r_hd / (r_sh + r_hd)
-
-
-@dataclass(frozen=True)
-class TierSpec:
-    """One helper tier: hop rates and cooperative rate."""
-
-    link_class: str
-    tier: int
-    r_sh: float
-    r_hd: float
-
-    @property
-    def coop_rate(self) -> float:
-        return coop_rate(self.r_sh, self.r_hd)
-
-
-TIER_SPECS = {
-    link_class: tuple(
-        TierSpec(link_class, t, BAND_RATES[i], BAND_RATES[j])
-        for t, (i, j) in enumerate(TIER_BANDS[:n_tiers], 1)
-    )
-    for link_class, n_tiers in CLASS_TIERS.items()
-}
-
-# Cooperative rate by tier (shared by C and D tables), from the band table.
-TIER_RATES = dict(enumerate(_TIER_RATES, 1))
-
-
 @dataclass(frozen=True)
 class HelperCandidate:
     """A beneficial helper: position, hop distances, tier, joint success."""
@@ -104,17 +71,16 @@ class HelperCandidate:
 class SelectionOutcome:
     """Result of one medium-access exchange.
 
-    mode is 'cooperative', 'direct', or 'failed'; `rate` is the effective
-    transmission rate (tier rate, direct rate, or 0); `success_prob` is
-    filled in analytic mode only.
+    mode is 'cooperative' or 'direct'; `rate` is the effective
+    transmission rate (tier rate or direct rate) and `success_prob` the
+    probability that the data frame gets through (G of the helper, or
+    Ps of the S-D hop).
     """
 
     mode: str
     helper: Optional[HelperCandidate]
     rate: float
-    attempts: int
-    backoffs: int
-    success_prob: Optional[float] = None
+    success_prob: float
 
 
 def enumerate_candidates(
@@ -173,62 +139,21 @@ def select_helper_conventional(candidates: Sequence[HelperCandidate], rng) -> Li
     return [candidates[i] for i in order]
 
 
-def _hop_succeeds(distance: float, params: ChannelParams, rng) -> bool:
-    return bool(shadowing_sample(distance, params, rng) >= params.pth)
-
-
 def run_exchange(
     order: Sequence[HelperCandidate],
     d_sd: float,
     params: ChannelParams = ChannelParams(),
-    mode: str = "analytic",
-    rng=None,
-    max_backoffs: int = 3,
 ) -> SelectionOutcome:
-    """Run one exchange given a helper attempt order.
+    """Score one exchange given a helper attempt order.
 
-    Analytic mode (default): the first helper in the order is selected;
-    the outcome carries its tier rate and g_score as the success
-    probability (rate x success_prob is the expected throughput).  With an
-    empty order the link falls back to direct transmission at the Table-1
-    class rate.
-
-    Sampled mode walks the handshake with fresh shadowing draws: the
-    CoopRTS/HTS poll visits each helper in order (one S-H draw each) and
-    the first surviving helper carries the data phase, drawn on both of
-    its hops; with no surviving helper the data goes direct over the S-D
-    hop.  A failed data phase costs a backoff and restarts the poll, up to
-    `max_backoffs` retries, after which the outcome is 'failed'.  Control
-    frames (RTS/CTS/ACK) are assumed delivered - the throughput metric
-    only scores the data transmission.
+    The first helper in the order is selected; the outcome carries its tier
+    rate and g_score as the success probability (rate x success_prob is the
+    expected throughput).  With an empty order the link falls back to
+    direct transmission at the Table-1 class rate and success probability
+    Ps(d_sd).
     """
     direct = classify_link(d_sd)
-    if mode == "analytic":
-        if order:
-            c = order[0]
-            return SelectionOutcome("cooperative", c, TIER_RATES[c.tier], 1, 0, c.g_score)
-        return SelectionOutcome("direct", None, direct.rate, 1, 0, float(p_success_direct(d_sd, params)))
-    if mode != "sampled":
-        raise ValueError("mode must be 'analytic' or 'sampled', got %r" % (mode,))
-    if rng is None:
-        raise ValueError("sampled mode requires an rng")
-
-    attempts = 0
-    backoffs = 0
-    while True:
-        helper = None
-        for c in order:
-            attempts += 1  # CoopRTS
-            if _hop_succeeds(c.d_sh, params, rng):
-                helper = c
-                break
-        if helper is not None:
-            if _hop_succeeds(helper.d_sh, params, rng) and _hop_succeeds(helper.d_hd, params, rng):
-                return SelectionOutcome("cooperative", helper, TIER_RATES[helper.tier], attempts, backoffs)
-        else:
-            attempts += 1  # plain RTS
-            if _hop_succeeds(d_sd, params, rng):
-                return SelectionOutcome("direct", None, direct.rate, attempts, backoffs)
-        if backoffs == max_backoffs:
-            return SelectionOutcome("failed", None, 0.0, attempts, backoffs)
-        backoffs += 1
+    if order:
+        c = order[0]
+        return SelectionOutcome("cooperative", c, TIER_RATES[c.tier - 1], c.g_score)
+    return SelectionOutcome("direct", None, direct.rate, float(p_success_direct(d_sd, params)))

@@ -92,23 +92,41 @@ def check_band(name, allowed, r_k=None):
 
 # largest neighbor order: numpy and scipy take k as an int64
 MAX_K = int(np.iinfo(np.int64).max)
+# the types a density may have; a bool is an int, and is excluded separately
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def check_integer(name, value, least, most=None):
+    """Check that the argument `name` is an integer in [least, most], a bool not counting as one.
+
+    Every count, seed and neighbor order of the package is checked here; a
+    failed check raises ValueError.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least
+            or (most is not None and value > most)):
+        upper = "" if most is None else " and <= %d" % most
+        raise ValueError("%s must be an integer >= %d%s, got %r" % (name, least, upper, value))
 
 
 def check_conditioning(density, k=None, density_optional=False):
     """Check a PPP density (nodes/m^2) and a neighbor order k.
 
-    `density` must be finite and positive; with `density_optional`, for the
-    k-nearest forms that take no density, it may also be None when k is
-    given.  `k` must be None (the PPP) or an integer in [1, MAX_K], a bool not
-    counting as one.  Every density and k argument of the package is checked
-    here; a failed check raises ValueError.
+    `density` must be a finite positive real number: a Python or numpy int
+    or float, or a 0-d numpy array of one, but not a bool, a string or a
+    sequence.  With `density_optional`, for the k-nearest forms that take no
+    density, it may also be None when k is given.  `k` must be None (the
+    PPP) or an integer in [1, MAX_K].  Every density and k argument of the
+    package is checked here; a failed check raises ValueError.
     """
+    if isinstance(density, np.ndarray) and density.ndim == 0:
+        density = density[()]  # a 0-d array is checked as its numpy scalar
     if density is None and density_optional and k is not None:
         pass  # a k-nearest form that takes no density
-    elif density is None or not 0 < density < np.inf:
+    # the type test comes first, so that a string or a list cannot reach the comparison
+    elif isinstance(density, bool) or not isinstance(density, _REAL_TYPES) or not 0 < density < np.inf:
         raise ValueError("density must be positive and finite, got %r" % (density,))
-    if k is not None and (isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 1 <= k <= MAX_K):
-        raise ValueError("k must be an integer >= 1 and <= %d, got %r" % (MAX_K, k))
+    if k is not None:
+        check_integer("k", k, 1, MAX_K)
 
 
 @dataclass(frozen=True)

@@ -77,13 +77,22 @@ CONDITIONING_ENTRIES = {
 NO_DENSITY_UNDER_K = ("tier_probabilities", "link_bounds_at_distance")
 
 
-@pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+# a string, a list and a bool are not densities: the first two used to raise
+# TypeError from the comparison, and True ran as a density of 1.0
+@pytest.mark.parametrize("density", [np.nan, np.inf, -np.inf, 0.0, -1e-3, "0.001", [0.001], True, np.True_])
 @pytest.mark.parametrize(
     "entry,k", [(e, k) for e in CONDITIONING_ENTRIES for k in (None, 10) if k is None or e not in NO_DENSITY_UNDER_K]
 )
 def test_non_finite_or_non_positive_density_rejected(entry, k, density):
     with pytest.raises(ValueError, match="density must be positive and finite"):
         CONDITIONING_ENTRIES[entry](density, k)
+
+
+@pytest.mark.parametrize("density", [np.float64(0.001), np.float32(0.001), np.array(0.001)])
+@pytest.mark.parametrize("entry", CONDITIONING_ENTRIES)
+def test_numpy_scalar_and_0d_array_densities_accepted(entry, density):
+    # k=10 where the entry takes a density under k (nn_distance_pdf needs a k)
+    CONDITIONING_ENTRIES[entry](density, None if entry in NO_DENSITY_UNDER_K else 10)
 
 
 @pytest.mark.parametrize("k", [0, True])

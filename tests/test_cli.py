@@ -197,6 +197,74 @@ def test_reproduce_requires_known_figure(tmp_path):
     assert main(["reproduce", "fig99", "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def _json_rows(tmp_path, args):
+    out = tmp_path / "rows.json"
+    assert main([*args, "--format", "json", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_reproduce_unknown_figure_from_a_config_file(tmp_path, capsys):
+    # the positional figure is checked by argparse (exit 1); a config file's by RunConfig
+    config = tmp_path / "figure.cfg"
+    config.write_text("figure=fig11\n")
+    out = tmp_path / "x.csv"
+    assert main(["reproduce", "--config", str(config), "--out", str(out)]) == 2
+    assert "unknown figure 'fig11'; valid ids: fig7" in capsys.readouterr().err
+    assert not out.exists()
+    config.write_text("figure=fig9\ntrials=100\nlambda=0.002\n")
+    assert {r["regime"] for r in _json_rows(tmp_path, ["reproduce", "--config", str(config)])} == {"D1", "D2"}
+
+
+@pytest.mark.parametrize("how", ["flag", "file"])
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_worker_count_below_one_is_a_config_error(tmp_path, capsys, how, workers):
+    # these used to exit 0 and run serially; no process is started
+    if how == "flag":
+        args = ["--workers", workers]
+    else:
+        config = tmp_path / "workers.cfg"
+        config.write_text("workers=%s\n" % workers)
+        args = ["--config", str(config)]
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--class", "C", "--lambda", "0.002", "--trials", "10", *args, "--out", str(out)]) == 2
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reproduce_fig7_small_run(tmp_path):
+    rows = _json_rows(tmp_path, ["reproduce", "fig7", "--lambda", "0.001,0.004", "--trials", "3000", "--seed", "2"])
+    assert [row["density"] for row in rows] == [0.001, 0.004]
+    for row in rows:
+        assert row["regime"] == "C"
+        assert row["upper"] >= row["lower"]
+        assert set(row) >= {"density", "upper", "proposed", "conventional", "lower"}
+
+
+def test_reproduce_fig9_covers_both_regimes(tmp_path):
+    rows = _json_rows(tmp_path, ["reproduce", "fig9", "--lambda", "0.002", "--trials", "2000", "--seed", "2"])
+    assert {row["regime"] for row in rows} == {"D1", "D2"}
+
+
+def test_reproduce_contour_rows(tmp_path):
+    rows = _json_rows(tmp_path, ["reproduce", "contour_d2"])
+    assert rows
+    assert all(set(r) == {"regime", "x", "y", "tier", "throughput", "seed", "config_hash"} for r in rows)
+    assert {r["regime"] for r in rows} == {"D2"}
+    assert {r["tier"] for r in rows} == {2, 3, 4, 5}  # no tier-1 helper beyond 96.4 m
+    assert max(r["throughput"] for r in rows) <= 11.0 / 3.0
+
+
+def test_reproduce_contour_c_is_the_contour_command(tmp_path):
+    # the figure runs the contour command's rows at the regime's default link length
+    figure = _json_rows(tmp_path, ["reproduce", "contour_c"])
+    command = _json_rows(tmp_path, ["contour", "--class", "C"])
+    assert figure
+    for rows in (figure, command):
+        for row in rows:
+            del row["config_hash"]  # the two commands' configs differ in `figure`
+    assert figure == command
+
+
 def test_reproduce_fig7_row_columns(tmp_path):
     out = tmp_path / "fig7.csv"
     code = main(

@@ -15,7 +15,6 @@ from coopmac.monte_carlo import (
     _draw_link_distance,
     contour_grid,
     estimate_throughput,
-    reproduce_figure,
 )
 from coopmac.stochastic_geometry import REGIMES
 
@@ -58,6 +57,13 @@ def test_density_grid_matches_sweep():
     assert DENSITY_GRID[0] == 0.0005
     assert DENSITY_GRID[-1] == 0.005
     assert len(DENSITY_GRID) == 10
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, True])
+def test_worker_count_must_be_a_positive_integer(workers):
+    # 0 and -2 used to run serially without a word; the check comes before any process starts
+    with pytest.raises(ValueError, match="workers must be an integer >= 1"):
+        estimate_throughput(ExperimentConfig(trials=10), workers=workers)
 
 
 def test_determinism_across_runs_and_workers():
@@ -197,36 +203,10 @@ def test_contour_default_rk_and_validation():
         contour_grid("C", r_k=80.0)
     with pytest.raises(ValueError):
         contour_grid("X")
-    with pytest.raises(ValueError):
-        contour_grid("C", resolution=0.0)
-
-
-# ------------------------------------------------------------ reproduce_figure
-
-def test_reproduce_unknown_figure():
-    with pytest.raises(ValueError, match="fig7"):
-        reproduce_figure("fig11")
-
-
-def test_reproduce_fig7_small_run():
-    rows = reproduce_figure("fig7", densities=(0.001, 0.004), trials=3000, base_seed=2)
-    assert len(rows) == 2
-    for row in rows:
-        assert row["regime"] == "C"
-        assert row["upper"] >= row["lower"]
-        assert set(row) >= {"density", "upper", "proposed", "conventional", "lower"}
-
-
-def test_reproduce_fig9_covers_both_regimes():
-    rows = reproduce_figure("fig9", densities=(0.002,), trials=2000, base_seed=2)
-    assert {row["regime"] for row in rows} == {"D1", "D2"}
-
-
-def test_reproduce_contour_rows():
-    rows = reproduce_figure("contour_c")
-    assert rows
-    assert all(set(r) == {"x", "y", "throughput", "tier"} for r in rows)
-    assert max(r["throughput"] for r in rows) <= 5.5
+    # nan and inf used to reach numpy's arange ("cannot compute length")
+    for resolution in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            contour_grid("C", resolution=resolution)
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2"])

@@ -3,17 +3,14 @@ import pytest
 
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
 from coopmac.protocol import (
-    TIER_RATES,
-    TIER_SPECS,
     HelperCandidate,
     classify_link,
-    coop_rate,
     enumerate_candidates,
     run_exchange,
     select_helper_conventional,
     select_helper_proposed,
 )
-from coopmac.stochastic_geometry import NetworkRealization
+from coopmac.stochastic_geometry import TIER_RATES, NetworkRealization
 
 PARAMS = ChannelParams()
 
@@ -46,32 +43,17 @@ def test_classify_link_out_of_range():
         classify_link(-1.0)
 
 
-# ------------------------------------------------------------------ coop_rate
+# ----------------------------------------------------------------- tier rates
 
-def test_coop_rate_table_values():
-    assert coop_rate(11, 11) == pytest.approx(5.5)
-    assert coop_rate(11, 5.5) == pytest.approx(11.0 / 3.0)  # printed 3.67
-    assert coop_rate(5.5, 2) == pytest.approx(22.0 / 15.0)  # printed 1.47
-    assert coop_rate(11, 2) == pytest.approx(22.0 / 13.0)  # printed 1.69
-
-
-def test_coop_rate_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        coop_rate(0.0, 5.5)
+def test_tier_rates_are_the_papers_printed_table():
+    # the one rate table (stochastic_geometry), read by the simulator, the
+    # bounds and run_exchange: r_SH*r_HD/(r_SH+r_HD) of each tier's hop rates
+    assert TIER_RATES == pytest.approx((5.5, 11.0 / 3.0, 2.75, 22.0 / 13.0, 22.0 / 15.0))
+    assert [round(r, 2) for r in TIER_RATES] == [5.5, 3.67, 2.75, 1.69, 1.47]
 
 
 def test_tier_rates_nonincreasing_with_tier():
-    for specs in TIER_SPECS.values():
-        rates = [s.coop_rate for s in specs]
-        assert all(a >= b - 1e-12 for a, b in zip(rates, rates[1:]))
-
-
-def test_tier_spec_rates_match_harmonic_rule():
-    for specs in TIER_SPECS.values():
-        for s in specs:
-            assert s.coop_rate == pytest.approx(s.r_sh * s.r_hd / (s.r_sh + s.r_hd))
-    assert TIER_RATES[1] == pytest.approx(5.5)
-    assert TIER_RATES[5] == pytest.approx(22.0 / 15.0)
+    assert all(a >= b for a, b in zip(TIER_RATES, TIER_RATES[1:]))
 
 
 # ------------------------------------------------------- enumerate_candidates
@@ -160,64 +142,28 @@ def test_conventional_uniform_first_pick():
 
 # ---------------------------------------------------------------- run_exchange
 
-def test_exchange_analytic_direct_fallback():
-    out = run_exchange([], 70.0, PARAMS, mode="analytic")
+def test_exchange_direct_fallback():
+    out = run_exchange([], 70.0, PARAMS)
     assert out.mode == "direct"
+    assert out.helper is None
     assert out.rate == 2.0
-    assert out.success_prob == pytest.approx(float(p_success_direct(70.0, PARAMS)))
+    assert out.success_prob == float(p_success_direct(70.0, PARAMS))
 
 
-def test_exchange_analytic_picks_first():
+def test_exchange_picks_first():
     c = _cand(1, float(g_joint(35, 35, PARAMS)), d_sh=35, d_hd=35)
-    out = run_exchange([c], 70.0, PARAMS, mode="analytic")
+    out = run_exchange([c, _cand(1, 0.5)], 70.0, PARAMS)
     assert out.mode == "cooperative"
+    assert out.helper == c
     assert out.rate == pytest.approx(5.5)
     assert out.success_prob == pytest.approx(0.9490505, abs=1e-6)
 
 
-def test_exchange_sampled_deterministic_success_with_tiny_sigma():
-    params = ChannelParams(sigma_sh=1e-9)
-    rng = np.random.default_rng(0)
-    c = _cand(1, 0.99, d_sh=30, d_hd=30)
-    out = run_exchange([c], 70.0, params, mode="sampled", rng=rng)
-    assert out.mode == "cooperative"
-    assert out.attempts == 1
-    assert out.backoffs == 0
+@pytest.mark.parametrize("tier", [1, 2, 3, 4, 5])
+def test_exchange_rate_comes_from_the_tier_table(tier):
+    assert run_exchange([_cand(tier, 0.7)], 80.0, PARAMS).rate == TIER_RATES[tier - 1]
 
 
-def test_exchange_sampled_direct_frequency_matches_analytic():
-    # with no helpers and retries disabled, the empirical success rate of a
-    # direct link converges to the single-hop success probability
-    rng = np.random.default_rng(9)
-    n = 20000
-    wins = sum(
-        run_exchange([], 60.0, PARAMS, mode="sampled", rng=rng, max_backoffs=0).mode == "direct"
-        for _ in range(n)
-    )
-    p = float(p_success_direct(60.0, PARAMS))
-    stderr = np.sqrt(p * (1 - p) / n)
-    assert abs(wins / n - p) < 3 * stderr
-
-
-def test_exchange_sampled_fails_after_backoff_budget():
-    params = ChannelParams(sigma_sh=1e-9)  # mean power at 100 m is -100 dBm < threshold
-    rng = np.random.default_rng(0)
-    out = run_exchange([], 100.0, params, mode="sampled", rng=rng, max_backoffs=3)
-    assert out.mode == "failed"
-    assert out.rate == 0.0
-    assert out.backoffs == 3
-
-
-def test_exchange_rates_come_from_tier_tables():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        tier = int(rng.integers(1, 6))
-        out = run_exchange([_cand(tier, 0.7)], 80.0, PARAMS, mode="analytic")
-        assert any(out.rate == pytest.approx(TIER_RATES[t]) for t in TIER_RATES)
-
-
-def test_exchange_requires_rng_for_sampled():
+def test_exchange_rejects_over_range_links():
     with pytest.raises(ValueError):
-        run_exchange([], 70.0, PARAMS, mode="sampled")
-    with pytest.raises(ValueError):
-        run_exchange([], 70.0, PARAMS, mode="bogus")
+        run_exchange([_cand(1, 0.7)], 100.5, PARAMS)

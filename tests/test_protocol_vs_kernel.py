@@ -4,7 +4,7 @@ The k-nearest branch of the oracle in `box_ppp_oracle.py` places each link's
 k-1 nearer neighbors in the disk of radius r and picks the helper for every
 link at once.  The same disk points are replayed here, and each link goes
 through `enumerate_candidates` -> `select_helper_proposed` ->
-`run_exchange(mode="analytic")` on its own.  The proposed pick must agree
+`run_exchange` on its own.  The proposed pick must agree
 exactly (tier, rate and G); the conventional pick must be one of the link's
 candidates.
 """
@@ -49,7 +49,7 @@ def test_proposed_protocol_path_matches_kernel(link_class, k, seed):
     picked, points_of = _kernel_picks(r, k, seed, "proposed")
     cooperative = 0
     for j, points in enumerate(points_of):
-        out = run_exchange(select_helper_proposed(_candidates(points, r[j])), r[j], PARAMS, mode="analytic")
+        out = run_exchange(select_helper_proposed(_candidates(points, r[j])), r[j], PARAMS)
         if j in picked:
             tier, g = picked[j]
             cooperative += 1
