@@ -274,10 +274,11 @@ def _cmd_reproduce(cfg: RunConfig):
     k = cfg.k_value()
     rows = []
     for regime in SWEEP_FIGURES[cfg.figure]:
-        by_cell = {(e.density, e.scheme): e for e in _estimates(cfg, regime, "both", "analytic")}
-        for d in cfg.densities:
+        # one (proposed, conventional) pair per density, in sweep order: a density
+        # given twice is two cells with streams of their own
+        estimates = _estimates(cfg, regime, "both", "analytic")
+        for d, proposed, conventional in zip(cfg.densities, estimates[::2], estimates[1::2]):
             pair = _bound_pair(regime, d, k, params)
-            proposed, conventional = by_cell[d, "proposed"], by_cell[d, "conventional"]
             rows.append(
                 {
                     "density": d,

@@ -32,8 +32,12 @@ helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
 probability with a Bernoulli draw of the same mean; that draw is the one
 meaning of "sampled" in the package.  Link lengths, hop bands, tiers and
 rates are read from the band table of `stochastic_geometry` (`REGIMES`,
-`BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`), and a kth-NN link
-length is drawn by inverting `nn_distance_band`.
+`BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`).
+
+A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
+through a per-chunk table of its exact inverse, a cubic Hermite and one
+Newton step on the forward law (`_gamma_quantiles`), not one scipy inverse
+per trial, and agrees with the exact inverse to 1e-12 relative.
 
 The `reproduce` figure tables, which set these estimates beside the
 bounds, are built by the `cli` module; this module imports no other layer
@@ -48,6 +52,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
+from scipy.special import gammainc, gammaincc, gammaln
 
 from .channel_model import ChannelParams, g_joint, p_success_direct
 from .stochastic_geometry import (
@@ -58,6 +63,7 @@ from .stochastic_geometry import (
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
+    TIER1_MAX_SEPARATION,
     TIER_BANDS,
     TIER_RATES,
     TIER_REACH,
@@ -67,8 +73,9 @@ from .stochastic_geometry import (
     cumulative_areas,
     hop_band,
     nn_distance_band,
-    tier_areas,
+    tier_areas_from_lenses,
     tier_index,
+    tier_lenses,
     tier_void_law,
 )
 
@@ -80,6 +87,13 @@ _MAX_ROUNDS = 100
 CONTOUR_DEFAULT_RK = {"C": 70.9, "D1": 85.55, "D2": 98.2}
 
 DENSITY_GRID = tuple(round(0.0005 * i, 6) for i in range(1, 11))
+
+# intervals of the kth-NN inverse's table in `_gamma_quantiles` (a power of
+# two), and the largest Newton step, as a fraction of x, that certifies a
+# draw: a step on g, the log of a tail, from an error e leaves about
+# |g''/g'| e^2 / 2, and at this bound every band of `REGIMES` is within 2e-14
+_TABLE_INTERVALS = 256
+_MAX_STEP = 1e-7
 
 
 @dataclass(frozen=True)
@@ -138,11 +152,65 @@ def _draw_link_distance(rng, n, band, density, k):
     a, b = band
     u = rng.uniform(size=n)
     if k is None:
-        r = np.sqrt(a * a + u * (b * b - a * a))
-    else:
-        lo, hi, inverse = nn_distance_band(a, b, density, k)
-        r = np.sqrt(inverse(k, lo + u * (hi - lo)) / (density * np.pi))
-    return np.maximum(r, 1e-9)
+        return np.maximum(np.sqrt(a * a + u * (b * b - a * a)), 1e-9)
+    x = _gamma_quantiles(u, k, *nn_distance_band(a, b, density, k))
+    # the exact inverse as well can land an ulp outside the band
+    return np.clip(np.sqrt(x / (density * np.pi)), max(a, 1e-9), b)
+
+
+def _gamma_quantiles(u, k, lo, hi, inverse):
+    """Gamma(k, 1) quantile x with F(x) = lo + u (hi - lo) for each u in [0, 1).
+
+    F and (lo, hi, inverse) are the tail and band of `nn_distance_band`:
+    the lower tail P(k, x) when lo < hi, the upper Q(k, x) when lo > hi.
+    k = 1 is Exp(1) in closed form.  Otherwise the exact inverse is taken at
+    _TABLE_INTERVALS + 1 equally spaced u, each u is mapped to x by the cubic
+    Hermite interpolant of that table (slope dx/du = |hi - lo| / f(x), f the
+    Gamma(k, 1) density), and one Newton step on the log of the smaller tail
+    at the target, P or Q, polishes it.  An entry whose step exceeds
+    _MAX_STEP of x, or is not finite, or which leaves its node interval, is
+    not certified by the step and goes through the exact inverse.  These are
+    the entries near a singular end of the band, where no cubic in u fits:
+    x -> 0, whose interval has an infinite slope at x = 0 and so no finite
+    start, and a tail that decays like exp(-x).  About ten intervals next to
+    such an end fall back; a band without one has next to no fallbacks.
+    """
+    v = lo + u * (hi - lo)
+    upper = hi < lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if k == 1:
+            return -np.log(v) if upper else -np.log1p(-v)
+        n = _TABLE_INTERVALS
+        nodes = inverse(k, lo + np.arange(n + 1) / n * (hi - lo))
+        log_gamma_k = gammaln(k)
+        # dx/dt, t = n u - j the position in interval j; inf where f(x) is 0
+        slope = abs(hi - lo) / n * np.exp(nodes - (k - 1) * np.log(nodes) + log_gamma_k)
+        rise = np.diff(nodes)
+        m0, m1 = slope[:-1], slope[1:]
+        coef = np.stack((nodes[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise))
+        # n is a power of two and u < 1, so n u is exact and j <= n - 1
+        s = u * n
+        j = s.astype(np.intp)
+        t = s - j
+        c0, c1, c2, c3 = coef.take(j, axis=1)
+        x0 = c0 + t * (c1 + t * (c2 + t * c3))
+        # Newton on the log of the smaller tail at the target: Q on the upper band
+        # (v <= lo < 1/2 there) and, against 1 - v, exact, where v > 1/2; P elsewhere
+        past_median = v > 0.5
+        in_q = past_median | upper
+        target = np.where(past_median, 1.0 - v, v)
+        tail = np.empty_like(x0)
+        for law, rows in ((gammaincc, in_q), (gammainc, ~in_q)):
+            rows = np.flatnonzero(rows)
+            tail[rows] = law(k, x0[rows])
+        # d log P / dx = f / P and d log Q / dx = -f / Q
+        step = np.log1p((tail - target) / target) * tail * np.exp(x0 - (k - 1) * np.log(x0) + log_gamma_k)
+        np.negative(step, out=step, where=in_q)
+        x = x0 - step
+        certified = (np.abs(step) <= _MAX_STEP * x) & (x >= c0) & (x <= nodes.take(j + 1))
+    redo = np.flatnonzero(~certified)
+    x[redo] = inverse(k, v[redo])
+    return x
 
 
 def _zero_truncated_poisson(rng, mu):
@@ -274,6 +342,26 @@ def _place_in_tier(rng, r, tier, area, count):
     return trial[tid[order]], d_sh[order], d_hd[order]
 
 
+def _link_tier_areas(r):
+    """(5, n) tier-region areas of links of lengths r >= 67.1 m, from the lenses the links need.
+
+    Tier 1's lens is 0 from 96.4 m on, and a class C link (r < 74.7 m) has
+    no tiers 4 and 5, whose areas are 0.  So a chunk whose links all lie past
+    96.4 m leaves tier 1's lens unevaluated, and one whose links all lie below
+    74.7 m those of tiers 4 and 5; the areas are `tier_areas` bit for bit.
+    The choice is per chunk, not per link: on the mixed chunks of the "all"
+    regime, gathering each link's lenses costs more than it saves.
+    """
+    first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
+    class_c = r < BAND_2
+    n_tiers = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
+    zero = np.zeros(r.size)
+    lens = [zero] * first + list(tier_lenses(r, n_tiers, first)) + [zero] * (len(TIER_BANDS) - n_tiers)
+    areas = np.array(tier_areas_from_lenses(lens))
+    areas[CLASS_TIERS["C"]:, class_c] = 0.0
+    return areas
+
+
 def _tier_first_helpers(rng, r, density, k, scheme, params):
     """Selected helper of each link, under the PPP (k None) or with k-1 nodes nearer than the destination.
 
@@ -283,9 +371,7 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     helper uniformly from the union of the regions.  Returns (index into r of
     the links with a helper, its tier, its G).
     """
-    # (5, n) tier-region areas of links r >= 67.1 m; a class C link has no tiers 4 and 5
-    areas = np.array(tier_areas(r))
-    areas[CLASS_TIERS["C"]:, r < BAND_2] = 0.0
+    areas = _link_tier_areas(r)
     u = rng.uniform(size=r.size)
     if scheme == "proposed":
         # the lowest non-empty tier is the number of terms of P{tiers 1..i all

@@ -257,16 +257,17 @@ _LENS_APART, _LENS_INSIDE = _LENS_R1 + _LENS_R2, abs(_LENS_R1 - _LENS_R2)
 _LENS_FULL = np.pi * np.minimum(_LENS_R1, _LENS_R2) ** 2
 
 
-def tier_lenses(r, n_tiers: int = 5):
-    """(n_tiers, n) lens areas of tiers 1..n_tiers at link lengths r > 0 (a 1-D array).
+def tier_lenses(r, n_tiers: int = 5, first: int = 0):
+    """(n_tiers - first, n) lens areas of tiers first+1..n_tiers at link lengths r > 0 (a 1-D array).
 
-    Row t - 1 is `lens_area` of tier t's outer hop edges at r, bit for bit,
-    from one broadcast evaluation for all tiers; no validation.
+    Row t - 1 - first is `lens_area` of tier t's outer hop edges at r, bit
+    for bit, from one broadcast evaluation for all tiers; no validation.
     """
-    lens = _lens_formula(_LENS_R1[:n_tiers], _LENS_R2[:n_tiers], r)
+    rows = slice(first, n_tiers)
+    lens = _lens_formula(_LENS_R1[rows], _LENS_R2[rows], r)
     # past tangency arccos(1 - eps) would leave a sliver where the lens is empty
-    np.copyto(lens, 0.0, where=r >= _LENS_APART[:n_tiers])
-    np.copyto(lens, _LENS_FULL[:n_tiers], where=r <= _LENS_INSIDE[:n_tiers])
+    np.copyto(lens, 0.0, where=r >= _LENS_APART[rows])
+    np.copyto(lens, _LENS_FULL[rows], where=r <= _LENS_INSIDE[rows])
     return lens
 
 
@@ -279,15 +280,20 @@ def tier_areas(r, n_tiers: int = 5):
     array r gives a tuple of arrays, a scalar a tuple of floats.
     """
     scalar = np.ndim(r) == 0
-    lens = tier_lenses(np.atleast_1d(np.asarray(r, dtype=float)), n_tiers)
+    areas = tier_areas_from_lenses(tier_lenses(np.atleast_1d(np.asarray(r, dtype=float)), n_tiers))
+    return tuple(float(s[0]) for s in areas) if scalar else areas
+
+
+def tier_areas_from_lenses(lens):
+    """The tier areas of `tier_areas` from the lenses of tiers 1..3 or 1..5, one row per tier."""
     s1 = lens[0]  # 0 for r > 96.4
     s2 = 2.0 * (lens[1] - s1)
     s3 = lens[2] - s2 - s1
     areas = (s1, s2, s3)
-    if n_tiers == 5:
+    if len(lens) == 5:
         s4 = 2.0 * (lens[3] - s1) - s2
         areas += (s4, 2.0 * (lens[4] - lens[2]) - s4)
-    return tuple(float(s[0]) for s in areas) if scalar else areas
+    return areas
 
 
 def cumulative_areas(areas):

@@ -245,6 +245,18 @@ def test_reproduce_fig9_covers_both_regimes(tmp_path):
     assert {row["regime"] for row in rows} == {"D1", "D2"}
 
 
+def test_reproduce_repeated_density_gives_each_cell_its_row(tmp_path):
+    # a density given twice is two cells with streams of their own; each row is
+    # its own cell's estimate, as `simulate` prints it
+    args = ["--lambda", "0.002 0.002", "--trials", "500"]
+    rows = _json_rows(tmp_path, ["reproduce", "fig7", *args])
+    cells = _json_rows(tmp_path, ["simulate", "--class", "C", "--scheme", "both", *args])
+    for scheme in ("proposed", "conventional"):
+        want = [(c["mean"], c["stderr"]) for c in cells if c["scheme"] == scheme]
+        assert [(r[scheme], r[scheme + "_stderr"]) for r in rows] == want
+        assert want[0] != want[1]
+
+
 def test_reproduce_contour_rows(tmp_path):
     rows = _json_rows(tmp_path, ["reproduce", "contour_d2"])
     assert rows

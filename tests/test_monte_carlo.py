@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
+from coopmac import monte_carlo
 from coopmac.analytic_bounds import averaged_bounds, band_mass
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
 from coopmac.monte_carlo import (
@@ -13,10 +14,18 @@ from coopmac.monte_carlo import (
     ExperimentConfig,
     SimEstimate,
     _draw_link_distance,
+    _link_tier_areas,
     contour_grid,
     estimate_throughput,
 )
-from coopmac.stochastic_geometry import REGIMES
+from coopmac.stochastic_geometry import (
+    BAND_2,
+    BAND_55,
+    REGIMES,
+    TIER1_MAX_SEPARATION,
+    nn_distance_band,
+    tier_areas,
+)
 
 PARAMS = ChannelParams()
 
@@ -167,6 +176,90 @@ def test_k_conditioned_band_deep_in_the_tail(regime, k):
     lo, hi = REGIMES[regime][:2]
     r = _draw_link_distance(np.random.default_rng(9), 1000, (lo, hi), 0.005, k)
     assert np.all((r >= lo) & (r <= hi))
+
+
+class _GivenUniforms:
+    """Stands in for a Generator whose next uniform draws are the given u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+# every band of REGIMES at these densities, for the draw's comparison with scipy's inverse
+_DRAW_DENSITIES = sorted(set(DENSITY_GRID) | {0.0001, 0.005, 0.01, 0.05})
+# seeded u plus the edges: the band's near end, an x -> 0 start, the middle and the largest double below 1
+_DRAW_U = np.concatenate([np.random.default_rng(14).uniform(size=10_000), [0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53]])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 30, 100])
+def test_k_nearest_draw_is_the_exact_inverse(k):
+    # the per-chunk table with its Newton polish against one scipy inverse per u,
+    # the draw it replaced, on every band with mass in double precision
+    worst, bands = 0.0, 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for a, b, _ in REGIMES.values():
+            for density in _DRAW_DENSITIES:
+                try:
+                    lo, hi, inverse = nn_distance_band(a, b, density, k)
+                except ValueError:
+                    continue  # no mass in double precision
+                r = _draw_link_distance(_GivenUniforms(_DRAW_U), _DRAW_U.size, (a, b), density, k)
+                want = np.maximum(np.sqrt(inverse(k, lo + _DRAW_U * (hi - lo)) / (density * np.pi)), 1e-9)
+                assert np.all((r >= a) & (r <= b)), (a, b, density)
+                worst = max(worst, np.max(np.abs(r - want) / want))
+                bands += 1
+    assert bands >= 70
+    assert worst <= 1e-12
+
+
+def test_k_nearest_draw_inverts_only_the_table_on_a_smooth_band(monkeypatch):
+    # class C at 0.0005 nodes/m^2 under k = 10 has no singular end: every draw is
+    # certified by its Newton step, and the exact inverse sees the table's nodes alone
+    calls = []
+
+    def counted_band(*args):
+        lo, hi, inverse = nn_distance_band(*args)
+        return lo, hi, lambda k, v: calls.append(np.size(v)) or inverse(k, v)
+
+    monkeypatch.setattr(monte_carlo, "nn_distance_band", counted_band)
+    _draw_link_distance(np.random.default_rng(4), 10_000, REGIMES["C"][:2], 0.0005, 10)
+    assert calls == [monte_carlo._TABLE_INTERVALS + 1, 0]
+
+
+def test_link_tier_areas_are_the_tier_areas_bit_for_bit():
+    # only the lenses a chunk's links need, against all five lenses with class C's tiers 4-5
+    # zeroed, on chunks of one regime and of all three, over the eligible lengths and the
+    # doubles around 67.1, 74.7, 96.4 and 100 m
+    r = np.concatenate([np.random.default_rng(6).uniform(BAND_55, 100.0, 20_000)]
+                       + [_ulps_around(x) for x in (BAND_55, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
+    r = r[r >= BAND_55]
+    for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
+        assert _link_tier_areas(links).tobytes() == _all_lens_areas(links).tobytes()
+
+
+def _all_lens_areas(r):
+    areas = np.array(tier_areas(r))
+    areas[3:, r < BAND_2] = 0.0
+    return areas
+
+
+def _ulps_around(x, n=32):
+    return x + np.arange(-n, n + 1) * np.spacing(x)
+
+
+@pytest.mark.parametrize("k", [None, 10])
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
+def test_estimates_do_not_depend_on_which_lenses_are_evaluated(regime, k, monkeypatch):
+    config = ExperimentConfig(densities=(0.0005, 0.005), scheme="both", regime=regime, trials=3000,
+                              base_seed=12, k=k, chunk_size=1000)
+    trimmed = estimate_throughput(config)
+    monkeypatch.setattr(monte_carlo, "_link_tier_areas", _all_lens_areas)
+    assert estimate_throughput(config) == trimmed
 
 
 def test_k_conditioned_band_without_mass_raises():
