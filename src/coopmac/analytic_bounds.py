@@ -44,9 +44,7 @@ would pass the cap empties it first.  Inside the kernel and the integrands every
 hop length is known to be positive, so Ps is taken unchecked
 (`channel_model._p_success`); the public functions keep their checks.
 The quadrature calls the kernel once per bisection depth on all of that
-depth's nodes; `total_throughput_bounds` refines its five parts in lockstep
-(`quadrature.simpson_lockstep`), one call per depth for A and B, one for C
-and one for D1 and D2.  `link_bounds_at_distance`, `tier_probabilities` and
+depth's nodes.  `link_bounds_at_distance`, `tier_probabilities` and
 `tier_bound_pair` are scalar views of the same code.  `band_mass` is closed
 form, from the kth-NN band law the Monte Carlo inverts
 (`stochastic_geometry.nn_distance_band`); a k-nearest band whose mass is 0
@@ -63,13 +61,12 @@ from typing import Optional
 import numpy as np
 
 from .channel_model import ChannelParams, _p_success, g_joint, p_success_direct
-from .quadrature import adaptive_simpson, simpson_lockstep
+from .quadrature import adaptive_simpson
 from .stochastic_geometry import (
     BAND_11,
     BAND_55,
     BAND_EDGES,
     CLASS_RATES,
-    CLASS_REGIMES,
     CLASS_TIERS,
     DIRECT_CLASSES,
     HELPER_REGIMES,
@@ -122,9 +119,9 @@ def h_integral(
     transmission over it succeeds.  The law is the kth-NN distance PDF, or
     with k None the PPP's uniform-area law 2r/100^2 (see `_law_integral`).
     """
-    if r_min < 0 or r_max < r_min:
-        raise ValueError("need 0 <= r_min <= r_max")
-    return _law_integral(_link_value("A", density, k, params), r_min, r_max, density, k)
+    if not 0 <= r_min <= r_max:
+        raise ValueError("need 0 <= r_min <= r_max, got %r and %r" % (r_min, r_max))
+    return _law_integral("A", r_min, r_max, density, k, params)
 
 
 def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
@@ -326,43 +323,29 @@ def link_bounds_at_distance(
     return BoundPair(float(lower), float(upper))
 
 
-def _link_value(regime: str, density, k, params: ChannelParams):
-    """The per-link value whose law-weighted integral gives a regime's part.
+def _law_integral(regime: str, a: float, b: float, density, k: Optional[int], params: ChannelParams,
+                  tol: float = 1e-8):
+    """Integral over [a, b] of a link's value in the regime times the link-length law, to `tol` in each component.
 
-    Ps(r) for a class A or B link (direct only; times the class rate after
-    the integral), the (2, n) bound pair of `_link_bounds` for a class C or
-    D link.  Its links are longer than 0 (`_law_weighted`), so Ps needs no
-    check.
+    The value is Ps(r) for a class A or B link (direct only; times the class
+    rate after the integral), the (2, n) bound pair of `_link_bounds` for a
+    class C or D link, which is integrated jointly.  The law is 2r/100^2 under
+    the PPP (k None), else the kth-NN distance PDF; both vanish at r = 0,
+    where the value is not taken, so Ps needs no check.
     """
-    if REGIMES[regime][2] in DIRECT_CLASSES:
-        return lambda r: _p_success(r, params)
-    return lambda r: _link_bounds(regime, r, density, k, params)
+    check_conditioning(density, k)
+    direct = REGIMES[regime][2] in DIRECT_CLASSES
 
-
-def _law_weighted(value, density: float, k: Optional[int]):
-    """The integrand r -> value(r) x w(r), w the link-length law over the 100 m range.
-
-    w is 2r/100^2 under the PPP (k None), else the kth-NN distance PDF; both
-    vanish at r = 0, where value is not called.  `value` maps a 1-D array of
-    n link lengths to shape (n,), or to (c, n) for c components such as a
-    (lower, upper) pair, which are integrated jointly.
-    """
     def integrand(r):
         pos = r > 0.0
         rp = r[pos]
         weight = 2.0 * rp / MAX_RANGE ** 2 if k is None else nn_distance_pdf(k, density, rp)
-        part = value(rp) * weight
+        part = (_p_success(rp, params) if direct else _link_bounds(regime, rp, density, k, params)) * weight
         out = np.zeros(part.shape[:-1] + r.shape)
         out[..., pos] = part
         return out
 
-    return integrand
-
-
-def _law_integral(value, a: float, b: float, density: float, k: Optional[int], tol: float = 1e-8):
-    """Integral over [a, b] of `_law_weighted(value, density, k)` to `tol` in each component."""
-    check_conditioning(density, k)
-    return adaptive_simpson(_law_weighted(value, density, k), a, b, tol=tol)
+    return adaptive_simpson(integrand, a, b, tol=tol)
 
 
 def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
@@ -407,8 +390,7 @@ def averaged_bounds(
     a, b, _ = REGIMES[regime]
     mass = band_mass(regime, density, k)
     share = mass if k is None else 1.0
-    value = _link_value(regime, density, k, params)
-    lower, upper = _law_integral(value, a, b, density, k, tol * share) / share
+    lower, upper = _law_integral(regime, a, b, density, k, params, tol * share) / share
     return BoundPair(lower, upper)
 
 
@@ -424,16 +406,14 @@ def total_throughput_bounds(
     `type_ab_throughput`, as in the closed-form sum; the 100 m range must
     hold probability (`band_mass`).  Under the PPP it is the unconditional
     mean throughput of a random in-range pair: the A/B parts plus share x
-    `averaged_bounds` of each helper regime.  The five integrals are refined
-    in lockstep (`simpson_lockstep`), one integrand call per depth for the
-    A and B parts, one for C and one for D1 and D2, each part on its own
-    nodes.
+    `averaged_bounds` of each helper regime.
     """
     band_mass("all", density, k)
-    # A and B share one integrand, Ps(r), and D1 and D2 the class-D bound pair
-    direct = _law_weighted(_link_value("A", density, k, params), density, k)
-    helper = {c: _law_weighted(_link_value(CLASS_REGIMES[c][0], density, k, params), density, k) for c in CLASS_TIERS}
-    regimes = DIRECT_CLASSES + HELPER_REGIMES
-    parts = simpson_lockstep([(helper.get(REGIMES[g][2], direct), *REGIMES[g][:2], 1e-8) for g in regimes])
-    lower, upper = sum(np.full(2, v * CLASS_RATES[g]) if g in DIRECT_CLASSES else v for g, v in zip(regimes, parts))
+
+    def part(regime):
+        a, b, link_class = REGIMES[regime]
+        value = _law_integral(regime, a, b, density, k, params)
+        return value * CLASS_RATES[link_class] if link_class in DIRECT_CLASSES else value
+
+    lower, upper = sum(part(regime) for regime in DIRECT_CLASSES + HELPER_REGIMES)
     return BoundPair(lower, upper)

@@ -27,7 +27,8 @@ class ChannelParams:
 
     Defaults are the reference parameter set: 1 mW transmit power (0 dBm),
     -98 dBm receive threshold, path-loss exponent 3, 6 dB shadowing
-    deviation, -40 dB antenna constant.
+    deviation, -40 dB antenna constant.  pt, pth and k_const must be finite,
+    sigma_sh positive and finite and alpha in [2, 7]; else ValueError.
     """
 
     pt: float = 0.0
@@ -37,8 +38,11 @@ class ChannelParams:
     sigma_sh: float = 6.0
 
     def __post_init__(self):
-        if not self.sigma_sh > 0:
-            raise ValueError("sigma_sh must be positive, got %r" % (self.sigma_sh,))
+        for name in ("pt", "pth", "k_const"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError("%s must be finite, got %r" % (name, getattr(self, name)))
+        if not 0 < self.sigma_sh < np.inf:
+            raise ValueError("sigma_sh must be positive and finite, got %r" % (self.sigma_sh,))
         if not 2.0 <= self.alpha <= 7.0:
             raise ValueError("alpha must lie in [2, 7], got %r" % (self.alpha,))
 
@@ -66,7 +70,7 @@ def q_function(x):
 
 def _check_distance(distance):
     d = np.asarray(distance, dtype=float)
-    if np.any(d <= 0):
+    if not np.all(d > 0):  # a NaN distance fails too
         raise ValueError("distance must be positive")
     return d
 

@@ -48,8 +48,8 @@ def classify_link(distance: float) -> LinkClass:
     Bands are half-open except the last, which includes the 100 m maximum
     effective range; anything beyond raises.
     """
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
+    if not distance >= 0:  # a NaN distance fails too
+        raise ValueError("distance must be non-negative, got %r" % (distance,))
     if distance > MAX_RANGE:
         raise ValueError("distance %r exceeds the 100 m maximum transmission range" % (distance,))
     return LINK_CLASSES[int(hop_band(distance))]

@@ -10,14 +10,11 @@ summed back up the same bisection tree, so the result is the recursion's to
 the last bit whenever f's value at a node does not depend on the other nodes
 of the call.  The recursion itself is kept as the test oracle
 `tests/simpson_oracle.py`.
-
-`simpson_lockstep` steps several integrals through their depths together,
-and the integrals that share an integrand are evaluated in one call per
-depth on all of their nodes; each keeps the nodes, the tolerance and the
-result it has on its own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -33,18 +30,30 @@ def _values(f, x):
     return fx
 
 
-def _refine(a: float, b: float, tol: float, max_bisections: int):
-    """The refinement of `adaptive_simpson` as a generator.
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_bisections: int = 1000):
+    """Integrate f over [a, b] to absolute tolerance `tol`.
 
-    It yields the nodes of each depth, is sent the integrand's values there
-    (as checked by `_values`), and returns the integral.
+    Adaptive Simpson with Richardson error control: a panel is bisected until
+    its two-panel estimate agrees with its one-panel estimate to 15x the
+    tolerance allotted to it, which halves with each bisection.  The panels
+    are refined breadth first, one depth at a time, and `f` is called once per
+    depth on a 1-D array of nodes.  It returns an array of shape (n,), or
+    (c, n) for c components sharing the nodes (e.g. a (lower, upper) pair),
+    where the largest component error decides each bisection; the result is
+    then a float, else an array of shape (c,).
+
+    Raises ValueError when an end of the interval is not finite or b < a, and
+    RuntimeError when more than `max_bisections` bisections would be needed
+    or when `f` returns a non-finite value.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("integration bounds must be finite, got [%r, %r]" % (a, b))
     if b < a:
         raise ValueError("integration bounds out of order")
     if a == b:
         return 0.0
     x = np.array((a, 0.5 * (a + b), b), dtype=float)
-    fx = yield x
+    fx = _values(f, x)
     vector = fx.ndim == 2
     c = fx.shape[0] if vector else 1
     # One column per open panel.  Its first 3(1 + c) rows are triples (value
@@ -67,7 +76,7 @@ def _refine(a: float, b: float, tol: float, max_bisections: int):
         tri[:, 0] = ends[:, :2].reshape(q, 2 * n)  # [a | m], [f(a) | f(m)]
         tri[:, 2] = ends[:, 1:].reshape(q, 2 * n)  # [m | b], [f(m) | f(b)]
         tri[0, 1] = 0.5 * (tri[0, 0] + tri[0, 2])  # the new nodes
-        tri[1:, 1] = yield tri[0, 1]
+        tri[1:, 1] = _values(f, tri[0, 1])
         one = kids[3 * q:]
         one[...] = (tri[0, 2] - tri[0, 0]) / 6.0 * (tri[1:, 0] + 4.0 * tri[1:, 1] + tri[1:, 2])
         two = one[:, :n] + one[:, n:]  # each panel's two-panel estimate
@@ -89,56 +98,3 @@ def _refine(a: float, b: float, tol: float, max_bisections: int):
             value[:, ~done] = below[:, 0::2] + below[:, 1::2]
         below = value
     return below[:, 0] if vector else float(below[0, 0])
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_bisections: int = 1000):
-    """Integrate f over [a, b] to absolute tolerance `tol`.
-
-    Adaptive Simpson with Richardson error control: a panel is bisected until
-    its two-panel estimate agrees with its one-panel estimate to 15x the
-    tolerance allotted to it, which halves with each bisection.  The panels
-    are refined breadth first, one depth at a time, and `f` is called once per
-    depth on a 1-D array of nodes.  It returns an array of shape (n,), or
-    (c, n) for c components sharing the nodes (e.g. a (lower, upper) pair),
-    where the largest component error decides each bisection; the result is
-    then a float, else an array of shape (c,).
-
-    Raises RuntimeError when more than `max_bisections` bisections would be
-    needed or when `f` returns a non-finite value.
-    """
-    return simpson_lockstep([(f, a, b, tol)], max_bisections)[0]
-
-
-def simpson_lockstep(parts, max_bisections: int = 1000):
-    """`adaptive_simpson(f, a, b, tol, max_bisections)` of every (f, a, b, tol) in `parts`, as a list.
-
-    The integrals are refined together, one depth at a time, and the parts
-    that share an integrand (the same object f) are evaluated in one call
-    per depth on all of their nodes, in the order of `parts`.  Each result
-    is the one `adaptive_simpson` gives for its part alone.
-    """
-    results = [None] * len(parts)
-    nodes = {}  # part index -> the nodes its refinement waits on
-    steps = [_refine(a, b, tol, max_bisections) for _, a, b, tol in parts]
-
-    def advance(i, fx=None):
-        try:
-            nodes[i] = steps[i].send(fx)
-        except StopIteration as stop:
-            results[i] = stop.value
-            nodes.pop(i, None)
-
-    for i in range(len(parts)):
-        advance(i)
-    while nodes:
-        groups = {}
-        for i in nodes:
-            groups.setdefault(id(parts[i][0]), []).append(i)
-        for members in groups.values():
-            xs = [nodes[i] for i in members]
-            fx = _values(parts[members[0]][0], np.concatenate(xs))
-            lo = 0
-            for i, x in zip(members, xs):
-                advance(i, fx[..., lo:lo + x.size])
-                lo += x.size
-    return results

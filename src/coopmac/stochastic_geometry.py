@@ -192,12 +192,12 @@ def lens_area(r1, r2, separation):
     """
     r1 = float(r1)
     r2 = float(r2)
-    if r1 <= 0 or r2 <= 0:
+    if not (r1 > 0 and r2 > 0):  # NaN radii fail too
         raise ValueError("circle radii must be positive")
     d = np.asarray(separation, dtype=float)
     scalar = d.ndim == 0
     d = np.atleast_1d(d)
-    if np.any(d < 0):
+    if not np.all(d >= 0):
         raise ValueError("separation must be non-negative")
 
     out = np.empty_like(d)
@@ -365,7 +365,7 @@ def classify_helper_tier(d_sh: float, d_hd: float, link_class: str) -> Optional[
     Distance bands are half-open ([0,48.2), [48.2,67.1), [67.1,74.7)), so a
     hop of exactly 48.2 m falls in the 5.5 Mbps band.
     """
-    if d_sh < 0 or d_hd < 0:
+    if not (d_sh >= 0 and d_hd >= 0):  # NaN hops fail too
         raise ValueError("hop distances must be non-negative")
     t = int(tier_index(d_sh, d_hd, link_class))
     return t if t else None

@@ -41,6 +41,9 @@ def test_h_integral_validation():
         h_integral(-1.0, 10.0, 1, 0.005)
     with pytest.raises(ValueError):
         h_integral(10.0, 5.0, 1, 0.005)
+    for r_min, r_max in ((0.0, np.nan), (np.nan, 10.0), (0.0, np.inf)):
+        with pytest.raises(ValueError):
+            h_integral(r_min, r_max, None, 0.001)
 
 
 def test_h_integral_bracketed_by_endpoint_probabilities():

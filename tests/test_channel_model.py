@@ -30,6 +30,11 @@ def test_params_validation():
         ChannelParams(alpha=9.0)
     with pytest.raises(ValueError):
         ChannelParams(alpha=1.5)
+    # a non-finite power, gain or deviation would give NaN or a flat Ps = 0.5 everywhere
+    for bad in ({"pt": np.nan}, {"pth": np.inf}, {"k_const": -np.inf}, {"sigma_sh": np.inf},
+                {"sigma_sh": np.nan}, {"alpha": np.nan}):
+        with pytest.raises(ValueError):
+            ChannelParams(**bad)
 
 
 def test_q_function_at_zero():
@@ -56,6 +61,16 @@ def test_p_success_rejects_nonpositive_distance():
         p_success_direct(0.0, PARAMS)
     with pytest.raises(ValueError):
         p_success_direct(-3.0, PARAMS)
+    # NaN fails every comparison, so the check must be written to reject it
+    for bad in (np.nan, np.array([30.0, np.nan])):
+        with pytest.raises(ValueError):
+            p_success_direct(bad, PARAMS)
+    with pytest.raises(ValueError):
+        g_joint(np.nan, 10.0, PARAMS)
+    with pytest.raises(ValueError):
+        shadowing_sample(np.nan, PARAMS, np.random.default_rng(0))
+    # an infinite hop keeps its limit
+    assert float(p_success_direct(np.inf, PARAMS)) == 0.0
 
 
 def test_p_success_strictly_decreasing():

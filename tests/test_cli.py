@@ -38,6 +38,9 @@ def test_parse_config_rejections(tmp_path):
         parse_config(overrides={"alpha": "9"})
     with pytest.raises(ConfigError):
         parse_config(overrides={"sigma": "0"})
+    for key, value in (("pt", "nan"), ("pth", "inf"), ("k_const", "-inf"), ("sigma", "inf"), ("sigma", "nan")):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_config(overrides={key: value})
     with pytest.raises(ConfigError):
         parse_config(overrides={"nonsense": "1"})
     with pytest.raises(ConfigError):
@@ -93,6 +96,12 @@ def test_exit_codes(tmp_path):
         config.write_text("trials=100\n%s\n" % line)
         assert main(["reproduce", "fig7", "--lambda", "0.002", "--config", str(config)]) == 2
     assert main(["simulate", "--lambda", "0.002", "--config", str(config)]) == 0
+    # a non-finite channel key of a config file is a config error for every subcommand
+    for line in ("pt=nan", "sigma=inf"):
+        config = tmp_path / "channel.cfg"
+        config.write_text("trials=10\n%s\n" % line)
+        assert main(["simulate", "--class", "C", "--lambda", "0.001", "--config", str(config)]) == 2
+        assert main(["bounds", "--class", "C", "--lambda", "0.001", "--config", str(config)]) == 2
 
 
 def test_bounds_csv_shape(tmp_path):

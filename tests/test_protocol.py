@@ -41,6 +41,8 @@ def test_classify_link_out_of_range():
         classify_link(100.01)
     with pytest.raises(ValueError):
         classify_link(-1.0)
+    with pytest.raises(ValueError):
+        classify_link(float("nan"))
 
 
 # ----------------------------------------------------------------- tier rates
@@ -93,6 +95,8 @@ def test_enumerate_rejects_over_range_links():
     real = _realization([[35.0, 0.0]])
     with pytest.raises(ValueError):
         enumerate_candidates(real, (0, 0), (120, 0), PARAMS)
+    with pytest.raises(ValueError):
+        enumerate_candidates(real, (0, 0), (np.nan, 0), PARAMS)
 
 
 # --------------------------------------------------------------- selectors
@@ -167,3 +171,6 @@ def test_exchange_rate_comes_from_the_tier_table(tier):
 def test_exchange_rejects_over_range_links():
     with pytest.raises(ValueError):
         run_exchange([_cand(1, 0.7)], 100.5, PARAMS)
+    for order in ([], [_cand(1, 0.7)]):
+        with pytest.raises(ValueError):
+            run_exchange(order, float("nan"), PARAMS)

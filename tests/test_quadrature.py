@@ -5,6 +5,7 @@ from scipy.integrate import quad
 import simpson_oracle
 from coopmac import analytic_bounds
 from coopmac.quadrature import adaptive_simpson
+from coopmac.stochastic_geometry import REGIMES
 
 
 def test_polynomial_exactness():
@@ -19,6 +20,12 @@ def test_empty_interval():
 def test_reversed_bounds_rejected():
     with pytest.raises(ValueError):
         adaptive_simpson(np.sin, 2.0, 1.0)
+    # a non-finite end is rejected before the integrand sees a node
+    calls = []
+    for a, b in ((0.0, np.nan), (np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            adaptive_simpson(lambda x: (calls.append(x), np.exp(x))[1], a, b)
+    assert calls == []
 
 
 def test_transcendental_against_scipy():
@@ -117,10 +124,12 @@ def test_matches_depth_first_oracle(f, a, b, tol):
     _against_oracle(f, a, b, tol)
 
 
-@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
 @pytest.mark.parametrize("density, k", [(0.005, None), (0.0005, 10)])
 def test_bound_integrands_match_depth_first_oracle(monkeypatch, regime, density, k):
-    # capture the joint (lower, upper) integrand averaged_bounds hands the integrator
+    # capture the integrands the bounds hand the integrator: the one joint
+    # (lower, upper) integral of averaged_bounds, or the network total's five,
+    # one per band in A, B, C, D1, D2 order (band A's also takes the r = 0 node)
     calls = []
 
     def recording(f, a, b, tol=1e-8):
@@ -128,6 +137,12 @@ def test_bound_integrands_match_depth_first_oracle(monkeypatch, regime, density,
         return adaptive_simpson(f, a, b, tol=tol)
 
     monkeypatch.setattr(analytic_bounds, "adaptive_simpson", recording)
-    analytic_bounds.averaged_bounds(regime, density, k=k)
-    (f, a, b, tol), = calls
-    assert _against_oracle(f, a, b, tol) > 5  # 5 nodes: the first panel accepted unsplit
+    if regime == "all":
+        analytic_bounds.total_throughput_bounds(density, k=k)
+        bands = ("A", "B", "C", "D1", "D2")
+    else:
+        analytic_bounds.averaged_bounds(regime, density, k=k)
+        bands = (regime,)
+    assert [(a, b) for _, a, b, _ in calls] == [REGIMES[g][:2] for g in bands]
+    for f, a, b, tol in calls:
+        assert _against_oracle(f, a, b, tol) > 5  # 5 nodes: the first panel accepted unsplit

@@ -155,6 +155,13 @@ def test_lens_rejects_bad_inputs():
         lens_area(-1.0, 5.0, 2.0)
     with pytest.raises(ValueError):
         lens_area(5.0, 5.0, -0.1)
+    with pytest.raises(ValueError):
+        lens_area(48.2, 48.2, np.nan)
+    with pytest.raises(ValueError):
+        lens_area(48.2, 48.2, np.array([10.0, np.nan]))
+    with pytest.raises(ValueError):
+        lens_area(np.nan, 48.2, 10.0)
+    assert lens_area(48.2, 48.2, np.inf) == 0.0
 
 
 # ---------------------------------------------------------- tier region areas
@@ -233,6 +240,12 @@ def test_tier_classification_examples():
     assert classify_helper_tier(70, 40, "D") == 4
     assert classify_helper_tier(50, 70, "D") == 5
     assert classify_helper_tier(70, 40, "C") is None
+
+
+def test_tier_classification_rejects_bad_hops():
+    for d_sh, d_hd in ((-1.0, 10.0), (10.0, -1.0), (np.nan, 10.0), (10.0, np.nan)):
+        with pytest.raises(ValueError):
+            classify_helper_tier(d_sh, d_hd, "C")
 
 
 def _tier_oracle(d_sh, d_hd, link_class):
