@@ -24,7 +24,7 @@ probability, against the link-length law: 2r/100^2 under the PPP, the kth-NN
 distance PDF under k-nearest conditioning.  The per-link pair comes from one
 array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
 (2, n) lower/upper array: the tier law of the link class's tier-region areas
-(all tier lenses in one broadcast call, `stochastic_geometry.tier_lenses`),
+(`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),
 and G at each tier's extremal helper positions (`_extremal_g`, keyed by link
 class).  The worst positions, at the outer edges of each tier's hop bands,
 do not depend on the link length; their G is computed once per
@@ -149,11 +149,9 @@ def tier_probabilities(
     region i is not.
     """
     check_band(link_class, CLASS_TIERS, r_k)
-    if (density is None) == (k is None):
-        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
     check_conditioning(density, k, density_optional=True)
     r = np.array([float(r_k)])
-    empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)[:, 0]
+    empty = tier_void_law(tier_areas(r)[:CLASS_TIERS[link_class]], r, density, k)[:, 0]
     return TierProbabilityVector(
         probs={t: float(pi) for t, pi in enumerate(empty[:-1] - empty[1:], 1)},
         residual=float(empty[-1]),
@@ -226,7 +224,7 @@ def _node_rows(link_class: str, r, params: ChannelParams):
     """
     n = CLASS_TIERS[link_class]
     rows = np.empty((2 * n + 1, len(r)))
-    rows[:n] = tier_areas(r, n)
+    rows[:n] = tier_areas(r)[:n]
     rows[n] = _p_success(r, params)
     for row, (_, best), rate in zip(rows[n + 1:], _extremal_g(link_class, r, params), TIER_RATES):
         row[...] = best * rate
@@ -316,8 +314,6 @@ def link_bounds_at_distance(
     residual direct-transmission term Ps(r_k) x direct rate.
     """
     check_band(regime, HELPER_REGIMES, r_k)
-    if (density is None) == (k is None):
-        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
     check_conditioning(density, k, density_optional=True)
     lower, upper = _link_bounds(regime, np.array([float(r_k)]), density, k, params)[:, 0]
     return BoundPair(float(lower), float(upper))
@@ -384,7 +380,11 @@ def averaged_bounds(
     Under k-nearest conditioning it is the unnormalized partial expectation
     under the kth-NN distance PDF, as in the closed-form expressions; divide
     by `band_mass` for bounds on the mean given the band; a band that holds
-    no probability in double precision raises ValueError.
+    no probability in double precision raises ValueError.  There `tol` stays
+    absolute, so a band of tiny mass is integrated far too coarsely: at k=10
+    and density 0.004 the D1 partial expectation is about 1e-19 against tol
+    1e-8, and divided by its mass 4.55e-20 it gives [8.23, 10.48] Mbps, above
+    the 5.5 Mbps ceiling, where `scipy.integrate.quad` gives [2.92, 3.73].
     """
     check_band(regime, HELPER_REGIMES)
     a, b, _ = REGIMES[regime]

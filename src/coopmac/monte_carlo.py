@@ -56,14 +56,12 @@ from scipy.special import gammainc, gammaincc, gammaln
 
 from .channel_model import ChannelParams, g_joint, p_success_direct
 from .stochastic_geometry import (
-    BAND_2,
     BAND_55,
     BAND_EDGES,
     BAND_RATES,
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
-    TIER1_MAX_SEPARATION,
     TIER_BANDS,
     TIER_RATES,
     TIER_REACH,
@@ -73,10 +71,10 @@ from .stochastic_geometry import (
     cumulative_areas,
     hop_band,
     nn_distance_band,
-    tier_areas_from_lenses,
+    tier_areas,
     tier_index,
-    tier_lenses,
     tier_void_law,
+    void_probability,
 )
 
 # rejection rounds after which a placement that never completes fails
@@ -342,26 +340,6 @@ def _place_in_tier(rng, r, tier, area, count):
     return trial[tid[order]], d_sh[order], d_hd[order]
 
 
-def _link_tier_areas(r):
-    """(5, n) tier-region areas of links of lengths r >= 67.1 m, from the lenses the links need.
-
-    Tier 1's lens is 0 from 96.4 m on, and a class C link (r < 74.7 m) has
-    no tiers 4 and 5, whose areas are 0.  So a chunk whose links all lie past
-    96.4 m leaves tier 1's lens unevaluated, and one whose links all lie below
-    74.7 m those of tiers 4 and 5; the areas are `tier_areas` bit for bit.
-    The choice is per chunk, not per link: on the mixed chunks of the "all"
-    regime, gathering each link's lenses costs more than it saves.
-    """
-    first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
-    class_c = r < BAND_2
-    n_tiers = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
-    zero = np.zeros(r.size)
-    lens = [zero] * first + list(tier_lenses(r, n_tiers, first)) + [zero] * (len(TIER_BANDS) - n_tiers)
-    areas = np.array(tier_areas_from_lenses(lens))
-    areas[CLASS_TIERS["C"]:, class_c] = 0.0
-    return areas
-
-
 def _tier_first_helpers(rng, r, density, k, scheme, params):
     """Selected helper of each link, under the PPP (k None) or with k-1 nodes nearer than the destination.
 
@@ -371,7 +349,7 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     helper uniformly from the union of the regions.  Returns (index into r of
     the links with a helper, its tier, its G).
     """
-    areas = _link_tier_areas(r)
+    areas = tier_areas(r)
     u = rng.uniform(size=r.size)
     if scheme == "proposed":
         # the lowest non-empty tier is the number of terms of P{tiers 1..i all
@@ -390,7 +368,7 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     else:  # conventional
         cum = cumulative_areas(areas)
         # a helper exists unless the union of the regions, taken as one tier, is empty
-        has = np.flatnonzero(u < 1.0 - tier_void_law(cum[-1:], r, density, k)[-1])
+        has = np.flatnonzero(u < 1.0 - void_probability(cum[-1], r, density, k))
         # region j with probability S_j / S_total; w < S_total, so S_j > 0
         w = rng.uniform(size=has.size) * cum[-1, has]
         tier = 1 + np.sum(cum[:, has] <= w, axis=0)

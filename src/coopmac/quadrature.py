@@ -42,14 +42,17 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-8, max_bisections: i
     where the largest component error decides each bisection; the result is
     then a float, else an array of shape (c,).
 
-    Raises ValueError when an end of the interval is not finite or b < a, and
-    RuntimeError when more than `max_bisections` bisections would be needed
-    or when `f` returns a non-finite value.
+    Raises ValueError when an end of the interval is not finite, b < a or
+    `tol` is not finite and positive, and RuntimeError when more than
+    `max_bisections` bisections would be needed or when `f` returns a
+    non-finite value.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integration bounds must be finite, got [%r, %r]" % (a, b))
     if b < a:
         raise ValueError("integration bounds out of order")
+    if not 0 < tol < math.inf:  # NaN fails too
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if a == b:
         return 0.0
     x = np.array((a, 0.5 * (a + b), b), dtype=float)

@@ -113,14 +113,16 @@ def check_conditioning(density, k=None, density_optional=False):
 
     `density` must be a finite positive real number: a Python or numpy int
     or float, or a 0-d numpy array of one, but not a bool, a string or a
-    sequence.  With `density_optional`, for the k-nearest forms that take no
-    density, it may also be None when k is given.  `k` must be None (the
-    PPP) or an integer in [1, MAX_K].  Every density and k argument of the
-    package is checked here; a failed check raises ValueError.
+    sequence.  With `density_optional`, for the views that take a density
+    (the PPP) or k, exactly one of the two must be given.  `k` must be None
+    (the PPP) or an integer in [1, MAX_K].  Every density and k argument of
+    the package is checked here; a failed check raises ValueError.
     """
     if isinstance(density, np.ndarray) and density.ndim == 0:
         density = density[()]  # a 0-d array is checked as its numpy scalar
-    if density is None and density_optional and k is not None:
+    if density_optional and (density is None) == (k is None):
+        raise ValueError("give exactly one of density (ppp) or k (k-nearest)")
+    if density is None and density_optional:
         pass  # a k-nearest form that takes no density
     # the type test comes first, so that a string or a list cannot reach the comparison
     elif isinstance(density, bool) or not isinstance(density, _REAL_TYPES) or not 0 < density < np.inf:
@@ -195,26 +197,20 @@ def lens_area(r1, r2, separation):
     if not (r1 > 0 and r2 > 0):  # NaN radii fail too
         raise ValueError("circle radii must be positive")
     d = np.asarray(separation, dtype=float)
-    scalar = d.ndim == 0
-    d = np.atleast_1d(d)
     if not np.all(d >= 0):
         raise ValueError("separation must be non-negative")
-
-    out = np.empty_like(d)
-    full = d <= abs(r1 - r2)
-    none = d >= r1 + r2
-    mid = ~(full | none)
-    out[full] = np.pi * min(r1, r2) ** 2
-    out[none] = 0.0
-    out[mid] = _lens_formula(r1, r2, d[mid])
-    return float(out[0]) if scalar else out
+    out = _lens(r1, r2, np.atleast_1d(d))
+    return float(out[0]) if d.ndim == 0 else out
 
 
-def _lens_formula(r1, r2, d):
-    """The lens formula at separations d > 0, broadcast over r1, r2 and d.
+# the limits overwrite whatever d = 0 (a division by 0) and d = inf (inf - inf) give the formula
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _lens(r1, r2, d):
+    """Lens areas of circles of radii r1, r2 at separations d >= 0 (an array), broadcast over all three.
 
-    Exact where |r1 - r2| < d < r1 + r2; the callers set the full and empty
-    lenses outside that range.
+    The lens formula, then its two limits: 0 from d = r1 + r2 on, where
+    arccos(1 - eps) would leave a sliver, and the smaller circle up to
+    d = |r1 - r2|.  No validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -246,53 +242,39 @@ def _lens_formula(r1, r2, d):
     tri *= 0.5
     area -= tri
     # floored at 0: just below tangency the three terms cancel to round-off of either sign
-    return np.maximum(area, 0.0, out=area)
+    np.maximum(area, 0.0, out=area)
+    np.copyto(area, 0.0, where=d >= r1 + r2)
+    np.copyto(area, np.pi * np.minimum(r1, r2) ** 2, where=d <= abs(r1 - r2))
+    return area
 
 
-# The radii of tier t's lens (its outer hop edges) in row t - 1, as (tiers, 1)
-# columns; the separations from which the lens is empty and up to which it is
-# the smaller circle; and that circle's area.
+# the radii of tier t's lens, its outer hop edges, in row t - 1 of two (tiers, 1) columns
 _LENS_R1, _LENS_R2 = (np.array([[BAND_EDGES[b + 1]] for b in bands]) for bands in zip(*TIER_BANDS))
-_LENS_APART, _LENS_INSIDE = _LENS_R1 + _LENS_R2, abs(_LENS_R1 - _LENS_R2)
-_LENS_FULL = np.pi * np.minimum(_LENS_R1, _LENS_R2) ** 2
 
 
-def tier_lenses(r, n_tiers: int = 5, first: int = 0):
-    """(n_tiers - first, n) lens areas of tiers first+1..n_tiers at link lengths r > 0 (a 1-D array).
-
-    Row t - 1 - first is `lens_area` of tier t's outer hop edges at r, bit
-    for bit, from one broadcast evaluation for all tiers; no validation.
-    """
-    rows = slice(first, n_tiers)
-    lens = _lens_formula(_LENS_R1[rows], _LENS_R2[rows], r)
-    # past tangency arccos(1 - eps) would leave a sliver where the lens is empty
-    np.copyto(lens, 0.0, where=r >= _LENS_APART[rows])
-    np.copyto(lens, _LENS_FULL[rows], where=r <= _LENS_INSIDE[rows])
-    return lens
-
-
-def tier_areas(r, n_tiers: int = 5):
-    """Tier-1..n_tiers region areas for link length(s) r > 0 (no validation).
+def tier_areas(r):
+    """(5, n) tier-1..5 region areas of links of lengths r > 0 (a 1-D array); no validation.
 
     lens[t - 1] is the lens of tier t's outer hop edges.  It holds tier t and
     the tiers inside it, which are subtracted; a tier whose hops lie in two
-    different bands counts both hop orders, hence the factors of 2.  A 1-D
-    array r gives a tuple of arrays, a scalar a tuple of floats.
+    different bands counts both hop orders, hence the factors of 2.  A class
+    C link (r < 74.7 m) has no tiers 4 and 5, whose areas are 0, and tier 1
+    is empty from 96.4 m on.  Only the lenses some link needs are evaluated:
+    tier 1's when a link lies below 96.4 m, tiers 4 and 5's when one lies
+    from 74.7 m on.  The choice is for all of r, not per link: on the mixed
+    links of a Monte Carlo chunk of the "all" regime, gathering each link's
+    lenses costs more than it saves.
     """
-    scalar = np.ndim(r) == 0
-    areas = tier_areas_from_lenses(tier_lenses(np.atleast_1d(np.asarray(r, dtype=float)), n_tiers))
-    return tuple(float(s[0]) for s in areas) if scalar else areas
-
-
-def tier_areas_from_lenses(lens):
-    """The tier areas of `tier_areas` from the lenses of tiers 1..3 or 1..5, one row per tier."""
-    s1 = lens[0]  # 0 for r > 96.4
-    s2 = 2.0 * (lens[1] - s1)
-    s3 = lens[2] - s2 - s1
-    areas = (s1, s2, s3)
-    if len(lens) == 5:
-        s4 = 2.0 * (lens[3] - s1) - s2
-        areas += (s4, 2.0 * (lens[4] - lens[2]) - s4)
+    first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
+    class_c = r < BAND_2
+    last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
+    lens = np.zeros((len(TIER_BANDS), r.size))
+    lens[first:last] = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r)
+    s1, l2, l3, l4, l5 = lens
+    s2 = 2.0 * (l2 - s1)
+    s4 = 2.0 * (l4 - s1) - s2
+    areas = np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
+    areas[CLASS_TIERS["C"]:, class_c] = 0.0
     return areas
 
 
@@ -344,8 +326,8 @@ def tier_region_areas(link_class: str, r_k: float) -> RegionAreas:
     intersect).
     """
     check_band(link_class, CLASS_TIERS, r_k)
-    areas = tier_areas(float(r_k), CLASS_TIERS[link_class])
-    return RegionAreas(link_class=link_class, r_k=float(r_k), areas=areas)
+    areas = tier_areas(np.array([float(r_k)]))[:CLASS_TIERS[link_class], 0]
+    return RegionAreas(link_class=link_class, r_k=float(r_k), areas=tuple(map(float, areas)))
 
 
 def hop_band(d):
@@ -396,7 +378,8 @@ def nn_distance_pdf(k: int, density: float, r):
     """PDF of the distance to the kth nearest PPP neighbor.
 
     f(r) = 2 * exp(-lam*pi*r^2) * (lam*pi*r^2)^k / (r * (k-1)!), with
-    f(r) = 0 for r <= 0.  Vectorized in r; uses log-gamma for stability at
+    f(r) = 0 for r <= 0, and its limit 0 where lam*pi*r^2 overflows; a NaN r
+    raises ValueError.  Vectorized in r; uses log-gamma for stability at
     large k.
     """
     check_conditioning(density, k)
@@ -404,7 +387,12 @@ def nn_distance_pdf(k: int, density: float, r):
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     out = np.zeros_like(r)
-    pos = r > 0
-    x = density * np.pi * r[pos] ** 2
-    out[pos] = 2.0 * np.exp(-x + k * np.log(x) - gammaln(k)) / r[pos]
+    pos = r > 0  # False at NaN too
+    if not pos.all() and np.isnan(r).any():
+        raise ValueError("distance must not be NaN")
+    rp = r[pos]
+    # from x = 1e300 on the pdf is 0 in double precision at any k, so an overflow is capped there
+    with np.errstate(over="ignore"):
+        x = np.minimum(density * np.pi * rp ** 2, 1e300)
+    out[pos] = 2.0 * np.exp(-x + k * np.log(x) - gammaln(k)) / rp
     return float(out[0]) if scalar else out

@@ -34,8 +34,13 @@ CASES.update(
         for cond in ("ppp", "k=10")
     }
 )
-CASES["reproduce_fig7.json"] = ["reproduce", "fig7", "--lambda", "0.001,0.004", "--trials", "2000", "--seed", "3",
-                                "--format", "json"]
+CASES.update(
+    {
+        "reproduce_%s.json" % fig: ["reproduce", fig, "--lambda", "0.001,0.004", "--trials", "2000", "--seed", "3",
+                                    "--format", "json"]
+        for fig in ("fig7", "fig9")
+    }
+)
 
 
 def _run(name, out):

@@ -14,18 +14,11 @@ from coopmac.monte_carlo import (
     ExperimentConfig,
     SimEstimate,
     _draw_link_distance,
-    _link_tier_areas,
     contour_grid,
     estimate_throughput,
 )
-from coopmac.stochastic_geometry import (
-    BAND_2,
-    BAND_55,
-    REGIMES,
-    TIER1_MAX_SEPARATION,
-    nn_distance_band,
-    tier_areas,
-)
+from coopmac.stochastic_geometry import REGIMES, nn_distance_band
+from test_stochastic_geometry import class_tier_areas
 
 PARAMS = ChannelParams()
 
@@ -231,34 +224,14 @@ def test_k_nearest_draw_inverts_only_the_table_on_a_smooth_band(monkeypatch):
     assert calls == [monte_carlo._TABLE_INTERVALS + 1, 0]
 
 
-def test_link_tier_areas_are_the_tier_areas_bit_for_bit():
-    # only the lenses a chunk's links need, against all five lenses with class C's tiers 4-5
-    # zeroed, on chunks of one regime and of all three, over the eligible lengths and the
-    # doubles around 67.1, 74.7, 96.4 and 100 m
-    r = np.concatenate([np.random.default_rng(6).uniform(BAND_55, 100.0, 20_000)]
-                       + [_ulps_around(x) for x in (BAND_55, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
-    r = r[r >= BAND_55]
-    for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
-        assert _link_tier_areas(links).tobytes() == _all_lens_areas(links).tobytes()
-
-
-def _all_lens_areas(r):
-    areas = np.array(tier_areas(r))
-    areas[3:, r < BAND_2] = 0.0
-    return areas
-
-
-def _ulps_around(x, n=32):
-    return x + np.arange(-n, n + 1) * np.spacing(x)
-
-
 @pytest.mark.parametrize("k", [None, 10])
 @pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
 def test_estimates_do_not_depend_on_which_lenses_are_evaluated(regime, k, monkeypatch):
     config = ExperimentConfig(densities=(0.0005, 0.005), scheme="both", regime=regime, trials=3000,
                               base_seed=12, k=k, chunk_size=1000)
     trimmed = estimate_throughput(config)
-    monkeypatch.setattr(monte_carlo, "_link_tier_areas", _all_lens_areas)
+    # the reference evaluates all five lenses of every link
+    monkeypatch.setattr(monte_carlo, "tier_areas", class_tier_areas)
     assert estimate_throughput(config) == trimmed
 
 

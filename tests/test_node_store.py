@@ -42,7 +42,7 @@ def _stored(link_class, params=PARAMS):
 def _plain_kernel(regime, r, density, k, params):
     """The tier mixture computed from scratch on every call, one tier at a time."""
     link_class = REGIMES[regime][2]
-    empty = tier_void_law(tier_areas(r, CLASS_TIERS[link_class]), r, density, k)
+    empty = tier_void_law(tier_areas(r)[:CLASS_TIERS[link_class]], r, density, k)
     lower = upper = empty[-1] * _p_success(r, params) * CLASS_RATES[link_class]
     for p_i, (worst, best), rate in zip(empty[:-1] - empty[1:], ab._extremal_g(link_class, r, params), TIER_RATES):
         lower = lower + p_i * (worst * rate)

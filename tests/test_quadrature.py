@@ -25,6 +25,12 @@ def test_reversed_bounds_rejected():
     for a, b in ((0.0, np.nan), (np.nan, 0.0), (0.0, np.inf), (-np.inf, 0.0), (-np.inf, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             adaptive_simpson(lambda x: (calls.append(x), np.exp(x))[1], a, b)
+    # so is a tol that is not finite and positive; each used to exhaust the bisection budget
+    for tol in (np.nan, 0.0, -1.0, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            adaptive_simpson(lambda x: (calls.append(x), np.exp(x))[1], 0.0, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            analytic_bounds.averaged_bounds("C", 0.001, tol=tol)
     assert calls == []
 
 

@@ -5,7 +5,9 @@ from scipy.stats import gamma
 
 from coopmac.analytic_bounds import tier_probabilities
 from coopmac.stochastic_geometry import (
+    BAND_2,
     BAND_EDGES,
+    TIER1_MAX_SEPARATION,
     TIER_BANDS,
     classify_helper_tier,
     cumulative_areas,
@@ -15,7 +17,6 @@ from coopmac.stochastic_geometry import (
     sample_ppp,
     tier_areas,
     tier_index,
-    tier_lenses,
     tier_region_areas,
 )
 
@@ -127,8 +128,27 @@ def _ulps_around(x, n=64):
     return below[:0:-1] + above
 
 
-def test_tier_lenses_are_lens_area_bit_for_bit():
-    # the fused lenses of all tiers at once against one lens_area call per tier,
+def geometric_tier_areas(r):
+    """The five tier-region areas at link length(s) r from one `lens_area` call per tier.
+
+    Shape (5,) for a scalar r and (5, n) for a 1-D one; no class trim, so a
+    class C length (r < 74.7 m) keeps its geometric tier-4 and tier-5 areas.
+    """
+    s1, l2, l3, l4, l5 = (lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r) for i, j in TIER_BANDS)
+    s2 = 2.0 * (l2 - s1)
+    s4 = 2.0 * (l4 - s1) - s2
+    return np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
+
+
+def class_tier_areas(r):
+    """`geometric_tier_areas` of a 1-D r with tiers 4 and 5 of the class C lengths set to 0."""
+    areas = geometric_tier_areas(r)
+    areas[3:, r < BAND_2] = 0.0
+    return areas
+
+
+def test_tier_areas_are_lens_area_bit_for_bit():
+    # the lenses of all tiers in one broadcast call against one lens_area call per tier,
     # over (0, 100] m and the doubles around the band edges, the tier-1 tangency
     # (96.4 m) and the separations below which one circle holds the other
     r = np.concatenate(
@@ -136,18 +156,27 @@ def test_tier_lenses_are_lens_area_bit_for_bit():
         + [_ulps_around(x) for x in (48.2, 67.1, 74.7, 96.4, 100.0, 18.9, 26.5, 7.6)]
     )
     r = r[(r > 0.0) & (r <= 100.0)]
-    fused = tier_lenses(r)
-    for t, (i, j) in enumerate(TIER_BANDS):
-        want = lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r)
-        assert fused[t].tobytes() == want.tobytes(), "tier %d" % (t + 1)
-    for n_tiers in (3, 5):
-        assert tier_lenses(r, n_tiers).tobytes() == fused[:n_tiers].tobytes()
+    got, want = tier_areas(r), class_tier_areas(r)
+    for t in range(5):
+        assert got[t].tobytes() == want[t].tobytes(), "tier %d" % (t + 1)
 
 
-def test_tier_areas_of_a_scalar_are_floats():
-    areas = tier_areas(70.0)
-    assert all(type(a) is float for a in areas)
-    assert areas == tuple(float(a[0]) for a in tier_areas(np.array([70.0])))
+def test_tier_areas_trim_is_bit_for_bit():
+    # only the lenses the links need, against all five lenses with class C's tiers 4-5
+    # zeroed, on links of one regime and of all three, over the eligible lengths and the
+    # doubles around 67.1, 74.7, 96.4 and 100 m
+    r = np.concatenate([np.random.default_rng(6).uniform(67.1, 100.0, 20_000)]
+                       + [_ulps_around(x, 32) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
+    r = r[r >= 67.1]
+    for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
+        assert tier_areas(links).tobytes() == class_tier_areas(links).tobytes()
+
+
+def test_tier_region_areas_are_floats():
+    for link_class, r, n in (("C", 70.0, 3), ("D", 85.0, 5)):
+        areas = tier_region_areas(link_class, r).areas
+        assert all(type(a) is float for a in areas)
+        assert areas == tuple(tier_areas(np.array([r]))[:n, 0])
 
 
 def test_lens_rejects_bad_inputs():
@@ -162,6 +191,9 @@ def test_lens_rejects_bad_inputs():
     with pytest.raises(ValueError):
         lens_area(np.nan, 48.2, 10.0)
     assert lens_area(48.2, 48.2, np.inf) == 0.0
+    # the limits, with no warning from the formula they replace
+    assert lens_area(48.2, 30.0, [0.0, np.inf]).tolist() == [np.pi * 30.0 ** 2, 0.0]
+    assert lens_area(48.2, 48.2, [0.0, 1e200]).tolist() == [np.pi * 48.2 ** 2, 0.0]
 
 
 # ---------------------------------------------------------- tier region areas
@@ -303,6 +335,10 @@ def test_nn_pdf_normalization(k, lam):
 def test_nn_pdf_zero_for_nonpositive_r():
     assert nn_distance_pdf(3, 0.001, 0.0) == 0.0
     assert nn_distance_pdf(3, 0.001, -5.0) == 0.0
+    # the limit 0 where density*pi*r^2 overflows, with no warning
+    for r in (np.inf, 1e200, -np.inf):
+        assert nn_distance_pdf(10, 0.001, r) == 0.0
+    assert nn_distance_pdf(10, 0.001, np.array([1e200, 1e155, np.inf])).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_nn_pdf_validation():
@@ -310,6 +346,10 @@ def test_nn_pdf_validation():
         nn_distance_pdf(0, 0.001, 10.0)
     with pytest.raises(ValueError):
         nn_distance_pdf(2, -0.001, 10.0)
+    # a NaN distance used to give 0.0
+    for r in (np.nan, np.array([10.0, np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            nn_distance_pdf(10, 0.001, r)
 
 
 def test_nn_pdf_matches_empirical_kth_neighbor_distances():

@@ -26,6 +26,7 @@ from coopmac.monte_carlo import (
     estimate_throughput,
 )
 from coopmac.stochastic_geometry import BAND_EDGES, TIER_BANDS, tier_areas, tier_index
+from test_stochastic_geometry import geometric_tier_areas
 
 PARAMS = ChannelParams()
 # one link length per regime, and the tiers whose regions are non-empty there
@@ -83,7 +84,7 @@ def test_placed_points_lie_in_the_requested_tier(regime):
     tier = np.repeat(np.array(tiers), 500)
     r = np.full(tier.size, r_k)
     count = rng.integers(1, 6, size=tier.size)
-    area = np.array(tier_areas(r))[tier - 1, np.arange(tier.size)]
+    area = tier_areas(r)[tier - 1, np.arange(tier.size)]
     tid, d_sh, d_hd = _place_in_tier(rng, r, tier, area, count)
     assert np.all(np.diff(tid) >= 0)
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
@@ -101,8 +102,9 @@ def _band_edge_links():
 def test_placement_at_band_edges(r_k):
     """On a band edge the link length equals a hop edge x, so a hop order whose d_SH range starts
     at 0 takes its angle bound there from the limit rho -> 0 (pi/2 for r = x); every point must
-    still classify into its tier, and no warning may be raised."""
-    areas = np.array(tier_areas(r_k))
+    still classify into its tier, and no warning may be raised.  Tiers 4 and 5 are placed at class C
+    lengths too, by their geometric areas."""
+    areas = geometric_tier_areas(r_k)
     tiers = np.flatnonzero(areas > 0) + 1
     rng = np.random.default_rng(19)
     tier = np.repeat(tiers, 400)
@@ -139,7 +141,7 @@ def test_last_ulp_draws_keep_their_bands(r_k, monkeypatch):
         return d_sh, d_hd
 
     monkeypatch.setattr(mc, "_draw_polar", recording_draw_polar)
-    areas = np.array(tier_areas(r_k))
+    areas = geometric_tier_areas(r_k)
     tier = np.repeat(np.flatnonzero(areas > 0) + 1, 3)
     count = np.full(tier.size, 2)
     tid, d_sh, d_hd = _place_in_tier(_TopDrawRng(21), np.full(tier.size, r_k), tier, areas[tier - 1], count)
@@ -180,7 +182,7 @@ def test_accepted_share_of_polar_box_candidates(regime, monkeypatch):
     for t in tiers:
         seen.clear()
         n = 20_000
-        area = tier_areas(r_k)[t - 1]
+        area = geometric_tier_areas(r_k)[t - 1]
         _place_in_tier(np.random.default_rng(13 + t), np.full(n, r_k), np.full(n, t), np.full(n, area),
                        np.ones(n, dtype=np.int64))
         lo, hi, t_span, d_sh, d_hd = (np.concatenate(column) for column in zip(*seen))
@@ -201,7 +203,7 @@ def test_hop_orders_split_evenly(t, r_k):
     rng = np.random.default_rng(20 + t)
     n = 20_000
     count = rng.integers(1, 6, size=n)
-    _, d_sh, d_hd = _place_in_tier(rng, np.full(n, r_k), np.full(n, t), np.full(n, tier_areas(r_k)[t - 1]), count)
+    _, d_sh, d_hd = _place_in_tier(rng, np.full(n, r_k), np.full(n, t), np.full(n, geometric_tier_areas(r_k)[t - 1]), count)
     near_first = d_sh < d_hd
     assert _within(np.mean(near_first), 0.5, np.sqrt(0.25 / d_sh.size)), (t, r_k)
     # the two points of a two-point trial share their hop order with probability 1/2
@@ -258,7 +260,7 @@ def test_conventional_region_choice_follows_areas(regime, k):
     r_k, _, _ = LINKS[regime]
     n, density = 50_000, 0.0003
     has, tier, _ = _tier_first_helpers(np.random.default_rng(15), np.full(n, r_k), density, k, "conventional", PARAMS)
-    areas = np.where(np.isin(np.arange(1, 6), LINKS[regime][2]), tier_areas(r_k), 0.0)
+    areas = np.where(np.isin(np.arange(1, 6), LINKS[regime][2]), geometric_tier_areas(r_k), 0.0)
     if k is None:
         p_any = -np.expm1(-density * areas.sum())
     else:
