@@ -26,6 +26,16 @@ variable-length rejection rounds included, comes from its own stream, so
 results are bit-identical for a given seed regardless of how chunks are
 distributed across workers.
 
+Each chunk's link lengths are stratified in pairs: the uniform u that a
+link length inverts is cut into S = n_c // 2 equal slices for a chunk of
+n_c trials, and each slice holds two trials (the last three when n_c is
+odd).  Most of the variance of a class mix lies between link classes,
+which the strata remove.  A chunk reports its stratified mean
+(1/S) sum_h ybar_h and variance (1/S^2) sum_h s_h^2 / n_h, where a pair's
+s_h^2 / n_h is (t1 - t2)^2 / 4; see `SimEstimate` for the reduction.  A
+rest of one trial joins the chunk before it, so no stratum holds a single
+trial unless the run has one.
+
 Throughput scoring follows the rate-times-success-probability metric: in
 analytic mode a trial contributes rate * G(d_SH, d_HD) of the selected
 helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
@@ -93,6 +103,9 @@ DENSITY_GRID = tuple(round(0.0005 * i, 6) for i in range(1, 11))
 _TABLE_INTERVALS = 256
 _MAX_STEP = 1e-7
 
+# the largest double below 1, the top of every stratified uniform
+_BELOW_ONE = 1.0 - 2.0 ** -53
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -125,7 +138,8 @@ class ExperimentConfig:
         object.__setattr__(self, "densities", tuple(float(d) for d in densities))
         if not self.densities:
             raise ValueError("densities must not be empty")
-        for name, least in (("trials", 1), ("base_seed", 0), ("chunk_size", 1)):
+        # a chunk holds its trials in strata of two, so it needs two
+        for name, least in (("trials", 1), ("base_seed", 0), ("chunk_size", 2)):
             check_integer(name, getattr(self, name), least)
         if self.scheme not in ("proposed", "conventional", "both"):
             raise ValueError("unknown scheme %r" % (self.scheme,))
@@ -136,6 +150,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class SimEstimate:
+    """One cell's mean throughput (Mbps) and its standard error.
+
+    Each chunk of n_c trials is a stratified estimate over the link-length
+    uniform u: S = n_c // 2 equal slices of u hold two trials each (the last
+    three when n_c is odd).  The chunk's mean is (1/S) sum_h ybar_h and its
+    variance (1/S^2) sum_h s_h^2 / n_h, (t1 - t2)^2 / 4 for a pair.  The
+    cell's mean is sum_c n_c mean_c / trials, and its stderr is
+    sqrt(sum_c n_c^2 var_c) / trials.  One trial has stderr 0.
+    """
+
     mean: float
     stderr: float
     trials: int
@@ -145,10 +169,56 @@ class SimEstimate:
     seed: int
 
 
+def _stratified_uniforms(rng, n):
+    """n uniforms on [0, 1) in strata of two: trial i lies in slice i mod S of S = max(n // 2, 1).
+
+    [0, 1) is cut into S equal slices, and slice h holds trials h and h + S
+    (and trial 2S too in the last slice when n is odd): u = (h + U) / S for
+    a uniform U of the rng, clamped below 1.0, which (S - 1 + U) / S can
+    round to.  Trials 0..S-1 and S..2S-1 each run through the slices in
+    order, so `_stratified_moments` pairs them as two unit-stride slices.
+    """
+    s = max(n // 2, 1)
+    u = rng.random(n)
+    slices = np.arange(s, dtype=float)
+    u[:s] += slices
+    u[s:2 * s] += slices[:n - s]
+    u[2 * s:] += s - 1
+    u *= 1.0 / s
+    return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _stratified_moments(t):
+    """(n mean, n^2 var) of the stratified estimate of `SimEstimate` from a chunk's samples t.
+
+    The samples are in the strata of `_stratified_uniforms`.  For even n,
+    n mean is the plain sum; a chunk of one trial reports a variance of 0.
+    """
+    n = t.size
+    s = n // 2
+    if not s:
+        return float(t.sum()), 0.0
+    # strata (h, h + s) are pairs, but for an odd chunk's last one, which has three trials
+    odd = n % 2
+    diff = t[:s - odd] - t[s:2 * s - odd]
+    means = t.sum() / 2.0
+    within = np.dot(diff, diff) / 4.0
+    if odd:
+        tail = t[[s - 1, 2 * s - 1, 2 * s]]
+        means += tail.mean() - tail.sum() / 2.0
+        within += tail.var(ddof=1) / 3.0
+    w = n / s
+    return float(w * means), float(w * w * within)
+
+
 def _draw_link_distance(rng, n, band, density, k):
-    """Per-trial S-D distance: area law on the band, or truncated kth-NN law."""
+    """Per-trial S-D distance from stratified uniforms (`_stratified_uniforms`)."""
+    return _link_distance(_stratified_uniforms(rng, n), band, density, k)
+
+
+def _link_distance(u, band, density, k):
+    """S-D distance at each u in [0, 1): area law on the band, or truncated kth-NN law."""
     a, b = band
-    u = rng.uniform(size=n)
     if k is None:
         return np.maximum(np.sqrt(a * a + u * (b * b - a * a)), 1e-9)
     x = _gamma_quantiles(u, k, *nn_distance_band(a, b, density, k))
@@ -406,7 +476,21 @@ def _run_chunk(job):
     config, cell, density, scheme, chunk, n = job
     rng = np.random.default_rng(np.random.SeedSequence(entropy=config.base_seed, spawn_key=(cell, chunk)))
     t = _chunk_throughput(config.regime, density, scheme, n, config.channel, config.estimator_mode, config.k, rng)
-    return float(t.sum()), float(np.dot(t, t))
+    return _stratified_moments(t)
+
+
+def _chunk_sizes(trials, chunk_size):
+    """Trials per chunk: chunk_size each, the rest in the last chunk.
+
+    A rest of one trial joins the chunk before it, which then holds
+    chunk_size + 1, so that no chunk has a stratum of one trial unless
+    trials == 1.
+    """
+    sizes = [min(chunk_size, trials - start) for start in range(0, trials, chunk_size)]
+    if len(sizes) > 1 and sizes[-1] == 1:
+        sizes[-2] += 1
+        del sizes[-1]
+    return sizes
 
 
 def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimEstimate]:
@@ -414,16 +498,19 @@ def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimE
 
     Deterministic for a fixed base seed at any worker count: every chunk's
     rng stream depends only on (seed, cell index, chunk index) and the
-    reduction is exactly-rounded summation in chunk order.  `workers` must
-    be an integer >= 1; with 1 the chunks run in this process.
+    reduction is exactly-rounded summation, in chunk order, of each chunk's
+    n_c mean_c and n_c^2 var_c (see `SimEstimate`).  `workers` must be an
+    integer >= 1; the pool has at most one process per chunk, and with one
+    the chunks run in this process.
     """
     check_integer("workers", workers, 1)
     schemes = ("proposed", "conventional") if config.scheme == "both" else (config.scheme,)
     cells = [(d, s) for d in config.densities for s in schemes]
-    sizes = [min(config.chunk_size, config.trials - start) for start in range(0, config.trials, config.chunk_size)]
+    sizes = _chunk_sizes(config.trials, config.chunk_size)
     jobs = [(config, cell, density, scheme, chunk, n)
             for cell, (density, scheme) in enumerate(cells) for chunk, n in enumerate(sizes)]
 
+    workers = min(workers, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, jobs, chunksize=4))
@@ -433,15 +520,9 @@ def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimE
     out = []
     n = config.trials
     for cell, (density, scheme) in enumerate(cells):
-        sums, sqs = zip(*results[cell * len(sizes):(cell + 1) * len(sizes)])
-        mean = math.fsum(sums) / n
-        if n > 1:
-            var = max(math.fsum(sqs) - n * mean * mean, 0.0) / (n - 1)
-            stderr = math.sqrt(var / n)
-        else:
-            stderr = 0.0
-        out.append(SimEstimate(mean=mean, stderr=stderr, trials=n, density=density, scheme=scheme,
-                               regime=config.regime, seed=config.base_seed))
+        sums, variances = zip(*results[cell * len(sizes):(cell + 1) * len(sizes)])
+        out.append(SimEstimate(mean=math.fsum(sums) / n, stderr=math.sqrt(math.fsum(variances)) / n, trials=n,
+                               density=density, scheme=scheme, regime=config.regime, seed=config.base_seed))
     return out
 
 

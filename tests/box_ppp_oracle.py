@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from coopmac.channel_model import g_joint, p_success_direct
-from coopmac.monte_carlo import _draw_link_distance
+from coopmac.monte_carlo import _link_distance
 from coopmac.stochastic_geometry import BAND_2, BAND_55, BAND_RATES, REGIMES, TIER_RATES, hop_band, tier_index
 
 # helpers are only useful within 74.7 m of both endpoints
@@ -79,7 +79,8 @@ def _select_helpers(rng, r_elig, tid, x, y, scheme, params):
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples."""
-    r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
+    # independent uniforms, not the strata of the package, so the plain stderr below holds
+    r = _link_distance(rng.uniform(size=n), REGIMES[regime][:2], density, k)
     ps_r = p_success_direct(r, params)
     rate = np.take(BAND_RATES, hop_band(r))
     success_p = ps_r.copy()

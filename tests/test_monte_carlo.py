@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,12 @@ from coopmac.monte_carlo import (
     DENSITY_GRID,
     ExperimentConfig,
     SimEstimate,
+    _chunk_sizes,
     _draw_link_distance,
+    _link_distance,
+    _run_chunk,
+    _stratified_moments,
+    _stratified_uniforms,
     contour_grid,
     estimate_throughput,
 )
@@ -45,8 +51,9 @@ def test_config_validation():
             ExperimentConfig(densities=(0.001, density))
     with pytest.raises(ValueError, match="base_seed"):
         ExperimentConfig(base_seed=-1)
-    # constructed only: a chunk size below 1 would never finish the job loop
-    for chunk_size in (0, -5):
+    # constructed only: a chunk size below 1 would never finish the job loop,
+    # and a chunk of one trial has no pair to estimate its variance from
+    for chunk_size in (1, 0, -5):
         with pytest.raises(ValueError, match="chunk_size"):
             ExperimentConfig(chunk_size=chunk_size)
     # counts must be integers: a bool ran as 1 trial, a float failed inside numpy
@@ -171,17 +178,6 @@ def test_k_conditioned_band_deep_in_the_tail(regime, k):
     assert np.all((r >= lo) & (r <= hi))
 
 
-class _GivenUniforms:
-    """Stands in for a Generator whose next uniform draws are the given u."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self, size):
-        assert size == self.u.size
-        return self.u
-
-
 # every band of REGIMES at these densities, for the draw's comparison with scipy's inverse
 _DRAW_DENSITIES = sorted(set(DENSITY_GRID) | {0.0001, 0.005, 0.01, 0.05})
 # seeded u plus the edges: the band's near end, an x -> 0 start, the middle and the largest double below 1
@@ -201,7 +197,7 @@ def test_k_nearest_draw_is_the_exact_inverse(k):
                     lo, hi, inverse = nn_distance_band(a, b, density, k)
                 except ValueError:
                     continue  # no mass in double precision
-                r = _draw_link_distance(_GivenUniforms(_DRAW_U), _DRAW_U.size, (a, b), density, k)
+                r = _link_distance(_DRAW_U, (a, b), density, k)
                 want = np.maximum(np.sqrt(inverse(k, lo + _DRAW_U * (hi - lo)) / (density * np.pi)), 1e-9)
                 assert np.all((r >= a) & (r <= b)), (a, b, density)
                 worst = max(worst, np.max(np.abs(r - want) / want))
@@ -239,6 +235,170 @@ def test_k_conditioned_band_without_mass_raises():
     config = ExperimentConfig(densities=(0.05,), regime="D2", trials=100, k=1)
     with pytest.raises(ValueError, match="no probability"):
         estimate_throughput(config)
+
+
+# ---------------------------------------------------------------- stratified link lengths
+
+_TOP = 1.0 - 2.0 ** -53  # the largest uniform below 1
+
+
+class _GivenUniforms:
+    """Stands in for a Generator whose next uniform draws are the given u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10_000, 10_001])
+def test_each_slice_of_u_holds_two_trials(n):
+    s = max(n // 2, 1)
+    u = _stratified_uniforms(_GivenUniforms(np.full(n, 0.5)), n)
+    counts = np.bincount(np.floor(u * s).astype(np.intp), minlength=s)
+    # two per slice, the last three when n is odd; one trial is one slice of one
+    want = [1] if n == 1 else [2] * (s - 1) + [2 + n % 2]
+    assert counts.tolist() == want
+    # trial i sits in the middle of slice i mod S, and an odd chunk's trial 2S in the last slice
+    slices = np.arange(n) % s
+    slices[2 * s:] = s - 1
+    assert u == pytest.approx((slices + 0.5) / s, rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10_000, 10_001])
+def test_stratified_uniforms_stay_below_one(n):
+    # (S - 1 + U) / S rounds to 1.0 for U = 1 - 2^-53 and S >= 2; _gamma_quantiles
+    # would then index past the end of its table
+    u = _stratified_uniforms(_GivenUniforms(np.full(n, _TOP)), n)
+    assert u.max() < 1.0
+    r = _draw_link_distance(_GivenUniforms(np.full(n, _TOP)), n, REGIMES["all"][:2], 0.001, 10)
+    assert np.all((r > 0.0) & (r <= REGIMES["all"][1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 11, 12, 1001])
+def test_stratified_moments_match_the_strata(n):
+    t = 11.0 * np.random.default_rng(n).uniform(size=n)
+    s = max(n // 2, 1)
+    rows = [[h, h + s] for h in range(s)] if n > 1 else [[0]]
+    if n % 2 and n > 1:
+        rows[-1].append(2 * s)
+    strata = [t[row] for row in rows]
+    mean = np.mean([x.mean() for x in strata])
+    var = sum(x.var(ddof=1) / x.size for x in strata if x.size > 1) / s ** 2
+    total, spread = _stratified_moments(t)
+    assert total == pytest.approx(n * mean, rel=1e-13)
+    assert spread == pytest.approx(n * n * var, rel=1e-12)
+    if n % 2 == 0:
+        # an even chunk's n mean is the plain sum, and its n^2 var the sum of squared pair differences
+        assert total == float(t.sum())
+        assert spread == float(np.sum((t[:s] - t[s:]) ** 2))
+
+
+@pytest.mark.parametrize("trials,chunk_size", [(1, 10_000), (1, 2), (2, 2), (3, 2), (5, 2), (7, 3),
+                                               (2001, 1000), (2001, 2000), (9999, 10_000), (10_001, 10_000)])
+def test_no_chunk_holds_one_trial(trials, chunk_size):
+    sizes = _chunk_sizes(trials, chunk_size)
+    assert sum(sizes) == trials
+    assert sizes[:-1] == [chunk_size] * (len(sizes) - 1)
+    if trials == 1:
+        assert sizes == [1]
+    else:
+        # a rest of one joins the chunk before it
+        assert 2 <= sizes[-1] <= chunk_size + 1
+
+
+def test_estimate_reduces_the_stratified_chunks():
+    # 2001 trials in chunks of 1000 are 1000 and 1001 trials, the second with a stratum of three
+    config = ExperimentConfig(densities=(0.002,), regime="all", trials=2001, chunk_size=1000, base_seed=6)
+    est = estimate_throughput(config)[0]
+    parts = [_run_chunk((config, 0, 0.002, "proposed", chunk, n)) for chunk, n in enumerate((1000, 1001))]
+    assert est.mean == math.fsum(p[0] for p in parts) / 2001
+    assert est.stderr == math.sqrt(math.fsum(p[1] for p in parts)) / 2001
+    assert est.stderr > 0.0
+
+
+@pytest.mark.parametrize("k", [None, 10])
+def test_one_trial_has_zero_stderr(k):
+    for regime in ("C", "all"):
+        est = estimate_throughput(ExperimentConfig(densities=(0.002,), regime=regime, trials=1, base_seed=2, k=k))[0]
+        assert est.stderr == 0.0
+        assert 0.0 < est.mean <= 11.0
+
+
+# (regime, estimator mode, k) at 0.005 nodes/m^2, each with both schemes
+_CALIBRATION_CELLS = [(regime, mode, k) for regime in ("all", "D1") for mode in ("analytic", "sampled") for k in (None, 10)]
+# Under k = 10 at this density the class mix is class A but for about 6e-8 of
+# its links, and what variance the strata leave sits in the top slices of u,
+# where r(u) runs up the Gamma tail.  Each slice's pair is one degree of
+# freedom, so the stderr is right in square but skewed: the spread of the
+# means over seeds is 1.3x its mean at 2000 trials.
+_FEW_DEGREES = pytest.mark.xfail(strict=True, reason="stderr of a tail-dominated cell has few degrees of freedom")
+
+
+@pytest.mark.parametrize("cell", [pytest.param(i, marks=_FEW_DEGREES) if c == ("all", "analytic", 10) else i
+                                  for i, c in enumerate(_CALIBRATION_CELLS)])
+def test_stratified_stderr_is_calibrated(cell):
+    # the spread of the means over 100 seeds against the mean reported stderr; every
+    # cell has its own base seeds, so the cells' streams are independent
+    regime, mode, k = _CALIBRATION_CELLS[cell]
+    means, stderrs = {}, {}
+    for i in range(100):
+        config = ExperimentConfig(densities=(0.005,), scheme="both", regime=regime, trials=2000,
+                                  estimator_mode=mode, k=k, base_seed=1000 * cell + i)
+        for e in estimate_throughput(config):
+            means.setdefault(e.scheme, []).append(e.mean)
+            stderrs.setdefault(e.scheme, []).append(e.stderr)
+    for scheme in means:
+        ratio = np.std(means[scheme], ddof=1) / np.mean(stderrs[scheme])
+        assert 0.75 <= ratio <= 1.3, (scheme, ratio)
+
+
+@pytest.mark.parametrize("k", [None, 10])
+def test_class_mix_matches_the_separate_classes(k):
+    # regime "all" against its classes weighted by their band masses, each on its own seed
+    lam = 0.001
+
+    def run(regime, seed):
+        return estimate_throughput(ExperimentConfig(densities=(lam,), scheme="both", regime=regime, trials=20_000,
+                                                    k=k, base_seed=seed))
+
+    whole = run("all", 40)
+    parts = {regime: run(regime, 41 + i) for i, regime in enumerate(("A", "B", "C", "D1", "D2"))}
+    weight = {regime: band_mass(regime, lam, k) / band_mass("all", lam, k) for regime in parts}
+    assert sum(weight.values()) == pytest.approx(1.0, rel=1e-12)
+    for j, est in enumerate(whole):
+        mix = sum(weight[r] * parts[r][j].mean for r in parts)
+        se = math.sqrt(est.stderr ** 2 + sum((weight[r] * parts[r][j].stderr) ** 2 for r in parts))
+        assert abs(est.mean - mix) <= 4 * se, (est.scheme, est.mean, mix, se)
+
+
+def test_pool_has_at_most_one_process_per_chunk(monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Records the pool size asked for and runs the map in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(monte_carlo, "ProcessPoolExecutor", InlinePool)
+    config = ExperimentConfig(densities=(0.002,), regime="C", trials=3000, chunk_size=1000, base_seed=5)
+    assert estimate_throughput(config, workers=500) == estimate_throughput(config)
+    assert made == [3]
+    # a run of one chunk needs no pool at all
+    estimate_throughput(ExperimentConfig(densities=(0.002,), regime="C", trials=100), workers=500)
+    assert made == [3]
 
 
 # ---------------------------------------------------------------- contour_grid
