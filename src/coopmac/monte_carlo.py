@@ -288,7 +288,7 @@ def _zero_truncated_poisson(rng, mu):
     point sits at T1 = -log(1 - u * (1 - exp(-mu))), and the points after it
     are Poisson(mu - T1).
     """
-    t1 = -np.log1p(rng.uniform(size=mu.size) * np.expm1(-mu))
+    t1 = -np.log1p(rng.random(mu.size) * np.expm1(-mu))
     return 1 + rng.poisson(np.maximum(mu - t1, 0.0))
 
 
@@ -301,7 +301,7 @@ def _zero_truncated_binomial(rng, n, p):
     """
     with np.errstate(divide="ignore"):  # p = 1: log q = -inf, and J = 1
         log_q = np.log1p(-p)
-    j = np.ceil(np.log1p(rng.uniform(size=p.size) * np.expm1(n * log_q)) / log_q)
+    j = np.ceil(np.log1p(rng.random(p.size) * np.expm1(n * log_q)) / log_q)
     j = np.clip(j, 1, n).astype(np.int64)
     return 1 + rng.binomial(n - j, p)
 
@@ -420,7 +420,7 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     the links with a helper, its tier, its G).
     """
     areas = tier_areas(r)
-    u = rng.uniform(size=r.size)
+    u = rng.random(r.size)
     if scheme == "proposed":
         # the lowest non-empty tier is the number of terms of P{tiers 1..i all
         # empty}, i = 0..5, above u; 6 is none
@@ -440,7 +440,7 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
         # a helper exists unless the union of the regions, taken as one tier, is empty
         has = np.flatnonzero(u < 1.0 - void_probability(cum[-1], r, density, k))
         # region j with probability S_j / S_total; w < S_total, so S_j > 0
-        w = rng.uniform(size=has.size) * cum[-1, has]
+        w = rng.random(has.size) * cum[-1, has]
         tier = 1 + np.sum(cum[:, has] <= w, axis=0)
         area = areas[tier - 1, has]
         count = np.ones(has.size, dtype=np.int64)
@@ -468,7 +468,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         success_p[chosen] = g
 
     if estimator_mode == "sampled":
-        return rate * (rng.uniform(size=n) < success_p)
+        return rate * (rng.random(n) < success_p)
     return rate * success_p
 
 
