@@ -77,6 +77,7 @@ from .stochastic_geometry import (
     TIER_RATES,
     check_band,
     check_conditioning,
+    check_integer,
     nn_distance_band,
     nn_distance_pdf,
     tier_areas,
@@ -202,8 +203,7 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     (r_k > 96.4 m).
     """
     check_band(regime, HELPER_REGIMES, r_k)
-    if tier not in range(1, CLASS_TIERS[REGIMES[regime][2]] + 1):
-        raise ValueError("tier %r is not defined for regime %s" % (tier, regime))
+    check_integer("tier", tier, 1, CLASS_TIERS[REGIMES[regime][2]])
     if tier == 1 and REGIMES[regime][0] >= TIER1_MAX_SEPARATION:
         raise ValueError("tier 1 is infeasible for %s links (r_k > 96.4)" % regime)
     r = float(r_k)

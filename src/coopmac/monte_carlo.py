@@ -16,9 +16,12 @@ union of the tier regions, which is non-empty unless all are void.  With
 k = 1 no node is nearer than the destination, so no link has a helper.
 
 Placement is bipolar: a helper is drawn as (d_SH^2, angle at S), uniform
-in area, by rejection from the polar box that holds its hop order's region
-(d_SH in one hop band, d_HD in the other), and d_HD follows from the law
-of cosines, so a candidate costs no hypot and no tier lookup.
+in area, by rejection from a polar box, and d_HD follows from the law of
+cosines, so a candidate costs no hypot and no tier lookup.  Helpers are
+placed in one hop order, d_SH in the tier's higher hop band.  That is exact:
+swapping S and D maps this order's half of a two-band tier region onto the
+other half and swaps the hops, of which G and the tier are symmetric, so G
+has the law it has for a point uniform in the whole region.
 
 Trials are generated in fixed-size chunks whose rng streams are derived
 from (base seed, cell, chunk index), and every draw of a chunk, the
@@ -352,49 +355,41 @@ def _draw_polar(rng, lo, hi, t_lo, t_span, r):
 
 
 def _place_in_tier(rng, r, tier, area, count):
-    """count[j] >= 1 points uniform in the tier[j] region (area area[j]) of a link of length r[j].
+    """count[j] >= 1 points of the tier[j] region (area area[j]) of a link of length r[j].
 
-    Bipolar placement: each point is drawn in polar coordinates around S by
-    rejection from the (d_SH^2, angle) box of its hop order (`_polar_box`),
-    and kept when its hop lengths lie in the order's two bands.  A tier with
-    hops in two different bands has two hop orders, mirror images of equal
-    area, so a Binomial(count, 1/2) draw splits each trial's points between
-    them, and each order is placed as a sub-trial of its own.  Each round
-    draws about need/p candidates for every unfinished sub-trial, where p is
-    the region's share of its box, and keeps the first accepted ones up to
-    the number still needed.  Returns (trial index, d_SH, d_HD), sorted by trial.
+    Each point is uniform in the region's part with d_SH in the tier's higher
+    hop band and d_HD in its lower one: exact for G (see the module
+    docstring), and the order whose polar box the region fills best (about
+    half or more; the other order of tier 4 fills 0.2).  It is drawn around S
+    by rejection from that box (`_polar_box`) and kept when its hop lengths
+    lie in the two bands.  Each round draws about need/p candidates for every
+    unfinished trial, where p is the region's share of its box, and keeps the
+    first accepted ones up to the number still needed.  Returns (trial index,
+    d_SH, d_HD), sorted by trial.
     """
-    count = np.asarray(count, dtype=np.int64)
+    need = np.array(count, dtype=np.int64)
     hops = np.take(TIER_BANDS, tier - 1, axis=0)
-    mixed = hops[:, 0] != hops[:, 1]
-    in_order = count.copy()
-    in_order[mixed] = rng.binomial(count[mixed], 0.5)
-    # sub-trial 2j + o holds trial j's points of hop order o; order 1 swaps the bands
-    split = np.column_stack((in_order, count - in_order)).ravel()
-    sub = np.flatnonzero(split)
-    need = split[sub]
-    trial = sub >> 1
-    rs = r[trial]
-    # hop-band edges of each sub-trial's d_SH, [a, b), and d_HD, [c, d)
-    a, b = (np.take(BAND_EDGES, hops.ravel()[sub] + i) for i in (0, 1))
-    c, d = (np.take(BAND_EDGES, hops[:, ::-1].ravel()[sub] + i) for i in (0, 1))
-    lo, hi, t_lo, t_hi = _polar_box(rs, a, b, c, d)
+    s_band, d_band = hops.max(axis=1), hops.min(axis=1)
+    # hop-band edges of d_SH, [a, b), and of d_HD, [c, d)
+    a, b = (np.take(BAND_EDGES, s_band + i) for i in (0, 1))
+    c, d = (np.take(BAND_EDGES, d_band + i) for i in (0, 1))
+    lo, hi, t_lo, t_hi = _polar_box(r, a, b, c, d)
     t_span = t_hi - t_lo
     # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2
-    share = area[trial] / (np.where(mixed[trial], 2.0, 1.0) * (hi * hi - lo * lo) * t_span)
+    share = area / (np.where(s_band > d_band, 2.0, 1.0) * (hi * hi - lo * lo) * t_span)
     parts = []
-    todo = np.arange(sub.size)
+    todo = np.arange(r.size)
     for _ in range(_MAX_ROUNDS):
         if not todo.size:
             break
         m = np.ceil(need[todo] / share[todo]).astype(np.int64)
         tid = np.repeat(todo, m)
-        d_sh, d_hd = _draw_polar(rng, lo[tid], hi[tid], t_lo[tid], t_span[tid], rs[tid])
+        d_sh, d_hd = _draw_polar(rng, lo[tid], hi[tid], t_lo[tid], t_span[tid], r[tid])
         # the returned distances themselves, so that hop_band agrees at the band edges;
         # [lo, hi) lies in the S-hop band
         ok = (d_sh >= lo[tid]) & (d_sh < hi[tid]) & (d_hd >= c[tid]) & (d_hd < d[tid])
-        # keep the first min(accepted, needed) accepted candidates of each sub-trial:
-        # sub-trial j's accepted ones sit at acc_start[j] onward in flatnonzero(ok)
+        # keep the first min(accepted, needed) accepted candidates of each trial:
+        # trial j's accepted ones sit at acc_start[j] onward in flatnonzero(ok)
         got = np.add.reduceat(ok, np.cumsum(m) - m, dtype=np.int64)
         take = np.minimum(got, need[todo])
         acc_start, out_start = np.cumsum(got) - got, np.cumsum(take) - take
@@ -405,9 +400,8 @@ def _place_in_tier(rng, r, tier, area, count):
     else:
         raise RuntimeError("rejection sampling of helper positions did not finish")
     tid, d_sh, d_hd = (np.concatenate(p) for p in zip(*parts))
-    # sub-trials are in trial order, so sorting by sub-trial sorts by trial
     order = np.argsort(tid, kind="stable")
-    return trial[tid[order]], d_sh[order], d_hd[order]
+    return tid[order], d_sh[order], d_hd[order]
 
 
 def _tier_first_helpers(rng, r, density, k, scheme, params):

@@ -193,6 +193,10 @@ def test_tier_bound_pair_errors():
         tier_bound_pair("C", 4, 70.0, PARAMS)
     with pytest.raises(ValueError):
         tier_bound_pair("C", 1, 80.0, PARAMS)
+    # a tier is an integer: not a float, a bool, a string or None
+    for tier in (1.0, True, "1", None):
+        with pytest.raises(ValueError):
+            tier_bound_pair("C", tier, 70.0, PARAMS)
 
 
 def test_tier2_upper_dominates_lower_everywhere():

@@ -13,7 +13,7 @@ import pytest
 import coopmac.monte_carlo as mc
 from box_ppp_oracle import _helper_points, oracle_estimate
 from coopmac.analytic_bounds import tier_probabilities
-from coopmac.channel_model import ChannelParams
+from coopmac.channel_model import ChannelParams, g_joint
 from coopmac.monte_carlo import (
     DENSITY_GRID,
     ExperimentConfig,
@@ -25,7 +25,7 @@ from coopmac.monte_carlo import (
     _zero_truncated_poisson,
     estimate_throughput,
 )
-from coopmac.stochastic_geometry import BAND_EDGES, TIER_BANDS, tier_areas, tier_index
+from coopmac.stochastic_geometry import BAND_EDGES, TIER_BANDS, TIER_REACH, hop_band, tier_areas, tier_index
 from test_stochastic_geometry import geometric_tier_areas
 
 PARAMS = ChannelParams()
@@ -41,6 +41,12 @@ def _under_k(cases, ks):
 
 def _within(got, want, sigma, n_sigma=4.0):
     return abs(got - want) <= n_sigma * sigma
+
+
+def _in_one_hop_order(tier, d_sh, d_hd):
+    """Every point has d_SH in its tier's higher hop band and d_HD in the lower one."""
+    hops = np.take(TIER_BANDS, tier - 1, axis=0)
+    return np.array_equal(hop_band(d_sh), hops.max(axis=1)) and np.array_equal(hop_band(d_hd), hops.min(axis=1))
 
 
 def _frequency_ok(freq, p, n):
@@ -79,6 +85,7 @@ def test_zero_truncated_binomial_law(trials, p):
 
 @pytest.mark.parametrize("regime", sorted(LINKS))
 def test_placed_points_lie_in_the_requested_tier(regime):
+    """Each trial gets its count of points, each in its tier and in the one hop order placed."""
     r_k, _, tiers = LINKS[regime]
     rng = np.random.default_rng(12)
     tier = np.repeat(np.array(tiers), 500)
@@ -89,6 +96,7 @@ def test_placed_points_lie_in_the_requested_tier(regime):
     assert np.all(np.diff(tid) >= 0)
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
     assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
+    assert _in_one_hop_order(tier[tid], d_sh, d_hd)
 
 
 def _band_edge_links():
@@ -102,8 +110,8 @@ def _band_edge_links():
 def test_placement_at_band_edges(r_k):
     """On a band edge the link length equals a hop edge x, so a hop order whose d_SH range starts
     at 0 takes its angle bound there from the limit rho -> 0 (pi/2 for r = x); every point must
-    still classify into its tier, and no warning may be raised.  Tiers 4 and 5 are placed at class C
-    lengths too, by their geometric areas."""
+    still classify into its tier and hop order, and no warning may be raised.  Tiers 4 and 5 are
+    placed at class C lengths too, by their geometric areas."""
     areas = geometric_tier_areas(r_k)
     tiers = np.flatnonzero(areas > 0) + 1
     rng = np.random.default_rng(19)
@@ -112,6 +120,7 @@ def test_placement_at_band_edges(r_k):
     tid, d_sh, d_hd = _place_in_tier(rng, np.full(tier.size, r_k), tier, areas[tier - 1], count)
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
     assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
+    assert _in_one_hop_order(tier[tid], d_sh, d_hd)
 
 
 class _TopDrawRng:
@@ -120,9 +129,6 @@ class _TopDrawRng:
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
         self._draws = 0
-
-    def binomial(self, n, p):
-        return self._rng.binomial(n, p)
 
     def random(self, size):
         self._draws += 1
@@ -165,50 +171,91 @@ def test_polar_box_holds_its_region(r_k):
         assert np.all(angle(d) <= t_hi + 1e-12) and np.all(angle(c) >= t_lo - 1e-12), (r_k, s_band, d_band)
 
 
-@pytest.mark.parametrize("regime", sorted(LINKS))
-def test_accepted_share_of_polar_box_candidates(regime, monkeypatch):
-    """Every candidate the sampler draws is uniform in area over its hop order's polar box,
-    so the accepted share estimates the order's region area / box area.  The order's region
-    is the tier's (one order) or half of it (two), and the box covers the upper half-plane."""
-    r_k, _, tiers = LINKS[regime]
+def _recording_boxes(monkeypatch):
+    """Patch `_draw_polar` to record (lo, hi, t_span, r, d_SH, d_HD) of every candidate; returns the record."""
     seen = []
 
     def recording_draw_polar(rng, lo, hi, t_lo, t_span, r):
         d_sh, d_hd = _draw_polar(rng, lo, hi, t_lo, t_span, r)
-        seen.append((lo, hi, t_span, d_sh, d_hd))
+        seen.append((lo, hi, t_span, r, d_sh, d_hd))
         return d_sh, d_hd
 
     monkeypatch.setattr(mc, "_draw_polar", recording_draw_polar)
+    return seen
+
+
+def _region_share(t, area, lo, hi, t_span):
+    """The placed hop order's share of its polar box: its region is half the upper half-plane
+    part of the tier's when the tier's hops lie in two bands (two mirror orders), all of it else."""
+    orders = len(set(TIER_BANDS[t - 1]))
+    return area / (2 * orders) / (0.5 * (hi ** 2 - lo ** 2) * t_span)
+
+
+@pytest.mark.parametrize("regime", sorted(LINKS))
+def test_accepted_share_of_polar_box_candidates(regime, monkeypatch):
+    """Every candidate the sampler draws is uniform in area over the polar box of the one hop
+    order placed, one box per tier at a given link length, so the accepted share estimates the
+    order's region area / box area."""
+    r_k, _, tiers = LINKS[regime]
+    seen = _recording_boxes(monkeypatch)
     for t in tiers:
         seen.clear()
         n = 20_000
         area = geometric_tier_areas(r_k)[t - 1]
         _place_in_tier(np.random.default_rng(13 + t), np.full(n, r_k), np.full(n, t), np.full(n, area),
                        np.ones(n, dtype=np.int64))
-        lo, hi, t_span, d_sh, d_hd = (np.concatenate(column) for column in zip(*seen))
-        orders = len(set(TIER_BANDS[t - 1]))
-        # one box per hop order; the orders' d_SH ranges lie in different bands
-        for box in np.unique(np.column_stack((lo, hi, t_span)), axis=0):
-            mine = (lo == box[0]) & (hi == box[1]) & (t_span == box[2])
-            accepted = np.mean(tier_index(d_sh[mine], d_hd[mine], "D") == t)
-            share = area / (2 * orders) / (0.5 * (box[1] ** 2 - box[0] ** 2) * box[2])
-            assert _within(accepted, share, np.sqrt(share * (1 - share) / mine.sum())), (regime, t, box)
+        lo, hi, t_span, _, d_sh, d_hd = (np.concatenate(column) for column in zip(*seen))
+        (box,) = np.unique(np.column_stack((lo, hi, t_span)), axis=0)
+        accepted = np.mean(tier_index(d_sh, d_hd, "D") == t)
+        share = _region_share(t, area, *box)
+        assert _within(accepted, share, np.sqrt(share * (1 - share) / d_sh.size)), (regime, t, box)
 
 
-@pytest.mark.parametrize("r_k", [70.9, 85.55, 98.2])
-@pytest.mark.parametrize("t", [2, 4, 5])
-def test_hop_orders_split_evenly(t, r_k):
-    """A tier with hops in two bands has two mirror-image hop orders of equal area: each
-    placed point has d_SH < d_HD with probability 1/2, independently of the trial's other points."""
-    rng = np.random.default_rng(20 + t)
+def test_polar_boxes_are_mostly_filled(monkeypatch):
+    """Over a grid of class C and D link lengths, the region fills at least 0.45 of the box each
+    tier is placed from: the higher hop band at S.  The other order of tier 4 fills 0.20 near 74.7 m."""
+    r = np.linspace(67.1, 100.0, 330)
+    areas = tier_areas(r)
+    seen = _recording_boxes(monkeypatch)
+    for t in range(1, 6):
+        placed = areas[t - 1] > 0
+        seen.clear()
+        _place_in_tier(np.random.default_rng(22 + t), r[placed], np.full(placed.sum(), t), areas[t - 1, placed],
+                       np.ones(placed.sum(), dtype=np.int64))
+        lo, hi, t_span, r_box, _, _ = (np.concatenate(column) for column in zip(*seen))
+        share = _region_share(t, tier_areas(r_box)[t - 1], lo, hi, t_span)
+        assert share.min() >= 0.45, (t, share.min(), r_box[share.argmin()])
+
+
+def _tier_points(rng, r_k, t, n):
+    """n points uniform in the tier-t region of a link of length r_k, as (d_SH, d_HD): Cartesian
+    rejection from the rectangle around the tier's lens, each point classified by `tier_index`."""
+    reach = TIER_REACH[t - 1]
+    d_sh, d_hd = np.empty(0), np.empty(0)
+    while d_sh.size < n:
+        x = rng.uniform(r_k - reach, reach, n)
+        y = rng.uniform(-reach, reach, n)
+        s, d = np.hypot(x, y), np.hypot(x - r_k, y)
+        mine = tier_index(s, d, "D") == t
+        d_sh, d_hd = np.concatenate((d_sh, s[mine])), np.concatenate((d_hd, d[mine]))
+    return d_sh[:n], d_hd[:n]
+
+
+@pytest.mark.parametrize("regime,t",
+                         [(regime, t) for regime in sorted(LINKS) for t in (2, 4, 5) if t in LINKS[regime][2]])
+def test_one_order_gives_the_law_of_g_over_the_tier(regime, t):
+    """G of points placed in one hop order has the law of G of points uniform in the whole tier
+    region, found without `_polar_box`: the means, and the shares of each sample below the
+    reference's 10, 50 and 90% quantiles, agree within 4 sigma."""
+    r_k = LINKS[regime][0]
     n = 20_000
-    count = rng.integers(1, 6, size=n)
-    _, d_sh, d_hd = _place_in_tier(rng, np.full(n, r_k), np.full(n, t), np.full(n, geometric_tier_areas(r_k)[t - 1]), count)
-    near_first = d_sh < d_hd
-    assert _within(np.mean(near_first), 0.5, np.sqrt(0.25 / d_sh.size)), (t, r_k)
-    # the two points of a two-point trial share their hop order with probability 1/2
-    pair = (np.cumsum(count) - count)[count == 2]
-    assert _within(np.mean(near_first[pair] == near_first[pair + 1]), 0.5, np.sqrt(0.25 / pair.size)), (t, r_k)
+    _, d_sh, d_hd = _place_in_tier(np.random.default_rng(23 + t), np.full(n, r_k), np.full(n, t),
+                                   np.full(n, geometric_tier_areas(r_k)[t - 1]), np.ones(n, dtype=np.int64))
+    placed = g_joint(d_sh, d_hd, PARAMS)
+    ref = g_joint(*_tier_points(np.random.default_rng(24 + t), r_k, t, n), PARAMS)
+    assert _within(placed.mean(), ref.mean(), np.sqrt((placed.var() + ref.var()) / n)), (regime, t)
+    for p, q in zip((0.1, 0.5, 0.9), np.quantile(ref, (0.1, 0.5, 0.9))):
+        assert _within(np.mean(placed <= q), p, np.sqrt(2 * p * (1 - p) / n)), (regime, t, p)
 
 
 @pytest.mark.parametrize("regime,density,k",
