@@ -211,20 +211,19 @@ def test_accepted_share_of_polar_box_candidates(regime, monkeypatch):
         assert _within(accepted, share, np.sqrt(share * (1 - share) / d_sh.size)), (regime, t, box)
 
 
-def test_polar_boxes_are_mostly_filled(monkeypatch):
-    """Over a grid of class C and D link lengths, the region fills at least 0.45 of the box each
+@pytest.mark.parametrize("t", range(1, 6))
+def test_polar_boxes_are_mostly_filled(t, monkeypatch):
+    """Over a grid of class C and D link lengths, the region fills at least 0.45 of the box the
     tier is placed from: the higher hop band at S.  The other order of tier 4 fills 0.20 near 74.7 m."""
     r = np.linspace(67.1, 100.0, 330)
     areas = tier_areas(r)
     seen = _recording_boxes(monkeypatch)
-    for t in range(1, 6):
-        placed = areas[t - 1] > 0
-        seen.clear()
-        _place_in_tier(np.random.default_rng(22 + t), r[placed], np.full(placed.sum(), t), areas[t - 1, placed],
-                       np.ones(placed.sum(), dtype=np.int64))
-        lo, hi, t_span, r_box, _, _ = (np.concatenate(column) for column in zip(*seen))
-        share = _region_share(t, tier_areas(r_box)[t - 1], lo, hi, t_span)
-        assert share.min() >= 0.45, (t, share.min(), r_box[share.argmin()])
+    placed = areas[t - 1] > 0
+    _place_in_tier(np.random.default_rng(22 + t), r[placed], np.full(placed.sum(), t), areas[t - 1, placed],
+                   np.ones(placed.sum(), dtype=np.int64))
+    lo, hi, t_span, r_box, _, _ = (np.concatenate(column) for column in zip(*seen))
+    share = _region_share(t, tier_areas(r_box)[t - 1], lo, hi, t_span)
+    assert share.min() >= 0.45, (t, share.min(), r_box[share.argmin()])
 
 
 def _tier_points(rng, r_k, t, n):
