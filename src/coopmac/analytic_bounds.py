@@ -27,8 +27,9 @@ array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
 (`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),
 and G at each tier's extremal helper positions (`_extremal_g`, keyed by link
 class).  The worst positions, at the outer edges of each tier's hop bands,
-do not depend on the link length; their G is computed once per
-`ChannelParams` (`_fixed_g`).  Everything else the kernel needs but the tier
+do not depend on the link length; their G is tabulated once per
+`ChannelParams` (`channel_model.worst_tier_g`, the table of the Monte
+Carlo's control variate too).  Everything else the kernel needs but the tier
 law depends on the link length alone: the tier areas, Ps(r) and each tier's
 rate times its best-position G.  A node store per link class and
 `ChannelParams` (`_NodeStore`) keeps these rows for every link length seen
@@ -60,12 +61,12 @@ from typing import Optional
 
 import numpy as np
 
-from .channel_model import ChannelParams, _p_success, g_joint, p_success_direct
+# g_joint is not called here; the benchmark's tracer (bench/tracing.py) wraps it by this name
+from .channel_model import ChannelParams, _p_success, g_joint, p_success_direct, worst_tier_g  # noqa: F401
 from .quadrature import adaptive_simpson
 from .stochastic_geometry import (
     BAND_11,
     BAND_55,
-    BAND_EDGES,
     CLASS_RATES,
     CLASS_TIERS,
     DIRECT_CLASSES,
@@ -73,7 +74,6 @@ from .stochastic_geometry import (
     MAX_RANGE,
     REGIMES,
     TIER1_MAX_SEPARATION,
-    TIER_BANDS,
     TIER_RATES,
     check_band,
     check_conditioning,
@@ -160,16 +160,9 @@ def tier_probabilities(
 
 
 @lru_cache(maxsize=64)
-def _fixed_g(params: ChannelParams):
-    """The parts of `_extremal_g` that do not depend on the link length, once per ChannelParams.
-
-    G at each tier's worst helper position, where both hops reach the outer
-    edges of the tier's hop bands (one `g_joint` call for all five tiers),
-    and Ps at 48.2 m and at 67.1 m, the fixed hop of tiers 2 and 4 at their
-    best positions.
-    """
-    worst = g_joint(*np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS)), params)
-    return tuple(worst), float(p_success_direct(BAND_11, params)), float(p_success_direct(BAND_55, params))
+def _fixed_ps(params: ChannelParams):
+    """Ps at 48.2 m and at 67.1 m, the fixed hop of tiers 2 and 4 at their best positions, once per ChannelParams."""
+    return float(p_success_direct(BAND_11, params)), float(p_success_direct(BAND_55, params))
 
 
 def _extremal_g(link_class: str, r, params: ChannelParams):
@@ -177,12 +170,13 @@ def _extremal_g(link_class: str, r, params: ChannelParams):
 
     G at the worst and best helper positions the tier region admits; e.g. a
     tier-1 helper is worst at a corner where both hops stretch to 48.2 m
-    (`_fixed_g`) and best at the S-D midpoint.  Entries that do not depend on
-    r are scalars.  No validation: every hop length must be positive, which
-    holds for any r in a class C or D band.
+    (`worst_tier_g`) and best at the S-D midpoint.  Entries that do not
+    depend on r are scalars.  No validation: every hop length must be
+    positive, which holds for any r in a class C or D band.
     """
     n = CLASS_TIERS[link_class]
-    worst, ps_11, ps_55 = _fixed_g(params)
+    worst = worst_tier_g(params)[0]
+    ps_11, ps_55 = _fixed_ps(params)
     corner, inner = worst[:2]
     # Ps of the r-dependent hops: to the midpoint, and the far hops of tiers 2 and 4
     ps_mid, ps_2, *ps_4 = _p_success(np.array([r / 2, r - BAND_11, r - BAND_55][:n - 1]), params)
@@ -244,7 +238,7 @@ class _NodeStore:
         self.link_class, self.params = link_class, params
         n = CLASS_TIERS[link_class]
         # the tier rates times G at each tier's worst helper position, which r does not move
-        self.worst = np.array(_fixed_g(params)[0][:n]) * TIER_RATES[:n]
+        self.worst = worst_tier_g(params)[1][:n]
         # keys and rows swap together, so a reader never pairs one with the other's old value
         self.table = np.empty(0), np.empty((2 * n + 1, 0))
 

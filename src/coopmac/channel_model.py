@@ -9,14 +9,21 @@ succeeds when P_rec clears the receive threshold, which reduces to the
 Gaussian tail probability Q(nu + mu * log10(d)) with
 
     nu = (pth - pt - k_const) / sigma_sh,   mu = 10 * alpha / sigma_sh.
+
+The two-hop success G at each helper tier's worst position is tabulated
+once per parameter set (`worst_tier_g`), for the bounds and the Monte Carlo
+alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc
+
+from .stochastic_geometry import BAND_EDGES, TIER_BANDS, TIER_RATES
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -96,6 +103,23 @@ def g_joint(l1, l2, params: ChannelParams = ChannelParams()):
     (l1, l2).
     """
     return p_success_direct(l1, params) * p_success_direct(l2, params)
+
+
+@lru_cache(maxsize=64)
+def worst_tier_g(params: ChannelParams = ChannelParams()):
+    """G at each helper tier's worst position, and the tier rate times it, once per ChannelParams.
+
+    A tier's worst position has both hops at the outer edges of its hop
+    bands (`stochastic_geometry.TIER_BANDS`), where G is least over the tier
+    region, as Ps falls with the hop length.  Returns two read-only (5,)
+    arrays, tier 1 first: G, and rate x G, the tier's term of the lower
+    bound and the Monte Carlo's control variate.
+    """
+    g = g_joint(*np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS)), params)
+    terms = g * np.array(TIER_RATES)
+    for table in (g, terms):
+        table.setflags(write=False)
+    return g, terms
 
 
 def shadowing_sample(distance, params: ChannelParams, rng, size=None):

@@ -40,12 +40,28 @@ rest of one trial joins the chunk before it, so no stratum holds a single
 trial unless the run has one.
 
 Throughput scoring follows the rate-times-success-probability metric: in
-analytic mode a trial contributes rate * G(d_SH, d_HD) of the selected
+analytic mode a trial scores t = rate * G(d_SH, d_HD) of the selected
 helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
 probability with a Bernoulli draw of the same mean; that draw is the one
 meaning of "sampled" in the package.  Link lengths, hop bands, tiers and
 rates are read from the band table of `stochastic_geometry` (`REGIMES`,
 `BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`).
+
+In both modes a class C or D link then reports t - c + m(r), a control
+variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).  c is the
+trial's own term of the lower bound: the tier rate times G at the worst
+position of the tier or region it chose (`channel_model.worst_tier_g`, the
+table of the bounds), or rate * Ps(r) for a direct link.  m(r) is c's exact
+mean given r, from the choice law the trial drew its tier from: for the
+proposed scheme sum_i (V_(i-1) - V_i) rate_i G_worst_i + V_n rate_D Ps(r),
+with V_i = P{tiers 1..i all empty}, which is the link's lower bound; for
+the conventional one (1 - P_void) sum_j (S_j / S_tot) rate_j G_worst_j +
+P_void rate_D Ps(r).  c - m(r) has mean 0 given r, so the mean is
+unchanged, and the control draws nothing, so the rng stream is that of
+plain scoring and sampled mode keeps its Bernoulli draw.  It removes most
+of the variance of the tier or region choice.  In analytic mode an
+adjusted score is at least m(r), as G >= G_worst anywhere in a tier, and a
+direct link scores m(r) itself.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -67,7 +83,7 @@ from typing import List, Optional
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .channel_model import ChannelParams, g_joint, p_success_direct
+from .channel_model import ChannelParams, g_joint, p_success_direct, worst_tier_g
 from .stochastic_geometry import (
     BAND_55,
     BAND_EDGES,
@@ -161,6 +177,13 @@ class SimEstimate:
     variance (1/S^2) sum_h s_h^2 / n_h, (t1 - t2)^2 / 4 for a pair.  The
     cell's mean is sum_c n_c mean_c / trials, and its stderr is
     sqrt(sum_c n_c^2 var_c) / trials.  One trial has stderr 0.
+
+    The samples are the trials' scores with the control variate of the
+    module docstring applied to every class C or D link, in both modes:
+    t - c + m(r) has the plain score's mean, and each is a function of its
+    own trial, so the stratified stderr holds as it stands.  The control
+    adds no draw, so the rng stream is that of the plain scores, and sampled
+    mode keeps its Bernoulli draw.
     """
 
     mean: float
@@ -411,14 +434,21 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     the best helper of the lowest non-empty tier, whose law is given by the
     void probabilities of the tier regions; the conventional scheme takes one
     helper uniformly from the union of the regions.  Returns (index into r of
-    the links with a helper, its tier, its G).
+    the links with a helper, its tier, its G, bound, void), where void is the
+    probability that a link has no helper and bound the mean over the
+    scheme's choice of the chosen tier's rate x G_worst (`worst_tier_g`), a
+    link without a helper counting 0.
     """
     areas = tier_areas(r)
+    terms = worst_tier_g(params)[1]
     u = rng.random(r.size)
     if scheme == "proposed":
         # the lowest non-empty tier is the number of terms of P{tiers 1..i all
         # empty}, i = 0..5, above u; 6 is none
-        tier = np.sum(tier_void_law(areas, r, density, k) > u, axis=0)
+        empty = tier_void_law(areas, r, density, k)
+        void = empty[-1]
+        bound = np.dot(terms, empty[:-1] - empty[1:])
+        tier = np.sum(empty > u, axis=0)
         has = np.flatnonzero(tier <= areas.shape[0])
         tier = tier[has]
         area = areas[tier - 1, has]
@@ -432,22 +462,38 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
     else:  # conventional
         cum = cumulative_areas(areas)
         # a helper exists unless the union of the regions, taken as one tier, is empty
-        has = np.flatnonzero(u < 1.0 - void_probability(cum[-1], r, density, k))
-        # region j with probability S_j / S_total; w < S_total, so S_j > 0
+        void = void_probability(cum[-1], r, density, k)
+        # the pick is region j with probability (1 - void) S_j / S_total
+        bound = np.dot(terms, areas) * ((1.0 - void) / cum[-1])
+        has = np.flatnonzero(u < 1.0 - void)
+        # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
         w = rng.random(has.size) * cum[-1, has]
         tier = 1 + np.sum(cum[:, has] <= w, axis=0)
         area = areas[tier - 1, has]
         count = np.ones(has.size, dtype=np.int64)
     if not has.size:
-        return has, tier, np.empty(0)
+        return has, tier, np.empty(0), bound, void
     _, d_sh, d_hd = _place_in_tier(rng, r[has], tier, area, count)
     g = g_joint(d_sh, d_hd, params)
     # best G of each link's points (one point per link for the conventional scheme)
-    return has, tier, np.maximum.reduceat(g, np.cumsum(count) - count)
+    return has, tier, np.maximum.reduceat(g, np.cumsum(count) - count), bound, void
+
+
+def _control(has, tier, bound, void, direct, params):
+    """(c, m) of the control variate of links scored `direct` = rate x Ps(r) without a helper.
+
+    c is the lower-bound term of each link's choice: the tier rate times G
+    at the tier's worst position (`worst_tier_g`) for the links `has` with a
+    helper in `tier`, the direct score for the others.  m is c's mean given
+    the link length, bound + void x direct (see `_tier_first_helpers`).
+    """
+    c = direct.copy()
+    c[has] = worst_tier_g(params)[1][tier - 1]
+    return c, bound + void * direct
 
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
-    """Vectorized simulation of n trials; returns the throughput samples."""
+    """Vectorized simulation of n trials; returns the throughput samples, control applied."""
     r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
     ps_r = p_success_direct(r, params)
     rate = np.take(BAND_RATES, hop_band(r))
@@ -455,15 +501,21 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
 
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
-    if elig.size and k != 1:
-        has, tier, g = _tier_first_helpers(rng, r[elig], density, k, scheme, params)
+    helped = elig.size > 0 and k != 1
+    if helped:
+        has, tier, g, bound, void = _tier_first_helpers(rng, r[elig], density, k, scheme, params)
+        c, m = _control(has, tier, bound, void, (rate * ps_r)[elig], params)
         chosen = elig[has]
         rate[chosen] = np.take(TIER_RATES, tier - 1)
         success_p[chosen] = g
 
     if estimator_mode == "sampled":
-        return rate * (rng.random(n) < success_p)
-    return rate * success_p
+        t = rate * (rng.random(n) < success_p)
+    else:
+        t = rate * success_p
+    if helped:
+        t[elig] = (t[elig] - c) + m
+    return t
 
 
 def _run_chunk(job):

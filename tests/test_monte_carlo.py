@@ -137,8 +137,14 @@ def test_vanishing_density_collapses_to_direct():
     est = estimate_throughput(
         ExperimentConfig(densities=(1e-7,), regime="C", trials=30000, base_seed=4)
     )[0]
-    expected = _direct_average(67.1, 74.7, 2.0)
-    assert abs(est.mean - expected) < 4 * max(est.stderr, 1e-6)
+    # the exact mean is the direct-only value plus a helper share of order
+    # density x tier area, about 1e-3 Mbps here: the bounds bracket it, and
+    # the estimate lies no farther from the direct-only value than the upper bound
+    direct = _direct_average(67.1, 74.7, 2.0)
+    pair = averaged_bounds("C", 1e-7)
+    assert direct < pair.lower
+    assert pair.lower - 4 * est.stderr <= est.mean <= pair.upper + 4 * est.stderr
+    assert abs(est.mean - direct) <= pair.upper - direct
 
 
 def test_proposed_beats_conventional():

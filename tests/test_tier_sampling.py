@@ -262,7 +262,7 @@ def test_one_order_gives_the_law_of_g_over_the_tier(regime, t):
 def test_first_tier_frequencies_match_tier_probabilities(regime, density, k):
     r_k, link_class, _ = LINKS[regime]
     n = 50_000
-    has, tier, g = _tier_first_helpers(np.random.default_rng(14), np.full(n, r_k), density, k, "proposed", PARAMS)
+    has, tier, g, _, _ = _tier_first_helpers(np.random.default_rng(14), np.full(n, r_k), density, k, "proposed", PARAMS)
     assert np.all((g > 0) & (g <= 1))
     tp = tier_probabilities(link_class, r_k, density=None if k else density, k=k)
     freq = np.bincount(tier, minlength=6)[1:] / n
@@ -305,7 +305,7 @@ def test_k_nearest_tier_counts_match_disk_points(regime, monkeypatch):
 def test_conventional_region_choice_follows_areas(regime, k):
     r_k, _, _ = LINKS[regime]
     n, density = 50_000, 0.0003
-    has, tier, _ = _tier_first_helpers(np.random.default_rng(15), np.full(n, r_k), density, k, "conventional", PARAMS)
+    has, tier, _, _, _ = _tier_first_helpers(np.random.default_rng(15), np.full(n, r_k), density, k, "conventional", PARAMS)
     areas = np.where(np.isin(np.arange(1, 6), LINKS[regime][2]), geometric_tier_areas(r_k), 0.0)
     if k is None:
         p_any = -np.expm1(-density * areas.sum())
