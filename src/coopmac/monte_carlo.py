@@ -29,21 +29,30 @@ variable-length rejection rounds included, comes from its own stream, so
 results are bit-identical for a given seed regardless of how chunks are
 distributed across workers.
 
-Each chunk's link lengths are stratified in pairs: the uniform u that a
-link length inverts is cut into S = n_c // 2 equal slices for a chunk of
-n_c trials, and each slice holds two trials (the last three when n_c is
-odd).  Most of the variance of a class mix lies between link classes,
-which the strata remove.  A chunk reports its stratified mean
-(1/S) sum_h ybar_h and variance (1/S^2) sum_h s_h^2 / n_h, where a pair's
-s_h^2 / n_h is (t1 - t2)^2 / 4; see `SimEstimate` for the reduction.  A
-rest of one trial joins the chunk before it, so no stratum holds a single
-trial unless the run has one.
+Each chunk's trials are stratified in pairs: a chunk of n_c trials has
+S = n_c // 2 strata of mass 1/S, each holding two trials (the last three
+when n_c is odd).  The strata are the cells of a grid over (u, v), where u
+is the uniform that a link length inverts and v the one that sampled
+mode's Bernoulli success compares against its probability.  Stratum h is
+cell (a, b) = divmod(h, B): u-slice a spans [a B, a B + B_a) / S with
+B_a = min(B, S - a B), and column b spans [b, b + 1) / B_a of v.  In
+sampled mode B = isqrt(S), so both draws are stratified at no extra draw
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.3); in
+analytic mode, which has no v, B = 1 and the strata are S equal slices of
+u.  Most of the variance of a class mix lies between link classes, and
+most of that of a sampled cell in its Bernoulli draw, which the strata
+remove.  A chunk reports its stratified mean (1/S) sum_h ybar_h and
+variance (1/S^2) sum_h s_h^2 / n_h, where a pair's s_h^2 / n_h is
+(t1 - t2)^2 / 4; see `SimEstimate` for the reduction.  A rest of one trial
+joins the chunk before it, so no stratum holds a single trial unless the
+run has one.
 
 Throughput scoring follows the rate-times-success-probability metric: in
 analytic mode a trial scores t = rate * G(d_SH, d_HD) of the selected
 helper (or rate * Ps(r) for direct fallback); sampled mode replaces the
-probability with a Bernoulli draw of the same mean; that draw is the one
-meaning of "sampled" in the package.  Link lengths, hop bands, tiers and
+probability with a Bernoulli draw of the same mean, success when the
+trial's stratified v lies below it; that draw is the one meaning of
+"sampled" in the package.  Link lengths, hop bands, tiers and
 rates are read from the band table of `stochastic_geometry` (`REGIMES`,
 `BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`).
 
@@ -78,6 +87,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional
 
 import numpy as np
@@ -172,8 +182,11 @@ class SimEstimate:
     """One cell's mean throughput (Mbps) and its standard error.
 
     Each chunk of n_c trials is a stratified estimate over the link-length
-    uniform u: S = n_c // 2 equal slices of u hold two trials each (the last
-    three when n_c is odd).  The chunk's mean is (1/S) sum_h ybar_h and its
+    uniform u and, in sampled mode, the Bernoulli uniform v: its S = n_c // 2
+    strata are the cells of mass 1/S of a grid over (u, v) with B = isqrt(S)
+    columns in sampled mode and one in analytic mode (see
+    `_stratified_uniforms`), and each holds two trials (the last three when
+    n_c is odd).  The chunk's mean is (1/S) sum_h ybar_h and its
     variance (1/S^2) sum_h s_h^2 / n_h, (t1 - t2)^2 / 4 for a pair.  The
     cell's mean is sum_c n_c mean_c / trials, and its stderr is
     sqrt(sum_c n_c^2 var_c) / trials.  One trial has stderr 0.
@@ -195,23 +208,62 @@ class SimEstimate:
     seed: int
 
 
-def _stratified_uniforms(rng, n):
-    """n uniforms on [0, 1) in strata of two: trial i lies in slice i mod S of S = max(n // 2, 1).
+def _grid_columns(n, estimator_mode):
+    """Columns B of the grid of a chunk of n trials: isqrt(S) in sampled mode, 1 in analytic mode."""
+    return math.isqrt(max(n // 2, 1)) if estimator_mode == "sampled" else 1
 
-    [0, 1) is cut into S equal slices, and slice h holds trials h and h + S
-    (and trial 2S too in the last slice when n is odd): u = (h + U) / S for
-    a uniform U of the rng, clamped below 1.0, which (S - 1 + U) / S can
-    round to.  Trials 0..S-1 and S..2S-1 each run through the slices in
-    order, so `_stratified_moments` pairs them as two unit-stride slices.
+
+@lru_cache(maxsize=8)
+def _strata(n, columns):
+    """(a B, B_a, b) of each trial's stratum on the grid of `_stratified_uniforms`, as float arrays.
+
+    The arrays are read-only and cached, as a chunk's size and columns
+    repeat over a run.
     """
     s = max(n // 2, 1)
+    h = np.arange(n) % s
+    h[2 * s:] = s - 1
+    a, column = np.divmod(h, columns)
+    start = a * columns
+    grid = tuple(x.astype(float) for x in (start, np.minimum(columns, s - start), column))
+    for x in grid:
+        x.flags.writeable = False
+    return grid
+
+
+def _stratified_uniforms(rng, n, columns=1):
+    """n uniforms u on [0, 1) in strata of two, laid out as cells of a grid over (u, v).
+
+    S = max(n // 2, 1) strata hold trials h and h + S each (and trial 2S too
+    in the last one when n is odd).  Stratum h is cell (a, b) = divmod(h, B)
+    of a grid of B = `columns` columns (`_strata`): u-slice a spans
+    [a B, a B + B_a) / S with B_a = min(B, S - a B), and column b spans
+    [b, b + 1) / B_a of the uniform v of `_stratified_columns`, so every cell
+    has mass 1 / S.  Here u = (U B_a + a B) (1 / S) for a uniform U of the
+    rng, clamped below 1.0, which the top slice can round to; with B = 1
+    that is (h + U) / S, the strata of u alone.  Trials 0..S-1 and S..2S-1
+    each run through the strata in order, so `_stratified_moments` pairs
+    them as two unit-stride slices.
+    """
+    start, width, _ = _strata(n, columns)
     u = rng.random(n)
-    slices = np.arange(s, dtype=float)
-    u[:s] += slices
-    u[s:2 * s] += slices[:n - s]
-    u[2 * s:] += s - 1
-    u *= 1.0 / s
+    u *= width
+    u += start
+    u *= 1.0 / max(n // 2, 1)
     return np.minimum(u, _BELOW_ONE, out=u)
+
+
+def _stratified_columns(rng, n, columns):
+    """n uniforms v on [0, 1), each in its stratum's column of the grid of `_stratified_uniforms`.
+
+    v = (b + V) / B_a for a uniform V of the rng, clamped below 1.0, which
+    the last column can round to.
+    """
+    _, width, column = _strata(n, columns)
+    v = rng.random(n)
+    v += column
+    v /= width
+    return np.minimum(v, _BELOW_ONE, out=v)
 
 
 def _stratified_moments(t):
@@ -237,9 +289,9 @@ def _stratified_moments(t):
     return float(w * means), float(w * w * within)
 
 
-def _draw_link_distance(rng, n, band, density, k):
-    """Per-trial S-D distance from stratified uniforms (`_stratified_uniforms`)."""
-    return _link_distance(_stratified_uniforms(rng, n), band, density, k)
+def _draw_link_distance(rng, n, band, density, k, columns=1):
+    """Per-trial S-D distance from stratified uniforms (`_stratified_uniforms`) on a grid of `columns`."""
+    return _link_distance(_stratified_uniforms(rng, n, columns), band, density, k)
 
 
 def _link_distance(u, band, density, k):
@@ -494,7 +546,8 @@ def _control(has, tier, bound, void, direct, params):
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples, control applied."""
-    r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
+    columns = _grid_columns(n, estimator_mode)
+    r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k, columns)
     ps_r = p_success_direct(r, params)
     rate = np.take(BAND_RATES, hop_band(r))
     success_p = ps_r.copy()
@@ -510,7 +563,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         success_p[chosen] = g
 
     if estimator_mode == "sampled":
-        t = rate * (rng.random(n) < success_p)
+        t = rate * (_stratified_columns(rng, n, columns) < success_p)
     else:
         t = rate * success_p
     if helped:

@@ -2,7 +2,8 @@
 
 `plain_chunk` is `monte_carlo._chunk_throughput` with each trial scored as
 the rate times G of its helper, or times Ps(r) for a direct link (one
-Bernoulli draw of it in sampled mode), and no control subtracted or added.
+Bernoulli draw of it in sampled mode, against the same stratified v), and
+no control subtracted or added.
 It draws from a chunk's stream exactly as the package does, so on one seed
 the two see the same links, helpers and draws.  `plain_estimate` runs
 `estimate_throughput` with it in place of the package's chunk.
@@ -20,7 +21,8 @@ from coopmac.stochastic_geometry import BAND_55, BAND_RATES, REGIMES, TIER_RATES
 
 def plain_chunk(regime, density, scheme, n, params, estimator_mode, k, rng):
     """n plain trial scores of one chunk, drawn from `rng` as `_chunk_throughput` draws them."""
-    r = monte_carlo._draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
+    columns = monte_carlo._grid_columns(n, estimator_mode)
+    r = monte_carlo._draw_link_distance(rng, n, REGIMES[regime][:2], density, k, columns)
     rate = np.take(BAND_RATES, hop_band(r))
     success_p = p_success_direct(r, params)
     elig = np.flatnonzero(r >= BAND_55)
@@ -29,7 +31,7 @@ def plain_chunk(regime, density, scheme, n, params, estimator_mode, k, rng):
         rate[elig[has]] = np.take(TIER_RATES, tier - 1)
         success_p[elig[has]] = g
     if estimator_mode == "sampled":
-        return rate * (rng.random(n) < success_p)
+        return rate * (monte_carlo._stratified_columns(rng, n, columns) < success_p)
     return rate * success_p
 
 

@@ -8,10 +8,15 @@ with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says why in its description.
+and says why in its description.  Before it overwrites a JSON fixture it
+prints, for each estimate with a standard error, z = (new - old) /
+sqrt(se_old^2 + se_new^2), how far the estimate moved in units of its noise.
 """
 
+import json
+import math
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -54,8 +59,27 @@ def test_cli_output_matches_golden_file(name, tmp_path):
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 
+def _moves(old, new):
+    """(row label, estimate, z) for each estimate of two JSON outputs: a key `x` with a key `x_stderr`, or `mean` with `stderr`."""
+    for before, after in zip(old, new):
+        label = " ".join(str(before[key]) for key in ("density", "regime", "scheme") if key in before)
+        for key in before:
+            if key == "stderr" or key.endswith("_stderr"):
+                estimate = key[:-len("_stderr")] if key != "stderr" else "mean"
+                move = after[estimate] - before[estimate]
+                scale = math.hypot(before[key], after[key])
+                yield label, estimate, move / scale if scale else (math.copysign(math.inf, move) if move else 0.0)
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name in sorted(CASES):
-        _run(name, GOLDEN / name)
-        print("wrote", GOLDEN / name, file=sys.stderr)
+        path = GOLDEN / name
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / name
+            _run(name, out)
+            if path.suffix == ".json" and path.exists():
+                for label, estimate, z in _moves(json.loads(path.read_text()), json.loads(out.read_text())):
+                    print("%s  %s %s: z = %+.2f" % (name, label, estimate, z), file=sys.stderr)
+            path.write_bytes(out.read_bytes())
+        print("wrote", path, file=sys.stderr)

@@ -110,12 +110,26 @@ def test_stderr_scaling():
     assert big.stderr == pytest.approx(small.stderr / 2, rel=0.2)
 
 
-def test_analytic_and_sampled_means_agree():
-    an = estimate_throughput(ExperimentConfig(densities=(0.003,), regime="C", trials=40000, base_seed=5))[0]
-    sa = estimate_throughput(
-        ExperimentConfig(densities=(0.003,), regime="C", trials=40000, base_seed=6, estimator_mode="sampled")
-    )[0]
-    assert abs(an.mean - sa.mean) < 3 * np.hypot(an.stderr, sa.stderr)
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
+@pytest.mark.parametrize("k", [None, 10])
+def test_analytic_and_sampled_means_agree(k, regime):
+    kw = dict(densities=(0.003,), scheme="both", regime=regime, trials=200_000, k=k)
+    for an, sa in zip(estimate_throughput(ExperimentConfig(base_seed=5, **kw)),
+                      estimate_throughput(ExperimentConfig(base_seed=6, estimator_mode="sampled", **kw))):
+        z = (an.mean - sa.mean) / np.hypot(an.stderr, sa.stderr)
+        assert abs(z) <= 4, (an.scheme, an.mean, sa.mean, z)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+@pytest.mark.parametrize("k", [None, 10])
+def test_grid_cuts_the_sampled_stderr(k, regime, monkeypatch):
+    # on one seed the two layouts see the same draws; B = 1 strata u alone and leaves v unstratified
+    config = ExperimentConfig(densities=(0.001,), scheme="both", regime=regime, trials=10_000,
+                              estimator_mode="sampled", k=k, base_seed=41)
+    grid = estimate_throughput(config)
+    monkeypatch.setattr(monte_carlo, "_grid_columns", lambda n, estimator_mode: 1)
+    for est, flat in zip(grid, estimate_throughput(config)):
+        assert 1.4 * est.stderr <= flat.stderr, (est.scheme, est.stderr, flat.stderr)
 
 
 def _direct_average(a, b, rate):
@@ -259,28 +273,77 @@ class _GivenUniforms:
         return self.u.copy()
 
 
+def _grid_cells(n, columns):
+    """Each stratum's cell (u0, u1, v0, v1) of the grid, written out from its rule, and each trial's stratum."""
+    s = max(n // 2, 1)
+    cells = []
+    for h in range(s):
+        a, b = divmod(h, columns)
+        width = min(columns, s - a * columns)
+        cells.append((a * columns / s, (a * columns + width) / s, b / width, (b + 1) / width))
+    stratum = np.arange(n) % s
+    stratum[2 * s:] = s - 1
+    return cells, stratum
+
+
+def _grid_uniforms(rng, n, columns):
+    return _stratified_uniforms(rng, n, columns), monte_carlo._stratified_columns(rng, n, columns)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10_000, 10_001])
 def test_each_slice_of_u_holds_two_trials(n):
     s = max(n // 2, 1)
-    u = _stratified_uniforms(_GivenUniforms(np.full(n, 0.5)), n)
-    counts = np.bincount(np.floor(u * s).astype(np.intp), minlength=s)
-    # two per slice, the last three when n is odd; one trial is one slice of one
-    want = [1] if n == 1 else [2] * (s - 1) + [2 + n % 2]
-    assert counts.tolist() == want
-    # trial i sits in the middle of slice i mod S, and an odd chunk's trial 2S in the last slice
-    slices = np.arange(n) % s
-    slices[2 * s:] = s - 1
-    assert u == pytest.approx((slices + 0.5) / s, rel=1e-15)
+    for mode, columns in (("analytic", 1), ("sampled", math.isqrt(s))):
+        assert monte_carlo._grid_columns(n, mode) == columns
+        cells, stratum = _grid_cells(n, columns)
+        # the cells tile the unit square, each with mass 1 / S: the u-slices run
+        # edge to edge over [0, 1), and each slice's columns over [0, 1)
+        assert [(u1 - u0) * (v1 - v0) for u0, u1, v0, v1 in cells] == pytest.approx([1.0 / s] * s, rel=1e-12)
+        slices = {}
+        for u0, u1, v0, v1 in cells:
+            slices.setdefault((u0, u1), []).append((v0, v1))
+        edges = sorted(slices)
+        assert edges[0][0] == 0.0 and edges[-1][1] == pytest.approx(1.0, rel=1e-15)
+        assert all(lo[1] == pytest.approx(hi[0], rel=1e-15) for lo, hi in zip(edges, edges[1:]))
+        for spans in slices.values():
+            assert spans[0][0] == 0.0 and spans[-1][1] == 1.0
+            assert all(lo[1] == hi[0] for lo, hi in zip(spans, spans[1:]))
+        # trial i sits in the middle of its stratum's cell: stratum i mod S, and an odd chunk's trial 2S in the last
+        box = np.array(cells)[stratum]
+        u, v = _grid_uniforms(_GivenUniforms(np.full(n, 0.5)), n, columns)
+        assert u == pytest.approx((box[:, 0] + box[:, 1]) / 2, rel=1e-15)
+        assert v == pytest.approx((box[:, 2] + box[:, 3]) / 2, rel=1e-15)
+        # and anywhere in it; so two trials per cell, the last three when n is odd, one trial in one cell of one
+        u, v = _grid_uniforms(np.random.default_rng(n), n, columns)
+        assert np.all((box[:, 0] <= u) & (u < box[:, 1]) & (box[:, 2] <= v) & (v < box[:, 3]))
+        want = [1] if n == 1 else [2] * (s - 1) + [2 + n % 2]
+        assert np.bincount(stratum, minlength=s).tolist() == want
 
 
-@pytest.mark.parametrize("n", [1, 4, 7, 10_000, 10_001])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10_000, 10_001])
+def test_one_column_keeps_the_strata_of_u(n):
+    # with B = 1 the grid is the pair strata of u alone, u = (h + U) / S, bit for bit
+    given = np.random.default_rng(n).random(n)
+    s = max(n // 2, 1)
+    want = given.copy()
+    slices = np.arange(s, dtype=float)
+    want[:s] += slices
+    want[s:2 * s] += slices[:n - s]
+    want[2 * s:] += s - 1
+    want *= 1.0 / s
+    np.minimum(want, _TOP, out=want)
+    assert _stratified_uniforms(_GivenUniforms(given), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10_000, 10_001])
 def test_stratified_uniforms_stay_below_one(n):
-    # (S - 1 + U) / S rounds to 1.0 for U = 1 - 2^-53 and S >= 2; _gamma_quantiles
-    # would then index past the end of its table
-    u = _stratified_uniforms(_GivenUniforms(np.full(n, _TOP)), n)
-    assert u.max() < 1.0
-    r = _draw_link_distance(_GivenUniforms(np.full(n, _TOP)), n, REGIMES["all"][:2], 0.001, 10)
-    assert np.all((r > 0.0) & (r <= REGIMES["all"][1]))
+    # (S - 1 + U) / S rounds to 1.0 for U = 1 - 2^-53 and S >= 2, and so can the
+    # last column's (b + V) / B_a; _gamma_quantiles would index past the end of its table
+    for columns in (1, math.isqrt(max(n // 2, 1))):
+        u, v = _grid_uniforms(_GivenUniforms(np.full(n, _TOP)), n, columns)
+        assert u.max() < 1.0 and v.max() < 1.0
+        r = _draw_link_distance(_GivenUniforms(np.full(n, _TOP)), n, REGIMES["all"][:2], 0.001, 10, columns)
+        assert np.all((r > 0.0) & (r <= REGIMES["all"][1]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 11, 12, 1001])
@@ -334,7 +397,8 @@ def test_one_trial_has_zero_stderr(k):
 
 
 # (regime, estimator mode, k) at 0.005 nodes/m^2, each with both schemes
-_CALIBRATION_CELLS = [(regime, mode, k) for regime in ("all", "D1") for mode in ("analytic", "sampled") for k in (None, 10)]
+_CALIBRATION_CELLS = ([(regime, mode, k) for regime in ("all", "D1") for mode in ("analytic", "sampled") for k in (None, 10)]
+                      + [(regime, "sampled", k) for regime in ("C", "D2") for k in (None, 10)])
 # Under k = 10 at this density the class mix is class A but for about 6e-8 of
 # its links, and what variance the strata leave sits in the top slices of u,
 # where r(u) runs up the Gamma tail.  Each slice's pair is one degree of
