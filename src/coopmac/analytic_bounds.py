@@ -25,16 +25,16 @@ distance PDF under k-nearest conditioning.  The per-link pair comes from one
 array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
 (2, n) lower/upper array: the tier law of the link class's tier-region areas
 (`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),
-and G at each tier's extremal helper positions (`_extremal_g`, keyed by link
-class).  The worst positions, at the outer edges of each tier's hop bands,
-do not depend on the link length; their G is tabulated once per
-`ChannelParams` (`channel_model.worst_tier_g`, the table of the Monte
-Carlo's control variate too).  Everything else the kernel needs but the tier
-law depends on the link length alone: the tier areas, Ps(r) and each tier's
-rate times its best-position G.  A node store per link class and
-`ChannelParams` (`_NodeStore`) keeps these rows for every link length seen
-and finds them by exact equality, so only the tier law and the mixture are
-computed per call.  Adaptive Simpson builds every node by repeated
+and each tier's rate times G at its worst and best helper positions, the
+per-tier bracket of `channel_model.tier_bracket`, keyed by link class, which
+the Monte Carlo's control variate reads too.  The worst positions, at the
+outer edges of each tier's hop bands, do not depend on the link length;
+their G is tabulated once per `ChannelParams` (`channel_model.worst_tier_g`).
+Everything else the kernel needs but the tier law depends on the link length
+alone: the tier areas, Ps(r) and each tier's rate times its best-position G.
+A node store per link class and `ChannelParams` (`_NodeStore`) keeps these
+rows for every link length seen and finds them by exact equality, so only
+the tier law and the mixture are computed per call.  Adaptive Simpson builds every node by repeated
 midpoints from the band ends, so the integrals of all densities and
 conditionings land on the same node floats (a pass over `DENSITY_GRID` x
 C/D1/D2/total x {ppp, k=1, k=10} sees 33 class-C and 225 class-D nodes).
@@ -61,12 +61,18 @@ from typing import Optional
 
 import numpy as np
 
-# g_joint is not called here; the benchmark's tracer (bench/tracing.py) wraps it by this name
-from .channel_model import ChannelParams, _p_success, g_joint, p_success_direct, worst_tier_g  # noqa: F401
+# g_joint and p_success_direct are not called here; the benchmark's tracer
+# (bench/tracing.py) wraps them by these names
+from .channel_model import (  # noqa: F401
+    ChannelParams,
+    _p_success,
+    g_joint,
+    p_success_direct,
+    tier_bracket,
+    worst_tier_g,
+)
 from .quadrature import adaptive_simpson
 from .stochastic_geometry import (
-    BAND_11,
-    BAND_55,
     CLASS_RATES,
     CLASS_TIERS,
     DIRECT_CLASSES,
@@ -74,7 +80,6 @@ from .stochastic_geometry import (
     MAX_RANGE,
     REGIMES,
     TIER1_MAX_SEPARATION,
-    TIER_RATES,
     check_band,
     check_conditioning,
     check_integer,
@@ -159,51 +164,19 @@ def tier_probabilities(
     )
 
 
-@lru_cache(maxsize=64)
-def _fixed_ps(params: ChannelParams):
-    """Ps at 48.2 m and at 67.1 m, the fixed hop of tiers 2 and 4 at their best positions, once per ChannelParams."""
-    return float(p_success_direct(BAND_11, params)), float(p_success_direct(BAND_55, params))
-
-
-def _extremal_g(link_class: str, r, params: ChannelParams):
-    """(worst, best) joint success G of each tier of the link class at link length(s) r.
-
-    G at the worst and best helper positions the tier region admits; e.g. a
-    tier-1 helper is worst at a corner where both hops stretch to 48.2 m
-    (`worst_tier_g`) and best at the S-D midpoint.  Entries that do not
-    depend on r are scalars.  No validation: every hop length must be
-    positive, which holds for any r in a class C or D band.
-    """
-    n = CLASS_TIERS[link_class]
-    worst = worst_tier_g(params)[0]
-    ps_11, ps_55 = _fixed_ps(params)
-    corner, inner = worst[:2]
-    # Ps of the r-dependent hops: to the midpoint, and the far hops of tiers 2 and 4
-    ps_mid, ps_2, *ps_4 = _p_success(np.array([r / 2, r - BAND_11, r - BAND_55][:n - 1]), params)
-    mid = ps_mid * ps_mid
-    # tier 3 is best at its inner corner (both hops 48.2 m) while S and D are
-    # within 96.4 m of each other, and at the midpoint beyond
-    best = [mid, ps_11 * ps_2, np.where(r > TIER1_MAX_SEPARATION, mid, corner)]
-    if n == 5:
-        best += [ps_55 * ps_4[0], inner]
-    return list(zip(worst[:n], best))
-
-
 def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = ChannelParams()) -> BoundPair:
     """Lower/upper throughput bounds (Mbps) for one tier of a given link.
 
     The tier rate times G at the tier region's worst and best helper
-    positions (`_extremal_g`).  Tier 1 does not exist in the D2 regime
-    (r_k > 96.4 m).
+    positions (`channel_model.tier_bracket`).  Tier 1 does not exist in the
+    D2 regime (r_k > 96.4 m).
     """
     check_band(regime, HELPER_REGIMES, r_k)
     check_integer("tier", tier, 1, CLASS_TIERS[REGIMES[regime][2]])
     if tier == 1 and REGIMES[regime][0] >= TIER1_MAX_SEPARATION:
         raise ValueError("tier 1 is infeasible for %s links (r_k > 96.4)" % regime)
-    r = float(r_k)
-    worst, best = _extremal_g(REGIMES[regime][2], r, params)[tier - 1]
-    rate = TIER_RATES[tier - 1]
-    return BoundPair(float(worst) * rate, float(best) * rate)
+    worst, best = tier_bracket(REGIMES[regime][2], np.array([float(r_k)]), params)
+    return BoundPair(float(worst[tier - 1]), float(best[tier - 1, 0]))
 
 
 # link lengths a node store holds before it starts over
@@ -214,14 +187,13 @@ def _node_rows(link_class: str, r, params: ChannelParams):
     """(2n + 1, len(r)) kernel rows of a class C or D link that depend on its length r alone.
 
     The n tier-region areas (`tier_areas`), Ps(r), and the n tier rates
-    times G at each tier's best helper position (`_extremal_g`).
+    times G at each tier's best helper position (`tier_bracket`).
     """
     n = CLASS_TIERS[link_class]
     rows = np.empty((2 * n + 1, len(r)))
     rows[:n] = tier_areas(r)[:n]
     rows[n] = _p_success(r, params)
-    for row, (_, best), rate in zip(rows[n + 1:], _extremal_g(link_class, r, params), TIER_RATES):
-        row[...] = best * rate
+    rows[n + 1:] = tier_bracket(link_class, r, params)[1]
     return rows
 
 
@@ -237,7 +209,8 @@ class _NodeStore:
     def __init__(self, link_class: str, params: ChannelParams):
         self.link_class, self.params = link_class, params
         n = CLASS_TIERS[link_class]
-        # the tier rates times G at each tier's worst helper position, which r does not move
+        # the tier rates times G at each tier's worst helper position, the lower end of
+        # `tier_bracket`, which r does not move
         self.worst = worst_tier_g(params)[1][:n]
         # keys and rows swap together, so a reader never pairs one with the other's old value
         self.table = np.empty(0), np.empty((2 * n + 1, 0))
@@ -274,8 +247,9 @@ def _link_bounds(regime: str, r, density, k, params: ChannelParams):
 
     The array kernel behind `link_bounds_at_distance` and every bound
     integral: the residual direct term Ps(r) x direct rate plus the tier
-    mixture of `_extremal_g`, whose r-only rows come from the link class's
-    `_NodeStore`; only the tier law depends on the density.  The mixture's
+    mixture of the per-tier bracket (`tier_bracket`), whose r-only rows come
+    from the link class's `_NodeStore`; only the tier law depends on the
+    density.  The mixture's
     terms are stacked and summed over the tier axis in one ordered reduction,
     the direct term first.  It depends on the regime only through its link
     class.  No validation; under k-nearest conditioning `density` is not used.

@@ -14,8 +14,8 @@ import pytest
 
 from coopmac import analytic_bounds as ab
 from coopmac.analytic_bounds import averaged_bounds, link_bounds_at_distance
-from coopmac.channel_model import ChannelParams, _p_success
-from coopmac.stochastic_geometry import CLASS_RATES, CLASS_TIERS, REGIMES, TIER_RATES, tier_areas, tier_void_law
+from coopmac.channel_model import ChannelParams, _p_success, tier_bracket
+from coopmac.stochastic_geometry import CLASS_RATES, CLASS_TIERS, REGIMES, tier_areas, tier_void_law
 from test_bound_bits import FIXTURE, _bits, _cells, _key
 
 PARAMS = ChannelParams()
@@ -44,9 +44,9 @@ def _plain_kernel(regime, r, density, k, params):
     link_class = REGIMES[regime][2]
     empty = tier_void_law(tier_areas(r)[:CLASS_TIERS[link_class]], r, density, k)
     lower = upper = empty[-1] * _p_success(r, params) * CLASS_RATES[link_class]
-    for p_i, (worst, best), rate in zip(empty[:-1] - empty[1:], ab._extremal_g(link_class, r, params), TIER_RATES):
-        lower = lower + p_i * (worst * rate)
-        upper = upper + p_i * (best * rate)
+    for p_i, worst, best in zip(empty[:-1] - empty[1:], *tier_bracket(link_class, r, params)):
+        lower = lower + p_i * worst
+        upper = upper + p_i * best
     return np.stack((lower, upper))
 
 
@@ -88,6 +88,20 @@ def test_stored_kernel_matches_the_plain_mixture(regime, k):
         for chunk in (r[:1], r[:7], r[7:], r):  # partly stored, then fully stored
             got = ab._link_bounds(regime, chunk, 0.002, k, params)
             assert got.tobytes() == _plain_kernel(regime, chunk, 0.002, k, params).tobytes()
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+def test_stored_rows_are_the_bracket_kernels_output(regime):
+    # the store's worst terms and best rows are `tier_bracket`'s, byte for byte, cold or stored
+    lo, hi, link_class = REGIMES[regime]
+    n = CLASS_TIERS[link_class]
+    r = np.random.default_rng(12).uniform(lo, hi, size=50)
+    for params in (PARAMS, OTHER):
+        store = ab._node_store(link_class, params)
+        worst, best = tier_bracket(link_class, r, params)
+        for _ in range(2):
+            assert store.worst.tobytes() == worst.tobytes()
+            assert store.rows(r)[n + 1:].tobytes() == best.tobytes()
 
 
 def test_alternating_channel_params_give_each_its_cold_result():
