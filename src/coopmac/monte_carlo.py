@@ -56,6 +56,20 @@ trial's stratified v lies below it; that draw is the one meaning of
 rates are read from the band table of `stochastic_geometry` (`REGIMES`,
 `BAND_EDGES`, `TIER_BANDS`, `BAND_RATES`, `TIER_RATES`).
 
+A chunk draws, in order: the link lengths, in sampled mode v, each link's
+tier or region choice (`_tier_choice`), and the helper counts and
+positions (`_best_g`).  Sampled mode places helpers only where the outcome
+depends on them (the squeeze: Devroye, Non-Uniform Random Variate
+Generation, 1986, II.3).  G anywhere in the chosen tier lies between its
+values at the tier's worst and best positions, the bracket of
+`channel_model.tier_bracket`, so v < G_worst (1 - eps) is a success and
+v >= G_best(r) (1 + eps) a failure whatever the helpers, with eps =
+_SQUEEZE_MARGIN = 1e-9, far above the rounding of G and of the bracket;
+every settled outcome is the one full placement gives (`_squeeze`).  Only
+the links with v inside the bracket, 13-25% of those with a helper at
+densities 0.0005-0.005, draw a count and place helpers.  Analytic mode
+has no v and places the helpers of every link with one.
+
 In both modes a class C or D link then reports t - c + m(r), a control
 variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).  G anywhere
 in a tier lies between its values at the tier's worst and best positions,
@@ -66,11 +80,13 @@ a direct link.  m(r) is c's exact mean given r, from the choice law the
 trial drew its tier from: for the proposed scheme sum_i (V_(i-1) - V_i)
 mid_i(r) + V_n rate_D Ps(r), with V_i = P{tiers 1..i all empty}, which is
 the mean of the link's lower and upper bounds; for the conventional one
-(1 - P_void) sum_j (S_j / S_tot) mid_j(r) + P_void rate_D Ps(r).  All
-eligible links are read through the 5-tier kernel; a class C link's tiers
-4 and 5 have no area and add exactly 0.  c - m(r) has mean 0 given r, so
-the mean is unchanged, and the control draws nothing, so the rng stream is
-that of plain scoring and sampled mode keeps its Bernoulli draw.  It removes
+(1 - P_void) sum_j (S_j / S_tot) mid_j(r) + P_void rate_D Ps(r).  A
+chunk reads the bracket once, shared by the control and the squeeze,
+through the 3-tier kernel of class C when all its eligible links are of
+that class and the 5-tier one otherwise; a class C link's tiers 4 and 5
+have no area and add exactly 0.  c - m(r) has mean 0 given r, so the mean
+is unchanged, and the control draws nothing, so sampled mode keeps its
+Bernoulli draw.  It removes
 most of the variance of the tier or region choice and of the spread within
 the chosen tier: against a control on the lower end of the bracket, at a
 density of 0.005 it cuts the analytic-mode variance 3.1-3.2x for class D1
@@ -97,13 +113,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
 from .channel_model import ChannelParams, g_joint, p_success_direct, tier_bracket
 from .stochastic_geometry import (
+    BAND_2,
     BAND_55,
     BAND_EDGES,
     BAND_RATES,
@@ -143,6 +160,10 @@ _MAX_STEP = 1e-7
 
 # the largest double below 1, the top of every stratified uniform
 _BELOW_ONE = 1.0 - 2.0 ** -53
+
+# relative margin by which sampled mode's v must clear an end of a link's G
+# bracket for the squeeze to settle its Bernoulli draw (`_squeeze`)
+_SQUEEZE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -204,9 +225,13 @@ class SimEstimate:
     module docstring applied to every class C or D link, in both modes:
     t - c + m(r), with c the midpoint of the trial's tier bracket, has the
     plain score's mean, and each is a function of its own trial, so the
-    stratified stderr holds as it stands.  The control adds no draw, so the
-    rng stream is that of the plain scores, and sampled mode keeps its
-    Bernoulli draw.
+    stratified stderr holds as it stands.  The control adds no draw, and
+    sampled mode keeps its Bernoulli draw.  Sampled mode draws v before the
+    helpers and places them only where v lies inside the chosen tier's
+    bracket, widened by the margin _SQUEEZE_MARGIN = 1e-9 (the squeeze of
+    the module docstring); elsewhere the bracket settles the outcome, which
+    is the one full placement gives, so each trial's score has the law it
+    has with every helper placed.
     """
 
     mean: float
@@ -489,17 +514,35 @@ def _place_in_tier(rng, r, tier, area, count):
     return tid[order], d_sh[order], d_hd[order]
 
 
-def _tier_first_helpers(rng, r, density, k, scheme, params):
-    """Selected helper of each link, under the PPP (k None) or with k-1 nodes nearer than the destination.
+class _TierChoice(NamedTuple):
+    """Each link's tier or region choice, drawn before any helper is placed (`_tier_choice`).
+
+    has indexes the links with a helper, tier is the tier or region each
+    chose and area its area; load is the parameter of the helper count, the
+    mean count density x area under the PPP and each nearer node's chance to
+    lie in the tier under k-nearest conditioning (None for the conventional
+    scheme, whose count is 1).  law is the (5, len(r)) choice law, the
+    probability that a link settles on each tier or region, and void the
+    probability that it has no helper, the two that `_control` centres the
+    control variate with.
+    """
+
+    has: np.ndarray
+    tier: np.ndarray
+    area: np.ndarray
+    load: Optional[np.ndarray]
+    law: np.ndarray
+    void: np.ndarray
+
+
+def _tier_choice(rng, r, density, k, scheme):
+    """Tier or region of each link's selected helper, under the PPP (k None) or with k-1 nearer nodes.
 
     Only the helpers the scheme can see are drawn.  The proposed scheme takes
     the best helper of the lowest non-empty tier, whose law is given by the
     void probabilities of the tier regions; the conventional scheme takes one
-    helper uniformly from the union of the regions.  Returns (index into r of
-    the links with a helper, its tier, its G, law, void): law is the (5,
-    len(r)) choice law, the probability that a link settles on each tier or
-    region, and void the probability that it has no helper, the two that
-    `_control` centres the control variate with.
+    helper uniformly from the union of the regions.  `_best_g` then draws the
+    helpers of the chosen tier.
     """
     areas = tier_areas(r)
     u = rng.random(r.size)
@@ -514,12 +557,11 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
         tier = tier[has]
         area = areas[tier - 1, has]
         if k is None:
-            count = _zero_truncated_poisson(rng, density * area)
+            load = density * area
         else:
             # each of the k-1 nodes avoids tiers 1..i-1, so it lies in tier i
             # with probability S_i / (disk area - S_1 - ... - S_(i-1))
-            rest = np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area)
-            count = _zero_truncated_binomial(rng, k - 1, area / rest)
+            load = area / (np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area))
     else:  # conventional
         cum = cumulative_areas(areas)
         # a helper exists unless the union of the regions, taken as one tier, is empty
@@ -531,34 +573,66 @@ def _tier_first_helpers(rng, r, density, k, scheme, params):
         w = rng.random(has.size) * cum[-1, has]
         tier = 1 + np.sum(cum[:, has] <= w, axis=0)
         area = areas[tier - 1, has]
-        count = np.ones(has.size, dtype=np.int64)
-    if not has.size:
-        return has, tier, np.empty(0), law, void
-    _, d_sh, d_hd = _place_in_tier(rng, r[has], tier, area, count)
-    g = g_joint(d_sh, d_hd, params)
-    # best G of each link's points (one point per link for the conventional scheme)
-    return has, tier, np.maximum.reduceat(g, np.cumsum(count) - count), law, void
+        load = None
+    return _TierChoice(has, tier, area, load, law, void)
 
 
-def _control(r, has, tier, law, void, direct, params):
-    """(c, m) of the control variate of links of lengths r scored `direct` = rate x Ps(r) without a helper.
+def _best_g(rng, r, choice, k, params, which=None):
+    """Largest G over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
 
-    c is the midpoint of the bracket of each link's choice, half the tier
-    rate times G_worst + G_best(r) of the tier or region `tier` for the links
-    `has` with a helper (`channel_model.tier_bracket`, the bounds' kernel,
-    whose tiers 4 and 5 have no area for a class C link), and the direct
-    score for the others.  m is c's mean given r under the choice law `law`
-    and `void` of `_tier_first_helpers`: void x direct plus the law's
-    mixture of the midpoints, summed one tier at a time.
+    Draws each link's helper count (zero-truncated Poisson under the PPP,
+    zero-truncated Binomial over the k-1 nearer nodes, one for the
+    conventional scheme), places the helpers (`_place_in_tier`) and keeps
+    the best G of each link's points.
     """
-    worst, mid = tier_bracket("D", r, params)
-    mid += worst[:, None]
+    pick = slice(None) if which is None else which
+    tier, area = choice.tier[pick], choice.area[pick]
+    if choice.load is None:
+        count = np.ones(tier.size, dtype=np.int64)
+    elif k is None:
+        count = _zero_truncated_poisson(rng, choice.load[pick])
+    else:
+        count = _zero_truncated_binomial(rng, k - 1, choice.load[pick])
+    if not count.size:
+        return np.empty(0)
+    _, d_sh, d_hd = _place_in_tier(rng, r[choice.has[pick]], tier, area, count)
+    g = g_joint(d_sh, d_hd, params)
+    return np.maximum.reduceat(g, np.cumsum(count) - count)
+
+
+def _squeeze(x, lower, upper):
+    """(hit, open) of the Bernoulli draws x < rate x max G of links whose rate x G lies in [lower, upper].
+
+    x is each link's v times its tier rate.  A draw below lower (1 - margin)
+    is a success and one at or above upper (1 + margin) a failure, whatever
+    the helpers, so `hit` holds the outcome of every settled draw (and False
+    for the rest); `open` indexes the links whose outcome needs their best G.
+    The margin, _SQUEEZE_MARGIN, lies far above the rounding of G and of
+    the bracket, so every settled outcome is the one full placement gives.
+    """
+    hit = x < lower * (1.0 - _SQUEEZE_MARGIN)
+    return hit, np.flatnonzero(~hit & (x < upper * (1.0 + _SQUEEZE_MARGIN)))
+
+
+def _control(worst, best, choice, direct):
+    """(c, m) of the control variate of links scored `direct` = rate x Ps(r) without a helper.
+
+    worst and best are the links' tier brackets from `channel_model.tier_bracket`,
+    the bounds' kernel.  c is the midpoint of the bracket of each link's
+    choice, half the tier rate times G_worst + G_best(r) of the tier or
+    region chosen by the links `choice.has` with a helper, and the direct
+    score for the others.  m is c's mean given r under the choice law and
+    void of `choice`: void x direct plus the law's mixture of the midpoints,
+    summed one tier at a time.  A class C bracket has three rows, and the
+    law's rows for tiers 4 and 5 are then exact zeros, which the sum skips.
+    """
+    mid = best + worst[:, None]
     mid *= 0.5
-    m = void * direct
-    for p, row in zip(law, mid):
+    m = choice.void * direct
+    for p, row in zip(choice.law, mid):
         m += p * row
     c = direct.copy()
-    c[has] = mid[tier - 1, has]
+    c[choice.has] = mid[choice.tier - 1, choice.has]
     return c, m
 
 
@@ -566,26 +640,32 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     """Vectorized simulation of n trials; returns the throughput samples, control applied."""
     columns = _grid_columns(n, estimator_mode)
     r = _draw_link_distance(rng, n, REGIMES[regime][:2], density, k, columns)
+    # sampled mode draws v before any helper, so that the squeeze can settle a draw without one
+    v = _stratified_columns(rng, n, columns) if estimator_mode == "sampled" else None
     ps_r = p_success_direct(r, params)
     rate = np.take(BAND_RATES, hop_band(r))
-    success_p = ps_r.copy()
+    score = ps_r.copy() if v is None else v < ps_r
 
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
-    helped = elig.size > 0 and k != 1
-    if helped:
-        has, tier, g, law, void = _tier_first_helpers(rng, r[elig], density, k, scheme, params)
-        c, m = _control(r[elig], has, tier, law, void, (rate * ps_r)[elig], params)
-        chosen = elig[has]
-        rate[chosen] = np.take(TIER_RATES, tier - 1)
-        success_p[chosen] = g
-
-    if estimator_mode == "sampled":
-        t = rate * (_stratified_columns(rng, n, columns) < success_p)
+    if not elig.size or k == 1:
+        return rate * score
+    r_e = r[elig]
+    choice = _tier_choice(rng, r_e, density, k, scheme)
+    # one bracket read per chunk, through the 3-tier kernel when every link is of class C
+    worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
+    c, m = _control(worst, best, choice, (rate * ps_r)[elig])
+    has, tier = choice.has, choice.tier
+    chosen = elig[has]
+    rate[chosen] = np.take(TIER_RATES, tier - 1)
+    if v is None:
+        score[chosen] = _best_g(rng, r_e, choice, k, params)
     else:
-        t = rate * success_p
-    if helped:
-        t[elig] = (t[elig] - c) + m
+        hit, open_ = _squeeze(v[chosen] * rate[chosen], worst[tier - 1], best[tier - 1, has])
+        hit[open_] = v[chosen[open_]] < _best_g(rng, r_e, choice, k, params, open_)
+        score[chosen] = hit
+    t = rate * score
+    t[elig] = (t[elig] - c) + m
     return t
 
 

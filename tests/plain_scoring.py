@@ -8,9 +8,14 @@ on the lower end of each choice's bracket instead of its midpoint: c is the
 chosen tier's rate times G at its worst position (`worst_tier_g`), and m(r)
 its mean under the choice law, which for the proposed scheme is the link's
 lower bound.
-Both draw from a chunk's stream exactly as the package does, so on one seed
-they see the same links, helpers and draws.  `plain_estimate` runs
-`estimate_throughput` with one of them in place of the package's chunk.
+In analytic mode both draw from a chunk's stream exactly as the package
+does, so on one seed they see the same links and helpers.  In sampled mode
+they place the helpers of every link and then draw v, the order of the
+package before its squeeze (`monte_carlo._squeeze`), which draws v first
+and places only the links whose outcome it leaves open: the same law from
+another stream, and so an independent check of the squeeze.
+`plain_estimate` runs `estimate_throughput` with one of them in place of
+the package's chunk.
 """
 
 from __future__ import annotations
@@ -23,16 +28,16 @@ from coopmac.channel_model import p_success_direct, worst_tier_g
 from coopmac.stochastic_geometry import BAND_55, BAND_RATES, REGIMES, TIER_RATES, hop_band
 
 
-def _lower_control(has, tier, law, void, direct, params):
+def _lower_control(choice, direct, params):
     """(c, m) of the control on each choice's lower-bound term."""
     terms = worst_tier_g(params)[1]
     c = direct.copy()
-    c[has] = terms[tier - 1]
-    return c, np.dot(terms, law) + void * direct
+    c[choice.has] = terms[choice.tier - 1]
+    return c, np.dot(terms, choice.law) + choice.void * direct
 
 
 def _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, control=None):
-    """n trial scores of one chunk, drawn from `rng` as `_chunk_throughput` draws them, with `control` or none."""
+    """n trial scores of one chunk, every helper placed, with `control` or none."""
     columns = monte_carlo._grid_columns(n, estimator_mode)
     r = monte_carlo._draw_link_distance(rng, n, REGIMES[regime][:2], density, k, columns)
     rate = np.take(BAND_RATES, hop_band(r))
@@ -40,11 +45,12 @@ def _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, control=N
     elig = np.flatnonzero(r >= BAND_55)
     helped = elig.size > 0 and k != 1
     if helped:
-        has, tier, g, law, void = monte_carlo._tier_first_helpers(rng, r[elig], density, k, scheme, params)
+        choice = monte_carlo._tier_choice(rng, r[elig], density, k, scheme)
+        g = monte_carlo._best_g(rng, r[elig], choice, k, params)
         if control:
-            c, m = control(has, tier, law, void, (rate * success_p)[elig], params)
-        rate[elig[has]] = np.take(TIER_RATES, tier - 1)
-        success_p[elig[has]] = g
+            c, m = control(choice, (rate * success_p)[elig], params)
+        rate[elig[choice.has]] = np.take(TIER_RATES, choice.tier - 1)
+        success_p[elig[choice.has]] = g
     if estimator_mode == "sampled":
         t = rate * (monte_carlo._stratified_columns(rng, n, columns) < success_p)
     else:

@@ -57,9 +57,10 @@ def _control_parts(regime, density, k, scheme, n, seed):
     """(r, has, tier, c, m) of an analytic-mode chunk's links, from the chunk's own stream."""
     rng = np.random.default_rng(seed)
     r = mc._draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
-    has, tier, _, law, void = mc._tier_first_helpers(rng, r, density, k, scheme, PARAMS)
+    choice = mc._tier_choice(rng, r, density, k, scheme)
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
-    return (r, has, tier) + mc._control(r, has, tier, law, void, direct, PARAMS)
+    bracket = tier_bracket(REGIMES[regime][2], r, PARAMS)
+    return (r, choice.has, choice.tier) + mc._control(*bracket, choice, direct)
 
 
 @pytest.mark.parametrize("params", [PARAMS, ChannelParams(pt=3.0, alpha=3.5, sigma_sh=8.0)])
@@ -80,7 +81,8 @@ def test_one_bracket_table(params):
         assert store.rows(r[keep])[n + 1:].tobytes() == best[:n, keep].tobytes()
     # the Monte Carlo's c at a chosen tier is the midpoint of that tier's row
     has, tier = np.arange(r.size), np.arange(r.size) % 5 + 1
-    c, _ = mc._control(r, has, tier, np.zeros((5, r.size)), np.zeros(r.size), np.zeros(r.size), params)
+    choice = mc._TierChoice(has, tier, None, None, np.zeros((5, r.size)), np.zeros(r.size))
+    c, _ = mc._control(worst, best, choice, np.zeros(r.size))
     assert c.tobytes() == (0.5 * (terms[tier - 1] + best[tier - 1, has])).tobytes()
     # and the scalar view of the bounds reads the same entries
     for regime in ("C", "D1", "D2"):

@@ -20,7 +20,6 @@ from coopmac.monte_carlo import (
     _draw_polar,
     _place_in_tier,
     _polar_box,
-    _tier_first_helpers,
     _zero_truncated_binomial,
     _zero_truncated_poisson,
     estimate_throughput,
@@ -31,6 +30,12 @@ from test_stochastic_geometry import geometric_tier_areas
 PARAMS = ChannelParams()
 # one link length per regime, and the tiers whose regions are non-empty there
 LINKS = {"C": (70.9, "C", (1, 2, 3)), "D1": (85.55, "D", (1, 2, 3, 4, 5)), "D2": (98.2, "D", (2, 3, 4, 5))}
+
+
+def _selected_helpers(rng, r, density, k, scheme):
+    """(links with a helper, tier, best G) of the package's tier choice and placement, every link placed."""
+    choice = mc._tier_choice(rng, r, density, k, scheme)
+    return choice.has, choice.tier, mc._best_g(rng, r, choice, k, PARAMS)
 
 
 def _under_k(cases, ks):
@@ -262,7 +267,7 @@ def test_one_order_gives_the_law_of_g_over_the_tier(regime, t):
 def test_first_tier_frequencies_match_tier_probabilities(regime, density, k):
     r_k, link_class, _ = LINKS[regime]
     n = 50_000
-    has, tier, g, _, _ = _tier_first_helpers(np.random.default_rng(14), np.full(n, r_k), density, k, "proposed", PARAMS)
+    has, tier, g = _selected_helpers(np.random.default_rng(14), np.full(n, r_k), density, k, "proposed")
     assert np.all((g > 0) & (g <= 1))
     tp = tier_probabilities(link_class, r_k, density=None if k else density, k=k)
     freq = np.bincount(tier, minlength=6)[1:] / n
@@ -286,7 +291,7 @@ def test_k_nearest_tier_counts_match_disk_points(regime, monkeypatch):
         return _place_in_tier(rng, r, tier, area, count)
 
     monkeypatch.setattr(mc, "_place_in_tier", recording_place_in_tier)
-    _tier_first_helpers(np.random.default_rng(17), r, 0.001, k, "proposed", PARAMS)
+    _selected_helpers(np.random.default_rng(17), r, 0.001, k, "proposed")
     (tier, count), = drawn
     # the k-1 disk points of each link, classified
     tid, x, y = _helper_points(np.random.default_rng(18), r, None, k)
@@ -305,7 +310,7 @@ def test_k_nearest_tier_counts_match_disk_points(regime, monkeypatch):
 def test_conventional_region_choice_follows_areas(regime, k):
     r_k, _, _ = LINKS[regime]
     n, density = 50_000, 0.0003
-    has, tier, _, _, _ = _tier_first_helpers(np.random.default_rng(15), np.full(n, r_k), density, k, "conventional", PARAMS)
+    has, tier, _ = _selected_helpers(np.random.default_rng(15), np.full(n, r_k), density, k, "conventional")
     areas = np.where(np.isin(np.arange(1, 6), LINKS[regime][2]), geometric_tier_areas(r_k), 0.0)
     if k is None:
         p_any = -np.expm1(-density * areas.sum())
