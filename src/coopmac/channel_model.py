@@ -15,7 +15,8 @@ once per parameter set (`worst_tier_g`).  `tier_bracket` adds G at each
 tier's best position, which moves with the link length, and returns both
 times the tier rate: the per-tier bracket that the bounds reduce with the
 tier law and the Monte Carlo's control variate centres on, one kernel for
-both.
+both.  The best positions are G's maxima only while log Ps is concave in
+the hop length, which `log_ps_concave` checks once per parameter set.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, erfcx
 
 from .stochastic_geometry import BAND_11, BAND_55, BAND_EDGES, CLASS_TIERS, TIER1_MAX_SEPARATION, TIER_BANDS, TIER_RATES
 
@@ -126,6 +127,26 @@ def worst_tier_g(params: ChannelParams = ChannelParams()):
 
 
 @lru_cache(maxsize=64)
+def log_ps_concave(params: ChannelParams = ChannelParams()) -> bool:
+    """Whether log Ps(d) is concave in d for every hop up to 100 m, once per ChannelParams.
+
+    With x = nu + mu log10(d), the second derivative of log Q(x) in d has
+    the sign of lambda(x) - c lambda'(x), with lambda the Gaussian hazard
+    phi/Q and c = mu / ln 10.  As lambda' = lambda (lambda - x), log Ps is
+    concave wherever c (lambda(x) - x) >= 1, and lambda(x) - x falls as x
+    grows, so the check at d = 100 m, the largest x, holds for every shorter
+    hop.  lambda(x) < x + 1/x for x > 0, so x >= c fails without the
+    difference, which cancels for large x.  The reference parameters pass;
+    a loose link budget (alpha = 2 with pt = -30 dBm, or sigma_sh = 12 dB)
+    does not.
+    """
+    x = params.nu + params.mu * np.log10(BAND_EDGES[-1])
+    c = params.mu / np.log(10.0)
+    hazard = np.sqrt(2.0 / np.pi) / erfcx(x / _SQRT2)
+    return bool(x < c and c * (hazard - x) >= 1.0)
+
+
+@lru_cache(maxsize=64)
 def _fixed_ps(params: ChannelParams):
     """Ps at 48.2 m and at 67.1 m, the fixed hop of tiers 2 and 4 at their best positions, once per ChannelParams."""
     return float(p_success_direct(BAND_11, params)), float(p_success_direct(BAND_55, params))
@@ -135,14 +156,21 @@ def tier_bracket(link_class: str, r, params: ChannelParams):
     """(worst, best): each tier's rate times G at its worst and at its best helper position, for link lengths r.
 
     G over a tier region lies between its values at the region's worst and
-    best positions.  worst is the read-only (n,) table of `worst_tier_g`,
-    which r does not move; best is an (n, len(r)) array for the n tiers of
-    the link class (`CLASS_TIERS`) at the 1-D array r.  A tier-1 helper is
+    best positions, the upper end while log Ps is concave (below).  worst
+    is the read-only (n,) table of `worst_tier_g`, which r does not move;
+    best is an (n, len(r)) array for the n tiers of the link class
+    (`CLASS_TIERS`) at the 1-D array r.  A tier-1 helper is
     best at the S-D midpoint, tiers 2 and 4 with the hop of the higher band
     at its inner edge (48.2 m, 67.1 m) and the other hop closing the gap to
     r, tier 3 at its inner corner (both hops 48.2 m) while S and D are within
     96.4 m of each other and at the midpoint beyond, and tier 5 at its inner
     corner (48.2 m and 67.1 m).
+    Ps falls with the hop length, so for any ChannelParams worst is G's
+    least value over its tier, and the inner corners of tier 3 (r <= 96.4 m)
+    and tier 5 are its greatest.  The other best positions split r between
+    the two hops as evenly as their bands allow, which maximises G only
+    while log Ps is concave in the hop length (`log_ps_concave`); past
+    that, a helper may beat the tabulated best.
     No validation: r must be positive, and at least 67.1 m for the 5-tier
     class; a class C link read through the 5-tier kernel gets finite tier-4
     and tier-5 entries, a hop of 0 m succeeding with probability 1.

@@ -65,10 +65,14 @@ values at the tier's worst and best positions, the bracket of
 `channel_model.tier_bracket`, so v < G_worst (1 - eps) is a success and
 v >= G_best(r) (1 + eps) a failure whatever the helpers, with eps =
 _SQUEEZE_MARGIN = 1e-9, far above the rounding of G and of the bracket;
-every settled outcome is the one full placement gives (`_squeeze`).  Only
-the links with v inside the bracket, 13-25% of those with a helper at
-densities 0.0005-0.005, draw a count and place helpers.  Analytic mode
-has no v and places the helpers of every link with one.
+every settled outcome is the one full placement gives (`_squeeze`).
+G_worst bounds G for every ChannelParams, as Ps falls with the hop length;
+G_best bounds it only while log Ps is concave in the hop length
+(`channel_model.log_ps_concave`), so under a parameter set that fails the
+check (a loose link budget) no failure is settled.  Only the links left
+open draw a count and place helpers: under the reference parameters, 13-25%
+of those with a helper at densities 0.0005-0.005.  Analytic mode has no v
+and places the helpers of every link with one.
 
 In both modes a class C or D link then reports t - c + m(r), a control
 variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).  G anywhere
@@ -118,7 +122,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .channel_model import ChannelParams, g_joint, p_success_direct, tier_bracket
+from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
@@ -229,9 +233,10 @@ class SimEstimate:
     sampled mode keeps its Bernoulli draw.  Sampled mode draws v before the
     helpers and places them only where v lies inside the chosen tier's
     bracket, widened by the margin _SQUEEZE_MARGIN = 1e-9 (the squeeze of
-    the module docstring); elsewhere the bracket settles the outcome, which
-    is the one full placement gives, so each trial's score has the law it
-    has with every helper placed.
+    the module docstring), or above it where the upper end is not proved;
+    elsewhere the bracket settles the outcome, which is the one full
+    placement gives, so each trial's score has the law it has with every
+    helper placed.
     """
 
     mean: float
@@ -607,6 +612,7 @@ def _squeeze(x, lower, upper):
     is a success and one at or above upper (1 + margin) a failure, whatever
     the helpers, so `hit` holds the outcome of every settled draw (and False
     for the rest); `open` indexes the links whose outcome needs their best G.
+    An upper of inf settles no failure.
     The margin, _SQUEEZE_MARGIN, lies far above the rounding of G and of
     the bracket, so every settled outcome is the one full placement gives.
     """
@@ -661,7 +667,9 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     if v is None:
         score[chosen] = _best_g(rng, r_e, choice, k, params)
     else:
-        hit, open_ = _squeeze(v[chosen] * rate[chosen], worst[tier - 1], best[tier - 1, has])
+            # the upper end bounds G only while log Ps is concave; without it no failure is settled
+        upper = best[tier - 1, has] if log_ps_concave(params) else np.inf
+        hit, open_ = _squeeze(v[chosen] * rate[chosen], worst[tier - 1], upper)
         hit[open_] = v[chosen[open_]] < _best_g(rng, r_e, choice, k, params, open_)
         score[chosen] = hit
     t = rate * score
