@@ -18,10 +18,16 @@ source's kth nearest neighbor.  Every density and k argument is checked by
 and positive raises ValueError.  Tier rates come from the band table
 (`stochastic_geometry.TIER_RATES`).
 
-Every average is one band integral (`_law_integral`) of a per-link value,
-the (lower, upper) bound pair in one joint pass or the direct success
-probability, against the link-length law: 2r/100^2 under the PPP, the kth-NN
-distance PDF under k-nearest conditioning.  The per-link pair comes from one
+Every average is a band integral (`_law_integral`) of a per-link value,
+the (lower, upper) bound pair in one joint pass or the class rate times the
+direct success probability, against the link-length law: 2r/100^2 under
+the PPP, the kth-NN distance PDF under k-nearest conditioning.  The network
+total integrates its five bands in one run of the Gauss–Kronrod integrator
+(`quadrature.gauss_kronrod`), which hands the nodes of every band's open
+panels to one integrand call per refinement level.  The D1 band ends at
+the 96.4 m tangency of the two tier-1 circles, where the tier-1 area
+vanishes like (96.4 - r)^(3/2); it is integrated in s = sqrt(96.4 - r),
+in which every integrand is smooth.  The per-link pair comes from one
 array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
 (2, n) lower/upper array: the tier law of the link class's tier-region areas
 (`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),
@@ -34,20 +40,19 @@ Everything else the kernel needs but the tier law depends on the link length
 alone: the tier areas, Ps(r) and each tier's rate times its best-position G.
 A node store per link class and `ChannelParams` (`_NodeStore`) keeps these
 rows for every link length seen and finds them by exact equality, so only
-the tier law and the mixture are computed per call.  Adaptive Simpson builds every node by repeated
-midpoints from the band ends, so the integrals of all densities and
-conditionings land on the same node floats (a pass over `DENSITY_GRID` x
-C/D1/D2/total x {ppp, k=1, k=10} sees 33 class-C and 225 class-D nodes).
-A stored row comes from the same floats by the same element-wise
-operations as a fresh one, so it is the same float, and every bound keeps
-its bits.  A store holds at most `_STORE_CAP` link lengths; a call that
-would pass the cap empties it first.  Inside the kernel and the integrands every
-hop length is known to be positive, so Ps is taken unchecked
-(`channel_model._p_success`); the public functions keep their checks.
-The quadrature calls the kernel once per bisection depth on all of that
-depth's nodes.  `link_bounds_at_distance`, `tier_probabilities` and
-`tier_bound_pair` are scalar views of the same code.  `band_mass` is closed
-form, from the kth-NN band law the Monte Carlo inverts
+the tier law and the mixture are computed per call; the class-D nodes of
+the D1 and D2 bands of one level go to it in one call.  The integrator's
+panels come from repeated bisection of the band ends, so the integrals of
+all densities and conditionings land on the same node floats.  A stored
+row comes from the same floats by the same element-wise operations as a
+fresh one, so it is the same float, and every bound keeps its bits.  A
+store holds at most `_STORE_CAP` link lengths; a call that would pass the
+cap empties it first.  Inside the kernel and the integrands every hop
+length is known to be positive, so Ps is taken unchecked
+(`channel_model._p_success`); the public functions keep their checks, and
+check their inputs once.  `link_bounds_at_distance`, `tier_probabilities`
+and `tier_bound_pair` are scalar views of the same code.  `band_mass` is
+closed form, from the kth-NN band law the Monte Carlo inverts
 (`stochastic_geometry.nn_distance_band`); a k-nearest band whose mass is 0
 in double precision raises ValueError, for the bounds as for the Monte
 Carlo.
@@ -55,14 +60,15 @@ Carlo.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-# g_joint and p_success_direct are not called here; the benchmark's tracer
-# (bench/tracing.py) wraps them by these names
+# g_joint, p_success_direct and nn_distance_pdf are not called here; the
+# benchmark's tracer (bench/tracing.py) wraps them by these names
 from .channel_model import (  # noqa: F401
     ChannelParams,
     _p_success,
@@ -71,7 +77,9 @@ from .channel_model import (  # noqa: F401
     tier_bracket,
     worst_tier_g,
 )
-from .quadrature import adaptive_simpson
+# the benchmark's tracer (bench/tracing.py) wraps the integrator by this name,
+# that of the quadrature it replaced
+from .quadrature import gauss_kronrod as adaptive_simpson
 from .stochastic_geometry import (
     CLASS_RATES,
     CLASS_TIERS,
@@ -84,7 +92,8 @@ from .stochastic_geometry import (
     check_conditioning,
     check_integer,
     nn_distance_band,
-    nn_distance_pdf,
+    nn_distance_law,
+    nn_distance_pdf,  # noqa: F401
     tier_areas,
     tier_void_law,
 )
@@ -127,7 +136,8 @@ def h_integral(
     """
     if not 0 <= r_min <= r_max:
         raise ValueError("need 0 <= r_min <= r_max, got %r and %r" % (r_min, r_max))
-    return _law_integral("A", r_min, r_max, density, k, params)
+    check_conditioning(density, k)
+    return float(_law_integral([(r_min, r_max, 1.0)], density, k, params)[0, 0])
 
 
 def type_ab_throughput(link_class: str, k: int, density: float, params: ChannelParams = ChannelParams()) -> float:
@@ -287,29 +297,49 @@ def link_bounds_at_distance(
     return BoundPair(float(lower), float(upper))
 
 
-def _law_integral(regime: str, a: float, b: float, density, k: Optional[int], params: ChannelParams,
-                  tol: float = 1e-8):
-    """Integral over [a, b] of a link's value in the regime times the link-length law, to `tol` in each component.
+def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1e-8):
+    """(len(parts), 2) integrals of a link's value times the link-length law, each to its `tol`.
 
-    The value is Ps(r) for a class A or B link (direct only; times the class
-    rate after the integral), the (2, n) bound pair of `_link_bounds` for a
-    class C or D link, which is integrated jointly.  The law is 2r/100^2 under
-    the PPP (k None), else the kth-NN distance PDF; both vanish at r = 0,
-    where the value is not taken, so Ps needs no check.
+    A part is (a, b, value): a band [a, b] in m and either a helper regime,
+    whose (lower, upper) pair of `_link_bounds` is integrated jointly, or a
+    rate, which multiplies the direct success probability Ps(r) (the same
+    value in both columns).  `tol` is the absolute tolerance of every part
+    or one per part.  The law is 2r/100^2 under the PPP (k None), else the
+    kth-NN distance PDF, built once per call.  A helper part that ends at
+    the tier-1 tangency (96.4 m) is integrated in s = sqrt(96.4 - r), with
+    Jacobian 2s.  Every part goes to one integrator run; the integrator
+    takes no node at an end of a band, so r > 0 and Ps needs no check.
+    When every band is empty the rows hold a single 0.  No validation.
     """
-    check_conditioning(density, k)
-    direct = REGIMES[regime][2] in DIRECT_CLASSES
+    law = (lambda r: 2.0 * r / MAX_RANGE ** 2) if k is None else nn_distance_law(k, density)
+    spans, s_form, rate, kind, regime_of = [], [], [], [], {}
+    for a, b, value in parts:
+        link_class = REGIMES[value][2] if isinstance(value, str) else None
+        s_form.append(link_class is not None and b == TIER1_MAX_SEPARATION)
+        spans.append((0.0, math.sqrt(b - a)) if s_form[-1] else (a, b))
+        rate.append(0.0 if link_class else value)
+        # the nodes of one link class go to one `_link_bounds` call, which reads the regime only for its class
+        regime_of.setdefault(link_class, value)
+        kind.append(list(regime_of).index(link_class))
+    s_form, rate, kind = np.array(s_form), np.array(rate), np.array(kind)
 
-    def integrand(r):
-        pos = r > 0.0
-        rp = r[pos]
-        weight = 2.0 * rp / MAX_RANGE ** 2 if k is None else nn_distance_pdf(k, density, rp)
-        part = (_p_success(rp, params) if direct else _link_bounds(regime, rp, density, k, params)) * weight
-        out = np.zeros(part.shape[:-1] + r.shape)
-        out[..., pos] = part
-        return out
+    def integrand(x, part):
+        r, jacobian = x, None
+        in_s = s_form[part]
+        if in_s.any():
+            r = np.where(in_s, TIER1_MAX_SEPARATION - x * x, x)
+            jacobian = np.where(in_s, 2.0 * x, 1.0)
+        weight = law(r) if jacobian is None else law(r) * jacobian
+        out = np.empty((2, x.size))
+        for g, (link_class, regime) in enumerate(regime_of.items()):
+            at = kind[part] == g if len(regime_of) > 1 else slice(None)
+            if link_class is None:
+                out[:, at] = rate[part[at]] * _p_success(r[at], params)
+            else:
+                out[:, at] = _link_bounds(regime, r[at], density, k, params)
+        return out * weight
 
-    return adaptive_simpson(integrand, a, b, tol=tol)
+    return adaptive_simpson(integrand, spans, tol).reshape(len(parts), -1)
 
 
 def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:
@@ -343,22 +373,19 @@ def averaged_bounds(
     One joint quadrature of the per-link bound pair against the link-length
     law.  Under the PPP the band's partial expectation (law 2r/100^2) is
     divided by the band's area share (b^2-a^2)/100^2, giving the average
-    conditional on the link falling in this class; it is integrated to
-    tol x share, so `tol` is the absolute tolerance of the returned average.
-    Under k-nearest conditioning it is the unnormalized partial expectation
-    under the kth-NN distance PDF, as in the closed-form expressions; divide
-    by `band_mass` for bounds on the mean given the band; a band that holds
-    no probability in double precision raises ValueError.  There `tol` stays
-    absolute, so a band of tiny mass is integrated far too coarsely: at k=10
-    and density 0.004 the D1 partial expectation is about 1e-19 against tol
-    1e-8, and divided by its mass 4.55e-20 it gives [8.23, 10.48] Mbps, above
-    the 5.5 Mbps ceiling, where `scipy.integrate.quad` gives [2.92, 3.73].
+    conditional on the link falling in this class.  Under k-nearest
+    conditioning it is the unnormalized partial expectation under the kth-NN
+    distance PDF, as in the closed-form expressions; divide by `band_mass`
+    for bounds on the mean given the band; a band that holds no probability
+    in double precision raises ValueError.  Under both conditionings the
+    partial expectation is integrated to tol x `band_mass`, so `tol` is the
+    absolute tolerance of the band's mean, however small its mass.
     """
     check_band(regime, HELPER_REGIMES)
     a, b, _ = REGIMES[regime]
     mass = band_mass(regime, density, k)
     share = mass if k is None else 1.0
-    lower, upper = _law_integral(regime, a, b, density, k, params, tol * share) / share
+    lower, upper = _law_integral([(a, b, regime)], density, k, params, tol * mass)[0] / share
     return BoundPair(lower, upper)
 
 
@@ -369,19 +396,18 @@ def total_throughput_bounds(
 ) -> BoundPair:
     """Network-total bound: the sum of the A, B, C, D1 and D2 partial expectations.
 
-    Each part is integrated to absolute tolerance 1e-8.  Under k-nearest
-    conditioning the parts are the very integrals of `averaged_bounds` and
-    `type_ab_throughput`, as in the closed-form sum; the 100 m range must
-    hold probability (`band_mass`).  Under the PPP it is the unconditional
-    mean throughput of a random in-range pair: the A/B parts plus share x
-    `averaged_bounds` of each helper regime.
+    The five parts are integrated in one run, each to absolute tolerance
+    1e-8 Mbps; the A and B parts carry their class rate inside the integral.
+    Under k-nearest conditioning the parts are the partial expectations of
+    `averaged_bounds` and `type_ab_throughput`, as in the closed-form sum;
+    the 100 m range must hold probability (`band_mass`).  Under the PPP it
+    is the unconditional mean throughput of a random in-range pair: the A/B
+    parts plus share x `averaged_bounds` of each helper regime.
     """
     band_mass("all", density, k)
-
-    def part(regime):
+    parts = []
+    for regime in DIRECT_CLASSES + HELPER_REGIMES:
         a, b, link_class = REGIMES[regime]
-        value = _law_integral(regime, a, b, density, k, params)
-        return value * CLASS_RATES[link_class] if link_class in DIRECT_CLASSES else value
-
-    lower, upper = sum(part(regime) for regime in DIRECT_CLASSES + HELPER_REGIMES)
+        parts.append((a, b, CLASS_RATES[link_class] if link_class in DIRECT_CLASSES else regime))
+    lower, upper = _law_integral(parts, density, k, params).sum(axis=0)
     return BoundPair(lower, upper)

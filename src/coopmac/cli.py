@@ -30,7 +30,7 @@ from .channel_model import ChannelParams, g_joint, p_success_direct, q_function
 from .stochastic_geometry import (CLASS_REGIMES, CLASS_TIERS, HELPER_REGIMES, REGIMES, check_band, check_integer,
                                   lens_area, tier_region_areas)
 from .analytic_bounds import averaged_bounds, band_mass, tier_probabilities, total_throughput_bounds
-from .quadrature import adaptive_simpson
+from .quadrature import gauss_kronrod
 from .monte_carlo import DENSITY_GRID, ExperimentConfig, contour_grid, estimate_throughput
 
 # figure id -> regimes of its density sweep, and one contour map per helper regime
@@ -320,7 +320,7 @@ def _cmd_selftest(cfg: RunConfig):
     check("C areas positive", all(a > 0 for a in areas.areas))
     vec = tier_probabilities("C", 70.0, density=0.001)
     check("tier probs sum to 1", abs(sum(vec.probs.values()) + vec.residual - 1.0) < 1e-12)
-    check("simpson x^3", abs(adaptive_simpson(lambda x: x ** 3, 0.0, 2.0) - 4.0) < 1e-9)
+    check("quadrature x^3", abs(gauss_kronrod(lambda x, part: x ** 3, [(0.0, 2.0)])[0] - 4.0) < 1e-9)
 
     config = ExperimentConfig(densities=(0.002,), regime="C", trials=2000, base_seed=9)
     a = estimate_throughput(config)[0]

@@ -390,9 +390,22 @@ def nn_distance_pdf(k: int, density: float, r):
     pos = r > 0  # False at NaN too
     if not pos.all() and np.isnan(r).any():
         raise ValueError("distance must not be NaN")
-    rp = r[pos]
-    # from x = 1e300 on the pdf is 0 in double precision at any k, so an overflow is capped there
-    with np.errstate(over="ignore"):
-        x = np.minimum(density * np.pi * rp ** 2, 1e300)
-    out[pos] = 2.0 * np.exp(-x + k * np.log(x) - gammaln(k)) / rp
+    out[pos] = nn_distance_law(k, density)(r[pos])
     return float(out[0]) if scalar else out
+
+
+def nn_distance_law(k: int, density: float):
+    """`nn_distance_pdf` as a function of an array of distances r > 0, for one k and density.
+
+    log Gamma(k) and density*pi are computed once, so a caller that takes
+    the pdf at many nodes builds this once.  No validation.
+    """
+    lam_pi, log_gamma_k = density * np.pi, gammaln(k)
+
+    def pdf(r):
+        # from x = 1e300 on the pdf is 0 in double precision at any k, so an overflow is capped there
+        with np.errstate(over="ignore"):
+            x = np.minimum(lam_pi * r ** 2, 1e300)
+        return 2.0 * np.exp(-x + k * np.log(x) - log_gamma_k) / r
+
+    return pdf

@@ -16,7 +16,7 @@ from coopmac.analytic_bounds import (
 )
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
 from coopmac.monte_carlo import DENSITY_GRID
-from coopmac.stochastic_geometry import REGIMES, nn_distance_pdf, tier_region_areas
+from coopmac.stochastic_geometry import REGIMES, TIER1_MAX_SEPARATION, nn_distance_pdf, tier_region_areas
 
 PARAMS = ChannelParams()
 
@@ -67,9 +67,9 @@ def test_degenerate_channel_reduces_to_interval_mass():
     # with the success probability replaced by 1, the integral is just the
     # kth-neighbor interval probability; emulate by integrating the pdf
     k, lam = 4, 0.001
-    from coopmac.quadrature import adaptive_simpson
+    from coopmac.quadrature import gauss_kronrod
 
-    mass = adaptive_simpson(lambda r: nn_distance_pdf(k, lam, r), 48.2, 67.1)
+    mass = gauss_kronrod(lambda r, part: nn_distance_pdf(k, lam, r), [(48.2, 67.1)])[0]
     expected = gamma_dist.cdf(lam * np.pi * 67.1**2, k) - gamma_dist.cdf(lam * np.pi * 48.2**2, k)
     assert mass == pytest.approx(expected, abs=1e-8)
 
@@ -281,6 +281,52 @@ def test_averaged_bounds_k_conditioning_partial_expectation():
         assert pair.upper == pytest.approx(hi_expected, abs=1e-6), regime
 
 
+@pytest.mark.parametrize("k", [3, 10, 30])
+def test_band_conditional_bounds_match_quad_at_every_band_mass(k):
+    # under k the band's partial expectation is integrated to tol x band_mass,
+    # so divided by the mass it is right at a mass far below tol (down to 1e-50 here)
+    for lam in DENSITY_GRID:
+        for regime, (a, b) in BANDS.items():
+            try:
+                mass = band_mass(regime, lam, k=k)
+            except ValueError:  # the band holds no probability in double precision
+                continue
+            pair = averaged_bounds(regime, lam, k=k)
+            for side in ("lower", "upper"):
+                want, _ = quad(lambda r: getattr(link_bounds_at_distance(regime, r, k=k), side)
+                               * nn_distance_pdf(k, lam, r), a, b, epsabs=0.0, epsrel=1e-10, limit=200)
+                got = getattr(pair, side) / mass
+                assert got == pytest.approx(want / mass, rel=1e-6), (regime, lam, side, mass)
+                assert 0.0 <= got <= 11.0
+
+
+@pytest.mark.parametrize("regime, lam", [("C", 0.005), ("D1", 0.003), ("D1", 0.004), ("D1", 0.005)])
+def test_tol_is_the_absolute_tolerance_of_the_band_mean(regime, lam):
+    # band masses 1.5e-13 to 8.0e-27 at k=10: an absolute tol on the partial
+    # expectation would accept the first level there, whatever its error
+    k, tol = 10, 1e-12
+    a, b = BANDS[regime]
+    mass = band_mass(regime, lam, k=k)
+    pair = averaged_bounds(regime, lam, k=k, tol=tol)
+    for side in ("lower", "upper"):
+        want, _ = quad(lambda r: getattr(link_bounds_at_distance(regime, r, k=k), side) * nn_distance_pdf(k, lam, r),
+                       a, b, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert abs(getattr(pair, side) / mass - want / mass) <= 10 * tol, side
+
+
+@pytest.mark.parametrize("regime, lam", [("C", 0.005), ("D1", 0.003), ("D1", 0.004), ("D1", 0.005)])
+def test_simulation_within_band_conditional_bracket(regime, lam):
+    # band masses 2.7e-20, 1.5e-13, 4.6e-20 and 8.0e-27: the cells where the
+    # bracket of a partial expectation integrated to an absolute tol missed
+    from coopmac.monte_carlo import ExperimentConfig, estimate_throughput
+
+    k = 10
+    est = estimate_throughput(ExperimentConfig(densities=(lam,), regime=regime, k=k, trials=20000, base_seed=3))[0]
+    mass = band_mass(regime, lam, k=k)
+    pair = averaged_bounds(regime, lam, k=k)
+    assert pair.lower / mass - 4 * est.stderr <= est.mean <= pair.upper / mass + 4 * est.stderr
+
+
 def test_band_mass_is_the_link_length_law_over_the_band():
     lam = 0.002
     for regime in ("C", "D1", "D2", "all"):
@@ -366,3 +412,27 @@ def test_total_bounds_ppp_is_sum_of_parts():
     pair = total_throughput_bounds(lam)
     assert pair.lower == pytest.approx(parts_lo, abs=1e-7)
     assert pair.upper == pytest.approx(parts_hi, abs=1e-7)
+
+
+@pytest.mark.parametrize("lam", [200.0, 1e3, 1e4])
+def test_bounds_at_large_density_match_quad(lam):
+    # D1 ends at the 96.4 m tier-1 tangency; at large density the tier law
+    # switches from direct to tier 1 in a layer about lam^(-2/3) m wide below
+    # it, which quad in r resolves only when told where it lies
+    layer = TIER1_MAX_SEPARATION - np.array([1.0, 3.0, 10.0, 30.0]) * lam ** (-2.0 / 3.0)
+
+    def band(regime):
+        a, b = BANDS[regime]
+        return [quad(lambda r: getattr(link_bounds_at_distance(regime, r, density=lam), side) * 2 * r / 100.0**2,
+                     a, b, points=layer if regime == "D1" else None, epsabs=1e-12, epsrel=1e-11, limit=1000)[0]
+                for side in ("lower", "upper")]
+
+    parts = {regime: band(regime) for regime in BANDS}
+    direct = sum(quad(lambda r: rate * float(p_success_direct(r)) * 2 * r / 100.0**2, a, b, epsabs=1e-13)[0]
+                 for a, b, rate in ((0.0, 48.2, 11.0), (48.2, 67.1, 5.5)))
+    share = band_mass("D1", lam)
+    for pair, want in ((averaged_bounds("D1", lam), [v / share for v in parts["D1"]]),
+                       (total_throughput_bounds(lam), [direct + sum(p[i] for p in parts.values()) for i in (0, 1)])):
+        assert np.isfinite([pair.lower, pair.upper]).all()
+        assert 0.0 <= pair.lower <= pair.upper <= 11.0
+        np.testing.assert_allclose([pair.lower, pair.upper], want, rtol=0.0, atol=1e-8)
