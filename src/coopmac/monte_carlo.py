@@ -58,21 +58,26 @@ rates are read from the band table of `stochastic_geometry` (`REGIMES`,
 
 A chunk draws, in order: the link lengths, in sampled mode v, each link's
 tier or region choice (`_tier_choice`), and the helper counts and
-positions (`_best_g`).  Sampled mode places helpers only where the outcome
-depends on them (the squeeze: Devroye, Non-Uniform Random Variate
-Generation, 1986, II.3).  G anywhere in the chosen tier lies between its
+positions (`_best_g`).  G anywhere in the chosen tier lies between its
 values at the tier's worst and best positions, the bracket of
-`channel_model.tier_bracket`, so v < G_worst (1 - eps) is a success and
-v >= G_best(r) (1 + eps) a failure whatever the helpers, with eps =
-_SQUEEZE_MARGIN = 1e-9, far above the rounding of G and of the bracket;
-every settled outcome is the one full placement gives (`_squeeze`).
-G_worst bounds G for every ChannelParams, as Ps falls with the hop length;
-G_best bounds it only while log Ps is concave in the hop length
-(`channel_model.log_ps_concave`), so under a parameter set that fails the
-check (a loose link budget) no failure is settled.  Only the links left
-open draw a count and place helpers: under the reference parameters, 13-25%
-of those with a helper at densities 0.0005-0.005.  Analytic mode has no v
-and places the helpers of every link with one.
+`channel_model.tier_bracket`.  G_worst bounds G for every ChannelParams,
+as Ps falls with the hop length, so in sampled mode a link with a helper
+scores its sure share lo = rate * G_worst exactly and draws its Bernoulli
+only above it: it scores lo + (rate - lo) 1{x < rate * max G}, with
+x = lo + (rate - lo) v uniform on [lo, rate), which has the mean
+rate * max G (conditional Monte Carlo, Asmussen & Glynn, Stochastic
+Simulation, 2007, ch. V).  Direct links and classes A and B keep the plain
+draw v < Ps(r).  Sampled mode places helpers only where the outcome depends
+on them (the squeeze: Devroye, Non-Uniform Random Variate Generation, 1986,
+II.3): x >= rate * G_best(r) (1 + eps) is a failure whatever the helpers,
+with eps = _SQUEEZE_MARGIN = 1e-9, far above the rounding of G and of the
+bracket, so every settled outcome is the one full placement gives
+(`_squeeze`).  G_best bounds G only while log Ps is concave in the hop
+length (`channel_model.log_ps_concave`), so under a parameter set that
+fails the check (a loose link budget) no failure is settled.  Only the
+links left open draw a count and place helpers: under the reference
+parameters at 0.001 nodes/m^2, 42-73% of those with a helper.  Analytic
+mode has no v and places the helpers of every link with one.
 
 In both modes a class C or D link then reports t - c + m(r), a control
 variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).  G anywhere
@@ -90,16 +95,16 @@ through the 3-tier kernel of class C when all its eligible links are of
 that class and the 5-tier one otherwise; a class C link's tiers 4 and 5
 have no area and add exactly 0.  c - m(r) has mean 0 given r, so the mean
 is unchanged, and the control draws nothing, so sampled mode keeps its
-Bernoulli draw.  It removes
-most of the variance of the tier or region choice and of the spread within
-the chosen tier: against a control on the lower end of the bracket, at a
-density of 0.005 it cuts the analytic-mode variance 3.1-3.2x for class D1
-and 2.7-2.9x for the class mix under the proposed scheme, 1.5-2.1x for the
-conventional scheme on D1, D2 and the mix, and 1.0-1.03x for C and D2
-under the proposed scheme, while C under the conventional one keeps 0.98x;
-sampled mode, whose variance is its Bernoulli draw, gains up to 1.1x.  In
-analytic mode an adjusted score lies within half the chosen bracket's width
-of m(r), and a direct link scores m(r) itself.
+Bernoulli draw.  It removes most of the variance of the tier or region
+choice and of the spread within the chosen tier: against a control on the
+lower end of the bracket, at a density of 0.005 it cuts the analytic-mode
+variance 3.1-3.2x for class D1 and 2.7-2.9x for the class mix under the
+proposed scheme, 1.5-2.1x for the conventional scheme on D1, D2 and the
+mix, and 1.0-1.03x for C and D2 under the proposed scheme, while C under
+the conventional one keeps 0.98x; sampled mode, whose variance is its
+Bernoulli draw above the sure share, gains up to 1.1x.  In analytic mode
+an adjusted score lies within half the chosen bracket's width of m(r), and
+a direct link scores m(r) itself.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -165,8 +170,13 @@ _MAX_STEP = 1e-7
 # the largest double below 1, the top of every stratified uniform
 _BELOW_ONE = 1.0 - 2.0 ** -53
 
-# relative margin by which sampled mode's v must clear an end of a link's G
-# bracket for the squeeze to settle its Bernoulli draw (`_squeeze`)
+# per tier, as columns: the hop-band edges [a, b) of d_SH, in the tier's higher
+# hop band, and [c, d) of d_HD, and the number of hop orders, 2 for two bands
+_TIER_BOXES = np.array([(*BAND_EDGES[s:s + 2], *BAND_EDGES[h:h + 2], 2.0 if s > h else 1.0)
+                        for h, s in map(sorted, TIER_BANDS)]).T
+
+# relative margin by which sampled mode's draw x must clear the upper end of a
+# link's rate x G bracket for the squeeze to settle it as a failure (`_squeeze`)
 _SQUEEZE_MARGIN = 1e-9
 
 
@@ -230,13 +240,16 @@ class SimEstimate:
     t - c + m(r), with c the midpoint of the trial's tier bracket, has the
     plain score's mean, and each is a function of its own trial, so the
     stratified stderr holds as it stands.  The control adds no draw, and
-    sampled mode keeps its Bernoulli draw.  Sampled mode draws v before the
-    helpers and places them only where v lies inside the chosen tier's
-    bracket, widened by the margin _SQUEEZE_MARGIN = 1e-9 (the squeeze of
-    the module docstring), or above it where the upper end is not proved;
-    elsewhere the bracket settles the outcome, which is the one full
-    placement gives, so each trial's score has the law it has with every
-    helper placed.
+    sampled mode keeps its Bernoulli draw.  In sampled mode a link with a
+    helper scores the chosen tier's sure share lo = rate x G_worst plus
+    (rate - lo) times a Bernoulli draw of x = lo + (rate - lo) v below
+    rate x max G, which has the plain score's mean.  Sampled mode draws v
+    before the helpers and places them only where x lies below the chosen
+    tier's upper end, widened by the margin _SQUEEZE_MARGIN = 1e-9 (the
+    squeeze of the module docstring), or everywhere where that end is not
+    proved; elsewhere the draw is a failure, the outcome full placement
+    gives, so each trial's score has the law it has with every helper
+    placed.
     """
 
     mean: float
@@ -344,18 +357,40 @@ def _link_distance(u, band, density, k):
     return np.clip(np.sqrt(x / (density * np.pi)), max(a, 1e-9), b)
 
 
+@lru_cache(maxsize=32)
+def _gamma_table(k, lo, hi, inverse):
+    """(nodes, coef) of `_gamma_quantiles`' cubic Hermite table on the band (lo, hi), once per band.
+
+    nodes holds the exact inverse at _TABLE_INTERVALS + 1 equally spaced u
+    and coef the (4, _TABLE_INTERVALS) coefficients of each interval's cubic
+    in its position t.  Both are read-only; a run's chunks share one band.
+    """
+    n = _TABLE_INTERVALS
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nodes = inverse(k, lo + np.arange(n + 1) / n * (hi - lo))
+        # dx/dt, t = n u - j the position in interval j; inf where f(x) is 0
+        slope = abs(hi - lo) / n * np.exp(nodes - (k - 1) * np.log(nodes) + gammaln(k))
+        rise = np.diff(nodes)
+        m0, m1 = slope[:-1], slope[1:]
+        coef = np.stack((nodes[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise))
+    for table in (nodes, coef):
+        table.flags.writeable = False
+    return nodes, coef
+
+
 def _gamma_quantiles(u, k, lo, hi, inverse):
     """Gamma(k, 1) quantile x with F(x) = lo + u (hi - lo) for each u in [0, 1).
 
     F and (lo, hi, inverse) are the tail and band of `nn_distance_band`:
     the lower tail P(k, x) when lo < hi, the upper Q(k, x) when lo > hi.
     k = 1 is Exp(1) in closed form.  Otherwise the exact inverse is taken at
-    _TABLE_INTERVALS + 1 equally spaced u, each u is mapped to x by the cubic
-    Hermite interpolant of that table (slope dx/du = |hi - lo| / f(x), f the
-    Gamma(k, 1) density), and one Newton step on the log of the smaller tail
-    at the target, P or Q, polishes it.  An entry whose step exceeds
-    _MAX_STEP of x, or is not finite, or which leaves its node interval, is
-    not certified by the step and goes through the exact inverse.  These are
+    _TABLE_INTERVALS + 1 equally spaced u, once per band (`_gamma_table`),
+    each u is mapped to x by the cubic Hermite interpolant of that table
+    (slope dx/du = |hi - lo| / f(x), f the Gamma(k, 1) density), and one
+    Newton step on the log of the smaller tail at the target, P or Q,
+    polishes it.  An entry whose step exceeds _MAX_STEP of x, or is not
+    finite, or which leaves its node interval, is not certified by the step
+    and goes through the exact inverse.  These are
     the entries near a singular end of the band, where no cubic in u fits:
     x -> 0, whose interval has an infinite slope at x = 0 and so no finite
     start, and a tail that decays like exp(-x).  About ten intervals next to
@@ -367,13 +402,8 @@ def _gamma_quantiles(u, k, lo, hi, inverse):
         if k == 1:
             return -np.log(v) if upper else -np.log1p(-v)
         n = _TABLE_INTERVALS
-        nodes = inverse(k, lo + np.arange(n + 1) / n * (hi - lo))
+        nodes, coef = _gamma_table(k, lo, hi, inverse)
         log_gamma_k = gammaln(k)
-        # dx/dt, t = n u - j the position in interval j; inf where f(x) is 0
-        slope = abs(hi - lo) / n * np.exp(nodes - (k - 1) * np.log(nodes) + log_gamma_k)
-        rise = np.diff(nodes)
-        m0, m1 = slope[:-1], slope[1:]
-        coef = np.stack((nodes[:-1], m0, 3.0 * rise - 2.0 * m0 - m1, m0 + m1 - 2.0 * rise))
         # n is a power of two and u < 1, so n u is exact and j <= n - 1
         s = u * n
         j = s.astype(np.intp)
@@ -451,7 +481,10 @@ def _polar_box(r, a, b, c, d):
     lo = np.maximum(a, r - d)
     hi = np.minimum(b, r + d)
     t_hi = _theta(d, np.clip(np.sqrt(np.maximum(r * r - d * d, 0.0)), lo, hi), r)
-    t_lo = np.where(c > 0, np.minimum(_theta(c, lo, r), _theta(c, hi, r)), 0.0)
+    t_lo = np.zeros(lo.shape)
+    rows = np.flatnonzero(np.broadcast_to(c, lo.shape) > 0)
+    c, r, lo_c, hi_c = (np.broadcast_to(x, lo.shape)[rows] for x in (c, r, lo, hi))
+    t_lo[rows] = np.minimum(_theta(c, lo_c, r), _theta(c, hi_c, r))
     return lo, hi, t_lo, t_hi
 
 
@@ -483,15 +516,11 @@ def _place_in_tier(rng, r, tier, area, count):
     d_SH, d_HD), sorted by trial.
     """
     need = np.array(count, dtype=np.int64)
-    hops = np.take(TIER_BANDS, tier - 1, axis=0)
-    s_band, d_band = hops.max(axis=1), hops.min(axis=1)
-    # hop-band edges of d_SH, [a, b), and of d_HD, [c, d)
-    a, b = (np.take(BAND_EDGES, s_band + i) for i in (0, 1))
-    c, d = (np.take(BAND_EDGES, d_band + i) for i in (0, 1))
+    a, b, c, d, orders = _TIER_BOXES.take(tier - 1, axis=1)
     lo, hi, t_lo, t_hi = _polar_box(r, a, b, c, d)
     t_span = t_hi - t_lo
     # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2
-    share = area / (np.where(s_band > d_band, 2.0, 1.0) * (hi * hi - lo * lo) * t_span)
+    share = area / (orders * (hi * hi - lo * lo) * t_span)
     parts = []
     todo = np.arange(r.size)
     for _ in range(_MAX_ROUNDS):
@@ -605,19 +634,17 @@ def _best_g(rng, r, choice, k, params, which=None):
     return np.maximum.reduceat(g, np.cumsum(count) - count)
 
 
-def _squeeze(x, lower, upper):
-    """(hit, open) of the Bernoulli draws x < rate x max G of links whose rate x G lies in [lower, upper].
+def _squeeze(x, upper):
+    """Indices of the draws x < rate x max G whose outcome the upper end `upper` of rate x G leaves open.
 
-    x is each link's v times its tier rate.  A draw below lower (1 - margin)
-    is a success and one at or above upper (1 + margin) a failure, whatever
-    the helpers, so `hit` holds the outcome of every settled draw (and False
-    for the rest); `open` indexes the links whose outcome needs their best G.
-    An upper of inf settles no failure.
+    x is each link's draw lo + (rate - lo) v above its sure share lo (see
+    `_chunk_throughput`), so no draw is a success whatever the helpers; one
+    at or above upper (1 + margin) is a failure whatever they are, and every
+    other draw needs its link's best G.  An upper of inf settles no failure.
     The margin, _SQUEEZE_MARGIN, lies far above the rounding of G and of
     the bracket, so every settled outcome is the one full placement gives.
     """
-    hit = x < lower * (1.0 - _SQUEEZE_MARGIN)
-    return hit, np.flatnonzero(~hit & (x < upper * (1.0 + _SQUEEZE_MARGIN)))
+    return np.flatnonzero(x < upper * (1.0 + _SQUEEZE_MARGIN))
 
 
 def _control(worst, best, choice, direct):
@@ -663,16 +690,21 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     c, m = _control(worst, best, choice, (rate * ps_r)[elig])
     has, tier = choice.has, choice.tier
     chosen = elig[has]
-    rate[chosen] = np.take(TIER_RATES, tier - 1)
-    if v is None:
-        score[chosen] = _best_g(rng, r_e, choice, k, params)
-    else:
-            # the upper end bounds G only while log Ps is concave; without it no failure is settled
-        upper = best[tier - 1, has] if log_ps_concave(params) else np.inf
-        hit, open_ = _squeeze(v[chosen] * rate[chosen], worst[tier - 1], upper)
-        hit[open_] = v[chosen[open_]] < _best_g(rng, r_e, choice, k, params, open_)
-        score[chosen] = hit
+    tier_rate = np.take(TIER_RATES, tier - 1)
     t = rate * score
+    if v is None:
+        t[chosen] = tier_rate * _best_g(rng, r_e, choice, k, params)
+    else:
+        # rate x G_worst of the chosen tier is a sure success: score it exactly
+        # and draw x uniform above it, a success while x < rate x max G
+        lo = worst[tier - 1]
+        span = tier_rate - lo
+        x = lo + span * v[chosen]
+        # the upper end bounds G only while log Ps is concave; without it no failure is settled
+        open_ = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
+        hit = np.zeros(has.size, dtype=bool)
+        hit[open_] = x[open_] < tier_rate[open_] * _best_g(rng, r_e, choice, k, params, open_)
+        t[chosen] = lo + span * hit
     t[elig] = (t[elig] - c) + m
     return t
 

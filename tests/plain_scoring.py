@@ -10,10 +10,12 @@ its mean under the choice law, which for the proposed scheme is the link's
 lower bound.
 In analytic mode both draw from a chunk's stream exactly as the package
 does, so on one seed they see the same links and helpers.  In sampled mode
-they place the helpers of every link and then draw v, the order of the
-package before its squeeze (`monte_carlo._squeeze`), which draws v first
-and places only the links whose outcome it leaves open: the same law from
-another stream, and so an independent check of the squeeze.
+they place the helpers of every link, then draw v and score
+rate x 1{v < G}.  The package draws v first, scores a link with a
+helper as its chosen tier's sure share rate x G_worst plus a Bernoulli
+draw above it, and places only the links whose outcome its squeeze
+(`monte_carlo._squeeze`) leaves open: the same mean from another stream,
+and so an independent check of both.
 `plain_estimate` runs `estimate_throughput` with one of them in place of
 the package's chunk.
 """

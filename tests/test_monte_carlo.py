@@ -110,14 +110,26 @@ def test_stderr_scaling():
     assert big.stderr == pytest.approx(small.stderr / 2, rel=0.2)
 
 
-@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
-@pytest.mark.parametrize("k", [None, 10])
-def test_analytic_and_sampled_means_agree(k, regime):
-    kw = dict(densities=(0.003,), scheme="both", regime=regime, trials=200_000, k=k)
+def _assert_sampled_agrees_with_analytic(**kw):
+    """|z| <= 4 between analytic mode on seed 5 and sampled mode on seed 6, both schemes at 0.003 nodes/m^2."""
+    kw = dict(densities=(0.003,), scheme="both", trials=200_000, **kw)
     for an, sa in zip(estimate_throughput(ExperimentConfig(base_seed=5, **kw)),
                       estimate_throughput(ExperimentConfig(base_seed=6, estimator_mode="sampled", **kw))):
         z = (an.mean - sa.mean) / np.hypot(an.stderr, sa.stderr)
         assert abs(z) <= 4, (an.scheme, an.mean, sa.mean, z)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
+@pytest.mark.parametrize("k", [None, 10])
+def test_analytic_and_sampled_means_agree(k, regime):
+    _assert_sampled_agrees_with_analytic(regime=regime, k=k)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+def test_analytic_and_sampled_means_agree_under_a_loose_budget(regime):
+    # log Ps is not concave here, so the bracket's upper end is not proved: sampled
+    # mode settles no failure and draws above the sure share of every link with a helper
+    _assert_sampled_agrees_with_analytic(regime=regime, channel=ChannelParams(alpha=2.0, pt=-30.0))
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2"])
