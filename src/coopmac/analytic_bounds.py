@@ -193,22 +193,23 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
 _STORE_CAP = 4096
 
 
-def _node_rows(link_class: str, r, params: ChannelParams):
+def _node_rows(link_class: str, r, params: ChannelParams, exact=False):
     """(2n + 1, len(r)) kernel rows of a class C or D link that depend on its length r alone.
 
-    The n tier-region areas (`tier_areas`), Ps(r), and the n tier rates
-    times G at each tier's best helper position (`tier_bracket`).
+    The n tier-region areas (`tier_areas`, with its `exact`), Ps(r), and
+    the n tier rates times G at each tier's best helper position
+    (`tier_bracket`).
     """
     n = CLASS_TIERS[link_class]
     rows = np.empty((2 * n + 1, len(r)))
-    rows[:n] = tier_areas(r)[:n]
+    rows[:n] = tier_areas(r, exact=exact)[:n]
     rows[n] = _p_success(r, params)
     rows[n + 1:] = tier_bracket(link_class, r, params)[1]
     return rows
 
 
 class _NodeStore:
-    """`_node_rows` of every link length the kernel has seen, for one link class and ChannelParams.
+    """`_node_rows` of every link length the kernel has seen, for one link class, ChannelParams and `exact`.
 
     Nodes are looked up by exact equality in a sorted key array.  When a
     call's new nodes would take the store past `_STORE_CAP` it starts over,
@@ -216,8 +217,8 @@ class _NodeStore:
     storing any.
     """
 
-    def __init__(self, link_class: str, params: ChannelParams):
-        self.link_class, self.params = link_class, params
+    def __init__(self, link_class: str, params: ChannelParams, exact=False):
+        self.link_class, self.params, self.exact = link_class, params, exact
         n = CLASS_TIERS[link_class]
         # the tier rates times G at each tier's worst helper position, the lower end of
         # `tier_bracket`, which r does not move
@@ -236,7 +237,7 @@ class _NodeStore:
         if len(keys) + len(new) > _STORE_CAP:
             keys, rows = np.empty(0), rows[:, :0]
             new = np.unique(r)
-        new_rows = _node_rows(self.link_class, new, self.params)
+        new_rows = _node_rows(self.link_class, new, self.params, self.exact)
         if len(new) > _STORE_CAP:
             self.table = keys, rows
             return new_rows[:, np.searchsorted(new, r)]
@@ -247,12 +248,12 @@ class _NodeStore:
         return rows[:, np.searchsorted(keys, r)]
 
 
-@lru_cache(maxsize=8)
-def _node_store(link_class: str, params: ChannelParams) -> _NodeStore:
-    return _NodeStore(link_class, params)
+@lru_cache(maxsize=16)
+def _node_store(link_class: str, params: ChannelParams, exact=False) -> _NodeStore:
+    return _NodeStore(link_class, params, exact)
 
 
-def _link_bounds(regime: str, r, density, k, params: ChannelParams):
+def _link_bounds(regime: str, r, density, k, params: ChannelParams, exact=False):
     """(2, n) lower/upper throughput bounds of links of lengths r (a 1-D array).
 
     The array kernel behind `link_bounds_at_distance` and every bound
@@ -262,11 +263,14 @@ def _link_bounds(regime: str, r, density, k, params: ChannelParams):
     density.  The mixture's
     terms are stacked and summed over the tier axis in one ordered reduction,
     the direct term first.  It depends on the regime only through its link
-    class.  No validation; under k-nearest conditioning `density` is not used.
+    class.  `exact` takes the tier-1 area without cancellation near its
+    96.4 m tangency (`tier_areas`), from a store of its own.  No validation;
+    under k-nearest conditioning `density` is not used.
     """
     link_class = REGIMES[regime][2]
     n = CLASS_TIERS[link_class]
-    store = _node_store(link_class, params)
+    # the store of the default rows is keyed (class, params) alone, as its readers call it
+    store = _node_store(link_class, params, True) if exact else _node_store(link_class, params)
     rows = store.rows(r)
     empty = tier_void_law(rows[:n], r, density, k)
     # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
@@ -307,23 +311,43 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     or one per part.  The law is 2r/100^2 under the PPP (k None), else the
     kth-NN distance PDF, built once per call.  A helper part that ends at
     the tier-1 tangency (96.4 m) is integrated in s = sqrt(96.4 - r), with
-    Jacobian 2s.  Every part goes to one integrator run; the integrator
-    takes no node at an end of a band, so r > 0 and Ps needs no check.
-    When every band is empty the rows hold a single 0.  No validation.
+    Jacobian 2s.  Its tier law switches to tier 1 in a layer at about
+    s = rho^(-1/3), where the tier-1 area, about 9.26 s^3 m^2, holds a few
+    helpers at the tier law's density rho (`_tier1_layer`); where that
+    layer lies inside the band, the band is split there into two intervals
+    of half its tolerance each, so that the integrator's first panels see
+    it, and the call's helper nodes take the tier-1 area without
+    cancellation (`_link_bounds`' `exact`): lens terms that cancel to a
+    relative 1e-3 at 2e-5 m from tangency would otherwise be noise in the
+    layer.  Every part goes to one integrator run; the integrator takes no
+    node at an end of an interval, so r > 0 and Ps needs no check.  When
+    every band is empty the rows hold a single 0.  No validation.
     """
     law = (lambda r: 2.0 * r / MAX_RANGE ** 2) if k is None else nn_distance_law(k, density)
-    spans, s_form, rate, kind, regime_of = [], [], [], [], {}
-    for a, b, value in parts:
+    tols = np.broadcast_to(tol, len(parts))
+    spans, span_tol, owner, s_form, rate, kind, regime_of, exact = [], [], [], [], [], [], {}, False
+    for p, (a, b, value) in enumerate(parts):
         link_class = REGIMES[value][2] if isinstance(value, str) else None
         s_form.append(link_class is not None and b == TIER1_MAX_SEPARATION)
-        spans.append((0.0, math.sqrt(b - a)) if s_form[-1] else (a, b))
+        cuts = [a, b]
+        if s_form[-1]:
+            cuts = [0.0, math.sqrt(b - a)]
+            layer = _tier1_layer(density, k)
+            if layer < cuts[1]:
+                cuts.insert(1, layer)
+                exact = True
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            spans.append((lo, hi))
+            span_tol.append(tols[p] / (len(cuts) - 1))
+            owner.append(p)
         rate.append(0.0 if link_class else value)
         # the nodes of one link class go to one `_link_bounds` call, which reads the regime only for its class
         regime_of.setdefault(link_class, value)
         kind.append(list(regime_of).index(link_class))
-    s_form, rate, kind = np.array(s_form), np.array(rate), np.array(kind)
+    s_form, rate, kind, owner = np.array(s_form), np.array(rate), np.array(kind), np.array(owner)
 
-    def integrand(x, part):
+    def integrand(x, span):
+        part = owner[span]
         r, jacobian = x, None
         in_s = s_form[part]
         if in_s.any():
@@ -336,10 +360,25 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
             if link_class is None:
                 out[:, at] = rate[part[at]] * _p_success(r[at], params)
             else:
-                out[:, at] = _link_bounds(regime, r[at], density, k, params)
+                out[:, at] = _link_bounds(regime, r[at], density, k, params, exact)
         return out * weight
 
-    return adaptive_simpson(integrand, spans, tol).reshape(len(parts), -1)
+    values = adaptive_simpson(integrand, spans, span_tol).reshape(len(spans), -1)
+    # a band's intervals are added in their order, so a band of one interval keeps its bits
+    out = np.zeros((len(parts), values.shape[1]))
+    np.add.at(out, owner, values)
+    return out
+
+
+def _tier1_layer(density, k: Optional[int]) -> float:
+    """s = sqrt(96.4 - r) at which the tier-1 region holds about nine expected helpers, rho^(-1/3).
+
+    rho is the density of the tier law: the PPP's, or under k-nearest
+    conditioning that of the k - 1 nodes in the disk of radius 96.4 m.  inf
+    where rho is 0 (k = 1).
+    """
+    rho = density if k is None else (k - 1) / (math.pi * TIER1_MAX_SEPARATION ** 2)
+    return rho ** (-1.0 / 3.0) if rho > 0 else math.inf
 
 
 def band_mass(regime: str, density: float, k: Optional[int] = None) -> float:

@@ -192,6 +192,31 @@ def tier_bracket(link_class: str, r, params: ChannelParams):
     return worst[:n], best
 
 
+# d_SH^2 + d_HD^2 at each tier's worst position of `worst_tier_g`, both hops at the outer edges of its bands
+_WORST_Q = np.square(np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS))).sum(axis=0)
+_WORST_Q.setflags(write=False)
+
+
+def tier_q_bracket(r):
+    """(worst, best): d_SH^2 + d_HD^2 at each tier's worst and best helper positions of `tier_bracket`, for link lengths r.
+
+    worst is a read-only (5,) table; best is a (5, len(r)) array for all
+    five tiers at the 1-D array r.  Over a tier region d_SH^2 + d_HD^2 is
+    largest at the worst position, the outer corner of the hop bands, and
+    least at the best one, the evenest split of r that the bands allow, so
+    the two bound it there.  No validation.
+    """
+    half = 0.5 * r * r
+    best = np.empty((5, len(r)))
+    best[0] = half
+    best[2] = np.maximum(half, 2.0 * BAND_11 ** 2)
+    for row, edge in ((1, BAND_11), (3, BAND_55)):
+        np.square(r - edge, out=best[row])
+        best[row] += edge ** 2
+    best[4] = BAND_11 ** 2 + BAND_55 ** 2
+    return _WORST_Q, best
+
+
 def shadowing_sample(distance, params: ChannelParams, rng, size=None):
     """Draw received power(s) in dBm for a hop of length `distance`.
 

@@ -93,18 +93,38 @@ the mean of the link's lower and upper bounds; for the conventional one
 chunk reads the bracket once, shared by the control and the squeeze,
 through the 3-tier kernel of class C when all its eligible links are of
 that class and the 5-tier one otherwise; a class C link's tiers 4 and 5
-have no area and add exactly 0.  c - m(r) has mean 0 given r, so the mean
-is unchanged, and the control draws nothing, so sampled mode keeps its
-Bernoulli draw.  It removes most of the variance of the tier or region
-choice and of the spread within the chosen tier: against a control on the
-lower end of the bracket, at a density of 0.005 it cuts the analytic-mode
-variance 3.1-3.2x for class D1 and 2.7-2.9x for the class mix under the
-proposed scheme, 1.5-2.1x for the conventional scheme on D1, D2 and the
-mix, and 1.0-1.03x for C and D2 under the proposed scheme, while C under
-the conventional one keeps 0.98x; sampled mode, whose variance is its
-Bernoulli draw above the sure share, gains up to 1.1x.  In analytic mode
-an adjusted score lies within half the chosen bracket's width of m(r), and
-a direct link scores m(r) itself.
+have no area and add exactly 0.
+
+The conventional scheme's helper is uniform in its region, and most of
+what is left of its variance is G's spread inside that region, which the
+midpoint cannot see.  G falls with both hop lengths, and
+q = d_SH^2 + d_HD^2 of the helper explains 75-100% of G's variance within
+a region.  So a conventional link whose helper was placed (in sampled mode,
+one the squeeze left open) adds b (q - Qbar_j(r)) to its c (`_secant`).
+Qbar_j(r) = 2 J_j(r) / S_j(r) + r^2 / 2 is the exact mean of q over region
+j, with J_j the region's second moment about the S-D midpoint, which the
+lens pass of its area gives too (`stochastic_geometry.tier_areas`).  b is
+the secant of rate x G against q between the bracket's best and worst
+positions, where q is least and greatest over the region
+(`channel_model.tier_q_bracket`); it is fixed given r, so there is no
+weight to tune.  Given r and the region, the helper is uniform in it and independent
+of v, so the term has mean 0, and m(r) is unchanged (Glasserman 2004,
+4.1).
+
+c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
+draw nothing, so sampled mode keeps its Bernoulli draw.  They remove most
+of the variance of the tier or region choice and of the spread within the
+chosen tier: against a control on the lower end of the bracket, at a
+density of 0.005 the midpoint cuts the analytic-mode variance 3.1-3.2x for
+class D1 and 2.7-2.9x for the class mix under the proposed scheme, and
+1.0-1.03x for C and D2; for the conventional scheme, the midpoint and the
+q term together cut its stderr 2.0-3.3x against the midpoint alone (C, D1,
+D2 and the mix, analytic mode).  Sampled mode, whose variance is its
+Bernoulli draw above the sure share, gains far less: up to 1.1x from the
+midpoint, and 1.01-1.16x more from the q term.  In analytic mode
+a proposed-scheme score lies within half the chosen bracket's width of
+m(r); a conventional score does once b (q - Qbar) is added back to it.  A
+direct link scores m(r) itself.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -127,7 +147,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
+from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket, tier_q_bracket
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
@@ -237,10 +257,14 @@ class SimEstimate:
 
     The samples are the trials' scores with the control variate of the
     module docstring applied to every class C or D link, in both modes:
-    t - c + m(r), with c the midpoint of the trial's tier bracket, has the
+    t - c + m(r), with c the midpoint of the trial's tier bracket plus, for
+    a conventional link whose helper was placed, b (q - Qbar) in its
+    helper's d_SH^2 + d_HD^2 = q about the region's exact mean Qbar, has the
     plain score's mean, and each is a function of its own trial, so the
     stratified stderr holds as it stands.  The control adds no draw, and
-    sampled mode keeps its Bernoulli draw.  In sampled mode a link with a
+    sampled mode keeps its Bernoulli draw.  In analytic mode a
+    proposed-scheme sample lies within half the chosen bracket's width of
+    m(r); a conventional one need not, as its c moves with q.  In sampled mode a link with a
     helper scores the chosen tier's sure share lo = rate x G_worst plus
     (rate - lo) times a Bernoulli draw of x = lo + (rate - lo) v below
     rate x max G, which has the plain score's mean.  Sampled mode draws v
@@ -558,7 +582,10 @@ class _TierChoice(NamedTuple):
     scheme, whose count is 1).  law is the (5, len(r)) choice law, the
     probability that a link settles on each tier or region, and void the
     probability that it has no helper, the two that `_control` centres the
-    control variate with.
+    control variate with.  mean_q is, for the conventional scheme, the mean
+    of d_SH^2 + d_HD^2 over each chosen region, 2 J / area + r^2 / 2 with J
+    its second moment about the S-D midpoint (`tier_areas`), the centre of
+    the conventional scheme's second control (None for the proposed one).
     """
 
     has: np.ndarray
@@ -567,6 +594,7 @@ class _TierChoice(NamedTuple):
     load: Optional[np.ndarray]
     law: np.ndarray
     void: np.ndarray
+    mean_q: Optional[np.ndarray] = None
 
 
 def _tier_choice(rng, r, density, k, scheme):
@@ -578,9 +606,9 @@ def _tier_choice(rng, r, density, k, scheme):
     helper uniformly from the union of the regions.  `_best_g` then draws the
     helpers of the chosen tier.
     """
-    areas = tier_areas(r)
-    u = rng.random(r.size)
     if scheme == "proposed":
+        areas = tier_areas(r)
+        u = rng.random(r.size)
         # the lowest non-empty tier is the number of terms of P{tiers 1..i all
         # empty}, i = 0..5, above u; 6 is none
         empty = tier_void_law(areas, r, density, k)
@@ -596,28 +624,35 @@ def _tier_choice(rng, r, density, k, scheme):
             # each of the k-1 nodes avoids tiers 1..i-1, so it lies in tier i
             # with probability S_i / (disk area - S_1 - ... - S_(i-1))
             load = area / (np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area))
-    else:  # conventional
-        cum = cumulative_areas(areas)
-        # a helper exists unless the union of the regions, taken as one tier, is empty
-        void = void_probability(cum[-1], r, density, k)
-        # the pick is region j with probability (1 - void) S_j / S_total
-        law = areas * ((1.0 - void) / cum[-1])
-        has = np.flatnonzero(u < 1.0 - void)
-        # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
-        w = rng.random(has.size) * cum[-1, has]
-        tier = 1 + np.sum(cum[:, has] <= w, axis=0)
-        area = areas[tier - 1, has]
-        load = None
-    return _TierChoice(has, tier, area, load, law, void)
+        return _TierChoice(has, tier, area, load, law, void)
+    # conventional: the regions' moments come from the same lens pass as their areas
+    areas, moments = tier_areas(r, moments=True)
+    u = rng.random(r.size)
+    cum = cumulative_areas(areas)
+    # a helper exists unless the union of the regions, taken as one tier, is empty
+    void = void_probability(cum[-1], r, density, k)
+    # the pick is region j with probability (1 - void) S_j / S_total
+    law = areas * ((1.0 - void) / cum[-1])
+    has = np.flatnonzero(u < 1.0 - void)
+    # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
+    w = rng.random(has.size) * cum[-1, has]
+    tier = 1 + np.sum(cum[:, has] <= w, axis=0)
+    area = areas[tier - 1, has]
+    mean_q = moments[tier - 1, has]
+    mean_q *= 2.0
+    mean_q /= area
+    mean_q += 0.5 * r[has] ** 2
+    return _TierChoice(has, tier, area, None, law, void, mean_q)
 
 
 def _best_g(rng, r, choice, k, params, which=None):
-    """Largest G over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
+    """(g, q): largest G over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
 
     Draws each link's helper count (zero-truncated Poisson under the PPP,
     zero-truncated Binomial over the k-1 nearer nodes, one for the
     conventional scheme), places the helpers (`_place_in_tier`) and keeps
-    the best G of each link's points.
+    the best G of each link's points.  q is the one helper's
+    d_SH^2 + d_HD^2 for the conventional scheme, and None for the proposed.
     """
     pick = slice(None) if which is None else which
     tier, area = choice.tier[pick], choice.area[pick]
@@ -628,10 +663,14 @@ def _best_g(rng, r, choice, k, params, which=None):
     else:
         count = _zero_truncated_binomial(rng, k - 1, choice.load[pick])
     if not count.size:
-        return np.empty(0)
+        return np.empty(0), (None if choice.load is not None else np.empty(0))
     _, d_sh, d_hd = _place_in_tier(rng, r[choice.has[pick]], tier, area, count)
     g = g_joint(d_sh, d_hd, params)
-    return np.maximum.reduceat(g, np.cumsum(count) - count)
+    if choice.load is None:
+        d_sh *= d_sh
+        d_hd *= d_hd
+        return g, d_sh + d_hd
+    return np.maximum.reduceat(g, np.cumsum(count) - count), None
 
 
 def _squeeze(x, upper):
@@ -647,7 +686,7 @@ def _squeeze(x, upper):
     return np.flatnonzero(x < upper * (1.0 + _SQUEEZE_MARGIN))
 
 
-def _control(worst, best, choice, direct):
+def _control(worst, best, choice, direct, r=None, q=None, which=slice(None)):
     """(c, m) of the control variate of links scored `direct` = rate x Ps(r) without a helper.
 
     worst and best are the links' tier brackets from `channel_model.tier_bracket`,
@@ -658,6 +697,11 @@ def _control(worst, best, choice, direct):
     void of `choice`: void x direct plus the law's mixture of the midpoints,
     summed one tier at a time.  A class C bracket has three rows, and the
     law's rows for tiers 4 and 5 are then exact zeros, which the sum skips.
+
+    For the conventional scheme, the links choice.has[which] whose helper
+    was placed, at d_SH^2 + d_HD^2 = q, add b (q - Qbar) to c (`_secant`);
+    their helper is uniform in its region given r, so the term has mean 0
+    and m is unchanged.
     """
     mid = best + worst[:, None]
     mid *= 0.5
@@ -666,7 +710,35 @@ def _control(worst, best, choice, direct):
         m += p * row
     c = direct.copy()
     c[choice.has] = mid[choice.tier - 1, choice.has]
+    if q is not None:
+        at, tier = choice.has[which], choice.tier[which]
+        slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
+        term = q - mean_q
+        term *= slope
+        c[at] += term
     return c, m
+
+
+def _secant(worst, best, tier, r, mean_q):
+    """(b, Qbar) of the conventional control b (q - Qbar) of links of lengths r that chose the regions `tier`.
+
+    b = (best - worst) / (q_best - q_worst) is the secant of rate x G against
+    q = d_SH^2 + d_HD^2 between the chosen tier's best and worst helper
+    positions of `channel_model.tier_bracket`, where q is least and greatest
+    over the region (`channel_model.tier_q_bracket`); best is the bracket's
+    upper end at each link.  G falls as the hops grow, so b <= 0, and it is
+    0 where the two positions meet (tier 1 at its 96.4 m tangency, where the
+    region is empty).  Qbar is the region's exact mean of q, mean_q, clipped
+    into [q_best, q_worst]: a guard against rounding where the region is a
+    sliver.
+    """
+    q_worst, q_best = tier_q_bracket(r)
+    i = tier - 1
+    lo, hi = q_best[i, np.arange(i.size)], np.take(q_worst, i)
+    mean_q = np.clip(mean_q, lo, hi)
+    lo -= hi
+    slope = np.divide(best - np.take(worst, i), lo, out=np.zeros(i.size), where=lo < 0.0)
+    return slope, mean_q
 
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
@@ -687,13 +759,14 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     choice = _tier_choice(rng, r_e, density, k, scheme)
     # one bracket read per chunk, through the 3-tier kernel when every link is of class C
     worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
-    c, m = _control(worst, best, choice, (rate * ps_r)[elig])
     has, tier = choice.has, choice.tier
     chosen = elig[has]
     tier_rate = np.take(TIER_RATES, tier - 1)
     t = rate * score
     if v is None:
-        t[chosen] = tier_rate * _best_g(rng, r_e, choice, k, params)
+        placed = slice(None)
+        g, q = _best_g(rng, r_e, choice, k, params)
+        t[chosen] = tier_rate * g
     else:
         # rate x G_worst of the chosen tier is a sure success: score it exactly
         # and draw x uniform above it, a success while x < rate x max G
@@ -701,10 +774,12 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         span = tier_rate - lo
         x = lo + span * v[chosen]
         # the upper end bounds G only while log Ps is concave; without it no failure is settled
-        open_ = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
+        placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
+        g, q = _best_g(rng, r_e, choice, k, params, placed)
         hit = np.zeros(has.size, dtype=bool)
-        hit[open_] = x[open_] < tier_rate[open_] * _best_g(rng, r_e, choice, k, params, open_)
+        hit[placed] = x[placed] < tier_rate[placed] * g
         t[chosen] = lo + span * hit
+    c, m = _control(worst, best, choice, (rate * ps_r)[elig], r_e, q, placed)
     t[elig] = (t[elig] - c) + m
     return t
 

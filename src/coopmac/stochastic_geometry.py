@@ -205,12 +205,23 @@ def lens_area(r1, r2, separation):
 
 # the limits overwrite whatever d = 0 (a division by 0) and d = inf (inf - inf) give the formula
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _lens(r1, r2, d):
+def _lens(r1, r2, d, moment=False, exact=False):
     """Lens areas of circles of radii r1, r2 at separations d >= 0 (an array), broadcast over all three.
 
     The lens formula, then its two limits: 0 from d = r1 + r2 on, where
     arccos(1 - eps) would leave a sliver, and the smaller circle up to
-    d = |r1 - r2|.  No validation.
+    d = |r1 - r2|.  With `moment`, returns (area, J), J the lens's second
+    moment about the midpoint of the two centres, from the same arcs and
+    chord: J = ((r1^2 + d^2/2) A1 + (r2^2 + d^2/2) A2 - 3/2 (r1^2 + r2^2) T) / 2,
+    with A_i = r_i^2 alpha_i the sectors and T = d h the kite of the
+    half-chord h (each segment's moment about its centre, r^4 alpha / 2 for
+    its sector less a h (3 a^2 + h^2) / 6 for its triangle, moved to the
+    midpoint).  Near external tangency these terms cancel, and arccos near 1
+    loses digits, so J is recomputed there (`_thin_lens`).  The area's bits
+    do not depend on `moment`.  There the area, too, loses digits: about
+    1e-16 (r / (r1 + r2 - d))^2 of itself, so a relative 1e-3 at 2e-5 m from
+    tangency; with `exact` it is recomputed there as well, which moves its
+    bits at those separations alone.  No validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -228,9 +239,20 @@ def _lens(r1, r2, d):
         x *= sa
         arcs.append(x)
     area, a2 = arcs
+    if moment:
+        # J = (r1^2 A1 + r2^2 A2 + d^2 (A1 + A2) / 2 - 3/2 (r1^2 + r2^2) T) / 2, with a2's buffer
+        # reused for each term: every live array of a chunk's size costs page faults
+        j = area * sq1
     area += a2
+    if moment:
+        a2 *= sq2
+        j += a2
+        j += np.multiply(area, 0.5 * d2, out=a2)
     tri = -d + r1
     tri += r2
+    if moment or exact:
+        # both segments are thin where the circles are this close to external tangency
+        thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
     side = d + r1
     tri *= side - r2
     side += r2
@@ -243,16 +265,77 @@ def _lens(r1, r2, d):
     area -= tri
     # floored at 0: just below tangency the three terms cancel to round-off of either sign
     np.maximum(area, 0.0, out=area)
-    np.copyto(area, 0.0, where=d >= r1 + r2)
-    np.copyto(area, np.pi * np.minimum(r1, r2) ** 2, where=d <= abs(r1 - r2))
-    return area
+    outside, inside = d >= r1 + r2, d <= abs(r1 - r2)
+    np.copyto(area, 0.0, where=outside)
+    np.copyto(area, np.pi * np.minimum(r1, r2) ** 2, where=inside)
+    if (moment or exact) and thin.size:
+        at = np.unravel_index(thin, area.shape)
+        ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
+        thin_area, thin_j = _thin_lens(ra, rb, sep, kite / sep)
+        if exact:
+            area[at] = thin_area
+    if not moment:
+        return area
+    j -= np.multiply(tri, 1.5 * (sq1 + sq2), out=a2)
+    j *= 0.5
+    if thin.size:
+        j[at] = thin_j
+    np.maximum(j, 0.0, out=j)
+    np.copyto(j, 0.0, where=outside)
+    if np.any(inside):
+        # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2
+        r_in = np.minimum(r1, r2)
+        np.copyto(j, np.pi * r_in ** 2 * (0.5 * r_in ** 2 + 0.25 * d2), where=inside)
+    return area, j
+
+
+# `_lens` takes a lens's moment (and, if asked, its area) from `_thin_lens` where r1 + r2 - d is
+# below this share of the smaller radius: there the segments' half-angles are below about 0.05 rad
+_THIN = 0.0025
+# half-angle (rad) below which `_thin_lens` sums a segment's area and moment as series
+_SMALL_ARC = 0.05
+
+
+def _thin_lens(r1, r2, d, h):
+    """(area, J) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
+
+    h is the half-chord.  A segment of half-angle alpha (s, c its sine and
+    cosine) has the area r^2 (alpha - s c) = r^2 (phi - sin phi) / 2 in
+    phi = 2 alpha, O(alpha^3).  Its moment about the chord's midpoint
+    is r^4 p(alpha), with p(alpha) = alpha (c^2 + 1/2) - 3 s c / 2 for its
+    half-angle alpha (s, c its sine and cosine), which is O(alpha^5); below
+    _SMALL_ARC it is summed as its series in phi = 2 alpha, whose first term
+    is phi^5 / 240.  alpha = arctan2(h, a), with a the centre's distance to
+    the chord, is exact to rounding near 0, where arccos is not.  The chord's
+    midpoint lies e = a1 - d / 2 from the centres' midpoint, so
+    J = sum_i r_i^4 p_i + 2 e (F1 - F2) + e^2 (S1 + S2), with
+    F_i = r_i^3 (2 s^3 / 3 - c (alpha - s c)) each segment's first moment
+    about the chord, away from its centre, and S_i its area.  Both series
+    are summed below _SMALL_ARC.
+    """
+    a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
+    e = a1 - 0.5 * d
+    area, j = np.zeros(d.shape), np.zeros(d.shape)
+    for r, a, sign in ((r1, a1, 1.0), (r2, d - a1, -1.0)):
+        alpha = np.arctan2(h, a)
+        s, c = h / r, a / r
+        phi = 2.0 * alpha
+        f2 = phi * phi
+        small = alpha < _SMALL_ARC
+        segment = np.where(small, phi ** 3 * (1 / 12 - f2 * (1 / 240 - f2 * (1 / 10080 - f2 * (1 / 725760 - f2 / 79833600)))),
+                           alpha - s * c)
+        p = np.where(small, phi ** 5 * (1 / 240 - f2 * (1 / 5040 - f2 * (1 / 241920 - f2 * (1 / 19958400 - f2 / 2490808320)))),
+                     alpha * (c * c + 0.5) - 1.5 * s * c)
+        area += r * r * segment
+        j += r ** 4 * p + sign * 2.0 * e * r ** 3 * (2.0 / 3.0 * s ** 3 - c * segment) + e * e * r * r * segment
+    return area, j
 
 
 # the radii of tier t's lens, its outer hop edges, in row t - 1 of two (tiers, 1) columns
 _LENS_R1, _LENS_R2 = (np.array([[BAND_EDGES[b + 1]] for b in bands]) for bands in zip(*TIER_BANDS))
 
 
-def tier_areas(r):
+def tier_areas(r, moments=False, exact=False):
     """(5, n) tier-1..5 region areas of links of lengths r > 0 (a 1-D array); no validation.
 
     lens[t - 1] is the lens of tier t's outer hop edges.  It holds tier t and
@@ -264,18 +347,43 @@ def tier_areas(r):
     from 74.7 m on.  The choice is for all of r, not per link: on the mixed
     links of a Monte Carlo chunk of the "all" regime, gathering each link's
     lenses costs more than it saves.
+
+    With `moments`, returns (areas, J): J holds each region's second moment
+    about the S-D midpoint, from the same lens pass (`_lens`) and the same
+    combination of lenses, which holds for moments as for areas, as the
+    mirror image of a lens about the perpendicular bisector of S-D has the
+    same moment about the midpoint.  The areas keep their bits.  A helper
+    uniform in region j has a mean d_SH^2 + d_HD^2 of 2 J_j / S_j + r^2 / 2,
+    as d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 about the midpoint M.
+    With `exact`, the tier-1 lens is taken without cancellation near its
+    96.4 m tangency (`_lens`), which moves the bits of those links alone.
     """
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
     last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
     lens = np.zeros((len(TIER_BANDS), r.size))
-    lens[first:last] = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r)
+    if not moments:
+        lens[first:last] = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, exact=exact)
+        return _regions(lens, class_c)
+    lens[first:last], part = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=True, exact=exact)
+    if part.shape[0] < len(TIER_BANDS):
+        lens_j = np.zeros_like(lens)
+        lens_j[first:last] = part
+        part = lens_j
+    return _regions(lens, class_c), _regions(part, class_c)
+
+
+def _regions(lens, class_c):
+    """The (5, n) tier regions' values of an additive measure from its (5, n) values on the tier lenses.
+
+    Class C links' tiers 4 and 5 are set to 0.
+    """
     s1, l2, l3, l4, l5 = lens
     s2 = 2.0 * (l2 - s1)
     s4 = 2.0 * (l4 - s1) - s2
-    areas = np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
-    areas[CLASS_TIERS["C"]:, class_c] = 0.0
-    return areas
+    regions = np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
+    regions[CLASS_TIERS["C"]:, class_c] = 0.0
+    return regions
 
 
 def cumulative_areas(areas):

@@ -48,7 +48,7 @@ def _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, control=N
     helped = elig.size > 0 and k != 1
     if helped:
         choice = monte_carlo._tier_choice(rng, r[elig], density, k, scheme)
-        g = monte_carlo._best_g(rng, r[elig], choice, k, params)
+        g, _ = monte_carlo._best_g(rng, r[elig], choice, k, params)
         if control:
             c, m = control(choice, (rate * success_p)[elig], params)
         rate[elig[choice.has]] = np.take(TIER_RATES, choice.tier - 1)

@@ -48,7 +48,8 @@ def _recorded_chunk(regime, density, k, scheme, n, seed, params, monkeypatch):
 
     def best_g(rng, r, choice, k, params, which=None):
         seen["placed"] = which
-        seen["g"] = out = best_g.real(rng, r, choice, k, params, which)
+        out = best_g.real(rng, r, choice, k, params, which)
+        seen["g"], seen["q"] = out[0], None if out[1] is None else out[1].copy()
         return out
 
     for name, fake in (("_tier_choice", tier_choice), ("_squeeze", squeeze), ("_control", control),
@@ -100,8 +101,20 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     hit[placed] = x[placed] < rate[placed] * seen["g"]
     c, m = seen["c"][has], seen["m"][has]
     assert t[elig[has]].tobytes() == (((lo + (rate - lo) * hit) - c) + m).tobytes()
+    # c is the chosen tier's bracket midpoint; a conventional link whose helper was placed adds
+    # b (q - Qbar) to it, its one helper's d_SH^2 + d_HD^2 against the region's mean
+    moved = c - (lo + best[tier - 1, has]) / 2
+    if scheme == "proposed":
+        assert seen["q"] is None
+        np.testing.assert_allclose(moved, 0.0, rtol=0, atol=1e-14)
+    else:
+        settled = np.setdiff1d(np.arange(has.size), placed)
+        np.testing.assert_allclose(moved[settled], 0.0, rtol=0, atol=1e-14)
+        slope, mean_q = mc._secant(worst, best[tier[placed] - 1, has[placed]], tier[placed], r[has[placed]],
+                                   choice.mean_q[placed])
+        np.testing.assert_allclose(moved[placed], slope * (seen["q"] - mean_q), rtol=0, atol=1e-12)
     # place every link's helpers on another stream: each settled draw is a failure of that placement
-    g = mc._best_g(np.random.default_rng(seed + 1), r, choice, k, params)
+    g = mc._best_g(np.random.default_rng(seed + 1), r, choice, k, params)[0]
     settled = np.setdiff1d(np.arange(has.size), placed)
     mismatches = np.count_nonzero(x[settled] < rate[settled] * g[settled])
     assert mismatches == 0, (mismatches, settled.size)

@@ -6,6 +6,7 @@ from scipy.stats import gamma
 from coopmac.analytic_bounds import tier_probabilities
 from coopmac.stochastic_geometry import (
     BAND_2,
+    _lens,
     BAND_EDGES,
     TIER1_MAX_SEPARATION,
     TIER_BANDS,
@@ -128,23 +129,36 @@ def _ulps_around(x, n=64):
     return below[:0:-1] + above
 
 
+def _tier_regions(s1, l2, l3, l4, l5):
+    """The five tier regions' values of an additive measure from its values on the five tier lenses."""
+    s2 = 2.0 * (l2 - s1)
+    s4 = 2.0 * (l4 - s1) - s2
+    return np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
+
+
 def geometric_tier_areas(r):
     """The five tier-region areas at link length(s) r from one `lens_area` call per tier.
 
     Shape (5,) for a scalar r and (5, n) for a 1-D one; no class trim, so a
     class C length (r < 74.7 m) keeps its geometric tier-4 and tier-5 areas.
     """
-    s1, l2, l3, l4, l5 = (lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r) for i, j in TIER_BANDS)
-    s2 = 2.0 * (l2 - s1)
-    s4 = 2.0 * (l4 - s1) - s2
-    return np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
+    return _tier_regions(*(lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r) for i, j in TIER_BANDS))
 
 
-def class_tier_areas(r):
-    """`geometric_tier_areas` of a 1-D r with tiers 4 and 5 of the class C lengths set to 0."""
+def class_tier_areas(r, moments=False):
+    """`geometric_tier_areas` of a 1-D r with tiers 4 and 5 of the class C lengths set to 0.
+
+    With `moments`, also the regions' second moments about the S-D midpoint,
+    from one `_lens` call per tier, trimmed the same way: the reference of
+    `tier_areas(r, moments=True)`.
+    """
     areas = geometric_tier_areas(r)
     areas[3:, r < BAND_2] = 0.0
-    return areas
+    if not moments:
+        return areas
+    j = _tier_regions(*(_lens(BAND_EDGES[i + 1], BAND_EDGES[k + 1], r, moment=True)[1] for i, k in TIER_BANDS))
+    j[3:, r < BAND_2] = 0.0
+    return areas, j
 
 
 def test_tier_areas_are_lens_area_bit_for_bit():

@@ -35,7 +35,7 @@ LINKS = {"C": (70.9, "C", (1, 2, 3)), "D1": (85.55, "D", (1, 2, 3, 4, 5)), "D2":
 def _selected_helpers(rng, r, density, k, scheme):
     """(links with a helper, tier, best G) of the package's tier choice and placement, every link placed."""
     choice = mc._tier_choice(rng, r, density, k, scheme)
-    return choice.has, choice.tier, mc._best_g(rng, r, choice, k, PARAMS)
+    return choice.has, choice.tier, mc._best_g(rng, r, choice, k, PARAMS)[0]
 
 
 def _under_k(cases, ks):
