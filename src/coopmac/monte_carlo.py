@@ -713,9 +713,9 @@ def _control(worst, best, choice, direct, r=None, q=None, which=slice(None)):
     if q is not None:
         at, tier = choice.has[which], choice.tier[which]
         slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
-        term = q - mean_q
-        term *= slope
-        c[at] += term
+        np.subtract(q, mean_q, out=mean_q)
+        mean_q *= slope
+        c[at] += mean_q
     return c, m
 
 
@@ -737,8 +737,7 @@ def _secant(worst, best, tier, r, mean_q):
     lo, hi = q_best[i, np.arange(i.size)], np.take(q_worst, i)
     mean_q = np.clip(mean_q, lo, hi)
     lo -= hi
-    slope = np.divide(best - np.take(worst, i), lo, out=np.zeros(i.size), where=lo < 0.0)
-    return slope, mean_q
+    return np.divide(best - np.take(worst, i), lo, out=np.zeros(i.size), where=lo < 0.0), mean_q
 
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):

@@ -216,12 +216,12 @@ def _lens(r1, r2, d, moment=False, exact=False):
     with A_i = r_i^2 alpha_i the sectors and T = d h the kite of the
     half-chord h (each segment's moment about its centre, r^4 alpha / 2 for
     its sector less a h (3 a^2 + h^2) / 6 for its triangle, moved to the
-    midpoint).  Near external tangency these terms cancel, and arccos near 1
-    loses digits, so J is recomputed there (`_thin_lens`).  The area's bits
-    do not depend on `moment`.  There the area, too, loses digits: about
-    1e-16 (r / (r1 + r2 - d))^2 of itself, so a relative 1e-3 at 2e-5 m from
-    tangency; with `exact` it is recomputed there as well, which moves its
-    bits at those separations alone.  No validation.
+    midpoint).  The area's bits do not depend on `moment`.  Near external
+    tangency the terms of both cancel, and arccos near 1 loses digits: the
+    area keeps about 1e-16 (r / (r1 + r2 - d))^2 of itself, so it is off by
+    a relative 1e-3 at 2e-5 m from tangency, and J by far more.  With
+    `exact` both are recomputed there without cancellation (`_thin_lens`),
+    which moves their bits at those separations alone.  No validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -250,7 +250,7 @@ def _lens(r1, r2, d, moment=False, exact=False):
         j += np.multiply(area, 0.5 * d2, out=a2)
     tri = -d + r1
     tri += r2
-    if moment or exact:
+    if exact:
         # both segments are thin where the circles are this close to external tangency
         thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
     side = d + r1
@@ -268,19 +268,17 @@ def _lens(r1, r2, d, moment=False, exact=False):
     outside, inside = d >= r1 + r2, d <= abs(r1 - r2)
     np.copyto(area, 0.0, where=outside)
     np.copyto(area, np.pi * np.minimum(r1, r2) ** 2, where=inside)
-    if (moment or exact) and thin.size:
+    if exact and thin.size:
         at = np.unravel_index(thin, area.shape)
         ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
         thin_area, thin_j = _thin_lens(ra, rb, sep, kite / sep)
-        if exact:
-            area[at] = thin_area
+        area[at] = thin_area
     if not moment:
         return area
     j -= np.multiply(tri, 1.5 * (sq1 + sq2), out=a2)
     j *= 0.5
-    if thin.size:
+    if exact and thin.size:
         j[at] = thin_j
-    np.maximum(j, 0.0, out=j)
     np.copyto(j, 0.0, where=outside)
     if np.any(inside):
         # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2
@@ -290,44 +288,36 @@ def _lens(r1, r2, d, moment=False, exact=False):
 
 
 # `_lens` takes a lens's moment (and, if asked, its area) from `_thin_lens` where r1 + r2 - d is
-# below this share of the smaller radius: there the segments' half-angles are below about 0.05 rad
+# below this share of the smaller radius; there each segment's half-angle is below sqrt(2 _THIN)
 _THIN = 0.0025
-# half-angle (rad) below which `_thin_lens` sums a segment's area and moment as series
-_SMALL_ARC = 0.05
 
 
 def _thin_lens(r1, r2, d, h):
     """(area, J) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
 
-    h is the half-chord.  A segment of half-angle alpha (s, c its sine and
-    cosine) has the area r^2 (alpha - s c) = r^2 (phi - sin phi) / 2 in
-    phi = 2 alpha, O(alpha^3).  Its moment about the chord's midpoint
-    is r^4 p(alpha), with p(alpha) = alpha (c^2 + 1/2) - 3 s c / 2 for its
-    half-angle alpha (s, c its sine and cosine), which is O(alpha^5); below
-    _SMALL_ARC it is summed as its series in phi = 2 alpha, whose first term
-    is phi^5 / 240.  alpha = arctan2(h, a), with a the centre's distance to
-    the chord, is exact to rounding near 0, where arccos is not.  The chord's
-    midpoint lies e = a1 - d / 2 from the centres' midpoint, so
-    J = sum_i r_i^4 p_i + 2 e (F1 - F2) + e^2 (S1 + S2), with
+    h is the half-chord.  A segment of half-angle alpha has the area
+    r^2 (phi - sin phi) / 2 in phi = 2 alpha, and the moment about the
+    chord's midpoint r^4 (2 phi + phi cos phi - 3 sin phi) / 4; both are
+    summed as their series, exact to rounding for alpha up to 0.1, above the
+    0.071 that _THIN allows.  alpha = arctan2(h, a), with a the centre's
+    distance to the chord, is exact to rounding near 0, where arccos is not.
+    The chord's midpoint lies e = a1 - d / 2 from the centres' midpoint, so
+    J = sum_i (segment moments) + 2 e (F1 - F2) + e^2 (S1 + S2), with
     F_i = r_i^3 (2 s^3 / 3 - c (alpha - s c)) each segment's first moment
-    about the chord, away from its centre, and S_i its area.  Both series
-    are summed below _SMALL_ARC.
+    about the chord, away from its centre, s and c the sine and cosine of
+    alpha and S_i the segment's area; e is 0 for equal radii.
     """
     a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     e = a1 - 0.5 * d
     area, j = np.zeros(d.shape), np.zeros(d.shape)
     for r, a, sign in ((r1, a1, 1.0), (r2, d - a1, -1.0)):
-        alpha = np.arctan2(h, a)
-        s, c = h / r, a / r
-        phi = 2.0 * alpha
+        phi = 2.0 * np.arctan2(h, a)
         f2 = phi * phi
-        small = alpha < _SMALL_ARC
-        segment = np.where(small, phi ** 3 * (1 / 12 - f2 * (1 / 240 - f2 * (1 / 10080 - f2 * (1 / 725760 - f2 / 79833600)))),
-                           alpha - s * c)
-        p = np.where(small, phi ** 5 * (1 / 240 - f2 * (1 / 5040 - f2 * (1 / 241920 - f2 * (1 / 19958400 - f2 / 2490808320)))),
-                     alpha * (c * c + 0.5) - 1.5 * s * c)
-        area += r * r * segment
-        j += r ** 4 * p + sign * 2.0 * e * r ** 3 * (2.0 / 3.0 * s ** 3 - c * segment) + e * e * r * r * segment
+        segment = r * r * phi ** 3 * (1 / 12 - f2 * (1 / 240 - f2 * (1 / 10080 - f2 * (1 / 725760 - f2 / 79833600))))
+        area += segment
+        j += r ** 4 * phi ** 5 * (1 / 240 - f2 * (1 / 5040 - f2 * (1 / 241920 - f2 * (1 / 19958400 - f2 / 2490808320))))
+        first = (2.0 / 3.0) * h ** 3 - a * segment
+        j += sign * 2.0 * e * first + e * e * segment
     return area, j
 
 
@@ -355,33 +345,34 @@ def tier_areas(r, moments=False, exact=False):
     same moment about the midpoint.  The areas keep their bits.  A helper
     uniform in region j has a mean d_SH^2 + d_HD^2 of 2 J_j / S_j + r^2 / 2,
     as d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 about the midpoint M.
-    With `exact`, the tier-1 lens is taken without cancellation near its
-    96.4 m tangency (`_lens`), which moves the bits of those links alone.
+    Near its 96.4 m tangency the tier-1 lens loses digits to cancellation,
+    its moment far more than its area; with `exact` both are taken without
+    it (`_lens`), which moves the bits of those links alone.
     """
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
     last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
-    lens = np.zeros((len(TIER_BANDS), r.size))
+    # a lens not evaluated is a 0.0: tier 1's from 96.4 m on, tiers 4 and 5's for class C alone
+    skip = [0.0] * first, [0.0] * (len(TIER_BANDS) - last)
+    out = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=moments, exact=exact)
     if not moments:
-        lens[first:last] = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, exact=exact)
-        return _regions(lens, class_c)
-    lens[first:last], part = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=True, exact=exact)
-    if part.shape[0] < len(TIER_BANDS):
-        lens_j = np.zeros_like(lens)
-        lens_j[first:last] = part
-        part = lens_j
-    return _regions(lens, class_c), _regions(part, class_c)
+        return _regions([*skip[0], *out, *skip[1]], class_c)
+    return tuple(_regions([*skip[0], *lens, *skip[1]], class_c) for lens in out)
 
 
 def _regions(lens, class_c):
-    """The (5, n) tier regions' values of an additive measure from its (5, n) values on the tier lenses.
+    """The (5, n) tier regions' values of an additive measure from its values on the five tier lenses.
 
-    Class C links' tiers 4 and 5 are set to 0.
+    lens holds a row or a 0.0 per lens.  Class C links' tiers 4 and 5 are
+    set to 0.
     """
     s1, l2, l3, l4, l5 = lens
-    s2 = 2.0 * (l2 - s1)
-    s4 = 2.0 * (l4 - s1) - s2
-    regions = np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
+    regions = np.empty((len(TIER_BANDS), class_c.size))
+    s2 = np.multiply(np.subtract(l2, s1, out=regions[1]), 2.0, out=regions[1])
+    np.subtract(np.subtract(l3, s2, out=regions[2]), s1, out=regions[2])
+    s4 = np.subtract(np.multiply(np.subtract(l4, s1, out=regions[3]), 2.0, out=regions[3]), s2, out=regions[3])
+    np.subtract(np.multiply(np.subtract(l5, l3, out=regions[4]), 2.0, out=regions[4]), s4, out=regions[4])
+    regions[0] = s1
     regions[CLASS_TIERS["C"]:, class_c] = 0.0
     return regions
 
