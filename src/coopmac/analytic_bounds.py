@@ -312,8 +312,8 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     kth-NN distance PDF, built once per call.  A helper part that ends at
     the tier-1 tangency (96.4 m) is integrated in s = sqrt(96.4 - r), with
     Jacobian 2s.  Its tier law switches to tier 1 in a layer at about
-    s = rho^(-1/3), where the tier-1 area, about 9.26 s^3 m^2, holds a few
-    helpers at the tier law's density rho (`_tier1_layer`); where that
+    s = rho^(-1/3), where the tier-1 area, about 9.26 s^3 m^2, holds about
+    nine expected helpers at the tier law's density rho (`_tier1_layer`); where that
     layer lies inside the band, the band is split there into two intervals
     of half its tolerance each, so that the integrator's first panels see
     it, and the call's helper nodes take the tier-1 area without
