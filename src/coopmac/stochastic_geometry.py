@@ -279,6 +279,8 @@ def _lens(r1, r2, d, moment=False, exact=False):
     j *= 0.5
     if exact and thin.size:
         j[at] = thin_j
+    # floored at 0 as the area is, for the same cancellation
+    np.maximum(j, 0.0, out=j)
     np.copyto(j, 0.0, where=outside)
     if np.any(inside):
         # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2

@@ -1,0 +1,54 @@
+"""The mean of d_SH^2 + d_HD^2 over a helper-tier region, by quadrature from the geometry alone: a test oracle.
+
+A helper at distance rho from the source S, at angle theta from the S-D
+axis, lies d_HD = sqrt(rho^2 + r^2 - 2 rho r cos theta) from the
+destination, so q = d_SH^2 + d_HD^2 = 2 rho^2 + r^2 - 2 rho r cos theta.
+Tier t's region is the set of points whose two hop lengths lie in its two
+hop bands, in either order.  In polar coordinates about S it is, for each
+order, rho in the S-hop band and theta between the angles at which d_HD
+crosses the edges of the other band.  `region_mean_q` integrates 1 and q
+over that set with `scipy.integrate.dblquad` (the upper half-plane; the
+lower one is its mirror image) and returns their ratio.  It reads the band
+table and nothing else of the package, so it checks the lens moments of
+`stochastic_geometry.tier_areas` independently.
+"""
+
+from __future__ import annotations
+
+import math
+
+from scipy.integrate import dblquad
+
+from coopmac.stochastic_geometry import BAND_EDGES, TIER_BANDS
+
+
+def _theta(x, rho, r):
+    """Angle at S at which a point rho from S lies x from D, clipped to [0, pi]."""
+    cos = (rho * rho + r * r - x * x) / (2.0 * rho * r)
+    return math.acos(min(1.0, max(-1.0, cos)))
+
+
+def _order(r, s_band, h_band):
+    """(integral of 1, integral of q) over rho in band s_band and d_HD in band h_band, upper half-plane."""
+    a, b = BAND_EDGES[s_band:s_band + 2]
+    c, d = BAND_EDGES[h_band:h_band + 2]
+    lo, hi = max(a, r - d), min(b, r + d)
+    if lo >= hi:
+        return 0.0, 0.0
+    # the theta limits bend where d_HD's band edges meet the axis: split rho there
+    cuts = sorted({lo, hi} | {x for e in (c, d) for x in (r - e, e - r, r + e) if lo < x < hi})
+    total = [0.0, 0.0]
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        for i, f in enumerate((lambda t, rho: rho, lambda t, rho: rho * (2.0 * rho * rho + r * r - 2.0 * rho * r * math.cos(t)))):
+            total[i] += dblquad(f, left, right, lambda rho: _theta(c, rho, r), lambda rho: _theta(d, rho, r),
+                                epsabs=0.0, epsrel=1e-13)[0]
+    return tuple(total)
+
+
+def region_mean_q(tier, r):
+    """(area, mean of d_SH^2 + d_HD^2) over tier `tier`'s region of a link of length r."""
+    i, j = TIER_BANDS[tier - 1]
+    parts = [_order(r, i, j)] + ([_order(r, j, i)] if i != j else [])
+    area = 2.0 * sum(p[0] for p in parts)
+    moment = 2.0 * sum(p[1] for p in parts)
+    return area, moment / area if area > 0 else math.nan

@@ -1,4 +1,4 @@
-"""The Monte Carlo without its control variate, and with the lower-bound one: test oracles.
+"""The Monte Carlo without its control variate, and with simpler ones: test oracles.
 
 `plain_chunk` is `monte_carlo._chunk_throughput` with each trial scored as
 the rate times G of its helper, or times Ps(r) for a direct link (one
@@ -7,7 +7,10 @@ no control subtracted or added.  `lower_control_chunk` centres the control
 on the lower end of each choice's bracket instead of its midpoint: c is the
 chosen tier's rate times G at its worst position (`worst_tier_g`), and m(r)
 its mean under the choice law, which for the proposed scheme is the link's
-lower bound.
+lower bound.  `midpoint_control_chunk` keeps the midpoint of each choice's
+bracket alone: for the proposed scheme that is the package's control, and
+for the conventional one the package's control without its term
+b (q - Qbar) in the helper's d_SH^2 + d_HD^2.
 In analytic mode both draw from a chunk's stream exactly as the package
 does, so on one seed they see the same links and helpers.  In sampled mode
 they place the helpers of every link, then draw v and score
@@ -26,16 +29,26 @@ import numpy as np
 import pytest
 
 from coopmac import monte_carlo
-from coopmac.channel_model import p_success_direct, worst_tier_g
+from coopmac.channel_model import p_success_direct, tier_bracket, worst_tier_g
 from coopmac.stochastic_geometry import BAND_55, BAND_RATES, REGIMES, TIER_RATES, hop_band
 
 
-def _lower_control(choice, direct, params):
+def _lower_control(choice, direct, params, r):
     """(c, m) of the control on each choice's lower-bound term."""
     terms = worst_tier_g(params)[1]
     c = direct.copy()
     c[choice.has] = terms[choice.tier - 1]
     return c, np.dot(terms, choice.law) + choice.void * direct
+
+
+def _midpoint_control(choice, direct, params, r):
+    """(c, m) of the control on each choice's bracket midpoint, rate x (G_worst + G_best(r)) / 2."""
+    worst, best = tier_bracket("D", r, params)
+    # a class C link's tiers 4 and 5 have law 0, and finite midpoints
+    mid = (best + worst[:, None]) / 2
+    c = direct.copy()
+    c[choice.has] = mid[choice.tier - 1, choice.has]
+    return c, np.sum(choice.law * mid, axis=0) + choice.void * direct
 
 
 def _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, control=None):
@@ -50,7 +63,7 @@ def _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, control=N
         choice = monte_carlo._tier_choice(rng, r[elig], density, k, scheme)
         g, _ = monte_carlo._best_g(rng, r[elig], choice, k, params)
         if control:
-            c, m = control(choice, (rate * success_p)[elig], params)
+            c, m = control(choice, (rate * success_p)[elig], params, r[elig])
         rate[elig[choice.has]] = np.take(TIER_RATES, choice.tier - 1)
         success_p[elig[choice.has]] = g
     if estimator_mode == "sampled":
@@ -70,6 +83,11 @@ def plain_chunk(regime, density, scheme, n, params, estimator_mode, k, rng):
 def lower_control_chunk(regime, density, scheme, n, params, estimator_mode, k, rng):
     """n trial scores of one chunk with the control on each choice's lower-bound term."""
     return _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, _lower_control)
+
+
+def midpoint_control_chunk(regime, density, scheme, n, params, estimator_mode, k, rng):
+    """n trial scores of one chunk with the control on each choice's bracket midpoint alone."""
+    return _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, _midpoint_control)
 
 
 def plain_estimate(config, chunk=plain_chunk):

@@ -3,8 +3,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import gamma as gamma_dist
 
+from coopmac import analytic_bounds as ab
 from coopmac.analytic_bounds import (
     BoundPair,
+    _link_bounds,
     averaged_bounds,
     band_mass,
     h_integral,
@@ -436,3 +438,49 @@ def test_bounds_at_large_density_match_quad(lam):
         assert np.isfinite([pair.lower, pair.upper]).all()
         assert 0.0 <= pair.lower <= pair.upper <= 11.0
         np.testing.assert_allclose([pair.lower, pair.upper], want, rtol=0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("lam", [1e5, 1e6, 1e7, 1e8])
+def test_bounds_at_very_large_density_match_quad(lam):
+    # from about lam = 1e7 the tier-1 layer, s = sqrt(96.4 - r) ~ lam^(-1/3), lies nearer
+    # to s = 0 than the nodes of the D1 band's first panels, and the plain tier-1 lens
+    # area there is off by a relative 1e-3; the package splits the band at the layer and
+    # takes that area without cancellation, and so does this reference (its lens kernel
+    # is checked against 50-digit arithmetic in test_region_moments)
+    layer = TIER1_MAX_SEPARATION - (np.array([0.1, 0.3, 1.0, 3.0, 10.0]) * lam ** (-1.0 / 3.0)) ** 2
+    params = ChannelParams()
+
+    def band(regime):
+        a, b = BANDS[regime]
+        return [quad(lambda r: _link_bounds(regime, np.array([r]), lam, None, params, True)[side, 0] * 2 * r / 100.0**2,
+                     a, b, points=layer if regime == "D1" else None, epsabs=1e-13, epsrel=1e-12, limit=2000)[0]
+                for side in (0, 1)]
+
+    parts = {regime: band(regime) for regime in BANDS}
+    direct = sum(quad(lambda r: rate * float(p_success_direct(r)) * 2 * r / 100.0**2, a, b, epsabs=1e-13)[0]
+                 for a, b, rate in ((0.0, 48.2, 11.0), (48.2, 67.1, 5.5)))
+    share = band_mass("D1", lam)
+    for pair, want in ((averaged_bounds("D1", lam), [v / share for v in parts["D1"]]),
+                       (total_throughput_bounds(lam), [direct + sum(p[i] for p in parts.values()) for i in (0, 1)])):
+        assert np.isfinite([pair.lower, pair.upper]).all()
+        assert 0.0 <= pair.lower <= pair.upper <= 11.0
+        np.testing.assert_allclose([pair.lower, pair.upper], want, rtol=0.0, atol=1e-8)
+
+
+def test_d1_band_splits_at_the_tier1_layer_only_above_the_density_grid(monkeypatch):
+    # below about 0.01 nodes/m^2 the layer lies beyond the band and every bound keeps its bits
+    spans = []
+    real = ab.adaptive_simpson
+
+    def recording(f, intervals, tol):
+        spans.append(list(intervals))
+        return real(f, intervals, tol)
+
+    monkeypatch.setattr(ab, "adaptive_simpson", recording)
+    for lam in DENSITY_GRID + (0.0098,):
+        averaged_bounds("D1", lam)
+        assert len(spans.pop()) == 1, lam
+    for lam, k in ((0.0101, None), (1e7, None), (0.044, 1000)):
+        averaged_bounds("D1", lam, k)
+        (_, cut), _ = spans.pop()
+        assert cut == pytest.approx(ab._tier1_layer(lam, k), rel=1e-15)

@@ -2,13 +2,18 @@
 
 A class C or D link scores t - c + m(r): c is half the rate times G at the
 worst plus the best position of the tier or region the trial chose (rate x
-Ps(r) for a direct link), and m(r) is c's mean given the link length.  These
-tests pin c and m to references built here from the geometry and
-`channel_model`, check that the bounds and the Monte Carlo read one bracket
-table, that every analytic-mode trial lies in its bracket, that the means
-agree with the plain scores of `plain_scoring`, and that the control cuts
-the stderr, against plain scoring and against the control on the lower end
-of the bracket (`plain_scoring.lower_control_chunk`).
+Ps(r) for a direct link), and m(r) is c's mean given the link length.  A
+conventional link whose helper was placed adds b (q - Qbar) to c, with q
+its helper's d_SH^2 + d_HD^2, Qbar the region's exact mean of q and b the
+secant of rate x G against q over the bracket.  These tests pin c and m to
+references built here from the geometry and `channel_model`, check that
+the bounds and the Monte Carlo read one bracket table, that every
+analytic-mode trial lies in its bracket once the q term is added back, that
+the means agree with the plain scores of `plain_scoring`, and that the
+control cuts the stderr, against plain scoring, against the control on the
+lower end of the bracket (`plain_scoring.lower_control_chunk`) and, for the
+conventional scheme, against the midpoint alone
+(`plain_scoring.midpoint_control_chunk`).
 """
 
 import math
@@ -21,7 +26,7 @@ from coopmac.analytic_bounds import _link_bounds, _node_store, tier_bound_pair
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct, tier_bracket, worst_tier_g
 from coopmac.monte_carlo import ExperimentConfig, estimate_throughput
 from coopmac.stochastic_geometry import BAND_RATES, CLASS_TIERS, REGIMES, hop_band, tier_areas, void_probability
-from plain_scoring import lower_control_chunk, plain_estimate
+from plain_scoring import lower_control_chunk, midpoint_control_chunk, plain_estimate
 
 PARAMS = ChannelParams()
 # tier t's worst helper position, both hops at the outer edges of its hop
@@ -54,13 +59,27 @@ def _best_terms(r, params):
 
 
 def _control_parts(regime, density, k, scheme, n, seed):
-    """(r, has, tier, c, m) of an analytic-mode chunk's links, from the chunk's own stream."""
+    """(r, has, tier, q, c, m) of an analytic-mode chunk's links, from the chunk's own stream.
+
+    q is each placed helper's d_SH^2 + d_HD^2 (None for the proposed
+    scheme), and c the control with the conventional scheme's q term.
+    """
     rng = np.random.default_rng(seed)
     r = mc._draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
     choice = mc._tier_choice(rng, r, density, k, scheme)
+    _, q = mc._best_g(rng, r, choice, k, PARAMS)
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     bracket = tier_bracket(REGIMES[regime][2], r, PARAMS)
-    return (r, choice.has, choice.tier) + mc._control(*bracket, choice, direct)
+    c, m = mc._control(*bracket, choice, direct, r, None if q is None else q.copy())
+    return r, choice.has, choice.tier, q, c, m
+
+
+def _q_range(r):
+    """(5, len(r)) d_SH^2 + d_HD^2 at each tier's best and worst positions, by hand."""
+    best = np.array([r * r / 2, 48.2 ** 2 + (r - 48.2) ** 2, np.where(r <= 96.4, 2 * 48.2 ** 2, r * r / 2),
+                     67.1 ** 2 + (r - 67.1) ** 2, np.full(r.shape, 48.2 ** 2 + 67.1 ** 2)])
+    worst = np.array([a * a + b * b for a, b, _ in _WORST])
+    return best, np.broadcast_to(worst[:, None], best.shape)
 
 
 @pytest.mark.parametrize("params", [PARAMS, ChannelParams(pt=3.0, alpha=3.5, sigma_sh=8.0)])
@@ -99,14 +118,27 @@ def test_one_bracket_table(params):
 def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
     n, seed = 4000, 51
     t = mc._chunk_throughput(regime, density, scheme, n, PARAMS, "analytic", k, np.random.default_rng(seed))
-    r, has, tier, c, m = _control_parts(regime, density, k, scheme, n, seed)
-    # c is the midpoint of the chosen tier's bracket, or the direct score
+    r, has, tier, q, c, m = _control_parts(regime, density, k, scheme, n, seed)
+    # c is the midpoint of the chosen tier's bracket, or the direct score; a conventional
+    # link with a helper adds b (q - Qbar), with b the secant of rate x G against q
+    # between the bracket's ends and Qbar the region's mean of q, clipped into its range
     worst, best = _worst_terms(PARAMS)[:, None], _best_terms(r, PARAMS)
     mid = (worst + best) / 2
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     want_c = direct.copy()
     want_c[has] = mid[tier - 1, has]
-    assert c == pytest.approx(want_c, rel=1e-14)
+    moved = c - want_c
+    if scheme == "proposed":
+        assert q is None
+        assert c == pytest.approx(want_c, rel=1e-14)
+    else:
+        q_best, q_worst = (x[tier - 1, has] for x in _q_range(r))
+        areas, moments = tier_areas(r, moments=True)
+        mean_q = np.clip(2 * moments[tier - 1, has] / areas[tier - 1, has] + r[has] ** 2 / 2, q_best, q_worst)
+        slope = (best - worst)[tier - 1, has] / (q_best - q_worst)
+        np.testing.assert_allclose(moved[has], slope * (q - mean_q), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.delete(moved, has), 0.0, rtol=0, atol=0)
+        assert np.all(slope < 0)
     # m is c's mean given r: the mean of the link's lower and upper bounds for
     # the proposed scheme, the region mixture of the midpoints for the conventional one
     if scheme == "proposed":
@@ -116,11 +148,11 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
         void = void_probability(areas.sum(axis=0), r, density, k)
         want_m = (1.0 - void) * (areas * mid).sum(axis=0) / areas.sum(axis=0) + void * direct
     assert m == pytest.approx(want_m, rel=1e-12)
-    # G lies between G_worst and G_best anywhere in a tier, so an adjusted score is within
-    # half the chosen bracket's width of m, and a link without a helper scores m exactly
+    # G lies between G_worst and G_best anywhere in a tier, so a score with its q term added
+    # back is within half the chosen bracket's width of m, and a link without a helper scores m
     half = (best - worst)[tier - 1, has] / 2
     assert np.all(half >= 0)
-    assert np.all(np.abs(t[has] - m[has]) <= half + 1e-12)
+    assert np.all(np.abs(t[has] + moved[has] - m[has]) <= half + 1e-12)
     none = np.setdiff1d(np.arange(n), has)
     assert np.array_equal(t[none], m[none])
 
@@ -142,6 +174,34 @@ def test_control_cuts_the_conventional_stderr(regime):
     config = ExperimentConfig(densities=(0.005,), scheme="conventional", regime=regime, trials=20_000, base_seed=61)
     est, plain = estimate_throughput(config)[0], plain_estimate(config)[0]
     assert 3 * est.stderr <= plain.stderr, (est.stderr, plain.stderr)
+
+
+@pytest.mark.parametrize("mode,regime,density,k", [("analytic", regime, density, k) for regime in ("C", "D1", "D2")
+                                                   for density, k in ((0.005, None), (0.001, 3))]
+                         + [("sampled", "D1", 0.001, None)])
+def test_conventional_means_agree_with_plain_scoring(mode, regime, density, k):
+    # independent seeds; the q term has mean 0 in every region it is added in
+    kw = dict(densities=(density,), scheme="conventional", regime=regime, trials=200_000, estimator_mode=mode, k=k)
+    est = estimate_throughput(ExperimentConfig(base_seed=73, **kw))[0]
+    plain = plain_estimate(ExperimentConfig(base_seed=74, **kw))[0]
+    z = (est.mean - plain.mean) / math.hypot(est.stderr, plain.stderr)
+    assert abs(z) <= 4, (est.mean, plain.mean, z)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
+def test_q_term_cuts_the_conventional_stderr_of_the_midpoint(regime):
+    # on one seed the two see the same trials; only the q term differs
+    config = ExperimentConfig(densities=(0.005,), scheme="conventional", regime=regime, trials=20_000, base_seed=63)
+    est, mid = estimate_throughput(config)[0], plain_estimate(config, midpoint_control_chunk)[0]
+    assert 1.6 * est.stderr <= mid.stderr, (est.stderr, mid.stderr)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
+def test_midpoint_oracle_is_the_proposed_control(regime):
+    # the oracle scores the proposed scheme as the package does, so the q term alone sets them apart
+    config = ExperimentConfig(densities=(0.005,), scheme="proposed", regime=regime, trials=4000, base_seed=64)
+    est, mid = estimate_throughput(config)[0], plain_estimate(config, midpoint_control_chunk)[0]
+    assert est.mean == pytest.approx(mid.mean, rel=1e-13) and est.stderr == pytest.approx(mid.stderr, rel=1e-9)
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])

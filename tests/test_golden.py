@@ -11,17 +11,27 @@ with
 and says why in its description.  Before it overwrites a JSON fixture it
 prints, for each estimate with a standard error, z = (new - old) /
 sqrt(se_old^2 + se_new^2), how far the estimate moved in units of its noise.
+
+`proposed_chunk.sha256` pins the bytes of the proposed scheme's analytic-mode
+chunk (`monte_carlo._chunk_throughput`) over a grid of cells that the CLI
+cases do not reach (`proposed_chunk_digest`), so that a change meant to
+leave that scheme's numbers as they are is checked on them too; the same
+command rewrites it.
 """
 
+import hashlib
 import json
 import math
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coopmac.channel_model import ChannelParams
 from coopmac.cli import main
+from coopmac.monte_carlo import _chunk_throughput
 
 GOLDEN = Path(__file__).parent / "golden"
 _LAMBDAS = ["--lambda", "0.0005,0.005"]
@@ -48,6 +58,22 @@ CASES.update(
 )
 
 
+CHUNK_DIGEST = GOLDEN / "proposed_chunk.sha256"
+
+
+def proposed_chunk_digest():
+    """sha256 of the proposed scheme's analytic-mode chunk bytes over {C, D1, D2, all} x {ppp, k=3, k=10} x {0.001, 0.005} x 2 seeds."""
+    digest = hashlib.sha256()
+    for regime in ("C", "D1", "D2", "all"):
+        for k in (None, 3, 10):
+            for density in (0.001, 0.005):
+                for seed in (0, 1):
+                    rng = np.random.default_rng(seed)
+                    digest.update(_chunk_throughput(regime, density, "proposed", 2000, ChannelParams(), "analytic", k,
+                                                    rng).tobytes())
+    return digest.hexdigest()
+
+
 def _run(name, out):
     assert main(CASES[name] + ["--out", str(out)]) == 0
 
@@ -57,6 +83,10 @@ def test_cli_output_matches_golden_file(name, tmp_path):
     out = tmp_path / name
     _run(name, out)
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_proposed_chunk_bytes_match_golden_digest():
+    assert proposed_chunk_digest() == CHUNK_DIGEST.read_text().strip()
 
 
 def _moves(old, new):
@@ -83,3 +113,5 @@ if __name__ == "__main__":
                     print("%s  %s %s: z = %+.2f" % (name, label, estimate, z), file=sys.stderr)
             path.write_bytes(out.read_bytes())
         print("wrote", path, file=sys.stderr)
+    CHUNK_DIGEST.write_text(proposed_chunk_digest() + "\n")
+    print("wrote", CHUNK_DIGEST, file=sys.stderr)
