@@ -27,7 +27,8 @@ total integrates its five bands in one run of the Gauss–Kronrod integrator
 panels to one integrand call per refinement level.  The D1 band ends at
 the 96.4 m tangency of the two tier-1 circles, where the tier-1 area
 vanishes like (96.4 - r)^(3/2); it is integrated in s = sqrt(96.4 - r),
-in which every integrand is smooth.  The per-link pair comes from one
+in which every integrand is smooth, and split where the tier law switches
+to tier 1 whenever that layer lies inside it (`_law_integral`).  The per-link pair comes from one
 array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
 (2, n) lower/upper array: the tier law of the link class's tier-region areas
 (`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),

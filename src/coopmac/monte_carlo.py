@@ -107,9 +107,9 @@ lens pass of its area gives too (`stochastic_geometry.tier_areas`).  b is
 the secant of rate x G against q between the bracket's best and worst
 positions, where q is least and greatest over the region
 (`channel_model.tier_q_bracket`); it is fixed given r, so there is no
-weight to tune.  Given r and the region, the helper is uniform in it and independent
-of v, so the term has mean 0, and m(r) is unchanged (Glasserman 2004,
-4.1).
+weight to tune.  Given r and the region, the helper is uniform in it and
+independent of v, so the term has mean 0, and m(r) is unchanged
+(Glasserman 2004, 4.1).
 
 c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
 draw nothing, so sampled mode keeps its Bernoulli draw.  They remove most
@@ -117,9 +117,9 @@ of the variance of the tier or region choice and of the spread within the
 chosen tier: against a control on the lower end of the bracket, at a
 density of 0.005 the midpoint cuts the analytic-mode variance 3.1-3.2x for
 class D1 and 2.7-2.9x for the class mix under the proposed scheme, and
-1.0-1.03x for C and D2; for the conventional scheme, the midpoint and the
-q term together cut its stderr 2.0-3.3x against the midpoint alone (C, D1,
-D2 and the mix, analytic mode).  Sampled mode, whose variance is its
+1.0-1.03x for C and D2; for the conventional scheme, the q term cuts the
+stderr 1.8-3.2x against the midpoint alone (C, D1, D2 and the mix,
+analytic mode).  Sampled mode, whose variance is its
 Bernoulli draw above the sure share, gains far less: up to 1.1x from the
 midpoint, and 1.01-1.16x more from the q term.  In analytic mode
 a proposed-scheme score lies within half the chosen bracket's width of
