@@ -325,30 +325,32 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     every band is empty the rows hold a single 0.  No validation.
     """
     law = (lambda r: 2.0 * r / MAX_RANGE ** 2) if k is None else nn_distance_law(k, density)
-    tols = np.broadcast_to(tol, len(parts))
-    spans, span_tol, owner, s_form, rate, kind, regime_of, exact = [], [], [], [], [], [], {}, False
-    for p, (a, b, value) in enumerate(parts):
+    spans, s_form, rate, kind, regime_of = [], [], [], [], {}
+    for a, b, value in parts:
         link_class = REGIMES[value][2] if isinstance(value, str) else None
         s_form.append(link_class is not None and b == TIER1_MAX_SEPARATION)
-        cuts = [a, b]
-        if s_form[-1]:
-            cuts = [0.0, math.sqrt(b - a)]
-            layer = _tier1_layer(density, k)
-            if layer < cuts[1]:
-                cuts.insert(1, layer)
-                exact = True
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            spans.append((lo, hi))
-            span_tol.append(tols[p] / (len(cuts) - 1))
-            owner.append(p)
+        spans.append((0.0, math.sqrt(b - a)) if s_form[-1] else (a, b))
         rate.append(0.0 if link_class else value)
         # the nodes of one link class go to one `_link_bounds` call, which reads the regime only for its class
         regime_of.setdefault(link_class, value)
         kind.append(list(regime_of).index(link_class))
-    s_form, rate, kind, owner = np.array(s_form), np.array(rate), np.array(kind), np.array(owner)
+    # a band split at the tier-1 layer keeps its first interval in its place and appends its second
+    layer = _tier1_layer(density, k) if any(s_form) else math.inf
+    split = [p for p, (_, hi) in enumerate(spans) if s_form[p] and layer < hi]
+    exact = bool(split)
+    s_form, rate, kind = np.array(s_form), np.array(rate), np.array(kind)
+    if exact:
+        tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(parts),)).copy()
+        tol[split] /= 2.0
+        tol = np.concatenate((tol, tol[split]))
+        spans += [(layer, spans[p][1]) for p in split]
+        for p in split:
+            spans[p] = (0.0, layer)
+        owner = np.concatenate((np.arange(len(parts)), split))
 
-    def integrand(x, span):
-        part = owner[span]
+    def integrand(x, part):
+        if exact:
+            part = owner[part]
         r, jacobian = x, None
         in_s = s_form[part]
         if in_s.any():
@@ -364,11 +366,10 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
                 out[:, at] = _link_bounds(regime, r[at], density, k, params, exact)
         return out * weight
 
-    values = adaptive_simpson(integrand, spans, span_tol).reshape(len(spans), -1)
-    # a band's intervals are added in their order, so a band of one interval keeps its bits
-    out = np.zeros((len(parts), values.shape[1]))
-    np.add.at(out, owner, values)
-    return out
+    out = adaptive_simpson(integrand, spans, tol).reshape(len(spans), -1)
+    for i, p in enumerate(split):
+        out[p] += out[len(parts) + i]
+    return out[:len(parts)]
 
 
 def _tier1_layer(density, k: Optional[int]) -> float:

@@ -119,12 +119,12 @@ density of 0.005 the midpoint cuts the analytic-mode variance 3.1-3.2x for
 class D1 and 2.7-2.9x for the class mix under the proposed scheme, and
 1.0-1.03x for C and D2; for the conventional scheme, the q term cuts the
 stderr 1.8-3.2x against the midpoint alone (C, D1, D2 and the mix,
-analytic mode).  Sampled mode, whose variance is its
-Bernoulli draw above the sure share, gains far less: up to 1.1x from the
-midpoint, and 1.01-1.16x more from the q term.  In analytic mode
-a proposed-scheme score lies within half the chosen bracket's width of
-m(r); a conventional score does once b (q - Qbar) is added back to it.  A
-direct link scores m(r) itself.
+analytic mode).  Sampled mode, whose variance is its Bernoulli draw above
+the sure share, gains far less: up to 1.1x from the midpoint, and
+1.01-1.16x more from the q term.  In analytic mode a proposed-scheme score
+lies within half the chosen bracket's width of m(r); a conventional score
+does once b (q - Qbar) is added back to it.  A direct link scores m(r)
+itself.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -264,10 +264,11 @@ class SimEstimate:
     stratified stderr holds as it stands.  The control adds no draw, and
     sampled mode keeps its Bernoulli draw.  In analytic mode a
     proposed-scheme sample lies within half the chosen bracket's width of
-    m(r); a conventional one need not, as its c moves with q.  In sampled mode a link with a
-    helper scores the chosen tier's sure share lo = rate x G_worst plus
-    (rate - lo) times a Bernoulli draw of x = lo + (rate - lo) v below
-    rate x max G, which has the plain score's mean.  Sampled mode draws v
+    m(r); a conventional one need not, as its c moves with q.  In sampled
+    mode a link with a helper scores the chosen tier's sure share
+    lo = rate x G_worst plus (rate - lo) times a Bernoulli draw of
+    x = lo + (rate - lo) v below rate x max G, which has the plain score's
+    mean.  Sampled mode draws v
     before the helpers and places them only where x lies below the chosen
     tier's upper end, widened by the margin _SQUEEZE_MARGIN = 1e-9 (the
     squeeze of the module docstring), or everywhere where that end is not
@@ -713,9 +714,9 @@ def _control(worst, best, choice, direct, r=None, q=None, which=slice(None)):
     if q is not None:
         at, tier = choice.has[which], choice.tier[which]
         slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
-        np.subtract(q, mean_q, out=mean_q)
-        mean_q *= slope
-        c[at] += mean_q
+        term = np.subtract(q, mean_q, out=mean_q)
+        term *= slope
+        c[at] += term
     return c, m
 
 

@@ -354,8 +354,9 @@ def tier_areas(r, moments=False, exact=False):
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
     last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
-    # a lens not evaluated is a 0.0: tier 1's from 96.4 m on, tiers 4 and 5's for class C alone
-    skip = [0.0] * first, [0.0] * (len(TIER_BANDS) - last)
+    # a lens not evaluated is 0: tier 1's from 96.4 m on, tiers 4 and 5's for class C alone
+    none = np.zeros(r.size)
+    skip = [none] * first, [none] * (len(TIER_BANDS) - last)
     out = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=moments, exact=exact)
     if not moments:
         return _regions([*skip[0], *out, *skip[1]], class_c)
@@ -363,18 +364,14 @@ def tier_areas(r, moments=False, exact=False):
 
 
 def _regions(lens, class_c):
-    """The (5, n) tier regions' values of an additive measure from its values on the five tier lenses.
+    """The (5, n) tier regions' values of an additive measure from its five rows on the tier lenses.
 
-    lens holds a row or a 0.0 per lens.  Class C links' tiers 4 and 5 are
-    set to 0.
+    Class C links' tiers 4 and 5 are set to 0.
     """
     s1, l2, l3, l4, l5 = lens
-    regions = np.empty((len(TIER_BANDS), class_c.size))
-    s2 = np.multiply(np.subtract(l2, s1, out=regions[1]), 2.0, out=regions[1])
-    np.subtract(np.subtract(l3, s2, out=regions[2]), s1, out=regions[2])
-    s4 = np.subtract(np.multiply(np.subtract(l4, s1, out=regions[3]), 2.0, out=regions[3]), s2, out=regions[3])
-    np.subtract(np.multiply(np.subtract(l5, l3, out=regions[4]), 2.0, out=regions[4]), s4, out=regions[4])
-    regions[0] = s1
+    s2 = 2.0 * (l2 - s1)
+    s4 = 2.0 * (l4 - s1) - s2
+    regions = np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
     regions[CLASS_TIERS["C"]:, class_c] = 0.0
     return regions
 

@@ -10,7 +10,8 @@ then place the helpers of every link with a helper, the settled ones too,
 and check that each settled outcome is 1{x < rate x max G} of that
 placement.  The upper end is G's maximum only while log Ps is concave in
 the hop length; under a loose link budget that fails it, every link with a
-helper is placed.
+helper is placed.  The control's c is the chosen tier's bracket midpoint,
+plus b (q - Qbar) for a conventional link whose helper was placed.
 """
 
 import numpy as np
