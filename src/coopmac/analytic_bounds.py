@@ -325,21 +325,22 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     every band is empty the rows hold a single 0.  No validation.
     """
     law = (lambda r: 2.0 * r / MAX_RANGE ** 2) if k is None else nn_distance_law(k, density)
-    spans, s_form, rate, kind, regime_of = [], [], [], [], {}
+    spans, s_form, rate, kind, regime_of, split = [], [], [], [], {}, []
     for a, b, value in parts:
         link_class = REGIMES[value][2] if isinstance(value, str) else None
         s_form.append(link_class is not None and b == TIER1_MAX_SEPARATION)
         spans.append((0.0, math.sqrt(b - a)) if s_form[-1] else (a, b))
+        if s_form[-1] and _tier1_layer(density, k) < spans[-1][1]:
+            split.append(len(spans) - 1)
         rate.append(0.0 if link_class else value)
         # the nodes of one link class go to one `_link_bounds` call, which reads the regime only for its class
         regime_of.setdefault(link_class, value)
         kind.append(list(regime_of).index(link_class))
-    # a band split at the tier-1 layer keeps its first interval in its place and appends its second
-    layer = _tier1_layer(density, k) if any(s_form) else math.inf
-    split = [p for p, (_, hi) in enumerate(spans) if s_form[p] and layer < hi]
-    exact = bool(split)
     s_form, rate, kind = np.array(s_form), np.array(rate), np.array(kind)
+    exact = bool(split)
+    # a band split at the tier-1 layer keeps its first interval in its place and appends its second
     if exact:
+        layer = _tier1_layer(density, k)
         tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(parts),)).copy()
         tol[split] /= 2.0
         tol = np.concatenate((tol, tol[split]))
@@ -367,6 +368,8 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
         return out * weight
 
     out = adaptive_simpson(integrand, spans, tol).reshape(len(spans), -1)
+    if not exact:
+        return out
     for i, p in enumerate(split):
         out[p] += out[len(parts) + i]
     return out[:len(parts)]
