@@ -72,7 +72,11 @@ def _panels(fx, half):
 def _halves(lo, hi):
     """The two halves of each panel [lo, hi], each left half next to its right half."""
     mid = 0.5 * (lo + hi)
-    return np.stack((lo, mid), axis=1).ravel(), np.stack((mid, hi), axis=1).ravel()
+    # interleaved by strided assignment: np.stack costs more than the copy at a few panels
+    left, right = np.empty(2 * lo.size), np.empty(2 * lo.size)
+    left[0::2], left[1::2] = lo, mid
+    right[0::2], right[1::2] = mid, hi
+    return left, right
 
 
 def gauss_kronrod(f, intervals, tol=1e-8, max_panels: int = 1000):
