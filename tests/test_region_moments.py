@@ -13,7 +13,6 @@ link length, and that Qbar lies in the region's range of q.
 
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +44,8 @@ def _best_q(r):
 
 def _exact_lens(r1, r2, d):
     """(area, moment about the centres' midpoint) of a lens, in 50-digit arithmetic."""
+    # mpmath comes with the scientific stack but is not a declared dependency
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         r1, r2, d = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(d)
         a1 = (d * d + r1 * r1 - r2 * r2) / (2 * d)
