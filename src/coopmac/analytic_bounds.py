@@ -28,9 +28,9 @@ panels to one integrand call per refinement level.  The D1 band ends at
 the 96.4 m tangency of the two tier-1 circles, where the tier-1 area
 vanishes like (96.4 - r)^(3/2); it is integrated in s = sqrt(96.4 - r),
 in which every integrand is smooth, and split where the tier law switches
-to tier 1 whenever that layer lies inside it (`_law_integral`).  The per-link pair comes from one
-array kernel, `_link_bounds`, which maps a 1-D array of link lengths to a
-(2, n) lower/upper array: the tier law of the link class's tier-region areas
+to tier 1 whenever that layer lies inside it (`_law_integral`).  The
+per-link pair comes from one array kernel, `_link_bounds`, which maps a
+1-D array of link lengths to a (2, n) lower/upper array: the tier law of the link class's tier-region areas
 (`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),
 and each tier's rate times G at its worst and best helper positions, the
 per-tier bracket of `channel_model.tier_bracket`, keyed by link class, which
@@ -314,10 +314,10 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     the tier-1 tangency (96.4 m) is integrated in s = sqrt(96.4 - r), with
     Jacobian 2s.  Its tier law switches to tier 1 in a layer at about
     s = rho^(-1/3), where the tier-1 area, about 9.26 s^3 m^2, holds about
-    nine expected helpers at the tier law's density rho (`_tier1_layer`); where that
-    layer lies inside the band, the band is split there into two intervals
-    of half its tolerance each, so that the integrator's first panels see
-    it, and the call's helper nodes take the tier-1 area without
+    nine expected helpers at the tier law's density rho (`_tier1_layer`);
+    where that layer lies inside the band, the band is split there into two
+    intervals of half its tolerance each, so that the integrator's first
+    panels see it, and the call's helper nodes take the tier-1 area without
     cancellation (`_link_bounds`' `exact`): lens terms that cancel to a
     relative 1e-3 at 2e-5 m from tangency would otherwise be noise in the
     layer.  Every part goes to one integrator run; the integrator takes no
