@@ -197,24 +197,32 @@ _WORST_Q = np.square(np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS))).sum(axis
 _WORST_Q.setflags(write=False)
 
 
-def tier_q_bracket(r):
+# each tier's best position holds one hop at this inner band edge (tiers 2 and 4, 0 for the others),
+# or sits at an inner corner of this d_SH^2 + d_HD^2 (tiers 3 and 5, 0 for the others)
+_BEST_EDGE = np.array([0.0, BAND_11, 0.0, BAND_55, 0.0])
+_BEST_CORNER = np.array([0.0, 0.0, 2.0 * BAND_11 ** 2, 0.0, BAND_11 ** 2 + BAND_55 ** 2])
+
+
+def tier_q_bracket(r, tier=None):
     """(worst, best): d_SH^2 + d_HD^2 at each tier's worst and best helper positions of `tier_bracket`, for link lengths r.
 
-    worst is a read-only (5,) table; best is a (5, len(r)) array for all
-    five tiers at the 1-D array r.  Over a tier region d_SH^2 + d_HD^2 is
-    largest at the worst position, the outer corner of the hop bands, and
-    least at the best one, the evenest split of r that the bands allow, so
-    the two bound it there.  No validation.
+    worst is a read-only (5,) table and best a (5, len(r)) array for all
+    five tiers at the 1-D array r; with `tier`, an array of each link's
+    tier, both are the links' own, as 1-D arrays.  Over a tier region
+    d_SH^2 + d_HD^2 is largest at the worst position, the outer corner of
+    the hop bands, and least at the best one, the evenest split of r that
+    the bands allow: the larger of r^2 / 2 at the midpoint, the inner
+    corner's value (tiers 3 and 5) and e^2 + (r - e)^2 with one hop at the
+    inner edge e of its band (tiers 2 and 4).  No validation.
     """
-    half = 0.5 * r * r
-    best = np.empty((5, len(r)))
-    best[0] = half
-    best[2] = np.maximum(half, 2.0 * BAND_11 ** 2)
-    for row, edge in ((1, BAND_11), (3, BAND_55)):
-        np.square(r - edge, out=best[row])
-        best[row] += edge ** 2
-    best[4] = BAND_11 ** 2 + BAND_55 ** 2
-    return _WORST_Q, best
+    rows = np.arange(len(_WORST_Q))[:, None] if tier is None else tier - 1
+    edge = _BEST_EDGE[rows]
+    split = r - edge
+    split *= split
+    split += edge * edge
+    best = np.maximum(0.5 * r * r, _BEST_CORNER[rows])
+    np.maximum(best, split, out=best, where=edge > 0.0)
+    return (_WORST_Q if tier is None else _WORST_Q[rows]), best
 
 
 def shadowing_sample(distance, params: ChannelParams, rng, size=None):

@@ -710,13 +710,14 @@ def _control(worst, best, choice, direct, r=None, q=None, which=slice(None)):
     for p, row in zip(choice.law, mid):
         m += p * row
     c = direct.copy()
-    c[choice.has] = mid[choice.tier - 1, choice.has]
+    chosen = mid[choice.tier - 1, choice.has]
     if q is not None:
         at, tier = choice.has[which], choice.tier[which]
         slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
         term = np.subtract(q, mean_q, out=mean_q)
         term *= slope
-        c[at] += term
+        chosen[which] += term
+    c[choice.has] = chosen
     return c, m
 
 
@@ -733,12 +734,12 @@ def _secant(worst, best, tier, r, mean_q):
     into [q_best, q_worst]: a guard against rounding where the region is a
     sliver.
     """
-    q_worst, q_best = tier_q_bracket(r)
-    i = tier - 1
-    lo, hi = q_best[i, np.arange(i.size)], np.take(q_worst, i)
-    mean_q = np.clip(mean_q, lo, hi)
+    hi, lo = tier_q_bracket(r, tier)
+    # clipped by minimum and maximum: np.clip with array bounds costs several times as much
+    mean_q = np.maximum(mean_q, lo)
+    np.minimum(mean_q, hi, out=mean_q)
     lo -= hi
-    return np.divide(best - np.take(worst, i), lo, out=np.zeros(i.size), where=lo < 0.0), mean_q
+    return np.divide(best - np.take(worst, tier - 1), lo, out=np.zeros(tier.size), where=lo < 0.0), mean_q
 
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):

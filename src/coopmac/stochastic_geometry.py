@@ -240,14 +240,15 @@ def _lens(r1, r2, d, moment=False, exact=False):
         arcs.append(x)
     area, a2 = arcs
     if moment:
-        # J = (r1^2 A1 + r2^2 A2 + d^2 (A1 + A2) / 2 - 3/2 (r1^2 + r2^2) T) / 2, with a2's buffer
-        # reused for each term: every live array of a chunk's size costs page faults
-        j = area * sq1
+        # J = (r1^2 A1 + r2^2 A2 + d^2 (A1 + A2) / 2 - 3/2 (r1^2 + r2^2) T) / 2, its halves folded into
+        # the factors and a2's buffer reused for each term: a pass or a live array of a chunk's size
+        # costs more than the arithmetic
+        j = area * (0.5 * sq1)
     area += a2
     if moment:
-        a2 *= sq2
+        a2 *= 0.5 * sq2
         j += a2
-        j += np.multiply(area, 0.5 * d2, out=a2)
+        j += np.multiply(area, 0.25 * d2, out=a2)
     tri = -d + r1
     tri += r2
     if exact:
@@ -275,13 +276,11 @@ def _lens(r1, r2, d, moment=False, exact=False):
         area[at] = thin_area
     if not moment:
         return area
-    j -= np.multiply(tri, 1.5 * (sq1 + sq2), out=a2)
-    j *= 0.5
+    # 0 from d = r1 + r2 on, where the arcs and the kite are; not floored, as near tangency only the
+    # exact path gives it a sign
+    j -= np.multiply(tri, 0.75 * (sq1 + sq2), out=a2)
     if exact and thin.size:
         j[at] = thin_j
-    # floored at 0 as the area is, for the same cancellation
-    np.maximum(j, 0.0, out=j)
-    np.copyto(j, 0.0, where=outside)
     if np.any(inside):
         # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2
         r_in = np.minimum(r1, r2)
@@ -354,26 +353,40 @@ def tier_areas(r, moments=False, exact=False):
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
     last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
-    # a lens not evaluated is 0: tier 1's from 96.4 m on, tiers 4 and 5's for class C alone
-    none = np.zeros(r.size)
-    skip = [none] * first, [none] * (len(TIER_BANDS) - last)
     out = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=moments, exact=exact)
     if not moments:
-        return _regions([*skip[0], *out, *skip[1]], class_c)
-    return tuple(_regions([*skip[0], *lens, *skip[1]], class_c) for lens in out)
+        return _regions(out, first, class_c)
+    return tuple(_regions(lens, first, class_c) for lens in out)
 
 
-def _regions(lens, class_c):
-    """The (5, n) tier regions' values of an additive measure from its five rows on the tier lenses.
+def _regions(lens, first, class_c):
+    """The (5, n) tier regions' values of an additive measure from its values on the tier lenses.
 
-    Class C links' tiers 4 and 5 are set to 0.
+    lens holds the rows of the lenses from tier `first` on; a lens not
+    evaluated is 0 (tier 1's from 96.4 m on, tiers 4 and 5's for class C
+    alone).  The rows are combined in place, in lens's own buffer when it
+    holds all five, as a new array of a chunk's size costs more than the
+    arithmetic.  Class C links' tiers 4 and 5 are set to 0.
     """
-    s1, l2, l3, l4, l5 = lens
-    s2 = 2.0 * (l2 - s1)
-    s4 = 2.0 * (l4 - s1) - s2
-    regions = np.array((s1, s2, l3 - s2 - s1, s4, 2.0 * (l5 - l3) - s4))
-    regions[CLASS_TIERS["C"]:, class_c] = 0.0
-    return regions
+    if len(lens) < len(TIER_BANDS):
+        full = np.zeros((len(TIER_BANDS), class_c.size))
+        full[first:first + len(lens)] = lens
+        lens = full
+    s1, s2, s3, s4, s5 = lens
+    # s2 = 2 (l2 - s1), s4 = 2 (l4 - s1) - s2, s5 = 2 (l5 - l3) - s4 and s3 = l3 - s2 - s1, s3 last
+    s2 -= s1
+    s2 *= 2.0
+    s4 -= s1
+    s4 *= 2.0
+    s4 -= s2
+    s5 -= s3
+    s5 *= 2.0
+    s5 -= s4
+    s3 -= s2
+    s3 -= s1
+    # copyto broadcasts the mask over both rows at a fraction of the cost of a boolean index
+    np.copyto(lens[CLASS_TIERS["C"]:], 0.0, where=class_c)
+    return lens
 
 
 def cumulative_areas(areas):
