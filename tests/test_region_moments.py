@@ -142,6 +142,11 @@ def test_q_bracket_is_the_range_of_each_region():
     q_worst, q_best = tier_q_bracket(r)
     assert q_worst == pytest.approx([a * a + b * b for a, b in _WORST_HOPS], rel=1e-15)
     np.testing.assert_allclose(q_best, _best_q(r), rtol=1e-14)
+    # each link's own tier, as the Monte Carlo reads it, has the table's bits
+    tier = np.arange(r.size) % 5 + 1
+    worst, best = tier_q_bracket(r, tier)
+    assert worst.tobytes() == q_worst[tier - 1].tobytes()
+    assert best.tobytes() == q_best[tier - 1, np.arange(r.size)].tobytes()
 
 
 def test_secant_is_finite_at_every_link_length():
