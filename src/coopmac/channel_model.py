@@ -211,7 +211,7 @@ def tier_q_bracket(r, tier=None):
     tier, both are the links' own, as 1-D arrays.  Over a tier region
     d_SH^2 + d_HD^2 is largest at the worst position, the outer corner of
     the hop bands, and least at the best one, the evenest split of r that
-    the bands allow: the larger of r^2 / 2 at the midpoint, the inner
+    the bands allow: the largest of r^2 / 2 at the midpoint, the inner
     corner's value (tiers 3 and 5) and e^2 + (r - e)^2 with one hop at the
     inner edge e of its band (tiers 2 and 4).  No validation.
     """
