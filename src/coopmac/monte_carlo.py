@@ -528,7 +528,7 @@ def _draw_polar(rng, lo, hi, t_lo, t_span, r):
 
 
 def _place_in_tier(rng, r, tier, area, count):
-    """count[j] >= 1 points of the tier[j] region (area area[j]) of a link of length r[j].
+    """count[j] >= 1 points of the tier[j] region (area area[j]) of a link of length r[j], one rejection round at a time.
 
     Each point is uniform in the region's part with d_SH in the tier's higher
     hop band and d_HD in its lower one: exact for G (see the module
@@ -537,8 +537,10 @@ def _place_in_tier(rng, r, tier, area, count):
     by rejection from that box (`_polar_box`) and kept when its hop lengths
     lie in the two bands.  Each round draws about need/p candidates for every
     unfinished trial, where p is the region's share of its box, and keeps the
-    first accepted ones up to the number still needed.  Returns (trial index,
-    d_SH, d_HD), sorted by trial.
+    first accepted ones up to the number still needed.  Yields, for each
+    round that kept a point, (trials, start, d_SH, d_HD): the trials that got
+    points, in increasing order, and the offset of each one's first point in
+    d_SH and d_HD, which hold the round's points grouped by trial.
     """
     need = np.array(count, dtype=np.int64)
     a, b, c, d, orders = _TIER_BOXES.take(tier - 1, axis=1)
@@ -546,11 +548,10 @@ def _place_in_tier(rng, r, tier, area, count):
     t_span = t_hi - t_lo
     # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2
     share = area / (orders * (hi * hi - lo * lo) * t_span)
-    parts = []
     todo = np.arange(r.size)
     for _ in range(_MAX_ROUNDS):
         if not todo.size:
-            break
+            return
         m = np.ceil(need[todo] / share[todo]).astype(np.int64)
         tid = np.repeat(todo, m)
         d_sh, d_hd = _draw_polar(rng, lo[tid], hi[tid], t_lo[tid], t_span[tid], r[tid])
@@ -563,14 +564,12 @@ def _place_in_tier(rng, r, tier, area, count):
         take = np.minimum(got, need[todo])
         acc_start, out_start = np.cumsum(got) - got, np.cumsum(take) - take
         keep = np.flatnonzero(ok)[np.repeat(acc_start - out_start, take) + np.arange(take.sum())]
-        parts.append((tid[keep], d_sh[keep], d_hd[keep]))
+        if keep.size:
+            took = np.flatnonzero(take)
+            yield todo[took], out_start[took], d_sh[keep], d_hd[keep]
         need[todo] -= take
         todo = todo[need[todo] > 0]
-    else:
-        raise RuntimeError("rejection sampling of helper positions did not finish")
-    tid, d_sh, d_hd = (np.concatenate(p) for p in zip(*parts))
-    order = np.argsort(tid, kind="stable")
-    return tid[order], d_sh[order], d_hd[order]
+    raise RuntimeError("rejection sampling of helper positions did not finish")
 
 
 class _TierChoice(NamedTuple):
@@ -647,13 +646,15 @@ def _tier_choice(rng, r, density, k, scheme):
 
 
 def _best_g(rng, r, choice, k, params, which=None):
-    """(g, q): largest G over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
+    """(g, q): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
 
     Draws each link's helper count (zero-truncated Poisson under the PPP,
     zero-truncated Binomial over the k-1 nearer nodes, one for the
-    conventional scheme), places the helpers (`_place_in_tier`) and keeps
-    the best G of each link's points.  q is the one helper's
-    d_SH^2 + d_HD^2 for the conventional scheme, and None for the proposed.
+    conventional scheme) and places the helpers (`_place_in_tier`).  Each
+    rejection round's points are folded into the links' running largest G
+    and least q as they come, so no round is kept.  The largest and least
+    are exact, whatever the order of the rounds; for the conventional
+    scheme, whose link has one helper, they are that helper's G and q.
     """
     pick = slice(None) if which is None else which
     tier, area = choice.tier[pick], choice.area[pick]
@@ -663,15 +664,28 @@ def _best_g(rng, r, choice, k, params, which=None):
         count = _zero_truncated_poisson(rng, choice.load[pick])
     else:
         count = _zero_truncated_binomial(rng, k - 1, choice.load[pick])
+    g_max, q_min = np.zeros(count.size), np.full(count.size, np.inf)
     if not count.size:
-        return np.empty(0), (None if choice.load is not None else np.empty(0))
-    _, d_sh, d_hd = _place_in_tier(rng, r[choice.has[pick]], tier, area, count)
+        return g_max, q_min
+    rounds = list(_place_in_tier(rng, r[choice.has[pick]], tier, area, count))
+    # the first round places most points and is reduced per trial; the few of later rounds join
+    # its hop arrays and are folded in by trial index
+    trials, start, d_sh, d_hd = rounds[0]
+    first = d_sh.size
+    if len(rounds) > 1:
+        later = rounds[1:]
+        tid = np.concatenate([np.repeat(t, np.diff(s, append=x.size)) for t, s, x, _ in later])
+        d_sh, d_hd = (np.concatenate([hops, *(part[i] for part in later)]) for i, hops in ((2, d_sh), (3, d_hd)))
     g = g_joint(d_sh, d_hd, params)
-    if choice.load is None:
-        d_sh *= d_sh
-        d_hd *= d_hd
-        return g, d_sh + d_hd
-    return np.maximum.reduceat(g, np.cumsum(count) - count), None
+    d_sh *= d_sh
+    d_hd *= d_hd
+    q = np.add(d_sh, d_hd, out=d_sh)
+    g_max[trials] = np.maximum.reduceat(g[:first], start)
+    q_min[trials] = np.minimum.reduceat(q[:first], start)
+    if len(rounds) > 1:
+        np.maximum.at(g_max, tid, g[first:])
+        np.minimum.at(q_min, tid, q[first:])
+    return g_max, q_min
 
 
 def _squeeze(x, upper):
@@ -780,7 +794,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         hit = np.zeros(has.size, dtype=bool)
         hit[placed] = x[placed] < tier_rate[placed] * g
         t[chosen] = lo + span * hit
-    c, m = _control(worst, best, choice, (rate * ps_r)[elig], r_e, q, placed)
+    c, m = _control(worst, best, choice, (rate * ps_r)[elig], r_e, q if choice.load is None else None, placed)
     t[elig] = (t[elig] - c) + m
     return t
 

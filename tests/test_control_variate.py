@@ -68,6 +68,7 @@ def _control_parts(regime, density, k, scheme, n, seed):
     r = mc._draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
     choice = mc._tier_choice(rng, r, density, k, scheme)
     _, q = mc._best_g(rng, r, choice, k, PARAMS)
+    q = q if scheme == "conventional" else None
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     bracket = tier_bracket(REGIMES[regime][2], r, PARAMS)
     c, m = mc._control(*bracket, choice, direct, r, None if q is None else q.copy())

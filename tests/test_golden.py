@@ -14,9 +14,10 @@ sqrt(se_old^2 + se_new^2), how far the estimate moved in units of its noise.
 
 `proposed_chunk.sha256` pins the bytes of the proposed scheme's analytic-mode
 chunk (`monte_carlo._chunk_throughput`) over a grid of cells that the CLI
-cases do not reach (`proposed_chunk_digest`), so that a change meant to
-leave that scheme's numbers as they are is checked on them too; the same
-command rewrites it.
+cases do not reach (`proposed_chunk_digest`), and `conventional_chunk.sha256`
+those of the conventional scheme's chunk in both modes over the same grid
+(`conventional_chunk_digest`), so that a change meant to leave a scheme's
+numbers as they are is checked on them too; the same command rewrites both.
 """
 
 import hashlib
@@ -59,19 +60,31 @@ CASES.update(
 
 
 CHUNK_DIGEST = GOLDEN / "proposed_chunk.sha256"
+CONVENTIONAL_DIGEST = GOLDEN / "conventional_chunk.sha256"
 
 
-def proposed_chunk_digest():
-    """sha256 of the proposed scheme's analytic-mode chunk bytes over {C, D1, D2, all} x {ppp, k=3, k=10} x {0.001, 0.005} x 2 seeds."""
+def _chunk_digest(scheme, modes):
+    """sha256 of the scheme's chunk bytes over {C, D1, D2, all} x {ppp, k=3, k=10} x {0.001, 0.005} x modes x 2 seeds."""
     digest = hashlib.sha256()
     for regime in ("C", "D1", "D2", "all"):
         for k in (None, 3, 10):
             for density in (0.001, 0.005):
-                for seed in (0, 1):
-                    rng = np.random.default_rng(seed)
-                    digest.update(_chunk_throughput(regime, density, "proposed", 2000, ChannelParams(), "analytic", k,
-                                                    rng).tobytes())
+                for mode in modes:
+                    for seed in (0, 1):
+                        rng = np.random.default_rng(seed)
+                        digest.update(_chunk_throughput(regime, density, scheme, 2000, ChannelParams(), mode, k,
+                                                        rng).tobytes())
     return digest.hexdigest()
+
+
+def proposed_chunk_digest():
+    """sha256 of the proposed scheme's analytic-mode chunk bytes (`_chunk_digest`)."""
+    return _chunk_digest("proposed", ("analytic",))
+
+
+def conventional_chunk_digest():
+    """sha256 of the conventional scheme's chunk bytes in both modes (`_chunk_digest`)."""
+    return _chunk_digest("conventional", ("analytic", "sampled"))
 
 
 def _run(name, out):
@@ -87,6 +100,10 @@ def test_cli_output_matches_golden_file(name, tmp_path):
 
 def test_proposed_chunk_bytes_match_golden_digest():
     assert proposed_chunk_digest() == CHUNK_DIGEST.read_text().strip()
+
+
+def test_conventional_chunk_bytes_match_golden_digest():
+    assert conventional_chunk_digest() == CONVENTIONAL_DIGEST.read_text().strip()
 
 
 def _moves(old, new):
@@ -113,5 +130,6 @@ if __name__ == "__main__":
                     print("%s  %s %s: z = %+.2f" % (name, label, estimate, z), file=sys.stderr)
             path.write_bytes(out.read_bytes())
         print("wrote", path, file=sys.stderr)
-    CHUNK_DIGEST.write_text(proposed_chunk_digest() + "\n")
-    print("wrote", CHUNK_DIGEST, file=sys.stderr)
+    for path, make in ((CHUNK_DIGEST, proposed_chunk_digest), (CONVENTIONAL_DIGEST, conventional_chunk_digest)):
+        path.write_text(make() + "\n")
+        print("wrote", path, file=sys.stderr)

@@ -38,6 +38,15 @@ def _selected_helpers(rng, r, density, k, scheme):
     return choice.has, choice.tier, mc._best_g(rng, r, choice, k, PARAMS)[0]
 
 
+def _placed_points(rng, r, tier, area, count):
+    """(trial index, d_SH, d_HD) of every point `_place_in_tier` places over all its rounds, sorted by trial."""
+    rounds = [(np.repeat(trials, np.diff(start, append=d_sh.size)), d_sh, d_hd)
+              for trials, start, d_sh, d_hd in _place_in_tier(rng, r, tier, area, count)]
+    tid, d_sh, d_hd = (np.concatenate(column) for column in zip(*rounds))
+    order = np.argsort(tid, kind="stable")
+    return tid[order], d_sh[order], d_hd[order]
+
+
 def _under_k(cases, ks):
     """pytest params of each case under each conditioning k; the PPP case (k None) keeps the case's own id."""
     return [pytest.param(*case, k, id="-".join(map(str, case)) + ("" if k is None else "-k%d" % k))
@@ -97,7 +106,7 @@ def test_placed_points_lie_in_the_requested_tier(regime):
     r = np.full(tier.size, r_k)
     count = rng.integers(1, 6, size=tier.size)
     area = tier_areas(r)[tier - 1, np.arange(tier.size)]
-    tid, d_sh, d_hd = _place_in_tier(rng, r, tier, area, count)
+    tid, d_sh, d_hd = _placed_points(rng, r, tier, area, count)
     assert np.all(np.diff(tid) >= 0)
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
     assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
@@ -122,7 +131,7 @@ def test_placement_at_band_edges(r_k):
     rng = np.random.default_rng(19)
     tier = np.repeat(tiers, 400)
     count = rng.integers(1, 6, size=tier.size)
-    tid, d_sh, d_hd = _place_in_tier(rng, np.full(tier.size, r_k), tier, areas[tier - 1], count)
+    tid, d_sh, d_hd = _placed_points(rng, np.full(tier.size, r_k), tier, areas[tier - 1], count)
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
     assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
     assert _in_one_hop_order(tier[tid], d_sh, d_hd)
@@ -155,7 +164,7 @@ def test_last_ulp_draws_keep_their_bands(r_k, monkeypatch):
     areas = geometric_tier_areas(r_k)
     tier = np.repeat(np.flatnonzero(areas > 0) + 1, 3)
     count = np.full(tier.size, 2)
-    tid, d_sh, d_hd = _place_in_tier(_TopDrawRng(21), np.full(tier.size, r_k), tier, areas[tier - 1], count)
+    tid, d_sh, d_hd = _placed_points(_TopDrawRng(21), np.full(tier.size, r_k), tier, areas[tier - 1], count)
     assert first[0], "no draw landed on the edge"
     assert np.array_equal(np.bincount(tid, minlength=tier.size), count)
     assert np.array_equal(tier_index(d_sh, d_hd, "D"), tier[tid])
@@ -207,7 +216,7 @@ def test_accepted_share_of_polar_box_candidates(regime, monkeypatch):
         seen.clear()
         n = 20_000
         area = geometric_tier_areas(r_k)[t - 1]
-        _place_in_tier(np.random.default_rng(13 + t), np.full(n, r_k), np.full(n, t), np.full(n, area),
+        _placed_points(np.random.default_rng(13 + t), np.full(n, r_k), np.full(n, t), np.full(n, area),
                        np.ones(n, dtype=np.int64))
         lo, hi, t_span, _, d_sh, d_hd = (np.concatenate(column) for column in zip(*seen))
         (box,) = np.unique(np.column_stack((lo, hi, t_span)), axis=0)
@@ -224,7 +233,7 @@ def test_polar_boxes_are_mostly_filled(t, monkeypatch):
     areas = tier_areas(r)
     seen = _recording_boxes(monkeypatch)
     placed = areas[t - 1] > 0
-    _place_in_tier(np.random.default_rng(22 + t), r[placed], np.full(placed.sum(), t), areas[t - 1, placed],
+    _placed_points(np.random.default_rng(22 + t), r[placed], np.full(placed.sum(), t), areas[t - 1, placed],
                    np.ones(placed.sum(), dtype=np.int64))
     lo, hi, t_span, r_box, _, _ = (np.concatenate(column) for column in zip(*seen))
     share = _region_share(t, tier_areas(r_box)[t - 1], lo, hi, t_span)
@@ -253,7 +262,7 @@ def test_one_order_gives_the_law_of_g_over_the_tier(regime, t):
     reference's 10, 50 and 90% quantiles, agree within 4 sigma."""
     r_k = LINKS[regime][0]
     n = 20_000
-    _, d_sh, d_hd = _place_in_tier(np.random.default_rng(23 + t), np.full(n, r_k), np.full(n, t),
+    _, d_sh, d_hd = _placed_points(np.random.default_rng(23 + t), np.full(n, r_k), np.full(n, t),
                                    np.full(n, geometric_tier_areas(r_k)[t - 1]), np.ones(n, dtype=np.int64))
     placed = g_joint(d_sh, d_hd, PARAMS)
     ref = g_joint(*_tier_points(np.random.default_rng(24 + t), r_k, t, n), PARAMS)
