@@ -156,6 +156,7 @@ from .stochastic_geometry import (
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
+    TIER1_MAX_SEPARATION,
     TIER_BANDS,
     TIER_RATES,
     TIER_REACH,
@@ -165,6 +166,7 @@ from .stochastic_geometry import (
     cumulative_areas,
     hop_band,
     nn_distance_band,
+    tier_area_within,
     tier_areas,
     tier_index,
     tier_void_law,
@@ -198,6 +200,13 @@ _TIER_BOXES = np.array([(*BAND_EDGES[s:s + 2], *BAND_EDGES[h:h + 2], 2.0 if s > 
 # relative margin by which sampled mode's draw x must clear the upper end of a
 # link's rate x G bracket for the squeeze to settle it as a failure (`_squeeze`)
 _SQUEEZE_MARGIN = 1e-9
+
+# the proposed scheme's control table (`_tier_table`): link-length nodes at most _TABLE_STEP m apart, in
+# segments split where tiers 4 and 5 appear (74.7 m) and tier 1 empties (96.4 m), and _TABLE_POINTS
+# Gauss-Legendre points in t = |H - M| for each node's integrals over q
+_TABLE_STEP = 0.25
+_TABLE_POINTS = 24
+_LEGENDRE = np.polynomial.legendre.leggauss(_TABLE_POINTS)
 
 
 @dataclass(frozen=True)
@@ -520,10 +529,28 @@ def _draw_polar(rng, lo, hi, t_lo, t_span, r):
     and d_HD^2 = (d_SH - r)^2 + 4 d_SH r sin^2(angle / 2) is the law of
     cosines in a form that is never negative.
     """
+    # in place, in the order of operations of
+    #   d_sh = sqrt(lo^2 + (hi^2 - lo^2) u), half = sin((t_lo + t_span v) / 2),
+    #   d_hd = sqrt((d_sh - r)^2 + 4 d_sh r half^2)
     lo2 = lo * lo
-    d_sh = np.sqrt(lo2 + (hi * hi - lo2) * rng.random(r.size))
-    half = np.sin(0.5 * (t_lo + t_span * rng.random(r.size)))
-    d_hd = np.sqrt((d_sh - r) ** 2 + 4.0 * d_sh * r * half * half)
+    d_sh = hi * hi
+    d_sh -= lo2
+    d_sh *= rng.random(r.size)
+    d_sh += lo2
+    np.sqrt(d_sh, out=d_sh)
+    half = rng.random(r.size)
+    half *= t_span
+    half += t_lo
+    half *= 0.5
+    np.sin(half, out=half)
+    d_hd = np.multiply(d_sh, 4.0, out=lo2)
+    d_hd *= r
+    d_hd *= half
+    d_hd *= half
+    np.subtract(d_sh, r, out=half)
+    np.square(half, out=half)
+    d_hd += half
+    np.sqrt(d_hd, out=d_hd)
     return d_sh, d_hd
 
 
@@ -554,10 +581,14 @@ def _place_in_tier(rng, r, tier, area, count):
             return
         m = np.ceil(need[todo] / share[todo]).astype(np.int64)
         tid = np.repeat(todo, m)
-        d_sh, d_hd = _draw_polar(rng, lo[tid], hi[tid], t_lo[tid], t_span[tid], r[tid])
+        lo_c, hi_c = lo[tid], hi[tid]
+        d_sh, d_hd = _draw_polar(rng, lo_c, hi_c, t_lo[tid], t_span[tid], r[tid])
         # the returned distances themselves, so that hop_band agrees at the band edges;
         # [lo, hi) lies in the S-hop band
-        ok = (d_sh >= lo[tid]) & (d_sh < hi[tid]) & (d_hd >= c[tid]) & (d_hd < d[tid])
+        ok = d_sh >= lo_c
+        ok &= d_sh < hi_c
+        ok &= d_hd >= c[tid]
+        ok &= d_hd < d[tid]
         # keep the first min(accepted, needed) accepted candidates of each trial:
         # trial j's accepted ones sit at acc_start[j] onward in flatnonzero(ok)
         got = np.add.reduceat(ok, np.cumsum(m) - m, dtype=np.int64)
@@ -650,11 +681,12 @@ def _best_g(rng, r, choice, k, params, which=None):
 
     Draws each link's helper count (zero-truncated Poisson under the PPP,
     zero-truncated Binomial over the k-1 nearer nodes, one for the
-    conventional scheme) and places the helpers (`_place_in_tier`).  Each
-    rejection round's points are folded into the links' running largest G
-    and least q as they come, so no round is kept.  The largest and least
-    are exact, whatever the order of the rounds; for the conventional
-    scheme, whose link has one helper, they are that helper's G and q.
+    conventional scheme) and places the helpers (`_place_in_tier`).  The
+    first rejection round, which places most points, is reduced per link,
+    and the few points of later rounds are folded in by link index, so the
+    points need no sort by link.  The largest and least are exact, whatever
+    the order of the rounds; for the conventional scheme, whose link has one
+    helper, they are that helper's G and q.
     """
     pick = slice(None) if which is None else which
     tier, area = choice.tier[pick], choice.area[pick]
@@ -668,21 +700,24 @@ def _best_g(rng, r, choice, k, params, which=None):
     if not count.size:
         return g_max, q_min
     rounds = list(_place_in_tier(rng, r[choice.has[pick]], tier, area, count))
-    # the first round places most points and is reduced per trial; the few of later rounds join
-    # its hop arrays and are folded in by trial index
-    trials, start, d_sh, d_hd = rounds[0]
-    first = d_sh.size
-    if len(rounds) > 1:
-        later = rounds[1:]
-        tid = np.concatenate([np.repeat(t, np.diff(s, append=x.size)) for t, s, x, _ in later])
-        d_sh, d_hd = (np.concatenate([hops, *(part[i] for part in later)]) for i, hops in ((2, d_sh), (3, d_hd)))
+    trials, _, d_sh, d_hd = (part[0] if len(rounds) == 1 else np.concatenate(part) for part in zip(*rounds))
     g = g_joint(d_sh, d_hd, params)
     d_sh *= d_sh
     d_hd *= d_hd
     q = np.add(d_sh, d_hd, out=d_sh)
+    if choice.load is None:
+        # one helper a link: the rounds' points are their trials' own
+        g_max[trials] = g
+        q_min[trials] = q
+        return g_max, q_min
+    # the first round places most points and is reduced per trial; the few of later rounds are
+    # folded in by trial index
+    trials, start = rounds[0][:2]
+    first = rounds[0][2].size
     g_max[trials] = np.maximum.reduceat(g[:first], start)
     q_min[trials] = np.minimum.reduceat(q[:first], start)
     if len(rounds) > 1:
+        tid = np.concatenate([np.repeat(t, np.diff(s, append=x.size)) for t, s, x, _ in rounds[1:]])
         np.maximum.at(g_max, tid, g[first:])
         np.minimum.at(q_min, tid, q[first:])
     return g_max, q_min
@@ -701,38 +736,36 @@ def _squeeze(x, upper):
     return np.flatnonzero(x < upper * (1.0 + _SQUEEZE_MARGIN))
 
 
-def _control(worst, best, choice, direct, r=None, q=None, which=slice(None)):
+def _control(centre, choice, direct, term=None, which=slice(None)):
     """(c, m) of the control variate of links scored `direct` = rate x Ps(r) without a helper.
 
-    worst and best are the links' tier brackets from `channel_model.tier_bracket`,
-    the bounds' kernel.  c is the midpoint of the bracket of each link's
-    choice, half the tier rate times G_worst + G_best(r) of the tier or
-    region chosen by the links `choice.has` with a helper, and the direct
-    score for the others.  m is c's mean given r under the choice law and
-    void of `choice`: void x direct plus the law's mixture of the midpoints,
-    summed one tier at a time.  A class C bracket has three rows, and the
-    law's rows for tiers 4 and 5 are then exact zeros, which the sum skips.
-
-    For the conventional scheme, the links choice.has[which] whose helper
-    was placed, at d_SH^2 + d_HD^2 = q, add b (q - Qbar) to c (`_secant`);
-    their helper is uniform in its region given r, so the term has mean 0
-    and m is unchanged.
+    centre holds each tier's centre at each link, one row per tier.  c is
+    the centre of the tier or region chosen by the links `choice.has` with a
+    helper, plus `term` at the links choice.has[which], and the direct score
+    for the others.  m is c's mean given r under the choice law and void of
+    `choice`: void x direct plus the law's mixture of the centres, summed one
+    tier at a time; term has mean 0 given r and the choice.  A class C
+    centre has three rows, and the law's rows for tiers 4 and 5 are then
+    exact zeros, which the sum skips.
     """
-    mid = best + worst[:, None]
-    mid *= 0.5
     m = choice.void * direct
-    for p, row in zip(choice.law, mid):
+    for p, row in zip(choice.law, centre):
         m += p * row
     c = direct.copy()
-    chosen = mid[choice.tier - 1, choice.has]
-    if q is not None:
-        at, tier = choice.has[which], choice.tier[which]
-        slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
-        term = np.subtract(q, mean_q, out=mean_q)
-        term *= slope
+    chosen = centre[choice.tier - 1, choice.has]
+    if term is not None:
         chosen[which] += term
     c[choice.has] = chosen
     return c, m
+
+
+def _secant_term(worst, best, choice, r, q, which):
+    """b (q - Qbar) of the conventional links choice.has[which], whose helper was placed at d_SH^2 + d_HD^2 = q (`_secant`)."""
+    at, tier = choice.has[which], choice.tier[which]
+    slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
+    term = np.subtract(q, mean_q, out=mean_q)
+    term *= slope
+    return term
 
 
 def _secant(worst, best, tier, r, mean_q):
@@ -756,6 +789,212 @@ def _secant(worst, best, tier, r, mean_q):
     return np.divide(best - np.take(worst, tier - 1), lo, out=np.zeros(tier.size), where=lo < 0.0), mean_q
 
 
+def _uniform(f, load, k):
+    """F(q_min) at f = B_i(q_min) / S_i: the law of the least q of a tier's helpers, given at least one.
+
+    A helper of a tier region of area S_i lies where q < s with probability
+    f(s) = B_i(s) / S_i (`stochastic_geometry.tier_area_within`).  The count
+    is Poisson(mu) given >= 1 under the PPP, mu = load, so
+    P{q_min > s} = (e^(-mu f) - e^(-mu)) / (1 - e^(-mu)) and
+    F = (1 - e^(-mu f)) / (1 - e^(-mu)); under k-nearest conditioning it is
+    Binomial(k - 1, p) given >= 1, p = load, and
+    F = (1 - (1 - p f)^(k-1)) / (1 - (1 - p)^(k-1)).  Both are taken as a
+    ratio of expm1 terms, and F = f in their common limit load -> 0.  f is
+    clipped into [0, 1] in place.
+    """
+    np.clip(f, 0.0, 1.0, out=f)
+    if k is None:
+        num, den = np.expm1(-load * f), np.expm1(-load)
+    else:
+        num, den = np.expm1((k - 1) * np.log1p(-load * f)), np.expm1((k - 1) * np.log1p(-load))
+    return np.divide(num, den, out=f, where=den != 0.0)
+
+
+def _q_uniform(r, tier, area, load, q, k):
+    """U = F(q) of links of lengths r whose chosen tier's least helper d_SH^2 + d_HD^2 is q (`_uniform`).
+
+    q = 2 |H - M|^2 + r^2 / 2 puts the least helper at t = |H - M| from the
+    S-D midpoint, and B_i(q) is the area of the tier's region within t of it.
+    Given r and the tier, U is exactly Uniform(0, 1): the probability
+    integral transform of q_min's continuous law.
+    """
+    t = 0.5 * r * r
+    np.subtract(q, t, out=t)
+    t *= 0.5
+    np.sqrt(np.maximum(t, 0.0, out=t), out=t)
+    f = tier_area_within(r, tier, t)
+    f /= area
+    return _uniform(f, load, k)
+
+
+class _Table(NamedTuple):
+    """The proposed scheme's control at the nodes of a link-length grid (`_tier_table`).
+
+    The grid has one segment per band between the edges `splits`; segment i
+    runs from start[i] with scale[i] intervals per metre, and its first node
+    is node offset[i].  h and beta hold each tier's centre and slope at
+    every node, one row per tier.  edges are the class edges inside the
+    cell's band, edge_u the link-length uniform u at each and jump the
+    step of the link's mean score there (`_edge_term`).
+    """
+
+    splits: np.ndarray
+    start: np.ndarray
+    scale: np.ndarray
+    offset: np.ndarray
+    h: np.ndarray
+    beta: np.ndarray
+    edges: np.ndarray
+    edge_u: np.ndarray
+    jump: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _tier_table(lo, hi, density, k, params):
+    """Centre h_i(r) and slope beta_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
+
+    The control of a link that chose tier i is c = h_i(r) + beta_i(r) (U - 1/2),
+    with U = F(q_min) of `_q_uniform`.  Both come from a model of rate x max G
+    linear in q_min, through the bracket's best and worst positions: its
+    slope b_i is the secant of `_secant`, and with S_i(s) = 1 - F(s) the
+    survival of q_min from q_best on,
+        h_i = rate G_best,i(r) + b_i integral S_i(s) ds,
+        beta_i = 12 b_i Cov(q_min, U) = 6 b_i integral S_i (1 - S_i) ds,
+    the model's mean and its regression slope on U, whose variance is
+    1/12.  The integrals run over t = |H - M| in s = 2 t^2 + r^2 / 2 by
+    Gauss-Legendre.  h and beta depend on r, the tier and the cell alone
+    (its band lo..hi, density, k and params), so c keeps its exact mean
+    whatever their accuracy; their accuracy sets only the variance cut.  A
+    tier with no area there gets h = rate G_best and beta = 0.  The nodes are
+    at most _TABLE_STEP m apart, in segments split at 74.7 and 96.4 m within
+    the band's class C and D part; the table is built once per cell and is
+    read-only.
+    """
+    band = lo, hi
+    lo = max(lo, BAND_55)
+    edges = [lo, *(x for x in (BAND_2, TIER1_MAX_SEPARATION) if lo < x < hi), hi]
+    counts = [max(1, math.ceil((b - a) / _TABLE_STEP)) for a, b in zip(edges[:-1], edges[1:])]
+    r = np.concatenate([a + (b - a) / n * np.arange(n + 1) for a, b, n in zip(edges[:-1], edges[1:], counts)])
+    rows = CLASS_TIERS["C"] if hi <= BAND_2 else CLASS_TIERS["D"]
+    areas = tier_areas(r)
+    worst, best = tier_bracket("D", r, params)
+    q_worst, q_best = tier_q_bracket(r)
+    slope = np.divide(best - worst[:, None], q_best - q_worst[:, None], out=np.zeros(best.shape),
+                      where=q_best < q_worst[:, None])
+    # the integrals over t, where the region has an area
+    tier, node = np.nonzero(areas[:rows] > 0.0)
+    floor = 0.5 * r[node] ** 2
+    t_best, t_worst = (np.sqrt(np.maximum(x - floor, 0.0) / 2.0) for x in (q_best[tier, node], q_worst[tier]))
+    x, w = _LEGENDRE
+    half = 0.5 * (t_worst - t_best)
+    t = t_best[:, None] + half[:, None] * (x + 1.0)
+    area = areas[tier, node]
+    if k is None:
+        load = density * area
+    else:
+        load = area / (np.pi * r[node] ** 2 - (cumulative_areas(areas)[tier, node] - area))
+    points = t.size // max(tier.size, 1)
+    f = tier_area_within(np.repeat(r[node], points), np.repeat(tier + 1, points), t.ravel())
+    f /= np.repeat(area, points)
+    survival = 1.0 - _uniform(f, np.repeat(load, points), k).reshape(t.shape)
+    # ds = 4 t dt, and dt = half dx
+    weight = 4.0 * t * w * half[:, None]
+    h = best[:rows].copy()
+    beta = np.zeros(h.shape)
+    h[tier, node] += slope[tier, node] * (weight * survival).sum(axis=1)
+    beta[tier, node] = 6.0 * slope[tier, node] * (weight * survival * (1.0 - survival)).sum(axis=1)
+    starts = np.cumsum([0] + [n + 1 for n in counts[:-1]])
+    out = _Table(np.array(edges[1:-1]), np.array(edges[:-1]), np.array(counts) / np.diff(edges), starts, h, beta,
+                 *(np.empty(0),) * 3)
+    # the class edges inside the band, and the step of the mean score across each
+    class_edges = np.array([e for e in BAND_EDGES[1:-1] if band[0] < e < band[1]])
+    below, above = (_mean_score(x, density, k, params, out) for x in (np.nextafter(class_edges, 0.0), class_edges))
+    out = out._replace(edges=class_edges, edge_u=_band_uniform(class_edges, band, density, k), jump=above - below)
+    for array in out:
+        array.flags.writeable = False
+    return out
+
+
+def _mean_score(r, density, k, params, table):
+    """The proposed scheme's mean score at link lengths r, as its control's centre has it: m(r) of `_control` for class C and D, rate x Ps(r) below."""
+    direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, params)
+    helped = r >= BAND_55
+    if np.any(helped):
+        x = r[helped]
+        empty = tier_void_law(tier_areas(x), x, density, k)
+        centre = np.take(table.h, _table_position(table, x), axis=1)
+        m = empty[-1] * direct[helped]
+        for p, row in zip(empty[:-1] - empty[1:], centre):
+            m += p * row
+        direct[helped] = m
+    return direct
+
+
+def _band_uniform(r, band, density, k):
+    """The uniform u that `_link_distance` maps to each link length r of the band."""
+    a, b = band
+    if k is None:
+        return (r * r - a * a) / (b * b - a * a)
+    lo, hi, _ = nn_distance_band(a, b, density, k)
+    x = density * np.pi * r * r
+    return ((gammaincc if hi < lo else gammainc)(k, x) - lo) / (hi - lo)
+
+
+def _edge_term(t, r, columns, table):
+    """Take jump x (1{r >= e} - P{r >= e | u-slice}) off the scores t of the u-slice that holds each class edge e, in place.
+
+    A link's mean score steps where its class changes, so a stratum that
+    holds a class edge carries the step as variance, and its pair's
+    difference with it.  The slice of u that holds the edge's uniform u_e,
+    [a B, a B + B_a) / S in the grid of `_stratified_uniforms`, is
+    uniform in u for each of its cells, so 1{r >= e} = 1{u >= u_e} has
+    the mean P = (a B + B_a - u_e S) / B_a there, and the term has mean 0
+    in every stratum whatever the jump.  jump is the step of the control's
+    centre of mass `_mean_score` across the edge, fixed per cell.  Up to
+    the rounding of the link-length draw at u_e, 1{r >= e} is the class
+    test of the trial itself.
+    """
+    start, _, _ = _strata(t.size, columns)
+    s = max(t.size // 2, 1)
+    for edge, u, jump in zip(table.edges, table.edge_u, table.jump):
+        x = u * s
+        first = math.floor(x / columns) * columns
+        rows = np.flatnonzero(start == first)
+        if rows.size:
+            span = min(columns, s - first)
+            t[rows] -= jump * ((r[rows] >= edge) - (first + span - x) / span)
+
+
+def _table_position(table, r):
+    """The index of each link's nearest node on the grid of `_tier_table`."""
+    seg = np.searchsorted(table.splits, r, side="right") if table.splits.size else 0
+    x = r - table.start[seg]
+    x *= table.scale[seg]
+    j = np.rint(x, out=x).astype(np.intp)
+    j += table.offset[seg]
+    return j
+
+
+def _uniform_control(table, r, choice, q, k, which):
+    """(centre, term) of the proposed scheme's control: each tier's h at every link, and beta (U - 1/2) at the links choice.has[which].
+
+    h and beta are read at each link's nearest node of the table.  The
+    links choice.has[which] are those whose helpers were placed, with
+    least d_SH^2 + d_HD^2 q (`_q_uniform`); U is Uniform(0, 1) given r and
+    the tier, and which links are placed does not depend on where the
+    helpers lie, so the term has mean 0.
+    """
+    j = _table_position(table, r)
+    centre = np.take(table.h, j, axis=1)
+    at, tier = choice.has[which], choice.tier[which]
+    flat = (tier - 1) * table.h.shape[1]
+    flat += j[at]
+    u = _q_uniform(r[at], tier, choice.area[which], choice.load[which], q, k)
+    u -= 0.5
+    u *= table.beta.take(flat)
+    return centre, u
+
+
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples, control applied."""
     columns = _grid_columns(n, estimator_mode)
@@ -766,18 +1005,31 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     rate = np.take(BAND_RATES, hop_band(r))
     score = ps_r.copy() if v is None else v < ps_r
 
+    t = rate * score
+    band = REGIMES[regime][:2]
+    # the proposed scheme's control table, for a band that reaches class C
+    table = _tier_table(*band, density, k, params) if scheme == "proposed" and band[1] > BAND_55 else None
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
-    if not elig.size or k == 1:
-        return rate * score
+    if elig.size and k != 1:
+        _helped(t, r, elig, rate, ps_r, v, table, density, scheme, params, k, rng)
+    if table is not None and table.edges.size:
+        _edge_term(t, r, columns, table)
+    return t
+
+
+def _helped(t, r, elig, rate, ps_r, v, table, density, scheme, params, k, rng):
+    """Score the class C and D links elig of a chunk into t in place: the helper draw and the control variate."""
     r_e = r[elig]
     choice = _tier_choice(rng, r_e, density, k, scheme)
-    # one bracket read per chunk, through the 3-tier kernel when every link is of class C
-    worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
+    proposed = choice.load is not None
+    if v is not None or not proposed:
+        # one bracket read per chunk, through the 3-tier kernel when every link is of class C: the
+        # conventional control's centre and slope, and sampled mode's sure share and squeeze
+        worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
     has, tier = choice.has, choice.tier
     chosen = elig[has]
     tier_rate = np.take(TIER_RATES, tier - 1)
-    t = rate * score
     if v is None:
         placed = slice(None)
         g, q = _best_g(rng, r_e, choice, k, params)
@@ -794,9 +1046,14 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         hit = np.zeros(has.size, dtype=bool)
         hit[placed] = x[placed] < tier_rate[placed] * g
         t[chosen] = lo + span * hit
-    c, m = _control(worst, best, choice, (rate * ps_r)[elig], r_e, q if choice.load is None else None, placed)
+    if proposed:
+        centre, term = _uniform_control(table, r_e, choice, q, k, placed)
+    else:
+        centre = best + worst[:, None]
+        centre *= 0.5
+        term = _secant_term(worst, best, choice, r_e, q, placed)
+    c, m = _control(centre, choice, (rate * ps_r)[elig], term, placed)
     t[elig] = (t[elig] - c) + m
-    return t
 
 
 def _run_chunk(job):

@@ -389,6 +389,140 @@ def _regions(lens, first, class_c):
     return lens
 
 
+# tier region i's coefficient on tier lens j in row i - 1, column j - 1: `_regions` applied to unit rows, so
+# that the combination is declared once
+_REGION_COEF = _regions(np.eye(len(TIER_BANDS)), 0, np.zeros(len(TIER_BANDS), dtype=bool))
+_REGION_COEF.setflags(write=False)
+
+
+def _lens_lists():
+    """Each tier's lenses of non-zero coefficient, tier 1's lens first where it has one, as a table of (tiers, 4) slots.
+
+    Returns the slots' rows a^2, b^2 and (a^2 - b^2) / 2 of the lens radii
+    and its coefficient, each flat in (tier, slot) order, the number of
+    lenses of each tier, and whether its first lens is tier 1's.
+    """
+    slots = np.zeros((4, len(TIER_BANDS), 4))
+    count = np.count_nonzero(_REGION_COEF, axis=1)
+    for i, row in enumerate(_REGION_COEF):
+        lens = np.flatnonzero(row)
+        a2, b2 = _LENS_R1[lens, 0] ** 2, _LENS_R2[lens, 0] ** 2
+        slots[:, i, :lens.size] = a2, b2, 0.5 * (a2 - b2), row[lens]
+    slots = slots.reshape(4, -1)
+    slots.setflags(write=False)
+    return slots, count, _REGION_COEF[:, 0] != 0.0
+
+
+_LENS_SLOTS, _LENS_COUNT, _HAS_TIER1_LENS = _lens_lists()
+
+
+def tier_area_within(r, tier, t):
+    """Area of each link's tier region within distance t of its S-D midpoint, for 1-D arrays r, tier and t.
+
+    This is B_i(s; r), the area of tier i's region where
+    d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 lies below s = 2 t^2 + r^2 / 2,
+    about the midpoint M.  Each tier lens cut by the disk about M is a
+    triple overlap (`_disk_lens`), and the tier's region is the combination
+    of `_regions` of those overlaps, as the disk is its own mirror image
+    about the perpendicular bisector of S-D.  Only the lenses of each link's
+    own tier are evaluated, and tier 1's lens not from 96.4 m on, where it
+    is empty.  No validation: r is a class C or D link length, at least
+    74.7 m for tiers 4 and 5, and t >= 0.
+    """
+    skip = r >= TIER1_MAX_SEPARATION
+    skip &= _HAS_TIER1_LENS[tier - 1]
+    count = _LENS_COUNT[tier - 1]
+    count -= skip
+    link = np.repeat(np.arange(r.size), count)
+    # the slot of each (link, lens) pair: its tier's first slot, past tier 1's lens where skipped
+    first = tier * 4
+    first -= 4
+    first += skip
+    first -= np.cumsum(count)
+    first += count
+    slot = first[link]
+    slot += np.arange(link.size)
+    a2, b2, sd, coef = np.take(_LENS_SLOTS, slot, axis=1)
+    area = _disk_lens(a2, b2, sd, r[link], t[link])
+    area *= coef
+    # a float array also where no lens is evaluated, for which bincount would count in integers
+    return np.bincount(link, weights=area, minlength=r.size).astype(float, copy=False)
+
+
+def _disk_lens(a2, b2, sd, r, t):
+    """Area of the overlap of a tier lens, of radii a about S and b about D, with the disk of radius t about M, the S-D midpoint.
+
+    a2, b2 and sd hold a^2, b^2 and (a^2 - b^2) / 2, and all five are 1-D
+    arrays of the same length.  Positions x are taken on the S-D axis from
+    M, with S at -r / 2 and D at r / 2.  The overlap's boundary above the
+    axis is the lowest of the three circles.  The squared heights of any two
+    differ by a linear function of x, so the lowest one changes at most
+    twice: from D's circle to M's at the radical line x_DM, and from M's to
+    S's at x_SM, or, where x_DM >= x_SM, from D's to S's at
+    x_SD = (x_DM + x_SM) / 2.  Over the overlap's span [lo, hi] the area is
+    the sum of at most three pieces, each twice the area under one circle:
+    R^2 (theta(x0) - theta(x1)) + [u y] between the piece's ends, with u
+    the position from the circle's centre, y the height and
+    theta = atan2(y, u).  y is 0 at lo and hi, where theta is pi on D's
+    circle and 0 on S's, so the [u y] terms meet only at the breaks, where
+    they sum to -r / 2 y each.  Angles from atan2 keep their digits where
+    arccos near -1 or 1 would not.
+
+    For a <= b and b - a < r < a + b, as for every tier lens that
+    `tier_area_within` evaluates: the span is then [max(r / 2 - b, -t),
+    min(a - r / 2, t)], and D's circle starts it and S's ends it.  Worked in
+    place, as `_lens` is; no validation.
+    """
+    half = 0.5 * r
+    t2 = t * t
+    lo = half - np.sqrt(b2)
+    np.maximum(lo, -t, out=lo)
+    hi = np.sqrt(a2)
+    hi -= half
+    np.minimum(hi, t, out=hi)
+    # the radical lines: x_SD = (a^2 - b^2) / (2 r), x_SM = (a^2 - t^2 - r^2 / 4) / r and x_DM = 2 x_SD - x_SM
+    inv = 1.0 / r
+    x_sd = sd * inv
+    x_sm = a2 - t2
+    x_sm -= half * half
+    x_sm *= inv
+    x_dm = 2.0 * x_sd
+    x_dm -= x_sm
+    # the breaks, clipped into the span, and the height at each, 0 where the clip moved it
+    x1 = np.minimum(x_dm, x_sd, out=x_dm)
+    x2 = np.maximum(x_sm, x_sd, out=x_sm)
+    heights = []
+    for x, centre, sq in ((x1, half, b2), (x2, -half, a2)):
+        inner = x > lo
+        inner &= x < hi
+        np.maximum(x, lo, out=x)
+        np.minimum(x, hi, out=x)
+        y = x - centre
+        np.square(y, out=y)
+        np.subtract(sq, y, out=y)
+        np.maximum(y, 0.0, out=y)
+        np.sqrt(y, out=y)
+        y *= inner
+        heights.append(y)
+    y1, y2 = heights
+    area = y1 + y2
+    area *= -half
+    theta = np.arctan2(y1, x1 - half)
+    np.subtract(np.pi, theta, out=theta)
+    theta *= b2
+    area += theta
+    theta = np.arctan2(y1, x1)
+    theta -= np.arctan2(y2, x2)
+    theta *= t2
+    area += theta
+    x2 += half
+    theta = np.arctan2(y2, x2, out=x2)
+    theta *= a2
+    area += theta
+    np.copyto(area, 0.0, where=hi <= lo)
+    return area
+
+
 def cumulative_areas(areas):
     """S_1 + ... + S_i for i = 1..tiers, one row per tier, as a new float array.
 

@@ -11,13 +11,20 @@ over that set with `scipy.integrate.dblquad` (the upper half-plane; the
 lower one is its mirror image) and returns their ratio.  It reads the band
 table and nothing else of the package, so it checks the lens moments of
 `stochastic_geometry.tier_areas` independently.
+
+`region_area_within` is the area of the same region within distance t of the
+S-D midpoint M: at distance rho from S, the points nearer than t to M are
+those at angles below the one where |H - M| = t, so for each order it
+integrates rho times the span of theta left between the two limits with
+`scipy.integrate.quad`.  It checks `stochastic_geometry.tier_area_within`
+the same way.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from coopmac.stochastic_geometry import BAND_EDGES, TIER_BANDS
 
@@ -52,3 +59,35 @@ def region_mean_q(tier, r):
     area = 2.0 * sum(p[0] for p in parts)
     moment = 2.0 * sum(p[1] for p in parts)
     return area, moment / area if area > 0 else math.nan
+
+
+def _theta_m(t, rho, r):
+    """Angle at S below which a point rho from S lies nearer than t to the S-D midpoint, clipped to [0, pi]."""
+    cos = (rho * rho + r * r / 4.0 - t * t) / (rho * r)
+    return math.acos(min(1.0, max(-1.0, cos)))
+
+
+def _order_within(r, t, s_band, h_band):
+    """Area of rho in band s_band, d_HD in band h_band and |H - M| < t, upper half-plane."""
+    a, b = BAND_EDGES[s_band:s_band + 2]
+    c, d = BAND_EDGES[h_band:h_band + 2]
+    lo, hi = max(a, r - d, r / 2.0 - t), min(b, r + d, r / 2.0 + t)
+    if lo >= hi:
+        return 0.0
+    # the limits bend where d_HD's band edges meet the axis, where the disk about M does, and where
+    # the disk's angle crosses an edge's: rho^2 = r^2 / 2 + 2 t^2 - e^2
+    bends = {x for e in (c, d) for x in (r - e, e - r, r + e)} | {r / 2.0 + t, abs(r / 2.0 - t)}
+    bends |= {math.sqrt(x) for e in (c, d) for x in (r * r / 2.0 + 2.0 * t * t - e * e,) if x > 0.0}
+    cuts = sorted({lo, hi} | {x for x in bends if lo < x < hi})
+
+    def span(rho):
+        return rho * max(0.0, min(_theta(d, rho, r), _theta_m(t, rho, r)) - _theta(c, rho, r))
+
+    return sum(quad(span, left, right, epsabs=0.0, epsrel=1e-13, limit=200)[0] for left, right in zip(cuts[:-1], cuts[1:]))
+
+
+def region_area_within(tier, r, t):
+    """Area of tier `tier`'s region of a link of length r within distance t of the S-D midpoint."""
+    i, j = TIER_BANDS[tier - 1]
+    orders = [(i, j)] + ([(j, i)] if i != j else [])
+    return 2.0 * sum(_order_within(r, t, s, h) for s, h in orders)

@@ -8,9 +8,9 @@ on the lower end of each choice's bracket instead of its midpoint: c is the
 chosen tier's rate times G at its worst position (`worst_tier_g`), and m(r)
 its mean under the choice law, which for the proposed scheme is the link's
 lower bound.  `midpoint_control_chunk` keeps the midpoint of each choice's
-bracket alone: for the proposed scheme that is the package's control, and
-for the conventional one the package's control without its term
-b (q - Qbar) in the helper's d_SH^2 + d_HD^2.
+bracket alone: the package's control without its within-tier term, the
+conventional scheme's b (q - Qbar) in the helper's d_SH^2 + d_HD^2 and the
+proposed scheme's centre h and beta (U - 1/2) in place of the midpoint.
 In analytic mode both draw from a chunk's stream exactly as the package
 does, so on one seed they see the same links and helpers.  In sampled mode
 they place the helpers of every link, then draw v and score
@@ -20,10 +20,13 @@ draw above it, and places only the links whose outcome its squeeze
 (`monte_carlo._squeeze`) leaves open: the same mean from another stream,
 and so an independent check of both.
 `plain_estimate` runs `estimate_throughput` with one of them in place of
-the package's chunk.
+the package's chunk, and `cell_seeds` gives a z-test cell two base seeds of
+its own, so that the cells of a grid draw independent streams.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -95,3 +98,9 @@ def plain_estimate(config, chunk=plain_chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(monte_carlo, "_chunk_throughput", chunk)
         return monte_carlo.estimate_throughput(config)
+
+
+def cell_seeds(*cell):
+    """Two base seeds of a test cell, from a digest of its parameters: one for the package, one for the oracle."""
+    digest = hashlib.sha256(repr(cell).encode()).digest()
+    return int.from_bytes(digest[:4], "little"), int.from_bytes(digest[4:8], "little")

@@ -1,19 +1,21 @@
-"""The Monte Carlo's control variate: the midpoint of each trial's bracket, recentred on its exact mean.
+"""The Monte Carlo's control variates, recentred on their exact means.
 
-A class C or D link scores t - c + m(r): c is half the rate times G at the
-worst plus the best position of the tier or region the trial chose (rate x
-Ps(r) for a direct link), and m(r) is c's mean given the link length.  A
-conventional link whose helper was placed adds b (q - Qbar) to c, with q
-its helper's d_SH^2 + d_HD^2, Qbar the region's exact mean of q and b the
-secant of rate x G against q over the bracket.  These tests pin c and m to
-references built here from the geometry and `channel_model`, check that
-the bounds and the Monte Carlo read one bracket table, that every
-analytic-mode trial lies in its bracket once the q term is added back, that
-the means agree with the plain scores of `plain_scoring`, and that the
-control cuts the stderr, against plain scoring, against the control on the
-lower end of the bracket (`plain_scoring.lower_control_chunk`) and, for the
-conventional scheme, against the midpoint alone
-(`plain_scoring.midpoint_control_chunk`).
+A class C or D link scores t - c + m(r), with m(r) c's exact mean given the
+link length.  A conventional link's c is half the rate times G at the worst
+plus the best position of the region it chose (rate x Ps(r) for a direct
+link); one whose helper was placed adds b (q - Qbar), with q its helper's
+d_SH^2 + d_HD^2, Qbar the region's exact mean of q and b the secant of
+rate x G against q over the bracket.  A proposed link's c is the chosen
+tier's centre h_i(r) plus beta_i(r) (U - 1/2), U the law of the least q of
+the tier's helpers at its drawn value, read from a table of the cell at the
+link's nearest node.  These tests pin c and m to references built here from
+the geometry, `channel_model` and `within_tier_reference`, check that the
+bounds and the Monte Carlo read one bracket table, that every analytic-mode
+trial's plain score lies in its bracket, that the means agree with the plain
+scores of `plain_scoring` on a seed pair of each cell's own, and that the
+controls cut the stderr: against plain scoring, against the control on the
+lower end of the bracket (`plain_scoring.lower_control_chunk`) and against
+the bracket midpoint alone (`plain_scoring.midpoint_control_chunk`).
 """
 
 import math
@@ -25,8 +27,18 @@ from coopmac import monte_carlo as mc
 from coopmac.analytic_bounds import _link_bounds, _node_store, tier_bound_pair
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct, tier_bracket, worst_tier_g
 from coopmac.monte_carlo import ExperimentConfig, estimate_throughput
-from coopmac.stochastic_geometry import BAND_RATES, CLASS_TIERS, REGIMES, hop_band, tier_areas, void_probability
-from plain_scoring import lower_control_chunk, midpoint_control_chunk, plain_estimate
+from coopmac.stochastic_geometry import (
+    BAND_RATES,
+    CLASS_TIERS,
+    REGIMES,
+    TIER_RATES,
+    hop_band,
+    tier_areas,
+    tier_void_law,
+    void_probability,
+)
+from plain_scoring import cell_seeds, lower_control_chunk, midpoint_control_chunk, plain_estimate
+from within_tier_reference import nearest_node, uniform
 
 PARAMS = ChannelParams()
 # tier t's worst helper position, both hops at the outer edges of its hop
@@ -59,20 +71,25 @@ def _best_terms(r, params):
 
 
 def _control_parts(regime, density, k, scheme, n, seed):
-    """(r, has, tier, q, c, m) of an analytic-mode chunk's links, from the chunk's own stream.
+    """(r, has, tier, g, q, c, m) of an analytic-mode chunk's links, from the chunk's own stream.
 
-    q is each placed helper's d_SH^2 + d_HD^2 (None for the proposed
-    scheme), and c the control with the conventional scheme's q term.
+    g and q are the largest G and least d_SH^2 + d_HD^2 of each link's
+    helpers, and c the control with its q or U term.
     """
     rng = np.random.default_rng(seed)
     r = mc._draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
     choice = mc._tier_choice(rng, r, density, k, scheme)
-    _, q = mc._best_g(rng, r, choice, k, PARAMS)
-    q = q if scheme == "conventional" else None
+    g, q = mc._best_g(rng, r, choice, k, PARAMS)
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
-    bracket = tier_bracket(REGIMES[regime][2], r, PARAMS)
-    c, m = mc._control(*bracket, choice, direct, r, None if q is None else q.copy())
-    return r, choice.has, choice.tier, q, c, m
+    if scheme == "proposed":
+        table = mc._tier_table(*REGIMES[regime][:2], density, k, PARAMS)
+        centre, term = mc._uniform_control(table, r, choice, q.copy(), k, slice(None))
+    else:
+        worst, best = tier_bracket(REGIMES[regime][2], r, PARAMS)
+        centre = (best + worst[:, None]) * 0.5
+        term = mc._secant_term(worst, best, choice, r, q.copy(), slice(None))
+    c, m = mc._control(centre, choice, direct, term)
+    return r, choice.has, choice.tier, g, q, c, m
 
 
 def _q_range(r):
@@ -99,10 +116,10 @@ def test_one_bracket_table(params):
         assert store.worst.tobytes() == terms[:n].tobytes()
         keep = r >= REGIMES["D1"][0] if link_class == "D" else r <= REGIMES["C"][1]
         assert store.rows(r[keep])[n + 1:].tobytes() == best[:n, keep].tobytes()
-    # the Monte Carlo's c at a chosen tier is the midpoint of that tier's row
+    # the conventional c at a chosen region is the midpoint of that tier's row
     has, tier = np.arange(r.size), np.arange(r.size) % 5 + 1
     choice = mc._TierChoice(has, tier, None, None, np.zeros((5, r.size)), np.zeros(r.size))
-    c, _ = mc._control(worst, best, choice, np.zeros(r.size))
+    c, _ = mc._control((best + worst[:, None]) * 0.5, choice, np.zeros(r.size))
     assert c.tobytes() == (0.5 * (terms[tier - 1] + best[tier - 1, has])).tobytes()
     # and the scalar view of the bounds reads the same entries
     for regime in ("C", "D1", "D2"):
@@ -119,52 +136,55 @@ def test_one_bracket_table(params):
 def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
     n, seed = 4000, 51
     t = mc._chunk_throughput(regime, density, scheme, n, PARAMS, "analytic", k, np.random.default_rng(seed))
-    r, has, tier, q, c, m = _control_parts(regime, density, k, scheme, n, seed)
-    # c is the midpoint of the chosen tier's bracket, or the direct score; a conventional
-    # link with a helper adds b (q - Qbar), with b the secant of rate x G against q
-    # between the bracket's ends and Qbar the region's mean of q, clipped into its range
+    r, has, tier, g, q, c, m = _control_parts(regime, density, k, scheme, n, seed)
     worst, best = _worst_terms(PARAMS)[:, None], _best_terms(r, PARAMS)
     mid = (worst + best) / 2
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
-    want_c = direct.copy()
-    want_c[has] = mid[tier - 1, has]
-    moved = c - want_c
+    none = np.setdiff1d(np.arange(n), has)
     if scheme == "proposed":
-        assert q is None
-        assert c == pytest.approx(want_c, rel=1e-14)
+        # c is the chosen tier's centre h plus beta (U - 1/2), h and beta read at the link's nearest
+        # node of the cell's table and U recomputed from the helpers' least q; m is the choice law's
+        # mixture of the centres
+        table = mc._tier_table(*REGIMES[regime][:2], density, k, PARAMS)
+        node = nearest_node(table, r)
+        h = table.h[:, node]
+        beta = table.beta[tier - 1, node[has]]
+        np.testing.assert_allclose(c[has] - h[tier - 1, has], beta * (uniform(r[has], tier, q, density, k) - 0.5),
+                                   rtol=0, atol=1e-12)
+        assert np.all(beta <= 0)
+        empty = tier_void_law(tier_areas(r), r, density, k)
+        want_m = empty[-1] * direct + ((empty[:-1] - empty[1:])[:len(h)] * h).sum(axis=0)
     else:
+        # c is the midpoint of the chosen region's bracket, plus b (q - Qbar), with b the secant of
+        # rate x G against q between the bracket's ends and Qbar the region's mean of q, clipped
+        # into its range; m is the region mixture of the midpoints
         q_best, q_worst = (x[tier - 1, has] for x in _q_range(r))
         areas, moments = tier_areas(r, moments=True)
         mean_q = np.clip(2 * moments[tier - 1, has] / areas[tier - 1, has] + r[has] ** 2 / 2, q_best, q_worst)
         slope = (best - worst)[tier - 1, has] / (q_best - q_worst)
-        np.testing.assert_allclose(moved[has], slope * (q - mean_q), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(np.delete(moved, has), 0.0, rtol=0, atol=0)
+        np.testing.assert_allclose(c[has] - mid[tier - 1, has], slope * (q - mean_q), rtol=0, atol=1e-12)
         assert np.all(slope < 0)
-    # m is c's mean given r: the mean of the link's lower and upper bounds for
-    # the proposed scheme, the region mixture of the midpoints for the conventional one
-    if scheme == "proposed":
-        want_m = _link_bounds(regime, r, density, k, PARAMS).mean(axis=0)
-    else:
         areas = tier_areas(r)
         void = void_probability(areas.sum(axis=0), r, density, k)
         want_m = (1.0 - void) * (areas * mid).sum(axis=0) / areas.sum(axis=0) + void * direct
+    np.testing.assert_array_equal(c[none], direct[none])
     assert m == pytest.approx(want_m, rel=1e-12)
-    # G lies between G_worst and G_best anywhere in a tier, so a score with its q term added
-    # back is within half the chosen bracket's width of m, and a link without a helper scores m
-    half = (best - worst)[tier - 1, has] / 2
-    assert np.all(half >= 0)
-    assert np.all(np.abs(t[has] + moved[has] - m[has]) <= half + 1e-12)
-    none = np.setdiff1d(np.arange(n), has)
+    # the chunk scores its best helper's rate x G with the control applied, and that plain score lies in
+    # the chosen tier's bracket, as G does anywhere in the tier; a link without a helper scores m
+    plain = np.take(TIER_RATES, tier - 1) * g
+    np.testing.assert_array_equal(t[has], (plain - c[has]) + m[has])
+    assert np.all(plain >= worst[tier - 1, 0] - 1e-12) and np.all(plain <= best[tier - 1, has] + 1e-12)
     assert np.array_equal(t[none], m[none])
 
 
 @pytest.mark.parametrize("mode", ["analytic", "sampled"])
 @pytest.mark.parametrize("density,k", [(0.002, None), (0.0005, 10)])
 def test_means_agree_with_plain_scoring(density, k, mode):
-    # independent seeds, both schemes, every class of the 100 m range
+    # both schemes, every class of the 100 m range, on the cell's own seed pair
     kw = dict(densities=(density,), scheme="both", regime="all", trials=200_000, estimator_mode=mode, k=k)
-    for est, plain in zip(estimate_throughput(ExperimentConfig(base_seed=71, **kw)),
-                          plain_estimate(ExperimentConfig(base_seed=72, **kw))):
+    seed, plain_seed = cell_seeds("both", "all", density, k, mode)
+    for est, plain in zip(estimate_throughput(ExperimentConfig(base_seed=seed, **kw)),
+                          plain_estimate(ExperimentConfig(base_seed=plain_seed, **kw))):
         z = (est.mean - plain.mean) / math.hypot(est.stderr, plain.stderr)
         assert abs(z) <= 4, (est.scheme, est.mean, plain.mean, z)
 
@@ -181,10 +201,11 @@ def test_control_cuts_the_conventional_stderr(regime):
                                                    for density, k in ((0.005, None), (0.001, 3))]
                          + [("sampled", "D1", 0.001, None)])
 def test_conventional_means_agree_with_plain_scoring(mode, regime, density, k):
-    # independent seeds; the q term has mean 0 in every region it is added in
+    # the cell's own seed pair; the q term has mean 0 in every region it is added in
     kw = dict(densities=(density,), scheme="conventional", regime=regime, trials=200_000, estimator_mode=mode, k=k)
-    est = estimate_throughput(ExperimentConfig(base_seed=73, **kw))[0]
-    plain = plain_estimate(ExperimentConfig(base_seed=74, **kw))[0]
+    seed, plain_seed = cell_seeds("conventional", regime, density, k, mode)
+    est = estimate_throughput(ExperimentConfig(base_seed=seed, **kw))[0]
+    plain = plain_estimate(ExperimentConfig(base_seed=plain_seed, **kw))[0]
     z = (est.mean - plain.mean) / math.hypot(est.stderr, plain.stderr)
     assert abs(z) <= 4, (est.mean, plain.mean, z)
 
@@ -197,12 +218,33 @@ def test_q_term_cuts_the_conventional_stderr_of_the_midpoint(regime):
     assert 1.6 * est.stderr <= mid.stderr, (est.stderr, mid.stderr)
 
 
+@pytest.mark.parametrize("mode,regime,density,k",
+                         [("analytic", regime, density, k) for regime in ("C", "D1", "D2", "all")
+                          for density, k in ((0.005, None), (0.001, 3), (0.0005, 10))]
+                         + [("sampled", regime, density, k) for regime in ("D1", "all")
+                            for density, k in ((0.005, None), (0.001, 3), (0.0005, 10))])
+def test_proposed_means_agree_with_plain_scoring(mode, regime, density, k):
+    # the cell's own seed pair; the U term has mean 0 given the link and its tier
+    kw = dict(densities=(density,), scheme="proposed", regime=regime, trials=200_000, estimator_mode=mode, k=k)
+    seed, plain_seed = cell_seeds("proposed", regime, density, k, mode)
+    est = estimate_throughput(ExperimentConfig(base_seed=seed, **kw))[0]
+    plain = plain_estimate(ExperimentConfig(base_seed=plain_seed, **kw))[0]
+    z = (est.mean - plain.mean) / math.hypot(est.stderr, plain.stderr)
+    assert abs(z) <= 4, (est.mean, plain.mean, z)
+
+
+# the least variance cut of the proposed control against the midpoint oracle at 0.005 nodes/m^2, analytic
+# mode: below the cuts measured over eight seeds of 5000 trials (2.3-2.9x for C, D2 and the class mix,
+# 6.7-7.8x for D1)
+_PROPOSED_FLOOR = {"C": 2.3, "D1": 6.7, "D2": 2.3, "all": 2.3}
+
+
 @pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
-def test_midpoint_oracle_is_the_proposed_control(regime):
-    # the oracle scores the proposed scheme as the package does, so the q term alone sets them apart
-    config = ExperimentConfig(densities=(0.005,), scheme="proposed", regime=regime, trials=4000, base_seed=64)
+def test_control_cuts_the_proposed_stderr_of_the_midpoint(regime):
+    # on one seed the two see the same trials; only the control differs
+    config = ExperimentConfig(densities=(0.005,), scheme="proposed", regime=regime, trials=20_000, base_seed=64)
     est, mid = estimate_throughput(config)[0], plain_estimate(config, midpoint_control_chunk)[0]
-    assert est.mean == pytest.approx(mid.mean, rel=1e-13) and est.stderr == pytest.approx(mid.stderr, rel=1e-9)
+    assert mid.stderr >= math.sqrt(_PROPOSED_FLOOR[regime]) * est.stderr, (est.stderr, mid.stderr)
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])

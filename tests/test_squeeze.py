@@ -10,8 +10,10 @@ then place the helpers of every link with a helper, the settled ones too,
 and check that each settled outcome is 1{x < rate x max G} of that
 placement.  The upper end is G's maximum only while log Ps is concave in
 the hop length; under a loose link budget that fails it, every link with a
-helper is placed.  The control's c is the chosen tier's bracket midpoint,
-plus b (q - Qbar) for a conventional link whose helper was placed.
+helper is placed.  The conventional control's c is the chosen region's
+bracket midpoint, plus b (q - Qbar) where its helper was placed; the
+proposed one's is the chosen tier's centre h, plus beta (U - 1/2) where its
+helpers were placed (`within_tier_reference`).
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ import pytest
 from coopmac import monte_carlo as mc
 from coopmac.channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from coopmac.stochastic_geometry import BAND_55, REGIMES, TIER_RATES
+from within_tier_reference import nearest_node, uniform
 
 PARAMS = ChannelParams()
 # a loose link budget, under which log Ps is not concave and a helper can beat the best position
@@ -101,21 +104,34 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     hit = np.zeros(has.size, dtype=bool)
     hit[placed] = x[placed] < rate[placed] * seen["g"]
     c, m = seen["c"][has], seen["m"][has]
-    assert t[elig[has]].tobytes() == (((lo + (rate - lo) * hit) - c) + m).tobytes()
-    # c is the chosen tier's bracket midpoint; a conventional link whose helper was placed adds
-    # b (q - Qbar) to it, its one helper's d_SH^2 + d_HD^2 against the region's mean
-    moved = c - (lo + best[tier - 1, has]) / 2
+    want = np.zeros(n)
+    want[elig[has]] = ((lo + (rate - lo) * hit) - c) + m
     if scheme == "proposed":
-        np.testing.assert_allclose(moved, 0.0, rtol=0, atol=1e-14)
+        # the class edges of regime "all" take their mean-0 term off the trials of the u-slices that hold them
+        table = mc._tier_table(*REGIMES[regime][:2], density, k, params)
+        mc._edge_term(want, link, columns, table)
+    assert t[elig[has]].tobytes() == want[elig[has]].tobytes()
+    # a conventional c is the chosen region's bracket midpoint, and a link whose helper was placed adds
+    # b (q - Qbar) to it, its one helper's d_SH^2 + d_HD^2 against the region's mean; a proposed c is the
+    # tier's centre h at the link's nearest node of the cell's table, and a link whose helpers were
+    # placed adds beta (U - 1/2), U the law of their least d_SH^2 + d_HD^2 at its value
+    settled = np.setdiff1d(np.arange(has.size), placed)
+    if scheme == "proposed":
+        table = mc._tier_table(*REGIMES[regime][:2], density, k, params)
+        node = nearest_node(table, r[has])
+        moved = c - table.h[tier - 1, node]
+        np.testing.assert_array_equal(moved[settled], 0.0)
+        u = uniform(r[has[placed]], tier[placed], seen["q"], density, k)
+        np.testing.assert_allclose(moved[placed], table.beta[tier[placed] - 1, node[placed]] * (u - 0.5),
+                                   rtol=0, atol=1e-12)
     else:
-        settled = np.setdiff1d(np.arange(has.size), placed)
+        moved = c - (lo + best[tier - 1, has]) / 2
         np.testing.assert_allclose(moved[settled], 0.0, rtol=0, atol=1e-14)
         slope, mean_q = mc._secant(worst, best[tier[placed] - 1, has[placed]], tier[placed], r[has[placed]],
                                    choice.mean_q[placed])
         np.testing.assert_allclose(moved[placed], slope * (seen["q"] - mean_q), rtol=0, atol=1e-12)
     # place every link's helpers on another stream: each settled draw is a failure of that placement
     g = mc._best_g(np.random.default_rng(seed + 1), r, choice, k, params)[0]
-    settled = np.setdiff1d(np.arange(has.size), placed)
     mismatches = np.count_nonzero(x[settled] < rate[settled] * g[settled])
     assert mismatches == 0, (mismatches, settled.size)
     # and it is so because every placed G lies inside its bracket, margin included
