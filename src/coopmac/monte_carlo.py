@@ -80,24 +80,23 @@ parameters at 0.001 nodes/m^2, 42-73% of those with a helper.  Analytic
 mode has no v and places the helpers of every link with one.
 
 In both modes a class C or D link then reports t - c + m(r), a control
-variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V).  G anywhere
-in a tier lies between its values at the tier's worst and best positions,
-and c is the midpoint of that bracket for the tier or region the trial
-chose: half the tier rate times G_worst + G_best(r), both read from
-`channel_model.tier_bracket`, the kernel of the bounds, or rate * Ps(r) for
-a direct link.  m(r) is c's exact mean given r, from the choice law the
-trial drew its tier from: for the proposed scheme sum_i (V_(i-1) - V_i)
-mid_i(r) + V_n rate_D Ps(r), with V_i = P{tiers 1..i all empty}, which is
-the mean of the link's lower and upper bounds; for the conventional one
-(1 - P_void) sum_j (S_j / S_tot) mid_j(r) + P_void rate_D Ps(r).  A
-chunk reads the bracket once, shared by the control and the squeeze,
+variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V): c is a
+centre for the tier or region the trial chose, plus a term of mean 0 where
+its helpers were placed, or rate * Ps(r) for a direct link, and m(r) is c's
+exact mean given r from the choice law the trial drew its tier from:
+sum_i (V_(i-1) - V_i) centre_i(r) + V_n rate_D Ps(r) for the proposed
+scheme, with V_i = P{tiers 1..i all empty}, and
+(1 - P_void) sum_j (S_j / S_tot) centre_j(r) + P_void rate_D Ps(r) for the
+conventional one (`_control`).
+
+The conventional scheme's centre is the midpoint of the chosen region's
+bracket: half the tier rate times G_worst + G_best(r), both read from
+`channel_model.tier_bracket`, the kernel of the bounds, once per chunk,
 through the 3-tier kernel of class C when all its eligible links are of
 that class and the 5-tier one otherwise; a class C link's tiers 4 and 5
-have no area and add exactly 0.
-
-The conventional scheme's helper is uniform in its region, and most of
-what is left of its variance is G's spread inside that region, which the
-midpoint cannot see.  G falls with both hop lengths, and
+have no area and add exactly 0.  Its helper is uniform in its region, and
+most of what is left of its variance is G's spread inside that region,
+which the midpoint cannot see.  G falls with both hop lengths, and
 q = d_SH^2 + d_HD^2 of the helper explains 75-100% of G's variance within
 a region.  So a conventional link whose helper was placed (in sampled mode,
 one the squeeze left open) adds b (q - Qbar_j(r)) to its c (`_secant`).
@@ -106,25 +105,49 @@ j, with J_j the region's second moment about the S-D midpoint, which the
 lens pass of its area gives too (`stochastic_geometry.tier_areas`).  b is
 the secant of rate x G against q between the bracket's best and worst
 positions, where q is least and greatest over the region
-(`channel_model.tier_q_bracket`); it is fixed given r, so there is no
-weight to tune.  Given r and the region, the helper is uniform in it and
-independent of v, so the term has mean 0, and m(r) is unchanged
-(Glasserman 2004, 4.1).
+(`channel_model.tier_q_bracket`); it is fixed given r.  Given r and the
+region, the helper is uniform in it and independent of v, so the term has
+mean 0 (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
+4.1).
+
+The proposed scheme keeps the best of several helpers, and what is left of
+its variance is the spread of max G inside the chosen tier, which the least
+q of the tier's helpers, q_min, explains for the most part.  Its law given r
+and the tier is known up to one area function: a helper uniform in tier i's
+region of area S_i lies where q < s with probability f = B_i(s) / S_i, B_i
+the area of the region within sqrt((s - r^2 / 2) / 2) of the S-D midpoint
+(`stochastic_geometry.tier_area_within`), and the count is Poisson or
+Binomial given >= 1, which gives the distribution function F of q_min in
+closed form (`_uniform`; the void probabilities of Haenggi, Stochastic
+Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min), computed per
+link with no table, is exactly Uniform(0, 1) given r and the tier.  A
+proposed link's c is h_i(r) + beta_i(r) (U - 1/2), the term only where its
+helpers were placed (`_uniform_control`); the squeeze's choice depends on v
+and the tier, not on where the helpers lie, so the term has mean 0 in
+sampled mode too.  h and beta come from a model of rate x max G linear in
+q_min through the bracket's ends: its mean, rate G_best + b integral S ds
+with S = 1 - F, and its regression slope on U, 12 b Cov(q_min, U)
+(`_tier_table`).  They depend on r, the tier and the cell alone, are
+tabulated once per cell and read at each link's nearest node, and keep the
+mean exact whatever their accuracy.  Analytic mode reads no bracket per
+link for this scheme: the table holds what the centre needs.  In regime
+`all` the mean score also steps where the link class changes, and the
+stratum of u that holds a class edge carries the step as variance, so the
+proposed scheme takes a term of mean 0 off that stratum's trials
+(`_edge_term`).
 
 c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
-draw nothing, so sampled mode keeps its Bernoulli draw.  They remove most
-of the variance of the tier or region choice and of the spread within the
-chosen tier: against a control on the lower end of the bracket, at a
-density of 0.005 the midpoint cuts the analytic-mode variance 3.1-3.2x for
-class D1 and 2.7-2.9x for the class mix under the proposed scheme, and
-1.0-1.03x for C and D2; for the conventional scheme, the q term cuts the
-stderr 1.8-3.2x against the midpoint alone (C, D1, D2 and the mix,
-analytic mode).  Sampled mode, whose variance is its Bernoulli draw above
-the sure share, gains far less: up to 1.1x from the midpoint, and
-1.01-1.16x more from the q term.  In analytic mode a proposed-scheme score
-lies within half the chosen bracket's width of m(r); a conventional score
-does once b (q - Qbar) is added back to it.  A direct link scores m(r)
-itself.
+draw nothing, so sampled mode keeps its Bernoulli draw.  At a density of
+0.005 in analytic mode, the proposed scheme's variance is 2.7-3.2x below
+that of the bracket midpoint for C and D2, 6.8-8.1x for D1 and 7-10x for
+the class mix; for the conventional scheme, the q term cuts the stderr
+1.8-3.2x against the midpoint alone (C, D1, D2 and the mix).  Sampled mode,
+whose variance is its Bernoulli draw above the sure share, gains far less:
+1.24-1.32x in variance for the proposed scheme at 0.001 nodes/m^2, and
+1.01-1.16x in stderr from the q term.  In analytic mode a conventional
+score lies within half the chosen bracket's width of m(r) once b (q - Qbar)
+is added back to it; a proposed one need not, as its centre is not the
+bracket's midpoint.  A direct link scores m(r) itself.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -266,24 +289,27 @@ class SimEstimate:
 
     The samples are the trials' scores with the control variate of the
     module docstring applied to every class C or D link, in both modes:
-    t - c + m(r), with c the midpoint of the trial's tier bracket plus, for
-    a conventional link whose helper was placed, b (q - Qbar) in its
-    helper's d_SH^2 + d_HD^2 = q about the region's exact mean Qbar, has the
-    plain score's mean, and each is a function of its own trial, so the
-    stratified stderr holds as it stands.  The control adds no draw, and
-    sampled mode keeps its Bernoulli draw.  In analytic mode a
-    proposed-scheme sample lies within half the chosen bracket's width of
-    m(r); a conventional one need not, as its c moves with q.  In sampled
-    mode a link with a helper scores the chosen tier's sure share
+    t - c + m(r).  For the conventional scheme c is the midpoint of the
+    trial's region bracket plus, where its helper was placed, b (q - Qbar)
+    in its helper's d_SH^2 + d_HD^2 = q about the region's exact mean Qbar;
+    for the proposed scheme it is the chosen tier's centre h(r) plus, where
+    its helpers were placed, beta(r) (U - 1/2), U the exact law of their
+    least q at its value; in regime `all` the trials of a stratum that
+    holds a class edge also carry the edge's term of mean 0.  Each has the
+    plain score's mean, and each is a function of its own trial and its
+    stratum, so the stratified stderr holds as it stands.  The controls add
+    no draw, and sampled mode keeps its Bernoulli draw.  In analytic mode a
+    conventional sample lies within half the chosen bracket's width of m(r)
+    once its q term is added back; a proposed one need not.  In sampled mode
+    a link with a helper scores the chosen tier's sure share
     lo = rate x G_worst plus (rate - lo) times a Bernoulli draw of
     x = lo + (rate - lo) v below rate x max G, which has the plain score's
-    mean.  Sampled mode draws v
-    before the helpers and places them only where x lies below the chosen
-    tier's upper end, widened by the margin _SQUEEZE_MARGIN = 1e-9 (the
-    squeeze of the module docstring), or everywhere where that end is not
-    proved; elsewhere the draw is a failure, the outcome full placement
-    gives, so each trial's score has the law it has with every helper
-    placed.
+    mean.  Sampled mode draws v before the helpers and places them only
+    where x lies below the chosen tier's upper end, widened by the margin
+    _SQUEEZE_MARGIN = 1e-9 (the squeeze of the module docstring), or
+    everywhere where that end is not proved; elsewhere the draw is a
+    failure, the outcome full placement gives, so each trial's score has
+    the law it has with every helper placed.
     """
 
     mean: float
@@ -529,7 +555,7 @@ def _draw_polar(rng, lo, hi, t_lo, t_span, r):
     and d_HD^2 = (d_SH - r)^2 + 4 d_SH r sin^2(angle / 2) is the law of
     cosines in a form that is never negative.
     """
-    # in place, in the order of operations of
+    # in place, and in the order of operations of the plain expressions, whose bits these keep:
     #   d_sh = sqrt(lo^2 + (hi^2 - lo^2) u), half = sin((t_lo + t_span v) / 2),
     #   d_hd = sqrt((d_sh - r)^2 + 4 d_sh r half^2)
     lo2 = lo * lo
@@ -1012,48 +1038,42 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
     if elig.size and k != 1:
-        _helped(t, r, elig, rate, ps_r, v, table, density, scheme, params, k, rng)
+        r_e = r[elig]
+        choice = _tier_choice(rng, r_e, density, k, scheme)
+        if v is not None or table is None:
+            # one bracket read per chunk, through the 3-tier kernel when every link is of class C: the
+            # conventional control's centre and slope, and sampled mode's sure share and squeeze
+            worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
+        has, tier = choice.has, choice.tier
+        chosen = elig[has]
+        tier_rate = np.take(TIER_RATES, tier - 1)
+        if v is None:
+            placed = slice(None)
+            g, q = _best_g(rng, r_e, choice, k, params)
+            t[chosen] = tier_rate * g
+        else:
+            # rate x G_worst of the chosen tier is a sure success: score it exactly
+            # and draw x uniform above it, a success while x < rate x max G
+            lo = worst[tier - 1]
+            span = tier_rate - lo
+            x = lo + span * v[chosen]
+            # the upper end bounds G only while log Ps is concave; without it no failure is settled
+            placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
+            g, q = _best_g(rng, r_e, choice, k, params, placed)
+            hit = np.zeros(has.size, dtype=bool)
+            hit[placed] = x[placed] < tier_rate[placed] * g
+            t[chosen] = lo + span * hit
+        if table is not None:
+            centre, term = _uniform_control(table, r_e, choice, q, k, placed)
+        else:
+            centre = best + worst[:, None]
+            centre *= 0.5
+            term = _secant_term(worst, best, choice, r_e, q, placed)
+        c, m = _control(centre, choice, (rate * ps_r)[elig], term, placed)
+        t[elig] = (t[elig] - c) + m
     if table is not None and table.edges.size:
         _edge_term(t, r, columns, table)
     return t
-
-
-def _helped(t, r, elig, rate, ps_r, v, table, density, scheme, params, k, rng):
-    """Score the class C and D links elig of a chunk into t in place: the helper draw and the control variate."""
-    r_e = r[elig]
-    choice = _tier_choice(rng, r_e, density, k, scheme)
-    proposed = choice.load is not None
-    if v is not None or not proposed:
-        # one bracket read per chunk, through the 3-tier kernel when every link is of class C: the
-        # conventional control's centre and slope, and sampled mode's sure share and squeeze
-        worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
-    has, tier = choice.has, choice.tier
-    chosen = elig[has]
-    tier_rate = np.take(TIER_RATES, tier - 1)
-    if v is None:
-        placed = slice(None)
-        g, q = _best_g(rng, r_e, choice, k, params)
-        t[chosen] = tier_rate * g
-    else:
-        # rate x G_worst of the chosen tier is a sure success: score it exactly
-        # and draw x uniform above it, a success while x < rate x max G
-        lo = worst[tier - 1]
-        span = tier_rate - lo
-        x = lo + span * v[chosen]
-        # the upper end bounds G only while log Ps is concave; without it no failure is settled
-        placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
-        g, q = _best_g(rng, r_e, choice, k, params, placed)
-        hit = np.zeros(has.size, dtype=bool)
-        hit[placed] = x[placed] < tier_rate[placed] * g
-        t[chosen] = lo + span * hit
-    if proposed:
-        centre, term = _uniform_control(table, r_e, choice, q, k, placed)
-    else:
-        centre = best + worst[:, None]
-        centre *= 0.5
-        term = _secant_term(worst, best, choice, r_e, q, placed)
-    c, m = _control(centre, choice, (rate * ps_r)[elig], term, placed)
-    t[elig] = (t[elig] - c) + m
 
 
 def _run_chunk(job):
