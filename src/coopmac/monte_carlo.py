@@ -118,7 +118,7 @@ region of area S_i lies where q < s with probability f = B_i(s) / S_i, B_i
 the area of the region within sqrt((s - r^2 / 2) / 2) of the S-D midpoint
 (`stochastic_geometry.tier_area_within`), and the count is Poisson or
 Binomial given >= 1, which gives the distribution function F of q_min in
-closed form (`_uniform`; the void probabilities of Haenggi, Stochastic
+closed form (`within_tier`; the void probabilities of Haenggi, Stochastic
 Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min), computed per
 link with no table, is exactly Uniform(0, 1) given r and the tier.  A
 proposed link's c is h_i(r) + beta_i(r) (U - 1/2), the term only where its
@@ -127,13 +127,13 @@ and the tier, not on where the helpers lie, so the term has mean 0 in
 sampled mode too.  h and beta come from a model of rate x max G linear in
 q_min through the bracket's ends: its mean, rate G_best + b integral S ds
 with S = 1 - F, and its regression slope on U, 12 b Cov(q_min, U)
-(`_tier_table`).  They depend on r, the tier and the cell alone, are
-tabulated once per cell and read at each link's nearest node, and keep the
-mean exact whatever their accuracy.  Analytic mode reads no bracket per
-link for this scheme: the table holds what the centre needs.  In regime
-`all` the mean score also steps where the link class changes, and the
-stratum of u that holds a class edge carries the step as variance, so the
-proposed scheme takes a term of mean 0 off that stratum's trials
+(`within_tier.control_table`).  They depend on r, the tier and the cell
+alone, are tabulated once per cell and read at each link's nearest node,
+and keep the mean exact whatever their accuracy.  Analytic mode reads no
+bracket per link for this scheme: the table holds what the centre needs.
+In regime `all` the mean score also steps where the link class changes,
+and the stratum of u that holds a class edge carries the step as variance,
+so the proposed scheme takes a term of mean 0 off that stratum's trials
 (`_edge_term`).
 
 c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
@@ -156,7 +156,9 @@ per trial, and agrees with the exact inverse to 1e-12 relative.
 
 The `reproduce` figure tables, which set these estimates beside the
 bounds, are built by the `cli` module; this module imports no other layer
-above `channel_model` and `stochastic_geometry`.
+above `channel_model` and `stochastic_geometry` but `within_tier`, the
+proposed scheme's control, which itself imports those two alone and is
+loaded by the first proposed-scheme chunk.
 """
 
 from __future__ import annotations
@@ -179,7 +181,6 @@ from .stochastic_geometry import (
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
-    TIER1_MAX_SEPARATION,
     TIER_BANDS,
     TIER_RATES,
     TIER_REACH,
@@ -189,7 +190,6 @@ from .stochastic_geometry import (
     cumulative_areas,
     hop_band,
     nn_distance_band,
-    tier_area_within,
     tier_areas,
     tier_index,
     tier_void_law,
@@ -223,13 +223,6 @@ _TIER_BOXES = np.array([(*BAND_EDGES[s:s + 2], *BAND_EDGES[h:h + 2], 2.0 if s > 
 # relative margin by which sampled mode's draw x must clear the upper end of a
 # link's rate x G bracket for the squeeze to settle it as a failure (`_squeeze`)
 _SQUEEZE_MARGIN = 1e-9
-
-# the proposed scheme's control table (`_tier_table`): link-length nodes at most _TABLE_STEP m apart, in
-# segments split where tiers 4 and 5 appear (74.7 m) and tier 1 empties (96.4 m), and _TABLE_POINTS
-# Gauss-Legendre points in t = |H - M| for each node's integrals over q
-_TABLE_STEP = 0.25
-_TABLE_POINTS = 24
-_LEGENDRE = np.polynomial.legendre.leggauss(_TABLE_POINTS)
 
 
 @dataclass(frozen=True)
@@ -815,157 +808,6 @@ def _secant(worst, best, tier, r, mean_q):
     return np.divide(best - np.take(worst, tier - 1), lo, out=np.zeros(tier.size), where=lo < 0.0), mean_q
 
 
-def _uniform(f, load, k):
-    """F(q_min) at f = B_i(q_min) / S_i: the law of the least q of a tier's helpers, given at least one.
-
-    A helper of a tier region of area S_i lies where q < s with probability
-    f(s) = B_i(s) / S_i (`stochastic_geometry.tier_area_within`).  The count
-    is Poisson(mu) given >= 1 under the PPP, mu = load, so
-    P{q_min > s} = (e^(-mu f) - e^(-mu)) / (1 - e^(-mu)) and
-    F = (1 - e^(-mu f)) / (1 - e^(-mu)); under k-nearest conditioning it is
-    Binomial(k - 1, p) given >= 1, p = load, and
-    F = (1 - (1 - p f)^(k-1)) / (1 - (1 - p)^(k-1)).  Both are taken as a
-    ratio of expm1 terms, and F = f in their common limit load -> 0.  f is
-    clipped into [0, 1] in place.
-    """
-    np.clip(f, 0.0, 1.0, out=f)
-    if k is None:
-        num, den = np.expm1(-load * f), np.expm1(-load)
-    else:
-        num, den = np.expm1((k - 1) * np.log1p(-load * f)), np.expm1((k - 1) * np.log1p(-load))
-    return np.divide(num, den, out=f, where=den != 0.0)
-
-
-def _q_uniform(r, tier, area, load, q, k):
-    """U = F(q) of links of lengths r whose chosen tier's least helper d_SH^2 + d_HD^2 is q (`_uniform`).
-
-    q = 2 |H - M|^2 + r^2 / 2 puts the least helper at t = |H - M| from the
-    S-D midpoint, and B_i(q) is the area of the tier's region within t of it.
-    Given r and the tier, U is exactly Uniform(0, 1): the probability
-    integral transform of q_min's continuous law.
-    """
-    t = 0.5 * r * r
-    np.subtract(q, t, out=t)
-    t *= 0.5
-    np.sqrt(np.maximum(t, 0.0, out=t), out=t)
-    f = tier_area_within(r, tier, t)
-    f /= area
-    return _uniform(f, load, k)
-
-
-class _Table(NamedTuple):
-    """The proposed scheme's control at the nodes of a link-length grid (`_tier_table`).
-
-    The grid has one segment per band between the edges `splits`; segment i
-    runs from start[i] with scale[i] intervals per metre, and its first node
-    is node offset[i].  h and beta hold each tier's centre and slope at
-    every node, one row per tier.  edges are the class edges inside the
-    cell's band, edge_u the link-length uniform u at each and jump the
-    step of the link's mean score there (`_edge_term`).
-    """
-
-    splits: np.ndarray
-    start: np.ndarray
-    scale: np.ndarray
-    offset: np.ndarray
-    h: np.ndarray
-    beta: np.ndarray
-    edges: np.ndarray
-    edge_u: np.ndarray
-    jump: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _tier_table(lo, hi, density, k, params):
-    """Centre h_i(r) and slope beta_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
-
-    The control of a link that chose tier i is c = h_i(r) + beta_i(r) (U - 1/2),
-    with U = F(q_min) of `_q_uniform`.  Both come from a model of rate x max G
-    linear in q_min, through the bracket's best and worst positions: its
-    slope b_i is the secant of `_secant`, and with S_i(s) = 1 - F(s) the
-    survival of q_min from q_best on,
-        h_i = rate G_best,i(r) + b_i integral S_i(s) ds,
-        beta_i = 12 b_i Cov(q_min, U) = 6 b_i integral S_i (1 - S_i) ds,
-    the model's mean and its regression slope on U, whose variance is
-    1/12.  The integrals run over t = |H - M| in s = 2 t^2 + r^2 / 2 by
-    Gauss-Legendre.  h and beta depend on r, the tier and the cell alone
-    (its band lo..hi, density, k and params), so c keeps its exact mean
-    whatever their accuracy; their accuracy sets only the variance cut.  A
-    tier with no area there gets h = rate G_best and beta = 0.  The nodes are
-    at most _TABLE_STEP m apart, in segments split at 74.7 and 96.4 m within
-    the band's class C and D part; the table is built once per cell and is
-    read-only.
-    """
-    band = lo, hi
-    lo = max(lo, BAND_55)
-    edges = [lo, *(x for x in (BAND_2, TIER1_MAX_SEPARATION) if lo < x < hi), hi]
-    counts = [max(1, math.ceil((b - a) / _TABLE_STEP)) for a, b in zip(edges[:-1], edges[1:])]
-    r = np.concatenate([a + (b - a) / n * np.arange(n + 1) for a, b, n in zip(edges[:-1], edges[1:], counts)])
-    rows = CLASS_TIERS["C"] if hi <= BAND_2 else CLASS_TIERS["D"]
-    areas = tier_areas(r)
-    worst, best = tier_bracket("D", r, params)
-    q_worst, q_best = tier_q_bracket(r)
-    slope = np.divide(best - worst[:, None], q_best - q_worst[:, None], out=np.zeros(best.shape),
-                      where=q_best < q_worst[:, None])
-    # the integrals over t, where the region has an area
-    tier, node = np.nonzero(areas[:rows] > 0.0)
-    floor = 0.5 * r[node] ** 2
-    t_best, t_worst = (np.sqrt(np.maximum(x - floor, 0.0) / 2.0) for x in (q_best[tier, node], q_worst[tier]))
-    x, w = _LEGENDRE
-    half = 0.5 * (t_worst - t_best)
-    t = t_best[:, None] + half[:, None] * (x + 1.0)
-    area = areas[tier, node]
-    if k is None:
-        load = density * area
-    else:
-        load = area / (np.pi * r[node] ** 2 - (cumulative_areas(areas)[tier, node] - area))
-    points = t.size // max(tier.size, 1)
-    f = tier_area_within(np.repeat(r[node], points), np.repeat(tier + 1, points), t.ravel())
-    f /= np.repeat(area, points)
-    survival = 1.0 - _uniform(f, np.repeat(load, points), k).reshape(t.shape)
-    # ds = 4 t dt, and dt = half dx
-    weight = 4.0 * t * w * half[:, None]
-    h = best[:rows].copy()
-    beta = np.zeros(h.shape)
-    h[tier, node] += slope[tier, node] * (weight * survival).sum(axis=1)
-    beta[tier, node] = 6.0 * slope[tier, node] * (weight * survival * (1.0 - survival)).sum(axis=1)
-    starts = np.cumsum([0] + [n + 1 for n in counts[:-1]])
-    out = _Table(np.array(edges[1:-1]), np.array(edges[:-1]), np.array(counts) / np.diff(edges), starts, h, beta,
-                 *(np.empty(0),) * 3)
-    # the class edges inside the band, and the step of the mean score across each
-    class_edges = np.array([e for e in BAND_EDGES[1:-1] if band[0] < e < band[1]])
-    below, above = (_mean_score(x, density, k, params, out) for x in (np.nextafter(class_edges, 0.0), class_edges))
-    out = out._replace(edges=class_edges, edge_u=_band_uniform(class_edges, band, density, k), jump=above - below)
-    for array in out:
-        array.flags.writeable = False
-    return out
-
-
-def _mean_score(r, density, k, params, table):
-    """The proposed scheme's mean score at link lengths r, as its control's centre has it: m(r) of `_control` for class C and D, rate x Ps(r) below."""
-    direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, params)
-    helped = r >= BAND_55
-    if np.any(helped):
-        x = r[helped]
-        empty = tier_void_law(tier_areas(x), x, density, k)
-        centre = np.take(table.h, _table_position(table, x), axis=1)
-        m = empty[-1] * direct[helped]
-        for p, row in zip(empty[:-1] - empty[1:], centre):
-            m += p * row
-        direct[helped] = m
-    return direct
-
-
-def _band_uniform(r, band, density, k):
-    """The uniform u that `_link_distance` maps to each link length r of the band."""
-    a, b = band
-    if k is None:
-        return (r * r - a * a) / (b * b - a * a)
-    lo, hi, _ = nn_distance_band(a, b, density, k)
-    x = density * np.pi * r * r
-    return ((gammaincc if hi < lo else gammainc)(k, x) - lo) / (hi - lo)
-
-
 def _edge_term(t, r, columns, table):
     """Take jump x (1{r >= e} - P{r >= e | u-slice}) off the scores t of the u-slice that holds each class edge e, in place.
 
@@ -975,10 +817,10 @@ def _edge_term(t, r, columns, table):
     [a B, a B + B_a) / S in the grid of `_stratified_uniforms`, is
     uniform in u for each of its cells, so 1{r >= e} = 1{u >= u_e} has
     the mean P = (a B + B_a - u_e S) / B_a there, and the term has mean 0
-    in every stratum whatever the jump.  jump is the step of the control's
-    centre of mass `_mean_score` across the edge, fixed per cell.  Up to
-    the rounding of the link-length draw at u_e, 1{r >= e} is the class
-    test of the trial itself.
+    in every stratum whatever the jump.  jump is the step of the mean score
+    that the control's centres give across the edge, fixed per cell
+    (`within_tier.control_table`).  Up to the rounding of the link-length
+    draw at u_e, 1{r >= e} is the class test of the trial itself.
     """
     start, _, _ = _strata(t.size, columns)
     s = max(t.size // 2, 1)
@@ -991,31 +833,22 @@ def _edge_term(t, r, columns, table):
             t[rows] -= jump * ((r[rows] >= edge) - (first + span - x) / span)
 
 
-def _table_position(table, r):
-    """The index of each link's nearest node on the grid of `_tier_table`."""
-    seg = np.searchsorted(table.splits, r, side="right") if table.splits.size else 0
-    x = r - table.start[seg]
-    x *= table.scale[seg]
-    j = np.rint(x, out=x).astype(np.intp)
-    j += table.offset[seg]
-    return j
-
-
 def _uniform_control(table, r, choice, q, k, which):
     """(centre, term) of the proposed scheme's control: each tier's h at every link, and beta (U - 1/2) at the links choice.has[which].
 
     h and beta are read at each link's nearest node of the table.  The
     links choice.has[which] are those whose helpers were placed, with
-    least d_SH^2 + d_HD^2 q (`_q_uniform`); U is Uniform(0, 1) given r and
-    the tier, and which links are placed does not depend on where the
-    helpers lie, so the term has mean 0.
+    least d_SH^2 + d_HD^2 q (`within_tier.least_q_uniform`); U is
+    Uniform(0, 1) given r and the tier, and which links are placed does not
+    depend on where the helpers lie, so the term has mean 0.
     """
-    j = _table_position(table, r)
+    from .within_tier import least_q_uniform, table_nodes
+    j = table_nodes(table, r)
     centre = np.take(table.h, j, axis=1)
     at, tier = choice.has[which], choice.tier[which]
     flat = (tier - 1) * table.h.shape[1]
     flat += j[at]
-    u = _q_uniform(r[at], tier, choice.area[which], choice.load[which], q, k)
+    u = least_q_uniform(r[at], tier, choice.area[which], choice.load[which], q, k)
     u -= 0.5
     u *= table.beta.take(flat)
     return centre, u
@@ -1033,8 +866,13 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
 
     t = rate * score
     band = REGIMES[regime][:2]
-    # the proposed scheme's control table, for a band that reaches class C
-    table = _tier_table(*band, density, k, params) if scheme == "proposed" and band[1] > BAND_55 else None
+    table = None
+    if scheme == "proposed" and band[1] > BAND_55:
+        # the proposed scheme's control table, for a band that reaches class C; its module is loaded by the
+        # first proposed chunk, so that a process that runs none (the bounds, the conventional scheme)
+        # allocates none of it
+        from .within_tier import control_table
+        table = control_table(*band, density, k, params)
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
     if elig.size and k != 1:

@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from coopmac import monte_carlo as mc
-from coopmac.analytic_bounds import _link_bounds, _node_store, tier_bound_pair
+from coopmac import within_tier
+from coopmac.analytic_bounds import _node_store, tier_bound_pair
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct, tier_bracket, worst_tier_g
 from coopmac.monte_carlo import ExperimentConfig, estimate_throughput
 from coopmac.stochastic_geometry import (
@@ -82,7 +83,7 @@ def _control_parts(regime, density, k, scheme, n, seed):
     g, q = mc._best_g(rng, r, choice, k, PARAMS)
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     if scheme == "proposed":
-        table = mc._tier_table(*REGIMES[regime][:2], density, k, PARAMS)
+        table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         centre, term = mc._uniform_control(table, r, choice, q.copy(), k, slice(None))
     else:
         worst, best = tier_bracket(REGIMES[regime][2], r, PARAMS)
@@ -145,7 +146,7 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
         # c is the chosen tier's centre h plus beta (U - 1/2), h and beta read at the link's nearest
         # node of the cell's table and U recomputed from the helpers' least q; m is the choice law's
         # mixture of the centres
-        table = mc._tier_table(*REGIMES[regime][:2], density, k, PARAMS)
+        table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         node = nearest_node(table, r)
         h = table.h[:, node]
         beta = table.beta[tier - 1, node[has]]

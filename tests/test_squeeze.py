@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from coopmac import monte_carlo as mc
+from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from coopmac.stochastic_geometry import BAND_55, REGIMES, TIER_RATES
 from within_tier_reference import nearest_node, uniform
@@ -108,7 +109,7 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     want[elig[has]] = ((lo + (rate - lo) * hit) - c) + m
     if scheme == "proposed":
         # the class edges of regime "all" take their mean-0 term off the trials of the u-slices that hold them
-        table = mc._tier_table(*REGIMES[regime][:2], density, k, params)
+        table = within_tier.control_table(*REGIMES[regime][:2], density, k, params)
         mc._edge_term(want, link, columns, table)
     assert t[elig[has]].tobytes() == want[elig[has]].tobytes()
     # a conventional c is the chosen region's bracket midpoint, and a link whose helper was placed adds
@@ -117,7 +118,7 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     # placed adds beta (U - 1/2), U the law of their least d_SH^2 + d_HD^2 at its value
     settled = np.setdiff1d(np.arange(has.size), placed)
     if scheme == "proposed":
-        table = mc._tier_table(*REGIMES[regime][:2], density, k, params)
+        table = within_tier.control_table(*REGIMES[regime][:2], density, k, params)
         node = nearest_node(table, r[has])
         moved = c - table.h[tier - 1, node]
         np.testing.assert_array_equal(moved[settled], 0.0)

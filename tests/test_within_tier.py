@@ -20,6 +20,7 @@ from scipy.integrate import quad
 from scipy.stats import chi2
 
 from coopmac import monte_carlo as mc
+from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, tier_bracket, tier_q_bracket
 from coopmac.stochastic_geometry import REGIMES, cumulative_areas, tier_area_within, tier_areas
 from moment_oracle import region_area_within
@@ -84,7 +85,7 @@ def test_u_is_uniform_given_the_link_and_tier(r, density, k):
         links = np.full(n, r)
         choice = _forced_choice(links, np.full(n, tier), density, k)
         _, q = mc._best_g(np.random.default_rng(int(10 * r) + tier), links, choice, k, PARAMS)
-        u = mc._q_uniform(links, choice.tier, choice.area, choice.load, q, k)
+        u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
         assert np.all((u >= 0) & (u <= 1))
         np.testing.assert_allclose(u, uniform(links, choice.tier, q, density, k), rtol=0, atol=1e-12)
         counts = np.bincount(np.minimum((u * 20).astype(int), 19), minlength=20)
@@ -100,11 +101,11 @@ def test_control_is_finite_next_to_the_tangency(density, k):
             links = np.full(500, r)
             choice = _forced_choice(links, np.full(links.size, tier), density, k)
             _, q = mc._best_g(np.random.default_rng(tier), links, choice, k, PARAMS)
-            u = mc._q_uniform(links, choice.tier, choice.area, choice.load, q, k)
+            u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
             assert np.all(np.isfinite(u) & (u >= 0) & (u <= 1)), (r, tier)
     # and beta finite and <= 0 at every node there, and 0 for tier 1 at the tangency itself
     for regime in ("D1", "D2", "all"):
-        table = mc._tier_table(*REGIMES[regime][:2], density, k, PARAMS)
+        table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.beta)) and np.all(table.beta <= 0)
         near = np.abs(_nodes(table) - TANGENCY) <= 0.12
         assert near.any()
@@ -129,8 +130,8 @@ def _survival(r, tier, s, density, k):
 @pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.001, None), ("D2", 0.0005, 10)])
 def test_table_matches_quadrature(regime, density, k):
     # h = rate G_best + b int S ds and beta = 6 b int S (1 - S) ds, by quad over s; the table
-    # integrates in t by Gauss-Legendre, whose error moves the variance cut and not the mean
-    table = mc._tier_table(*REGIMES[regime][:2], density, k, PARAMS)
+    # integrates in t by the midpoint rule, whose error moves the variance cut and not the mean
+    table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
     nodes = _nodes(table)
     for j in (0, nodes.size // 2):
         r = nodes[j]
@@ -151,7 +152,7 @@ def test_table_matches_quadrature(regime, density, k):
 @pytest.mark.parametrize("k", [None, 3, 10])
 def test_band_uniform_inverts_the_link_length_draw(k):
     # the class edges of regime "all" sit where the link-length draw puts their uniforms
-    table = mc._tier_table(*REGIMES["all"][:2], 0.0005, k, PARAMS)
+    table = within_tier.control_table(*REGIMES["all"][:2], 0.0005, k, PARAMS)
     assert table.edges.tolist() == [48.2, 67.1, 74.7]
     assert np.all((table.edge_u > 0) & (table.edge_u < 1))
     r = mc._link_distance(table.edge_u, REGIMES["all"][:2], 0.0005, k)
