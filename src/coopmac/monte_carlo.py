@@ -719,20 +719,21 @@ def _best_g(rng, r, choice, k, params, which=None):
     if not count.size:
         return g_max, q_min
     rounds = list(_place_in_tier(rng, r[choice.has[pick]], tier, area, count))
-    trials, _, d_sh, d_hd = (part[0] if len(rounds) == 1 else np.concatenate(part) for part in zip(*rounds))
+    d_sh, d_hd = (part[0] if len(rounds) == 1 else np.concatenate(part) for part in list(zip(*rounds))[2:])
     g = g_joint(d_sh, d_hd, params)
     d_sh *= d_sh
     d_hd *= d_hd
     q = np.add(d_sh, d_hd, out=d_sh)
     if choice.load is None:
-        # one helper a link: the rounds' points are their trials' own
-        g_max[trials] = g
-        q_min[trials] = q
+        # one helper a link: each round's points are its trials' own, in order
+        tid = np.concatenate([part[0] for part in rounds])
+        g_max[tid] = g
+        q_min[tid] = q
         return g_max, q_min
     # the first round places most points and is reduced per trial; the few of later rounds are
     # folded in by trial index
-    trials, start = rounds[0][:2]
-    first = rounds[0][2].size
+    trials, start, first_points, _ = rounds[0]
+    first = first_points.size
     g_max[trials] = np.maximum.reduceat(g[:first], start)
     q_min[trials] = np.minimum.reduceat(q[:first], start)
     if len(rounds) > 1:
