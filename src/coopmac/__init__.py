@@ -15,8 +15,8 @@ provides:
   per link distance, and averaged over a link class.
 - ``monte_carlo``: seeded vectorized simulation of both selection schemes
   and contour grids.
-- ``within_tier``: the law of the best helper's least d_SH^2 + d_HD^2 and
-  the table of the proposed scheme's control variate, for ``monte_carlo``.
+- ``within_tier``: the law of the best helper's least d_SH^2 + d_HD^2, and
+  the tables of both schemes' control variates, for ``monte_carlo``.
 - ``cli``: command-line front end emitting CSV/JSON datasets, including the
   ``reproduce`` figure tables; not imported by the package itself.
 """

@@ -267,6 +267,11 @@ def _cmd_reproduce(cfg: RunConfig):
     ``fig10``: network-total sweep (all link classes combined).
     ``contour_c`` / ``contour_d1`` / ``contour_d2``: the `contour` command's
     rows for the regime's default link length and resolution.
+
+    The estimates are means given that the link lies in the regime's band.
+    Under k-nearest conditioning the bounds are partial expectations over
+    the band, so they are divided by its mass (`band_mass`) to bound the
+    same mean; under the PPP they are already band-conditional.
     """
     params = cfg.channel()
     if cfg.figure in CONTOUR_FIGURES:
@@ -279,14 +284,18 @@ def _cmd_reproduce(cfg: RunConfig):
         estimates = _estimates(cfg, regime, "both", "analytic")
         for d, proposed, conventional in zip(cfg.densities, estimates[::2], estimates[1::2]):
             pair = _bound_pair(regime, d, k, params)
+            lower, upper = pair.lower, pair.upper
+            if k is not None:
+                mass = band_mass(regime, d, k=k)
+                lower, upper = lower / mass, upper / mass
             rows.append(
                 {
                     "density": d,
                     "regime": regime,
-                    "upper": pair.upper,
+                    "upper": upper,
                     "proposed": proposed.mean,
                     "conventional": conventional.mean,
-                    "lower": pair.lower,
+                    "lower": lower,
                     "proposed_stderr": proposed.stderr,
                     "conventional_stderr": conventional.stderr,
                 }

@@ -89,26 +89,26 @@ scheme, with V_i = P{tiers 1..i all empty}, and
 (1 - P_void) sum_j (S_j / S_tot) centre_j(r) + P_void rate_D Ps(r) for the
 conventional one (`_control`).
 
-The conventional scheme's centre is the midpoint of the chosen region's
-bracket: half the tier rate times G_worst + G_best(r), both read from
-`channel_model.tier_bracket`, the kernel of the bounds, once per chunk,
-through the 3-tier kernel of class C when all its eligible links are of
-that class and the 5-tier one otherwise; a class C link's tiers 4 and 5
-have no area and add exactly 0.  Its helper is uniform in its region, and
-most of what is left of its variance is G's spread inside that region,
-which the midpoint cannot see.  G falls with both hop lengths, and
-q = d_SH^2 + d_HD^2 of the helper explains 75-100% of G's variance within
-a region.  So a conventional link whose helper was placed (in sampled mode,
-one the squeeze left open) adds b (q - Qbar_j(r)) to its c (`_secant`).
-Qbar_j(r) = 2 J_j(r) / S_j(r) + r^2 / 2 is the exact mean of q over region
-j, with J_j the region's second moment about the S-D midpoint, which the
-lens pass of its area gives too (`stochastic_geometry.tier_areas`).  b is
-the secant of rate x G against q between the bracket's best and worst
-positions, where q is least and greatest over the region
-(`channel_model.tier_q_bracket`); it is fixed given r.  Given r and the
-region, the helper is uniform in it and independent of v, so the term has
-mean 0 (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
-4.1).
+The conventional scheme's helper is uniform in its region whatever the
+density or k, and q = d_SH^2 + d_HD^2 and y^2, its squared distance from
+the S-D line, explain 97.5-100% of the variance of rate x G within a
+region (q alone 73-100%).  A conventional link's centre is
+h_j(r) = E[rate x G | region j, r], and one whose helper was placed (in
+sampled mode, one the squeeze left open) adds
+b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)) (`_region_control`).
+Qbar_j = 2 J_j / S_j + r^2 / 2 and Ybar^2_j = I_j / S_j are the exact means
+of q and y^2 over region j, with J_j and I_j its second moments about the
+S-D midpoint and line, which the lens pass of its area gives too
+(`stochastic_geometry.tier_areas`), taken per link (`_region_means`);
+y^2 = d_SH^2 - x^2, with x = (d_SH^2 + r^2 - d_HD^2) / (2 r) the helper's
+position along the line, comes from its hop lengths (`_best_g`).  h and the
+least-squares coefficients (b, g) of rate x G on (q, y^2) over the region
+are tabulated once per ChannelParams by a Gauss-Legendre rule over each
+region (`within_tier.region_table`) and read at each link's nearest node.
+Given r and the region, the helper is uniform in it and independent of v,
+so the term has mean 0, and the table's accuracy sets only the variance
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1).
+Analytic mode reads no bracket for this scheme.
 
 The proposed scheme keeps the best of several helpers, and what is left of
 its variance is the spread of max G inside the chosen tier, which the least
@@ -126,28 +126,27 @@ helpers were placed (`_uniform_control`); the squeeze's choice depends on v
 and the tier, not on where the helpers lie, so the term has mean 0 in
 sampled mode too.  h and beta come from a model of rate x max G linear in
 q_min through the bracket's ends: its mean, rate G_best + b integral S ds
-with S = 1 - F, and its regression slope on U, 12 b Cov(q_min, U)
+with S = 1 - F and b the secant of rate x G against q between them, and
+its regression slope on U, 12 b Cov(q_min, U)
 (`within_tier.control_table`).  They depend on r, the tier and the cell
 alone, are tabulated once per cell and read at each link's nearest node,
 and keep the mean exact whatever their accuracy.  Analytic mode reads no
-bracket per link for this scheme: the table holds what the centre needs.
-In regime `all` the mean score also steps where the link class changes,
-and the stratum of u that holds a class edge carries the step as variance,
-so the proposed scheme takes a term of mean 0 off that stratum's trials
-(`_edge_term`).
+bracket per link for this scheme either: the table holds what the centre
+needs.  In regime `all` the mean score also steps where the link class
+changes, and the stratum of u that holds a class edge carries the step as
+variance, so both schemes take a term of mean 0 off that stratum's trials
+(`_edge_term`), its step from the scheme's table.
 
 c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
 draw nothing, so sampled mode keeps its Bernoulli draw.  At a density of
 0.005 in analytic mode, the proposed scheme's variance is 2.7-3.2x below
 that of the bracket midpoint for C and D2, 6.8-8.1x for D1 and 7-10x for
-the class mix; for the conventional scheme, the q term cuts the stderr
-1.8-3.2x against the midpoint alone (C, D1, D2 and the mix).  Sampled mode,
-whose variance is its Bernoulli draw above the sure share, gains far less:
-1.24-1.32x in variance for the proposed scheme at 0.001 nodes/m^2, and
-1.01-1.16x in stderr from the q term.  In analytic mode a conventional
-score lies within half the chosen bracket's width of m(r) once b (q - Qbar)
-is added back to it; a proposed one need not, as its centre is not the
-bracket's midpoint.  A direct link scores m(r) itself.
+the class mix, and the conventional scheme's stderr is 12x (C), 16x (D1),
+28x (D2) and 15x (the class mix) below it.  Sampled mode, whose variance is
+its Bernoulli draw above the sure share, gains far less: 1.24-1.32x in
+variance for the proposed scheme at 0.001 nodes/m^2.  A score need not lie
+near m(r): only its mean given r is m(r)'s.  A direct link scores m(r)
+itself.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -157,8 +156,9 @@ per trial, and agrees with the exact inverse to 1e-12 relative.
 The `reproduce` figure tables, which set these estimates beside the
 bounds, are built by the `cli` module; this module imports no other layer
 above `channel_model` and `stochastic_geometry` but `within_tier`, the
-proposed scheme's control, which itself imports those two alone and is
-loaded by the first proposed-scheme chunk.
+control tables of both schemes, which itself imports those two alone and
+is loaded by the first chunk that reaches class C, so that a process that
+runs only the bounds builds no table.
 """
 
 from __future__ import annotations
@@ -176,18 +176,18 @@ from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_dir
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
-    BAND_EDGES,
     BAND_RATES,
     CLASS_TIERS,
     HELPER_REGIMES,
     REGIMES,
-    TIER_BANDS,
+    TIER_BOXES,
     TIER_RATES,
     TIER_REACH,
     check_band,
     check_conditioning,
     check_integer,
     cumulative_areas,
+    hop_angle,
     hop_band,
     nn_distance_band,
     tier_areas,
@@ -214,11 +214,6 @@ _MAX_STEP = 1e-7
 
 # the largest double below 1, the top of every stratified uniform
 _BELOW_ONE = 1.0 - 2.0 ** -53
-
-# per tier, as columns: the hop-band edges [a, b) of d_SH, in the tier's higher
-# hop band, and [c, d) of d_HD, and the number of hop orders, 2 for two bands
-_TIER_BOXES = np.array([(*BAND_EDGES[s:s + 2], *BAND_EDGES[h:h + 2], 2.0 if s > h else 1.0)
-                        for h, s in map(sorted, TIER_BANDS)]).T
 
 # relative margin by which sampled mode's draw x must clear the upper end of a
 # link's rate x G bracket for the squeeze to settle it as a failure (`_squeeze`)
@@ -282,18 +277,18 @@ class SimEstimate:
 
     The samples are the trials' scores with the control variate of the
     module docstring applied to every class C or D link, in both modes:
-    t - c + m(r).  For the conventional scheme c is the midpoint of the
-    trial's region bracket plus, where its helper was placed, b (q - Qbar)
-    in its helper's d_SH^2 + d_HD^2 = q about the region's exact mean Qbar;
-    for the proposed scheme it is the chosen tier's centre h(r) plus, where
-    its helpers were placed, beta(r) (U - 1/2), U the exact law of their
-    least q at its value; in regime `all` the trials of a stratum that
-    holds a class edge also carry the edge's term of mean 0.  Each has the
-    plain score's mean, and each is a function of its own trial and its
-    stratum, so the stratified stderr holds as it stands.  The controls add
-    no draw, and sampled mode keeps its Bernoulli draw.  In analytic mode a
-    conventional sample lies within half the chosen bracket's width of m(r)
-    once its q term is added back; a proposed one need not.  In sampled mode
+    t - c + m(r).  For the conventional scheme c is the chosen region's
+    mean score h(r) plus, where its helper was placed,
+    b(r) (q - Qbar) + g(r) (y^2 - Ybar^2), in its helper's
+    d_SH^2 + d_HD^2 = q and squared distance y^2 from the S-D line about the
+    region's exact means; for the proposed scheme it is the chosen tier's
+    centre h(r) plus, where its helpers were placed, beta(r) (U - 1/2), U
+    the exact law of their least q at its value; in regime `all` the trials
+    of a stratum that holds a class edge also carry the edge's term of mean
+    0.  Each has the plain score's mean, and each is a function of its own
+    trial and its stratum, so the stratified stderr holds as it stands.  The
+    controls add no draw, and sampled mode keeps its Bernoulli draw.  In
+    sampled mode
     a link with a helper scores the chosen tier's sure share
     lo = rate x G_worst plus (rate - lo) times a Bernoulli draw of
     x = lo + (rate - lo) v below rate x max G, which has the plain score's
@@ -507,19 +502,6 @@ def _zero_truncated_binomial(rng, n, p):
     return 1 + rng.binomial(n - j, p)
 
 
-def _theta(x, rho, r):
-    """Angle at S between the S-D axis and the point at distance rho from S and x from D.
-
-    The points at distance rho from S nearer than x to D are those at angles
-    below it; where there are none it is 0, where all are it is pi.  At
-    rho = 0 it is the limit rho -> 0: 0 for r > x, pi for r < x, pi/2 for
-    r = x.
-    """
-    num = rho * rho + r * r - x * x
-    cos = np.divide(num, 2.0 * rho * r, out=np.sign(num), where=rho > 0)
-    return np.arccos(np.clip(cos, -1.0, 1.0))
-
-
 def _polar_box(r, a, b, c, d):
     """(rho_lo, rho_hi, theta_lo, theta_hi) of the region d_SH in I = [a, b), d_HD in J = [c, d).
 
@@ -533,11 +515,11 @@ def _polar_box(r, a, b, c, d):
     """
     lo = np.maximum(a, r - d)
     hi = np.minimum(b, r + d)
-    t_hi = _theta(d, np.clip(np.sqrt(np.maximum(r * r - d * d, 0.0)), lo, hi), r)
+    t_hi = hop_angle(d, np.clip(np.sqrt(np.maximum(r * r - d * d, 0.0)), lo, hi), r)
     t_lo = np.zeros(lo.shape)
     rows = np.flatnonzero(np.broadcast_to(c, lo.shape) > 0)
     c, r, lo_c, hi_c = (np.broadcast_to(x, lo.shape)[rows] for x in (c, r, lo, hi))
-    t_lo[rows] = np.minimum(_theta(c, lo_c, r), _theta(c, hi_c, r))
+    t_lo[rows] = np.minimum(hop_angle(c, lo_c, r), hop_angle(c, hi_c, r))
     return lo, hi, t_lo, t_hi
 
 
@@ -589,7 +571,7 @@ def _place_in_tier(rng, r, tier, area, count):
     d_SH and d_HD, which hold the round's points grouped by trial.
     """
     need = np.array(count, dtype=np.int64)
-    a, b, c, d, orders = _TIER_BOXES.take(tier - 1, axis=1)
+    a, b, c, d, orders = TIER_BOXES.take(tier - 1, axis=1)
     lo, hi, t_lo, t_hi = _polar_box(r, a, b, c, d)
     t_span = t_hi - t_lo
     # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2
@@ -632,10 +614,11 @@ class _TierChoice(NamedTuple):
     scheme, whose count is 1).  law is the (5, len(r)) choice law, the
     probability that a link settles on each tier or region, and void the
     probability that it has no helper, the two that `_control` centres the
-    control variate with.  mean_q is, for the conventional scheme, the mean
-    of d_SH^2 + d_HD^2 over each chosen region, 2 J / area + r^2 / 2 with J
-    its second moment about the S-D midpoint (`tier_areas`), the centre of
-    the conventional scheme's second control (None for the proposed one).
+    control variate with.  moments holds, for the conventional scheme, the
+    (5, len(r)) second moments J and I of the regions about the S-D
+    midpoint and line (`tier_areas`), from which `_region_means` takes the
+    means that centre the terms of its control (None for the proposed
+    scheme).
     """
 
     has: np.ndarray
@@ -644,7 +627,7 @@ class _TierChoice(NamedTuple):
     load: Optional[np.ndarray]
     law: np.ndarray
     void: np.ndarray
-    mean_q: Optional[np.ndarray] = None
+    moments: Optional[tuple] = None
 
 
 def _tier_choice(rng, r, density, k, scheme):
@@ -676,7 +659,7 @@ def _tier_choice(rng, r, density, k, scheme):
             load = area / (np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area))
         return _TierChoice(has, tier, area, load, law, void)
     # conventional: the regions' moments come from the same lens pass as their areas
-    areas, moments = tier_areas(r, moments=True)
+    areas, *moments = tier_areas(r, moments=True)
     u = rng.random(r.size)
     cum = cumulative_areas(areas)
     # a helper exists unless the union of the regions, taken as one tier, is empty
@@ -687,16 +670,40 @@ def _tier_choice(rng, r, density, k, scheme):
     # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
     w = rng.random(has.size) * cum[-1, has]
     tier = 1 + np.sum(cum[:, has] <= w, axis=0)
-    area = areas[tier - 1, has]
-    mean_q = moments[tier - 1, has]
-    mean_q *= 2.0
-    mean_q /= area
-    mean_q += 0.5 * r[has] ** 2
-    return _TierChoice(has, tier, area, None, law, void, mean_q)
+    return _TierChoice(has, tier, areas[tier - 1, has], None, law, void, moments)
+
+
+def _region_means(choice, r, which):
+    """(Qbar, Ybar^2): the exact means of d_SH^2 + d_HD^2 and of y^2 over the regions chosen by the conventional links choice.has[which], of lengths r.
+
+    Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S, from the region's area S
+    and its moments J and I about the S-D midpoint and line
+    (`_TierChoice.moments`).  Both are clipped into the region's ranges, a
+    guard against rounding where the region is a sliver, near tier 1's
+    96.4 m tangency: q into [q_best, q_worst] (`tier_q_bracket`), and y^2
+    into [0, (Qbar - r^2 / 2) / 2], as y^2 <= |H - M|^2 = (q - r^2 / 2) / 2
+    at every point H.
+    """
+    at, tier, area = choice.has[which], choice.tier[which], choice.area[which]
+    worst, best = tier_q_bracket(r[at], tier)
+    floor = r[at] ** 2
+    floor *= 0.5
+    j, i = (x[tier - 1, at] for x in choice.moments)
+    j *= 2.0
+    j /= area
+    j += floor
+    mean_q = np.maximum(j, best, out=j)
+    np.minimum(mean_q, worst, out=mean_q)
+    i /= area
+    np.subtract(mean_q, floor, out=floor)
+    floor *= 0.5
+    mean_y2 = np.minimum(i, floor, out=i)
+    np.maximum(mean_y2, 0.0, out=mean_y2)
+    return mean_q, mean_y2
 
 
 def _best_g(rng, r, choice, k, params, which=None):
-    """(g, q): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
+    """(g, q, y2): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
 
     Draws each link's helper count (zero-truncated Poisson under the PPP,
     zero-truncated Binomial over the k-1 nearer nodes, one for the
@@ -705,7 +712,9 @@ def _best_g(rng, r, choice, k, params, which=None):
     and the few points of later rounds are folded in by link index, so the
     points need no sort by link.  The largest and least are exact, whatever
     the order of the rounds; for the conventional scheme, whose link has one
-    helper, they are that helper's G and q.
+    helper, they are that helper's G and q, and y2 is its squared distance
+    from the S-D line, d_SH^2 - x^2 with x = (d_SH^2 + r^2 - d_HD^2) / (2 r)
+    its position along it (None for the proposed scheme).
     """
     pick = slice(None) if which is None else which
     tier, area = choice.tier[pick], choice.area[pick]
@@ -716,20 +725,29 @@ def _best_g(rng, r, choice, k, params, which=None):
     else:
         count = _zero_truncated_binomial(rng, k - 1, choice.load[pick])
     g_max, q_min = np.zeros(count.size), np.full(count.size, np.inf)
+    y2 = None if choice.load is not None else np.zeros(count.size)
     if not count.size:
-        return g_max, q_min
-    rounds = list(_place_in_tier(rng, r[choice.has[pick]], tier, area, count))
+        return g_max, q_min, y2
+    link = r[choice.has[pick]]
+    rounds = list(_place_in_tier(rng, link, tier, area, count))
     d_sh, d_hd = (part[0] if len(rounds) == 1 else np.concatenate(part) for part in list(zip(*rounds))[2:])
     g = g_joint(d_sh, d_hd, params)
     d_sh *= d_sh
     d_hd *= d_hd
-    q = np.add(d_sh, d_hd, out=d_sh)
     if choice.load is None:
         # one helper a link: each round's points are its trials' own, in order
         tid = np.concatenate([part[0] for part in rounds])
         g_max[tid] = g
-        q_min[tid] = q
-        return g_max, q_min
+        link = link[tid]
+        x = d_sh - d_hd
+        x /= link
+        x += link
+        x *= 0.5
+        x *= x
+        y2[tid] = np.subtract(d_sh, x, out=x)
+        q_min[tid] = np.add(d_sh, d_hd, out=d_sh)
+        return g_max, q_min, y2
+    q = np.add(d_sh, d_hd, out=d_sh)
     # the first round places most points and is reduced per trial; the few of later rounds are
     # folded in by trial index
     trials, start, first_points, _ = rounds[0]
@@ -740,7 +758,7 @@ def _best_g(rng, r, choice, k, params, which=None):
         tid = np.concatenate([np.repeat(t, np.diff(s, append=x.size)) for t, s, x, _ in rounds[1:]])
         np.maximum.at(g_max, tid, g[first:])
         np.minimum.at(q_min, tid, q[first:])
-    return g_max, q_min
+    return g_max, q_min, y2
 
 
 def _squeeze(x, upper):
@@ -777,36 +795,6 @@ def _control(centre, choice, direct, term=None, which=slice(None)):
         chosen[which] += term
     c[choice.has] = chosen
     return c, m
-
-
-def _secant_term(worst, best, choice, r, q, which):
-    """b (q - Qbar) of the conventional links choice.has[which], whose helper was placed at d_SH^2 + d_HD^2 = q (`_secant`)."""
-    at, tier = choice.has[which], choice.tier[which]
-    slope, mean_q = _secant(worst, best[tier - 1, at], tier, r[at], choice.mean_q[which])
-    term = np.subtract(q, mean_q, out=mean_q)
-    term *= slope
-    return term
-
-
-def _secant(worst, best, tier, r, mean_q):
-    """(b, Qbar) of the conventional control b (q - Qbar) of links of lengths r that chose the regions `tier`.
-
-    b = (best - worst) / (q_best - q_worst) is the secant of rate x G against
-    q = d_SH^2 + d_HD^2 between the chosen tier's best and worst helper
-    positions of `channel_model.tier_bracket`, where q is least and greatest
-    over the region (`channel_model.tier_q_bracket`); best is the bracket's
-    upper end at each link.  G falls as the hops grow, so b <= 0, and it is
-    0 where the two positions meet (tier 1 at its 96.4 m tangency, where the
-    region is empty).  Qbar is the region's exact mean of q, mean_q, clipped
-    into [q_best, q_worst]: a guard against rounding where the region is a
-    sliver.
-    """
-    hi, lo = tier_q_bracket(r, tier)
-    # clipped by minimum and maximum: np.clip with array bounds costs several times as much
-    mean_q = np.maximum(mean_q, lo)
-    np.minimum(mean_q, hi, out=mean_q)
-    lo -= hi
-    return np.divide(best - np.take(worst, tier - 1), lo, out=np.zeros(tier.size), where=lo < 0.0), mean_q
 
 
 def _edge_term(t, r, columns, table):
@@ -855,6 +843,31 @@ def _uniform_control(table, r, choice, q, k, which):
     return centre, u
 
 
+def _region_control(table, r, choice, q, y2, which):
+    """(centre, term) of the conventional scheme's control: each region's h at every link, and b (q - Qbar) + g (y^2 - Ybar^2) at the links choice.has[which].
+
+    h, b and g are read at each link's nearest node of the table
+    (`within_tier.region_table`).  The links choice.has[which] are those
+    whose helper was placed, at d_SH^2 + d_HD^2 q and squared distance y2
+    from the S-D line, which it overwrites; Qbar and Ybar^2 are the exact
+    means of both over the chosen region (`_region_means`).  Given r and the
+    region the helper is uniform in it, and which links are placed does not
+    depend on where it lies, so the term has mean 0.
+    """
+    from .within_tier import table_nodes
+    j = table_nodes(table, r)
+    centre = np.take(table.h, j, axis=1)
+    flat = (choice.tier[which] - 1) * table.h.shape[1]
+    flat += j[choice.has[which]]
+    mean_q, mean_y2 = _region_means(choice, r, which)
+    q -= mean_q
+    q *= table.slope_q.take(flat)
+    y2 -= mean_y2
+    y2 *= table.slope_y.take(flat)
+    q += y2
+    return centre, q
+
+
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
     """Vectorized simulation of n trials; returns the throughput samples, control applied."""
     columns = _grid_columns(n, estimator_mode)
@@ -868,27 +881,27 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     t = rate * score
     band = REGIMES[regime][:2]
     table = None
-    if scheme == "proposed" and band[1] > BAND_55:
-        # the proposed scheme's control table, for a band that reaches class C; its module is loaded by the
-        # first proposed chunk, so that a process that runs none (the bounds, the conventional scheme)
-        # allocates none of it
-        from .within_tier import control_table
-        table = control_table(*band, density, k, params)
+    if band[1] > BAND_55:
+        # the scheme's control table, for a band that reaches class C; its module is loaded by the first chunk
+        # that needs one, so that a process that runs none (the bounds) allocates none of it
+        from . import within_tier
+        make = within_tier.control_table if scheme == "proposed" else within_tier.region_table
+        table = make(*band, density, k, params)
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
     if elig.size and k != 1:
         r_e = r[elig]
         choice = _tier_choice(rng, r_e, density, k, scheme)
-        if v is not None or table is None:
-            # one bracket read per chunk, through the 3-tier kernel when every link is of class C: the
-            # conventional control's centre and slope, and sampled mode's sure share and squeeze
+        if v is not None:
+            # one bracket read per chunk, through the 3-tier kernel when every link is of class C: sampled
+            # mode's sure share and squeeze
             worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
         has, tier = choice.has, choice.tier
         chosen = elig[has]
         tier_rate = np.take(TIER_RATES, tier - 1)
         if v is None:
             placed = slice(None)
-            g, q = _best_g(rng, r_e, choice, k, params)
+            g, q, y2 = _best_g(rng, r_e, choice, k, params)
             t[chosen] = tier_rate * g
         else:
             # rate x G_worst of the chosen tier is a sure success: score it exactly
@@ -898,16 +911,14 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
             x = lo + span * v[chosen]
             # the upper end bounds G only while log Ps is concave; without it no failure is settled
             placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
-            g, q = _best_g(rng, r_e, choice, k, params, placed)
+            g, q, y2 = _best_g(rng, r_e, choice, k, params, placed)
             hit = np.zeros(has.size, dtype=bool)
             hit[placed] = x[placed] < tier_rate[placed] * g
             t[chosen] = lo + span * hit
-        if table is not None:
+        if scheme == "proposed":
             centre, term = _uniform_control(table, r_e, choice, q, k, placed)
         else:
-            centre = best + worst[:, None]
-            centre *= 0.5
-            term = _secant_term(worst, best, choice, r_e, q, placed)
+            centre, term = _region_control(table, r_e, choice, q, y2, placed)
         c, m = _control(centre, choice, (rate * ps_r)[elig], term, placed)
         t[elig] = (t[elig] - c) + m
     if table is not None and table.edges.size:

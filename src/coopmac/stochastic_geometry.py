@@ -59,6 +59,11 @@ HELPER_REGIMES = tuple(r for r, band in REGIMES.items() if band[2] in CLASS_TIER
 # outer hop edge of each tier: tier t lies in the lens of two circles of
 # radius TIER_REACH[t - 1] around S and D
 TIER_REACH = tuple(BAND_EDGES[max(bands) + 1] for bands in TIER_BANDS)
+# per tier, as columns: the hop-band edges [a, b) of d_SH, in the tier's higher
+# hop band, and [c, d) of d_HD, and the number of hop orders, 2 for two bands
+TIER_BOXES = np.array([(*BAND_EDGES[s:s + 2], *BAND_EDGES[h:h + 2], 2.0 if s > h else 1.0)
+                       for h, s in map(sorted, TIER_BANDS)]).T
+TIER_BOXES.setflags(write=False)
 _BAND_OF = {c: BAND_EDGES[i:i + 2] for i, c in enumerate(CLASS_NAMES)}
 _BAND_OF.update((r, band[:2]) for r, band in REGIMES.items())
 _INNER_EDGES = np.array(BAND_EDGES[1:-1])
@@ -210,18 +215,26 @@ def _lens(r1, r2, d, moment=False, exact=False):
 
     The lens formula, then its two limits: 0 from d = r1 + r2 on, where
     arccos(1 - eps) would leave a sliver, and the smaller circle up to
-    d = |r1 - r2|.  With `moment`, returns (area, J), J the lens's second
+    d = |r1 - r2|.  With `moment`, returns (area, J, I), J the lens's second
     moment about the midpoint of the two centres, from the same arcs and
     chord: J = ((r1^2 + d^2/2) A1 + (r2^2 + d^2/2) A2 - 3/2 (r1^2 + r2^2) T) / 2,
     with A_i = r_i^2 alpha_i the sectors and T = d h the kite of the
     half-chord h (each segment's moment about its centre, r^4 alpha / 2 for
     its sector less a h (3 a^2 + h^2) / 6 for its triangle, moved to the
-    midpoint).  The area's bits do not depend on `moment`.  Near external
-    tangency the terms of both cancel, and arccos near 1 loses digits: the
-    area keeps about 1e-16 (r / (r1 + r2 - d))^2 of itself, so it is off by
-    a relative 1e-3 at 2e-5 m from tangency, and J by far more.  With
-    `exact` both are recomputed there without cancellation (`_thin_lens`),
-    which moves their bits at those separations alone.  No validation.
+    midpoint), and I its second moment about the line through the centres:
+    each arc's segment adds r^4 (alpha / 4 + s c (2 c^2 - 5) / 12), with
+    c = cos alpha the arccos argument and s = sin alpha (the sector's
+    r^4 (alpha - s c) / 4 less the triangle's r^4 s^3 c / 6), which sum,
+    through s r_i = h and c_1 r_1 + c_2 r_2 = d, to
+    I = (r1^2 A1 + r2^2 A2) / 4 + T ((d^2 - 3 (r1^2 + r2^2)) / 8 + h^2 / 3);
+    an enclosed circle gives pi r^4 / 4.  The area's bits do not depend on
+    `moment`.
+    Near external tangency the terms of all three cancel, and arccos near 1
+    loses digits: the area keeps about 1e-16 (r / (r1 + r2 - d))^2 of
+    itself, so it is off by a relative 1e-3 at 2e-5 m from tangency, and J
+    and I by far more.  With `exact` all three are recomputed there without
+    cancellation (`_thin_lens`), which moves their bits at those separations
+    alone.  No validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -248,6 +261,8 @@ def _lens(r1, r2, d, moment=False, exact=False):
     if moment:
         a2 *= 0.5 * sq2
         j += a2
+        # I's sectors, (r1^2 A1 + r2^2 A2) / 4
+        axis = j * 0.5
         j += np.multiply(area, 0.25 * d2, out=a2)
     tri = -d + r1
     tri += r2
@@ -272,20 +287,29 @@ def _lens(r1, r2, d, moment=False, exact=False):
     if exact and thin.size:
         at = np.unravel_index(thin, area.shape)
         ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
-        thin_area, thin_j = _thin_lens(ra, rb, sep, kite / sep)
+        thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, kite / sep)
         area[at] = thin_area
     if not moment:
         return area
     # 0 from d = r1 + r2 on, where the arcs and the kite are; not floored, as near tangency only the
-    # exact path gives it a sign
+    # exact path gives them a sign
     j -= np.multiply(tri, 0.75 * (sq1 + sq2), out=a2)
+    # I's triangles, T ((d^2 - 3 (r1^2 + r2^2)) / 8 + h^2 / 3) with h = T / d
+    part = np.multiply(tri, tri, out=a2)
+    part /= 3.0 * d2
+    part += 0.125 * d2
+    part -= 0.375 * (sq1 + sq2)
+    part *= tri
+    axis += part
     if exact and thin.size:
         j[at] = thin_j
+        axis[at] = thin_axis
     if np.any(inside):
-        # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2
+        # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2, and half of it about a diameter
         r_in = np.minimum(r1, r2)
         np.copyto(j, np.pi * r_in ** 2 * (0.5 * r_in ** 2 + 0.25 * d2), where=inside)
-    return area, j
+        np.copyto(axis, 0.25 * np.pi * r_in ** 4, where=inside)
+    return area, j, axis
 
 
 # `_lens` takes a lens's moment (and, if asked, its area) from `_thin_lens` where r1 + r2 - d is
@@ -294,7 +318,7 @@ _THIN = 0.0025
 
 
 def _thin_lens(r1, r2, d, h):
-    """(area, J) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
+    """(area, J, I) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
 
     h is the half-chord.  A segment of half-angle alpha has the area
     r^2 (phi - sin phi) / 2 in phi = 2 alpha, and the moment about the
@@ -306,11 +330,13 @@ def _thin_lens(r1, r2, d, h):
     J = sum_i (segment moments) + 2 e (F1 - F2) + e^2 (S1 + S2), with
     F_i = r_i^3 (2 s^3 / 3 - c (alpha - s c)) each segment's first moment
     about the chord, away from its centre, s and c the sine and cosine of
-    alpha and S_i the segment's area; e is 0 for equal radii.
+    alpha and S_i the segment's area; e is 0 for equal radii.  I is the sum
+    of the segments' moments about the line of the centres, which is their
+    axis, r^4 (phi / 8 - sin phi / 6 + sin 2 phi / 48), also as its series.
     """
     a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     e = a1 - 0.5 * d
-    area, j = np.zeros(d.shape), np.zeros(d.shape)
+    area, j, axis = np.zeros(d.shape), np.zeros(d.shape), np.zeros(d.shape)
     for r, a, sign in ((r1, a1, 1.0), (r2, d - a1, -1.0)):
         phi = 2.0 * np.arctan2(h, a)
         f2 = phi * phi
@@ -319,7 +345,9 @@ def _thin_lens(r1, r2, d, h):
         j += r ** 4 * phi ** 5 * (1 / 240 - f2 * (1 / 5040 - f2 * (1 / 241920 - f2 * (1 / 19958400 - f2 / 2490808320))))
         first = (2.0 / 3.0) * h ** 3 - a * segment
         j += sign * 2.0 * e * first + e * e * segment
-    return area, j
+        axis += r ** 4 * phi ** 5 * (1 / 240 - f2 * (1 / 2016 - f2 * (1 / 34560 - f2 * (17 / 15966720
+                                                                                       - f2 * 31 / 1132185600))))
+    return area, j, axis
 
 
 # the radii of tier t's lens, its outer hop edges, in row t - 1 of two (tiers, 1) columns
@@ -339,16 +367,18 @@ def tier_areas(r, moments=False, exact=False):
     links of a Monte Carlo chunk of the "all" regime, gathering each link's
     lenses costs more than it saves.
 
-    With `moments`, returns (areas, J): J holds each region's second moment
-    about the S-D midpoint, from the same lens pass (`_lens`) and the same
-    combination of lenses, which holds for moments as for areas, as the
-    mirror image of a lens about the perpendicular bisector of S-D has the
-    same moment about the midpoint.  The areas keep their bits.  A helper
+    With `moments`, returns (areas, J, I): J holds each region's second
+    moment about the S-D midpoint and I its second moment about the S-D
+    line, from the same lens pass (`_lens`) and the same combination of
+    lenses, which holds for moments as for areas, as the mirror image of a
+    lens about the perpendicular bisector of S-D has the same moments about
+    the midpoint and the line.  The areas keep their bits.  A helper
     uniform in region j has a mean d_SH^2 + d_HD^2 of 2 J_j / S_j + r^2 / 2,
-    as d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 about the midpoint M.
-    Near its 96.4 m tangency the tier-1 lens loses digits to cancellation,
-    its moment far more than its area; with `exact` both are taken without
-    it (`_lens`), which moves the bits of those links alone.
+    as d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 about the midpoint M, and a
+    mean squared distance from the S-D line of I_j / S_j.  Near its 96.4 m
+    tangency the tier-1 lens loses digits to cancellation, its moments far
+    more than its area; with `exact` all are taken without it (`_lens`),
+    which moves the bits of those links alone.
     """
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
@@ -578,6 +608,19 @@ def tier_region_areas(link_class: str, r_k: float) -> RegionAreas:
 def hop_band(d):
     """Hop band index of distance(s) d: 0 below 48.2 m, ..., 3 from 74.7 m on."""
     return np.searchsorted(_INNER_EDGES, np.asarray(d, dtype=float), side="right")
+
+
+def hop_angle(x, rho, r):
+    """Angle at S between the S-D axis and the point at distance rho from S and x from D.
+
+    The points at distance rho from S nearer than x to D are those at angles
+    below it; where there are none it is 0, where all are it is pi.  At
+    rho = 0 it is the limit rho -> 0: 0 for r > x, pi for r < x, pi/2 for
+    r = x.  Vectorized; no validation.
+    """
+    num = rho * rho + r * r - x * x
+    cos = np.divide(num, 2.0 * rho * r, out=np.sign(num), where=rho > 0)
+    return np.arccos(np.clip(cos, -1.0, 1.0))
 
 
 def tier_index(d_sh, d_hd, link_class: str):

@@ -1,4 +1,4 @@
-"""The proposed scheme's within-tier control: the law of the best helper's least q, and a table of centres and slopes.
+"""Both schemes' within-tier controls: the law of the best helper's least q, and tables of centres and slopes.
 
 A proposed link keeps the best of the chosen tier's helpers, and what is
 left of its score's variance is the spread of max G inside the tier, which
@@ -16,6 +16,15 @@ the mean h_i(r) for any h and beta fixed by r, the tier and the cell
 (Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1).
 `control_table` tabulates h and beta once per cell; `monte_carlo` reads
 them at each link's nearest node (`table_nodes`) and applies the control.
+
+A conventional link has one helper, uniform in the region it chose, and
+its control is c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r))
+in the helper's q and squared distance y^2 from the S-D line, about their
+exact means over the region.  `region_table` holds h_j, the region's mean
+of rate x G, and (b_j, g_j), the least-squares fit of rate x G on (q, y^2)
+over it, which depend on r and the ChannelParams alone, so one table serves
+every cell.  The module is loaded by the first chunk that needs a table,
+so that a process that runs only the bounds builds none.
 """
 
 from __future__ import annotations
@@ -34,20 +43,27 @@ from .stochastic_geometry import (
     BAND_EDGES,
     BAND_RATES,
     CLASS_TIERS,
+    MAX_RANGE,
     TIER1_MAX_SEPARATION,
+    TIER_BOXES,
+    TIER_RATES,
     cumulative_areas,
+    hop_angle,
     hop_band,
     nn_distance_band,
     tier_area_within,
     tier_areas,
     tier_void_law,
+    void_probability,
 )
 
-# the proposed scheme's control table (`control_table`): link-length nodes at most _TABLE_STEP m apart, in
-# segments split where tiers 4 and 5 appear (74.7 m) and tier 1 empties (96.4 m), and _TABLE_POINTS
-# midpoints in t = |H - M| for each node's integrals over q
+# both control tables: link-length nodes at most _TABLE_STEP m apart, in segments split where tiers 4 and 5
+# appear (74.7 m) and tier 1 empties (96.4 m); the proposed scheme's (`control_table`) takes _TABLE_POINTS
+# midpoints in t = |H - M| for each node's integrals over q, and the conventional scheme's (`region_table`)
+# _GAUSS_POINTS Gauss-Legendre points in each of d_SH and the angle at S per panel of a region
 _TABLE_STEP = 0.25
 _TABLE_POINTS = 32
+_GAUSS_POINTS = 8
 
 
 def least_q_law(f, load, k):
@@ -118,7 +134,8 @@ def control_table(lo, hi, density, k, params):
     c = h_i(r) + beta_i(r) (U - 1/2), with U = F(q_min) of
     `least_q_uniform`.  Both come from a model of rate x max G linear in
     q_min through the bracket's best and worst positions: its slope b_i is
-    the secant of `monte_carlo._secant`, and with S_i(s) = 1 - F(s) the
+    the secant of rate x G against q = d_SH^2 + d_HD^2 between them
+    (`channel_model.tier_q_bracket`), and with S_i(s) = 1 - F(s) the
     survival of q_min from q_best on,
         h_i = rate G_best,i(r) + b_i integral S_i(s) ds,
         beta_i = 12 b_i Cov(q_min, U) = 6 b_i integral S_i (1 - S_i) ds,
@@ -133,10 +150,7 @@ def control_table(lo, hi, density, k, params):
     read-only.
     """
     band = lo, hi
-    lo = max(lo, BAND_55)
-    edges = [lo, *(x for x in (BAND_2, TIER1_MAX_SEPARATION) if lo < x < hi), hi]
-    counts = [max(1, math.ceil((b - a) / _TABLE_STEP)) for a, b in zip(edges[:-1], edges[1:])]
-    r = np.concatenate([a + (b - a) / n * np.arange(n + 1) for a, b, n in zip(edges[:-1], edges[1:], counts)])
+    r, grid = _grid(max(lo, BAND_55), hi)
     rows = CLASS_TIERS["C"] if hi <= BAND_2 else CLASS_TIERS["D"]
     areas = tier_areas(r)
     worst, best = tier_bracket("D", r, params)
@@ -164,29 +178,158 @@ def control_table(lo, hi, density, k, params):
     beta = np.zeros(h.shape)
     h[tier, node] += slope[tier, node] * (weight * survival).sum(axis=1)
     beta[tier, node] = 6.0 * slope[tier, node] * (weight * survival * (1.0 - survival)).sum(axis=1)
+    table = ControlTable(*grid, h, beta, *(np.empty(0),) * 3)
+    return _with_class_edges(table, band, density, k, params, _proposed_law)
+
+
+class RegionTable(NamedTuple):
+    """The conventional scheme's control at the nodes of a link-length grid over [67.1, 100] m (`region_table`).
+
+    splits, start, scale and offset lay the grid out as in `ControlTable`.
+    h holds E[rate x G | region j, r] at every node, one row per region,
+    and slope_q and slope_y the least-squares coefficients of rate x G on
+    q = d_SH^2 + d_HD^2 and on y^2, the squared distance from the S-D line,
+    over the region.  edges, edge_u and jump are the cell's class edges, as
+    in `ControlTable`.
+    """
+
+    splits: np.ndarray
+    start: np.ndarray
+    scale: np.ndarray
+    offset: np.ndarray
+    h: np.ndarray
+    slope_q: np.ndarray
+    slope_y: np.ndarray
+    edges: np.ndarray
+    edge_u: np.ndarray
+    jump: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def region_table(lo, hi, density, k, params):
+    """The conventional scheme's control table (`_region_fit`), with the class edges of the cell's band lo..hi.
+
+    The control of a link that chose region j is
+    c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)), with
+    h, b = slope_q and g = slope_y read at the link's nearest node and the
+    exact means Qbar and Ybar^2 of q and y^2 over the region taken per link
+    from its lens moments (`stochastic_geometry.tier_areas`).  A helper is
+    uniform in its region whatever the density or k, so the fit is built
+    once per ChannelParams and shared by the cells; the class edges, and the
+    step of the conventional mean score across each, are the cell's
+    (`_with_class_edges`).  Built once per cell, read-only.
+    """
+    return _with_class_edges(_region_fit(params), (lo, hi), density, k, params, _conventional_law)
+
+
+@lru_cache(maxsize=8)
+def _region_fit(params):
+    """`RegionTable` of `params` without class edges: each region's mean of rate x G and its fit in (q, y^2), at every node.
+
+    The nodes are those of `_grid` over [67.1, 100] m.  Each region is
+    integrated over one hop order and the upper half-plane, whose mirror
+    images give it whole with the same law of G, q and y^2: in polar
+    coordinates (rho, theta) about S, rho = d_SH in the region's higher hop
+    band [a, b) from r - d on, and theta between the angles at which
+    d_HD = c and d_HD = d (`stochastic_geometry.hop_angle`), by a
+    _GAUSS_POINTS x _GAUSS_POINTS Gauss-Legendre rule per panel of rho,
+    split at r - c, where the lower angle leaves 0, with the area element
+    rho d(rho) d(theta).  h is the rule's mean of rate x G, and (b, g) solve
+    the normal equations of its centred moments.  A region with no area at
+    a node (tier 1 from 96.4 m on, tiers 4 and 5 of class C) gets
+    h = rate G_best, the limit of a region that shrinks to its best
+    position, and b = g = 0.  The rule's accuracy sets only the variance of
+    the control, whose mean is exact whatever the table holds.
+    """
+    r, grid = _grid(BAND_55, MAX_RANGE)
+    x, w = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+    u, w = 0.5 * (x + 1.0), 0.5 * w
+    areas = tier_areas(r)
+    h = tier_bracket("D", r, params)[1]
+    slope_q, slope_y = np.zeros(h.shape), np.zeros(h.shape)
+    for tier, (a, b, c, d, _) in enumerate(TIER_BOXES.T):
+        at = np.flatnonzero(areas[tier] > 0.0)
+        link = r[at, None]
+        lo = np.maximum(a, link - d)
+        cuts = [lo, np.minimum(np.maximum(link - c, lo), b), b] if c > 0 else [lo, b]
+        rho = np.concatenate([left + (right - left) * u * u for left, right in zip(cuts[:-1], cuts[1:])], axis=1)
+        weight = np.concatenate([(right - left) * 2.0 * u * w for left, right in zip(cuts[:-1], cuts[1:])], axis=1)
+        low, span = hop_angle(c, rho, link), hop_angle(d, rho, link)
+        span -= low
+        weight *= rho * span
+        # the points, (nodes, rho points, theta points), and their weights
+        theta = low[..., None] + span[..., None] * u
+        weight = weight[..., None] * w
+        rho, link = rho[..., None], link[..., None]
+        d_hd2 = (rho - link) ** 2 + 4.0 * rho * link * np.sin(0.5 * theta) ** 2
+        y2 = (rho * np.sin(theta)) ** 2
+        q = rho * rho + d_hd2
+        f = TIER_RATES[tier] * p_success_direct(rho, params) * p_success_direct(np.sqrt(d_hd2), params)
+        weight /= weight.sum(axis=(1, 2), keepdims=True)
+        dq, dy, df = (z - (weight * z).sum(axis=(1, 2), keepdims=True) for z in (q, y2, f))
+        h[tier, at] = (weight * f).sum(axis=(1, 2))
+        qq, qy, yy, qf, yf = ((weight * s * t).sum(axis=(1, 2))
+                              for s, t in ((dq, dq), (dq, dy), (dy, dy), (dq, df), (dy, df)))
+        det = qq * yy - qy * qy
+        fit = det > 1e-12 * qq * yy
+        slope_q[tier, at] = np.divide(yy * qf - qy * yf, det, out=np.zeros(at.size), where=fit)
+        slope_y[tier, at] = np.divide(qq * yf - qy * qf, det, out=np.zeros(at.size), where=fit)
+    return RegionTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 3)
+
+
+def _grid(lo, hi):
+    """(r, grid): nodes at most _TABLE_STEP m apart over [lo, hi], split at 74.7 and 96.4 m, and the grid's layout.
+
+    Each segment between the splits inside the band has its own equally
+    spaced nodes, both its ends included.  The layout, (splits, start,
+    scale, offset), is that of `ControlTable` and `table_nodes`.
+    """
+    edges = [lo, *(x for x in (BAND_2, TIER1_MAX_SEPARATION) if lo < x < hi), hi]
+    counts = [max(1, math.ceil((b - a) / _TABLE_STEP)) for a, b in zip(edges[:-1], edges[1:])]
+    r = np.concatenate([a + (b - a) / n * np.arange(n + 1) for a, b, n in zip(edges[:-1], edges[1:], counts)])
     starts = np.cumsum([0] + [n + 1 for n in counts[:-1]])
-    out = ControlTable(np.array(edges[1:-1]), np.array(edges[:-1]), np.array(counts) / np.diff(edges), starts, h,
-                       beta, *(np.empty(0),) * 3)
-    # the class edges inside the band, and the step of the mean score across each
-    class_edges = np.array([e for e in BAND_EDGES[1:-1] if band[0] < e < band[1]])
-    below, above = (_mean_score(x, density, k, params, out) for x in (np.nextafter(class_edges, 0.0), class_edges))
-    out = out._replace(edges=class_edges, edge_u=_band_uniform(class_edges, band, density, k), jump=above - below)
-    for array in out:
+    return r, (np.array(edges[1:-1]), np.array(edges[:-1]), np.array(counts) / np.diff(edges), starts)
+
+
+def _with_class_edges(table, band, density, k, params, law):
+    """`table` with the class edges inside the band, the uniform u of each and the step of the mean score there, read-only.
+
+    The mean score is the scheme's, as its control's centre has it
+    (`_mean_score` under the choice law `law`); `monte_carlo._edge_term`
+    takes its step off the trials of the u-slice that holds each edge.
+    """
+    edges = np.array([e for e in BAND_EDGES[1:-1] if band[0] < e < band[1]])
+    below, above = (_mean_score(x, density, k, params, table, law) for x in (np.nextafter(edges, 0.0), edges))
+    table = table._replace(edges=edges, edge_u=_band_uniform(edges, band, density, k), jump=above - below)
+    for array in table:
         array.flags.writeable = False
-    return out
+    return table
 
 
-def _mean_score(r, density, k, params, table):
-    """The proposed scheme's mean score at link lengths r, as its control's centre has it: m(r) of `monte_carlo._control` for class C and D, rate x Ps(r) below."""
+def _proposed_law(areas, r, density, k):
+    """(law, void) of the proposed scheme: it settles on the lowest non-empty tier."""
+    empty = tier_void_law(areas, r, density, k)
+    return empty[:-1] - empty[1:], empty[-1]
+
+
+def _conventional_law(areas, r, density, k):
+    """(law, void) of the conventional scheme: it picks a uniform helper of the union of the regions."""
+    total = cumulative_areas(areas)[-1]
+    void = void_probability(total, r, density, k)
+    return areas * ((1.0 - void) / total), void
+
+
+def _mean_score(r, density, k, params, table, law):
+    """A scheme's mean score at link lengths r, as its control's centre has it: m(r) of `monte_carlo._control` for class C and D under the choice law `law`, rate x Ps(r) below."""
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, params)
     helped = r >= BAND_55
     if np.any(helped):
         x = r[helped]
-        empty = tier_void_law(tier_areas(x), x, density, k)
+        p, void = law(tier_areas(x), x, density, k)
         centre = np.take(table.h, table_nodes(table, x), axis=1)
-        m = empty[-1] * direct[helped]
-        for p, row in zip(empty[:-1] - empty[1:], centre):
-            m += p * row
+        m = void * direct[helped]
+        for p_i, row in zip(p, centre):
+            m += p_i * row
         direct[helped] = m
     return direct
 
@@ -203,7 +346,10 @@ def _band_uniform(r, band, density, k):
 
 def table_nodes(table, r):
     """The index of each link's nearest node on the grid of `control_table`."""
-    seg = np.searchsorted(table.splits, r, side="right") if table.splits.size else 0
+    # the number of splits at or below r; two comparisons cost less than a search
+    seg = 0
+    for split in table.splits:
+        seg = seg + (r >= split)
     x = r - table.start[seg]
     x *= table.scale[seg]
     j = np.rint(x, out=x).astype(np.intp)

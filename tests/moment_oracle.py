@@ -1,16 +1,19 @@
-"""The mean of d_SH^2 + d_HD^2 over a helper-tier region, by quadrature from the geometry alone: a test oracle.
+"""The means of d_SH^2 + d_HD^2 and of y^2 over a helper-tier region, by quadrature from the geometry alone: a test oracle.
 
 A helper at distance rho from the source S, at angle theta from the S-D
 axis, lies d_HD = sqrt(rho^2 + r^2 - 2 rho r cos theta) from the
-destination, so q = d_SH^2 + d_HD^2 = 2 rho^2 + r^2 - 2 rho r cos theta.
-Tier t's region is the set of points whose two hop lengths lie in its two
-hop bands, in either order.  In polar coordinates about S it is, for each
-order, rho in the S-hop band and theta between the angles at which d_HD
-crosses the edges of the other band.  `region_mean_q` integrates 1 and q
-over that set with `scipy.integrate.dblquad` (the upper half-plane; the
-lower one is its mirror image) and returns their ratio.  It reads the band
-table and nothing else of the package, so it checks the lens moments of
-`stochastic_geometry.tier_areas` independently.
+destination, so q = d_SH^2 + d_HD^2 = 2 rho^2 + r^2 - 2 rho r cos theta,
+and y = rho sin theta from the S-D line.  Tier t's region is the set of
+points whose two hop lengths lie in its two hop bands, in either order.  In
+polar coordinates about S it is, for each order, rho in the S-hop band and
+theta between the angles at which d_HD crosses the edges of the other band.
+`region_moments` integrates 1, q and y^2 over that set with
+`scipy.integrate.dblquad` (the upper half-plane; the lower one is its
+mirror image) and returns the area and the means.  `lens_moments` is the
+area and the second moment about the line of the centres of one lens of two
+circles, in Cartesian coordinates.  Both read the band table and nothing
+else of the package, so they check the lens moments of
+`stochastic_geometry.tier_areas` and `_lens` independently.
 
 `region_area_within` is the area of the same region within distance t of the
 S-D midpoint M: at distance rho from S, the points nearer than t to M are
@@ -36,29 +39,48 @@ def _theta(x, rho, r):
 
 
 def _order(r, s_band, h_band):
-    """(integral of 1, integral of q) over rho in band s_band and d_HD in band h_band, upper half-plane."""
+    """(integral of 1, of q, of y^2) over rho in band s_band and d_HD in band h_band, upper half-plane."""
     a, b = BAND_EDGES[s_band:s_band + 2]
     c, d = BAND_EDGES[h_band:h_band + 2]
     lo, hi = max(a, r - d), min(b, r + d)
     if lo >= hi:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0.0
     # the theta limits bend where d_HD's band edges meet the axis: split rho there
     cuts = sorted({lo, hi} | {x for e in (c, d) for x in (r - e, e - r, r + e) if lo < x < hi})
-    total = [0.0, 0.0]
+    total = [0.0, 0.0, 0.0]
     for left, right in zip(cuts[:-1], cuts[1:]):
-        for i, f in enumerate((lambda t, rho: rho, lambda t, rho: rho * (2.0 * rho * rho + r * r - 2.0 * rho * r * math.cos(t)))):
+        for i, f in enumerate((lambda t, rho: rho, lambda t, rho: rho * (2.0 * rho * rho + r * r - 2.0 * rho * r * math.cos(t)),
+                               lambda t, rho: rho * (rho * math.sin(t)) ** 2)):
             total[i] += dblquad(f, left, right, lambda rho: _theta(c, rho, r), lambda rho: _theta(d, rho, r),
                                 epsabs=0.0, epsrel=1e-13)[0]
     return tuple(total)
 
 
-def region_mean_q(tier, r):
-    """(area, mean of d_SH^2 + d_HD^2) over tier `tier`'s region of a link of length r."""
+def region_moments(tier, r):
+    """(area, mean of d_SH^2 + d_HD^2, mean of y^2) over tier `tier`'s region of a link of length r."""
     i, j = TIER_BANDS[tier - 1]
     parts = [_order(r, i, j)] + ([_order(r, j, i)] if i != j else [])
-    area = 2.0 * sum(p[0] for p in parts)
-    moment = 2.0 * sum(p[1] for p in parts)
-    return area, moment / area if area > 0 else math.nan
+    area, q, y2 = (2.0 * sum(p[m] for p in parts) for m in range(3))
+    return (area, q / area, y2 / area) if area > 0 else (area, math.nan, math.nan)
+
+
+def lens_moments(r1, r2, d):
+    """(area, second moment about the line of the centres) of the lens of circles of radii r1 and r2 whose centres lie d apart."""
+    lo, hi = max(-r1, d - r2), min(r1, d + r2)
+    if lo >= hi:
+        return 0.0, 0.0
+
+    def height(x):
+        return math.sqrt(max(0.0, min(r1 * r1 - x * x, r2 * r2 - (x - d) ** 2)))
+
+    # the upper boundary changes circle at the chord
+    chord = (d * d + r1 * r1 - r2 * r2) / (2.0 * d) if d > 0 else lo
+    cuts = sorted({lo, hi} | ({chord} if lo < chord < hi else set()))
+    area = moment = 0.0
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        area += 2.0 * quad(height, left, right, epsabs=0.0, epsrel=1e-13)[0]
+        moment += 2.0 * quad(lambda x: height(x) ** 3 / 3.0, left, right, epsabs=0.0, epsrel=1e-13)[0]
+    return area, moment
 
 
 def _theta_m(t, rho, r):

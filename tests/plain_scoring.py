@@ -64,7 +64,7 @@ def _chunk(regime, density, scheme, n, params, estimator_mode, k, rng, control=N
     helped = elig.size > 0 and k != 1
     if helped:
         choice = monte_carlo._tier_choice(rng, r[elig], density, k, scheme)
-        g, _ = monte_carlo._best_g(rng, r[elig], choice, k, params)
+        g = monte_carlo._best_g(rng, r[elig], choice, k, params)[0]
         if control:
             c, m = control(choice, (rate * success_p)[elig], params, r[elig])
         rate[elig[choice.has]] = np.take(TIER_RATES, choice.tier - 1)

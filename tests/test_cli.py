@@ -249,6 +249,21 @@ def test_reproduce_fig7_small_run(tmp_path):
         assert set(row) >= {"density", "upper", "proposed", "conventional", "lower"}
 
 
+@pytest.mark.parametrize("figure,density", [("fig7", 0.005), ("fig9", 0.003), ("fig9", 0.004)])
+def test_reproduce_k_bracket_holds_the_estimates(tmp_path, figure, density):
+    # under k the bounds are divided by the band's mass, so they bracket the band-conditional means; these
+    # bands hold little mass at k = 10 (C at 0.005, D1 at 0.003 and 0.004), where the partial expectations
+    # read about 1e-4
+    rows = _json_rows(tmp_path, ["reproduce", figure, "--lambda", str(density), "--conditioning", "k=10",
+                                 "--trials", "20000", "--seed", "5"])
+    assert {row["regime"] for row in rows} >= ({"C"} if figure == "fig7" else {"D1"})
+    for row in rows:
+        slack = 4 * row["proposed_stderr"]
+        assert row["lower"] - slack <= row["proposed"] <= row["upper"] + slack, row
+        # the conventional scheme's helper is no better than the best of the lowest tier
+        assert row["conventional"] <= row["upper"] + 4 * row["conventional_stderr"], row
+
+
 def test_reproduce_fig9_covers_both_regimes(tmp_path):
     rows = _json_rows(tmp_path, ["reproduce", "fig9", "--lambda", "0.002", "--trials", "2000", "--seed", "2"])
     assert {row["regime"] for row in rows} == {"D1", "D2"}

@@ -1,7 +1,7 @@
 """The package's lower layers import only what their docstrings say.
 
 `monte_carlo` builds on `channel_model` and `stochastic_geometry`, and on
-`within_tier`, its proposed-scheme control, which builds on those two alone;
+`within_tier`, the control tables of both schemes, which builds on those two alone;
 it shares the bounds' tables through them, never by importing
 `analytic_bounds`, `quadrature` or `cli`; `channel_model` reads the band
 table of `stochastic_geometry`, which imports nothing of the package.

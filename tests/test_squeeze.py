@@ -11,9 +11,9 @@ and check that each settled outcome is 1{x < rate x max G} of that
 placement.  The upper end is G's maximum only while log Ps is concave in
 the hop length; under a loose link budget that fails it, every link with a
 helper is placed.  The conventional control's c is the chosen region's
-bracket midpoint, plus b (q - Qbar) where its helper was placed; the
-proposed one's is the chosen tier's centre h, plus beta (U - 1/2) where its
-helpers were placed (`within_tier_reference`).
+centre h, plus b (q - Qbar) + g (y^2 - Ybar^2) where its helper was placed;
+the proposed one's is the chosen tier's centre h, plus beta (U - 1/2) where
+its helpers were placed (`within_tier_reference`).
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from coopmac import monte_carlo as mc
 from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from coopmac.stochastic_geometry import BAND_55, REGIMES, TIER_RATES
-from within_tier_reference import nearest_node, uniform
+from within_tier_reference import nearest_node, region_means, uniform
 
 PARAMS = ChannelParams()
 # a loose link budget, under which log Ps is not concave and a helper can beat the best position
@@ -54,7 +54,7 @@ def _recorded_chunk(regime, density, k, scheme, n, seed, params, monkeypatch):
     def best_g(rng, r, choice, k, params, which=None):
         seen["placed"] = which
         out = best_g.real(rng, r, choice, k, params, which)
-        seen["g"], seen["q"] = out[0], None if out[1] is None else out[1].copy()
+        seen["g"], seen["q"], seen["y2"] = out[0], out[1].copy(), None if out[2] is None else out[2].copy()
         return out
 
     for name, fake in (("_tier_choice", tier_choice), ("_squeeze", squeeze), ("_control", control),
@@ -107,30 +107,26 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     c, m = seen["c"][has], seen["m"][has]
     want = np.zeros(n)
     want[elig[has]] = ((lo + (rate - lo) * hit) - c) + m
-    if scheme == "proposed":
-        # the class edges of regime "all" take their mean-0 term off the trials of the u-slices that hold them
-        table = within_tier.control_table(*REGIMES[regime][:2], density, k, params)
-        mc._edge_term(want, link, columns, table)
+    # the class edges of regime "all" take their mean-0 term off the trials of the u-slices that hold them
+    make = within_tier.control_table if scheme == "proposed" else within_tier.region_table
+    table = make(*REGIMES[regime][:2], density, k, params)
+    mc._edge_term(want, link, columns, table)
     assert t[elig[has]].tobytes() == want[elig[has]].tobytes()
-    # a conventional c is the chosen region's bracket midpoint, and a link whose helper was placed adds
-    # b (q - Qbar) to it, its one helper's d_SH^2 + d_HD^2 against the region's mean; a proposed c is the
-    # tier's centre h at the link's nearest node of the cell's table, and a link whose helpers were
-    # placed adds beta (U - 1/2), U the law of their least d_SH^2 + d_HD^2 at its value
+    # c is the chosen tier's centre h at the link's nearest node of the table; a proposed link whose helpers
+    # were placed adds beta (U - 1/2), U the law of their least d_SH^2 + d_HD^2 at its value, and a
+    # conventional one b (q - Qbar) + g (y^2 - Ybar^2), its one helper's q and y^2 against the region's means
     settled = np.setdiff1d(np.arange(has.size), placed)
+    node = nearest_node(table, r[has])
+    moved = c - table.h[tier - 1, node]
+    np.testing.assert_array_equal(moved[settled], 0.0)
+    at = tier[placed] - 1, node[placed]
     if scheme == "proposed":
-        table = within_tier.control_table(*REGIMES[regime][:2], density, k, params)
-        node = nearest_node(table, r[has])
-        moved = c - table.h[tier - 1, node]
-        np.testing.assert_array_equal(moved[settled], 0.0)
         u = uniform(r[has[placed]], tier[placed], seen["q"], density, k)
-        np.testing.assert_allclose(moved[placed], table.beta[tier[placed] - 1, node[placed]] * (u - 0.5),
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved[placed], table.beta[at] * (u - 0.5), rtol=0, atol=1e-12)
     else:
-        moved = c - (lo + best[tier - 1, has]) / 2
-        np.testing.assert_allclose(moved[settled], 0.0, rtol=0, atol=1e-14)
-        slope, mean_q = mc._secant(worst, best[tier[placed] - 1, has[placed]], tier[placed], r[has[placed]],
-                                   choice.mean_q[placed])
-        np.testing.assert_allclose(moved[placed], slope * (seen["q"] - mean_q), rtol=0, atol=1e-12)
+        mean_q, mean_y2 = region_means(r[has[placed]], tier[placed])
+        np.testing.assert_allclose(moved[placed], table.slope_q[at] * (seen["q"] - mean_q)
+                                   + table.slope_y[at] * (seen["y2"] - mean_y2), rtol=0, atol=1e-12)
     # place every link's helpers on another stream: each settled draw is a failure of that placement
     g = mc._best_g(np.random.default_rng(seed + 1), r, choice, k, params)[0]
     mismatches = np.count_nonzero(x[settled] < rate[settled] * g[settled])

@@ -148,17 +148,19 @@ def geometric_tier_areas(r):
 def class_tier_areas(r, moments=False):
     """`geometric_tier_areas` of a 1-D r with tiers 4 and 5 of the class C lengths set to 0.
 
-    With `moments`, also the regions' second moments about the S-D midpoint,
-    from one `_lens` call per tier, trimmed the same way: the reference of
-    `tier_areas(r, moments=True)`.
+    With `moments`, also the regions' second moments about the S-D midpoint
+    and about the S-D line, from one `_lens` call per tier, trimmed the same
+    way: the reference of `tier_areas(r, moments=True)`.
     """
     areas = geometric_tier_areas(r)
     areas[3:, r < BAND_2] = 0.0
     if not moments:
         return areas
-    j = _tier_regions(*(_lens(BAND_EDGES[i + 1], BAND_EDGES[k + 1], r, moment=True)[1] for i, k in TIER_BANDS))
-    j[3:, r < BAND_2] = 0.0
-    return areas, j
+    lenses = [_lens(BAND_EDGES[i + 1], BAND_EDGES[k + 1], r, moment=True) for i, k in TIER_BANDS]
+    out = [_tier_regions(*(lens[m] for lens in lenses)) for m in (1, 2)]
+    for x in out:
+        x[3:, r < BAND_2] = 0.0
+    return (areas, *out)
 
 
 def test_tier_areas_are_lens_area_bit_for_bit():

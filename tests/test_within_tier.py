@@ -24,7 +24,7 @@ from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, tier_bracket, tier_q_bracket
 from coopmac.stochastic_geometry import REGIMES, cumulative_areas, tier_area_within, tier_areas
 from moment_oracle import region_area_within
-from within_tier_reference import uniform
+from within_tier_reference import node_lengths, uniform
 
 PARAMS = ChannelParams()
 TANGENCY = 96.4
@@ -84,7 +84,7 @@ def test_u_is_uniform_given_the_link_and_tier(r, density, k):
     for tier in _tiers(r):
         links = np.full(n, r)
         choice = _forced_choice(links, np.full(n, tier), density, k)
-        _, q = mc._best_g(np.random.default_rng(int(10 * r) + tier), links, choice, k, PARAMS)
+        _, q, _ = mc._best_g(np.random.default_rng(int(10 * r) + tier), links, choice, k, PARAMS)
         u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
         assert np.all((u >= 0) & (u <= 1))
         np.testing.assert_allclose(u, uniform(links, choice.tier, q, density, k), rtol=0, atol=1e-12)
@@ -100,25 +100,18 @@ def test_control_is_finite_next_to_the_tangency(density, k):
         for tier in _tiers(r):
             links = np.full(500, r)
             choice = _forced_choice(links, np.full(links.size, tier), density, k)
-            _, q = mc._best_g(np.random.default_rng(tier), links, choice, k, PARAMS)
+            _, q, _ = mc._best_g(np.random.default_rng(tier), links, choice, k, PARAMS)
             u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
             assert np.all(np.isfinite(u) & (u >= 0) & (u <= 1)), (r, tier)
     # and beta finite and <= 0 at every node there, and 0 for tier 1 at the tangency itself
     for regime in ("D1", "D2", "all"):
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.beta)) and np.all(table.beta <= 0)
-        near = np.abs(_nodes(table) - TANGENCY) <= 0.12
+        near = np.abs(node_lengths(table) - TANGENCY) <= 0.12
         assert near.any()
-        at = np.flatnonzero(_nodes(table) == TANGENCY)
+        at = np.flatnonzero(node_lengths(table) == TANGENCY)
         assert at.size and np.all(table.beta[0, at] == 0.0)
         assert np.all(table.beta[1:, near] < 0.0)
-
-
-def _nodes(table):
-    """The link length of every node of a control table."""
-    bounds = list(table.offset) + [table.h.shape[1]]
-    return np.concatenate([start + np.arange(stop - first) / scale
-                           for start, scale, first, stop in zip(table.start, table.scale, bounds[:-1], bounds[1:])])
 
 
 def _survival(r, tier, s, density, k):
@@ -132,7 +125,7 @@ def test_table_matches_quadrature(regime, density, k):
     # h = rate G_best + b int S ds and beta = 6 b int S (1 - S) ds, by quad over s; the table
     # integrates in t by the midpoint rule, whose error moves the variance cut and not the mean
     table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-    nodes = _nodes(table)
+    nodes = node_lengths(table)
     for j in (0, nodes.size // 2):
         r = nodes[j]
         worst, best = tier_bracket("D", np.array([r]), PARAMS)

@@ -1,15 +1,18 @@
-"""The proposed scheme's within-tier control, recomputed from its closed forms: test references.
+"""Both schemes' within-tier controls, recomputed from their closed forms: test references.
 
-A link that chose tier i with helpers has the control
+A proposed link that chose tier i with helpers has the control
 c = h_i(r) + beta_i(r) (U - 1/2), where h and beta are read from a table at
 the link's nearest node and U = F(q_min) is the law of the least
 d_SH^2 + d_HD^2 of the tier's helpers at its drawn value.  `nearest_node`
-finds the node from the table's grid alone, and `uniform` writes F in its
-plain exponential and power forms, with the tier's load taken from the tier
-areas and the conditioning, not from the chunk's tier choice.  Only the area
-of the region within reach of the S-D midpoint comes from the package
-(`stochastic_geometry.tier_area_within`), which `tests/moment_oracle.py`
-checks.
+finds the node from the table's grid alone (`node_lengths`), and `uniform`
+writes F in its plain exponential and power forms, with the tier's load
+taken from the tier areas and the conditioning, not from the chunk's tier
+choice.  Only the area of the region within reach of the S-D midpoint comes
+from the package (`stochastic_geometry.tier_area_within`), which
+`tests/moment_oracle.py` checks.  A conventional link whose helper was
+placed adds b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about
+the exact means of `region_means`, written here from the region moments of
+`stochastic_geometry.tier_areas`, which `tests/moment_oracle.py` checks too.
 """
 
 from __future__ import annotations
@@ -17,6 +20,33 @@ from __future__ import annotations
 import numpy as np
 
 from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas
+
+# each tier's worst position, both hops at the outer edges of its bands, by hand
+_WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
+
+
+def node_lengths(table):
+    """The link length of every node of a control table."""
+    bounds = list(table.offset) + [table.h.shape[1]]
+    return np.concatenate([start + np.arange(stop - first) / scale
+                           for start, scale, first, stop in zip(table.start, table.scale, bounds[:-1], bounds[1:])])
+
+
+def region_means(r, tier):
+    """(Qbar, Ybar^2) of links of lengths r over their regions `tier`: the means of d_SH^2 + d_HD^2 and of y^2.
+
+    Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S from the regions' area S
+    and moments J and I about the S-D midpoint and line, clipped into the
+    region's range of q, [q_best, q_worst] written out by hand, and into
+    [0, (Qbar - r^2 / 2) / 2].
+    """
+    areas, j, i = (x[tier - 1, np.arange(r.size)] for x in tier_areas(r, moments=True))
+    half = r * r / 2
+    best = np.choose(tier - 1, [half, 48.2 ** 2 + (r - 48.2) ** 2, np.where(r <= 96.4, 2 * 48.2 ** 2, half),
+                                67.1 ** 2 + (r - 67.1) ** 2, np.full(r.shape, 48.2 ** 2 + 67.1 ** 2)])
+    worst = np.array([a * a + b * b for a, b in _WORST_HOPS])[tier - 1]
+    mean_q = np.clip(2 * j / areas + half, best, worst)
+    return mean_q, np.clip(i / areas, 0.0, (mean_q - half) / 2)
 
 
 def nearest_node(table, r):
