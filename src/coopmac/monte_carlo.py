@@ -615,10 +615,9 @@ class _TierChoice(NamedTuple):
     probability that a link settles on each tier or region, and void the
     probability that it has no helper, the two that `_control` centres the
     control variate with.  moments holds, for the conventional scheme, the
-    (5, len(r)) second moments J and I of the regions about the S-D
-    midpoint and line (`tier_areas`), from which `_region_means` takes the
-    means that centre the terms of its control (None for the proposed
-    scheme).
+    second moments J and I of each chosen region about the S-D midpoint and
+    line (`tier_areas`), from which `_region_means` takes the means that
+    centre the terms of its control (None for the proposed scheme).
     """
 
     has: np.ndarray
@@ -670,6 +669,8 @@ def _tier_choice(rng, r, density, k, scheme):
     # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
     w = rng.random(has.size) * cum[-1, has]
     tier = 1 + np.sum(cum[:, has] <= w, axis=0)
+    # the chosen regions' moments alone, so that no (5, len(r)) array outlives the choice
+    moments = tuple(x[tier - 1, has] for x in moments)
     return _TierChoice(has, tier, areas[tier - 1, has], None, law, void, moments)
 
 
@@ -688,16 +689,16 @@ def _region_means(choice, r, which):
     worst, best = tier_q_bracket(r[at], tier)
     floor = r[at] ** 2
     floor *= 0.5
-    j, i = (x[tier - 1, at] for x in choice.moments)
-    j *= 2.0
-    j /= area
-    j += floor
-    mean_q = np.maximum(j, best, out=j)
+    j, i = choice.moments
+    mean_q = j[which] * 2.0
+    mean_q /= area
+    mean_q += floor
+    np.maximum(mean_q, best, out=mean_q)
     np.minimum(mean_q, worst, out=mean_q)
-    i /= area
+    mean_y2 = np.divide(i[which], area)
     np.subtract(mean_q, floor, out=floor)
     floor *= 0.5
-    mean_y2 = np.minimum(i, floor, out=i)
+    np.minimum(mean_y2, floor, out=mean_y2)
     np.maximum(mean_y2, 0.0, out=mean_y2)
     return mean_q, mean_y2
 

@@ -189,9 +189,9 @@ def test_thin_lens_is_exact_near_tangency(radii):
 
 def _tier1_choice(r, exact=False):
     """A conventional `_TierChoice` whose every link of length r chose tier 1, with its moments."""
-    areas, *moments = tier_areas(r, moments=True, exact=exact)
+    areas, j, i = tier_areas(r, moments=True, exact=exact)
     links = np.arange(r.size)
-    return mc._TierChoice(links, np.ones(r.size, dtype=int), areas[0], None, areas, np.zeros(r.size), moments)
+    return mc._TierChoice(links, np.ones(r.size, dtype=int), areas[0], None, areas, np.zeros(r.size), (j[0], i[0]))
 
 
 def test_tier1_means_near_tangency():
@@ -228,7 +228,7 @@ def test_means_are_finite_and_in_range_at_every_link_length():
         for tier in range(1, 6):
             links = np.flatnonzero(areas[tier - 1] > 0.0)
             choice = mc._TierChoice(links, np.full(links.size, tier), areas[tier - 1, links], None, areas,
-                                    np.zeros(r.size), moments)
+                                    np.zeros(r.size), tuple(x[tier - 1, links] for x in moments))
             mean_q, mean_y2 = mc._region_means(choice, r, slice(None))
             worst, best = tier_q_bracket(r[links], choice.tier)
             assert np.all((mean_q >= best) & (mean_q <= worst)), tier
@@ -241,7 +241,7 @@ def test_mean_y2_matches_placed_helpers(r, tier):
     # y^2 and q within 4 sigma of the region's Ybar^2 and Qbar
     n = 100_000
     links = np.full(n, r)
-    areas, *moments = tier_areas(links[:1], moments=True)
+    areas = tier_areas(links[:1])
     area = areas[tier - 1, 0]
     choice = mc._TierChoice(np.arange(n), np.full(n, tier), np.full(n, area), None, np.zeros((5, n)), np.zeros(n))
     q, y2 = [], []
