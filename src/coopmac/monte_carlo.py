@@ -809,8 +809,9 @@ def _edge_term(t, r, columns, table):
     the mean P = (a B + B_a - u_e S) / B_a there, and the term has mean 0
     in every stratum whatever the jump.  jump is the step of the mean score
     that the control's centres give across the edge, fixed per cell
-    (`within_tier.control_table`).  Up to the rounding of the link-length
-    draw at u_e, 1{r >= e} is the class test of the trial itself.
+    (`within_tier.control_table`, `within_tier.region_table`).  Up to the
+    rounding of the link-length draw at u_e, 1{r >= e} is the class test of
+    the trial itself.
     """
     start, _, _ = _strata(t.size, columns)
     s = max(t.size // 2, 1)

@@ -234,10 +234,14 @@ def _region_fit(params):
     d_HD = c and d_HD = d (`stochastic_geometry.hop_angle`), by a
     _GAUSS_POINTS x _GAUSS_POINTS Gauss-Legendre rule per panel of rho,
     split at r - c, where the lower angle leaves 0, with the area element
-    rho d(rho) d(theta).  h is the rule's mean of rate x G, and (b, g) solve
-    the normal equations of its centred moments.  A region with no area at
-    a node (tier 1 from 96.4 m on, tiers 4 and 5 of class C) gets
-    h = rate G_best, the limit of a region that shrinks to its best
+    rho d(rho) d(theta).  An angle limit that leaves 0 inside the band does
+    so like the square root of rho's distance from the panel's left end, so
+    the rule runs in s with rho = left + (right - left) s^2, which makes the
+    integrand smooth there and keeps h within 2e-8 of a quadrature oracle
+    (5e-5 with the rule in rho itself).  h is the rule's mean of rate x G,
+    and (b, g) solve the normal equations of its centred moments.  A region
+    with no area at a node (tier 1 from 96.4 m on, tiers 4 and 5 of class
+    C) gets h = rate G_best, the limit of a region that shrinks to its best
     position, and b = g = 0.  The rule's accuracy sets only the variance of
     the control, whose mean is exact whatever the table holds.
     """
