@@ -14,8 +14,8 @@ The two-hop success G at each helper tier's worst position is tabulated
 once per parameter set (`worst_tier_g`).  `tier_bracket` adds G at each
 tier's best position, which moves with the link length, and returns both
 times the tier rate: the per-tier bracket that the bounds reduce with the
-tier law and the Monte Carlo's control variate centres on, one kernel for
-both.  The best positions are G's maxima only while log Ps is concave in
+tier law and that the Monte Carlo's sampled mode and control tables read,
+one kernel for both.  The best positions are G's maxima only while log Ps is concave in
 the hop length, which `log_ps_concave` checks once per parameter set.
 """
 

@@ -64,6 +64,8 @@ from .stochastic_geometry import (
 _TABLE_STEP = 0.25
 _TABLE_POINTS = 32
 _GAUSS_POINTS = 8
+# nodes per block of the conventional table's fit (`_region_fit`)
+_FIT_BLOCK = 16
 
 
 def least_q_law(f, load, k):
@@ -246,38 +248,46 @@ def _region_fit(params):
     the control, whose mean is exact whatever the table holds.
     """
     r, grid = _grid(BAND_55, MAX_RANGE)
-    u, w = _gauss_legendre(_GAUSS_POINTS)
+    rule = _gauss_legendre(_GAUSS_POINTS)
     areas = tier_areas(r)
     h = tier_bracket("D", r, params)[1]
     slope_q, slope_y = np.zeros(h.shape), np.zeros(h.shape)
-    for tier, (a, b, c, d, _) in enumerate(TIER_BOXES.T):
+    for tier, box in enumerate(TIER_BOXES.T):
         at = np.flatnonzero(areas[tier] > 0.0)
-        link = r[at, None]
-        lo = np.maximum(a, link - d)
-        cuts = [lo, np.minimum(np.maximum(link - c, lo), b), b] if c > 0 else [lo, b]
-        rho = np.concatenate([left + (right - left) * u * u for left, right in zip(cuts[:-1], cuts[1:])], axis=1)
-        weight = np.concatenate([(right - left) * 2.0 * u * w for left, right in zip(cuts[:-1], cuts[1:])], axis=1)
-        low, span = hop_angle(c, rho, link), hop_angle(d, rho, link)
-        span -= low
-        weight *= rho * span
-        # the points, (nodes, rho points, theta points), and their weights
-        theta = low[..., None] + span[..., None] * u
-        weight = weight[..., None] * w
-        rho, link = rho[..., None], link[..., None]
-        d_hd2 = (rho - link) ** 2 + 4.0 * rho * link * np.sin(0.5 * theta) ** 2
-        y2 = (rho * np.sin(theta)) ** 2
-        q = rho * rho + d_hd2
-        f = TIER_RATES[tier] * p_success_direct(rho, params) * p_success_direct(np.sqrt(d_hd2), params)
-        weight /= weight.sum(axis=(1, 2), keepdims=True)
-        dq, dy, df = (z - (weight * z).sum(axis=(1, 2), keepdims=True) for z in (q, y2, f))
-        h[tier, at] = (weight * f).sum(axis=(1, 2))
-        qq, qy, yy, qf, yf = ((weight * s * t).sum(axis=(1, 2))
-                              for s, t in ((dq, dq), (dq, dy), (dy, dy), (dq, df), (dy, df)))
-        det = qq * yy - qy * qy
-        fit = det > 1e-12 * qq * yy
-        slope_q[tier, at] = np.divide(yy * qf - qy * yf, det, out=np.zeros(at.size), where=fit)
-        slope_y[tier, at] = np.divide(qq * yf - qy * qf, det, out=np.zeros(at.size), where=fit)
+        # in blocks of nodes, so that the rule's points, about 2k a block, stay small beside a chunk's arrays
+        for block in np.array_split(at, max(1, -(-at.size // _FIT_BLOCK))):
+            h[tier, block], slope_q[tier, block], slope_y[tier, block] = _fit(r[block], box, TIER_RATES[tier],
+                                                                              params, *rule)
     return RegionTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 3)
+
+
+def _fit(r, box, rate, params, u, w):
+    """(h, b, g) of `_region_fit` at link lengths r, for the region of the hop box (a, b, c, d, orders) and tier rate `rate`, by the rule of nodes u and weights w on [0, 1]."""
+    a, b, c, d, _ = box
+    link = r[:, None]
+    lo = np.maximum(a, link - d)
+    cuts = [lo, np.minimum(np.maximum(link - c, lo), b), b] if c > 0 else [lo, b]
+    rho = np.concatenate([left + (right - left) * u * u for left, right in zip(cuts[:-1], cuts[1:])], axis=1)
+    weight = np.concatenate([(right - left) * 2.0 * u * w for left, right in zip(cuts[:-1], cuts[1:])], axis=1)
+    low, span = hop_angle(c, rho, link), hop_angle(d, rho, link)
+    span -= low
+    weight *= rho * span
+    # the points, (nodes, rho points, theta points), and their weights
+    theta = low[..., None] + span[..., None] * u
+    weight = weight[..., None] * w
+    rho, link = rho[..., None], link[..., None]
+    d_hd2 = (rho - link) ** 2 + 4.0 * rho * link * np.sin(0.5 * theta) ** 2
+    y2 = (rho * np.sin(theta)) ** 2
+    q = rho * rho + d_hd2
+    f = rate * p_success_direct(rho, params) * p_success_direct(np.sqrt(d_hd2), params)
+    weight /= weight.sum(axis=(1, 2), keepdims=True)
+    dq, dy, df = (z - (weight * z).sum(axis=(1, 2), keepdims=True) for z in (q, y2, f))
+    qq, qy, yy, qf, yf = ((weight * s * t).sum(axis=(1, 2)) for s, t in ((dq, dq), (dq, dy), (dy, dy), (dq, df), (dy, df)))
+    det = qq * yy - qy * qy
+    fit = det > 1e-12 * qq * yy
+    slope_q = np.divide(yy * qf - qy * yf, det, out=np.zeros(r.size), where=fit)
+    slope_y = np.divide(qq * yf - qy * qf, det, out=np.zeros(r.size), where=fit)
+    return (weight * f).sum(axis=(1, 2)), slope_q, slope_y
 
 
 def _gauss_legendre(n):
