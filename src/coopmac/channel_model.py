@@ -146,25 +146,37 @@ def log_ps_concave(params: ChannelParams = ChannelParams()) -> bool:
     return bool(x < c and c * (hazard - x) >= 1.0)
 
 
-@lru_cache(maxsize=64)
-def _fixed_ps(params: ChannelParams):
-    """Ps at 48.2 m and at 67.1 m, the fixed hop of tiers 2 and 4 at their best positions, once per ChannelParams."""
-    return float(p_success_direct(BAND_11, params)), float(p_success_direct(BAND_55, params))
+def _at_best(r, n, hop, pair):
+    """pair(hop(d_SH), hop(d_HD)) at each of the first n tiers' best helper positions, for link lengths r: an (n, len(r)) array.
+
+    The tiers' best (d_SH, d_HD) are declared here alone: tier 1 at the S-D
+    midpoint (r / 2, r / 2), tiers 2 and 4 with the hop of the higher band
+    at its inner edge and the other closing the gap to r, (48.2, r - 48.2)
+    and (67.1, r - 67.1), tier 3 at its inner corner (48.2, 48.2) while S
+    and D are within 96.4 m of each other and at the midpoint beyond, and
+    tier 5 at its inner corner (48.2, 67.1).  hop maps a hop length, a band
+    edge or an array like r, and is taken once per distinct hop.
+    """
+    mid, edge_11 = hop(0.5 * r), hop(BAND_11)
+    best = np.empty((n, len(r)))
+    best[0] = pair(mid, mid)
+    best[1] = pair(edge_11, hop(r - BAND_11))
+    best[2] = np.where(r > TIER1_MAX_SEPARATION, best[0], pair(edge_11, edge_11))
+    if n == 5:
+        edge_55 = hop(BAND_55)
+        best[3] = pair(edge_55, hop(r - BAND_55))
+        best[4] = pair(edge_11, edge_55)
+    return best
 
 
 def tier_bracket(link_class: str, r, params: ChannelParams):
     """(worst, best): each tier's rate times G at its worst and at its best helper position, for link lengths r.
 
     G over a tier region lies between its values at the region's worst and
-    best positions, the upper end while log Ps is concave (below).  worst
-    is the read-only (n,) table of `worst_tier_g`, which r does not move;
-    best is an (n, len(r)) array for the n tiers of the link class
-    (`CLASS_TIERS`) at the 1-D array r.  A tier-1 helper is
-    best at the S-D midpoint, tiers 2 and 4 with the hop of the higher band
-    at its inner edge (48.2 m, 67.1 m) and the other hop closing the gap to
-    r, tier 3 at its inner corner (both hops 48.2 m) while S and D are within
-    96.4 m of each other and at the midpoint beyond, and tier 5 at its inner
-    corner (48.2 m and 67.1 m).
+    best positions (`_at_best`), the upper end while log Ps is concave
+    (below).  worst is the read-only (n,) table of `worst_tier_g`, which r
+    does not move; best is an (n, len(r)) array for the n tiers of the link
+    class (`CLASS_TIERS`) at the 1-D array r.
     Ps falls with the hop length, so for any ChannelParams worst is G's
     least value over its tier, and the inner corners of tier 3 (r <= 96.4 m)
     and tier 5 are its greatest.  The other best positions split r between
@@ -176,31 +188,16 @@ def tier_bracket(link_class: str, r, params: ChannelParams):
     and tier-5 entries, a hop of 0 m succeeding with probability 1.
     """
     n = CLASS_TIERS[link_class]
-    worst_g, worst = worst_tier_g(params)
-    ps_11, ps_55 = _fixed_ps(params)
-    corner, inner = worst_g[:2]
-    # Ps of the r-dependent hops: to the midpoint, and the far hops of tiers 2 and 4
     with np.errstate(divide="ignore"):
-        ps_mid, ps_2, *ps_4 = _p_success(np.array([r / 2, r - BAND_11, r - BAND_55][:n - 1]), params)
-    mid = ps_mid * ps_mid
-    best_g = [mid, ps_11 * ps_2, np.where(r > TIER1_MAX_SEPARATION, mid, corner)]
-    if n == 5:
-        best_g += [ps_55 * ps_4[0], inner]
-    best = np.empty((n, len(r)))
-    for row, g, rate in zip(best, best_g, TIER_RATES):
-        np.multiply(g, rate, out=row)
-    return worst[:n], best
+        best = _at_best(r, n, lambda d: _p_success(d, params), np.multiply)
+    for row, rate in zip(best, TIER_RATES):
+        row *= rate
+    return worst_tier_g(params)[1][:n], best
 
 
 # d_SH^2 + d_HD^2 at each tier's worst position of `worst_tier_g`, both hops at the outer edges of its bands
 _WORST_Q = np.square(np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS))).sum(axis=0)
 _WORST_Q.setflags(write=False)
-
-
-# each tier's best position holds one hop at this inner band edge (tiers 2 and 4, 0 for the others),
-# or sits at an inner corner of this d_SH^2 + d_HD^2 (tiers 3 and 5, 0 for the others)
-_BEST_EDGE = np.array([0.0, BAND_11, 0.0, BAND_55, 0.0])
-_BEST_CORNER = np.array([0.0, 0.0, 2.0 * BAND_11 ** 2, 0.0, BAND_11 ** 2 + BAND_55 ** 2])
 
 
 def tier_q_bracket(r, tier=None):
@@ -210,19 +207,13 @@ def tier_q_bracket(r, tier=None):
     five tiers at the 1-D array r; with `tier`, an array of each link's
     tier, both are the links' own, as 1-D arrays.  Over a tier region
     d_SH^2 + d_HD^2 is largest at the worst position, the outer corner of
-    the hop bands, and least at the best one, the evenest split of r that
-    the bands allow: the largest of r^2 / 2 at the midpoint, the inner
-    corner's value (tiers 3 and 5) and e^2 + (r - e)^2 with one hop at the
-    inner edge e of its band (tiers 2 and 4).  No validation.
+    the hop bands, and least at the best one (`_at_best`), the evenest split
+    of r that the bands allow.  No validation.
     """
-    rows = np.arange(len(_WORST_Q))[:, None] if tier is None else tier - 1
-    edge = _BEST_EDGE[rows]
-    split = r - edge
-    split *= split
-    split += edge * edge
-    best = np.maximum(0.5 * r * r, _BEST_CORNER[rows])
-    np.maximum(best, split, out=best, where=edge > 0.0)
-    return (_WORST_Q if tier is None else _WORST_Q[rows]), best
+    best = _at_best(r, len(_WORST_Q), np.square, np.add)
+    if tier is None:
+        return _WORST_Q, best
+    return _WORST_Q[tier - 1], best[tier - 1, np.arange(len(r))]
 
 
 def shadowing_sample(distance, params: ChannelParams, rng, size=None):
