@@ -30,9 +30,10 @@ vanishes like (96.4 - r)^(3/2); it is integrated in s = sqrt(96.4 - r),
 in which every integrand is smooth, and split where the tier law switches
 to tier 1 whenever that layer lies inside it (`_law_integral`).  The
 per-link pair comes from one array kernel, `_link_bounds`, which maps a
-1-D array of link lengths to a (2, n) lower/upper array: the tier law of the link class's tier-region areas
-(`stochastic_geometry.tier_areas`, the areas the Monte Carlo draws from too),
-and each tier's rate times G at its worst and best helper positions, the
+1-D array of link lengths to a (2, n) lower/upper array: the tier law of
+the link class's tier-region areas (`stochastic_geometry.tier_areas`, the
+areas the Monte Carlo draws from too, whose thin tier-1 lens next to the
+tangency has no cancellation at any density), and each tier's rate times G at its worst and best helper positions, the
 per-tier bracket of `channel_model.tier_bracket`, keyed by link class, which
 the Monte Carlo's control variate reads too.  The worst positions, at the
 outer edges of each tier's hop bands, do not depend on the link length;
@@ -52,7 +53,8 @@ cap empties it first.  Inside the kernel and the integrands every hop
 length is known to be positive, so Ps is taken unchecked
 (`channel_model._p_success`); the public functions keep their checks, and
 check their inputs once.  `link_bounds_at_distance`, `tier_probabilities`
-and `tier_bound_pair` are scalar views of the same code.  `band_mass` is
+and `tier_bound_pair` are scalar views of the same code, on the same
+areas as the integrals.  `band_mass` is
 closed form, from the kth-NN band law the Monte Carlo inverts
 (`stochastic_geometry.nn_distance_band`); a k-nearest band whose mass is 0
 in double precision raises ValueError, for the bounds as for the Monte
@@ -194,23 +196,23 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
 _STORE_CAP = 4096
 
 
-def _node_rows(link_class: str, r, params: ChannelParams, exact=False):
+def _node_rows(link_class: str, r, params: ChannelParams):
     """(2n + 1, len(r)) kernel rows of a class C or D link that depend on its length r alone.
 
-    The n tier-region areas (`tier_areas`, with its `exact`), Ps(r), and
+    The n tier-region areas (`tier_areas`), Ps(r), and
     the n tier rates times G at each tier's best helper position
     (`tier_bracket`).
     """
     n = CLASS_TIERS[link_class]
     rows = np.empty((2 * n + 1, len(r)))
-    rows[:n] = tier_areas(r, exact=exact)[:n]
+    rows[:n] = tier_areas(r)[:n]
     rows[n] = _p_success(r, params)
     rows[n + 1:] = tier_bracket(link_class, r, params)[1]
     return rows
 
 
 class _NodeStore:
-    """`_node_rows` of every link length the kernel has seen, for one link class, ChannelParams and `exact`.
+    """`_node_rows` of every link length the kernel has seen, for one link class and ChannelParams.
 
     Nodes are looked up by exact equality in a sorted key array.  When a
     call's new nodes would take the store past `_STORE_CAP` it starts over,
@@ -218,8 +220,8 @@ class _NodeStore:
     storing any.
     """
 
-    def __init__(self, link_class: str, params: ChannelParams, exact=False):
-        self.link_class, self.params, self.exact = link_class, params, exact
+    def __init__(self, link_class: str, params: ChannelParams):
+        self.link_class, self.params = link_class, params
         n = CLASS_TIERS[link_class]
         # the tier rates times G at each tier's worst helper position, the lower end of
         # `tier_bracket`, which r does not move
@@ -238,7 +240,7 @@ class _NodeStore:
         if len(keys) + len(new) > _STORE_CAP:
             keys, rows = np.empty(0), rows[:, :0]
             new = np.unique(r)
-        new_rows = _node_rows(self.link_class, new, self.params, self.exact)
+        new_rows = _node_rows(self.link_class, new, self.params)
         if len(new) > _STORE_CAP:
             self.table = keys, rows
             return new_rows[:, np.searchsorted(new, r)]
@@ -250,28 +252,25 @@ class _NodeStore:
 
 
 @lru_cache(maxsize=16)
-def _node_store(link_class: str, params: ChannelParams, exact=False) -> _NodeStore:
-    return _NodeStore(link_class, params, exact)
+def _node_store(link_class: str, params: ChannelParams) -> _NodeStore:
+    return _NodeStore(link_class, params)
 
 
-def _link_bounds(regime: str, r, density, k, params: ChannelParams, exact=False):
+def _link_bounds(regime: str, r, density, k, params: ChannelParams):
     """(2, n) lower/upper throughput bounds of links of lengths r (a 1-D array).
 
     The array kernel behind `link_bounds_at_distance` and every bound
     integral: the residual direct term Ps(r) x direct rate plus the tier
     mixture of the per-tier bracket (`tier_bracket`), whose r-only rows come
     from the link class's `_NodeStore`; only the tier law depends on the
-    density.  The mixture's
-    terms are stacked and summed over the tier axis in one ordered reduction,
-    the direct term first.  It depends on the regime only through its link
-    class.  `exact` takes the tier-1 area without cancellation near its
-    96.4 m tangency (`tier_areas`), from a store of its own.  No validation;
-    under k-nearest conditioning `density` is not used.
+    density.  The mixture's terms are stacked and summed over the tier axis
+    in one ordered reduction, the direct term first.  It depends on the
+    regime only through its link class.  No validation; under k-nearest
+    conditioning `density` is not used.
     """
     link_class = REGIMES[regime][2]
     n = CLASS_TIERS[link_class]
-    # the store of the default rows is keyed (class, params) alone, as its readers call it
-    store = _node_store(link_class, params, True) if exact else _node_store(link_class, params)
+    store = _node_store(link_class, params)
     rows = store.rows(r)
     empty = tier_void_law(rows[:n], r, density, k)
     # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
@@ -317,12 +316,12 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     nine expected helpers at the tier law's density rho (`_tier1_layer`);
     where that layer lies inside the band, the band is split there into two
     intervals of half its tolerance each, so that the integrator's first
-    panels see it, and the call's helper nodes take the tier-1 area without
-    cancellation (`_link_bounds`' `exact`): lens terms that cancel to a
-    relative 1e-3 at 2e-5 m from tangency would otherwise be noise in the
-    layer.  Every part goes to one integrator run; the integrator takes no
-    node at an end of an interval, so r > 0 and Ps needs no check.  When
-    every band is empty the rows hold a single 0.  No validation.
+    panels see it.  The layer's tier-1 lens is thin, and its area is taken
+    without the cancellation of the plain lens terms, which would be off by
+    a relative 1e-3 at 2e-5 m from tangency (`stochastic_geometry._lens`).
+    Every part goes to one integrator run; the integrator takes no node at
+    an end of an interval, so r > 0 and Ps needs no check.  When every band
+    is empty the rows hold a single 0.  No validation.
     """
     law = (lambda r: 2.0 * r / MAX_RANGE ** 2) if k is None else nn_distance_law(k, density)
     spans, s_form, rate, kind, regime_of, split = [], [], [], [], {}, []
@@ -337,9 +336,8 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
         regime_of.setdefault(link_class, value)
         kind.append(list(regime_of).index(link_class))
     s_form, rate, kind = np.array(s_form), np.array(rate), np.array(kind)
-    exact = bool(split)
     # a band split at the tier-1 layer keeps its first interval in its place and appends its second
-    if exact:
+    if split:
         layer = _tier1_layer(density, k)
         tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(parts),)).copy()
         tol[split] /= 2.0
@@ -350,7 +348,7 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
         owner = np.concatenate((np.arange(len(parts)), split))
 
     def integrand(x, part):
-        if exact:
+        if split:
             part = owner[part]
         r, jacobian = x, None
         in_s = s_form[part]
@@ -364,11 +362,11 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
             if link_class is None:
                 out[:, at] = rate[part[at]] * _p_success(r[at], params)
             else:
-                out[:, at] = _link_bounds(regime, r[at], density, k, params, exact)
+                out[:, at] = _link_bounds(regime, r[at], density, k, params)
         return out * weight
 
     out = adaptive_simpson(integrand, spans, tol).reshape(len(spans), -1)
-    if not exact:
+    if not split:
         return out
     for i, p in enumerate(split):
         out[p] += out[len(parts) + i]

@@ -200,20 +200,16 @@ _WORST_Q = np.square(np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS))).sum(axis
 _WORST_Q.setflags(write=False)
 
 
-def tier_q_bracket(r, tier=None):
+def tier_q_bracket(r):
     """(worst, best): d_SH^2 + d_HD^2 at each tier's worst and best helper positions of `tier_bracket`, for link lengths r.
 
     worst is a read-only (5,) table and best a (5, len(r)) array for all
-    five tiers at the 1-D array r; with `tier`, an array of each link's
-    tier, both are the links' own, as 1-D arrays.  Over a tier region
-    d_SH^2 + d_HD^2 is largest at the worst position, the outer corner of
-    the hop bands, and least at the best one (`_at_best`), the evenest split
-    of r that the bands allow.  No validation.
+    five tiers at the 1-D array r.  Over a tier region d_SH^2 + d_HD^2 is
+    largest at the worst position, the outer corner of the hop bands, and
+    least at the best one (`_at_best`), the evenest split of r that the
+    bands allow.  No validation.
     """
-    best = _at_best(r, len(_WORST_Q), np.square, np.add)
-    if tier is None:
-        return _WORST_Q, best
-    return _WORST_Q[tier - 1], best[tier - 1, np.arange(len(r))]
+    return _WORST_Q, _at_best(r, len(_WORST_Q), np.square, np.add)
 
 
 def shadowing_sample(distance, params: ChannelParams, rng, size=None):

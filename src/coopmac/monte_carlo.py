@@ -172,7 +172,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket, tier_q_bracket
+from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
@@ -574,8 +574,10 @@ def _place_in_tier(rng, r, tier, area, count):
     a, b, c, d, orders = TIER_BOXES.take(tier - 1, axis=1)
     lo, hi, t_lo, t_hi = _polar_box(r, a, b, c, d)
     t_span = t_hi - t_lo
-    # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2
-    share = area / (orders * (hi * hi - lo * lo) * t_span)
+    # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2; a
+    # box of no area in double precision (tier 1's sliver within a few ulps of 96.4 m, of 1e-20 m^2) is filled
+    box = orders * (hi * hi - lo * lo) * t_span
+    share = np.divide(area, box, out=np.ones(box.shape), where=box > 0.0)
     todo = np.arange(r.size)
     for _ in range(_MAX_ROUNDS):
         if not todo.size:
@@ -679,28 +681,17 @@ def _region_means(choice, r, which):
 
     Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S, from the region's area S
     and its moments J and I about the S-D midpoint and line
-    (`_TierChoice.moments`).  Both are clipped into the region's ranges, a
-    guard against rounding where the region is a sliver, near tier 1's
-    96.4 m tangency: q into [q_best, q_worst] (`tier_q_bracket`), and y^2
-    into [0, (Qbar - r^2 / 2) / 2], as y^2 <= |H - M|^2 = (q - r^2 / 2) / 2
-    at every point H.
+    (`_TierChoice.moments`).  Where tier 1's region is a sliver, near its
+    96.4 m tangency, the three come without cancellation
+    (`stochastic_geometry._lens`), so both means lie in the region's ranges
+    unclipped.
     """
-    at, tier, area = choice.has[which], choice.tier[which], choice.area[which]
-    worst, best = tier_q_bracket(r[at], tier)
-    floor = r[at] ** 2
-    floor *= 0.5
+    at, area = choice.has[which], choice.area[which]
     j, i = choice.moments
     mean_q = j[which] * 2.0
     mean_q /= area
-    mean_q += floor
-    np.maximum(mean_q, best, out=mean_q)
-    np.minimum(mean_q, worst, out=mean_q)
-    mean_y2 = np.divide(i[which], area)
-    np.subtract(mean_q, floor, out=floor)
-    floor *= 0.5
-    np.minimum(mean_y2, floor, out=mean_y2)
-    np.maximum(mean_y2, 0.0, out=mean_y2)
-    return mean_q, mean_y2
+    mean_q += 0.5 * r[at] ** 2
+    return mean_q, i[which] / area
 
 
 def _best_g(rng, r, choice, k, params, which=None):

@@ -193,9 +193,10 @@ def sample_ppp(density: float, window, seed) -> NetworkRealization:
 def lens_area(r1, r2, separation):
     """Intersection area of two circles of radii r1, r2 (m^2).
 
-    Uses the standard lens formula; separations beyond r1+r2 give 0 and
-    separations below |r1-r2| give the full smaller circle.  `separation`
-    may be an array.
+    Uses the standard lens formula, or near external tangency, where its
+    terms cancel, the series of `_thin_lens`; separations beyond r1+r2 give
+    0 and separations below |r1-r2| give the full smaller circle.
+    `separation` may be an array.
     """
     r1 = float(r1)
     r2 = float(r2)
@@ -210,7 +211,7 @@ def lens_area(r1, r2, separation):
 
 # the limits overwrite whatever d = 0 (a division by 0) and d = inf (inf - inf) give the formula
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _lens(r1, r2, d, moment=False, exact=False):
+def _lens(r1, r2, d, moment=False):
     """Lens areas of circles of radii r1, r2 at separations d >= 0 (an array), broadcast over all three.
 
     The lens formula, then its two limits: 0 from d = r1 + r2 on, where
@@ -230,11 +231,12 @@ def _lens(r1, r2, d, moment=False, exact=False):
     an enclosed circle gives pi r^4 / 4.  The area's bits do not depend on
     `moment`.
     Near external tangency the terms of all three cancel, and arccos near 1
-    loses digits: the area keeps about 1e-16 (r / (r1 + r2 - d))^2 of
-    itself, so it is off by a relative 1e-3 at 2e-5 m from tangency, and J
-    and I by far more.  With `exact` all three are recomputed there without
-    cancellation (`_thin_lens`), which moves their bits at those separations
-    alone.  No validation.
+    loses digits: the formula's area keeps about 1e-16 (r / (r1 + r2 - d))^2
+    of itself, so it would be off by a relative 1e-3 at 2e-5 m from
+    tangency, and J and I by far more.  All three are taken there from
+    `_thin_lens`, which has no cancellation: where 0 < r1 + r2 - d <
+    _THIN min(r1, r2).  Apart or tangent circles have 0 for all three.  No
+    validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -266,9 +268,8 @@ def _lens(r1, r2, d, moment=False, exact=False):
         j += np.multiply(area, 0.25 * d2, out=a2)
     tri = -d + r1
     tri += r2
-    if exact:
-        # both segments are thin where the circles are this close to external tangency
-        thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
+    # both segments are thin where the circles are this close to external tangency
+    thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
     side = d + r1
     tri *= side - r2
     side += r2
@@ -284,15 +285,17 @@ def _lens(r1, r2, d, moment=False, exact=False):
     outside, inside = d >= r1 + r2, d <= abs(r1 - r2)
     np.copyto(area, 0.0, where=outside)
     np.copyto(area, np.pi * np.minimum(r1, r2) ** 2, where=inside)
-    if exact and thin.size:
+    # apart or tangent circles, below the threshold too, have no lens: dropped from the few below it
+    thin = thin[~outside.ravel()[thin]]
+    if thin.size:
         at = np.unravel_index(thin, area.shape)
         ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
         thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, kite / sep)
         area[at] = thin_area
     if not moment:
         return area
-    # 0 from d = r1 + r2 on, where the arcs and the kite are; not floored, as near tangency only the
-    # exact path gives them a sign
+    # 0 from d = r1 + r2 on, where the arcs and the kite are; not floored, as near tangency `_thin_lens`
+    # gives them their sign
     j -= np.multiply(tri, 0.75 * (sq1 + sq2), out=a2)
     # I's triangles, T ((d^2 - 3 (r1^2 + r2^2)) / 8 + h^2 / 3) with h = T / d
     part = np.multiply(tri, tri, out=a2)
@@ -301,7 +304,7 @@ def _lens(r1, r2, d, moment=False, exact=False):
     part -= 0.375 * (sq1 + sq2)
     part *= tri
     axis += part
-    if exact and thin.size:
+    if thin.size:
         j[at] = thin_j
         axis[at] = thin_axis
     if np.any(inside):
@@ -312,8 +315,8 @@ def _lens(r1, r2, d, moment=False, exact=False):
     return area, j, axis
 
 
-# `_lens` takes a lens's moment (and, if asked, its area) from `_thin_lens` where r1 + r2 - d is
-# below this share of the smaller radius; there each segment's half-angle is below sqrt(2 _THIN)
+# `_lens` takes a lens's area and moments from `_thin_lens` where r1 + r2 - d is positive and below this
+# share of the smaller radius; there each segment's half-angle is below sqrt(2 _THIN)
 _THIN = 0.0025
 
 
@@ -354,7 +357,7 @@ def _thin_lens(r1, r2, d, h):
 _LENS_R1, _LENS_R2 = (np.array([[BAND_EDGES[b + 1]] for b in bands]) for bands in zip(*TIER_BANDS))
 
 
-def tier_areas(r, moments=False, exact=False):
+def tier_areas(r, moments=False):
     """(5, n) tier-1..5 region areas of links of lengths r > 0 (a 1-D array); no validation.
 
     lens[t - 1] is the lens of tier t's outer hop edges.  It holds tier t and
@@ -376,14 +379,13 @@ def tier_areas(r, moments=False, exact=False):
     uniform in region j has a mean d_SH^2 + d_HD^2 of 2 J_j / S_j + r^2 / 2,
     as d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 about the midpoint M, and a
     mean squared distance from the S-D line of I_j / S_j.  Near its 96.4 m
-    tangency the tier-1 lens loses digits to cancellation, its moments far
-    more than its area; with `exact` all are taken without it (`_lens`),
-    which moves the bits of those links alone.
+    tangency, for r in (96.28, 96.4) m, the tier-1 lens is thin, and its
+    area and moments are taken without cancellation (`_lens`).
     """
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
     last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
-    out = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=moments, exact=exact)
+    out = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=moments)
     if not moments:
         return _regions(out, first, class_c)
     return tuple(_regions(lens, first, class_c) for lens in out)

@@ -6,7 +6,6 @@ from scipy.stats import gamma as gamma_dist
 from coopmac import analytic_bounds as ab
 from coopmac.analytic_bounds import (
     BoundPair,
-    _link_bounds,
     averaged_bounds,
     band_mass,
     h_integral,
@@ -443,18 +442,17 @@ def test_bounds_at_large_density_match_quad(lam):
 @pytest.mark.parametrize("lam", [1e5, 1e6, 1e7, 1e8])
 def test_bounds_at_very_large_density_match_quad(lam):
     # from about lam = 1e7 the tier-1 layer, s = sqrt(96.4 - r) ~ lam^(-1/3), lies nearer
-    # to s = 0 than the nodes of the D1 band's first panels, and the plain tier-1 lens
-    # area there is off by a relative 1e-3; the package splits the band at the layer and
-    # takes that area without cancellation, and so does this reference (its lens kernel
-    # is checked against 50-digit arithmetic in test_region_moments)
+    # to s = 0 than the nodes of the D1 band's first panels, where the lens formula's
+    # tier-1 area would be off by a relative 1e-3; the package splits the band at the
+    # layer, and both it and this reference take that area without cancellation (checked
+    # against 50-digit arithmetic in test_region_moments)
     layer = TIER1_MAX_SEPARATION - (np.array([0.1, 0.3, 1.0, 3.0, 10.0]) * lam ** (-1.0 / 3.0)) ** 2
-    params = ChannelParams()
 
     def band(regime):
         a, b = BANDS[regime]
-        return [quad(lambda r: _link_bounds(regime, np.array([r]), lam, None, params, True)[side, 0] * 2 * r / 100.0**2,
+        return [quad(lambda r: getattr(link_bounds_at_distance(regime, r, density=lam), side) * 2 * r / 100.0**2,
                      a, b, points=layer if regime == "D1" else None, epsabs=1e-13, epsrel=1e-12, limit=2000)[0]
-                for side in (0, 1)]
+                for side in ("lower", "upper")]
 
     parts = {regime: band(regime) for regime in BANDS}
     direct = sum(quad(lambda r: rate * float(p_success_direct(r)) * 2 * r / 100.0**2, a, b, epsabs=1e-13)[0]

@@ -7,12 +7,13 @@ Qbar_j = 2 J_j / S_j + r^2 / 2 and the mean squared distance from the S-D
 line Ybar^2_j = I_j / S_j.  These tests pin Qbar and Ybar^2 against a
 quadrature of the geometry alone (`moment_oracle`), and the lens's I
 itself; check the limits of I and that 0 <= I <= J; that the moment pass
-keeps the areas' and J's bits and warns of nothing; that the thin-lens path
-(`exact`) is exact to rounding near the 96.4 m tangency where the plain
-lens terms cancel; that the Monte Carlo's clipped means
-(`monte_carlo._region_means`) stay in the region's ranges there; that Ybar^2
-is the mean of the y^2 of helpers the package places; and that Qbar lies in
-the region's range of q.
+keeps the areas' and J's bits and warns of nothing; that apart and tangent
+circles have no lens; that the thin-lens series is exact to rounding near
+the 96.4 m tangency where the plain lens terms cancel, in the kernel and in
+the scalar views of areas, tier law and bounds; that the Monte Carlo's
+means (`monte_carlo._region_means`) stay in the region's ranges there
+unclipped; that Ybar^2 is the mean of the y^2 of helpers the package
+places; and that Qbar lies in the region's range of q.
 """
 
 import hashlib
@@ -24,21 +25,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmac import monte_carlo as mc
+from coopmac.analytic_bounds import _link_bounds, link_bounds_at_distance, tier_probabilities
 from coopmac.channel_model import ChannelParams, tier_q_bracket
-from coopmac.stochastic_geometry import BAND_2, TIER1_MAX_SEPARATION, _lens, tier_areas
+from coopmac.stochastic_geometry import BAND_2, TIER1_MAX_SEPARATION, _lens, lens_area, tier_areas, tier_region_areas
 from moment_oracle import lens_moments, region_moments
 from test_stochastic_geometry import _ulps_around
 
 PARAMS = ChannelParams()
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
-# sha256 of the areas and J of the digest in `_area_and_j_digest`, before I was added to the moment pass
-_AREA_AND_J_DIGEST = "c06e7b083aa33cd726de07bc3a73151fe4509ad94710a12f8ab2d08077418a0d"
+# sha256 of the areas and J of `_area_and_j_digest`, which a change to the moment pass keeps: the bits of the
+# cancellation-free lens path from when it was an option beside the plain one
+_AREA_AND_J_DIGEST = "550d8ad19e372deddc37bcb1b8720bfc077ea02018c9e62b382fb822c5870e63"
 
 
-def _means(r, exact=False):
+def _means(r):
     """(areas, Qbar, Ybar^2) of the five regions at link lengths r, from the package's kernel."""
-    areas, j, i = tier_areas(r, moments=True, exact=exact)
+    areas, j, i = tier_areas(r, moments=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         return areas, 2.0 * j / areas + 0.5 * r * r, i / areas
 
@@ -70,27 +73,25 @@ def _exact_lens(r1, r2, d):
 
 
 def _area_and_j_digest():
-    """sha256 of the areas and J of `tier_areas` and `_lens`, plain and exact, over link lengths and separations of every kind."""
+    """sha256 of the areas and J of `tier_areas` and `_lens` over link lengths and separations of every kind."""
     r = np.concatenate([np.linspace(67.1, 100.0, 3291)]
                        + [_ulps_around(x, 32) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
     r = r[(r >= 67.1) & (r <= 100.0)]
     digest = hashlib.sha256()
     for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
-        for exact in (False, True):
-            for x in tier_areas(links, moments=True, exact=exact)[:2]:
-                digest.update(x.tobytes())
+        for x in tier_areas(links, moments=True)[:2]:
+            digest.update(x.tobytes())
     r1, r2 = np.array([[48.2], [67.1], [74.7], [30.0]]), np.array([[48.2], [48.2], [67.1], [74.7]])
     d = np.concatenate([np.linspace(0.0, 150.0, 1501), 96.4 - np.logspace(-12, 0, 25)])
-    for exact in (False, True):
-        for x in _lens(r1, r2, d, moment=True, exact=exact)[:2]:
-            digest.update(x.tobytes())
+    for x in _lens(r1, r2, d, moment=True)[:2]:
+        digest.update(x.tobytes())
     return digest.hexdigest()
 
 
 @pytest.mark.parametrize("r", [67.2, 70.0, 74.6, 74.8, 85.0, 96.3, 96.5, 99.9])
 def test_region_means_match_polar_oracle(r):
     # the thin-lens path where tier 1's lens is near tangency (96.3 m), the plain one elsewhere
-    areas, mean_q, mean_y2 = _means(np.array([r]), exact=True)
+    areas, mean_q, mean_y2 = _means(np.array([r]))
     for tier in range(1, 6):
         if tier > 3 and r < BAND_2 or tier == 1 and r >= TIER1_MAX_SEPARATION:
             assert areas[tier - 1, 0] == 0.0
@@ -119,18 +120,17 @@ def test_lens_axis_moment_matches_the_oracle(radii):
 def test_lens_axis_moment_limits():
     # an enclosed circle has pi r^4 / 4 about a diameter, wherever it sits; apart or tangent, 0
     d = np.array([0.0, 5.0, 20.0, 39.0, 40.0, 50.0])
-    for exact in (False, True):
-        _, j, axis = _lens(10.0, 30.0, d, moment=True, exact=exact)
-        np.testing.assert_allclose(axis[:3], np.pi * 10.0 ** 4 / 4, rtol=1e-15)
-        assert axis[4:].tolist() == [0.0, 0.0]
-        assert 0.0 <= axis[3] <= j[3]
+    _, j, axis = _lens(10.0, 30.0, d, moment=True)
+    np.testing.assert_allclose(axis[:3], np.pi * 10.0 ** 4 / 4, rtol=1e-15)
+    assert axis[4:].tolist() == [0.0, 0.0]
+    assert 0.0 <= axis[3] <= j[3]
     # equal circles at d = 0 are one circle
     assert _lens(48.2, 48.2, np.array([0.0]), moment=True)[2][0] == pytest.approx(np.pi * 48.2 ** 4 / 4, rel=1e-15)
 
 
 def test_region_moments_lie_between_0_and_j():
     r = np.concatenate([np.linspace(67.1, 100.0, 3301)] + [_ulps_around(x, 64) for x in (BAND_2, TIER1_MAX_SEPARATION)])
-    areas, j, axis = tier_areas(r, moments=True, exact=True)
+    areas, j, axis = tier_areas(r, moments=True)
     # up to the rounding of the lens combination, 1e-12 of the region's J
     slack = 1e-12 * np.abs(j) + 1e-9
     assert np.all(axis >= -slack) and np.all(axis <= j + slack)
@@ -154,85 +154,120 @@ def test_moment_kernel_emits_no_runtime_warning():
                        + [_ulps_around(x, 64) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for exact in (False, True):
-            areas, j, axis = tier_areas(r, moments=True, exact=exact)
-            assert np.isfinite(j).all() and np.isfinite(axis).all()
-        # near tangency only the exact path gives the moments their sign
+        areas, j, axis = tier_areas(r, moments=True)
+        assert np.isfinite(j).all() and np.isfinite(axis).all()
+        # near tangency the thin-lens series gives the moments their sign
         assert (j >= 0).all() and (axis >= 0).all()
         # the limits: apart, tangent, one circle inside the other, and d = 0
-        area, moment, axis = _lens(10.0, 30.0, np.array([0.0, 5.0, 20.0, 39.0, 40.0, 50.0]), moment=True, exact=True)
+        area, moment, axis = _lens(10.0, 30.0, np.array([0.0, 5.0, 20.0, 39.0, 40.0, 50.0]), moment=True)
     assert np.isfinite(moment).all() and np.isfinite(axis).all()
     np.testing.assert_allclose(moment[:3], np.pi * 100 * (50 + np.array([0.0, 5.0, 20.0]) ** 2 / 4), rtol=1e-15)
     assert moment[4:].tolist() == [0.0, 0.0]
 
 
+@pytest.mark.parametrize("radii", [(48.2, 48.2), (48.2, 67.1), (30.0, 74.7), (10.0, 30.0)])
+def test_apart_and_tangent_lenses_are_exactly_0(radii):
+    # tangent, one and two ulps apart and well apart, and for the area up to infinity, where the moments' d^2
+    # overflows; the thin-lens series takes none of them
+    r1, r2 = radii
+    tangent = r1 + r2
+    d = np.array([tangent, np.nextafter(tangent, np.inf), np.nextafter(np.nextafter(tangent, np.inf), np.inf),
+                  tangent + 1e-9, tangent + 1.0, 1e100])
+    for x in _lens(r1, r2, d, moment=True):
+        assert x.tolist() == [0.0] * d.size
+    assert lens_area(r1, r2, [*d, 1e200, np.inf]).tolist() == [0.0] * (d.size + 2)
+    # tier 1's region from 96.4 m on, evaluated beside links that have one
+    r = np.array([80.0, TIER1_MAX_SEPARATION, np.nextafter(TIER1_MAX_SEPARATION, np.inf), 97.0, 100.0])
+    for x in tier_areas(r, moments=True):
+        assert x[0, 1:].tolist() == [0.0] * 4 and x[0, 0] > 0.0
+
+
 @pytest.mark.parametrize("radii", [(48.2, 48.2), (48.2, 67.1), (30.0, 74.7)])
 def test_thin_lens_is_exact_near_tangency(radii):
-    # the plain lens terms cancel near external tangency; the thin-lens path does not
+    # the plain lens terms cancel near external tangency, where the thin-lens series takes over
     r1, r2 = radii
     gaps = np.array([1e-12, 1e-9, 1e-6, 2e-5, 1e-3, 0.05, 0.1, 1.0, 10.0])
     d = r1 + r2 - gaps
-    got_all = _lens(r1, r2, d, moment=True, exact=True)
+    got_all = _lens(r1, r2, d, moment=True)
     want = np.array([_exact_lens(r1, r2, x) for x in d])
-    # exact moves the bits only where the circles are this close to tangency, and is exact there; just
-    # outside that zone the plain I, whose terms cancel to the fifth power of the segment's angle, keeps 1e-6
-    plain = _lens(r1, r2, d, moment=True)
+    # exact to rounding where the circles are this close to tangency; just outside that zone the lens formula's
+    # I, whose terms cancel to the fifth power of the segment's angle, keeps 1e-6
     thin = gaps < 0.0025 * min(radii)
-    for got, old, exact, rtol in zip(got_all, plain, want.T, (1e-8, 1e-8, 1e-6)):
+    for got, exact, rtol in zip(got_all, want.T, (1e-8, 1e-8, 1e-6)):
         np.testing.assert_allclose(got[thin], exact[thin], rtol=1e-13)
         np.testing.assert_allclose(got[~thin], exact[~thin], rtol=rtol)
-        assert got[~thin].tobytes() == old[~thin].tobytes()
-    # where the plain terms are off by more than that
-    assert abs(plain[1][2] / want[2, 1] - 1) > 1e-3
-    assert abs(plain[2][2] / want[2, 2] - 1) > 1e-3
+    # the public view has the kernel's bits
+    assert lens_area(r1, r2, d).tobytes() == got_all[0].tobytes()
 
 
-def _tier1_choice(r, exact=False):
+@pytest.mark.parametrize("gap", [1e-6, 2e-5])
+def test_scalar_views_take_the_thin_lens_at_the_tangency(gap):
+    # the areas, the tier law and the bounds of one link 1e-6 and 2e-5 m below 96.4 m, where the lens formula's
+    # tier-1 area would be off by 12% and 1e-3, have the 50-digit area, and the bounds are their kernel's row
+    r = TIER1_MAX_SEPARATION - gap
+    area = _exact_lens(48.2, 48.2, r)[0]
+    assert lens_area(48.2, 48.2, r) == pytest.approx(area, rel=1e-12)
+    assert tier_region_areas("D", r).area(1) == pytest.approx(area, rel=1e-12)
+    density = 1e6
+    assert tier_probabilities("D", r, density=density).probs[1] == pytest.approx(-np.expm1(-density * area), rel=1e-12)
+    for conditioning in ({"density": density}, {"k": 10}):
+        pair = link_bounds_at_distance("D1", r, **conditioning)
+        row = _link_bounds("D1", np.array([r]), conditioning.get("density"), conditioning.get("k"), PARAMS)[:, 0]
+        assert [pair.lower, pair.upper] == row.tolist()
+
+
+def _tier1_choice(r):
     """A conventional `_TierChoice` whose every link of length r chose tier 1, with its moments."""
-    areas, j, i = tier_areas(r, moments=True, exact=exact)
+    areas, j, i = tier_areas(r, moments=True)
     links = np.arange(r.size)
     return mc._TierChoice(links, np.ones(r.size, dtype=int), areas[0], None, areas, np.zeros(r.size), (j[0], i[0]))
 
 
 def test_tier1_means_near_tangency():
     r = np.array([96.3, 96.39, 96.3997, np.nextafter(96.4, 0.0)])
+    _, mean_q, mean_y2 = _means(r)
     for i, x in enumerate(r):
         area, moment, axis = _exact_lens(48.2, 48.2, x)
-        # the exact kernel is accurate where the plain one is not ...
-        _, mean_q, mean_y2 = _means(r, exact=True)
         assert mean_q[0, i] == pytest.approx(2 * moment / area + x * x / 2, rel=1e-13)
         assert mean_y2[0, i] == pytest.approx(axis / area, rel=1e-12)
-    # ... and the Monte Carlo's plain means, clipped, stay in tier 1's ranges wherever the region has an
-    # area, which the last length's plain one has not, and warn of nothing
-    r = r[:-1]
+    # the Monte Carlo's means, unclipped, are these, stay in tier 1's ranges and warn of nothing; one ulp below
+    # the tangency, where the region holds 1e-20 m^2, too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean_q, mean_y2 = mc._region_means(_tier1_choice(r), r, slice(None))
-    assert np.all((mean_q >= r * r / 2) & (mean_q <= 2 * 48.2 ** 2))
-    assert np.all((mean_y2 >= 0) & (mean_y2 <= (mean_q - r * r / 2) / 2))
-    _, exact_q, exact_y2 = _means(r, exact=True)
-    error = np.abs(mean_q / exact_q[0] - 1)
-    assert np.all(error <= [1e-10, 1e-8, 1e-5]), error
-    # the plain y^2 moment loses more to cancellation: 13% of it at 3e-4 m from tangency, in a region of
-    # 4e-6 m^2, which the clip keeps inside [0, |H - M|^2]
-    error = np.abs(mean_y2 / exact_y2[0] - 1)
-    assert np.all(error <= [1e-8, 1e-4, 0.5]), error
+        got_q, got_y2 = mc._region_means(_tier1_choice(r), r, slice(None))
+    np.testing.assert_allclose(got_q, mean_q[0], rtol=1e-15)
+    np.testing.assert_allclose(got_y2, mean_y2[0], rtol=1e-15)
+    assert np.all((got_q >= r * r / 2) & (got_q <= 2 * 48.2 ** 2))
+    r = r[:-1]
+    got_q, got_y2 = got_q[:-1], got_y2[:-1]
+    assert np.all((got_y2 >= 0) & (got_y2 <= (got_q - r * r / 2) / 2))
 
 
 def test_means_are_finite_and_in_range_at_every_link_length():
-    # every tier, at every length where its region has an area, the doubles around 74.7 and 96.4 m included
-    r = np.concatenate([np.linspace(67.1, 100.0, 3301)] + [_ulps_around(x, 64) for x in (BAND_2, TIER1_MAX_SEPARATION)])
+    # every tier, at every length where its region has an area: a grid, 200k random lengths, 6k within 1 m of
+    # the 96.4 m tangency and the doubles around 67.1, 74.7, 96.4 and 100 m; so the means need no clip
+    rng = np.random.default_rng(29)
+    r = np.concatenate([np.linspace(67.1, 100.0, 3301), rng.uniform(67.1, 100.0, 200_000),
+                        TIER1_MAX_SEPARATION - np.logspace(-14, 0, 6000)]
+                       + [_ulps_around(x, 64) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
+    r = r[(r >= 67.1) & (r <= 100.0)]
     areas, *moments = tier_areas(r, moments=True)
+    q_worst, q_best = tier_q_bracket(r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tier in range(1, 6):
             links = np.flatnonzero(areas[tier - 1] > 0.0)
+            j, i = (x[tier - 1, links] for x in moments)
             choice = mc._TierChoice(links, np.full(links.size, tier), areas[tier - 1, links], None, areas,
-                                    np.zeros(r.size), tuple(x[tier - 1, links] for x in moments))
+                                    np.zeros(r.size), (j, i))
             mean_q, mean_y2 = mc._region_means(choice, r, slice(None))
-            worst, best = tier_q_bracket(r[links], choice.tier)
-            assert np.all((mean_q >= best) & (mean_q <= worst)), tier
-            assert np.all((mean_y2 >= 0) & (mean_y2 <= (mean_q - r[links] ** 2 / 2) / 2)), tier
+            assert np.isfinite(mean_q).all() and np.isfinite(mean_y2).all(), tier
+            assert np.all((mean_q >= q_best[tier - 1, links]) & (mean_q <= q_worst[tier - 1])), tier
+            # 0 <= I <= J; y^2 <= |H - M|^2 = (q - r^2 / 2) / 2 at every point, up to Qbar's rounding, half an
+            # ulp of r^2 / 2, which cancels next to the tangency
+            floor = r[links] ** 2 / 2
+            assert np.all((mean_y2 >= 0) & (i <= j)), tier
+            assert np.all(mean_y2 <= (mean_q - floor) / 2 + np.spacing(floor) / 2), tier
 
 
 @pytest.mark.parametrize("r,tier", [(70.0, 2), (85.0, 1), (98.0, 5)])
@@ -260,11 +295,6 @@ def test_q_bracket_is_the_range_of_each_region():
     q_worst, q_best = tier_q_bracket(r)
     assert q_worst == pytest.approx([a * a + b * b for a, b in _WORST_HOPS], rel=1e-15)
     np.testing.assert_allclose(q_best, _best_q(r), rtol=1e-14)
-    # each link's own tier, as the Monte Carlo reads it, has the table's bits
-    tier = np.arange(r.size) % 5 + 1
-    worst, best = tier_q_bracket(r, tier)
-    assert worst.tobytes() == q_worst[tier - 1].tobytes()
-    assert best.tobytes() == q_best[tier - 1, np.arange(r.size)].tobytes()
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -273,12 +303,12 @@ def test_q_bracket_is_the_range_of_each_region():
 def test_region_mean_q_lies_in_the_region_q_range(x):
     r = np.array([x, np.nextafter(x, 0.0)])
     r = r[r >= 67.1]
-    areas, mean_q, _ = _means(r, exact=True)
+    areas, mean_q, _ = _means(r)
     q_worst, q_best = tier_q_bracket(r)
     present = areas > 0
     assert np.all(mean_q[present] >= q_best[present])
     assert np.all(mean_q[present] <= np.broadcast_to(q_worst[:, None], present.shape)[present])
     # Ybar^2 <= J / S, the mean of |H - M|^2; next to the tangency tier 1's sliver lies across the axis, where
     # y^2 is nearly all of it, and the two moments' series agree to rounding
-    areas, j, axis = tier_areas(r, moments=True, exact=True)
+    areas, j, axis = tier_areas(r, moments=True)
     assert np.all(axis[present] <= j[present] * (1 + 1e-9))
