@@ -575,7 +575,7 @@ def _place_in_tier(rng, r, tier, area, count):
     lo, hi, t_lo, t_hi = _polar_box(r, a, b, c, d)
     t_span = t_hi - t_lo
     # the order's area in the upper half-plane, area / 2 / orders, over the box's, (hi^2 - lo^2) t_span / 2; a
-    # box of no area in double precision (tier 1's sliver within a few ulps of 96.4 m, of 1e-20 m^2) is filled
+    # box of no area in double precision (tier 1's sliver of 1e-20 m^2 one ulp below 96.4 m) counts as filled
     box = orders * (hi * hi - lo * lo) * t_span
     share = np.divide(area, box, out=np.ones(box.shape), where=box > 0.0)
     todo = np.arange(r.size)

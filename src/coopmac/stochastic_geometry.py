@@ -290,7 +290,7 @@ def _lens(r1, r2, d, moment=False):
     if thin.size:
         at = np.unravel_index(thin, area.shape)
         ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
-        thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, kite / sep)
+        thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, kite / sep, moment)
         area[at] = thin_area
     if not moment:
         return area
@@ -320,7 +320,7 @@ def _lens(r1, r2, d, moment=False):
 _THIN = 0.0025
 
 
-def _thin_lens(r1, r2, d, h):
+def _thin_lens(r1, r2, d, h, moment=True):
     """(area, J, I) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
 
     h is the half-chord.  A segment of half-angle alpha has the area
@@ -336,6 +336,7 @@ def _thin_lens(r1, r2, d, h):
     alpha and S_i the segment's area; e is 0 for equal radii.  I is the sum
     of the segments' moments about the line of the centres, which is their
     axis, r^4 (phi / 8 - sin phi / 6 + sin 2 phi / 48), also as its series.
+    Without `moment`, J and I are left at 0, for two thirds of the cost.
     """
     a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     e = a1 - 0.5 * d
@@ -345,6 +346,8 @@ def _thin_lens(r1, r2, d, h):
         f2 = phi * phi
         segment = r * r * phi ** 3 * (1 / 12 - f2 * (1 / 240 - f2 * (1 / 10080 - f2 * (1 / 725760 - f2 / 79833600))))
         area += segment
+        if not moment:
+            continue
         j += r ** 4 * phi ** 5 * (1 / 240 - f2 * (1 / 5040 - f2 * (1 / 241920 - f2 * (1 / 19958400 - f2 / 2490808320))))
         first = (2.0 / 3.0) * h ** 3 - a * segment
         j += sign * 2.0 * e * first + e * e * segment

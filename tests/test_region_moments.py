@@ -34,8 +34,7 @@ from test_stochastic_geometry import _ulps_around
 PARAMS = ChannelParams()
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
-# sha256 of the areas and J of `_area_and_j_digest`, which a change to the moment pass keeps: the bits of the
-# cancellation-free lens path from when it was an option beside the plain one
+# sha256 of the areas and J of `_area_and_j_digest`, which a change to the moment pass keeps
 _AREA_AND_J_DIGEST = "550d8ad19e372deddc37bcb1b8720bfc077ea02018c9e62b382fb822c5870e63"
 
 
