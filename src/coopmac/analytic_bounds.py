@@ -33,9 +33,10 @@ per-link pair comes from one array kernel, `_link_bounds`, which maps a
 1-D array of link lengths to a (2, n) lower/upper array: the tier law of
 the link class's tier-region areas (`stochastic_geometry.tier_areas`, the
 areas the Monte Carlo draws from too, whose thin tier-1 lens next to the
-tangency has no cancellation at any density), and each tier's rate times G at its worst and best helper positions, the
-per-tier bracket of `channel_model.tier_bracket`, keyed by link class, which
-the Monte Carlo's control variate reads too.  The worst positions, at the
+tangency has no cancellation at any density), and each tier's rate times
+G at its worst and best helper positions, the per-tier bracket of
+`channel_model.tier_bracket`, keyed by link class, which the Monte
+Carlo's control variate reads too.  The worst positions, at the
 outer edges of each tier's hop bands, do not depend on the link length;
 their G is tabulated once per `ChannelParams` (`channel_model.worst_tier_g`).
 Everything else the kernel needs but the tier law depends on the link length
@@ -54,11 +55,10 @@ length is known to be positive, so Ps is taken unchecked
 (`channel_model._p_success`); the public functions keep their checks, and
 check their inputs once.  `link_bounds_at_distance`, `tier_probabilities`
 and `tier_bound_pair` are scalar views of the same code, on the same
-areas as the integrals.  `band_mass` is
-closed form, from the kth-NN band law the Monte Carlo inverts
-(`stochastic_geometry.nn_distance_band`); a k-nearest band whose mass is 0
-in double precision raises ValueError, for the bounds as for the Monte
-Carlo.
+areas as the integrals.  `band_mass` is closed form, from the kth-NN band
+law the Monte Carlo inverts (`stochastic_geometry.nn_distance_band`); a
+k-nearest band whose mass is 0 in double precision raises ValueError, for
+the bounds as for the Monte Carlo.
 """
 
 from __future__ import annotations

@@ -320,7 +320,7 @@ def _lens(r1, r2, d, moment=False):
 _THIN = 0.0025
 
 
-def _thin_lens(r1, r2, d, h, moment=True):
+def _thin_lens(r1, r2, d, h, moment):
     """(area, J, I) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
 
     h is the half-chord.  A segment of half-angle alpha has the area
