@@ -12,11 +12,10 @@ and says why in its description.  Before it overwrites a JSON fixture it
 prints, for each estimate with a standard error, z = (new - old) /
 sqrt(se_old^2 + se_new^2), how far the estimate moved in units of its noise.
 
-`proposed_chunk.sha256` pins the bytes of the proposed scheme's analytic-mode
-chunk (`monte_carlo._chunk_throughput`) over a grid of cells that the CLI
-cases do not reach (`proposed_chunk_digest`), and `conventional_chunk.sha256`
-those of the conventional scheme's chunk in both modes over the same grid
-(`conventional_chunk_digest`), so that a change meant to leave a scheme's
+`proposed_chunk.sha256` and `conventional_chunk.sha256` pin the bytes of
+each scheme's chunk (`monte_carlo._chunk_throughput`) in both modes over a
+grid of cells that the CLI cases do not reach (`proposed_chunk_digest`,
+`conventional_chunk_digest`), so that a change meant to leave a scheme's
 numbers as they are is checked on them too; the same command rewrites both.
 """
 
@@ -78,8 +77,8 @@ def _chunk_digest(scheme, modes):
 
 
 def proposed_chunk_digest():
-    """sha256 of the proposed scheme's analytic-mode chunk bytes (`_chunk_digest`)."""
-    return _chunk_digest("proposed", ("analytic",))
+    """sha256 of the proposed scheme's chunk bytes in both modes (`_chunk_digest`)."""
+    return _chunk_digest("proposed", ("analytic", "sampled"))
 
 
 def conventional_chunk_digest():
