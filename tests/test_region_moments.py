@@ -166,15 +166,17 @@ def test_moment_kernel_emits_no_runtime_warning():
 
 @pytest.mark.parametrize("radii", [(48.2, 48.2), (48.2, 67.1), (30.0, 74.7), (10.0, 30.0)])
 def test_apart_and_tangent_lenses_are_exactly_0(radii):
-    # tangent, one and two ulps apart and well apart, and for the area up to infinity, where the moments' d^2
-    # overflows; the thin-lens series takes none of them
+    # tangent, one and two ulps apart, well apart and up to infinity, where d^2 overflows; the thin-lens series
+    # takes none of them
     r1, r2 = radii
     tangent = r1 + r2
     d = np.array([tangent, np.nextafter(tangent, np.inf), np.nextafter(np.nextafter(tangent, np.inf), np.inf),
-                  tangent + 1e-9, tangent + 1.0, 1e100])
-    for x in _lens(r1, r2, d, moment=True):
-        assert x.tolist() == [0.0] * d.size
-    assert lens_area(r1, r2, [*d, 1e200, np.inf]).tolist() == [0.0] * (d.size + 2)
+                  tangent + 1e-9, tangent + 1.0, 1e100, 1e200, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in _lens(r1, r2, d, moment=True):
+            assert x.tolist() == [0.0] * d.size
+    assert lens_area(r1, r2, d).tolist() == [0.0] * d.size
     # tier 1's region from 96.4 m on, evaluated beside links that have one
     r = np.array([80.0, TIER1_MAX_SEPARATION, np.nextafter(TIER1_MAX_SEPARATION, np.inf), 97.0, 100.0])
     for x in tier_areas(r, moments=True):
