@@ -824,16 +824,14 @@ def _uniform_control(table, r, choice, q, k, which):
     Uniform(0, 1) given r and the tier, and which links are placed does not
     depend on where the helpers lie, so the term has mean 0.
     """
-    from .within_tier import least_q_uniform, table_nodes
+    from .within_tier import control_term, least_q_uniform, table_nodes
     j = table_nodes(table, r)
     centre = np.take(table.h, j, axis=1)
     at, tier = choice.has[which], choice.tier[which]
     flat = (tier - 1) * table.h.shape[1]
     flat += j[at]
     u = least_q_uniform(r[at], tier, choice.area[which], choice.load[which], q, k)
-    u -= 0.5
-    u *= table.beta.take(flat)
-    return centre, u
+    return centre, control_term(table, flat, u)
 
 
 def _region_control(table, r, choice, q, y2, which):

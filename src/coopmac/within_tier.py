@@ -66,6 +66,11 @@ _TABLE_POINTS = 32
 _GAUSS_POINTS = 8
 # nodes per block of the conventional table's fit (`_region_fit`)
 _FIT_BLOCK = 16
+# the proposed scheme's control at _KNOTS + 1 knots in U per (tier, node), u_j = 1 - (1 - j / _KNOTS)^2: dense
+# near U = 1, where the quantile of q_min climbs to q_worst
+_KNOTS = 32
+_KNOT_U = 1.0 - (1.0 - np.arange(_KNOTS + 1) / _KNOTS) ** 2
+_KNOT_U.flags.writeable = False
 
 
 def least_q_law(f, load, k):
@@ -111,8 +116,10 @@ class ControlTable(NamedTuple):
 
     The grid has one segment per band between the edges `splits`; segment i
     runs from start[i] with scale[i] intervals per metre, and its first node
-    is node offset[i].  h and beta hold each tier's centre and slope at
-    every node, one row per tier.  edges are the class edges inside the
+    is node offset[i].  h holds each tier's centre at every node, one row
+    per tier, and phi, of shape (tiers, nodes, _KNOTS + 1), each tier's
+    within-tier term at the knots u_j = 1 - (1 - j / _KNOTS)^2 of U at
+    every node (`control_term`).  edges are the class edges inside the
     cell's band, edge_u the link-length uniform u at each and jump the
     step of the link's mean score there (`monte_carlo._edge_term`).
     """
@@ -122,7 +129,7 @@ class ControlTable(NamedTuple):
     scale: np.ndarray
     offset: np.ndarray
     h: np.ndarray
-    beta: np.ndarray
+    phi: np.ndarray
     edges: np.ndarray
     edge_u: np.ndarray
     jump: np.ndarray
@@ -130,26 +137,31 @@ class ControlTable(NamedTuple):
 
 @lru_cache(maxsize=64)
 def control_table(lo, hi, density, k, params):
-    """Centre h_i(r) and slope beta_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
+    """Centre h_i(r) and within-tier term phi_i(r; U) of the proposed scheme's control, at the nodes of a link-length grid.
 
-    The control of a link that chose tier i is
-    c = h_i(r) + beta_i(r) (U - 1/2), with U = F(q_min) of
-    `least_q_uniform`.  Both come from a model of rate x max G linear in
-    q_min through the bracket's best and worst positions: its slope b_i is
-    the secant of rate x G against q = d_SH^2 + d_HD^2 between them
-    (`channel_model.tier_q_bracket`), and with S_i(s) = 1 - F(s) the
-    survival of q_min from q_best on,
+    The control of a link that chose tier i is c = h_i(r) + phi_i(r; U),
+    with U = F(q_min) of `least_q_uniform`.  Both come from a model of
+    rate x max G linear in q_min through the bracket's best and worst
+    positions: its slope b_i is the secant of rate x G against
+    q = d_SH^2 + d_HD^2 between them (`channel_model.tier_q_bracket`), and
+    with S_i(s) = 1 - F(s) the survival of q_min from q_best on,
         h_i = rate G_best,i(r) + b_i integral S_i(s) ds,
-        beta_i = 12 b_i Cov(q_min, U) = 6 b_i integral S_i (1 - S_i) ds,
-    the model's mean and its regression slope on U, whose variance is
-    1/12.  The integrals run over t = |H - M| in s = 2 t^2 + r^2 / 2 by the
-    midpoint rule.  h and beta depend on r, the tier and the cell alone
-    (its band lo..hi, density, k and params), so c keeps its exact mean
-    whatever their accuracy; their accuracy sets only the variance cut.  A
-    tier with no area there gets h = rate G_best and beta = 0.  The nodes are
-    at most _TABLE_STEP m apart, in segments split at 74.7 and 96.4 m within
-    the band's class C and D part; the table is built once per cell and is
-    read-only.
+        phi_i(r; U) = b_i (Q_i(U) - mean of Q_i),
+    the model's mean and its deviation from it at q_min = Q_i(U), Q_i the
+    inverse of F.  The integral runs over t = |H - M| in
+    s = 2 t^2 + r^2 / 2 by the midpoint rule at _TABLE_POINTS midpoints,
+    whose (F, s) pairs, with the ends (0, q_best) and (1, q_worst), give
+    Q_i by linear interpolation in F at the knots u_j = 1 - (1 - j / 32)^2,
+    j = 0..32, dense near U = 1, where Q_i climbs to q_worst.  phi_i is
+    read between the knots linearly in U (`control_term`), and each row has
+    its trapezoid mean over the knots subtracted, so that it integrates to
+    0 over U exactly, as U is Uniform(0, 1) given r and the tier.  h and phi
+    depend on r, the tier and the cell alone (its band lo..hi, density, k
+    and params), so c keeps its exact mean whatever their accuracy; their
+    accuracy sets only the variance cut.  A tier with no area there gets
+    h = rate G_best and phi = 0.  The nodes are at most _TABLE_STEP m apart,
+    in segments split at 74.7 and 96.4 m within the band's class C and D
+    part; the table is built once per cell and is read-only.
     """
     band = lo, hi
     r, grid = _grid(max(lo, BAND_55), hi)
@@ -173,15 +185,83 @@ def control_table(lo, hi, density, k, params):
     points = t.size // max(tier.size, 1)
     f = tier_area_within(np.repeat(r[node], points), np.repeat(tier + 1, points), t.ravel())
     f /= np.repeat(area, points)
-    survival = 1.0 - least_q_law(f, np.repeat(load, points), k).reshape(t.shape)
+    law = least_q_law(f, np.repeat(load, points), k).reshape(t.shape)
     # ds = 4 t dt
     weight = 4.0 * t * step[:, None]
     h = best[:rows].copy()
-    beta = np.zeros(h.shape)
-    h[tier, node] += slope[tier, node] * (weight * survival).sum(axis=1)
-    beta[tier, node] = 6.0 * slope[tier, node] * (weight * survival * (1.0 - survival)).sum(axis=1)
-    table = ControlTable(*grid, h, beta, *(np.empty(0),) * 3)
+    b = slope[tier, node]
+    h[tier, node] += b * (weight * (1.0 - law)).sum(axis=1)
+    phi = np.zeros((*h.shape, _KNOTS + 1))
+    phi[tier, node] = b[:, None] * _quantiles(law, 2.0 * t * t + floor[:, None], q_best[tier, node], q_worst[tier])
+    table = ControlTable(*grid, h, phi, *(np.empty(0),) * 3)
     return _with_class_edges(table, band, density, k, params, _proposed_law)
+
+
+def _quantiles(law, s, first, last):
+    """Q(u_j) less its trapezoid mean over the knots u_j, for rows of a law F: F = law at s, 0 at `first` and 1 at `last`.
+
+    Q, the inverse of F, is taken linear between the pairs in the knots'
+    own coordinate x = _KNOTS (1 - sqrt(1 - F)), in which knot j is x = j,
+    and which opens up the square-root rise of Q to `last` near F = 1.
+    Rounding that leaves x a little lower at a larger s is lifted to the
+    running maximum.  The pair at or below knot j is one less than the
+    number of pairs with ceil(x) <= j, counted for every row at once.
+    """
+    n, size = law.shape[0], law.shape[1] + 2
+    x = np.empty((n, size))
+    x[:, 0], x[:, -1] = 0.0, _KNOTS
+    inner = np.subtract(1.0, law, out=x[:, 1:-1])
+    np.sqrt(inner, out=inner)
+    inner *= -_KNOTS
+    inner += _KNOTS
+    np.maximum.accumulate(x, axis=1, out=x)
+    s = np.concatenate((first[:, None], s, last[:, None]), axis=1)
+    cell = np.ceil(x).astype(np.intp)
+    cell += (_KNOTS + 1) * np.arange(n)[:, None]
+    below = np.bincount(cell.ravel(), minlength=n * (_KNOTS + 1)).reshape(n, _KNOTS + 1).cumsum(axis=1)
+    j = np.minimum(below - 1, size - 2)
+    x0, x1, s0, s1 = (np.take_along_axis(z, j + i, axis=1) for z in (x, s) for i in (0, 1))
+    x1 -= x0
+    w = np.subtract(np.arange(_KNOTS + 1), x0, out=x0)
+    np.divide(w, x1, out=w, where=x1 > 0.0)
+    np.copyto(w, 0.0, where=x1 <= 0.0)
+    # Q - Q(0) at the knots, then less its trapezoid mean
+    s1 -= s0
+    s1 *= w
+    s0 -= first[:, None]
+    s1 += s0
+    s1 -= (0.5 * (s1[:, 1:] + s1[:, :-1]) * np.diff(_KNOT_U)).sum(axis=1, keepdims=True)
+    return s1
+
+
+def control_term(table, flat, u):
+    """phi at each link's U = u, from the knots of the (tier, node) row at `flat` of `table.phi`, linearly in U.
+
+    The knot below u is j = floor(_KNOTS (1 - sqrt(1 - u))), at most
+    _KNOTS - 1, and with x = _KNOTS (1 - sqrt(1 - u)), f = x - j and
+    a = _KNOTS - j the weight of the knot above is
+    (u - u_j) / (u_(j+1) - u_j) = f (2 a - f) / (2 a - 1).  u is
+    overwritten.
+    """
+    x = np.subtract(1.0, u, out=u)
+    np.sqrt(x, out=x)
+    x *= -_KNOTS
+    x += _KNOTS
+    j = np.minimum(x.astype(np.intp), _KNOTS - 1)
+    x -= j
+    a = 2 * (_KNOTS - j)
+    w = a - x
+    w *= x
+    w /= a - 1
+    flat = flat * (_KNOTS + 1)
+    flat += j
+    lo = table.phi.take(flat)
+    flat += 1
+    hi = table.phi.take(flat)
+    hi -= lo
+    hi *= w
+    hi += lo
+    return hi
 
 
 class RegionTable(NamedTuple):

@@ -10,7 +10,8 @@ its mean under the choice law, which for the proposed scheme is the link's
 lower bound.  `midpoint_control_chunk` keeps the midpoint of each choice's
 bracket alone: the package's control without its within-tier term, the
 conventional scheme's b (q - Qbar) in the helper's d_SH^2 + d_HD^2 and the
-proposed scheme's centre h and beta (U - 1/2) in place of the midpoint.
+proposed scheme's centre h and phi(U), the secant model at the quantile of
+the best helper's q_min, in place of the midpoint.
 In analytic mode both draw from a chunk's stream exactly as the package
 does, so on one seed they see the same links and helpers.  In sampled mode
 they place the helpers of every link, then draw v and score

@@ -7,17 +7,19 @@ helper was placed adds b_j(r) (q - Qbar) + g_j(r) (y^2 - Ybar^2), with q its
 helper's d_SH^2 + d_HD^2, y^2 its squared distance from the S-D line, Qbar
 and Ybar^2 the region's exact means of both and b, g a least-squares fit,
 all but the means read from a table at the link's nearest node.  A proposed
-link's c is the chosen tier's centre h_i(r) plus beta_i(r) (U - 1/2), U the
-law of the least q of the tier's helpers at its drawn value, read from a
-table of the cell at the link's nearest node.  These tests pin c and m to
-references built here from the geometry, `channel_model` and
-`within_tier_reference`, check that the
-bounds and the Monte Carlo read one bracket table, that every analytic-mode
-trial's plain score lies in its bracket, that the means agree with the plain
-scores of `plain_scoring` on a seed pair of each cell's own, and that the
-controls cut the stderr: against plain scoring, against the control on the
-lower end of the bracket (`plain_scoring.lower_control_chunk`) and against
-the bracket midpoint alone (`plain_scoring.midpoint_control_chunk`).
+link's c is the chosen tier's centre h_i(r) plus phi_i(r; U), U the law of
+the least q of the tier's helpers at its drawn value, both read from a table
+of the cell at the link's nearest node, phi linearly in U between knots.
+These tests pin c and m to references built here from the geometry,
+`channel_model` and `within_tier_reference`, check that the bounds and the
+Monte Carlo read one bracket table, that every analytic-mode trial's plain
+score lies in its bracket, that the means agree with the plain scores of
+`plain_scoring` on a seed pair of each cell's own, and that the controls cut
+the stderr: against plain scoring, against the control on the lower end of
+the bracket (`plain_scoring.lower_control_chunk`), against the bracket
+midpoint alone (`plain_scoring.midpoint_control_chunk`) and against the
+proposed scheme's former within-tier term, the secant model's projection
+beta (U - 1/2) on U.
 """
 
 import math
@@ -41,7 +43,7 @@ from coopmac.stochastic_geometry import (
     void_probability,
 )
 from plain_scoring import cell_seeds, lower_control_chunk, midpoint_control_chunk, plain_estimate
-from within_tier_reference import nearest_node, region_means, uniform
+from within_tier_reference import nearest_node, region_means, term, uniform
 
 PARAMS = ChannelParams()
 # tier t's worst helper position, both hops at the outer edges of its hop
@@ -136,16 +138,16 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     none = np.setdiff1d(np.arange(n), has)
     if scheme == "proposed":
-        # c is the chosen tier's centre h plus beta (U - 1/2), h and beta read at the link's nearest
-        # node of the cell's table and U recomputed from the helpers' least q; m is the choice law's
-        # mixture of the centres
+        # c is the chosen tier's centre h plus phi(U), h read at the link's nearest node of the cell's
+        # table, phi linearly in U between the knots of that node's row and U recomputed from the helpers'
+        # least q; m is the choice law's mixture of the centres
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         node = nearest_node(table, r)
         h = table.h[:, node]
-        beta = table.beta[tier - 1, node[has]]
-        np.testing.assert_allclose(c[has] - h[tier - 1, has], beta * (uniform(r[has], tier, q, density, k) - 0.5),
+        np.testing.assert_allclose(c[has] - h[tier - 1, has],
+                                   term(table, tier, node[has], uniform(r[has], tier, q, density, k)),
                                    rtol=0, atol=1e-12)
-        assert np.all(beta <= 0)
+        assert np.all(np.diff(table.phi[tier - 1, node[has]], axis=1) <= 0)
         empty = tier_void_law(tier_areas(r), r, density, k)
         want_m = empty[-1] * direct + ((empty[:-1] - empty[1:])[:len(h)] * h).sum(axis=0)
     else:
@@ -241,8 +243,9 @@ def test_proposed_means_agree_with_plain_scoring(mode, regime, density, k):
 
 
 # the least variance cut of the proposed control against the midpoint oracle at 0.005 nodes/m^2, analytic
-# mode: below the cuts measured over eight seeds of 5000 trials (2.3-2.9x for C, D2 and the class mix,
-# 6.7-7.8x for D1)
+# mode: below the cuts the within-tier term beta (U - 1/2) measured over eight seeds of 5000 trials
+# (2.3-2.9x for C, D2 and the class mix, 6.7-7.8x for D1); phi, the whole secant model, measures 5.6-6.2x
+# (C), 21.7-29.0x (D1), 7.3-7.9x (D2) and 16.8-19.8x (the class mix)
 _PROPOSED_FLOOR = {"C": 2.3, "D1": 6.7, "D2": 2.3, "all": 2.3}
 
 
@@ -252,6 +255,19 @@ def test_control_cuts_the_proposed_stderr_of_the_midpoint(regime):
     config = ExperimentConfig(densities=(0.005,), scheme="proposed", regime=regime, trials=20_000, base_seed=64)
     est, mid = estimate_throughput(config)[0], plain_estimate(config, midpoint_control_chunk)[0]
     assert mid.stderr >= math.sqrt(_PROPOSED_FLOOR[regime]) * est.stderr, (est.stderr, mid.stderr)
+
+
+# the proposed stderr of the cells below (0.005 nodes/m^2, PPP, analytic, 20,000 trials, seed 65) with the
+# within-tier term beta (U - 1/2), the linear-in-U projection of the secant model that phi holds whole
+_LINEAR_TERM_STDERR = {"C": 0.00028445546705601547, "D1": 0.0002480622277480357, "D2": 0.00023314285991718733}
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2"])
+def test_secant_model_cuts_the_proposed_stderr_of_its_linear_term(regime):
+    # the same seed draws the same trials as it did under the linear term; only the within-tier term differs
+    config = ExperimentConfig(densities=(0.005,), scheme="proposed", regime=regime, trials=20_000, base_seed=65)
+    est = estimate_throughput(config)[0]
+    assert est.stderr <= 0.75 * _LINEAR_TERM_STDERR[regime], (est.stderr, _LINEAR_TERM_STDERR[regime])
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])

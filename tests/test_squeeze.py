@@ -12,8 +12,8 @@ placement.  The upper end is G's maximum only while log Ps is concave in
 the hop length; under a loose link budget that fails it, every link with a
 helper is placed.  The conventional control's c is the chosen region's
 centre h, plus b (q - Qbar) + g (y^2 - Ybar^2) where its helper was placed;
-the proposed one's is the chosen tier's centre h, plus beta (U - 1/2) where
-its helpers were placed (`within_tier_reference`).
+the proposed one's is the chosen tier's centre h, plus phi(U) where its
+helpers were placed (`within_tier_reference`).
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from coopmac import monte_carlo as mc
 from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from coopmac.stochastic_geometry import BAND_55, REGIMES, TIER_RATES
-from within_tier_reference import nearest_node, region_means, uniform
+from within_tier_reference import nearest_node, region_means, term, uniform
 
 PARAMS = ChannelParams()
 # a loose link budget, under which log Ps is not concave and a helper can beat the best position
@@ -113,7 +113,7 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     mc._edge_term(want, link, columns, table)
     assert t[elig[has]].tobytes() == want[elig[has]].tobytes()
     # c is the chosen tier's centre h at the link's nearest node of the table; a proposed link whose helpers
-    # were placed adds beta (U - 1/2), U the law of their least d_SH^2 + d_HD^2 at its value, and a
+    # were placed adds phi(U), U the law of their least d_SH^2 + d_HD^2 at its value, and a
     # conventional one b (q - Qbar) + g (y^2 - Ybar^2), its one helper's q and y^2 against the region's means
     settled = np.setdiff1d(np.arange(has.size), placed)
     node = nearest_node(table, r[has])
@@ -122,7 +122,7 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     at = tier[placed] - 1, node[placed]
     if scheme == "proposed":
         u = uniform(r[has[placed]], tier[placed], seen["q"], density, k)
-        np.testing.assert_allclose(moved[placed], table.beta[at] * (u - 0.5), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(moved[placed], term(table, tier[placed], node[placed], u), rtol=0, atol=1e-12)
     else:
         mean_q, mean_y2 = region_means(r[has[placed]], tier[placed])
         np.testing.assert_allclose(moved[placed], table.slope_q[at] * (seen["q"] - mean_q)

@@ -1,14 +1,16 @@
 """The proposed scheme's within-tier control: the area kernel, the uniform U and the table of centres and slopes.
 
-A link that chose tier i scores with the control c = h_i(r) + beta_i(r) (U - 1/2),
+A link that chose tier i scores with the control c = h_i(r) + phi_i(r; U),
+phi_i = b_i (Q_i(U) - mean) the secant model at the quantile Q_i of q_min,
 where U = F(q_min) is the law of the least d_SH^2 + d_HD^2 of the tier's
 helpers at its drawn value.  F needs B_i(s; r), the area of the tier's region
 within t = sqrt((s - r^2 / 2) / 2) of the S-D midpoint
 (`stochastic_geometry.tier_area_within`).  These tests check B against an
 oracle written from the geometry alone (`moment_oracle.region_area_within`)
 and for its shape, U for its uniformity given (r, tier) and against its
-closed form (`within_tier_reference.uniform`), the table's h and beta against
-quadrature by `scipy.integrate.quad`, and all of it next to the 96.4 m
+closed form (`within_tier_reference.uniform`), the table's h and phi's slope
+on U against quadrature by `scipy.integrate.quad`, phi's mean, sign and
+quantiles against bisection of F, and all of it next to the 96.4 m
 tangency where tier 1 empties.
 """
 
@@ -24,7 +26,7 @@ from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, tier_bracket, tier_q_bracket
 from coopmac.stochastic_geometry import REGIMES, cumulative_areas, tier_area_within, tier_areas
 from moment_oracle import region_area_within
-from within_tier_reference import node_lengths, uniform
+from within_tier_reference import KNOTS, node_lengths, q_range, quantile, slope_on_u, uniform
 
 PARAMS = ChannelParams()
 TANGENCY = 96.4
@@ -103,15 +105,17 @@ def test_control_is_finite_next_to_the_tangency(density, k):
             _, q, _ = mc._best_g(np.random.default_rng(tier), links, choice, k, PARAMS)
             u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
             assert np.all(np.isfinite(u) & (u >= 0) & (u <= 1)), (r, tier)
-    # and beta finite and <= 0 at every node there, and 0 for tier 1 at the tangency itself
+    # and phi finite and non-increasing in U at every node there, with a slope on U below 0, and 0 for tier 1
+    # at the tangency itself
     for regime in ("D1", "D2", "all"):
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-        assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.beta)) and np.all(table.beta <= 0)
+        assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.phi))
+        assert np.all(np.diff(table.phi, axis=2) <= 0)
         near = np.abs(node_lengths(table) - TANGENCY) <= 0.12
         assert near.any()
         at = np.flatnonzero(node_lengths(table) == TANGENCY)
-        assert at.size and np.all(table.beta[0, at] == 0.0)
-        assert np.all(table.beta[1:, near] < 0.0)
+        assert at.size and np.all(table.phi[0, at] == 0.0)
+        assert np.all(slope_on_u(table.phi[1:, near]) < 0.0)
 
 
 def _survival(r, tier, s, density, k):
@@ -120,26 +124,58 @@ def _survival(r, tier, s, density, k):
     return 1.0 - uniform(links, np.full(s.size, tier), s, density, k)
 
 
+def _secant(r, tier):
+    """b: the secant of rate x G against q between the tier's worst and best positions at link length r."""
+    worst, best = tier_bracket("D", np.array([r]), PARAMS)
+    q_worst, q_best = tier_q_bracket(np.array([r]))
+    lo, hi = q_best[tier - 1, 0], q_worst[tier - 1]
+    return (best[tier - 1, 0] - worst[tier - 1]) / (lo - hi) if lo < hi else 0.0
+
+
 @pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.001, None), ("D2", 0.0005, 10)])
 def test_table_matches_quadrature(regime, density, k):
-    # h = rate G_best + b int S ds and beta = 6 b int S (1 - S) ds, by quad over s; the table
-    # integrates in t by the midpoint rule, whose error moves the variance cut and not the mean
+    # h = rate G_best + b int S ds by quad over s, and phi = b (Q(U) - E q_min) at the knots: Q from
+    # Q(0) = q_best on against a bisection of F's closed form, and E q_min = q_best + int S ds, the table's
+    # trapezoid mean of Q, by quad; the table integrates in t by the midpoint rule and takes Q between its
+    # points, whose errors move the variance cut and not the mean
     table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
     nodes = node_lengths(table)
     for j in (0, nodes.size // 2):
         r = nodes[j]
         worst, best = tier_bracket("D", np.array([r]), PARAMS)
-        q_worst, q_best = tier_q_bracket(np.array([r]))
         for tier in _tiers(r):
             if tier > table.h.shape[0]:
                 continue
-            lo, hi = q_best[tier - 1, 0], q_worst[tier - 1]
-            slope = (best[tier - 1, 0] - worst[tier - 1]) / (lo - hi) if lo < hi else 0.0
+            lo, hi = (x[0] for x in q_range(np.array([r]), np.array([tier])))
+            slope = _secant(r, tier)
             mean = quad(lambda s: _survival(r, tier, np.array([s]), density, k)[0], lo, hi, limit=200)[0]
-            spread = quad(lambda s: (lambda p: p * (1 - p))(_survival(r, tier, np.array([s]), density, k)[0]),
-                          lo, hi, limit=200)[0]
             assert table.h[tier - 1, j] == pytest.approx(best[tier - 1, 0] + slope * mean, abs=2e-4), (r, tier)
-            assert table.beta[tier - 1, j] == pytest.approx(6 * slope * spread, rel=2e-3, abs=1e-6), (r, tier)
+            phi = table.phi[tier - 1, j]
+            q = lo + (phi - phi[0]) / slope
+            np.testing.assert_allclose(q, [quantile(r, tier, u, density, k) for u in KNOTS], rtol=2e-3)
+            assert q[0] - phi[0] / slope == pytest.approx(lo + mean, rel=2e-3), (r, tier)
+
+
+@pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
+@pytest.mark.parametrize("density,k", [(0.005, None), (0.0005, 10)])
+def test_phi_has_mean_0_and_falls_in_u(regime, density, k):
+    # U is Uniform(0, 1) given r and the tier, and phi is linear in U between the knots, so each row's mean is
+    # its trapezoid sum, 0 up to rounding; Q rises with U and b <= 0, so phi falls
+    table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
+    phi = table.phi
+    assert phi.shape == (*table.h.shape, KNOTS.size) and not phi.flags.writeable
+    mean = (0.5 * (phi[..., 1:] + phi[..., :-1]) * np.diff(KNOTS)).sum(axis=-1)
+    assert np.all(np.abs(mean) <= 1e-12 * np.abs(phi).max(axis=-1))
+    assert np.all(np.diff(phi, axis=-1) <= 0)
+    # 0 where the tier has no area (tier 1 from 96.4 m on, tiers 4 and 5 of class C) or b = 0 (tier 1 at
+    # 96.4 m, where its best and worst positions meet); a tier with an area and b < 0 falls
+    nodes = node_lengths(table)
+    areas = tier_areas(nodes)[:phi.shape[0]]
+    b = np.array([[_secant(r, tier) for r in nodes] for tier in range(1, phi.shape[0] + 1)])
+    flat = (areas == 0.0) | (b == 0.0)
+    assert flat.any() == (regime != "C")
+    assert np.all(phi[flat] == 0.0)
+    assert np.all(phi[~flat][:, 0] > phi[~flat][:, -1])
 
 
 @pytest.mark.parametrize("k", [None, 3, 10])

@@ -1,28 +1,35 @@
 """Both schemes' within-tier controls, recomputed from their closed forms: test references.
 
 A proposed link that chose tier i with helpers has the control
-c = h_i(r) + beta_i(r) (U - 1/2), where h and beta are read from a table at
-the link's nearest node and U = F(q_min) is the law of the least
-d_SH^2 + d_HD^2 of the tier's helpers at its drawn value.  `nearest_node`
-finds the node from the table's grid alone (`node_lengths`), and `uniform`
-writes F in its plain exponential and power forms, with the tier's load
-taken from the tier areas and the conditioning, not from the chunk's tier
-choice.  Only the area of the region within reach of the S-D midpoint comes
-from the package (`stochastic_geometry.tier_area_within`), which
-`tests/moment_oracle.py` checks.  A conventional link whose helper was
-placed adds b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about
-the exact means of `region_means`, written here from the region moments of
+c = h_i(r) + phi_i(r; U), where h is read from a table at the link's nearest
+node, phi from the same node's row of values at the knots
+u_j = 1 - (1 - j / 32)^2 (`KNOTS`), linearly in U between them (`term`), and
+U = F(q_min) is the law of the least d_SH^2 + d_HD^2 of the tier's helpers
+at its drawn value.  phi is b (Q(U) - mean), Q the inverse of F, whose slope
+on U (`slope_on_u`) is the former term's beta.  `nearest_node` finds the
+node from the table's grid alone (`node_lengths`), and `uniform` writes F in
+its plain exponential and power forms, with the tier's load taken from the
+tier areas and the conditioning, not from the chunk's tier choice;
+`quantile` inverts it by bisection.  Only the area of the region within
+reach of the S-D midpoint comes from the package
+(`stochastic_geometry.tier_area_within`), which `tests/moment_oracle.py`
+checks.  A conventional link whose helper was placed adds
+b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about the exact
+means of `region_means`, written here from the region moments of
 `stochastic_geometry.tier_areas`, which `tests/moment_oracle.py` checks too.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas
 
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
+# the knots in U of the proposed control's table
+KNOTS = 1.0 - (1.0 - np.arange(33) / 32) ** 2
 
 
 def node_lengths(table):
@@ -32,20 +39,25 @@ def node_lengths(table):
                            for start, scale, first, stop in zip(table.start, table.scale, bounds[:-1], bounds[1:])])
 
 
+def q_range(r, tier):
+    """(q_best, q_worst): the least and largest d_SH^2 + d_HD^2 over the regions `tier` of links of lengths r, by hand."""
+    half = r * r / 2
+    best = np.choose(tier - 1, [half, 48.2 ** 2 + (r - 48.2) ** 2, np.where(r <= 96.4, 2 * 48.2 ** 2, half),
+                                67.1 ** 2 + (r - 67.1) ** 2, np.full(r.shape, 48.2 ** 2 + 67.1 ** 2)])
+    return best, np.array([a * a + b * b for a, b in _WORST_HOPS])[tier - 1]
+
+
 def region_means(r, tier):
     """(Qbar, Ybar^2) of links of lengths r over their regions `tier`: the means of d_SH^2 + d_HD^2 and of y^2.
 
     Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S from the regions' area S
     and moments J and I about the S-D midpoint and line, clipped into the
-    region's range of q, [q_best, q_worst] written out by hand, and into
+    region's range of q, [q_best, q_worst] (`q_range`), and into
     [0, (Qbar - r^2 / 2) / 2].
     """
     areas, j, i = (x[tier - 1, np.arange(r.size)] for x in tier_areas(r, moments=True))
     half = r * r / 2
-    best = np.choose(tier - 1, [half, 48.2 ** 2 + (r - 48.2) ** 2, np.where(r <= 96.4, 2 * 48.2 ** 2, half),
-                                67.1 ** 2 + (r - 67.1) ** 2, np.full(r.shape, 48.2 ** 2 + 67.1 ** 2)])
-    worst = np.array([a * a + b * b for a, b in _WORST_HOPS])[tier - 1]
-    mean_q = np.clip(2 * j / areas + half, best, worst)
+    mean_q = np.clip(2 * j / areas + half, *q_range(r, tier))
     return mean_q, np.clip(i / areas, 0.0, (mean_q - half) / 2)
 
 
@@ -82,3 +94,30 @@ def uniform(r, tier, q, density, k):
     inner = cumulative_areas(areas)[tier - 1, links] - area
     p = area / (np.pi * r * r - inner)
     return (1 - (1 - p * f) ** (k - 1)) / (1 - (1 - p) ** (k - 1))
+
+
+def quantile(r, tier, u, density, k):
+    """Q(u): the least s in [q_best, q_worst] with F(s) = u (`uniform`) for one link length r and tier, by bisection."""
+    lo, hi = (float(x[0]) for x in q_range(np.array([r]), np.array([tier])))
+    if u <= 0.0 or u >= 1.0:
+        return lo if u <= 0.0 else hi
+    law = lambda s: uniform(np.array([r]), np.array([tier]), np.array([s]), density, k)[0] - u  # noqa: E731
+    return brentq(law, lo, hi, xtol=1e-9, rtol=1e-14)
+
+
+def term(table, tier, node, u):
+    """phi at U = u of each link's (tier, node) row of a proposed control table, linear in U between the `KNOTS`."""
+    return np.array([np.interp(x, KNOTS, table.phi[t - 1, j]) for t, j, x in zip(tier, node, u)])
+
+
+def slope_on_u(phi):
+    """12 integral phi(U) (U - 1/2) dU of rows of values at the `KNOTS`, linear between them: the slope of phi on U.
+
+    Simpson's rule on each interval is exact for the product of two linear
+    functions.
+    """
+    lo, hi = KNOTS[:-1], KNOTS[1:]
+    mid = 0.5 * (lo + hi)
+    left, right = phi[..., :-1], phi[..., 1:]
+    g = left * (lo - 0.5) + 4 * (0.5 * (left + right)) * (mid - 0.5) + right * (hi - 0.5)
+    return 12 * (g * (hi - lo) / 6).sum(axis=-1)
