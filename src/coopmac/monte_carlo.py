@@ -121,30 +121,33 @@ Binomial given >= 1, which gives the distribution function F of q_min in
 closed form (`within_tier`; the void probabilities of Haenggi, Stochastic
 Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min), computed per
 link with no table, is exactly Uniform(0, 1) given r and the tier.  A
-proposed link's c is h_i(r) + beta_i(r) (U - 1/2), the term only where its
-helpers were placed (`_uniform_control`); the squeeze's choice depends on v
-and the tier, not on where the helpers lie, so the term has mean 0 in
-sampled mode too.  h and beta come from a model of rate x max G linear in
-q_min through the bracket's ends: its mean, rate G_best + b integral S ds
-with S = 1 - F and b the secant of rate x G against q between them, and
-its regression slope on U, 12 b Cov(q_min, U)
-(`within_tier.control_table`).  They depend on r, the tier and the cell
-alone, are tabulated once per cell and read at each link's nearest node,
-and keep the mean exact whatever their accuracy.  Analytic mode reads no
-bracket per link for this scheme either: the table holds what the centre
-needs.  In regime `all` the mean score also steps where the link class
+proposed link's c is h_i(r) + phi_i(r; U), the term only where its helpers
+were placed (`_uniform_control`); the squeeze's choice depends on v and the
+tier, not on where the helpers lie, so the term has mean 0 in sampled mode
+too.  h and phi come from a model of rate x max G linear in q_min through
+the bracket's ends, with b the secant of rate x G against q between them:
+its mean, rate G_best + b integral S ds with S = 1 - F, and its deviation
+from that mean, b (Q(U) - mean of Q), Q the inverse of F, so that
+Q(U) = q_min (`within_tier.control_table`).  They depend on r, the tier and
+the cell alone, are tabulated once per cell, h at each node and phi at 33
+knots in U per node, and read at each link's nearest node, phi linearly in
+U between its knots (`within_tier.control_term`); each row of phi has
+trapezoid mean 0 over the knots, so the mean stays exact whatever the
+table's accuracy.  Analytic mode reads no bracket per link for this scheme
+either: the table holds what the centre needs.  In regime `all` the mean score also steps where the link class
 changes, and the stratum of u that holds a class edge carries the step as
 variance, so both schemes take a term of mean 0 off that stratum's trials
 (`_edge_term`), its step from the scheme's table.
 
 c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
 draw nothing, so sampled mode keeps its Bernoulli draw.  At a density of
-0.005 in analytic mode, the proposed scheme's variance is 2.7-3.2x below
-that of the bracket midpoint for C and D2, 6.8-8.1x for D1 and 7-10x for
-the class mix, and the conventional scheme's stderr is 12x (C), 16x (D1),
-28x (D2) and 15x (the class mix) below it.  Sampled mode, whose variance is
-its Bernoulli draw above the sure share, gains far less: 1.24-1.32x in
-variance for the proposed scheme at 0.001 nodes/m^2.  A score need not lie
+0.005 in analytic mode, the proposed scheme's variance is 5.6-6.2x below
+that of the bracket midpoint for C, 7.3-7.9x for D2, 22-29x for D1 and
+17-20x for the class mix, and the conventional scheme's stderr is 12x (C),
+16x (D1), 28x (D2) and 15x (the class mix) below it.  Sampled mode, whose
+variance is its Bernoulli draw above the sure share, gains far less: for the
+proposed scheme at 0.001 nodes/m^2, 1.24-1.32x in variance from the part of
+phi linear in U and 1.01-1.05x more from the rest.  A score need not lie
 near m(r): only its mean given r is m(r)'s.  A direct link scores m(r)
 itself.
 
@@ -282,8 +285,9 @@ class SimEstimate:
     b(r) (q - Qbar) + g(r) (y^2 - Ybar^2), in its helper's
     d_SH^2 + d_HD^2 = q and squared distance y^2 from the S-D line about the
     region's exact means; for the proposed scheme it is the chosen tier's
-    centre h(r) plus, where its helpers were placed, beta(r) (U - 1/2), U
-    the exact law of their least q at its value; in regime `all` the trials
+    centre h(r) plus, where its helpers were placed, phi(r; U), the secant
+    model b(r) (Q(U) - mean) at the quantile Q of their least q, U the exact
+    law of that least q at its value; in regime `all` the trials
     of a stratum that holds a class edge also carry the edge's term of mean
     0.  Each has the plain score's mean, and each is a function of its own
     trial and its stratum, so the stratified stderr holds as it stands.  The
@@ -816,13 +820,15 @@ def _edge_term(t, r, columns, table):
 
 
 def _uniform_control(table, r, choice, q, k, which):
-    """(centre, term) of the proposed scheme's control: each tier's h at every link, and beta (U - 1/2) at the links choice.has[which].
+    """(centre, term) of the proposed scheme's control: each tier's h at every link, and phi(U) at the links choice.has[which].
 
-    h and beta are read at each link's nearest node of the table.  The
-    links choice.has[which] are those whose helpers were placed, with
+    h and phi's row of knots are read at each link's nearest node of the
+    table, and phi between the knots at U (`within_tier.control_term`).
+    The links choice.has[which] are those whose helpers were placed, with
     least d_SH^2 + d_HD^2 q (`within_tier.least_q_uniform`); U is
-    Uniform(0, 1) given r and the tier, and which links are placed does not
-    depend on where the helpers lie, so the term has mean 0.
+    Uniform(0, 1) given r and the tier, each row of phi has mean 0 over it,
+    and which links are placed does not depend on where the helpers lie,
+    so the term has mean 0.
     """
     from .within_tier import control_term, least_q_uniform, table_nodes
     j = table_nodes(table, r)

@@ -11,11 +11,14 @@ the region within sqrt((s - r^2 / 2) / 2) of the S-D midpoint
 or Binomial given at least one (the void probabilities of Haenggi,
 Stochastic Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min) at
 the drawn value (`least_q_uniform`) is exactly Uniform(0, 1) given r and
-the tier, so the Monte Carlo's control c = h_i(r) + beta_i(r) (U - 1/2) has
-the mean h_i(r) for any h and beta fixed by r, the tier and the cell
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1).
-`control_table` tabulates h and beta once per cell; `monte_carlo` reads
-them at each link's nearest node (`table_nodes`) and applies the control.
+the tier, so the Monte Carlo's control c = h_i(r) + phi_i(r; U) has the mean
+h_i(r) for any h fixed by r, the tier and the cell and any phi of mean 0
+over U (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
+4.1).  phi_i = b_i (Q_i(U) - mean) is a model of rate x max G linear in
+q_min, at q_min = Q_i(U), Q_i the inverse of F.  `control_table` tabulates
+h and phi once per cell, phi at knots in U; `monte_carlo` reads them at
+each link's nearest node (`table_nodes`), phi between its knots at the
+link's U (`control_term`), and applies the control.
 
 A conventional link has one helper, uniform in the region it chose, and
 its control is c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r))
@@ -151,11 +154,11 @@ def control_table(lo, hi, density, k, params):
     inverse of F.  The integral runs over t = |H - M| in
     s = 2 t^2 + r^2 / 2 by the midpoint rule at _TABLE_POINTS midpoints,
     whose (F, s) pairs, with the ends (0, q_best) and (1, q_worst), give
-    Q_i by linear interpolation in F at the knots u_j = 1 - (1 - j / 32)^2,
-    j = 0..32, dense near U = 1, where Q_i climbs to q_worst.  phi_i is
-    read between the knots linearly in U (`control_term`), and each row has
-    its trapezoid mean over the knots subtracted, so that it integrates to
-    0 over U exactly, as U is Uniform(0, 1) given r and the tier.  h and phi
+    Q_i at the knots u_j = 1 - (1 - j / 32)^2, j = 0..32, dense near U = 1,
+    where Q_i climbs to q_worst (`_quantiles`).  phi_i is read between the
+    knots linearly in U (`control_term`), and each row has its trapezoid
+    mean over the knots subtracted, so that it integrates to 0 over U
+    exactly, as U is Uniform(0, 1) given r and the tier.  h and phi
     depend on r, the tier and the cell alone (its band lo..hi, density, k
     and params), so c keeps its exact mean whatever their accuracy; their
     accuracy sets only the variance cut.  A tier with no area there gets
@@ -222,9 +225,9 @@ def _quantiles(law, s, first, last):
     j = np.minimum(below - 1, size - 2)
     x0, x1, s0, s1 = (np.take_along_axis(z, j + i, axis=1) for z in (x, s) for i in (0, 1))
     x1 -= x0
+    # x0 <= j < x1 but at the last knot, where x0 = x1 = _KNOTS leaves j - x0 = 0 in place
     w = np.subtract(np.arange(_KNOTS + 1), x0, out=x0)
     np.divide(w, x1, out=w, where=x1 > 0.0)
-    np.copyto(w, 0.0, where=x1 <= 0.0)
     # Q - Q(0) at the knots, then less its trapezoid mean
     s1 -= s0
     s1 *= w
@@ -237,11 +240,10 @@ def _quantiles(law, s, first, last):
 def control_term(table, flat, u):
     """phi at each link's U = u, from the knots of the (tier, node) row at `flat` of `table.phi`, linearly in U.
 
-    The knot below u is j = floor(_KNOTS (1 - sqrt(1 - u))), at most
-    _KNOTS - 1, and with x = _KNOTS (1 - sqrt(1 - u)), f = x - j and
-    a = _KNOTS - j the weight of the knot above is
-    (u - u_j) / (u_(j+1) - u_j) = f (2 a - f) / (2 a - 1).  u is
-    overwritten.
+    With x = _KNOTS (1 - sqrt(1 - u)), the knot below u is j = floor(x),
+    at most _KNOTS - 1, and with f = x - j and a = _KNOTS - j the weight of
+    the knot above is (u - u_j) / (u_(j+1) - u_j) = f (2 a - f) / (2 a - 1).
+    u is overwritten.
     """
     x = np.subtract(1.0, u, out=u)
     np.sqrt(x, out=x)
@@ -249,10 +251,10 @@ def control_term(table, flat, u):
     x += _KNOTS
     j = np.minimum(x.astype(np.intp), _KNOTS - 1)
     x -= j
-    a = 2 * (_KNOTS - j)
-    w = a - x
+    twice_a = 2 * (_KNOTS - j)
+    w = twice_a - x
     w *= x
-    w /= a - 1
+    w /= twice_a - 1
     flat = flat * (_KNOTS + 1)
     flat += j
     lo = table.phi.take(flat)
