@@ -268,16 +268,8 @@ def _lens(r1, r2, d, moment=False):
         j += np.multiply(area, 0.25 * d2, out=a2)
     tri = -d + r1
     tri += r2
-    # both segments are thin where the circles are this close to external tangency, which only a lens whose
-    # r1 + r2 comes within _THIN min(r1, r2) of the call's largest d can be (below 100 m, tier 1's): the test
-    # runs on those rows of radii alone, chosen with a margin for rounding, and gives flat indices of tri
-    small = np.minimum(r1, r2)
-    width = tri.size // small.size
-    far = d.max(initial=0.0)
-    near = np.flatnonzero(r1 + r2 - 2.0 * _THIN * small < far)
-    if near.size:
-        rows, limit = tri.reshape(small.size, width), np.ravel(_THIN * small)
-        near = np.concatenate([i * width + np.flatnonzero(rows[i] < limit[i]) for i in near])
+    # both segments are thin where the circles are this close to external tangency
+    thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
     side = d + r1
     tri *= side - r2
     side += r2
@@ -294,14 +286,12 @@ def _lens(r1, r2, d, moment=False):
     np.copyto(area, 0.0, where=outside)
     np.copyto(area, np.pi * np.minimum(r1, r2) ** 2, where=inside)
     # apart or tangent circles, below the threshold too, have no lens: dropped from the few below it
-    thin = near[~np.take(outside, near)]
+    thin = thin[~outside.ravel()[thin]]
     if thin.size:
-        # the radii are scalars or (rows, 1) columns, and d runs along each row
-        row, col = np.divmod(thin, width)
-        ra, rb = (np.ravel(np.broadcast_to(x, small.shape))[row] for x in (r1, r2))
-        sep = np.ravel(d)[col]
-        thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, np.take(tri, thin) / sep, moment)
-        np.put(area, thin, thin_area)
+        at = np.unravel_index(thin, area.shape)
+        ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
+        thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, kite / sep, moment)
+        area[at] = thin_area
     if not moment:
         return area
     # 0 from d = r1 + r2 on, where the arcs and the kite are; not floored, as near tangency `_thin_lens`
@@ -314,13 +304,13 @@ def _lens(r1, r2, d, moment=False):
     part -= 0.375 * (sq1 + sq2)
     part *= tri
     axis += part
-    if far * far == np.inf:
-        # apart circles: 0, as the area is, where d^2 overflows and their terms are 0 x inf
+    if d2.max(initial=0.0) == np.inf:
+        # apart circles where d^2 overflows, whose terms are 0 x inf: 0, as their area is
         np.copyto(j, 0.0, where=outside)
         np.copyto(axis, 0.0, where=outside)
     if thin.size:
-        np.put(j, thin, thin_j)
-        np.put(axis, thin, thin_axis)
+        j[at] = thin_j
+        axis[at] = thin_axis
     if np.any(inside):
         # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2, and half of it about a diameter
         r_in = np.minimum(r1, r2)
