@@ -1,4 +1,4 @@
-"""The proposed scheme's within-tier control: the area kernel, the uniform U and the table of centres and slopes.
+"""The proposed scheme's within-tier control: the area kernel, the uniform U and the table of centres and terms.
 
 A link that chose tier i scores with the control c = h_i(r) + phi_i(r; U),
 phi_i = b_i (Q_i(U) - mean) the secant model at the quantile Q_i of q_min,
@@ -8,10 +8,10 @@ within t = sqrt((s - r^2 / 2) / 2) of the S-D midpoint
 (`stochastic_geometry.tier_area_within`).  These tests check B against an
 oracle written from the geometry alone (`moment_oracle.region_area_within`)
 and for its shape, U for its uniformity given (r, tier) and against its
-closed form (`within_tier_reference.uniform`), the table's h and phi's slope
-on U against quadrature by `scipy.integrate.quad`, phi's mean, sign and
-quantiles against bisection of F, and all of it next to the 96.4 m
-tangency where tier 1 empties.
+closed form (`within_tier_reference.uniform`), the table's h and phi's mean
+of Q against quadrature by `scipy.integrate.quad` and its Q against a
+bisection of F, phi's mean over U and its sign, and all of it next to the
+96.4 m tangency where tier 1 empties.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, tier_bracket, tier_q_bracket
 from coopmac.stochastic_geometry import REGIMES, cumulative_areas, tier_area_within, tier_areas
 from moment_oracle import region_area_within
-from within_tier_reference import KNOTS, node_lengths, q_range, quantile, slope_on_u, uniform
+from within_tier_reference import KNOTS, node_lengths, q_range, quantile, uniform
 
 PARAMS = ChannelParams()
 TANGENCY = 96.4
@@ -105,8 +105,8 @@ def test_control_is_finite_next_to_the_tangency(density, k):
             _, q, _ = mc._best_g(np.random.default_rng(tier), links, choice, k, PARAMS)
             u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
             assert np.all(np.isfinite(u) & (u >= 0) & (u <= 1)), (r, tier)
-    # and phi finite and non-increasing in U at every node there, with a slope on U below 0, and 0 for tier 1
-    # at the tangency itself
+    # and phi finite and non-increasing in U at every node there, falling for tiers 2-5, and 0 for tier 1 at
+    # the tangency itself
     for regime in ("D1", "D2", "all"):
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.phi))
@@ -115,7 +115,7 @@ def test_control_is_finite_next_to_the_tangency(density, k):
         assert near.any()
         at = np.flatnonzero(node_lengths(table) == TANGENCY)
         assert at.size and np.all(table.phi[0, at] == 0.0)
-        assert np.all(slope_on_u(table.phi[1:, near]) < 0.0)
+        assert np.all(table.phi[1:, near, 0] > table.phi[1:, near, -1])
 
 
 def _survival(r, tier, s, density, k):

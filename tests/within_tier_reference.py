@@ -5,13 +5,12 @@ c = h_i(r) + phi_i(r; U), where h is read from a table at the link's nearest
 node, phi from the same node's row of values at the knots
 u_j = 1 - (1 - j / 32)^2 (`KNOTS`), linearly in U between them (`term`), and
 U = F(q_min) is the law of the least d_SH^2 + d_HD^2 of the tier's helpers
-at its drawn value.  phi is b (Q(U) - mean), Q the inverse of F, whose slope
-on U (`slope_on_u`) is the former term's beta.  `nearest_node` finds the
-node from the table's grid alone (`node_lengths`), and `uniform` writes F in
-its plain exponential and power forms, with the tier's load taken from the
-tier areas and the conditioning, not from the chunk's tier choice;
-`quantile` inverts it by bisection.  Only the area of the region within
-reach of the S-D midpoint comes from the package
+at its drawn value.  phi is b (Q(U) - mean), Q the inverse of F.
+`nearest_node` finds the node from the table's grid alone (`node_lengths`),
+and `uniform` writes F in its plain exponential and power forms, with the
+tier's load taken from the tier areas and the conditioning, not from the
+chunk's tier choice; `quantile` inverts it by bisection.  Only the area of
+the region within reach of the S-D midpoint comes from the package
 (`stochastic_geometry.tier_area_within`), which `tests/moment_oracle.py`
 checks.  A conventional link whose helper was placed adds
 b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about the exact
@@ -109,15 +108,3 @@ def term(table, tier, node, u):
     """phi at U = u of each link's (tier, node) row of a proposed control table, linear in U between the `KNOTS`."""
     return np.array([np.interp(x, KNOTS, table.phi[t - 1, j]) for t, j, x in zip(tier, node, u)])
 
-
-def slope_on_u(phi):
-    """12 integral phi(U) (U - 1/2) dU of rows of values at the `KNOTS`, linear between them: the slope of phi on U.
-
-    Simpson's rule on each interval is exact for the product of two linear
-    functions.
-    """
-    lo, hi = KNOTS[:-1], KNOTS[1:]
-    mid = 0.5 * (lo + hi)
-    left, right = phi[..., :-1], phi[..., 1:]
-    g = left * (lo - 0.5) + 4 * (0.5 * (left + right)) * (mid - 0.5) + right * (hi - 0.5)
-    return 12 * (g * (hi - lo) / 6).sum(axis=-1)
