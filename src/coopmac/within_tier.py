@@ -222,10 +222,10 @@ def _quantiles(law, s, first, last):
     cell = np.ceil(x).astype(np.intp)
     cell += (_KNOTS + 1) * np.arange(n)[:, None]
     below = np.bincount(cell.ravel(), minlength=n * (_KNOTS + 1)).reshape(n, _KNOTS + 1).cumsum(axis=1)
-    j = np.minimum(below - 1, size - 2)
-    x0, x1, s0, s1 = (np.take_along_axis(z, j + i, axis=1) for z in (x, s) for i in (0, 1))
+    pair = np.minimum(below - 1, size - 2)
+    x0, x1, s0, s1 = (np.take_along_axis(z, pair + i, axis=1) for z in (x, s) for i in (0, 1))
     x1 -= x0
-    # x0 <= j < x1 but at the last knot, where x0 = x1 = _KNOTS leaves j - x0 = 0 in place
+    # x0 <= j < x1 at knot j, but at the last knot, where x0 = x1 = _KNOTS leaves j - x0 = 0 in place
     w = np.subtract(np.arange(_KNOTS + 1), x0, out=x0)
     np.divide(w, x1, out=w, where=x1 > 0.0)
     # Q - Q(0) at the knots, then less its trapezoid mean
