@@ -160,8 +160,17 @@ def parse_config(path=None, overrides=None, fixed=()) -> RunConfig:
     return cfg.validate()
 
 
+def _csv_field(key, value):
+    """A row's value as the CSV prints it: a float but the density to 4 decimals, and a stderr or band mass below
+    0.01, which 4 decimals would show with fewer than three digits or as 0, to three significant digits."""
+    if not isinstance(value, float) or key == "density":
+        return value
+    small = key in ("stderr", "band_mass") or key.endswith("_stderr")
+    return format(value, ".3g" if small and abs(value) < 0.01 else ".4f")
+
+
 def _emit(rows, cfg: RunConfig):
-    """Write rows (a non-empty list of dicts) as CSV (4-decimal Mbps) or JSON."""
+    """Write rows (a non-empty list of dicts) as CSV (`_csv_field`) or JSON."""
     meta = {"seed": cfg.seed, "config_hash": cfg.hash()}
     out_rows = [{**row, **meta} for row in rows]
     stream = sys.stdout if cfg.out in ("-", "") else open(cfg.out, "w", newline="", encoding="utf-8")
@@ -173,9 +182,7 @@ def _emit(rows, cfg: RunConfig):
             writer = csv.DictWriter(stream, fieldnames=list(out_rows[0].keys()), lineterminator="\n")
             writer.writeheader()
             for row in out_rows:
-                writer.writerow(
-                    {k: (format(v, ".4f") if isinstance(v, float) and k != "density" else v) for k, v in row.items()}
-                )
+                writer.writerow({k: _csv_field(k, v) for k, v in row.items()})
     finally:
         if stream is not sys.stdout:
             stream.close()

@@ -193,6 +193,8 @@ from .stochastic_geometry import (
     hop_angle,
     hop_band,
     nn_distance_band,
+    tier_arc_y2,
+    tier_area_within,
     tier_areas,
     tier_index,
     tier_void_law,
@@ -698,8 +700,8 @@ def _region_means(choice, r, which):
     return mean_q, i[which] / area
 
 
-def _best_g(rng, r, choice, k, params, which=None):
-    """(g, q, y2): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, for the links choice.has[which] (all of them by default).
+def _best_g(rng, r, choice, k, params, which=None, line=True):
+    """(g, q, y2): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, and y^2 of the helper with that q, for the links choice.has[which] (all of them by default).
 
     Draws each link's helper count (zero-truncated Poisson under the PPP,
     zero-truncated Binomial over the k-1 nearer nodes, one for the
@@ -708,9 +710,11 @@ def _best_g(rng, r, choice, k, params, which=None):
     and the few points of later rounds are folded in by link index, so the
     points need no sort by link.  The largest and least are exact, whatever
     the order of the rounds; for the conventional scheme, whose link has one
-    helper, they are that helper's G and q, and y2 is its squared distance
-    from the S-D line, d_SH^2 - x^2 with x = (d_SH^2 + r^2 - d_HD^2) / (2 r)
-    its position along it (None for the proposed scheme).
+    helper, they are that helper's G and q.  y2 is the least-q helper's
+    squared distance from the S-D line, d_SH^2 - x^2 with
+    x = (d_SH^2 + r^2 - d_HD^2) / (2 r) its position along it
+    (`_line_distance2`), for both schemes; without `line`, the proposed
+    scheme's is not sought and y2 is None.
     """
     pick = slice(None) if which is None else which
     tier, area = choice.tier[pick], choice.area[pick]
@@ -721,7 +725,7 @@ def _best_g(rng, r, choice, k, params, which=None):
     else:
         count = _zero_truncated_binomial(rng, k - 1, choice.load[pick])
     g_max, q_min = np.zeros(count.size), np.full(count.size, np.inf)
-    y2 = None if choice.load is not None else np.zeros(count.size)
+    y2 = np.zeros(count.size) if line or choice.load is None else None
     if not count.size:
         return g_max, q_min, y2
     link = r[choice.has[pick]]
@@ -734,16 +738,10 @@ def _best_g(rng, r, choice, k, params, which=None):
         # one helper a link: each round's points are its trials' own, in order
         tid = np.concatenate([part[0] for part in rounds])
         g_max[tid] = g
-        link = link[tid]
-        x = d_sh - d_hd
-        x /= link
-        x += link
-        x *= 0.5
-        x *= x
-        y2[tid] = np.subtract(d_sh, x, out=x)
+        y2[tid] = _line_distance2(d_sh, d_hd, link[tid])
         q_min[tid] = np.add(d_sh, d_hd, out=d_sh)
         return g_max, q_min, y2
-    q = np.add(d_sh, d_hd, out=d_sh)
+    q = d_sh + d_hd
     # the first round places most points and is reduced per trial; the few of later rounds are
     # folded in by trial index
     trials, start, first_points, _ = rounds[0]
@@ -754,7 +752,27 @@ def _best_g(rng, r, choice, k, params, which=None):
         tid = np.concatenate([np.repeat(t, np.diff(s, append=x.size)) for t, s, x, _ in rounds[1:]])
         np.maximum.at(g_max, tid, g[first:])
         np.minimum.at(q_min, tid, q[first:])
+    if y2 is None:
+        return g_max, q_min, y2
+    # the point whose q is its trial's least: in the first round, found against each segment's least and
+    # assigned to the segment that holds it, then in the later ones
+    least = np.flatnonzero(q[:first] == np.repeat(q_min[trials], np.diff(start, append=first)))
+    owner = trials[np.searchsorted(start, least, side="right") - 1]
+    if len(rounds) > 1:
+        later = np.flatnonzero(q[first:] == q_min[tid])
+        least, owner = np.concatenate((least, later + first)), np.concatenate((owner, tid[later]))
+    y2[owner] = _line_distance2(d_sh[least], d_hd[least], link[owner])
     return g_max, q_min, y2
+
+
+def _line_distance2(d_sh, d_hd, link):
+    """y^2 = d_SH^2 - x^2 of helpers at squared hop lengths d_sh and d_hd from links of lengths `link`, x = (d_SH^2 + r^2 - d_HD^2) / (2 r) their position along the S-D line."""
+    x = d_sh - d_hd
+    x /= link
+    x += link
+    x *= 0.5
+    x *= x
+    return np.subtract(d_sh, x, out=x)
 
 
 def _squeeze(x, upper):
@@ -819,25 +837,36 @@ def _edge_term(t, r, columns, table):
             t[rows] -= jump * ((r[rows] >= edge) - (first + span - x) / span)
 
 
-def _uniform_control(table, r, choice, q, k, which):
-    """(centre, term) of the proposed scheme's control: each tier's h at every link, and phi(U) at the links choice.has[which].
+def _uniform_control(table, r, choice, q, y2, k, which):
+    """(centre, term) of the proposed scheme's control: each tier's h at every link, and phi(U) + gamma (y^2 - Ybar^2) at the links choice.has[which].
 
-    h and phi's row of knots are read at each link's nearest node of the
-    table, and phi between the knots at U (`within_tier.control_term`).
+    h, phi's row of knots and gamma are read at each link's nearest node of
+    the table, and phi between the knots at U (`within_tier.control_term`).
     The links choice.has[which] are those whose helpers were placed, with
-    least d_SH^2 + d_HD^2 q (`within_tier.least_q_uniform`); U is
-    Uniform(0, 1) given r and the tier, each row of phi has mean 0 over it,
-    and which links are placed does not depend on where the helpers lie,
-    so the term has mean 0.
+    least d_SH^2 + d_HD^2 q, at distance t from the S-D midpoint, and y^2 y2
+    of the helper that holds it, which it overwrites; with y2 None the term
+    is phi(U) alone.  U = F(q) is Uniform(0, 1) given r and the tier, and
+    each row of phi has mean 0 over it; given q as well, that helper is
+    uniform on the tier's arc at t, over which Ybar^2 is y^2's exact mean
+    (`stochastic_geometry.tier_arc_y2`).  Which links are placed does not
+    depend on where the helpers lie, so the term has mean 0.
     """
-    from .within_tier import control_term, least_q_uniform, table_nodes
+    from .within_tier import control_term, least_q_distance, least_q_law, table_nodes
     j = table_nodes(table, r)
     centre = np.take(table.h, j, axis=1)
     at, tier = choice.has[which], choice.tier[which]
     flat = (tier - 1) * table.h.shape[1]
     flat += j[at]
-    u = least_q_uniform(r[at], tier, choice.area[which], choice.load[which], q, k)
-    return centre, control_term(table, flat, u)
+    link = r[at]
+    t = least_q_distance(link, q)
+    f = tier_area_within(link, tier, t)
+    f /= choice.area[which]
+    term = control_term(table, flat, least_q_law(f, choice.load[which], k))
+    if y2 is not None:
+        y2 -= tier_arc_y2(link, tier, t)
+        y2 *= table.slope_y.take(flat)
+        term += y2
+    return centre, term
 
 
 def _region_control(table, r, choice, q, y2, which):
@@ -908,12 +937,13 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
             x = lo + span * v[chosen]
             # the upper end bounds G only while log Ps is concave; without it no failure is settled
             placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
-            g, q, y2 = _best_g(rng, r_e, choice, k, params, placed)
+            # the proposed scheme's y^2 term cuts sampled mode's variance by 1-4%, less than it costs
+            g, q, y2 = _best_g(rng, r_e, choice, k, params, placed, line=False)
             hit = np.zeros(has.size, dtype=bool)
             hit[placed] = x[placed] < tier_rate[placed] * g
             t[chosen] = lo + span * hit
         if scheme == "proposed":
-            centre, term = _uniform_control(table, r_e, choice, q, k, placed)
+            centre, term = _uniform_control(table, r_e, choice, q, y2, k, placed)
         else:
             centre, term = _region_control(table, r_e, choice, q, y2, placed)
         c, m = _control(centre, choice, (rate * ps_r)[elig], term, placed)

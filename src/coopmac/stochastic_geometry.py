@@ -562,6 +562,69 @@ def _disk_lens(a2, b2, sd, r, t):
     return area
 
 
+def tier_arc(r, tier, t):
+    """(lo, hi): the cosines of the angle w at the S-D midpoint that bound each link's tier region on the circle of radius t about it.
+
+    On the circle |H - M| = t, at the angle w from the S-D axis,
+    d_SH^2 = t^2 + r^2 / 4 + t r cos w and d_HD^2 = t^2 + r^2 / 4 - t r cos w,
+    so the hop box of the tier's placed order (`TIER_BOXES`: d_SH in [a, b),
+    d_HD in [c, d)) is the one interval lo <= cos w < hi, clipped into
+    [-1, 1].  The other hop order and the lower half-plane are its mirror
+    images.  Where t is 0 the circle is the point M, and the interval is
+    any in [-1, 1].  For 1-D arrays r, tier and t; no validation.
+    """
+    a2, b2, c2, d2 = _BOX_SQUARES.take(tier - 1, axis=1)
+    base = t * t + 0.25 * r * r
+    # t r at least 1e-100, so that t = 0 leaves no 0 / 0 and no quotient overflows
+    tr = t * r
+    np.maximum(tr, _TINY, out=tr)
+    lo = np.subtract(a2, base, out=a2)
+    np.maximum(lo, np.subtract(base, d2, out=d2), out=lo)
+    hi = np.subtract(b2, base, out=b2)
+    np.minimum(hi, np.subtract(base, c2, out=c2), out=hi)
+    for x in (lo, hi):
+        x /= tr
+        np.clip(x, -1.0, 1.0, out=x)
+    return lo, np.maximum(hi, lo, out=hi)
+
+
+# the squares of the hop-box edges a, b, c and d of each tier (`TIER_BOXES`), and the floor of t r in `tier_arc`
+_BOX_SQUARES = np.square(TIER_BOXES[:4])
+_BOX_SQUARES.setflags(write=False)
+_TINY = 1e-100
+
+
+def tier_arc_y2(r, tier, t):
+    """Mean of y^2, the squared distance from the S-D line, over each link's tier region on the circle of radius t about its S-D midpoint.
+
+    The region's arc is lo <= cos w < hi on the upper half-circle
+    (`tier_arc`), and its mirror images have the same mean.  y^2 =
+    t^2 sin^2 w, and the mean of sin^2 w over w in [w1, w2] is
+    (1 - cos(w1 + w2) sin(D) / D) / 2 with D = w2 - w1, taken from the
+    cosines hi = cos w1 and lo = cos w2 with no difference of nearly equal
+    angles; it is sin^2 w1 where the arc is a point.  Given r, the tier and
+    its helpers' least d_SH^2 + d_HD^2 = 2 t^2 + r^2 / 2, the helper that
+    holds it is uniform on this arc, so this is its y^2's exact mean.
+    """
+    lo, hi = tier_arc(r, tier, t)
+    s_lo = np.sqrt(1.0 - lo * lo)
+    s_hi = np.sqrt(1.0 - hi * hi)
+    # sin D and cos D, D = arccos(lo) - arccos(hi) in [0, pi], and cos(w1 + w2)
+    sin_d = s_lo * hi
+    sin_d -= lo * s_hi
+    np.maximum(sin_d, 0.0, out=sin_d)
+    cos_d = lo * hi
+    cos_sum = cos_d - s_lo * s_hi
+    cos_d += s_lo * s_hi
+    span = np.arctan2(sin_d, cos_d)
+    np.divide(sin_d, span, out=sin_d, where=span > 0.0)
+    np.copyto(sin_d, 1.0, where=span <= 0.0)
+    sin_d *= cos_sum
+    np.subtract(1.0, sin_d, out=sin_d)
+    sin_d *= 0.5 * t * t
+    return sin_d
+
+
 def cumulative_areas(areas):
     """S_1 + ... + S_i for i = 1..tiers, one row per tier, as a new float array.
 

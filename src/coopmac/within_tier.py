@@ -33,13 +33,14 @@ so that a process that runs only the bounds builds none.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from collections import OrderedDict
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammainc, gammaincc
 
-from .channel_model import p_success_direct, tier_bracket, tier_q_bracket
+from .channel_model import g_joint, p_success_direct, tier_bracket, tier_q_bracket
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
@@ -54,6 +55,7 @@ from .stochastic_geometry import (
     hop_angle,
     hop_band,
     nn_distance_band,
+    tier_arc,
     tier_area_within,
     tier_areas,
     tier_void_law,
@@ -74,6 +76,61 @@ _FIT_BLOCK = 16
 _KNOTS = 32
 _KNOT_U = 1.0 - (1.0 - np.arange(_KNOTS + 1) / _KNOTS) ** 2
 _KNOT_U.flags.writeable = False
+# the proposed scheme's y^2 slope (`_arc_slope`): groups of the table's midpoints in t, and Gauss-Legendre points
+# along each arc
+_ARC_GROUPS = 4
+_ARC_POINTS = 6
+# bytes of the arrays of the control tables that `_cached` keeps, both schemes' together: a sweep's tables are
+# rebuilt once evicted, and one bench pass reuses about 1 MB of them
+_CACHE_BYTES = 4 << 20
+
+
+class _CacheInfo(NamedTuple):
+    """The tables of one builder in the control tables' cache (`_cached`): how many, and the bytes of their arrays."""
+
+    currsize: int
+    nbytes: int
+
+
+# the cache of `_cached`: key -> (table, bytes), least recently used first
+_TABLES = OrderedDict()
+
+
+def _cached(build):
+    """`build` memoized in the control tables' cache, bounded by the bytes of its tables' arrays.
+
+    The cache keeps the most recently used tables of every builder while
+    their arrays hold at most _CACHE_BYTES together, and the newest table
+    whatever its size.  The arguments are the key, as for
+    `functools.lru_cache`, and the wrapper has its `cache_info`
+    (`_CacheInfo`) and `cache_clear`, both for this builder's tables alone.
+    """
+    @wraps(build)
+    def cached(*args):
+        key = (build.__name__, args)
+        entry = _TABLES.pop(key, None)
+        if entry is None:
+            table = build(*args)
+            entry = table, sum(array.nbytes for array in table)
+        _TABLES[key] = entry
+        held = sum(size for _, size in _TABLES.values())
+        while held > _CACHE_BYTES and len(_TABLES) > 1:
+            held -= _TABLES.popitem(last=False)[1][1]
+        return entry[0]
+
+    def keys():
+        return [key for key in _TABLES if key[0] == build.__name__]
+
+    def cache_info():
+        mine = keys()
+        return _CacheInfo(len(mine), sum(_TABLES[key][1] for key in mine))
+
+    def cache_clear():
+        for key in keys():
+            del _TABLES[key]
+
+    cached.cache_info, cached.cache_clear = cache_info, cache_clear
+    return cached
 
 
 def least_q_law(f, load, k):
@@ -97,19 +154,26 @@ def least_q_law(f, load, k):
     return np.divide(num, den, out=f, where=den != 0.0)
 
 
-def least_q_uniform(r, tier, area, load, q, k):
-    """U = F(q) of links of lengths r whose chosen tier's least helper d_SH^2 + d_HD^2 is q (`least_q_law`).
+def least_q_distance(r, q):
+    """t = |H - M|: the distance from the S-D midpoint M of links of lengths r at which d_SH^2 + d_HD^2 is q.
 
-    q = 2 |H - M|^2 + r^2 / 2 puts the least helper at t = |H - M| from the
-    S-D midpoint, and B_i(q) is the area of the tier's region within t of it.
-    Given r and the tier, U is exactly Uniform(0, 1): the probability
-    integral transform of q_min's continuous law.
+    q = 2 |H - M|^2 + r^2 / 2; a q that rounds below r^2 / 2 gives t = 0.
     """
     t = 0.5 * r * r
     np.subtract(q, t, out=t)
     t *= 0.5
-    np.sqrt(np.maximum(t, 0.0, out=t), out=t)
-    f = tier_area_within(r, tier, t)
+    return np.sqrt(np.maximum(t, 0.0, out=t), out=t)
+
+
+def least_q_uniform(r, tier, area, load, q, k):
+    """U = F(q) of links of lengths r whose chosen tier's least helper d_SH^2 + d_HD^2 is q (`least_q_law`).
+
+    q puts the least helper at t = |H - M| from the S-D midpoint
+    (`least_q_distance`), and B_i(q) is the area of the tier's region within
+    t of it.  Given r and the tier, U is exactly Uniform(0, 1): the
+    probability integral transform of q_min's continuous law.
+    """
+    f = tier_area_within(r, tier, least_q_distance(r, q))
     f /= area
     return least_q_law(f, load, k)
 
@@ -133,12 +197,13 @@ class ControlTable(NamedTuple):
     offset: np.ndarray
     h: np.ndarray
     phi: np.ndarray
+    slope_y: np.ndarray
     edges: np.ndarray
     edge_u: np.ndarray
     jump: np.ndarray
 
 
-@lru_cache(maxsize=64)
+@_cached
 def control_table(lo, hi, density, k, params):
     """Centre h_i(r) and within-tier term phi_i(r; U) of the proposed scheme's control, at the nodes of a link-length grid.
 
@@ -196,8 +261,60 @@ def control_table(lo, hi, density, k, params):
     h[tier, node] += b * (weight * (1.0 - law)).sum(axis=1)
     phi = np.zeros((*h.shape, _KNOTS + 1))
     phi[tier, node] = b[:, None] * _quantiles(law, 2.0 * t * t + floor[:, None], q_best[tier, node], q_worst[tier])
-    table = ControlTable(*grid, h, phi, *(np.empty(0),) * 3)
+    slope_y = np.zeros(h.shape)
+    # helpers per m^2 of the tier
+    crowd = density if k is None else (k - 1) * load / area
+    slope_y[tier, node] = _arc_slope(r[node], tier + 1, t_best, step, law, b, crowd, params)
+    table = ControlTable(*grid, h, phi, slope_y, *(np.empty(0),) * 3)
     return _with_class_edges(table, band, density, k, params, _proposed_law)
+
+
+def _arc_slope(r, tier, t_best, step, law, b, crowd, params):
+    """gamma: the slope of a proposed link's rate x max G on y^2 of its least-q helper, given q_min, pooled over q_min's law.
+
+    Rows of links of lengths r and tiers `tier`, with the midpoints in
+    t = |H - M| of `control_table` (`step` apart from t_best on), q_min's law
+    F at each, the secant b of rate x G in q and `crowd` helpers per m^2 of
+    the tier.  Given q_min = 2 t^2 + r^2 / 2, the least-q helper H is
+    uniform on the tier's arc at t (`stochastic_geometry.tier_arc`) and the
+    others lie beyond it; the score's slope in G(H) is the chance that none
+    of them does better, exp(-crowd x A), with A the area beyond the arc
+    where G exceeds G(H).  G falls outward at 4 t b / rate per metre, so A
+    is, over the arc's mirror images, the sum of
+    rate (G - G(H))+ / (4 |b|) per unit angle.  The midpoints are taken in
+    _ARC_GROUPS groups, each at its centre and weighted by the rise of F
+    across it, and each arc at _ARC_POINTS Gauss-Legendre points in the
+    angle.  gamma is the pooled covariance of that chance times the point's
+    rate x G about the arc's mean with y^2 = t^2 sin^2 w, over the pooled
+    variance of y^2; 0 where y^2 does not vary.
+    """
+    width = law.shape[1] // _ARC_GROUPS
+    rise = np.concatenate((np.zeros((law.shape[0], 1)), 0.5 * (law[:, width - 1:-1:width] + law[:, width::width]),
+                           np.ones((law.shape[0], 1))), axis=1)
+    t = (t_best[:, None] + step[:, None] * (width * np.arange(_ARC_GROUPS) + 0.5 * width)).ravel()
+    link, tiers = (np.repeat(x, _ARC_GROUPS) for x in (r, tier))
+    lo, hi = tier_arc(link, tiers, t)
+    first = np.arccos(hi)
+    span = np.arccos(lo) - first
+    u, w = _gauss_legendre(_ARC_POINTS)
+    cos = np.cos(first[:, None] + span[:, None] * u)
+    base = (t * t + 0.25 * link * link)[:, None]
+    tr = (t * link)[:, None]
+    g = g_joint(np.sqrt(base + tr * cos), np.sqrt(np.maximum(base - tr * cos, 0.0)), params)
+    g *= np.take(TIER_RATES, tiers - 1)[:, None]
+    # crowd x A per unit of rate x G above a point's, and the chance that no other helper beats each point
+    pieces = 2.0 * TIER_BOXES[4, tier - 1]
+    beyond = np.divide(crowd * pieces, 4.0 * np.abs(b), out=np.zeros(b.shape), where=b < 0.0)
+    beyond = np.repeat(beyond, _ARC_GROUPS) * span
+    alone = np.stack([np.exp(-beyond * (w * np.maximum(g - g[:, [j]], 0.0)).sum(axis=1)) for j in range(u.size)],
+                     axis=1)
+    g -= (w * g).sum(axis=1, keepdims=True)
+    g *= alone
+    y2 = (t * t)[:, None] * (1.0 - cos * cos)
+    y2 -= (w * y2).sum(axis=1, keepdims=True)
+    weight = np.diff(rise, axis=1).ravel()[:, None] * w
+    cov, var = ((weight * y2 * x).reshape(r.size, -1).sum(axis=1) for x in (g, y2))
+    return np.divide(cov, var, out=np.zeros(r.size), where=var > 0.0)
 
 
 def _quantiles(law, s, first, last):
@@ -289,7 +406,7 @@ class RegionTable(NamedTuple):
     jump: np.ndarray
 
 
-@lru_cache(maxsize=64)
+@_cached
 def region_table(lo, hi, density, k, params):
     """The conventional scheme's control table (`_region_fit`), with the class edges of the cell's band lo..hi.
 

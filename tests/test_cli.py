@@ -327,3 +327,31 @@ def test_python_m_coopmac_runs_the_cli_from_a_checkout(capsys):
     assert done.returncode == 0, done.stderr
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    # conventional stderrs at 200k trials lie near 1e-5, which 4 decimals print as 0
+    ["simulate", "--class", "C", "--scheme", "conventional", "--lambda", "0.005", "--trials", "200000"],
+    ["reproduce", "fig7", "--lambda", "0.001,0.004", "--trials", "20000"],
+    # one trial: the stderr is exactly 0
+    ["simulate", "--class", "D", "--lambda", "0.002", "--trials", "1"],
+    ["bounds", "--class", "all", "--conditioning", "k=10"],
+])
+def test_csv_stderr_reads_0_only_where_the_json_is_0(tmp_path, argv):
+    # a stderr or band mass of the CSV row re-parses to 0 exactly where the JSON row's value is 0, and to its
+    # three significant digits below 0.01; means and bounds keep 4 decimals
+    paths = {fmt: tmp_path / ("out." + fmt) for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert main(argv + ["--seed", "5", "--format", fmt, "--out", str(path)]) == 0
+    rows = list(csv.DictReader(paths["csv"].open()))
+    full = json.loads(paths["json"].read_text())
+    small = [key for key in full[0] if key in ("stderr", "band_mass") or key.endswith("_stderr")]
+    assert small and len(rows) == len(full)
+    for row, exact in zip(rows, full):
+        for key in small:
+            assert (float(row[key]) == 0.0) == (exact[key] == 0.0), (key, row[key], exact[key])
+            if 0.0 < exact[key] < 0.01:
+                assert float(row[key]) == pytest.approx(exact[key], rel=5e-3), (key, row[key], exact[key])
+        for key in ("mean", "proposed", "conventional", "lower", "upper"):
+            if key in row:
+                assert row[key] == format(exact[key], ".4f")

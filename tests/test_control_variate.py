@@ -9,7 +9,9 @@ and Ybar^2 the region's exact means of both and b, g a least-squares fit,
 all but the means read from a table at the link's nearest node.  A proposed
 link's c is the chosen tier's centre h_i(r) plus phi_i(r; U), U the law of
 the least q of the tier's helpers at its drawn value, both read from a table
-of the cell at the link's nearest node, phi linearly in U between knots.
+of the cell at the link's nearest node, phi linearly in U between knots, and
+in analytic mode gamma_i(r) (y^2 - Ybar^2), y^2 of the helper with that
+least q and Ybar^2 its exact mean over the tier's arc through it.
 These tests pin c and m to references built here from the geometry,
 `channel_model` and `within_tier_reference`, check that the bounds and the
 Monte Carlo read one bracket table, that every analytic-mode trial's plain
@@ -43,7 +45,7 @@ from coopmac.stochastic_geometry import (
     void_probability,
 )
 from plain_scoring import cell_seeds, lower_control_chunk, midpoint_control_chunk, plain_estimate
-from within_tier_reference import nearest_node, region_means, term, uniform
+from within_tier_reference import arc_mean_y2, nearest_node, region_means, term, uniform
 
 PARAMS = ChannelParams()
 # tier t's worst helper position, both hops at the outer edges of its hop
@@ -79,8 +81,8 @@ def _control_parts(regime, density, k, scheme, n, seed):
     """(r, has, tier, g, q, y2, c, m) of an analytic-mode chunk's links, from the chunk's own stream.
 
     g and q are the largest G and least d_SH^2 + d_HD^2 of each link's
-    helpers, y2 the conventional helper's squared distance from the S-D
-    line (None for the proposed scheme), and c the control with its terms.
+    helpers, y2 the squared distance from the S-D line of the helper with
+    that q, and c the control with its terms.
     """
     rng = np.random.default_rng(seed)
     r = mc._draw_link_distance(rng, n, REGIMES[regime][:2], density, k)
@@ -89,7 +91,7 @@ def _control_parts(regime, density, k, scheme, n, seed):
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     if scheme == "proposed":
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-        centre, term = mc._uniform_control(table, r, choice, q.copy(), k, slice(None))
+        centre, term = mc._uniform_control(table, r, choice, q, y2.copy(), k, slice(None))
     else:
         table = within_tier.region_table(*REGIMES[regime][:2], density, k, PARAMS)
         centre, term = mc._region_control(table, r, choice, q.copy(), y2.copy(), slice(None))
@@ -138,14 +140,17 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
     none = np.setdiff1d(np.arange(n), has)
     if scheme == "proposed":
-        # c is the chosen tier's centre h plus phi(U), h read at the link's nearest node of the cell's
-        # table, phi linearly in U between the knots of that node's row and U recomputed from the helpers'
-        # least q; m is the choice law's mixture of the centres
+        # c is the chosen tier's centre h plus phi(U) + gamma (y^2 - Ybar^2), h and gamma read at the link's
+        # nearest node of the cell's table, phi linearly in U between the knots of that node's row, U
+        # recomputed from the helpers' least q and Ybar^2 the mean of y^2 over the tier's arc at that q; m is
+        # the choice law's mixture of the centres
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         node = nearest_node(table, r)
         h = table.h[:, node]
+        radius = np.sqrt(np.maximum(q - r[has] ** 2 / 2, 0.0) / 2)
+        line = table.slope_y[tier - 1, node[has]] * (y2 - arc_mean_y2(r[has], tier, radius))
         np.testing.assert_allclose(c[has] - h[tier - 1, has],
-                                   term(table, tier, node[has], uniform(r[has], tier, q, density, k)),
+                                   term(table, tier, node[has], uniform(r[has], tier, q, density, k)) + line,
                                    rtol=0, atol=1e-12)
         assert np.all(np.diff(table.phi[tier - 1, node[has]], axis=1) <= 0)
         empty = tier_void_law(tier_areas(r), r, density, k)

@@ -24,8 +24,19 @@ from scipy.stats import chi2
 from coopmac import monte_carlo as mc
 from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, tier_bracket, tier_q_bracket
-from coopmac.stochastic_geometry import REGIMES, cumulative_areas, tier_area_within, tier_areas
+from coopmac.stochastic_geometry import (
+    BAND_2,
+    BAND_EDGES,
+    REGIMES,
+    classify_helper_tier,
+    cumulative_areas,
+    tier_arc,
+    tier_arc_y2,
+    tier_area_within,
+    tier_areas,
+)
 from moment_oracle import region_area_within
+from plain_scoring import plain_chunk
 from within_tier_reference import KNOTS, node_lengths, q_range, quantile, uniform
 
 PARAMS = ChannelParams()
@@ -188,3 +199,141 @@ def test_band_uniform_inverts_the_link_length_draw(k):
     np.testing.assert_allclose(r, table.edges, rtol=1e-10)
     # the rate halves at 48.2 m, where both sides score their direct links
     assert table.jump[0] < 0
+
+
+def test_table_cache_is_bounded_by_bytes():
+    # a sweep of 70 "all" cells, more than the 64 tables a bound by count kept, holds at most the byte budget,
+    # keeps the most recent tables and rebuilds an evicted one bit for bit
+    within_tier.control_table.cache_clear()
+    densities = [0.0005 + 1e-5 * i for i in range(70)]
+    first = within_tier.control_table(*REGIMES["all"][:2], densities[0], None, PARAMS)
+    for density in densities[1:]:
+        newest = within_tier.control_table(*REGIMES["all"][:2], density, None, PARAMS)
+        info = within_tier.control_table.cache_info()
+        assert info.nbytes <= within_tier._CACHE_BYTES
+    assert 1 < info.currsize < len(densities)
+    assert within_tier.control_table(*REGIMES["all"][:2], densities[-1], None, PARAMS) is newest
+    again = within_tier.control_table(*REGIMES["all"][:2], densities[0], None, PARAMS)
+    assert again is not first and all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+    within_tier.control_table.cache_clear()
+    assert within_tier.control_table.cache_info() == (0, 0)
+
+
+def test_table_cache_keeps_a_bench_pass():
+    # every table of one pass over the sparse and dense Monte Carlo cells of the benchmark stays cached
+    for make in (within_tier.control_table, within_tier.region_table):
+        make.cache_clear()
+    cells = ([(regime, density, k) for density, k in ((0.0005, None), (0.001, None), (0.0005, 10), (0.001, 10),
+                                                      (0.0005, 1)) for regime in ("C", "D1", "D2")]
+             + [(regime, density, None) for density in (0.004, 0.005) for regime in ("C", "D1", "D2", "all")])
+    tables = [make(*REGIMES[regime][:2], density, k, PARAMS) for regime, density, k in cells
+              for make in (within_tier.control_table, within_tier.region_table)]
+    again = [make(*REGIMES[regime][:2], density, k, PARAMS) for regime, density, k in cells
+             for make in (within_tier.control_table, within_tier.region_table)]
+    assert all(a is b for a, b in zip(tables, again))
+
+
+def _arc_oracle(r, tier, t):
+    """The mean of y^2 over the points of the circle |H - M| = t in tier `tier`, by quad over the angle.
+
+    The circle is cut where a hop crosses a band edge, and each piece's tier
+    is that of its midpoint by `classify_helper_tier`.
+    """
+    base, cross = t * t + r * r / 4, t * r
+    cuts = {0.0, np.pi}
+    for edge in BAND_EDGES[1:-1]:
+        for cos in ((edge * edge - base) / cross, (base - edge * edge) / cross):
+            if -1.0 < cos < 1.0:
+                cuts.add(float(np.arccos(cos)))
+    cuts = sorted(cuts)
+    y2 = lambda w: (t * np.sin(w)) ** 2  # noqa: E731
+    total = length = 0.0
+    for w1, w2 in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (w1 + w2)
+        d_sh, d_hd = np.hypot(t * np.cos(mid) + r / 2, t * np.sin(mid)), np.hypot(t * np.cos(mid) - r / 2, t * np.sin(mid))
+        if classify_helper_tier(d_sh, d_hd, "C" if r < BAND_2 else "D") == tier:
+            total += quad(y2, w1, w2, epsabs=0.0, epsrel=1e-13)[0]
+            length += w2 - w1
+    return total / length
+
+
+# (r, tier, t): arcs that straddle cos w = 0 (tiers 1 and 3), arcs clipped at cos w = 1 (an end on the S-D
+# line), whole circles (clipped at both -1 and 1), and arcs of the two-band tiers inside (-1, 1)
+_ARCS = [(70.0, 1, 5.0), (80.0, 1, 10.0), (99.0, 3, 5.0), (85.0, 3, 30.0), (70.0, 3, 45.0), (70.0, 2, 20.0),
+         (85.0, 4, 30.0), (85.0, 2, 15.0), (99.0, 5, 41.0), (85.0, 5, 48.0), (74.8, 4, 40.0), (96.5, 2, 24.0)]
+
+
+@pytest.mark.parametrize("r,tier,t", _ARCS)
+def test_arc_mean_of_y2_matches_quadrature(r, tier, t):
+    lo, hi = tier_arc(np.array([r]), np.array([tier]), np.array([t]))
+    assert -1.0 <= lo[0] < hi[0] <= 1.0
+    got = tier_arc_y2(np.array([r]), np.array([tier]), np.array([t]))[0]
+    assert got == pytest.approx(_arc_oracle(r, tier, t), rel=1e-9)
+
+
+def test_arc_means_cover_straddled_and_clipped_arcs():
+    lo, hi = tier_arc(*(np.array(x) for x in zip(*_ARCS)))
+    assert np.any((lo < 0.0) & (hi > 0.0)) and np.any(hi == 1.0) and np.any(lo == -1.0)
+    assert np.any((lo > -1.0) & (hi < 1.0))
+    # a circle of radius 0 is the midpoint, on the S-D line
+    assert tier_arc_y2(np.array([70.0]), np.array([1]), np.array([0.0]))[0] == 0.0
+
+
+def _recorded_y2(regime, density, k, seed, n=3000):
+    """y^2 of each proposed link's least-q helper, from `plain_scoring.plain_chunk`, and the same recomputed from its placed helpers.
+
+    The helpers are recorded as `_place_in_tier` yields them; the least q
+    of each link's is found by a stable sort, and y^2 comes from Heron's
+    formula for the triangle S, D, H: y = 2 x area / r.
+    """
+    seen = {"rounds": []}
+
+    def place(rng, r, tier, area, count):
+        seen["links"] = r
+        for part in place.real(rng, r, tier, area, count):
+            seen["rounds"].append(tuple(x.copy() for x in part))
+            yield part
+
+    def best_g(*args, **kw):
+        seen["out"] = out = best_g.real(*args, **kw)
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name, fake in (("_place_in_tier", place), ("_best_g", best_g)):
+            fake.real = getattr(mc, name)
+            patch.setattr(mc, name, fake)
+        plain_chunk(regime, density, "proposed", n, PARAMS, "analytic", k, np.random.default_rng(seed))
+    link = np.concatenate([np.repeat(trials, np.diff(start, append=d_sh.size)) for trials, start, d_sh, _ in
+                           seen["rounds"]])
+    d_sh, d_hd = (np.concatenate(x) for x in list(zip(*seen["rounds"]))[2:])
+    r = seen["links"][link]
+    order = np.lexsort((d_sh ** 2 + d_hd ** 2, link))
+    least = order[np.flatnonzero(np.diff(link[order], prepend=-1))]
+    s = (r + d_sh + d_hd) / 2
+    area2 = s * (s - r) * (s - d_sh) * (s - d_hd)
+    want = np.zeros(seen["links"].size)
+    want[link[least]] = 4.0 * np.maximum(area2[least], 0.0) / r[least] ** 2
+    _, q, y2 = seen["out"]
+    return y2, want, q - seen["links"] ** 2 / 2
+
+
+@pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.002, 10), ("all", 0.004, None)])
+def test_y2_is_that_of_the_least_q_helper(regime, density, k):
+    y2, want, twice_t2 = _recorded_y2(regime, density, k, seed=17)
+    # Heron's form loses digits where the triangle is flat; both lie in [0, t^2]
+    np.testing.assert_allclose(y2, want, rtol=1e-9, atol=1e-9 * twice_t2.max())
+    assert np.all(y2 >= -1e-9) and np.all(y2 <= twice_t2 / 2 + 1e-9)
+
+
+@pytest.mark.parametrize("r", [70.9, 85.55, 98.2])
+@pytest.mark.parametrize("density,k", [(0.005, None), (0.0005, 10)])
+def test_y2_term_has_mean_0_given_the_link_and_tier(r, density, k):
+    # y^2 of the least-q helper less its mean over the tier's arc at that q: |z| <= 4 for each tier
+    n = 20_000
+    for tier in _tiers(r):
+        links = np.full(n, r)
+        choice = _forced_choice(links, np.full(n, tier), density, k)
+        _, q, y2 = mc._best_g(np.random.default_rng(int(10 * r) + 7 * tier), links, choice, k, PARAMS)
+        x = y2 - tier_arc_y2(links, choice.tier, within_tier.least_q_distance(links, q))
+        z = x.mean() / (x.std(ddof=1) / np.sqrt(n))
+        assert abs(z) <= 4, (tier, z)

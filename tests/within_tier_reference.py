@@ -27,6 +27,9 @@ from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier
 
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
+# each tier's hop bands, by hand: d_SH in the higher one, d_HD in the lower
+_HOP_BOXES = (((0, 48.2), (0, 48.2)), ((48.2, 67.1), (0, 48.2)), ((48.2, 67.1), (48.2, 67.1)),
+              ((67.1, 74.7), (0, 48.2)), ((67.1, 74.7), (48.2, 67.1)))
 # the knots in U of the proposed control's table
 KNOTS = 1.0 - (1.0 - np.arange(33) / 32) ** 2
 
@@ -102,6 +105,26 @@ def quantile(r, tier, u, density, k):
         return lo if u <= 0.0 else hi
     law = lambda s: uniform(np.array([r]), np.array([tier]), np.array([s]), density, k)[0] - u  # noqa: E731
     return brentq(law, lo, hi, xtol=1e-9, rtol=1e-14)
+
+
+def arc_mean_y2(r, tier, t):
+    """The mean of y^2 = t^2 sin^2 w over the arc of the circle |H - M| = t that lies in each link's tier region.
+
+    On that circle d_SH^2 = t^2 + r^2 / 4 + t r cos w and
+    d_HD^2 = t^2 + r^2 / 4 - t r cos w, so the hop bands (`_HOP_BOXES`)
+    bound cos w, and with F(w) = w / 2 - sin(2 w) / 4 the mean over
+    [w1, w2] is t^2 (F(w2) - F(w1)) / (w2 - w1).
+    """
+    out = np.empty(r.size)
+    for n, (length, i, radius) in enumerate(zip(r, tier, t)):
+        (a, b), (c, d) = _HOP_BOXES[i - 1]
+        base, cross = radius ** 2 + length ** 2 / 4, radius * length
+        lo = max(-1.0, (a * a - base) / cross, (base - d * d) / cross)
+        hi = min(1.0, (b * b - base) / cross, (base - c * c) / cross)
+        w1, w2 = np.arccos(hi), np.arccos(lo)
+        area = lambda w: w / 2 - np.sin(2 * w) / 4  # noqa: E731
+        out[n] = radius ** 2 * ((area(w2) - area(w1)) / (w2 - w1) if w2 > w1 else np.sin(w1) ** 2)
+    return out
 
 
 def term(table, tier, node, u):
