@@ -133,17 +133,21 @@ the cell alone, are tabulated once per cell, h at each node and phi at 33
 knots in U per node, and read at each link's nearest node, phi linearly in
 U between its knots (`within_tier.control_term`); each row of phi has
 trapezoid mean 0 over the knots, so the mean stays exact whatever the
-table's accuracy.  Analytic mode reads no bracket per link for this scheme
-either: the table holds what the centre needs.  In regime `all` the mean score also steps where the link class
+table's accuracy.  In analytic mode c also adds
+gamma_i(r) (y^2 - Ybar^2_i(r, t)), in y^2 of the helper that holds q_min about
+its exact mean over the tier's arc through it (`within_tier`).  Analytic mode
+reads no bracket per link for this scheme either: the table holds what the
+centre needs.  In regime `all` the mean score also steps where the link class
 changes, and the stratum of u that holds a class edge carries the step as
 variance, so both schemes take a term of mean 0 off that stratum's trials
 (`_edge_term`), its step from the scheme's table.
 
 c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
 draw nothing, so sampled mode keeps its Bernoulli draw.  At a density of
-0.005 in analytic mode, the proposed scheme's variance is 5.6-6.2x below
-that of the bracket midpoint for C, 7.3-7.9x for D2, 22-29x for D1 and
-17-20x for the class mix, and the conventional scheme's stderr is 12x (C),
+0.005 in analytic mode, the proposed scheme's variance without the y^2
+term is 5.6-6.2x below that of the bracket midpoint for C, 7.3-7.9x for D2,
+22-29x for D1 and 17-20x for the class mix, which that term cuts a further
+1.6-2.1x, and the conventional scheme's stderr is 12x (C),
 16x (D1), 28x (D2) and 15x (the class mix) below it.  Sampled mode, whose
 variance is its Bernoulli draw above the sure share, gains far less: for the
 proposed scheme at 0.001 nodes/m^2, 1.24-1.32x in variance from the part of
@@ -289,7 +293,8 @@ class SimEstimate:
     region's exact means; for the proposed scheme it is the chosen tier's
     centre h(r) plus, where its helpers were placed, phi(r; U), the secant
     model b(r) (Q(U) - mean) at the quantile Q of their least q, U the exact
-    law of that least q at its value; in regime `all` the trials
+    law of that least q at its value, and in analytic mode the y^2 term of
+    `within_tier` in the helper that holds it; in regime `all` the trials
     of a stratum that holds a class edge also carry the edge's term of mean
     0.  Each has the plain score's mean, and each is a function of its own
     trial and its stratum, so the stratified stderr holds as it stands.  The

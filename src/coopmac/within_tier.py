@@ -15,10 +15,24 @@ the tier, so the Monte Carlo's control c = h_i(r) + phi_i(r; U) has the mean
 h_i(r) for any h fixed by r, the tier and the cell and any phi of mean 0
 over U (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
 4.1).  phi_i = b_i (Q_i(U) - mean) is a model of rate x max G linear in
-q_min, at q_min = Q_i(U), Q_i the inverse of F.  `control_table` tabulates
-h and phi once per cell, phi at knots in U; `monte_carlo` reads them at
-each link's nearest node (`table_nodes`), phi between its knots at the
-link's U (`control_term`), and applies the control.
+q_min, at q_min = Q_i(U), Q_i the inverse of F.
+
+In analytic mode the control has a third term, gamma_i(r) (y^2 - Ybar^2_i(r, t)).
+y^2 is the squared distance from the S-D line of the helper that holds
+q_min, at t = sqrt((q_min - r^2 / 2) / 2) from the S-D midpoint.  Given r,
+the tier and q_min, that helper is uniform on the arc of the circle
+|H - M| = t that lies in the tier (the independence property of the PPP,
+which holds for the Binomial count too), so y^2 has the exact mean
+Ybar^2_i(r, t) over that arc (`stochastic_geometry.tier_arc_y2`), taken per
+link at its own r and t, and the term has mean 0 for any gamma fixed by r,
+the tier and the cell.  gamma_i is the slope of rate x max G on y^2 along
+the arcs, pooled over q_min's law and discounted by the chance that no
+other helper beats the least-q one (`_arc_slope`).  It cuts the proposed
+variance 1.6-2.1x at 0.004-0.005 nodes/m^2; sampled mode, which gains
+1-4% from it, leaves it out.  `control_table` tabulates h, phi and gamma
+once per cell, phi at knots in U; `monte_carlo` reads them at each link's
+nearest node (`table_nodes`), phi between its knots at the link's U
+(`control_term`), and applies the control (`monte_carlo._uniform_control`).
 
 A conventional link has one helper, uniform in the region it chose, and
 its control is c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r))
@@ -186,7 +200,8 @@ class ControlTable(NamedTuple):
     is node offset[i].  h holds each tier's centre at every node, one row
     per tier, and phi, of shape (tiers, nodes, _KNOTS + 1), each tier's
     within-tier term at the knots u_j = 1 - (1 - j / _KNOTS)^2 of U at
-    every node (`control_term`).  edges are the class edges inside the
+    every node (`control_term`), and slope_y, shaped as h, the slope gamma
+    of the y^2 term (`_arc_slope`).  edges are the class edges inside the
     cell's band, edge_u the link-length uniform u at each and jump the
     step of the link's mean score there (`monte_carlo._edge_term`).
     """
@@ -226,8 +241,10 @@ def control_table(lo, hi, density, k, params):
     exactly, as U is Uniform(0, 1) given r and the tier.  h and phi
     depend on r, the tier and the cell alone (its band lo..hi, density, k
     and params), so c keeps its exact mean whatever their accuracy; their
-    accuracy sets only the variance cut.  A tier with no area there gets
-    h = rate G_best and phi = 0.  The nodes are at most _TABLE_STEP m apart,
+    accuracy sets only the variance cut.  The same holds for the slope
+    gamma_i of the y^2 term of the module docstring, tabulated beside them
+    (`_arc_slope`).  A tier with no area there gets h = rate G_best and
+    phi = gamma = 0.  The nodes are at most _TABLE_STEP m apart,
     in segments split at 74.7 and 96.4 m within the band's class C and D
     part; the table is built once per cell and is read-only.
     """
