@@ -198,7 +198,6 @@ from .stochastic_geometry import (
     hop_band,
     nn_distance_band,
     tier_arc_y2,
-    tier_area_within,
     tier_areas,
     tier_index,
     tier_void_law,
@@ -856,7 +855,7 @@ def _uniform_control(table, r, choice, q, y2, k, which):
     (`stochastic_geometry.tier_arc_y2`).  Which links are placed does not
     depend on where the helpers lie, so the term has mean 0.
     """
-    from .within_tier import control_term, least_q_distance, least_q_law, table_nodes
+    from .within_tier import control_term, least_q_distance, least_q_uniform, table_nodes
     j = table_nodes(table, r)
     centre = np.take(table.h, j, axis=1)
     at, tier = choice.has[which], choice.tier[which]
@@ -864,9 +863,7 @@ def _uniform_control(table, r, choice, q, y2, k, which):
     flat += j[at]
     link = r[at]
     t = least_q_distance(link, q)
-    f = tier_area_within(link, tier, t)
-    f /= choice.area[which]
-    term = control_term(table, flat, least_q_law(f, choice.load[which], k))
+    term = control_term(table, flat, least_q_uniform(link, tier, choice.area[which], choice.load[which], t, k))
     if y2 is not None:
         y2 -= tier_arc_y2(link, tier, t)
         y2 *= table.slope_y.take(flat)

@@ -617,12 +617,11 @@ def tier_arc_y2(r, tier, t):
     cos_sum = cos_d - s_lo * s_hi
     cos_d += s_lo * s_hi
     span = np.arctan2(sin_d, cos_d)
-    np.divide(sin_d, span, out=sin_d, where=span > 0.0)
-    np.copyto(sin_d, 1.0, where=span <= 0.0)
-    sin_d *= cos_sum
-    np.subtract(1.0, sin_d, out=sin_d)
-    sin_d *= 0.5 * t * t
-    return sin_d
+    ratio = np.divide(sin_d, span, out=np.ones(span.shape), where=span > 0.0)
+    ratio *= cos_sum
+    np.subtract(1.0, ratio, out=ratio)
+    ratio *= 0.5 * t * t
+    return ratio
 
 
 def cumulative_areas(areas):

@@ -179,15 +179,15 @@ def least_q_distance(r, q):
     return np.sqrt(np.maximum(t, 0.0, out=t), out=t)
 
 
-def least_q_uniform(r, tier, area, load, q, k):
-    """U = F(q) of links of lengths r whose chosen tier's least helper d_SH^2 + d_HD^2 is q (`least_q_law`).
+def least_q_uniform(r, tier, area, load, t, k):
+    """U = F(q_min) of links of lengths r whose chosen tier's least helper d_SH^2 + d_HD^2 lies t from the S-D midpoint (`least_q_law`).
 
-    q puts the least helper at t = |H - M| from the S-D midpoint
-    (`least_q_distance`), and B_i(q) is the area of the tier's region within
-    t of it.  Given r and the tier, U is exactly Uniform(0, 1): the
-    probability integral transform of q_min's continuous law.
+    t = |H - M| of the least helper (`least_q_distance`), and B_i(q_min) is
+    the area of the tier's region within t of the midpoint.  Given r and the
+    tier, U is exactly Uniform(0, 1): the probability integral transform of
+    q_min's continuous law.
     """
-    f = tier_area_within(r, tier, least_q_distance(r, q))
+    f = tier_area_within(r, tier, t)
     f /= area
     return least_q_law(f, load, k)
 

@@ -98,7 +98,8 @@ def test_u_is_uniform_given_the_link_and_tier(r, density, k):
         links = np.full(n, r)
         choice = _forced_choice(links, np.full(n, tier), density, k)
         _, q, _ = mc._best_g(np.random.default_rng(int(10 * r) + tier), links, choice, k, PARAMS)
-        u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
+        u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load,
+                                          within_tier.least_q_distance(links, q), k)
         assert np.all((u >= 0) & (u <= 1))
         np.testing.assert_allclose(u, uniform(links, choice.tier, q, density, k), rtol=0, atol=1e-12)
         counts = np.bincount(np.minimum((u * 20).astype(int), 19), minlength=20)
@@ -114,7 +115,8 @@ def test_control_is_finite_next_to_the_tangency(density, k):
             links = np.full(500, r)
             choice = _forced_choice(links, np.full(links.size, tier), density, k)
             _, q, _ = mc._best_g(np.random.default_rng(tier), links, choice, k, PARAMS)
-            u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load, q, k)
+            u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load,
+                                          within_tier.least_q_distance(links, q), k)
             assert np.all(np.isfinite(u) & (u >= 0) & (u <= 1)), (r, tier)
     # and phi finite and non-increasing in U at every node there, falling for tiers 2-5, and 0 for tier 1 at
     # the tangency itself
