@@ -80,80 +80,13 @@ parameters at 0.001 nodes/m^2, 42-73% of those with a helper.  Analytic
 mode has no v and places the helpers of every link with one.
 
 In both modes a class C or D link then reports t - c + m(r), a control
-variate (Asmussen & Glynn, Stochastic Simulation, 2007, ch. V): c is a
-centre for the tier or region the trial chose, plus a term of mean 0 where
-its helpers were placed, or rate * Ps(r) for a direct link, and m(r) is c's
-exact mean given r from the choice law the trial drew its tier from:
-sum_i (V_(i-1) - V_i) centre_i(r) + V_n rate_D Ps(r) for the proposed
-scheme, with V_i = P{tiers 1..i all empty}, and
-(1 - P_void) sum_j (S_j / S_tot) centre_j(r) + P_void rate_D Ps(r) for the
-conventional one (`_control`).
-
-The conventional scheme's helper is uniform in its region whatever the
-density or k, and q = d_SH^2 + d_HD^2 and y^2, its squared distance from
-the S-D line, explain 97.5-100% of the variance of rate x G within a
-region (q alone 73-100%).  A conventional link's centre is
-h_j(r) = E[rate x G | region j, r], and one whose helper was placed (in
-sampled mode, one the squeeze left open) adds
-b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)) (`_region_control`).
-Qbar_j = 2 J_j / S_j + r^2 / 2 and Ybar^2_j = I_j / S_j are the exact means
-of q and y^2 over region j, with J_j and I_j its second moments about the
-S-D midpoint and line, which the lens pass of its area gives too
-(`stochastic_geometry.tier_areas`), taken per link (`_region_means`);
-y^2 = d_SH^2 - x^2, with x = (d_SH^2 + r^2 - d_HD^2) / (2 r) the helper's
-position along the line, comes from its hop lengths (`_best_g`).  h and the
-least-squares coefficients (b, g) of rate x G on (q, y^2) over the region
-are tabulated once per ChannelParams by a Gauss-Legendre rule over each
-region (`within_tier.region_table`) and read at each link's nearest node.
-Given r and the region, the helper is uniform in it and independent of v,
-so the term has mean 0, and the table's accuracy sets only the variance
-(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1).
-Analytic mode reads no bracket for this scheme.
-
-The proposed scheme keeps the best of several helpers, and what is left of
-its variance is the spread of max G inside the chosen tier, which the least
-q of the tier's helpers, q_min, explains for the most part.  Its law given r
-and the tier is known up to one area function: a helper uniform in tier i's
-region of area S_i lies where q < s with probability f = B_i(s) / S_i, B_i
-the area of the region within sqrt((s - r^2 / 2) / 2) of the S-D midpoint
-(`stochastic_geometry.tier_area_within`), and the count is Poisson or
-Binomial given >= 1, which gives the distribution function F of q_min in
-closed form (`within_tier`; the void probabilities of Haenggi, Stochastic
-Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min), computed per
-link with no table, is exactly Uniform(0, 1) given r and the tier.  A
-proposed link's c is h_i(r) + phi_i(r; U), the term only where its helpers
-were placed (`_uniform_control`); the squeeze's choice depends on v and the
-tier, not on where the helpers lie, so the term has mean 0 in sampled mode
-too.  h and phi come from a model of rate x max G linear in q_min through
-the bracket's ends, with b the secant of rate x G against q between them:
-its mean, rate G_best + b integral S ds with S = 1 - F, and its deviation
-from that mean, b (Q(U) - mean of Q), Q the inverse of F, so that
-Q(U) = q_min (`within_tier.control_table`).  They depend on r, the tier and
-the cell alone, are tabulated once per cell, h at each node and phi at 33
-knots in U per node, and read at each link's nearest node, phi linearly in
-U between its knots (`within_tier.control_term`); each row of phi has
-trapezoid mean 0 over the knots, so the mean stays exact whatever the
-table's accuracy.  In analytic mode c also adds
-gamma_i(r) (y^2 - Ybar^2_i(r, t)), in y^2 of the helper that holds q_min about
-its exact mean over the tier's arc through it (`within_tier`).  Analytic mode
-reads no bracket per link for this scheme either: the table holds what the
-centre needs.  In regime `all` the mean score also steps where the link class
-changes, and the stratum of u that holds a class edge carries the step as
-variance, so both schemes take a term of mean 0 off that stratum's trials
-(`_edge_term`), its step from the scheme's table.
-
-c - m(r) has mean 0 given r, so the mean is unchanged, and the controls
-draw nothing, so sampled mode keeps its Bernoulli draw.  At a density of
-0.005 in analytic mode, the proposed scheme's variance without the y^2
-term is 5.6-6.2x below that of the bracket midpoint for C, 7.3-7.9x for D2,
-22-29x for D1 and 17-20x for the class mix, which that term cuts a further
-1.6-2.1x, and the conventional scheme's stderr is 12x (C),
-16x (D1), 28x (D2) and 15x (the class mix) below it.  Sampled mode, whose
-variance is its Bernoulli draw above the sure share, gains far less: for the
-proposed scheme at 0.001 nodes/m^2, 1.24-1.32x in variance from the part of
-phi linear in U and 1.01-1.05x more from the rest.  A score need not lie
-near m(r): only its mean given r is m(r)'s.  A direct link scores m(r)
-itself.
+variate: c is a centre for the tier or region the trial chose, plus a term
+of mean 0 where its helpers were placed, and m(r) is c's exact mean given
+r.  What each scheme's control is, the tables it is read from and the
+variance it removes are stated in `within_tier`, whose `control` computes
+c and m for a chunk; in regime `all` the stratum of u that holds a class
+edge also takes a term of mean 0 (`_edge_term`).  Analytic mode reads no
+bracket per link: the tables hold what the centres need.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -163,7 +96,7 @@ per trial, and agrees with the exact inverse to 1e-12 relative.
 The `reproduce` figure tables, which set these estimates beside the
 bounds, are built by the `cli` module; this module imports no other layer
 above `channel_model` and `stochastic_geometry` but `within_tier`, the
-control tables of both schemes, which itself imports those two alone and
+control variates of both schemes, which itself imports those two alone and
 is loaded by the first chunk that reaches class C, so that a process that
 runs only the bounds builds no table.
 """
@@ -193,15 +126,13 @@ from .stochastic_geometry import (
     check_band,
     check_conditioning,
     check_integer,
-    cumulative_areas,
+    choice_law,
     hop_angle,
     hop_band,
     nn_distance_band,
-    tier_arc_y2,
     tier_areas,
     tier_index,
-    tier_void_law,
-    void_probability,
+    tier_load,
 )
 
 # rejection rounds after which a placement that never completes fails
@@ -283,23 +214,13 @@ class SimEstimate:
     cell's mean is sum_c n_c mean_c / trials, and its stderr is
     sqrt(sum_c n_c^2 var_c) / trials.  One trial has stderr 0.
 
-    The samples are the trials' scores with the control variate of the
-    module docstring applied to every class C or D link, in both modes:
-    t - c + m(r).  For the conventional scheme c is the chosen region's
-    mean score h(r) plus, where its helper was placed,
-    b(r) (q - Qbar) + g(r) (y^2 - Ybar^2), in its helper's
-    d_SH^2 + d_HD^2 = q and squared distance y^2 from the S-D line about the
-    region's exact means; for the proposed scheme it is the chosen tier's
-    centre h(r) plus, where its helpers were placed, phi(r; U), the secant
-    model b(r) (Q(U) - mean) at the quantile Q of their least q, U the exact
-    law of that least q at its value, and in analytic mode the y^2 term of
-    `within_tier` in the helper that holds it; in regime `all` the trials
-    of a stratum that holds a class edge also carry the edge's term of mean
-    0.  Each has the plain score's mean, and each is a function of its own
-    trial and its stratum, so the stratified stderr holds as it stands.  The
-    controls add no draw, and sampled mode keeps its Bernoulli draw.  In
-    sampled mode
-    a link with a helper scores the chosen tier's sure share
+    The samples are the trials' scores with the control variate of
+    `within_tier` applied to every class C or D link, in both modes, and in
+    regime `all` the class edges' terms of mean 0 (`_edge_term`).  Each has
+    the plain score's mean, and each is a function of its own trial and its
+    stratum, so the stratified stderr holds as it stands.  The controls add
+    no draw.  In sampled mode a link with a helper scores the chosen tier's
+    sure share
     lo = rate x G_worst plus (rate - lo) times a Bernoulli draw of
     x = lo + (rate - lo) v below rate x max G, which has the plain score's
     mean.  Sampled mode draws v before the helpers and places them only
@@ -625,11 +546,12 @@ class _TierChoice(NamedTuple):
     lie in the tier under k-nearest conditioning (None for the conventional
     scheme, whose count is 1).  law is the (5, len(r)) choice law, the
     probability that a link settles on each tier or region, and void the
-    probability that it has no helper, the two that `_control` centres the
-    control variate with.  moments holds, for the conventional scheme, the
-    second moments J and I of each chosen region about the S-D midpoint and
-    line (`tier_areas`), from which `_region_means` takes the means that
-    centre the terms of its control (None for the proposed scheme).
+    probability that it has no helper (`stochastic_geometry.choice_law`),
+    the two that centre the control variate (`within_tier.control`).
+    moments holds, for the conventional scheme, the second moments J and I
+    of each chosen region about the S-D midpoint and line (`tier_areas`),
+    from which `within_tier._region_means` takes the means that centre the
+    terms of its control (None for the proposed scheme).
     """
 
     has: np.ndarray
@@ -650,33 +572,16 @@ def _tier_choice(rng, r, density, k, scheme):
     helper uniformly from the union of the regions.  `_best_g` then draws the
     helpers of the chosen tier.
     """
+    # the conventional regions' moments come from the same lens pass as their areas
+    areas, *moments = tier_areas(r, moments=True) if scheme == "conventional" else (tier_areas(r),)
+    u = rng.random(r.size)
+    law, void, cum = choice_law(scheme, areas, r, density, k)
     if scheme == "proposed":
-        areas = tier_areas(r)
-        u = rng.random(r.size)
-        # the lowest non-empty tier is the number of terms of P{tiers 1..i all
-        # empty}, i = 0..5, above u; 6 is none
-        empty = tier_void_law(areas, r, density, k)
-        void = empty[-1]
-        law = empty[:-1] - empty[1:]
-        tier = np.sum(empty > u, axis=0)
+        # the lowest non-empty tier is the number of terms of P{tiers 1..i all empty}, i = 0..5, above u; 6 is none
+        tier = np.sum(cum > u, axis=0)
         has = np.flatnonzero(tier <= areas.shape[0])
         tier = tier[has]
-        area = areas[tier - 1, has]
-        if k is None:
-            load = density * area
-        else:
-            # each of the k-1 nodes avoids tiers 1..i-1, so it lies in tier i
-            # with probability S_i / (disk area - S_1 - ... - S_(i-1))
-            load = area / (np.pi * r[has] ** 2 - (cumulative_areas(areas)[tier - 1, has] - area))
-        return _TierChoice(has, tier, area, load, law, void)
-    # conventional: the regions' moments come from the same lens pass as their areas
-    areas, *moments = tier_areas(r, moments=True)
-    u = rng.random(r.size)
-    cum = cumulative_areas(areas)
-    # a helper exists unless the union of the regions, taken as one tier, is empty
-    void = void_probability(cum[-1], r, density, k)
-    # the pick is region j with probability (1 - void) S_j / S_total
-    law = areas * ((1.0 - void) / cum[-1])
+        return _TierChoice(has, tier, *tier_load(areas, tier, has, r[has], density, k), law, void)
     has = np.flatnonzero(u < 1.0 - void)
     # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
     w = rng.random(has.size) * cum[-1, has]
@@ -684,24 +589,6 @@ def _tier_choice(rng, r, density, k, scheme):
     # the chosen regions' moments alone, so that no (5, len(r)) array outlives the choice
     moments = tuple(x[tier - 1, has] for x in moments)
     return _TierChoice(has, tier, areas[tier - 1, has], None, law, void, moments)
-
-
-def _region_means(choice, r, which):
-    """(Qbar, Ybar^2): the exact means of d_SH^2 + d_HD^2 and of y^2 over the regions chosen by the conventional links choice.has[which], of lengths r.
-
-    Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S, from the region's area S
-    and its moments J and I about the S-D midpoint and line
-    (`_TierChoice.moments`).  Where tier 1's region is a sliver, near its
-    96.4 m tangency, the three come without cancellation
-    (`stochastic_geometry._lens`), so both means lie in the region's ranges
-    unclipped.
-    """
-    at, area = choice.has[which], choice.area[which]
-    j, i = choice.moments
-    mean_q = j[which] * 2.0
-    mean_q /= area
-    mean_q += 0.5 * r[at] ** 2
-    return mean_q, i[which] / area
 
 
 def _best_g(rng, r, choice, k, params, which=None, line=True):
@@ -792,29 +679,6 @@ def _squeeze(x, upper):
     return np.flatnonzero(x < upper * (1.0 + _SQUEEZE_MARGIN))
 
 
-def _control(centre, choice, direct, term=None, which=slice(None)):
-    """(c, m) of the control variate of links scored `direct` = rate x Ps(r) without a helper.
-
-    centre holds each tier's centre at each link, one row per tier.  c is
-    the centre of the tier or region chosen by the links `choice.has` with a
-    helper, plus `term` at the links choice.has[which], and the direct score
-    for the others.  m is c's mean given r under the choice law and void of
-    `choice`: void x direct plus the law's mixture of the centres, summed one
-    tier at a time; term has mean 0 given r and the choice.  A class C
-    centre has three rows, and the law's rows for tiers 4 and 5 are then
-    exact zeros, which the sum skips.
-    """
-    m = choice.void * direct
-    for p, row in zip(choice.law, centre):
-        m += p * row
-    c = direct.copy()
-    chosen = centre[choice.tier - 1, choice.has]
-    if term is not None:
-        chosen[which] += term
-    c[choice.has] = chosen
-    return c, m
-
-
 def _edge_term(t, r, columns, table):
     """Take jump x (1{r >= e} - P{r >= e | u-slice}) off the scores t of the u-slice that holds each class edge e, in place.
 
@@ -824,11 +688,12 @@ def _edge_term(t, r, columns, table):
     [a B, a B + B_a) / S in the grid of `_stratified_uniforms`, is
     uniform in u for each of its cells, so 1{r >= e} = 1{u >= u_e} has
     the mean P = (a B + B_a - u_e S) / B_a there, and the term has mean 0
-    in every stratum whatever the jump.  jump is the step of the mean score
-    that the control's centres give across the edge, fixed per cell
-    (`within_tier.control_table`, `within_tier.region_table`).  Up to the
-    rounding of the link-length draw at u_e, 1{r >= e} is the class test of
-    the trial itself.
+    in every stratum whatever the jump.  The scheme's control table holds,
+    fixed per cell, each edge e, its u_e and the jump, the step of the mean
+    score that the control's centres give across the edge
+    (`within_tier._with_class_edges`).  Up to the rounding of the
+    link-length draw at u_e, 1{r >= e} is the class test of the trial
+    itself.
     """
     start, _, _ = _strata(t.size, columns)
     s = max(t.size // 2, 1)
@@ -839,61 +704,6 @@ def _edge_term(t, r, columns, table):
         if rows.size:
             span = min(columns, s - first)
             t[rows] -= jump * ((r[rows] >= edge) - (first + span - x) / span)
-
-
-def _uniform_control(table, r, choice, q, y2, k, which):
-    """(centre, term) of the proposed scheme's control: each tier's h at every link, and phi(U) + gamma (y^2 - Ybar^2) at the links choice.has[which].
-
-    h, phi's row of knots and gamma are read at each link's nearest node of
-    the table, and phi between the knots at U (`within_tier.control_term`).
-    The links choice.has[which] are those whose helpers were placed, with
-    least d_SH^2 + d_HD^2 q, at distance t from the S-D midpoint, and y^2 y2
-    of the helper that holds it, which it overwrites; with y2 None the term
-    is phi(U) alone.  U = F(q) is Uniform(0, 1) given r and the tier, and
-    each row of phi has mean 0 over it; given q as well, that helper is
-    uniform on the tier's arc at t, over which Ybar^2 is y^2's exact mean
-    (`stochastic_geometry.tier_arc_y2`).  Which links are placed does not
-    depend on where the helpers lie, so the term has mean 0.
-    """
-    from .within_tier import control_term, least_q_distance, least_q_uniform, table_nodes
-    j = table_nodes(table, r)
-    centre = np.take(table.h, j, axis=1)
-    at, tier = choice.has[which], choice.tier[which]
-    flat = (tier - 1) * table.h.shape[1]
-    flat += j[at]
-    link = r[at]
-    t = least_q_distance(link, q)
-    term = control_term(table, flat, least_q_uniform(link, tier, choice.area[which], choice.load[which], t, k))
-    if y2 is not None:
-        y2 -= tier_arc_y2(link, tier, t)
-        y2 *= table.slope_y.take(flat)
-        term += y2
-    return centre, term
-
-
-def _region_control(table, r, choice, q, y2, which):
-    """(centre, term) of the conventional scheme's control: each region's h at every link, and b (q - Qbar) + g (y^2 - Ybar^2) at the links choice.has[which].
-
-    h, b and g are read at each link's nearest node of the table
-    (`within_tier.region_table`).  The links choice.has[which] are those
-    whose helper was placed, at d_SH^2 + d_HD^2 q and squared distance y2
-    from the S-D line, which it overwrites; Qbar and Ybar^2 are the exact
-    means of both over the chosen region (`_region_means`).  Given r and the
-    region the helper is uniform in it, and which links are placed does not
-    depend on where it lies, so the term has mean 0.
-    """
-    from .within_tier import table_nodes
-    j = table_nodes(table, r)
-    centre = np.take(table.h, j, axis=1)
-    flat = (choice.tier[which] - 1) * table.h.shape[1]
-    flat += j[choice.has[which]]
-    mean_q, mean_y2 = _region_means(choice, r, which)
-    q -= mean_q
-    q *= table.slope_q.take(flat)
-    y2 -= mean_y2
-    y2 *= table.slope_y.take(flat)
-    q += y2
-    return centre, q
 
 
 def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng):
@@ -913,8 +723,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         # the scheme's control table, for a band that reaches class C; its module is loaded by the first chunk
         # that needs one, so that a process that runs none (the bounds) allocates none of it
         from . import within_tier
-        make = within_tier.control_table if scheme == "proposed" else within_tier.region_table
-        table = make(*band, density, k, params)
+        table = within_tier.TABLES[scheme](*band, density, k, params)
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
     if elig.size and k != 1:
@@ -944,11 +753,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
             hit = np.zeros(has.size, dtype=bool)
             hit[placed] = x[placed] < tier_rate[placed] * g
             t[chosen] = lo + span * hit
-        if scheme == "proposed":
-            centre, term = _uniform_control(table, r_e, choice, q, y2, k, placed)
-        else:
-            centre, term = _region_control(table, r_e, choice, q, y2, placed)
-        c, m = _control(centre, choice, (rate * ps_r)[elig], term, placed)
+        c, m = within_tier.control(table, scheme, r_e, choice, (rate * ps_r)[elig], q, y2, k, placed)
         t[elig] = (t[elig] - c) + m
     if table is not None and table.edges.size:
         _edge_term(t, r, columns, table)

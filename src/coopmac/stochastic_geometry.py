@@ -664,6 +664,42 @@ def void_probability(cum_area, r, density, k):
     return (1.0 - cum_area / (np.pi * r ** 2)) ** (k - 1)
 
 
+def choice_law(scheme, areas, r, density, k):
+    """(law, void, cum) of a selection scheme's choice among the tier regions `areas` of links of lengths r.
+
+    law, one row per tier, is the probability that a link settles on each
+    tier or region and void that it has no helper; cum is what the choice
+    is drawn against.  The proposed scheme settles on the lowest non-empty
+    tier: cum is P{tiers 1..i all empty}, i = 0..tiers (`tier_void_law`),
+    law its differences and void its last term.  The conventional scheme
+    picks a helper uniform in the union of the regions: cum is
+    S_1 + ... + S_i (`cumulative_areas`), void the union's void probability
+    and law (1 - void) S_i / S_total.  The law of the Monte Carlo's draw and
+    of its controls' mean; vectorized, no validation.
+    """
+    if scheme == "proposed":
+        cum = tier_void_law(areas, r, density, k)
+        return cum[:-1] - cum[1:], cum[-1], cum
+    cum = cumulative_areas(areas)
+    void = void_probability(cum[-1], r, density, k)
+    return areas * ((1.0 - void) / cum[-1]), void, cum
+
+
+def tier_load(areas, tier, at, r, density, k):
+    """(area, load) of the tiers `tier` (1-based) that the links `at`, of lengths r, chose among the regions `areas`.
+
+    load is the parameter of the chosen tier's helper count given that it
+    is the lowest non-empty one: the mean count density x area under the
+    PPP (k None), and under k-nearest conditioning the chance that one of
+    the k - 1 nearer nodes, which avoids tiers 1..i-1, lies in tier i,
+    S_i / (pi r^2 - S_1 - ... - S_(i-1)).
+    """
+    area = areas[tier - 1, at]
+    if k is None:
+        return area, density * area
+    return area, area / (np.pi * r ** 2 - (cumulative_areas(areas)[tier - 1, at] - area))
+
+
 def tier_region_areas(link_class: str, r_k: float) -> RegionAreas:
     """Analytic tier-region areas for a class C or D link of length r_k.
 

@@ -1,47 +1,76 @@
-"""Both schemes' within-tier controls: the law of the best helper's least q, and tables of centres and slopes.
+"""Both schemes' control variates: what each scheme's control is, its table, and how a chunk reads it.
+
+Every class C or D link of the Monte Carlo reports t - c + m(r), in both
+estimator modes (a control variate: Asmussen & Glynn, Stochastic
+Simulation, 2007, ch. V).  t is its score; c is a centre h(r) of the tier
+or region it chose, plus the scheme's term of mean 0 where its helpers were
+placed, or its direct score rate x Ps(r) without a helper; and m(r), c's
+exact mean given r, is void x rate x Ps(r) plus the mixture of the centres
+under the scheme's choice law (`stochastic_geometry.choice_law`,
+`_mixture`).  c - m(r) has mean 0 given r whatever the tables hold, so the
+estimate keeps its mean, and their accuracy sets only its variance
+(Glasserman, Monte Carlo Methods in Financial Engineering, 2004, 4.1).
+Which links are placed, in sampled mode those the squeeze leaves open,
+depends on the choice and the draw v, not on where the helpers lie, so each
+term keeps mean 0 there too, and as the controls draw nothing, sampled mode
+keeps its Bernoulli draw.  A score need not lie near m(r): only its mean
+given r is m(r)'s.  In regime `all` the mean score steps where the link
+class changes, and each table holds that step at the cell's class edges
+(`_with_class_edges`), which `monte_carlo._edge_term` takes off the
+stratum that holds each edge.  Both tables are read at each link's nearest
+node (`table_nodes`) by one function, `control`.
+
+A conventional link has one helper, uniform in the region it chose
+whatever the density or k, and its control is
+c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)) in the
+helper's q = d_SH^2 + d_HD^2 and squared distance y^2 from the S-D line,
+which explain 97.5-100% of the variance of rate x G within a region (q
+alone 73-100%).  Qbar_j = 2 J_j / S_j + r^2 / 2 and Ybar^2_j = I_j / S_j
+are the exact means of both over the region, from its second moments J_j
+and I_j about the S-D midpoint and line, which the lens pass of its area
+gives too (`stochastic_geometry.tier_areas`; `_region_means`).
+`region_table` holds h_j, the region's mean of rate x G, and (b_j, g_j),
+the least-squares fit of rate x G on (q, y^2) over it, which depend on r
+and the ChannelParams alone, so one fit serves every cell.
 
 A proposed link keeps the best of the chosen tier's helpers, and what is
 left of its score's variance is the spread of max G inside the tier, which
-q_min, the least d_SH^2 + d_HD^2 of the tier's helpers, explains for the
-most part.  Given the link length r and the tier, q_min has a law known in
-closed form up to one area function: a helper uniform in tier i's region of
-area S_i lies where q < s with probability B_i(s; r) / S_i, B_i the area of
-the region within sqrt((s - r^2 / 2) / 2) of the S-D midpoint
+q_min, the least q of the tier's helpers, explains for the most part.
+Given r and the tier, q_min has a law known in closed form up to one area
+function: a helper uniform in tier i's region of area S_i lies where q < s
+with probability B_i(s; r) / S_i, B_i the area of the region within
+sqrt((s - r^2 / 2) / 2) of the S-D midpoint
 (`stochastic_geometry.tier_area_within`), and the helper count is Poisson
 or Binomial given at least one (the void probabilities of Haenggi,
 Stochastic Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min) at
 the drawn value (`least_q_uniform`) is exactly Uniform(0, 1) given r and
-the tier, so the Monte Carlo's control c = h_i(r) + phi_i(r; U) has the mean
-h_i(r) for any h fixed by r, the tier and the cell and any phi of mean 0
-over U (Glasserman, Monte Carlo Methods in Financial Engineering, 2004,
-4.1).  phi_i = b_i (Q_i(U) - mean) is a model of rate x max G linear in
-q_min, at q_min = Q_i(U), Q_i the inverse of F.
+the tier, so c = h_i(r) + phi_i(r; U) keeps the mean h_i(r) for any phi of
+mean 0 over U.  phi_i = b_i (Q_i(U) - mean) is a model of rate x max G
+linear in q_min, at q_min = Q_i(U), Q_i the inverse of F, and h_i the
+model's mean (`control_table`).  In analytic mode the control has a third
+term, gamma_i(r) (y^2 - Ybar^2_i(r, t)).  y^2 is the squared distance from
+the S-D line of the helper that holds q_min, at
+t = sqrt((q_min - r^2 / 2) / 2) from the S-D midpoint.  Given r, the tier
+and q_min, that helper is uniform on the arc of the circle |H - M| = t
+that lies in the tier (the independence property of the PPP, which holds
+for the Binomial count too), so y^2 has the exact mean Ybar^2_i(r, t) over
+that arc (`stochastic_geometry.tier_arc_y2`), taken per link at its own r
+and t.  gamma_i is the slope of rate x max G on y^2 along the arcs, pooled
+over q_min's law and discounted by the chance that no other helper beats
+the least-q one (`_arc_slope`); sampled mode, which gains 1-4% from it,
+leaves it out.  `control_table` tabulates h, phi and gamma once per cell,
+phi at knots in U, read between them linearly in U (`control_term`).
 
-In analytic mode the control has a third term, gamma_i(r) (y^2 - Ybar^2_i(r, t)).
-y^2 is the squared distance from the S-D line of the helper that holds
-q_min, at t = sqrt((q_min - r^2 / 2) / 2) from the S-D midpoint.  Given r,
-the tier and q_min, that helper is uniform on the arc of the circle
-|H - M| = t that lies in the tier (the independence property of the PPP,
-which holds for the Binomial count too), so y^2 has the exact mean
-Ybar^2_i(r, t) over that arc (`stochastic_geometry.tier_arc_y2`), taken per
-link at its own r and t, and the term has mean 0 for any gamma fixed by r,
-the tier and the cell.  gamma_i is the slope of rate x max G on y^2 along
-the arcs, pooled over q_min's law and discounted by the chance that no
-other helper beats the least-q one (`_arc_slope`).  It cuts the proposed
-variance 1.6-2.1x at 0.004-0.005 nodes/m^2; sampled mode, which gains
-1-4% from it, leaves it out.  `control_table` tabulates h, phi and gamma
-once per cell, phi at knots in U; `monte_carlo` reads them at each link's
-nearest node (`table_nodes`), phi between its knots at the link's U
-(`control_term`), and applies the control (`monte_carlo._uniform_control`).
-
-A conventional link has one helper, uniform in the region it chose, and
-its control is c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r))
-in the helper's q and squared distance y^2 from the S-D line, about their
-exact means over the region.  `region_table` holds h_j, the region's mean
-of rate x G, and (b_j, g_j), the least-squares fit of rate x G on (q, y^2)
-over it, which depend on r and the ChannelParams alone, so one table serves
-every cell.  The module is loaded by the first chunk that needs a table,
-so that a process that runs only the bounds builds none.
+At 0.005 nodes/m^2 in analytic mode, against the bracket midpoint as the
+control, the conventional stderr is 12x (C), 16x (D1), 28x (D2) and 15x
+(the class mix) lower, and the proposed variance without the y^2 term
+5.6-6.2x (C), 22-29x (D1), 7.3-7.9x (D2) and 17-20x (the class mix) lower,
+which that term cuts a further 1.6-2.1x.  Sampled mode, whose variance is
+its Bernoulli draw above the sure share, gains far less: for the proposed
+scheme at 0.001 nodes/m^2, 1.24-1.32x in variance from the part of phi
+linear in U and 1.01-1.05x more from the rest.  The module is loaded by
+the first chunk that needs a table, so that a process that runs only the
+bounds builds none.
 """
 
 from __future__ import annotations
@@ -65,15 +94,15 @@ from .stochastic_geometry import (
     TIER1_MAX_SEPARATION,
     TIER_BOXES,
     TIER_RATES,
-    cumulative_areas,
+    choice_law,
     hop_angle,
     hop_band,
     nn_distance_band,
     tier_arc,
+    tier_arc_y2,
     tier_area_within,
     tier_areas,
-    tier_void_law,
-    void_probability,
+    tier_load,
 )
 
 # both control tables: link-length nodes at most _TABLE_STEP m apart, in segments split where tiers 4 and 5
@@ -193,17 +222,19 @@ def least_q_uniform(r, tier, area, load, t, k):
 
 
 class ControlTable(NamedTuple):
-    """The proposed scheme's control at the nodes of a link-length grid (`control_table`).
+    """A scheme's control at the nodes of a link-length grid (`control_table`, `region_table`), read by `control`.
 
     The grid has one segment per band between the edges `splits`; segment i
     runs from start[i] with scale[i] intervals per metre, and its first node
-    is node offset[i].  h holds each tier's centre at every node, one row
-    per tier, and phi, of shape (tiers, nodes, _KNOTS + 1), each tier's
-    within-tier term at the knots u_j = 1 - (1 - j / _KNOTS)^2 of U at
-    every node (`control_term`), and slope_y, shaped as h, the slope gamma
-    of the y^2 term (`_arc_slope`).  edges are the class edges inside the
-    cell's band, edge_u the link-length uniform u at each and jump the
-    step of the link's mean score there (`monte_carlo._edge_term`).
+    is node offset[i].  h holds each tier's or region's centre at every
+    node, one row per tier, and slope_y, shaped as h, the slope of the y^2
+    term.  within is the scheme's own term: for the proposed scheme phi, of
+    shape (tiers, nodes, _KNOTS + 1), each tier's term at the knots
+    u_j = 1 - (1 - j / _KNOTS)^2 of U (`control_term`), and for the
+    conventional one the slope b of its q term, shaped as h.  edges are the
+    class edges inside the cell's band, edge_u the link-length uniform u at
+    each and jump the step of the link's mean score there
+    (`monte_carlo._edge_term`).
     """
 
     splits: np.ndarray
@@ -211,7 +242,7 @@ class ControlTable(NamedTuple):
     scale: np.ndarray
     offset: np.ndarray
     h: np.ndarray
-    phi: np.ndarray
+    within: np.ndarray
     slope_y: np.ndarray
     edges: np.ndarray
     edge_u: np.ndarray
@@ -220,14 +251,13 @@ class ControlTable(NamedTuple):
 
 @_cached
 def control_table(lo, hi, density, k, params):
-    """Centre h_i(r) and within-tier term phi_i(r; U) of the proposed scheme's control, at the nodes of a link-length grid.
+    """Centre h_i(r), within-tier term phi_i(r; U) and y^2 slope gamma_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
 
-    The control of a link that chose tier i is c = h_i(r) + phi_i(r; U),
-    with U = F(q_min) of `least_q_uniform`.  Both come from a model of
-    rate x max G linear in q_min through the bracket's best and worst
-    positions: its slope b_i is the secant of rate x G against
-    q = d_SH^2 + d_HD^2 between them (`channel_model.tier_q_bracket`), and
-    with S_i(s) = 1 - F(s) the survival of q_min from q_best on,
+    h and phi come from a model of rate x max G linear in q_min through the
+    bracket's best and worst positions: its slope b_i is the secant of
+    rate x G against q = d_SH^2 + d_HD^2 between them
+    (`channel_model.tier_q_bracket`), and with S_i(s) = 1 - F(s) the
+    survival of q_min from q_best on,
         h_i = rate G_best,i(r) + b_i integral S_i(s) ds,
         phi_i(r; U) = b_i (Q_i(U) - mean of Q_i),
     the model's mean and its deviation from it at q_min = Q_i(U), Q_i the
@@ -238,15 +268,12 @@ def control_table(lo, hi, density, k, params):
     where Q_i climbs to q_worst (`_quantiles`).  phi_i is read between the
     knots linearly in U (`control_term`), and each row has its trapezoid
     mean over the knots subtracted, so that it integrates to 0 over U
-    exactly, as U is Uniform(0, 1) given r and the tier.  h and phi
-    depend on r, the tier and the cell alone (its band lo..hi, density, k
-    and params), so c keeps its exact mean whatever their accuracy; their
-    accuracy sets only the variance cut.  The same holds for the slope
-    gamma_i of the y^2 term of the module docstring, tabulated beside them
-    (`_arc_slope`).  A tier with no area there gets h = rate G_best and
-    phi = gamma = 0.  The nodes are at most _TABLE_STEP m apart,
-    in segments split at 74.7 and 96.4 m within the band's class C and D
-    part; the table is built once per cell and is read-only.
+    exactly, as U is Uniform(0, 1) given r and the tier.  h, phi and
+    gamma (`_arc_slope`) depend on r, the tier and the cell alone (its band
+    lo..hi, density, k and params).  A tier with no area there gets
+    h = rate G_best and phi = gamma = 0.  The nodes are at most _TABLE_STEP
+    m apart, in segments split at 74.7 and 96.4 m within the band's class C
+    and D part; the table is built once per cell and is read-only.
     """
     band = lo, hi
     r, grid = _grid(max(lo, BAND_55), hi)
@@ -262,11 +289,7 @@ def control_table(lo, hi, density, k, params):
     t_best, t_worst = (np.sqrt(np.maximum(x - floor, 0.0) / 2.0) for x in (q_best[tier, node], q_worst[tier]))
     step = (t_worst - t_best) / _TABLE_POINTS
     t = t_best[:, None] + step[:, None] * (np.arange(_TABLE_POINTS) + 0.5)
-    area = areas[tier, node]
-    if k is None:
-        load = density * area
-    else:
-        load = area / (np.pi * r[node] ** 2 - (cumulative_areas(areas)[tier, node] - area))
+    area, load = tier_load(areas, tier + 1, node, r[node], density, k)
     points = t.size // max(tier.size, 1)
     f = tier_area_within(np.repeat(r[node], points), np.repeat(tier + 1, points), t.ravel())
     f /= np.repeat(area, points)
@@ -283,7 +306,7 @@ def control_table(lo, hi, density, k, params):
     crowd = density if k is None else (k - 1) * load / area
     slope_y[tier, node] = _arc_slope(r[node], tier + 1, t_best, step, law, b, crowd, params)
     table = ControlTable(*grid, h, phi, slope_y, *(np.empty(0),) * 3)
-    return _with_class_edges(table, band, density, k, params, _proposed_law)
+    return _with_class_edges(table, band, density, k, params, "proposed")
 
 
 def _arc_slope(r, tier, t_best, step, law, b, crowd, params):
@@ -372,7 +395,7 @@ def _quantiles(law, s, first, last):
 
 
 def control_term(table, flat, u):
-    """phi at each link's U = u, from the knots of the (tier, node) row at `flat` of `table.phi`, linearly in U.
+    """phi at each link's U = u, from the knots of the (tier, node) row at `flat` of a proposed table's phi (`within`), linearly in U.
 
     With x = _KNOTS (1 - sqrt(1 - u)), the knot below u is j = floor(x),
     at most _KNOTS - 1, and with f = x - j and a = _KNOTS - j the weight of
@@ -391,58 +414,34 @@ def control_term(table, flat, u):
     w /= twice_a - 1
     flat = flat * (_KNOTS + 1)
     flat += j
-    lo = table.phi.take(flat)
+    lo = table.within.take(flat)
     flat += 1
-    hi = table.phi.take(flat)
+    hi = table.within.take(flat)
     hi -= lo
     hi *= w
     hi += lo
     return hi
 
 
-class RegionTable(NamedTuple):
-    """The conventional scheme's control at the nodes of a link-length grid over [67.1, 100] m (`region_table`).
-
-    splits, start, scale and offset lay the grid out as in `ControlTable`.
-    h holds E[rate x G | region j, r] at every node, one row per region,
-    and slope_q and slope_y the least-squares coefficients of rate x G on
-    q = d_SH^2 + d_HD^2 and on y^2, the squared distance from the S-D line,
-    over the region.  edges, edge_u and jump are the cell's class edges, as
-    in `ControlTable`.
-    """
-
-    splits: np.ndarray
-    start: np.ndarray
-    scale: np.ndarray
-    offset: np.ndarray
-    h: np.ndarray
-    slope_q: np.ndarray
-    slope_y: np.ndarray
-    edges: np.ndarray
-    edge_u: np.ndarray
-    jump: np.ndarray
-
-
 @_cached
 def region_table(lo, hi, density, k, params):
-    """The conventional scheme's control table (`_region_fit`), with the class edges of the cell's band lo..hi.
+    """The conventional scheme's control table: h_j, b_j (`within`) and g_j (`slope_y`) of `_region_fit`, with the class edges of the cell's band lo..hi.
 
-    The control of a link that chose region j is
-    c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)), with
-    h, b = slope_q and g = slope_y read at the link's nearest node and the
-    exact means Qbar and Ybar^2 of q and y^2 over the region taken per link
-    from its lens moments (`stochastic_geometry.tier_areas`).  A helper is
-    uniform in its region whatever the density or k, so the fit is built
-    once per ChannelParams and shared by the cells; the class edges, and the
-    step of the conventional mean score across each, are the cell's
-    (`_with_class_edges`).  Built once per cell, read-only.
+    A helper is uniform in its region whatever the density or k, so the fit
+    is built once per ChannelParams and shared by the cells; the class
+    edges, and the step of the conventional mean score across each, are the
+    cell's (`_with_class_edges`).  Built once per cell, read-only.
     """
-    return _with_class_edges(_region_fit(params), (lo, hi), density, k, params, _conventional_law)
+    return _with_class_edges(_region_fit(params), (lo, hi), density, k, params, "conventional")
+
+
+# each scheme's table builder
+TABLES = {"proposed": control_table, "conventional": region_table}
 
 
 @lru_cache(maxsize=8)
 def _region_fit(params):
-    """`RegionTable` of `params` without class edges: each region's mean of rate x G and its fit in (q, y^2), at every node.
+    """`ControlTable` of `params` without class edges: each region's mean of rate x G and its fit in (q, y^2), at every node.
 
     The nodes are those of `_grid` over [67.1, 100] m.  Each region is
     integrated over one hop order and the upper half-plane, whose mirror
@@ -460,8 +459,7 @@ def _region_fit(params):
     and (b, g) solve the normal equations of its centred moments.  A region
     with no area at a node (tier 1 from 96.4 m on, tiers 4 and 5 of class
     C) gets h = rate G_best, the limit of a region that shrinks to its best
-    position, and b = g = 0.  The rule's accuracy sets only the variance of
-    the control, whose mean is exact whatever the table holds.
+    position, and b = g = 0.
     """
     r, grid = _grid(BAND_55, MAX_RANGE)
     rule = _gauss_legendre(_GAUSS_POINTS)
@@ -474,7 +472,7 @@ def _region_fit(params):
         for block in np.array_split(at, max(1, -(-at.size // _FIT_BLOCK))):
             h[tier, block], slope_q[tier, block], slope_y[tier, block] = _fit(r[block], box, TIER_RATES[tier],
                                                                               params, *rule)
-    return RegionTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 3)
+    return ControlTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 3)
 
 
 def _fit(r, box, rate, params, u, w):
@@ -541,47 +539,43 @@ def _grid(lo, hi):
     return r, (np.array(edges[1:-1]), np.array(edges[:-1]), np.array(counts) / np.diff(edges), starts)
 
 
-def _with_class_edges(table, band, density, k, params, law):
+def _with_class_edges(table, band, density, k, params, scheme):
     """`table` with the class edges inside the band, the uniform u of each and the step of the mean score there, read-only.
 
     The mean score is the scheme's, as its control's centre has it
-    (`_mean_score` under the choice law `law`); `monte_carlo._edge_term`
-    takes its step off the trials of the u-slice that holds each edge.
+    (`_mean_score`); `monte_carlo._edge_term` takes its step off the trials
+    of the u-slice that holds each edge.
     """
     edges = np.array([e for e in BAND_EDGES[1:-1] if band[0] < e < band[1]])
-    below, above = (_mean_score(x, density, k, params, table, law) for x in (np.nextafter(edges, 0.0), edges))
+    below, above = (_mean_score(x, density, k, params, table, scheme) for x in (np.nextafter(edges, 0.0), edges))
     table = table._replace(edges=edges, edge_u=_band_uniform(edges, band, density, k), jump=above - below)
     for array in table:
         array.flags.writeable = False
     return table
 
 
-def _proposed_law(areas, r, density, k):
-    """(law, void) of the proposed scheme: it settles on the lowest non-empty tier."""
-    empty = tier_void_law(areas, r, density, k)
-    return empty[:-1] - empty[1:], empty[-1]
-
-
-def _conventional_law(areas, r, density, k):
-    """(law, void) of the conventional scheme: it picks a uniform helper of the union of the regions."""
-    total = cumulative_areas(areas)[-1]
-    void = void_probability(total, r, density, k)
-    return areas * ((1.0 - void) / total), void
-
-
-def _mean_score(r, density, k, params, table, law):
-    """A scheme's mean score at link lengths r, as its control's centre has it: m(r) of `monte_carlo._control` for class C and D under the choice law `law`, rate x Ps(r) below."""
+def _mean_score(r, density, k, params, table, scheme):
+    """A scheme's mean score at link lengths r, as its control's centre has it: m(r) of `control` for class C and D, rate x Ps(r) below."""
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, params)
     helped = r >= BAND_55
     if np.any(helped):
         x = r[helped]
-        p, void = law(tier_areas(x), x, density, k)
-        centre = np.take(table.h, table_nodes(table, x), axis=1)
-        m = void * direct[helped]
-        for p_i, row in zip(p, centre):
-            m += p_i * row
-        direct[helped] = m
+        law, void, _ = choice_law(scheme, tier_areas(x), x, density, k)
+        direct[helped] = _mixture(law, void, direct[helped], np.take(table.h, table_nodes(table, x), axis=1))
     return direct
+
+
+def _mixture(law, void, direct, centre):
+    """m(r) = void x direct + sum_i law_i x centre_i: a control's mean given r, summed one tier at a time.
+
+    centre holds each tier's centre at each link, one row per tier.  A
+    class C centre has three rows, and the law's rows for tiers 4 and 5 are
+    then exact zeros, which the sum skips.
+    """
+    m = void * direct
+    for p, row in zip(law, centre):
+        m += p * row
+    return m
 
 
 def _band_uniform(r, band, density, k):
@@ -595,7 +589,7 @@ def _band_uniform(r, band, density, k):
 
 
 def table_nodes(table, r):
-    """The index of each link's nearest node on the grid of `control_table`."""
+    """The index of each link's nearest node on the grid of a `ControlTable` of either scheme."""
     # the number of splits at or below r; two comparisons cost less than a search
     seg = 0
     for split in table.splits:
@@ -605,3 +599,63 @@ def table_nodes(table, r):
     j = np.rint(x, out=x).astype(np.intp)
     j += table.offset[seg]
     return j
+
+
+def control(table, scheme, r, choice, direct, q, y2, k, which):
+    """(c, m) of the control variate of the module docstring, for links of lengths r scored `direct` = rate x Ps(r) without a helper.
+
+    `choice` is the links' tier or region choice (`monte_carlo._TierChoice`):
+    c is, at the links choice.has with a helper, the centre h of the tier or
+    region each chose, read at its nearest node of the scheme's `table`, and
+    the direct score at the others.  The links choice.has[which] had their
+    helpers placed, with least d_SH^2 + d_HD^2 q and y^2 y2 of the helper
+    that holds it, and add the scheme's term: phi(U), U = F(q)
+    (`least_q_uniform`) read between the knots of its node's row
+    (`control_term`), for the proposed scheme, and b (q - Qbar) about the
+    region's exact mean (`_region_means`) for the conventional one.  Both
+    add gamma (y^2 - Ybar^2), y^2 about its exact mean over the tier's arc
+    through the helper (`stochastic_geometry.tier_arc_y2`) or over the
+    region, which is left out where y2 is None.  m is c's mean given r
+    (`_mixture`).  q and y2 may be overwritten.
+    """
+    j = table_nodes(table, r)
+    centre = np.take(table.h, j, axis=1)
+    at, tier = choice.has[which], choice.tier[which]
+    flat = (tier - 1) * table.h.shape[1]
+    flat += j[at]
+    if scheme == "proposed":
+        link = r[at]
+        t = least_q_distance(link, q)
+        term = control_term(table, flat, least_q_uniform(link, tier, choice.area[which], choice.load[which], t, k))
+        mean_y2 = None if y2 is None else tier_arc_y2(link, tier, t)
+    else:
+        mean_q, mean_y2 = _region_means(choice, r, which)
+        term = np.subtract(q, mean_q, out=q)
+        term *= table.within.take(flat)
+    if y2 is not None:
+        y2 -= mean_y2
+        y2 *= table.slope_y.take(flat)
+        term += y2
+    c = direct.copy()
+    chosen = centre[choice.tier - 1, choice.has]
+    chosen[which] += term
+    c[choice.has] = chosen
+    return c, _mixture(choice.law, choice.void, direct, centre)
+
+
+def _region_means(choice, r, which):
+    """(Qbar, Ybar^2): the exact means of d_SH^2 + d_HD^2 and of y^2 over the regions chosen by the conventional links choice.has[which], of lengths r.
+
+    Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S, from the region's area S
+    and its moments J and I about the S-D midpoint and line
+    (`monte_carlo._TierChoice.moments`).  Where tier 1's region is a sliver,
+    near its 96.4 m tangency, the three come without cancellation
+    (`stochastic_geometry._lens`), so both means lie in the region's ranges
+    unclipped.
+    """
+    at, area = choice.has[which], choice.area[which]
+    j, i = choice.moments
+    mean_q = j[which] * 2.0
+    mean_q /= area
+    mean_q += 0.5 * r[at] ** 2
+    return mean_q, i[which] / area

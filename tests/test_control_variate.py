@@ -45,7 +45,7 @@ from coopmac.stochastic_geometry import (
     void_probability,
 )
 from plain_scoring import cell_seeds, lower_control_chunk, midpoint_control_chunk, plain_estimate
-from within_tier_reference import arc_mean_y2, nearest_node, region_means, term, uniform
+from within_tier_reference import arc_mean_y2, nearest_node, node_lengths, region_means, term, uniform
 
 PARAMS = ChannelParams()
 # tier t's worst helper position, both hops at the outer edges of its hop
@@ -89,13 +89,8 @@ def _control_parts(regime, density, k, scheme, n, seed):
     choice = mc._tier_choice(rng, r, density, k, scheme)
     g, q, y2 = mc._best_g(rng, r, choice, k, PARAMS)
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, PARAMS)
-    if scheme == "proposed":
-        table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-        centre, term = mc._uniform_control(table, r, choice, q, y2.copy(), k, slice(None))
-    else:
-        table = within_tier.region_table(*REGIMES[regime][:2], density, k, PARAMS)
-        centre, term = mc._region_control(table, r, choice, q.copy(), y2.copy(), slice(None))
-    c, m = mc._control(centre, choice, direct, term)
+    table = within_tier.TABLES[scheme](*REGIMES[regime][:2], density, k, PARAMS)
+    c, m = within_tier.control(table, scheme, r, choice, direct, q.copy(), y2.copy(), k, slice(None))
     return r, choice.has, choice.tier, g, q, y2, c, m
 
 
@@ -115,10 +110,18 @@ def test_one_bracket_table(params):
         assert store.worst.tobytes() == terms[:n].tobytes()
         keep = r >= REGIMES["D1"][0] if link_class == "D" else r <= REGIMES["C"][1]
         assert store.rows(r[keep])[n + 1:].tobytes() == best[:n, keep].tobytes()
-    # the conventional c at a chosen region is the midpoint of that tier's row
-    has, tier = np.arange(r.size), np.arange(r.size) % 5 + 1
-    choice = mc._TierChoice(has, tier, None, None, np.zeros((5, r.size)), np.zeros(r.size))
-    c, _ = mc._control((best + worst[:, None]) * 0.5, choice, np.zeros(r.size))
+    # the conventional c at a chosen region is the midpoint of that tier's row, read from a table whose h is
+    # the bracket midpoint at its nodes and whose terms are 0
+    table = within_tier.region_table(*REGIMES["all"][:2], 0.001, None, params)
+    nodes = node_lengths(table)
+    worst, best = tier_bracket("D", nodes, params)
+    table = table._replace(h=(best + worst[:, None]) * 0.5, within=np.zeros(table.h.shape),
+                           slope_y=np.zeros(table.h.shape))
+    has, tier = np.arange(nodes.size), np.arange(nodes.size) % 5 + 1
+    zeros = np.zeros(nodes.size)
+    choice = mc._TierChoice(has, tier, np.ones(nodes.size), None, np.zeros((5, nodes.size)), zeros, (zeros, zeros))
+    c, _ = within_tier.control(table, "conventional", nodes, choice, zeros, zeros.copy(), zeros.copy(), None,
+                               slice(None))
     assert c.tobytes() == (0.5 * (terms[tier - 1] + best[tier - 1, has])).tobytes()
     # and the scalar view of the bounds reads the same entries
     for regime in ("C", "D1", "D2"):
@@ -152,7 +155,7 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
         np.testing.assert_allclose(c[has] - h[tier - 1, has],
                                    term(table, tier, node[has], uniform(r[has], tier, q, density, k)) + line,
                                    rtol=0, atol=1e-12)
-        assert np.all(np.diff(table.phi[tier - 1, node[has]], axis=1) <= 0)
+        assert np.all(np.diff(table.within[tier - 1, node[has]], axis=1) <= 0)
         empty = tier_void_law(tier_areas(r), r, density, k)
         want_m = empty[-1] * direct + ((empty[:-1] - empty[1:])[:len(h)] * h).sum(axis=0)
     else:
@@ -165,10 +168,10 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
         mean_q, mean_y2 = region_means(r[has], tier)
         at = tier - 1, node[has]
         np.testing.assert_allclose(c[has] - h[tier - 1, has],
-                                   table.slope_q[at] * (q - mean_q) + table.slope_y[at] * (y2 - mean_y2),
+                                   table.within[at] * (q - mean_q) + table.slope_y[at] * (y2 - mean_y2),
                                    rtol=0, atol=1e-12)
         # G falls with q at fixed y^2 and rises with y^2 at fixed q, where the hops are more even
-        assert np.all(table.slope_q[at] < 0) and np.all(table.slope_y[at] > 0)
+        assert np.all(table.within[at] < 0) and np.all(table.slope_y[at] > 0)
         # y^2 lies in [0, |H - M|^2], and |H - M|^2 = (q - r^2 / 2) / 2
         assert np.all(y2 >= -1e-9) and np.all(y2 <= (q - r[has] ** 2 / 2) / 2 + 1e-9)
         areas = tier_areas(r)

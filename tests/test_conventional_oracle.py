@@ -8,8 +8,9 @@ computes by `scipy.integrate.dblquad`, and the scheme's mean over a band is
 `conventional_oracle.scheme_mean`.  These tests check the table's h against
 the oracle, the oracle against values found by an earlier quadrature,
 `estimate_throughput` against the oracle by z-tests on seeds of each cell's
-own, and that the table is built lazily: within 10 ms, read-only, and not
-by a process that runs only the bounds.
+own, and that the table is built lazily: within 2.5 times a fixed numpy
+yardstick timed beside it, read-only, and not by a process that runs only
+the bounds.
 """
 
 import os
@@ -32,6 +33,8 @@ PARAMS = ChannelParams()
 SRC = Path(__file__).parents[1] / "src"
 # node lengths of the table to check, across its three segments: the class C band, 74.7-96.4 m and 96.4-100 m
 _CHECKED = (67.1, 70.9, 74.45, 74.7, 80.0, 85.5, 91.0, 96.15, 96.4, 98.2, 100.0)
+# rounds of the timing test's yardstick (`_yardstick`)
+_YARDSTICK_ROUNDS = 320
 
 
 def test_table_means_match_the_oracle():
@@ -70,22 +73,37 @@ def test_conventional_means_agree_with_the_oracle(regime, density, k):
     assert abs(z) <= 4, (est.mean, est.stderr, z)
 
 
+def _yardstick():
+    """A fixed numpy computation shaped like the table's fit: many small elementwise passes, about 9 ms on 2 cores."""
+    x = np.linspace(0.0, 1.0, 2048)
+    total = 0.0
+    for i in range(_YARDSTICK_ROUNDS):
+        y = np.sin(x + i)
+        y *= y
+        y += np.exp(-x)
+        total += float(np.sqrt(y, out=y).sum())
+    return total
+
+
 def test_table_is_built_quickly_and_read_only():
-    # the best of three builds for a parameter set no other test uses, so that a busy host does not fail it
+    # the best of three builds for a parameter set no other test uses, each timed beside the yardstick, so
+    # that a slow or busy host slows both; the fit took 0.9-1.0 yardsticks on 2 cores, and 7.5 with one node
+    # per block of its rule
     params = ChannelParams(pt=1.5)
-    seconds = []
+    seconds = {"fit": [], "yardstick": []}
     for _ in range(3):
         within_tier._region_fit.cache_clear()
-        start = time.perf_counter()
-        within_tier._region_fit(params)
-        seconds.append(time.perf_counter() - start)
-    assert min(seconds) <= 0.010, seconds
+        for name, run in (("fit", lambda: within_tier._region_fit(params)), ("yardstick", _yardstick)):
+            start = time.perf_counter()
+            run()
+            seconds[name].append(time.perf_counter() - start)
+    assert min(seconds["fit"]) <= 2.5 * min(seconds["yardstick"]), seconds
     table = within_tier.region_table(0.0, 100.0, 0.001, 10, params)
     assert table.h is within_tier._region_fit(params).h
     assert table.edges.tolist() == [48.2, 67.1, 74.7]
     for array in table:
         assert not array.flags.writeable
-    assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.slope_q)) and np.all(np.isfinite(table.slope_y))
+    assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.within)) and np.all(np.isfinite(table.slope_y))
 
 
 def test_bounds_build_no_conventional_table():

@@ -1,10 +1,14 @@
-"""The package's lower layers import only what their docstrings say.
+"""The package's lower layers import only what their docstrings say, and every module uses what it imports.
 
 `monte_carlo` builds on `channel_model` and `stochastic_geometry`, and on
-`within_tier`, the control tables of both schemes, which builds on those two alone;
-it shares the bounds' tables through them, never by importing
+`within_tier`, the control variates of both schemes, which builds on those
+two alone; it shares the bounds' tables through them, never by importing
 `analytic_bounds`, `quadrature` or `cli`; `channel_model` reads the band
-table of `stochastic_geometry`, which imports nothing of the package.
+table of `stochastic_geometry`, which imports nothing of the package.  A
+name a module imports and never uses is a stale import, but for the names
+that the bench's span tracer wraps at the module's attribute
+(`bench/tracing.py`'s WRAP_POINTS), which the module holds so that the
+tracer can find them; `__init__` uses what its `__all__` names.
 """
 
 import ast
@@ -13,6 +17,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "coopmac"
+TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 ALLOWED = {
     "monte_carlo": {"channel_model", "stochastic_geometry", "within_tier"},
     "within_tier": {"channel_model", "stochastic_geometry"},
@@ -39,3 +44,43 @@ def _package_imports(module):
 @pytest.mark.parametrize("module", sorted(ALLOWED))
 def test_module_imports_only_its_lower_layers(module):
     assert _package_imports(module) == ALLOWED[module]
+
+
+def _wrapped():
+    """(module, name) of each attribute that the bench's tracer wraps: WRAP_POINTS of `bench/tracing.py`, read as a literal."""
+    for node in ast.parse(TRACING.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAP_POINTS"]:
+            return {(module, name) for module, name, *_ in ast.literal_eval(node.value)}
+    raise AssertionError("no WRAP_POINTS in %s" % TRACING)
+
+
+def unused_imports(source, module):
+    """The names that the module `module` of `source` imports, at any depth, and neither reads nor lists in `__all__`."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used - {name for owner, name in _wrapped() if owner == module})
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_module_uses_every_name_it_imports(module):
+    assert unused_imports((SRC / (module + ".py")).read_text(), module) == []
+
+
+def test_a_stale_import_is_found():
+    # the y^2 mean that the controls' read takes, imported again where it is no longer used
+    source = (SRC / "monte_carlo.py").read_text().replace("    tier_areas,\n", "    tier_arc_y2,\n    tier_areas,\n", 1)
+    assert unused_imports(source, "monte_carlo") == ["tier_arc_y2"]
+    # a wrapped name is exempt only in the module whose attribute the tracer wraps
+    assert ("analytic_bounds", "nn_distance_pdf") in _wrapped()
+    source = (SRC / "analytic_bounds.py").read_text()
+    assert unused_imports(source, "analytic_bounds") == []
+    assert "nn_distance_pdf" in unused_imports(source, "monte_carlo")

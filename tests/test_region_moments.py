@@ -11,7 +11,7 @@ keeps the areas' and J's bits and warns of nothing; that apart and tangent
 circles have no lens; that the thin-lens series is exact to rounding near
 the 96.4 m tangency where the plain lens terms cancel, in the kernel and in
 the scalar views of areas, tier law and bounds; that the Monte Carlo's
-means (`monte_carlo._region_means`) stay in the region's ranges there
+means (`within_tier._region_means`) stay in the region's ranges there
 unclipped; that Ybar^2 is the mean of the y^2 of helpers the package
 places; and that Qbar lies in the region's range of q.
 """
@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmac import monte_carlo as mc
+from coopmac import within_tier
 from coopmac.analytic_bounds import _link_bounds, link_bounds_at_distance, tier_probabilities
 from coopmac.channel_model import ChannelParams, tier_q_bracket
 from coopmac.stochastic_geometry import BAND_2, TIER1_MAX_SEPARATION, _lens, lens_area, tier_areas, tier_region_areas
@@ -235,7 +236,7 @@ def test_tier1_means_near_tangency():
     # the tangency, where the region holds 1e-20 m^2, too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_q, got_y2 = mc._region_means(_tier1_choice(r), r, slice(None))
+        got_q, got_y2 = within_tier._region_means(_tier1_choice(r), r, slice(None))
     np.testing.assert_allclose(got_q, mean_q[0], rtol=1e-15)
     np.testing.assert_allclose(got_y2, mean_y2[0], rtol=1e-15)
     assert np.all((got_q >= r * r / 2) & (got_q <= 2 * 48.2 ** 2))
@@ -261,7 +262,7 @@ def test_means_are_finite_and_in_range_at_every_link_length():
             j, i = (x[tier - 1, links] for x in moments)
             choice = mc._TierChoice(links, np.full(links.size, tier), areas[tier - 1, links], None, areas,
                                     np.zeros(r.size), (j, i))
-            mean_q, mean_y2 = mc._region_means(choice, r, slice(None))
+            mean_q, mean_y2 = within_tier._region_means(choice, r, slice(None))
             assert np.isfinite(mean_q).all() and np.isfinite(mean_y2).all(), tier
             assert np.all((mean_q >= q_best[tier - 1, links]) & (mean_q <= q_worst[tier - 1])), tier
             # 0 <= I <= J; y^2 <= |H - M|^2 = (q - r^2 / 2) / 2 at every point, up to Qbar's rounding, half an

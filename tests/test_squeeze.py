@@ -57,10 +57,10 @@ def _recorded_chunk(regime, density, k, scheme, n, seed, params, monkeypatch):
         seen["g"], seen["q"], seen["y2"] = out[0], out[1].copy(), None if out[2] is None else out[2].copy()
         return out
 
-    for name, fake in (("_tier_choice", tier_choice), ("_squeeze", squeeze), ("_control", control),
-                       ("_best_g", best_g)):
-        fake.real = getattr(mc, name)
-        monkeypatch.setattr(mc, name, fake)
+    for module, name, fake in ((mc, "_tier_choice", tier_choice), (mc, "_squeeze", squeeze),
+                               (within_tier, "control", control), (mc, "_best_g", best_g)):
+        fake.real = getattr(module, name)
+        monkeypatch.setattr(module, name, fake)
     t = mc._chunk_throughput(regime, density, scheme, n, params, "sampled", k, np.random.default_rng(seed))
     monkeypatch.undo()
     return t, seen
@@ -108,8 +108,7 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     want = np.zeros(n)
     want[elig[has]] = ((lo + (rate - lo) * hit) - c) + m
     # the class edges of regime "all" take their mean-0 term off the trials of the u-slices that hold them
-    make = within_tier.control_table if scheme == "proposed" else within_tier.region_table
-    table = make(*REGIMES[regime][:2], density, k, params)
+    table = within_tier.TABLES[scheme](*REGIMES[regime][:2], density, k, params)
     mc._edge_term(want, link, columns, table)
     assert t[elig[has]].tobytes() == want[elig[has]].tobytes()
     # c is the chosen tier's centre h at the link's nearest node of the table; a proposed link whose helpers
@@ -125,7 +124,7 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
         np.testing.assert_allclose(moved[placed], term(table, tier[placed], node[placed], u), rtol=0, atol=1e-12)
     else:
         mean_q, mean_y2 = region_means(r[has[placed]], tier[placed])
-        np.testing.assert_allclose(moved[placed], table.slope_q[at] * (seen["q"] - mean_q)
+        np.testing.assert_allclose(moved[placed], table.within[at] * (seen["q"] - mean_q)
                                    + table.slope_y[at] * (seen["y2"] - mean_y2), rtol=0, atol=1e-12)
     # place every link's helpers on another stream: each settled draw is a failure of that placement
     g = mc._best_g(np.random.default_rng(seed + 1), r, choice, k, params)[0]

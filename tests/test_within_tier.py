@@ -122,13 +122,13 @@ def test_control_is_finite_next_to_the_tangency(density, k):
     # the tangency itself
     for regime in ("D1", "D2", "all"):
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-        assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.phi))
-        assert np.all(np.diff(table.phi, axis=2) <= 0)
+        assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.within))
+        assert np.all(np.diff(table.within, axis=2) <= 0)
         near = np.abs(node_lengths(table) - TANGENCY) <= 0.12
         assert near.any()
         at = np.flatnonzero(node_lengths(table) == TANGENCY)
-        assert at.size and np.all(table.phi[0, at] == 0.0)
-        assert np.all(table.phi[1:, near, 0] > table.phi[1:, near, -1])
+        assert at.size and np.all(table.within[0, at] == 0.0)
+        assert np.all(table.within[1:, near, 0] > table.within[1:, near, -1])
 
 
 def _survival(r, tier, s, density, k):
@@ -163,7 +163,7 @@ def test_table_matches_quadrature(regime, density, k):
             slope = _secant(r, tier)
             mean = quad(lambda s: _survival(r, tier, np.array([s]), density, k)[0], lo, hi, limit=200)[0]
             assert table.h[tier - 1, j] == pytest.approx(best[tier - 1, 0] + slope * mean, abs=2e-4), (r, tier)
-            phi = table.phi[tier - 1, j]
+            phi = table.within[tier - 1, j]
             q = lo + (phi - phi[0]) / slope
             np.testing.assert_allclose(q, [quantile(r, tier, u, density, k) for u in KNOTS], rtol=2e-3)
             assert q[0] - phi[0] / slope == pytest.approx(lo + mean, rel=2e-3), (r, tier)
@@ -175,7 +175,7 @@ def test_phi_has_mean_0_and_falls_in_u(regime, density, k):
     # U is Uniform(0, 1) given r and the tier, and phi is linear in U between the knots, so each row's mean is
     # its trapezoid sum, 0 up to rounding; Q rises with U and b <= 0, so phi falls
     table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-    phi = table.phi
+    phi = table.within
     assert phi.shape == (*table.h.shape, KNOTS.size) and not phi.flags.writeable
     mean = (0.5 * (phi[..., 1:] + phi[..., :-1]) * np.diff(KNOTS)).sum(axis=-1)
     assert np.all(np.abs(mean) <= 1e-12 * np.abs(phi).max(axis=-1))

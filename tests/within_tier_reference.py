@@ -129,5 +129,5 @@ def arc_mean_y2(r, tier, t):
 
 def term(table, tier, node, u):
     """phi at U = u of each link's (tier, node) row of a proposed control table, linear in U between the `KNOTS`."""
-    return np.array([np.interp(x, KNOTS, table.phi[t - 1, j]) for t, j, x in zip(tier, node, u)])
+    return np.array([np.interp(x, KNOTS, table.within[t - 1, j]) for t, j, x in zip(tier, node, u)])
 
