@@ -161,11 +161,11 @@ def parse_config(path=None, overrides=None, fixed=()) -> RunConfig:
 
 
 def _csv_field(key, value):
-    """A row's value as the CSV prints it: a float but the density to 4 decimals, and a stderr or band mass below
-    0.01, which 4 decimals would show with fewer than three digits or as 0, to three significant digits."""
+    """A row's value as the CSV prints it: a float but the density to 4 decimals, and a stderr, band mass or bound
+    below 0.01, which 4 decimals would show with fewer than three digits or as 0, to three significant digits."""
     if not isinstance(value, float) or key == "density":
         return value
-    small = key in ("stderr", "band_mass") or key.endswith("_stderr")
+    small = key in ("stderr", "band_mass", "lower", "upper") or key.endswith("_stderr")
     return format(value, ".3g" if small and abs(value) < 0.01 else ".4f")
 
 

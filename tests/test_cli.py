@@ -338,14 +338,14 @@ def test_python_m_coopmac_runs_the_cli_from_a_checkout(capsys):
     ["bounds", "--class", "all", "--conditioning", "k=10"],
 ])
 def test_csv_stderr_reads_0_only_where_the_json_is_0(tmp_path, argv):
-    # a stderr or band mass of the CSV row re-parses to 0 exactly where the JSON row's value is 0, and to its
-    # three significant digits below 0.01; means and bounds keep 4 decimals
+    # a stderr, band mass or bound of the CSV row re-parses to 0 exactly where the JSON row's value is 0, and to
+    # its three significant digits below 0.01; means, and bounds from 0.01 on, keep 4 decimals
     paths = {fmt: tmp_path / ("out." + fmt) for fmt in ("csv", "json")}
     for fmt, path in paths.items():
         assert main(argv + ["--seed", "5", "--format", fmt, "--out", str(path)]) == 0
     rows = list(csv.DictReader(paths["csv"].open()))
     full = json.loads(paths["json"].read_text())
-    small = [key for key in full[0] if key in ("stderr", "band_mass") or key.endswith("_stderr")]
+    small = [key for key in full[0] if key in ("stderr", "band_mass", "lower", "upper") or key.endswith("_stderr")]
     assert small and len(rows) == len(full)
     for row, exact in zip(rows, full):
         for key in small:
@@ -353,5 +353,5 @@ def test_csv_stderr_reads_0_only_where_the_json_is_0(tmp_path, argv):
             if 0.0 < exact[key] < 0.01:
                 assert float(row[key]) == pytest.approx(exact[key], rel=5e-3), (key, row[key], exact[key])
         for key in ("mean", "proposed", "conventional", "lower", "upper"):
-            if key in row:
+            if key in row and (key not in small or abs(exact[key]) >= 0.01):
                 assert row[key] == format(exact[key], ".4f")
