@@ -220,10 +220,9 @@ class SimEstimate:
     the plain score's mean, and each is a function of its own trial and its
     stratum, so the stratified stderr holds as it stands.  The controls add
     no draw.  In sampled mode a link with a helper scores the chosen tier's
-    sure share
-    lo = rate x G_worst plus (rate - lo) times a Bernoulli draw of
-    x = lo + (rate - lo) v below rate x max G, which has the plain score's
-    mean.  Sampled mode draws v before the helpers and places them only
+    sure share lo = rate x G_worst plus (rate - lo) times a Bernoulli draw
+    of x = lo + (rate - lo) v below rate x max G, which has the plain
+    score's mean.  Sampled mode draws v before the helpers and places them only
     where x lies below the chosen tier's upper end, widened by the margin
     _SQUEEZE_MARGIN = 1e-9 (the squeeze of the module docstring), or
     everywhere where that end is not proved; elsewhere the draw is a

@@ -87,8 +87,8 @@ def _yardstick():
 
 def test_table_is_built_quickly_and_read_only():
     # the best of three builds for a parameter set no other test uses, each timed beside the yardstick, so
-    # that a slow or busy host slows both; the fit took 0.9-1.0 yardsticks on 2 cores, and 7.5 with one node
-    # per block of its rule
+    # that a slow or busy host slows both; the fit took 0.9-1.3 yardsticks on 2 cores, idle or with the other
+    # core busy, and 7-8.5 with one node per block of its rule
     params = ChannelParams(pt=1.5)
     seconds = {"fit": [], "yardstick": []}
     for _ in range(3):
