@@ -486,7 +486,7 @@ def _draw_polar(rng, lo, hi, t_lo, t_span, r):
 
 
 def _place_in_tier(rng, r, tier, area, count):
-    """count[j] >= 1 points of the tier[j] region (area area[j]) of a link of length r[j], one rejection round at a time.
+    """count[j] >= 1 points of the tier[j] region (area area[j]) of a link of length r[j], by rejection rounds.
 
     Each point is uniform in the region's part with d_SH in the tier's higher
     hop band and d_HD in its lower one: exact for G (see the module
@@ -494,11 +494,10 @@ def _place_in_tier(rng, r, tier, area, count):
     half or more; the other order of tier 4 fills 0.2).  It is drawn around S
     by rejection from that box (`_polar_box`) and kept when its hop lengths
     lie in the two bands.  Each round draws about need/p candidates for every
-    unfinished trial, where p is the region's share of its box, and keeps the
-    first accepted ones up to the number still needed.  Yields, for each
-    round that kept a point, (trials, start, d_SH, d_HD): the trials that got
-    points, in increasing order, and the offset of each one's first point in
-    d_SH and d_HD, which hold the round's points grouped by trial.
+    unfinished link, where p is the region's share of its box, and keeps the
+    first accepted ones up to the number still needed.  Returns (link, d_SH,
+    d_HD) of every point kept, in round order and by link within a round:
+    the index j of each point's link, and its hop lengths.
     """
     need = np.array(count, dtype=np.int64)
     a, b, c, d, orders = TIER_BOXES.take(tier - 1, axis=1)
@@ -509,9 +508,10 @@ def _place_in_tier(rng, r, tier, area, count):
     box = orders * (hi * hi - lo * lo) * t_span
     share = np.divide(area, box, out=np.ones(box.shape), where=box > 0.0)
     todo = np.arange(r.size)
+    points = [(todo[:0], np.empty(0), np.empty(0))]
     for _ in range(_MAX_ROUNDS):
         if not todo.size:
-            return
+            return tuple(np.concatenate(x) for x in zip(*points))
         m = np.ceil(need[todo] / share[todo]).astype(np.int64)
         tid = np.repeat(todo, m)
         lo_c, hi_c = lo[tid], hi[tid]
@@ -522,15 +522,13 @@ def _place_in_tier(rng, r, tier, area, count):
         ok &= d_sh < hi_c
         ok &= d_hd >= c[tid]
         ok &= d_hd < d[tid]
-        # keep the first min(accepted, needed) accepted candidates of each trial:
-        # trial j's accepted ones sit at acc_start[j] onward in flatnonzero(ok)
+        # keep the first min(accepted, needed) accepted candidates of each link:
+        # link j's accepted ones sit at acc_start[j] onward in flatnonzero(ok)
         got = np.add.reduceat(ok, np.cumsum(m) - m, dtype=np.int64)
         take = np.minimum(got, need[todo])
         acc_start, out_start = np.cumsum(got) - got, np.cumsum(take) - take
         keep = np.flatnonzero(ok)[np.repeat(acc_start - out_start, take) + np.arange(take.sum())]
-        if keep.size:
-            took = np.flatnonzero(take)
-            yield todo[took], out_start[took], d_sh[keep], d_hd[keep]
+        points.append((tid[keep], d_sh[keep], d_hd[keep]))
         need[todo] -= take
         todo = todo[need[todo] > 0]
     raise RuntimeError("rejection sampling of helper positions did not finish")
@@ -590,67 +588,38 @@ def _tier_choice(rng, r, density, k, scheme):
     return _TierChoice(has, tier, areas[tier - 1, has], None, law, void, moments)
 
 
-def _best_g(rng, r, choice, k, params, which=None, line=True):
-    """(g, q, y2): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, and y^2 of the helper with that q, for the links choice.has[which] (all of them by default).
+def _best_g(rng, r, choice, k, params, which=slice(None)):
+    """(g, q, y2): largest G and least d_SH^2 + d_HD^2 over the helpers of the chosen tier, and y^2 of the helper with that q, for the links choice.has[which].
 
     Draws each link's helper count (zero-truncated Poisson under the PPP,
     zero-truncated Binomial over the k-1 nearer nodes, one for the
-    conventional scheme) and places the helpers (`_place_in_tier`).  The
-    first rejection round, which places most points, is reduced per link,
-    and the few points of later rounds are folded in by link index, so the
-    points need no sort by link.  The largest and least are exact, whatever
-    the order of the rounds; for the conventional scheme, whose link has one
-    helper, they are that helper's G and q.  y2 is the least-q helper's
-    squared distance from the S-D line, d_SH^2 - x^2 with
+    conventional scheme) and places the helpers (`_place_in_tier`), each
+    with the index of its link.  One scatter by that index gives each
+    link's largest G and least q, for both schemes and over every rejection
+    round; a conventional link's one helper gives its own.  y2 is the
+    least-q helper's squared distance from the S-D line, d_SH^2 - x^2 with
     x = (d_SH^2 + r^2 - d_HD^2) / (2 r) its position along it
-    (`_line_distance2`), for both schemes; without `line`, the proposed
-    scheme's is not sought and y2 is None.
+    (`_line_distance2`); of helpers tied at the least q, the last placed
+    gives it.
     """
-    pick = slice(None) if which is None else which
-    tier, area = choice.tier[pick], choice.area[pick]
+    tier, area = choice.tier[which], choice.area[which]
     if choice.load is None:
         count = np.ones(tier.size, dtype=np.int64)
     elif k is None:
-        count = _zero_truncated_poisson(rng, choice.load[pick])
+        count = _zero_truncated_poisson(rng, choice.load[which])
     else:
-        count = _zero_truncated_binomial(rng, k - 1, choice.load[pick])
-    g_max, q_min = np.zeros(count.size), np.full(count.size, np.inf)
-    y2 = np.zeros(count.size) if line or choice.load is None else None
-    if not count.size:
-        return g_max, q_min, y2
-    link = r[choice.has[pick]]
-    rounds = list(_place_in_tier(rng, link, tier, area, count))
-    d_sh, d_hd = (part[0] if len(rounds) == 1 else np.concatenate(part) for part in list(zip(*rounds))[2:])
+        count = _zero_truncated_binomial(rng, k - 1, choice.load[which])
+    link = r[choice.has[which]]
+    tid, d_sh, d_hd = _place_in_tier(rng, link, tier, area, count)
     g = g_joint(d_sh, d_hd, params)
     d_sh *= d_sh
     d_hd *= d_hd
-    if choice.load is None:
-        # one helper a link: each round's points are its trials' own, in order
-        tid = np.concatenate([part[0] for part in rounds])
-        g_max[tid] = g
-        y2[tid] = _line_distance2(d_sh, d_hd, link[tid])
-        q_min[tid] = np.add(d_sh, d_hd, out=d_sh)
-        return g_max, q_min, y2
     q = d_sh + d_hd
-    # the first round places most points and is reduced per trial; the few of later rounds are
-    # folded in by trial index
-    trials, start, first_points, _ = rounds[0]
-    first = first_points.size
-    g_max[trials] = np.maximum.reduceat(g[:first], start)
-    q_min[trials] = np.minimum.reduceat(q[:first], start)
-    if len(rounds) > 1:
-        tid = np.concatenate([np.repeat(t, np.diff(s, append=x.size)) for t, s, x, _ in rounds[1:]])
-        np.maximum.at(g_max, tid, g[first:])
-        np.minimum.at(q_min, tid, q[first:])
-    if y2 is None:
-        return g_max, q_min, y2
-    # the point whose q is its trial's least: in the first round, found against each segment's least and
-    # assigned to the segment that holds it, then in the later ones
-    least = np.flatnonzero(q[:first] == np.repeat(q_min[trials], np.diff(start, append=first)))
-    owner = trials[np.searchsorted(start, least, side="right") - 1]
-    if len(rounds) > 1:
-        later = np.flatnonzero(q[first:] == q_min[tid])
-        least, owner = np.concatenate((least, later + first)), np.concatenate((owner, tid[later]))
+    g_max, q_min, y2 = np.zeros(count.size), np.full(count.size, np.inf), np.zeros(count.size)
+    np.maximum.at(g_max, tid, g)
+    np.minimum.at(q_min, tid, q)
+    least = np.flatnonzero(q == q_min[tid])
+    owner = tid[least]
     y2[owner] = _line_distance2(d_sh[least], d_hd[least], link[owner])
     return g_max, q_min, y2
 
@@ -728,18 +697,15 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
     if elig.size and k != 1:
         r_e = r[elig]
         choice = _tier_choice(rng, r_e, density, k, scheme)
+        has, tier = choice.has, choice.tier
+        chosen = elig[has]
+        tier_rate = np.take(TIER_RATES, tier - 1)
+        # analytic mode places the helpers of every link with one, sampled mode those the squeeze leaves open
+        placed = slice(None)
         if v is not None:
             # one bracket read per chunk, through the 3-tier kernel when every link is of class C: sampled
             # mode's sure share and squeeze
             worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
-        has, tier = choice.has, choice.tier
-        chosen = elig[has]
-        tier_rate = np.take(TIER_RATES, tier - 1)
-        if v is None:
-            placed = slice(None)
-            g, q, y2 = _best_g(rng, r_e, choice, k, params)
-            t[chosen] = tier_rate * g
-        else:
             # rate x G_worst of the chosen tier is a sure success: score it exactly
             # and draw x uniform above it, a success while x < rate x max G
             lo = worst[tier - 1]
@@ -747,11 +713,16 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
             x = lo + span * v[chosen]
             # the upper end bounds G only while log Ps is concave; without it no failure is settled
             placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
-            # the proposed scheme's y^2 term cuts sampled mode's variance by 1-4%, less than it costs
-            g, q, y2 = _best_g(rng, r_e, choice, k, params, placed, line=False)
+        g, q, y2 = _best_g(rng, r_e, choice, k, params, placed)
+        if v is None:
+            t[chosen] = tier_rate * g
+        else:
             hit = np.zeros(has.size, dtype=bool)
             hit[placed] = x[placed] < tier_rate[placed] * g
             t[chosen] = lo + span * hit
+            if scheme == "proposed":
+                # the proposed scheme's y^2 term cuts sampled mode's variance by 1-4%, less than it costs
+                y2 = None
         c, m = within_tier.control(table, scheme, r_e, choice, (rate * ps_r)[elig], q, y2, k, placed)
         t[elig] = (t[elig] - c) + m
     if table is not None and table.edges.size:

@@ -51,10 +51,10 @@ def _recorded_chunk(regime, density, k, scheme, n, seed, params, monkeypatch):
         seen["c"], seen["m"] = out = control.real(*args)
         return out
 
-    def best_g(rng, r, choice, k, params, which=None, line=True):
+    def best_g(rng, r, choice, k, params, which):
         seen["placed"] = which
-        out = best_g.real(rng, r, choice, k, params, which, line)
-        seen["g"], seen["q"], seen["y2"] = out[0], out[1].copy(), None if out[2] is None else out[2].copy()
+        out = best_g.real(rng, r, choice, k, params, which)
+        seen["g"], seen["q"], seen["y2"] = out[0], out[1].copy(), out[2].copy()
         return out
 
     for module, name, fake in ((mc, "_tier_choice", tier_choice), (mc, "_squeeze", squeeze),

@@ -40,9 +40,7 @@ def _selected_helpers(rng, r, density, k, scheme):
 
 def _placed_points(rng, r, tier, area, count):
     """(trial index, d_SH, d_HD) of every point `_place_in_tier` places over all its rounds, sorted by trial."""
-    rounds = [(np.repeat(trials, np.diff(start, append=d_sh.size)), d_sh, d_hd)
-              for trials, start, d_sh, d_hd in _place_in_tier(rng, r, tier, area, count)]
-    tid, d_sh, d_hd = (np.concatenate(column) for column in zip(*rounds))
+    tid, d_sh, d_hd = _place_in_tier(rng, r, tier, area, count)
     order = np.argsort(tid, kind="stable")
     return tid[order], d_sh[order], d_hd[order]
 

@@ -23,7 +23,7 @@ from scipy.stats import chi2
 
 from coopmac import monte_carlo as mc
 from coopmac import within_tier
-from coopmac.channel_model import ChannelParams, tier_bracket, tier_q_bracket
+from coopmac.channel_model import ChannelParams, g_joint, tier_bracket, tier_q_bracket
 from coopmac.stochastic_geometry import (
     BAND_2,
     BAND_EDGES,
@@ -281,20 +281,23 @@ def test_arc_means_cover_straddled_and_clipped_arcs():
     assert tier_arc_y2(np.array([70.0]), np.array([1]), np.array([0.0]))[0] == 0.0
 
 
-def _recorded_y2(regime, density, k, seed, n=3000):
-    """y^2 of each proposed link's least-q helper, from `plain_scoring.plain_chunk`, and the same recomputed from its placed helpers.
+def _recorded_y2(regime, density, k, scheme, seed, n=3000):
+    """`_best_g`'s (g, q, y2) for each link of `plain_scoring.plain_chunk`, and the same recomputed from its placed helpers.
 
-    The helpers are recorded as `_place_in_tier` yields them; the least q
-    of each link's is found by a stable sort, and y^2 comes from Heron's
-    formula for the triangle S, D, H: y = 2 x area / r.
+    The helpers are recorded as `_place_in_tier` returns them, each with its
+    link.  Each link's largest G and least q are the last and first of its
+    helpers in a lexsort by (G, link) and by (q, link), and y^2 of the
+    least-q one comes from Heron's formula for the triangle S, D, H:
+    y = 2 x area / r.  Returns (got, want, twice_t2), got and want each a
+    (g, q, y2).
     """
-    seen = {"rounds": []}
+    seen = {}
 
     def place(rng, r, tier, area, count):
         seen["links"] = r
-        for part in place.real(rng, r, tier, area, count):
-            seen["rounds"].append(tuple(x.copy() for x in part))
-            yield part
+        out = place.real(rng, r, tier, area, count)
+        seen["points"] = tuple(x.copy() for x in out)
+        return out
 
     def best_g(*args, **kw):
         seen["out"] = out = best_g.real(*args, **kw)
@@ -304,26 +307,37 @@ def _recorded_y2(regime, density, k, seed, n=3000):
         for name, fake in (("_place_in_tier", place), ("_best_g", best_g)):
             fake.real = getattr(mc, name)
             patch.setattr(mc, name, fake)
-        plain_chunk(regime, density, "proposed", n, PARAMS, "analytic", k, np.random.default_rng(seed))
-    link = np.concatenate([np.repeat(trials, np.diff(start, append=d_sh.size)) for trials, start, d_sh, _ in
-                           seen["rounds"]])
-    d_sh, d_hd = (np.concatenate(x) for x in list(zip(*seen["rounds"]))[2:])
+        plain_chunk(regime, density, scheme, n, PARAMS, "analytic", k, np.random.default_rng(seed))
+    link, d_sh, d_hd = seen["points"]
     r = seen["links"][link]
-    order = np.lexsort((d_sh ** 2 + d_hd ** 2, link))
+    g, q = g_joint(d_sh, d_hd, PARAMS), d_sh ** 2 + d_hd ** 2
+    order = np.lexsort((q, link))
     least = order[np.flatnonzero(np.diff(link[order], prepend=-1))]
+    order = np.lexsort((g, link))
+    most = order[np.flatnonzero(np.diff(link[order], append=-1))]
     s = (r + d_sh + d_hd) / 2
     area2 = s * (s - r) * (s - d_sh) * (s - d_hd)
-    want = np.zeros(seen["links"].size)
-    want[link[least]] = 4.0 * np.maximum(area2[least], 0.0) / r[least] ** 2
-    _, q, y2 = seen["out"]
-    return y2, want, q - seen["links"] ** 2 / 2
+    want = np.zeros(seen["links"].size), np.full(seen["links"].size, np.inf), np.zeros(seen["links"].size)
+    want[0][link[most]] = g[most]
+    want[1][link[least]] = q[least]
+    want[2][link[least]] = 4.0 * np.maximum(area2[least], 0.0) / r[least] ** 2
+    got = seen["out"]
+    return got, want, got[1] - seen["links"] ** 2 / 2
 
 
-@pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.002, 10), ("all", 0.004, None)])
-def test_y2_is_that_of_the_least_q_helper(regime, density, k):
-    y2, want, twice_t2 = _recorded_y2(regime, density, k, seed=17)
+_Y2_CELLS = [("C", 0.005, None), ("D1", 0.002, 10), ("all", 0.004, None)]
+
+
+@pytest.mark.parametrize("regime,density,k,scheme",
+                         [pytest.param(*cell, "proposed", id="-".join(map(str, cell))) for cell in _Y2_CELLS]
+                         + [pytest.param(*cell, "conventional", id="-".join(map(str, (*cell, "conventional"))))
+                            for cell in _Y2_CELLS])
+def test_y2_is_that_of_the_least_q_helper(regime, density, k, scheme):
+    (g, q, y2), (want_g, want_q, want_y2), twice_t2 = _recorded_y2(regime, density, k, scheme, seed=17)
+    # the one scatter of `_best_g` is the reduction of a sort by link, bit for bit, over every rejection round
+    assert g.tobytes() == want_g.tobytes() and q.tobytes() == want_q.tobytes()
     # Heron's form loses digits where the triangle is flat; both lie in [0, t^2]
-    np.testing.assert_allclose(y2, want, rtol=1e-9, atol=1e-9 * twice_t2.max())
+    np.testing.assert_allclose(y2, want_y2, rtol=1e-9, atol=1e-9 * twice_t2.max())
     assert np.all(y2 >= -1e-9) and np.all(y2 <= twice_t2 / 2 + 1e-9)
 
 
