@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -94,6 +95,11 @@ class RunConfig:
             raise ConfigError("format must be csv or json")
         if self.figure not in FIGURES:
             raise ConfigError("unknown figure %r; valid ids: %s" % (self.figure, ", ".join(FIGURES)))
+        if self.out not in ("-", ""):
+            # before the run, which can take minutes, and without opening the file, which `_emit` creates
+            folder = os.path.dirname(os.path.abspath(self.out))
+            if os.path.isdir(self.out) or not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+                raise ConfigError("out: %r is not a file in a writable directory" % (self.out,))
         try:
             check_band(self.link_class, CLASS_REGIMES)
             check_integer("workers", self.workers, 1)
@@ -376,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["csv", "json"])
         if name == "contour":
             p.add_argument("--r-k", dest="r_k", type=float)
-            p.add_argument("--resolution", type=float)
+            p.add_argument("--resolution", type=float,
+                           help="grid step in m (default 0.5); a grid of more than 10^6 nodes is a config error")
         if name == "reproduce":
             p.add_argument("figure", nargs="?", choices=FIGURES)
     return parser

@@ -144,6 +144,10 @@ CONTOUR_DEFAULT_RK = {"C": 70.9, "D1": 85.55, "D2": 98.2}
 
 DENSITY_GRID = tuple(round(0.0005 * i, 6) for i in range(1, 11))
 
+# the most nodes a contour grid may hold, 8 MB per float array of the grid; the finest grid in use, class C
+# at 0.25 m, holds 4.4e5 nodes, and its `contour` run peaks at 109 MB
+CONTOUR_MAX_NODES = 10 ** 6
+
 # intervals of the kth-NN inverse's table in `_gamma_quantiles` (a power of
 # two), and the largest Newton step, as a fraction of x, that certifies a
 # draw: a step on g, the log of a tail, from an error e leaves about
@@ -792,6 +796,8 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
     node inside a helper-tier region gets R_coop(tier) * G(d_SH, d_HD);
     nodes outside every tier region are NaN.  Returns a dict with 1-D
     ``x``/``y`` axes and a 2-D ``throughput`` array (y rows, x columns).
+    A grid of more than CONTOUR_MAX_NODES nodes raises ValueError before
+    any array is allocated.
     """
     if r_k is None:
         r_k = CONTOUR_DEFAULT_RK.get(regime)
@@ -800,8 +806,13 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
         raise ValueError("resolution must be positive and finite, got %r" % (resolution,))
     link_class = REGIMES[regime][2]
     reach = TIER_REACH[CLASS_TIERS[link_class] - 1]
-    x = np.arange(-reach, r_k + reach + resolution, resolution)
-    y = np.arange(-reach, reach + resolution, resolution)
+    axes = (-reach, r_k + reach + resolution), (-reach, reach + resolution)
+    # the axes' lengths as np.arange takes them, kept as floats, so that a step too small for an int gives inf
+    nodes = math.prod(np.ceil((stop - start) / float(resolution)) for start, stop in axes)
+    if nodes > CONTOUR_MAX_NODES:
+        raise ValueError("resolution %r gives a grid of %.3g nodes, above the cap of %d"
+                         % (resolution, nodes, CONTOUR_MAX_NODES))
+    x, y = (np.arange(start, stop, resolution) for start, stop in axes)
     xx, yy = np.meshgrid(x, y)
     d_sh = np.hypot(xx, yy)
     d_hd = np.hypot(xx - r_k, yy)

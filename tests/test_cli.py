@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from coopmac import cli
 from coopmac.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -222,6 +223,26 @@ def test_reproduce_unknown_figure_from_a_config_file(tmp_path, capsys):
     assert not out.exists()
     config.write_text("figure=fig9\ntrials=100\nlambda=0.002\n")
     assert {r["regime"] for r in _json_rows(tmp_path, ["reproduce", "--config", str(config)])} == {"D1", "D2"}
+
+
+@pytest.mark.parametrize("args", [["simulate", "--class", "C"], ["reproduce", "fig7"]], ids=lambda a: a[0])
+def test_unwritable_out_fails_before_the_run(tmp_path, monkeypatch, capsys, args):
+    # the whole run used to go ahead and then exit 3 on opening the file
+    def run(*_):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "estimate_throughput", run)
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert main([*args, "--lambda", "0.001", "--trials", "2000", "--out", str(out)]) == 2
+        assert "is not a file in a writable directory" in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_contour_grid_above_the_node_cap_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--class", "D", "--resolution", "1e-4", "--out", str(out)]) == 2
+    assert "above the cap" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("how", ["flag", "file"])

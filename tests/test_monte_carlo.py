@@ -515,6 +515,12 @@ def test_contour_default_rk_and_validation():
     for resolution in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="resolution must be positive and finite"):
             contour_grid("C", resolution=resolution)
+    # a fine grid is refused before any array is allocated: 1e-4 m used to ask for tens of TB
+    for resolution in (1e-4, 1e-320):
+        with pytest.raises(ValueError, match="above the cap of 1000000"):
+            contour_grid("D2", resolution=resolution)
+    # the finest grid in use holds 4.4e5 nodes
+    assert contour_grid("C", resolution=0.25)["throughput"].size <= monte_carlo.CONTOUR_MAX_NODES
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2"])

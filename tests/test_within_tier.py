@@ -317,12 +317,12 @@ def _recorded_y2(regime, density, k, scheme, seed, n=3000):
     most = order[np.flatnonzero(np.diff(link[order], append=-1))]
     s = (r + d_sh + d_hd) / 2
     area2 = s * (s - r) * (s - d_sh) * (s - d_hd)
-    want = np.zeros(seen["links"].size), np.full(seen["links"].size, np.inf), np.zeros(seen["links"].size)
-    want[0][link[most]] = g[most]
-    want[1][link[least]] = q[least]
-    want[2][link[least]] = 4.0 * np.maximum(area2[least], 0.0) / r[least] ** 2
-    got = seen["out"]
-    return got, want, got[1] - seen["links"] ** 2 / 2
+    size = seen["links"].size
+    want_g, want_q, want_y2 = np.zeros(size), np.full(size, np.inf), np.zeros(size)
+    want_g[link[most]] = g[most]
+    want_q[link[least]] = q[least]
+    want_y2[link[least]] = 4.0 * np.maximum(area2[least], 0.0) / r[least] ** 2
+    return seen["out"], (want_g, want_q, want_y2), seen["out"][1] - seen["links"] ** 2 / 2
 
 
 _Y2_CELLS = [("C", 0.005, None), ("D1", 0.002, 10), ("all", 0.004, None)]
