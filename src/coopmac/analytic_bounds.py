@@ -40,17 +40,26 @@ Carlo's control variate reads too.  The worst positions, at the
 outer edges of each tier's hop bands, do not depend on the link length;
 their G is tabulated once per `ChannelParams` (`channel_model.worst_tier_g`).
 Everything else the kernel needs but the tier law depends on the link length
-alone: the tier areas, Ps(r) and each tier's rate times its best-position G.
-A node store per link class and `ChannelParams` (`_NodeStore`) keeps these
-rows for every link length seen and finds them by exact equality, so only
-the tier law and the mixture are computed per call; the class-D nodes of
-the D1 and D2 bands of one level go to it in one call.  The integrator's
-panels come from repeated bisection of the band ends, so the integrals of
-all densities and conditionings land on the same node floats.  A stored
-row comes from the same floats by the same element-wise operations as a
-fresh one, so it is the same float, and every bound keeps its bits.  A
-store holds at most `_STORE_CAP` link lengths; a call that would pass the
-cap empties it first.  Inside the kernel and the integrands every hop
+alone: the cumulative tier areas, Ps(r) and each tier's rate times its
+best-position G (`_node_rows`).  Every band integral is split into a
+density-free plan and a per-call part.  The plan (`_BandPlan`, built by
+`_band_plan` once per parts, conditioning kind, `ChannelParams` and tier-1
+split) holds the integrator's first level (`quadrature.first_level`: the
+quartered panels, their nodes and each node's interval) and, at its nodes,
+the s form's r and Jacobian, the kernel's r-only rows, the direct parts'
+rate times Ps and, under the PPP, the law weights 2r/100^2 times the
+Jacobian; it holds the same for every deeper level it has met, up to
+`_PLAN_NODES` nodes, and starts those over when a level would pass that.  A
+call computes only the band mass, the kth-NN pdf, the tier law, the mixture
+and the integrator's panel sums and accept test.  The plan pays because one
+process integrates one band at several densities (a sweep over
+`DENSITY_GRID`, `bounds --class all`, a `reproduce` figure's bound
+columns): the integrator's panels come from repeated bisection of the band
+ends, so every density and conditioning lands on the same node floats, and
+a held value comes from the same floats by the same element-wise operations
+as a fresh one, so it is the same float, and every bound keeps its bits.
+At most 32 plans are kept, the least recently used dropped first.
+Inside the kernel and the integrands every hop
 length is known to be positive, so Ps is taken unchecked
 (`channel_model._p_success`); the public functions keep their checks, and
 check their inputs once.  `link_bounds_at_distance`, `tier_probabilities`
@@ -66,7 +75,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -82,8 +91,10 @@ from .channel_model import (  # noqa: F401
 )
 # the benchmark's tracer (bench/tracing.py) wraps the integrator by this name,
 # that of the quadrature it replaced
+from .quadrature import first_level as adaptive_simpson_first_level
 from .quadrature import gauss_kronrod as adaptive_simpson
 from .stochastic_geometry import (
+    BAND_RATES,
     CLASS_RATES,
     CLASS_TIERS,
     DIRECT_CLASSES,
@@ -94,17 +105,30 @@ from .stochastic_geometry import (
     check_band,
     check_conditioning,
     check_integer,
+    cumulative_areas,
     nn_distance_band,
     nn_distance_law,
     nn_distance_pdf,  # noqa: F401
     tier_areas,
     tier_void_law,
+    void_probability,
 )
+
+# the fastest rate, above which no throughput lies
+TOP_RATE = max(BAND_RATES)
+# the deeper-level nodes one band plan holds before it starts them over
+_PLAN_NODES = 2048
 
 
 @dataclass(frozen=True)
 class BoundPair:
-    """Lower/upper throughput bounds in Mbps."""
+    """Lower/upper throughput bounds in Mbps.
+
+    Every public bound is clipped to [0, 11] Mbps, the fastest rate
+    (`_bound_pair`): a bound is an integral to an absolute tolerance, so
+    where a band's whole mass sits at one rate it may land a few ulp outside
+    that rate (`total_throughput_bounds(0.5, k=2)` gave 11.000000000000002).
+    """
 
     lower: float
     upper: float
@@ -125,6 +149,11 @@ class TierProbabilityVector:
 
     probs: dict
     residual: float
+
+
+def _bound_pair(lower, upper) -> BoundPair:
+    """`BoundPair` of lower and upper, each clipped to [0, TOP_RATE]; a value inside keeps its bits, a NaN stays NaN."""
+    return BoundPair(min(max(lower, 0.0), TOP_RATE), min(max(upper, 0.0), TOP_RATE))
 
 
 def h_integral(
@@ -189,98 +218,56 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     if tier == 1 and REGIMES[regime][0] >= TIER1_MAX_SEPARATION:
         raise ValueError("tier 1 is infeasible for %s links (r_k > 96.4)" % regime)
     worst, best = tier_bracket(REGIMES[regime][2], np.array([float(r_k)]), params)
-    return BoundPair(float(worst[tier - 1]), float(best[tier - 1, 0]))
-
-
-# link lengths a node store holds before it starts over
-_STORE_CAP = 4096
+    return _bound_pair(float(worst[tier - 1]), float(best[tier - 1, 0]))
 
 
 def _node_rows(link_class: str, r, params: ChannelParams):
     """(2n + 1, len(r)) kernel rows of a class C or D link that depend on its length r alone.
 
-    The n tier-region areas (`tier_areas`), Ps(r), and
-    the n tier rates times G at each tier's best helper position
+    The n cumulative tier-region areas S_1 + ... + S_i (`tier_areas`),
+    Ps(r), and the n tier rates times G at each tier's best helper position
     (`tier_bracket`).
     """
     n = CLASS_TIERS[link_class]
     rows = np.empty((2 * n + 1, len(r)))
-    rows[:n] = tier_areas(r)[:n]
+    rows[:n] = cumulative_areas(tier_areas(r)[:n])
     rows[n] = _p_success(r, params)
     rows[n + 1:] = tier_bracket(link_class, r, params)[1]
     return rows
 
 
-class _NodeStore:
-    """`_node_rows` of every link length the kernel has seen, for one link class and ChannelParams.
+def _mixture(link_class: str, rows, r, density, k, params: ChannelParams):
+    """(2, len(r)) lower/upper throughput bounds of class C or D links of lengths r from their `_node_rows`.
 
-    Nodes are looked up by exact equality in a sorted key array.  When a
-    call's new nodes would take the store past `_STORE_CAP` it starts over,
-    and a call with more distinct nodes than that computes them without
-    storing any.
+    The residual direct term Ps(r) x direct rate plus the tier mixture of
+    the per-tier bracket (`tier_bracket`), whose lower ends r does not move
+    (`worst_tier_g`); only the tier law (`tier_void_law`, here from the
+    cumulative areas) depends on the density.  The mixture's terms are
+    stacked and summed over the tier axis in one ordered reduction, the
+    direct term first.  No validation; under k-nearest conditioning
+    `density` is not used.
     """
-
-    def __init__(self, link_class: str, params: ChannelParams):
-        self.link_class, self.params = link_class, params
-        n = CLASS_TIERS[link_class]
-        # the tier rates times G at each tier's worst helper position, the lower end of
-        # `tier_bracket`, which r does not move
-        self.worst = worst_tier_g(params)[1][:n]
-        # keys and rows swap together, so a reader never pairs one with the other's old value
-        self.table = np.empty(0), np.empty((2 * n + 1, 0))
-
-    def rows(self, r):
-        """`_node_rows` at link lengths r (a 1-D array), computing and storing the missing ones."""
-        keys, rows = self.table
-        at = np.searchsorted(keys, r)
-        found = keys[np.minimum(at, len(keys) - 1)] == r if len(keys) else np.zeros(len(r), bool)
-        if found.all():
-            return rows[:, at]
-        new = np.unique(r[~found])
-        if len(keys) + len(new) > _STORE_CAP:
-            keys, rows = np.empty(0), rows[:, :0]
-            new = np.unique(r)
-        new_rows = _node_rows(self.link_class, new, self.params)
-        if len(new) > _STORE_CAP:
-            self.table = keys, rows
-            return new_rows[:, np.searchsorted(new, r)]
-        keys = np.concatenate((keys, new))
-        order = np.argsort(keys)
-        keys, rows = keys[order], np.concatenate((rows, new_rows), axis=1)[:, order]
-        self.table = keys, rows
-        return rows[:, np.searchsorted(keys, r)]
-
-
-@lru_cache(maxsize=16)
-def _node_store(link_class: str, params: ChannelParams) -> _NodeStore:
-    return _NodeStore(link_class, params)
+    n = CLASS_TIERS[link_class]
+    empty = np.concatenate((np.ones_like(rows[:1]), void_probability(rows[:n], r, density, k)))
+    # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
+    # the two 48.2 m circles no longer meet)
+    p = empty[:-1] - empty[1:]
+    terms = np.empty((n + 1, 2, len(r)))
+    terms[0] = empty[-1] * rows[n] * CLASS_RATES[link_class]
+    terms[1:, 0] = p * worst_tier_g(params)[1][:n, None]
+    terms[1:, 1] = p * rows[n + 1:]
+    return np.add.reduce(terms, axis=0)
 
 
 def _link_bounds(regime: str, r, density, k, params: ChannelParams):
     """(2, n) lower/upper throughput bounds of links of lengths r (a 1-D array).
 
     The array kernel behind `link_bounds_at_distance` and every bound
-    integral: the residual direct term Ps(r) x direct rate plus the tier
-    mixture of the per-tier bracket (`tier_bracket`), whose r-only rows come
-    from the link class's `_NodeStore`; only the tier law depends on the
-    density.  The mixture's terms are stacked and summed over the tier axis
-    in one ordered reduction, the direct term first.  It depends on the
-    regime only through its link class.  No validation; under k-nearest
-    conditioning `density` is not used.
+    integral, `_mixture` of the link class's `_node_rows`; it depends on the
+    regime only through its link class.  No validation.
     """
     link_class = REGIMES[regime][2]
-    n = CLASS_TIERS[link_class]
-    store = _node_store(link_class, params)
-    rows = store.rows(r)
-    empty = tier_void_law(rows[:n], r, density, k)
-    # a tier of probability exactly 0 adds exactly 0 (e.g. tier 1 of a D2 link:
-    # the two 48.2 m circles no longer meet)
-    p = empty[:-1] - empty[1:]
-    terms = np.empty((n + 1, 2, len(r)))
-    terms[0] = empty[-1] * rows[n] * CLASS_RATES[link_class]
-    terms[1:, 0] = p * store.worst[:, None]
-    terms[1:, 1] = p * rows[n + 1:]
-    return np.add.reduce(terms, axis=0)
+    return _mixture(link_class, _node_rows(link_class, r, params), r, density, k, params)
 
 
 def link_bounds_at_distance(
@@ -298,7 +285,107 @@ def link_bounds_at_distance(
     check_band(regime, HELPER_REGIMES, r_k)
     check_conditioning(density, k, density_optional=True)
     lower, upper = _link_bounds(regime, np.array([float(r_k)]), density, k, params)[:, 0]
-    return BoundPair(float(lower), float(upper))
+    return _bound_pair(float(lower), float(upper))
+
+
+class _Nodes(NamedTuple):
+    """What a band integral's integrand needs at some nodes that no density or k moves.
+
+    r, the link lengths; jacobian, dr/dx of the nodes (None where no node
+    is in the s form); weight, under the PPP, the law 2r/100^2 times the
+    jacobian; and per link class, the nodes it holds (`at`), their link
+    lengths and either their `_node_rows` or, for the direct parts, their
+    rate times Ps(r).
+    """
+
+    r: np.ndarray
+    jacobian: Optional[np.ndarray]
+    weight: Optional[np.ndarray]
+    groups: tuple
+
+
+class _BandPlan:
+    """The density-free part of a band integral, its band plan (see the module docstring).
+
+    `nodes` gives the `_Nodes` of one level, the first one's or a held deeper
+    one's, and computes the others; `values` the integrand at them.  The
+    held deeper levels are read-only and swap in one assignment, so threads
+    can share a plan.
+    """
+
+    def __init__(self, parts, ppp: bool, params: ChannelParams, layer: float):
+        self.ppp, self.params = ppp, params
+        spans, s_form, rate, kind, classes = [], [], [], [], {}
+        for a, b, value in parts:
+            link_class = REGIMES[value][2] if isinstance(value, str) else None
+            s_form.append(link_class is not None and b == TIER1_MAX_SEPARATION)
+            spans.append((0.0, math.sqrt(b - a)) if s_form[-1] else (a, b))
+            rate.append(0.0 if link_class else value)
+            # the nodes of one link class go to one `_mixture` call
+            kind.append(classes.setdefault(link_class, len(classes)))
+        self.s_form, self.rate, self.kind, self.classes = np.array(s_form), np.array(rate), np.array(kind), tuple(classes)
+        # the highest s at which a band in the s form ends: a tier-1 layer below it splits that band
+        self.top = max([hi for (_, hi), s in zip(spans, s_form) if s], default=0.0)
+        # a band split at the tier-1 layer keeps its first interval in its place and appends its second
+        self.split = [p for p, ((_, hi), s) in enumerate(zip(spans, s_form)) if s and layer < hi]
+        spans += [(layer, spans[p][1]) for p in self.split]
+        for p in self.split:
+            spans[p] = (0.0, layer)
+        self.owner = np.concatenate((np.arange(len(parts)), self.split)).astype(int)
+        self.level = adaptive_simpson_first_level(spans)
+        self.first = self._nodes(self.level.x, self.level.at)
+        self.deeper = {}, 0  # the deeper levels' `_Nodes` by their nodes, and how many nodes they hold
+
+    def nodes(self, x, interval) -> _Nodes:
+        """The `_Nodes` of nodes x in the intervals `interval`, the integrator's nodes of one level."""
+        if x is self.level.x:
+            return self.first
+        key = x.tobytes() + interval.tobytes()
+        held, count = self.deeper
+        nodes = held.get(key)
+        if nodes is None:
+            nodes = self._nodes(x, interval)
+            if x.size <= _PLAN_NODES:
+                if count + x.size > _PLAN_NODES:
+                    held, count = {}, 0
+                self.deeper = {**held, key: nodes}, count + x.size
+        return nodes
+
+    def _nodes(self, x, interval) -> _Nodes:
+        part = self.owner[interval] if self.split else interval
+        r, jacobian, weight = x, None, None
+        in_s = self.s_form[part]
+        if in_s.any():
+            r = np.where(in_s, TIER1_MAX_SEPARATION - x * x, x)
+            jacobian = np.where(in_s, 2.0 * x, 1.0)
+        if self.ppp:
+            weight = 2.0 * r / MAX_RANGE ** 2 if jacobian is None else 2.0 * r / MAX_RANGE ** 2 * jacobian
+        groups = []
+        for g, link_class in enumerate(self.classes):
+            at = self.kind[part] == g if len(self.classes) > 1 else slice(None)
+            if link_class is None:
+                groups.append((at, None, None, self.rate[part[at]] * _p_success(r[at], self.params)))
+            else:
+                groups.append((at, link_class, r[at], _node_rows(link_class, r[at], self.params)))
+        for array in (r, jacobian, weight, *(a for group in groups for a in group[2:])):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        return _Nodes(r, jacobian, weight, tuple(groups))
+
+    def values(self, nodes: _Nodes, law, density, k):
+        """(2, n) integrand values at the nodes: the (lower, upper) pair times the link-length law and jacobian."""
+        weight = nodes.weight
+        if weight is None:
+            weight = law(nodes.r) if nodes.jacobian is None else law(nodes.r) * nodes.jacobian
+        out = np.empty((2, nodes.r.size))
+        for at, link_class, r, data in nodes.groups:
+            out[:, at] = data if link_class is None else _mixture(link_class, data, r, density, k, self.params)
+        return out * weight
+
+
+@lru_cache(maxsize=32)
+def _band_plan(parts, ppp: bool, params: ChannelParams, layer: float = math.inf) -> _BandPlan:
+    return _BandPlan(parts, ppp, params, layer)
 
 
 def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1e-8):
@@ -319,56 +406,26 @@ def _law_integral(parts, density, k: Optional[int], params: ChannelParams, tol=1
     panels see it.  The layer's tier-1 lens is thin, and its area is taken
     without the cancellation of the plain lens terms, which would be off by
     a relative 1e-3 at 2e-5 m from tangency (`stochastic_geometry._lens`).
-    Every part goes to one integrator run; the integrator takes no node at
-    an end of an interval, so r > 0 and Ps needs no check.  When every band
-    is empty the rows hold a single 0.  No validation.
+    Every part goes to one integrator run, on the parts' band plan
+    (`_band_plan`); the integrator takes no node at an end of an interval,
+    so r > 0 and Ps needs no check.  When every band is empty the rows hold
+    a single 0.  No validation.
     """
-    law = (lambda r: 2.0 * r / MAX_RANGE ** 2) if k is None else nn_distance_law(k, density)
-    spans, s_form, rate, kind, regime_of, split = [], [], [], [], {}, []
-    for a, b, value in parts:
-        link_class = REGIMES[value][2] if isinstance(value, str) else None
-        s_form.append(link_class is not None and b == TIER1_MAX_SEPARATION)
-        spans.append((0.0, math.sqrt(b - a)) if s_form[-1] else (a, b))
-        if s_form[-1] and _tier1_layer(density, k) < spans[-1][1]:
-            split.append(len(spans) - 1)
-        rate.append(0.0 if link_class else value)
-        # the nodes of one link class go to one `_link_bounds` call, which reads the regime only for its class
-        regime_of.setdefault(link_class, value)
-        kind.append(list(regime_of).index(link_class))
-    s_form, rate, kind = np.array(s_form), np.array(rate), np.array(kind)
-    # a band split at the tier-1 layer keeps its first interval in its place and appends its second
-    if split:
-        layer = _tier1_layer(density, k)
+    parts = tuple(parts)
+    plan = _band_plan(parts, k is None, params)
+    layer = _tier1_layer(density, k)
+    if layer < plan.top:
+        plan = _band_plan(parts, k is None, params, layer)
         tol = np.broadcast_to(np.asarray(tol, dtype=float), (len(parts),)).copy()
-        tol[split] /= 2.0
-        tol = np.concatenate((tol, tol[split]))
-        spans += [(layer, spans[p][1]) for p in split]
-        for p in split:
-            spans[p] = (0.0, layer)
-        owner = np.concatenate((np.arange(len(parts)), split))
+        tol[plan.split] /= 2.0
+        tol = np.concatenate((tol, tol[plan.split]))
+    law = None if k is None else nn_distance_law(k, density)
 
     def integrand(x, part):
-        if split:
-            part = owner[part]
-        r, jacobian = x, None
-        in_s = s_form[part]
-        if in_s.any():
-            r = np.where(in_s, TIER1_MAX_SEPARATION - x * x, x)
-            jacobian = np.where(in_s, 2.0 * x, 1.0)
-        weight = law(r) if jacobian is None else law(r) * jacobian
-        out = np.empty((2, x.size))
-        for g, (link_class, regime) in enumerate(regime_of.items()):
-            at = kind[part] == g if len(regime_of) > 1 else slice(None)
-            if link_class is None:
-                out[:, at] = rate[part[at]] * _p_success(r[at], params)
-            else:
-                out[:, at] = _link_bounds(regime, r[at], density, k, params)
-        return out * weight
+        return plan.values(plan.nodes(x, part), law, density, k)
 
-    out = adaptive_simpson(integrand, spans, tol).reshape(len(spans), -1)
-    if not split:
-        return out
-    for i, p in enumerate(split):
+    out = adaptive_simpson(integrand, plan.level, tol).reshape(len(plan.level.ends), -1)
+    for i, p in enumerate(plan.split):
         out[p] += out[len(parts) + i]
     return out[:len(parts)]
 
@@ -428,7 +485,7 @@ def averaged_bounds(
     mass = band_mass(regime, density, k)
     share = mass if k is None else 1.0
     lower, upper = _law_integral([(a, b, regime)], density, k, params, tol * mass)[0] / share
-    return BoundPair(lower, upper)
+    return _bound_pair(lower, upper)
 
 
 def total_throughput_bounds(
@@ -452,4 +509,4 @@ def total_throughput_bounds(
         a, b, link_class = REGIMES[regime]
         parts.append((a, b, CLASS_RATES[link_class] if link_class in DIRECT_CLASSES else regime))
     lower, upper = _law_integral(parts, density, k, params).sum(axis=0)
-    return BoundPair(lower, upper)
+    return _bound_pair(lower, upper)

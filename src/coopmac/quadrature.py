@@ -17,6 +17,7 @@ nodes of the call.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,9 +42,9 @@ GAUSS[1::2] = np.concatenate((_WG, [_WG0], _WG[::-1]))
 _EPS50 = 50.0 * np.finfo(float).eps
 
 
-def _values(f, x, part):
-    """f at the nodes x of the intervals `part`, shape (n,) or (c, n); a non-finite value raises."""
-    fx = np.asarray(f(x, part), dtype=float)
+def _values(fx, x):
+    """fx, the integrand's values at the nodes x, as a float array of shape (n,) or (c, n); a non-finite value raises."""
+    fx = np.asarray(fx, dtype=float)
     if fx.ndim not in (1, 2) or fx.shape[-1] != x.size:
         raise ValueError("integrand must map n nodes to shape (n,) or (c, n), got %r" % (fx.shape,))
     if not np.isfinite(fx).all():
@@ -79,6 +80,49 @@ def _halves(lo, hi):
     return left, right
 
 
+class Level(NamedTuple):
+    """The first refinement level of `gauss_kronrod` over some intervals, read-only.
+
+    `ends` holds the intervals, `part` each panel's interval, `lo` and `hi`
+    its ends, `half` its half width, `x` the 15 nodes of every panel, panel
+    by panel, and `at` each node's interval.
+    """
+
+    ends: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    part: np.ndarray
+    half: np.ndarray
+    x: np.ndarray
+    at: np.ndarray
+
+
+def _nodes(lo, hi):
+    """(half width, the 15 nodes of each panel, panel by panel) of the panels [lo, hi]."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half, (centre[:, None] + half[:, None] * NODES).ravel()
+
+
+def first_level(intervals) -> Level:
+    """The first level of `gauss_kronrod` over `intervals`: the quarters of every non-empty interval.
+
+    Raises ValueError when an end of an interval is not finite or b < a.
+    """
+    ends = np.array(intervals, dtype=float).reshape(-1, 2)
+    if not np.isfinite(ends).all():
+        raise ValueError("integration bounds must be finite, got %r" % (ends.tolist(),))
+    if (ends[:, 1] < ends[:, 0]).any():
+        raise ValueError("integration bounds out of order")
+    part = np.flatnonzero(ends[:, 1] > ends[:, 0])
+    # each interval starts as its quarters, so that most of them need one level
+    lo, hi = _halves(*_halves(*ends[part].T))
+    part = np.repeat(part, 4)
+    level = Level(ends, lo, hi, part, *_nodes(lo, hi), np.repeat(part, NODES.size))
+    for array in level:
+        array.setflags(write=False)
+    return level
+
+
 def gauss_kronrod(f, intervals, tol=1e-8, max_panels: int = 1000):
     """Integrate f over each (a, b) of `intervals`, each to its absolute tolerance.
 
@@ -95,36 +139,29 @@ def gauss_kronrod(f, intervals, tol=1e-8, max_panels: int = 1000):
     interval, shape (m,) or (m, c); an empty interval's row is 0, and when
     every interval is empty f is not called and the shape is (m,).
 
+    `intervals` may also be their first level (`first_level`), built once
+    for intervals integrated many times; f then gets that level's own `x`.
+
     Raises ValueError when an end of an interval is not finite, b < a or a
     tolerance is not finite and positive, and RuntimeError when an interval
     would need more than `max_panels` panels or when `f` returns a non-finite
     value.
     """
-    ends = np.array(intervals, dtype=float).reshape(-1, 2)
-    m = len(ends)
+    level = intervals if isinstance(intervals, Level) else first_level(intervals)
+    m = len(level.ends)
     tols = np.asarray(tol, dtype=float) * np.ones(m)
-    if not np.isfinite(ends).all():
-        raise ValueError("integration bounds must be finite, got %r" % (ends.tolist(),))
-    lo, hi = ends.T
-    width = hi - lo
-    if (width < 0).any():
-        raise ValueError("integration bounds out of order")
     if not ((tols > 0) & (tols < math.inf)).all():  # NaN fails too
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    part = np.flatnonzero(width > 0)
-    if not part.size:
+    if not level.part.size:
         return np.zeros(m)
-    # each interval starts as its quarters, so that most of them need one level
-    lo, hi = _halves(*_halves(lo[part], hi[part]))
-    part = np.repeat(part, 4)
+    lo, hi, part, half, x = level.lo, level.hi, level.part, level.half, level.x
+    fx = _values(f(x, level.at), x)
+    width = level.ends[:, 1] - level.ends[:, 0]
     share = tols / np.where(width > 0, width, 1.0)  # tolerance per unit length
     panels = np.bincount(part, minlength=m)  # panels evaluated so far, per interval
     spent = np.zeros(m)  # error estimates of the accepted panels, per interval
     out = None
     while True:
-        centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        x = (centre[:, None] + half[:, None] * NODES).ravel()
-        fx = _values(f, x, np.repeat(part, NODES.size))
         value, err = _panels(fx.reshape(-1, part.size, NODES.size), half)
         if out is None:
             out = np.zeros((len(value), m))
@@ -144,5 +181,7 @@ def gauss_kronrod(f, intervals, tol=1e-8, max_panels: int = 1000):
         if (panels > max_panels).any():
             i = int(np.argmax(panels > max_panels))
             raise RuntimeError("gauss_kronrod: more than %d panels needed on [%r, %r]"
-                               % (max_panels, float(ends[i, 0]), float(ends[i, 1])))
+                               % (max_panels, float(level.ends[i, 0]), float(level.ends[i, 1])))
         lo, hi = _halves(lo[split], hi[split])
+        half, x = _nodes(lo, hi)
+        fx = _values(f(x, np.repeat(part, NODES.size)), x)

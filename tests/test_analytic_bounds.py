@@ -470,9 +470,9 @@ def test_d1_band_splits_at_the_tier1_layer_only_above_the_density_grid(monkeypat
     spans = []
     real = ab.adaptive_simpson
 
-    def recording(f, intervals, tol):
-        spans.append(list(intervals))
-        return real(f, intervals, tol)
+    def recording(f, level, tol):
+        spans.append(level.ends.tolist())
+        return real(f, level, tol)
 
     monkeypatch.setattr(ab, "adaptive_simpson", recording)
     for lam in DENSITY_GRID + (0.0098,):

@@ -31,7 +31,7 @@ import pytest
 
 from coopmac import monte_carlo as mc
 from coopmac import within_tier
-from coopmac.analytic_bounds import _node_store, tier_bound_pair
+from coopmac.analytic_bounds import _node_rows, tier_bound_pair
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct, tier_bracket, worst_tier_g
 from coopmac.monte_carlo import ExperimentConfig, estimate_throughput
 from coopmac.stochastic_geometry import (
@@ -106,10 +106,9 @@ def test_one_bracket_table(params):
     assert worst.tobytes() == terms.tobytes()
     assert best == pytest.approx(_best_terms(r, params), rel=1e-15)
     for link_class, n in CLASS_TIERS.items():
-        store = _node_store(link_class, params)
-        assert store.worst.tobytes() == terms[:n].tobytes()
+        assert worst_tier_g(params)[1][:n].tobytes() == terms[:n].tobytes()
         keep = r >= REGIMES["D1"][0] if link_class == "D" else r <= REGIMES["C"][1]
-        assert store.rows(r[keep])[n + 1:].tobytes() == best[:n, keep].tobytes()
+        assert _node_rows(link_class, r[keep], params)[n + 1:].tobytes() == best[:n, keep].tobytes()
     # the conventional c at a chosen region is the midpoint of that tier's row, read from a table whose h is
     # the bracket midpoint at its nodes and whose terms are 0
     table = within_tier.region_table(*REGIMES["all"][:2], 0.001, None, params)

@@ -167,9 +167,9 @@ def test_total_runs_its_five_bands_in_one_integrator_call(monkeypatch, density, 
     # the total hands its five bands to one run, whose rows are the bands integrated alone
     calls = []
 
-    def recording(f, intervals, tol=1e-8):
-        calls.append(len(intervals))
-        return gauss_kronrod(f, intervals, tol)
+    def recording(f, level, tol=1e-8):
+        calls.append(len(level.ends))
+        return gauss_kronrod(f, level, tol)
 
     monkeypatch.setattr(analytic_bounds, "adaptive_simpson", recording)
     pair = analytic_bounds.total_throughput_bounds(density, k=k)
