@@ -39,7 +39,8 @@ class ChannelParams:
     Defaults are the reference parameter set: 1 mW transmit power (0 dBm),
     -98 dBm receive threshold, path-loss exponent 3, 6 dB shadowing
     deviation, -40 dB antenna constant.  pt, pth and k_const must be finite,
-    sigma_sh positive and finite and alpha in [2, 7]; else ValueError.
+    sigma_sh positive and finite, alpha in [2, 7], and nu and mu, the link
+    budget and path-loss slope over sigma_sh, finite; else ValueError.
     """
 
     pt: float = 0.0
@@ -56,6 +57,9 @@ class ChannelParams:
             raise ValueError("sigma_sh must be positive and finite, got %r" % (self.sigma_sh,))
         if not 2.0 <= self.alpha <= 7.0:
             raise ValueError("alpha must lie in [2, 7], got %r" % (self.alpha,))
+        # a subnormal sigma_sh overflows them, and Q(nu + mu log10 d) would be NaN at d = 1 m
+        if not (np.isfinite(self.nu) and np.isfinite(self.mu)):
+            raise ValueError("nu and mu must be finite: sigma_sh %r is too small for this link budget" % (self.sigma_sh,))
 
     @property
     def nu(self) -> float:

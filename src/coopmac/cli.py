@@ -176,19 +176,25 @@ def _csv_field(key, value):
 
 
 def _emit(rows, cfg: RunConfig):
-    """Write rows (a non-empty list of dicts) as CSV (`_csv_field`) or JSON."""
+    """Write rows (a non-empty list of dicts) as CSV (`_csv_field`) or JSON, each with the seed and config hash.
+
+    Each row is joined to them as it is written, so no second copy of the
+    rows is held; the JSON has the bytes of `json.dump(..., indent=2)` of the
+    joined rows.
+    """
     meta = {"seed": cfg.seed, "config_hash": cfg.hash()}
-    out_rows = [{**row, **meta} for row in rows]
     stream = sys.stdout if cfg.out in ("-", "") else open(cfg.out, "w", newline="", encoding="utf-8")
     try:
         if cfg.format == "json":
-            json.dump(out_rows, stream, indent=2)
-            stream.write("\n")
+            for i, row in enumerate(rows):
+                stream.write(",\n  " if i else "[\n  ")
+                stream.write(json.dumps({**row, **meta}, indent=2).replace("\n", "\n  "))
+            stream.write("\n]\n")
         else:
-            writer = csv.DictWriter(stream, fieldnames=list(out_rows[0].keys()), lineterminator="\n")
+            writer = csv.DictWriter(stream, fieldnames=list({**rows[0], **meta}), lineterminator="\n")
             writer.writeheader()
-            for row in out_rows:
-                writer.writerow({k: _csv_field(k, v) for k, v in row.items()})
+            for row in rows:
+                writer.writerow({k: _csv_field(k, v) for k, v in {**row, **meta}.items()})
     finally:
         if stream is not sys.stdout:
             stream.close()

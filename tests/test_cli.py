@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -376,3 +377,31 @@ def test_csv_stderr_reads_0_only_where_the_json_is_0(tmp_path, argv):
         for key in ("mean", "proposed", "conventional", "lower", "upper"):
             if key in row and (key not in small or abs(exact[key]) >= 0.01):
                 assert row[key] == format(exact[key], ".4f")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_holds_the_rows_once(tmp_path, fmt):
+    # a contour run emits ~10^5 rows; each is joined to the seed and config hash as it is
+    # written, so writing them holds no second copy of the rows
+    def contour_rows():
+        return [{"regime": "C", "r_k": 71.0, "x": float(i), "y": -float(i), "class": "C", "tier": 1,
+                 "g_joint": 0.5, "rate": 5.5, "throughput": 2.75} for i in range(20_000)]
+
+    tracemalloc.start()
+    try:
+        rows = contour_rows()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        cli._emit(rows, RunConfig(out=str(tmp_path / ("rows." + fmt)), format=fmt))
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak < held / 20, (peak, held)
+    with open(tmp_path / ("rows." + fmt), encoding="utf-8") as stream:
+        text = stream.read()
+    meta = {"seed": 0, "config_hash": RunConfig(out=str(tmp_path / ("rows." + fmt)), format=fmt).hash()}
+    if fmt == "json":
+        assert text == json.dumps([{**row, **meta} for row in contour_rows()], indent=2) + "\n"
+    else:
+        assert next(csv.DictReader(text.splitlines())) == {k: str(cli._csv_field(k, v)) for k, v in {**rows[0], **meta}.items()}
+        assert len(text.splitlines()) == 1 + len(rows)

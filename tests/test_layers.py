@@ -8,7 +8,9 @@ table of `stochastic_geometry`, which imports nothing of the package.  A
 name a module imports and never uses is a stale import, but for the names
 that the bench's span tracer wraps at the module's attribute
 (`bench/tracing.py`'s WRAP_POINTS), which the module holds so that the
-tracer can find them; `__init__` uses what its `__all__` names.
+tracer can find them; `__init__` uses what its `__all__` names.  Every
+`functools.lru_cache` has an integer maxsize and `functools.cache` is not
+used, so every memo of the package is bounded.
 """
 
 import ast
@@ -84,3 +86,41 @@ def test_a_stale_import_is_found():
     source = (SRC / "analytic_bounds.py").read_text()
     assert unused_imports(source, "analytic_bounds") == []
     assert "nn_distance_pdf" in unused_imports(source, "monte_carlo")
+
+
+
+def unbounded_caches(source):
+    """The lines of `source` with a `functools.lru_cache` whose maxsize is not an integer literal, or a `functools.cache`."""
+    tree = ast.parse(source)
+    sized = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if size and isinstance(size[0], ast.Constant) and type(size[0].value) is int:
+                sized.add(id(node.func))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            if node.attr == "cache" or (node.attr == "lru_cache" and id(node) not in sized):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Name) and node.id == "lru_cache" and id(node) not in sized:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_every_cache_is_bounded(module):
+    assert unbounded_caches((SRC / (module + ".py")).read_text()) == []
+
+
+def test_an_unbounded_cache_is_found():
+    source = (SRC / "analytic_bounds.py").read_text()
+    line = source[:source.index("@lru_cache(maxsize=32)")].count("\n") + 1
+    for unbounded in ("@lru_cache", "@lru_cache()", "@lru_cache(maxsize=None)", "@lru_cache(maxsize=_PLAN_NODES)",
+                      "@functools.lru_cache(maxsize=None)", "@functools.cache"):
+        assert unbounded_caches(source.replace("@lru_cache(maxsize=32)", unbounded)) == [line], unbounded
+    for bounded in ("@lru_cache(32)", "@functools.lru_cache(maxsize=32)"):
+        assert unbounded_caches(source.replace("@lru_cache(maxsize=32)", bounded)) == [], bounded
+    assert unbounded_caches("from functools import cache, lru_cache\n") == [1]

@@ -1,16 +1,23 @@
-"""Property tests of the tier law and the per-link bounds over random links.
+"""Property tests of the tier law and the per-link bounds over random links, and of every public bound over its whole domain.
 
-Each property is checked on a small, fixed set of examples (derandomized),
-so the suite stays fast and reproducible.
+Over the whole domain each call gives finite values in [0, 11] Mbps with
+lower <= upper, or raises ValueError; it never raises RuntimeError and never
+warns.  Each property is checked on a small, fixed set of examples
+(derandomized), so the suite stays fast and reproducible.
 """
 
+import math
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coopmac.analytic_bounds import (
     _link_bounds,
     averaged_bounds,
+    band_mass,
     link_bounds_at_distance,
     tier_probabilities,
     total_throughput_bounds,
@@ -100,3 +107,78 @@ def test_ppp_bounds_non_decreasing_in_density(lam1, lam2):
         assert hi.lower >= lo.lower - 2e-8 and hi.upper >= lo.upper - 2e-8, (regime, small, large)
     lo, hi = total_throughput_bounds(small), total_throughput_bounds(large)
     assert hi.lower >= lo.lower - 1e-7 and hi.upper >= lo.upper - 1e-7, (small, large)
+
+
+# the whole input domain of the public bound functions: the density log-uniform over
+# [1e-9, 1e6] (D1 is split at its tier-1 layer above about 0.0099), k up to 10^6, and
+# any channel: pt, pth and k_const at +-200 dB, sigma in (0, 1e3], alpha in [2, 7]
+DENSITIES = st.floats(-9.0, 6.0).map(lambda e: 10.0 ** e)
+KS = st.one_of(st.none(), st.integers(1, 10 ** 6))
+DB = st.floats(-200.0, 200.0)
+# a channel's fields, as `ChannelParams` takes them: one that it rejects is a ValueError of the call
+CHANNELS = st.one_of(st.just({}), st.fixed_dictionaries(
+    {"pt": DB, "pth": DB, "k_const": DB, "alpha": st.floats(2.0, 7.0), "sigma_sh": st.floats(0.0, 1e3, exclude_min=True)}))
+REGIME = st.sampled_from(["C", "D1", "D2"])
+
+
+def _checked(call):
+    """call's values, each finite in [0, 11], lower <= upper; None if it raises ValueError; never a RuntimeError or RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            got = call()
+        except ValueError:
+            return None
+    if hasattr(got, "probs"):
+        values = [*got.probs.values(), got.residual]
+    else:
+        values = [got.lower, got.upper] if hasattr(got, "lower") else [got]
+        assert not hasattr(got, "lower") or got.lower <= got.upper, got
+    assert all(math.isfinite(v) and 0.0 <= v <= 11.0 for v in values), got
+    return values
+
+
+@st.composite
+def conditioned(draw):
+    """(density, k) with k None under the PPP."""
+    return draw(DENSITIES), draw(KS)
+
+
+@SETTINGS
+@given(REGIME, conditioned(), CHANNELS)
+@example("D1", (0.5, None), {})
+@example("D1", (1e3, 1000), {"sigma_sh": 1e-3})
+def test_averaged_bounds_over_the_whole_domain(regime, conditioning, channel):
+    _checked(lambda: averaged_bounds(regime, *conditioning, params=ChannelParams(**channel)))
+
+
+@SETTINGS
+@given(conditioned(), CHANNELS)
+@example((0.5, 2), {})  # once 11.000000000000002
+@example((1e3, 10), {})  # once 11.000000000000002
+def test_total_bounds_over_the_whole_domain(conditioning, channel):
+    _checked(lambda: total_throughput_bounds(*conditioning, params=ChannelParams(**channel)))
+
+
+@SETTINGS
+@given(st.sampled_from(["A", "B", "C", "D1", "D2", "all"]), conditioned())
+def test_band_mass_over_the_whole_domain(regime, conditioning):
+    _checked(lambda: band_mass(regime, *conditioning))
+
+
+@SETTINGS
+@given(links(), conditioned(), CHANNELS)
+def test_link_views_over_the_whole_domain(link, conditioning, channel):
+    regime, r, _ = link
+    density, k = conditioning
+    given_one = {"density": density} if k is None else {"k": k}
+    _checked(lambda: link_bounds_at_distance(regime, r, **given_one, params=ChannelParams(**channel)))
+    _checked(lambda: tier_probabilities(REGIMES[regime][2], r, **given_one))
+
+
+def test_a_subnormal_sigma_is_rejected():
+    # mu = 10 alpha / sigma overflows, and Ps(1 m) would be Q(nan)
+    for sigma in (5e-324, 1e-310):
+        with pytest.raises(ValueError, match="nu and mu"):
+            ChannelParams(sigma_sh=sigma)
+    assert _checked(lambda: total_throughput_bounds(0.003, params=ChannelParams(sigma_sh=1e-300)))
