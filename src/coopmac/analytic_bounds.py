@@ -91,7 +91,7 @@ from .channel_model import (  # noqa: F401
 )
 # the benchmark's tracer (bench/tracing.py) wraps the integrator by this name,
 # that of the quadrature it replaced
-from .quadrature import first_level as adaptive_simpson_first_level
+from .quadrature import first_level
 from .quadrature import gauss_kronrod as adaptive_simpson
 from .stochastic_geometry import (
     BAND_RATES,
@@ -236,16 +236,16 @@ def _node_rows(link_class: str, r, params: ChannelParams):
     return rows
 
 
-def _mixture(link_class: str, rows, r, density, k, params: ChannelParams):
+def _mixture(link_class: str, rows, r, density, k, worst):
     """(2, len(r)) lower/upper throughput bounds of class C or D links of lengths r from their `_node_rows`.
 
     The residual direct term Ps(r) x direct rate plus the tier mixture of
-    the per-tier bracket (`tier_bracket`), whose lower ends r does not move
-    (`worst_tier_g`); only the tier law (`tier_void_law`, here from the
-    cumulative areas) depends on the density.  The mixture's terms are
-    stacked and summed over the tier axis in one ordered reduction, the
-    direct term first.  No validation; under k-nearest conditioning
-    `density` is not used.
+    the per-tier bracket (`tier_bracket`), whose lower ends, the column
+    `worst`, r does not move (`worst_tier_g`); only the tier law
+    (`tier_void_law`, here from the cumulative areas) depends on the
+    density.  The mixture's terms are stacked and summed over the tier axis
+    in one ordered reduction, the direct term first.  No validation; under
+    k-nearest conditioning `density` is not used.
     """
     n = CLASS_TIERS[link_class]
     empty = np.concatenate((np.ones_like(rows[:1]), void_probability(rows[:n], r, density, k)))
@@ -254,7 +254,7 @@ def _mixture(link_class: str, rows, r, density, k, params: ChannelParams):
     p = empty[:-1] - empty[1:]
     terms = np.empty((n + 1, 2, len(r)))
     terms[0] = empty[-1] * rows[n] * CLASS_RATES[link_class]
-    terms[1:, 0] = p * worst_tier_g(params)[1][:n, None]
+    terms[1:, 0] = p * worst
     terms[1:, 1] = p * rows[n + 1:]
     return np.add.reduce(terms, axis=0)
 
@@ -267,7 +267,8 @@ def _link_bounds(regime: str, r, density, k, params: ChannelParams):
     regime only through its link class.  No validation.
     """
     link_class = REGIMES[regime][2]
-    return _mixture(link_class, _node_rows(link_class, r, params), r, density, k, params)
+    worst = worst_tier_g(params)[1][:CLASS_TIERS[link_class], None]
+    return _mixture(link_class, _node_rows(link_class, r, params), r, density, k, worst)
 
 
 def link_bounds_at_distance(
@@ -324,6 +325,7 @@ class _BandPlan:
             # the nodes of one link class go to one `_mixture` call
             kind.append(classes.setdefault(link_class, len(classes)))
         self.s_form, self.rate, self.kind, self.classes = np.array(s_form), np.array(rate), np.array(kind), tuple(classes)
+        self.worst = {c: worst_tier_g(params)[1][:CLASS_TIERS[c], None] for c in classes if c}
         # the highest s at which a band in the s form ends: a tier-1 layer below it splits that band
         self.top = max([hi for (_, hi), s in zip(spans, s_form) if s], default=0.0)
         # a band split at the tier-1 layer keeps its first interval in its place and appends its second
@@ -332,7 +334,7 @@ class _BandPlan:
         for p in self.split:
             spans[p] = (0.0, layer)
         self.owner = np.concatenate((np.arange(len(parts)), self.split)).astype(int)
-        self.level = adaptive_simpson_first_level(spans)
+        self.level = first_level(spans)
         self.first = self._nodes(self.level.x, self.level.at)
         self.deeper = {}, 0  # the deeper levels' `_Nodes` by their nodes, and how many nodes they hold
 
@@ -379,7 +381,7 @@ class _BandPlan:
             weight = law(nodes.r) if nodes.jacobian is None else law(nodes.r) * nodes.jacobian
         out = np.empty((2, nodes.r.size))
         for at, link_class, r, data in nodes.groups:
-            out[:, at] = data if link_class is None else _mixture(link_class, data, r, density, k, self.params)
+            out[:, at] = data if link_class is None else _mixture(link_class, data, r, density, k, self.worst[link_class])
         return out * weight
 
 

@@ -165,7 +165,7 @@ def gauss_kronrod(f, intervals, tol=1e-8, max_panels: int = 1000):
         value, err = _panels(fx.reshape(-1, part.size, NODES.size), half)
         if out is None:
             out = np.zeros((len(value), m))
-        err = np.max(err, axis=0)
+        err = err.max(axis=0)
         total = spent + np.bincount(part, weights=err, minlength=m)
         keep = (total[part] <= tols[part]) | (err <= share[part] * (hi - lo))
         accepted = part[keep]

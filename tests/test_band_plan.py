@@ -143,13 +143,16 @@ def test_threads_sharing_the_plans_keep_the_bits(cold, n_threads):
     assert all(plan.deeper[1] <= ab._PLAN_NODES for plan in _plans())
 
 
-def test_a_second_pass_finds_every_plan_and_level_held():
+def test_a_second_pass_finds_every_plan_and_level_held(monkeypatch):
     _sweep()
     info = ab._band_plan.cache_info()
     held = [plan.deeper[1] for plan in _plans()]
     assert ab._band_plan.cache_info().misses == info.misses == 8
     assert 0 < sum(held) and max(held) <= ab._PLAN_NODES
+    fresh = []
+    monkeypatch.setattr(ab._BandPlan, "_nodes", lambda plan, x, interval: fresh.append(x.size))
     _sweep()
+    assert fresh == []
     assert ab._band_plan.cache_info().misses == info.misses
     assert [plan.deeper[1] for plan in _plans()] == held
 
