@@ -149,7 +149,11 @@ def conditioned(draw):
 @example("D1", (0.5, None), {})
 @example("D1", (1e3, 1000), {"sigma_sh": 1e-3})
 def test_averaged_bounds_over_the_whole_domain(regime, conditioning, channel):
-    _checked(lambda: averaged_bounds(regime, *conditioning, params=ChannelParams(**channel)))
+    pair = _checked(lambda: averaged_bounds(regime, *conditioning, params=ChannelParams(**channel)))
+    if pair and conditioning[1] is not None:
+        # a k-nearest partial expectation over its band's mass bounds the band's mean
+        mass = band_mass(regime, *conditioning)
+        assert 0.0 <= pair[0] / mass <= pair[1] / mass <= 11.0, (pair, mass)
 
 
 @SETTINGS
