@@ -48,10 +48,10 @@ split) holds the integrator's first level (`quadrature.first_level`: the
 quartered panels, their nodes and each node's interval) and, at its nodes,
 the s form's r and Jacobian, the kernel's r-only rows, the direct parts'
 rate times Ps and, under the PPP, the law weights 2r/100^2 times the
-Jacobian; it holds the same for every deeper level it has met, up to
-`_PLAN_NODES` nodes, and starts those over when a level would pass that.  A
-call computes only the band mass, the kth-NN pdf, the tier law, the mixture
-and the integrator's panel sums and accept test.  The plan pays because one
+Jacobian; it holds the same for the 16 deeper levels of at most 128 nodes
+it met last (a `functools.lru_cache` per plan), and computes a larger level
+at each call.  A call computes only the band mass, the kth-NN pdf, the tier
+law, the mixture and the integrator's panel sums and accept test.  The plan pays because one
 process integrates one band at several densities (a sweep over
 `DENSITY_GRID`, `bounds --class all`, a `reproduce` figure's bound
 columns): the integrator's panels come from repeated bisection of the band
@@ -116,7 +116,7 @@ from .stochastic_geometry import (
 
 # the fastest rate, above which no throughput lies
 TOP_RATE = max(BAND_RATES)
-# the deeper-level nodes one band plan holds before it starts them over
+# the deeper-level nodes one band plan holds at most: 16 levels (`_BandPlan.levels`) of _PLAN_NODES // 16 nodes
 _PLAN_NODES = 2048
 
 
@@ -310,8 +310,11 @@ class _BandPlan:
 
     `nodes` gives the `_Nodes` of one level, the first one's or a held deeper
     one's, and computes the others; `values` the integrand at them.  The
-    held deeper levels are read-only and swap in one assignment, so threads
-    can share a plan.
+    deeper levels are held by `levels`, a `functools.lru_cache` of 16 levels
+    keyed by the bytes of their nodes and intervals, which `_level` reads
+    back into the same floats; a level of more than _PLAN_NODES // 16 nodes
+    is computed and not held.  `lru_cache` is thread-safe and every held
+    array is read-only, so threads can share a plan.
     """
 
     def __init__(self, parts, ppp: bool, params: ChannelParams, layer: float):
@@ -336,22 +339,18 @@ class _BandPlan:
         self.owner = np.concatenate((np.arange(len(parts)), self.split)).astype(int)
         self.level = first_level(spans)
         self.first = self._nodes(self.level.x, self.level.at)
-        self.deeper = {}, 0  # the deeper levels' `_Nodes` by their nodes, and how many nodes they hold
+        self.levels = lru_cache(maxsize=16)(self._level)
 
     def nodes(self, x, interval) -> _Nodes:
         """The `_Nodes` of nodes x in the intervals `interval`, the integrator's nodes of one level."""
         if x is self.level.x:
             return self.first
-        key = x.tobytes() + interval.tobytes()
-        held, count = self.deeper
-        nodes = held.get(key)
-        if nodes is None:
-            nodes = self._nodes(x, interval)
-            if x.size <= _PLAN_NODES:
-                if count + x.size > _PLAN_NODES:
-                    held, count = {}, 0
-                self.deeper = {**held, key: nodes}, count + x.size
-        return nodes
+        if x.size > _PLAN_NODES // 16:
+            return self._nodes(x, interval)
+        return self.levels(x.tobytes(), interval.tobytes())
+
+    def _level(self, x: bytes, interval: bytes) -> _Nodes:
+        return self._nodes(np.frombuffer(x), np.frombuffer(interval, dtype=np.intp))
 
     def _nodes(self, x, interval) -> _Nodes:
         part = self.owner[interval] if self.split else interval

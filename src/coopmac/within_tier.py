@@ -76,8 +76,7 @@ bounds builds none.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -123,57 +122,6 @@ _KNOT_U.flags.writeable = False
 # along each arc
 _ARC_GROUPS = 4
 _ARC_POINTS = 6
-# bytes of the arrays of the control tables that `_cached` keeps, both schemes' together: a sweep's tables are
-# rebuilt once evicted, and one bench pass reuses about 1 MB of them
-_CACHE_BYTES = 4 << 20
-
-
-class _CacheInfo(NamedTuple):
-    """The tables of one builder in the control tables' cache (`_cached`): how many, and the bytes of their arrays."""
-
-    currsize: int
-    nbytes: int
-
-
-# the cache of `_cached`: key -> (table, bytes), least recently used first
-_TABLES = OrderedDict()
-
-
-def _cached(build):
-    """`build` memoized in the control tables' cache, bounded by the bytes of its tables' arrays.
-
-    The cache keeps the most recently used tables of every builder while
-    their arrays hold at most _CACHE_BYTES together, and the newest table
-    whatever its size.  The arguments are the key, as for
-    `functools.lru_cache`, and the wrapper has its `cache_info`
-    (`_CacheInfo`) and `cache_clear`, both for this builder's tables alone.
-    """
-    @wraps(build)
-    def cached(*args):
-        key = (build.__name__, args)
-        entry = _TABLES.pop(key, None)
-        if entry is None:
-            table = build(*args)
-            entry = table, sum(array.nbytes for array in table)
-        _TABLES[key] = entry
-        held = sum(size for _, size in _TABLES.values())
-        while held > _CACHE_BYTES and len(_TABLES) > 1:
-            held -= _TABLES.popitem(last=False)[1][1]
-        return entry[0]
-
-    def keys():
-        return [key for key in _TABLES if key[0] == build.__name__]
-
-    def cache_info():
-        mine = keys()
-        return _CacheInfo(len(mine), sum(_TABLES[key][1] for key in mine))
-
-    def cache_clear():
-        for key in keys():
-            del _TABLES[key]
-
-    cached.cache_info, cached.cache_clear = cache_info, cache_clear
-    return cached
 
 
 def least_q_law(f, load, k):
@@ -249,7 +197,9 @@ class ControlTable(NamedTuple):
     jump: np.ndarray
 
 
-@_cached
+# each table builder keeps its 24 most recent tables, one more than a pass over both Monte Carlo bench workloads
+# builds; the largest, regime `all`'s, hold 190,560 B (proposed) and 16,480 B (conventional), 5.0 MB at most together
+@lru_cache(maxsize=24)
 def control_table(lo, hi, density, k, params):
     """Centre h_i(r), within-tier term phi_i(r; U) and y^2 slope gamma_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
 
@@ -423,7 +373,7 @@ def control_term(table, flat, u):
     return hi
 
 
-@_cached
+@lru_cache(maxsize=24)
 def region_table(lo, hi, density, k, params):
     """The conventional scheme's control table: h_j, b_j (`within`) and g_j (`slope_y`) of `_region_fit`, with the class edges of the cell's band lo..hi.
 

@@ -3,7 +3,7 @@
 `analytic_bounds._band_plan` keeps, per (parts, conditioning kind,
 ChannelParams, tier-1 split), the density-free part of a band integral: the
 integrator's first level and the kernel rows that depend on the link length
-alone, at its nodes and at those of the deeper levels met so far.  Whatever
+alone, at its nodes and at those of the deeper levels it met last.  Whatever
 the plans hold, in whatever order they were filled, and with two threads
 filling them at once, every bound must keep its `float.hex`.
 """
@@ -18,7 +18,6 @@ import pytest
 from coopmac import analytic_bounds as ab
 from coopmac.analytic_bounds import averaged_bounds, link_bounds_at_distance, total_throughput_bounds
 from coopmac.channel_model import ChannelParams, _p_success, tier_bracket, worst_tier_g
-from coopmac.quadrature import NODES
 from coopmac.stochastic_geometry import CLASS_RATES, CLASS_TIERS, REGIMES, tier_areas, tier_void_law
 from test_bound_bits import FIXTURE, _cells, _key
 
@@ -71,6 +70,12 @@ def _plans():
     return [ab._band_plan(p, ppp, PARAMS) for p in parts for ppp in (True, False)]
 
 
+def _held(plan):
+    """Whether `plan` holds at most _PLAN_NODES deeper nodes: at most `maxsize` levels of at most _PLAN_NODES // 16 nodes."""
+    info = plan.levels.cache_info()
+    return info.currsize <= info.maxsize and info.maxsize * (ab._PLAN_NODES // 16) <= ab._PLAN_NODES
+
+
 def _plain_kernel(regime, r, density, k, params):
     """The tier mixture computed from scratch on every call, one tier at a time."""
     link_class = REGIMES[regime][2]
@@ -117,8 +122,8 @@ def test_every_cell_keeps_its_bits_in_any_history(cold, history):
 
 @pytest.mark.parametrize("n_threads", [2, 4])
 def test_threads_sharing_the_plans_keep_the_bits(cold, n_threads):
-    # each thread fills the shared plans while the others read them; a racing update
-    # may drop held nodes, but every lookup reads one consistent (nodes, count) pair
+    # each thread fills the shared plans while the others read them; two racing misses
+    # may compute one level twice, but every lookup gets one level's read-only nodes
     got, switch = [{} for _ in range(n_threads)], sys.getswitchinterval()
 
     def work(i):
@@ -140,21 +145,22 @@ def test_threads_sharing_the_plans_keep_the_bits(cold, n_threads):
     assert set().union(*got) == set(CELLS)
     info = ab._band_plan.cache_info()
     assert info.currsize <= info.maxsize
-    assert all(plan.deeper[1] <= ab._PLAN_NODES for plan in _plans())
+    assert all(_held(plan) for plan in _plans())
 
 
 def test_a_second_pass_finds_every_plan_and_level_held(monkeypatch):
     _sweep()
     info = ab._band_plan.cache_info()
-    held = [plan.deeper[1] for plan in _plans()]
+    held = [plan.levels.cache_info() for plan in _plans()]
     assert ab._band_plan.cache_info().misses == info.misses == 8
-    assert 0 < sum(held) and max(held) <= ab._PLAN_NODES
+    assert 0 < sum(level.currsize for level in held) and all(map(_held, _plans()))
     fresh = []
     monkeypatch.setattr(ab._BandPlan, "_nodes", lambda plan, x, interval: fresh.append(x.size))
     _sweep()
     assert fresh == []
     assert ab._band_plan.cache_info().misses == info.misses
-    assert [plan.deeper[1] for plan in _plans()] == held
+    again = [plan.levels.cache_info() for plan in _plans()]
+    assert [(level.misses, level.currsize) for level in again] == [(level.misses, level.currsize) for level in held]
 
 
 def test_plans_stay_under_their_cap_over_many_splitting_densities():
@@ -165,7 +171,7 @@ def test_plans_stay_under_their_cap_over_many_splitting_densities():
     assert info.misses == 1 + len(lams)  # the unsplit plan, then one per splitting density
     assert info.currsize <= info.maxsize == 32
     layer = ab._tier1_layer(float(lams[-1]), None)
-    assert ab._band_plan(((*REGIMES["D1"][:2], "D1"),), True, PARAMS, layer).deeper[1] <= ab._PLAN_NODES
+    assert _held(ab._band_plan(((*REGIMES["D1"][:2], "D1"),), True, PARAMS, layer))
 
 
 def test_off_lattice_lengths_keep_their_bits_after_a_sweep():
@@ -214,22 +220,31 @@ def test_alternating_channel_params_give_each_its_cold_result():
         assert [_hex(averaged_bounds(g, 0.002, params=params)) for g in ("C", "D1", "D2")] == cold[params]
 
 
-def test_deeper_levels_start_over_at_the_cap_and_keep_the_bits():
+def test_deeper_levels_are_held_up_to_their_size_and_count_and_keep_the_bits():
     plan = ab._band_plan(((*REGIMES["D2"][:2], "D2"),), True, PARAMS)
     rng = np.random.default_rng(3)
-    batch = (ab._PLAN_NODES // 3 // NODES.size + 1) * NODES.size
-    # three levels that pass the cap together, then one that passes it alone
-    levels = [rng.uniform(96.4, 100.0, size=batch) for _ in range(3)] + [rng.uniform(96.4, 100.0, ab._PLAN_NODES + 1)]
+    small = ab._PLAN_NODES // 16
+    # 17 levels that may be held, one more than the plan holds, then one too large to hold
+    levels = [rng.uniform(96.4, 100.0, size=size) for size in [small, *rng.integers(1, small + 1, size=16)]]
+    large = rng.uniform(96.4, 100.0, size=small + 1)
 
     def values(x):
-        return plan.values(plan.nodes(x, np.zeros(x.size, dtype=int)), None, 0.004, None)
+        return plan.values(plan.nodes(x, np.zeros(x.size, dtype=int)), None, 0.004, None).tobytes()
 
-    cold = [plan.values(plan._nodes(x, np.zeros(x.size, dtype=int)), None, 0.004, None).tobytes() for x in levels]
-    sizes = []
-    for x, want in zip(levels, cold):
-        assert values(x).tobytes() == want
-        sizes.append(plan.deeper[1])
-    assert sizes == [batch, 2 * batch, batch, batch]
-    # a held level is found again, and gives the same bits
-    assert values(levels[2]).tobytes() == cold[2] and plan.deeper[1] == batch
-    assert values(levels[0]).tobytes() == cold[0] and plan.deeper[1] == 2 * batch
+    def cold(x):
+        return plan.values(plan._nodes(x, np.zeros(x.size, dtype=int)), None, 0.004, None).tobytes()
+
+    for i, x in enumerate(levels):
+        assert values(x) == cold(x)
+        assert plan.levels.cache_info()[1:] == (i + 1, 16, min(i + 1, 16))  # (misses, maxsize, currsize)
+    # a level above _PLAN_NODES // 16 nodes is computed each time and not held
+    assert values(large) == cold(large) and values(large) == cold(large)
+    assert plan.levels.cache_info() == (0, 17, 16, 16)
+    # the 16 held levels, at most _PLAN_NODES nodes, are found again with their bits
+    assert sum(x.size for x in levels[1:]) <= ab._PLAN_NODES
+    for x in levels[1:]:
+        assert values(x) == cold(x)
+    assert plan.levels.cache_info() == (16, 17, 16, 16)
+    # the least recently used level was dropped, and is rebuilt bit for bit
+    assert values(levels[0]) == cold(levels[0])
+    assert plan.levels.cache_info() == (16, 18, 16, 16)

@@ -109,7 +109,7 @@ def test_exit_codes(tmp_path):
 def test_bounds_csv_shape(tmp_path):
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--class", "D", "--lambda", "0.001", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert [r["regime"] for r in rows] == ["D1", "D2"]
     for r in rows:
         assert float(r["lower"]) <= float(r["upper"])
@@ -129,7 +129,7 @@ def test_csv_round_trip(tmp_path):
     main(["simulate", "--class", "C", "--lambda", "0.003", "--trials", "1000", "--seed", "2", "--out", str(out)])
     text = out.read_text()
     assert "\r" not in text
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 2  # both schemes by default
     for row in rows:
         # values re-parse exactly as printed (4-decimal Mbps)
@@ -153,7 +153,7 @@ def test_json_output_full_precision(tmp_path):
 def test_contour_command(tmp_path):
     out = tmp_path / "contour.csv"
     assert main(["contour", "--class", "C", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert rows
     assert max(float(r["throughput"]) for r in rows) <= 5.5
 
@@ -169,7 +169,7 @@ def test_contour_class_d_picks_the_regimes_holding_r_k(tmp_path, r_k, regimes):
         assert code == 2 and not out.exists()
         return
     assert code == 0
-    assert {r["regime"] for r in csv.DictReader(out.open())} == regimes
+    assert {r["regime"] for r in csv.DictReader(out.read_text().splitlines())} == regimes
 
 
 @pytest.mark.parametrize("how", ["flag", "file"])
@@ -329,7 +329,7 @@ def test_reproduce_fig7_row_columns(tmp_path):
         ["reproduce", "fig7", "--lambda", "0.002", "--trials", "1000", "--seed", "3", "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == 1
     assert {"density", "upper", "proposed", "conventional", "lower"} <= set(rows[0])
 
@@ -365,7 +365,7 @@ def test_csv_stderr_reads_0_only_where_the_json_is_0(tmp_path, argv):
     paths = {fmt: tmp_path / ("out." + fmt) for fmt in ("csv", "json")}
     for fmt, path in paths.items():
         assert main(argv + ["--seed", "5", "--format", fmt, "--out", str(path)]) == 0
-    rows = list(csv.DictReader(paths["csv"].open()))
+    rows = list(csv.DictReader(paths["csv"].read_text().splitlines()))
     full = json.loads(paths["json"].read_text())
     small = [key for key in full[0] if key in ("stderr", "band_mass", "lower", "upper") or key.endswith("_stderr")]
     assert small and len(rows) == len(full)

@@ -203,22 +203,35 @@ def test_band_uniform_inverts_the_link_length_draw(k):
     assert table.jump[0] < 0
 
 
-def test_table_cache_is_bounded_by_bytes():
-    # a sweep of 70 "all" cells, more than the 64 tables a bound by count kept, holds at most the byte budget,
-    # keeps the most recent tables and rebuilds an evicted one bit for bit
+def test_table_cache_is_bounded_by_count():
+    # a sweep of 70 "all" cells, more than the 24 tables the cache keeps, holds at most 24 tables, at most 24 "all"
+    # tables' bytes, keeps the most recent tables and rebuilds an evicted one bit for bit
     within_tier.control_table.cache_clear()
+
+    def table(density):
+        return within_tier.control_table(*REGIMES["all"][:2], density, None, PARAMS)
+
     densities = [0.0005 + 1e-5 * i for i in range(70)]
-    first = within_tier.control_table(*REGIMES["all"][:2], densities[0], None, PARAMS)
-    for density in densities[1:]:
-        newest = within_tier.control_table(*REGIMES["all"][:2], density, None, PARAMS)
+    built = []
+    for density in densities:
+        built.append(table(density))
         info = within_tier.control_table.cache_info()
-        assert info.nbytes <= within_tier._CACHE_BYTES
-    assert 1 < info.currsize < len(densities)
-    assert within_tier.control_table(*REGIMES["all"][:2], densities[-1], None, PARAMS) is newest
-    again = within_tier.control_table(*REGIMES["all"][:2], densities[0], None, PARAMS)
-    assert again is not first and all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+        assert info.currsize <= info.maxsize == 24
+    assert info.currsize == 24
+    # newest first, each held table is found again, up to the newest evicted one, which is rebuilt bit for bit
+    kept = []
+    for density, old in zip(densities[::-1], built[::-1]):
+        again = table(density)
+        if again is not old:
+            break
+        kept.append(again)
+    assert len(kept) == 24 and kept[0] is built[-1]
+    assert sum(array.nbytes for held in kept for array in held) <= 24 * sum(array.nbytes for array in built[0])
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(old, again))
+    again = table(densities[0])
+    assert again is not built[0] and all(a.tobytes() == b.tobytes() for a, b in zip(built[0], again))
     within_tier.control_table.cache_clear()
-    assert within_tier.control_table.cache_info() == (0, 0)
+    assert within_tier.control_table.cache_info().currsize == 0
 
 
 def test_table_cache_keeps_a_bench_pass():
