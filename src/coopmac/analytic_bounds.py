@@ -48,9 +48,10 @@ split) holds the integrator's first level (`quadrature.first_level`: the
 quartered panels, their nodes and each node's interval) and, at its nodes,
 the s form's r and Jacobian, the kernel's r-only rows, the direct parts'
 rate times Ps and, under the PPP, the law weights 2r/100^2 times the
-Jacobian; it holds the same for the 16 deeper levels of at most 128 nodes
-it met last (a `functools.lru_cache` per plan), and computes a larger level
-at each call.  A call computes only the band mass, the kth-NN pdf, the tier
+Jacobian.  The same rows at the deeper levels of at most 128 nodes are
+held by `_plan_level`, one `functools.lru_cache` of the 512 levels met
+last over all plans, keyed by the plan's key and the level's bytes, and a
+larger level is computed at each call.  A call computes only the band mass, the kth-NN pdf, the tier
 law, the mixture and the integrator's panel sums and accept test.  The plan pays because one
 process integrates one band at several densities (a sweep over
 `DENSITY_GRID`, `bounds --class all`, a `reproduce` figure's bound
@@ -73,6 +74,7 @@ the bounds as for the Monte Carlo.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -116,8 +118,9 @@ from .stochastic_geometry import (
 
 # the fastest rate, above which no throughput lies
 TOP_RATE = max(BAND_RATES)
-# the deeper-level nodes one band plan holds at most: 16 levels (`_BandPlan.levels`) of _PLAN_NODES // 16 nodes
-_PLAN_NODES = 2048
+# the most nodes of a deeper level that `_plan_level` holds, which holds 512 levels, at most the
+# 32 plans of `_band_plan` x 2048 nodes
+_LEVEL_NODES = 128
 
 
 @dataclass(frozen=True)
@@ -310,14 +313,15 @@ class _BandPlan:
 
     `nodes` gives the `_Nodes` of one level, the first one's or a held deeper
     one's, and computes the others; `values` the integrand at them.  The
-    deeper levels are held by `levels`, a `functools.lru_cache` of 16 levels
-    keyed by the bytes of their nodes and intervals, which `_level` reads
-    back into the same floats; a level of more than _PLAN_NODES // 16 nodes
-    is computed and not held.  `lru_cache` is thread-safe and every held
-    array is read-only, so threads can share a plan.
+    deeper levels of at most _LEVEL_NODES nodes are held by `_plan_level`
+    under the plan's `key` and the bytes of their nodes and intervals, read
+    back into the same floats.  A plan holds itself only weakly (`ref`), so
+    one dropped from `_band_plan` is freed at once.  `lru_cache` is thread-safe
+    and every held array is read-only, so threads can share a plan.
     """
 
     def __init__(self, parts, ppp: bool, params: ChannelParams, layer: float):
+        self.key = parts, ppp, params, layer
         self.ppp, self.params = ppp, params
         spans, s_form, rate, kind, classes = [], [], [], [], {}
         for a, b, value in parts:
@@ -339,18 +343,15 @@ class _BandPlan:
         self.owner = np.concatenate((np.arange(len(parts)), self.split)).astype(int)
         self.level = first_level(spans)
         self.first = self._nodes(self.level.x, self.level.at)
-        self.levels = lru_cache(maxsize=16)(self._level)
+        self.ref = _PlanRef(self)
 
     def nodes(self, x, interval) -> _Nodes:
         """The `_Nodes` of nodes x in the intervals `interval`, the integrator's nodes of one level."""
         if x is self.level.x:
             return self.first
-        if x.size > _PLAN_NODES // 16:
+        if x.size > _LEVEL_NODES:
             return self._nodes(x, interval)
-        return self.levels(x.tobytes(), interval.tobytes())
-
-    def _level(self, x: bytes, interval: bytes) -> _Nodes:
-        return self._nodes(np.frombuffer(x), np.frombuffer(interval, dtype=np.intp))
+        return _plan_level(self.ref, x.tobytes(), interval.tobytes())
 
     def _nodes(self, x, interval) -> _Nodes:
         part = self.owner[interval] if self.split else interval
@@ -382,6 +383,33 @@ class _BandPlan:
         for at, link_class, r, data in nodes.groups:
             out[:, at] = data if link_class is None else _mixture(link_class, data, r, density, k, self.worst[link_class])
         return out * weight
+
+
+class _PlanRef(weakref.ref):
+    """A weak reference to a band plan that hashes and compares as the plan's key.
+
+    `_plan_level` is keyed by it, so it holds no plan, and a plan rebuilt
+    under the same key finds the levels of the one it replaces.
+    """
+
+    __slots__ = ("key", "hash")
+
+    def __init__(self, plan):
+        super().__init__(plan)
+        self.key = plan.key
+        self.hash = hash(self.key)
+
+    def __hash__(self):
+        return self.hash
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
+@lru_cache(maxsize=512)
+def _plan_level(plan: _PlanRef, x: bytes, interval: bytes) -> _Nodes:
+    """The `_Nodes` of a deeper level of a band plan, from the bytes of its nodes x and their intervals."""
+    return plan()._nodes(np.frombuffer(x), np.frombuffer(interval, dtype=np.intp))
 
 
 @lru_cache(maxsize=32)

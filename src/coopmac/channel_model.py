@@ -140,14 +140,23 @@ def log_ps_concave(params: ChannelParams = ChannelParams()) -> bool:
     concave wherever c (lambda(x) - x) >= 1, and lambda(x) - x falls as x
     grows, so the check at d = 100 m, the largest x, holds for every shorter
     hop.  lambda(x) < x + 1/x for x > 0, so x >= c fails without the
-    difference, which cancels for large x.  The reference parameters pass;
-    a loose link budget (alpha = 2 with pt = -30 dBm, or sigma_sh = 12 dB)
-    does not.
+    difference, which cancels for large x: from x = 1e4 on it is taken from
+    its series 1/x - 2/x^3 + 10/x^5, whose next term is below the rounding,
+    and it is compared with 1 / c, which a tiny sigma_sh cannot overflow.
+    An x that overflows fails.  The reference parameters pass; a loose link
+    budget (alpha = 2 with pt = -30 dBm, or sigma_sh = 12 dB) does not.
     """
-    x = params.nu + params.mu * np.log10(BAND_EDGES[-1])
+    with np.errstate(over="ignore"):
+        x = params.nu + params.mu * np.log10(BAND_EDGES[-1])
     c = params.mu / np.log(10.0)
-    hazard = np.sqrt(2.0 / np.pi) / erfcx(x / _SQRT2)
-    return bool(x < c and c * (hazard - x) >= 1.0)
+    if not x < c:
+        return False
+    if x > 1e4:
+        z = 1.0 / x
+        gap = z * (1.0 - z * z * (2.0 - 10.0 * z * z))
+    else:
+        gap = np.sqrt(2.0 / np.pi) / erfcx(x / _SQRT2) - x
+    return bool(gap >= 1.0 / c)
 
 
 def _at_best(r, n, hop, pair):

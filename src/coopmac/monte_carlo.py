@@ -42,8 +42,7 @@ sampled mode B = isqrt(S), so both draws are stratified at no extra draw
 analytic mode, which has no v, B = 1 and the strata are S equal slices of
 u.  Most of the variance of a class mix lies between link classes, and
 most of that of a sampled cell in its Bernoulli draw, which the strata
-remove: at 0.001 nodes/m^2 and 10k trials they cut the sampled stderr
-1.5-1.9x on classes C, D1 and D2 and 2.7-4.9x on the class mix.  A chunk reports its stratified mean (1/S) sum_h ybar_h and
+remove in part.  A chunk reports its stratified mean (1/S) sum_h ybar_h and
 variance (1/S^2) sum_h s_h^2 / n_h, where a pair's s_h^2 / n_h is
 (t1 - t2)^2 / 4; see `SimEstimate` for the reduction.  A rest of one trial
 joins the chunk before it, so no stratum holds a single trial unless the
@@ -68,9 +67,8 @@ scores its sure share lo = rate * G_worst exactly and draws its Bernoulli
 only above it: it scores lo + (rate - lo) 1{x < rate * max G}, with
 x = lo + (rate - lo) v uniform on [lo, rate), which has the mean
 rate * max G (conditional Monte Carlo, Asmussen & Glynn, Stochastic
-Simulation, 2007, ch. V), which cuts a sampled cell's stderr 1.8-2.4x at
-0.001 nodes/m^2 under the reference parameters.  Direct links and classes
-A and B keep the plain draw v < Ps(r).  Sampled mode places helpers only where the outcome depends
+Simulation, 2007, ch. V).  Direct links and classes A and B keep the plain
+draw v < Ps(r).  Sampled mode places helpers only where the outcome depends
 on them (the squeeze: Devroye, Non-Uniform Random Variate Generation, 1986,
 II.3): x >= rate * G_best(r) (1 + eps) is a failure whatever the helpers,
 with eps = _SQUEEZE_MARGIN = 1e-9, far above the rounding of G and of the
@@ -85,11 +83,12 @@ mode has no v and places the helpers of every link with one.
 In both modes a class C or D link then reports t - c + m(r), a control
 variate: c is a centre for the tier or region the trial chose, plus a term
 of mean 0 where its helpers were placed, and m(r) is c's exact mean given
-r.  What each scheme's control is, the tables it is read from and the
-variance it removes are stated in `within_tier`, whose `control` computes
-c and m for a chunk; in regime `all` the stratum of u that holds a class
-edge also takes a term of mean 0 (`_edge_term`).  Analytic mode reads no
-bracket per link: the tables hold what the centres need.
+r.  In sampled mode c also holds an indicator of the Bernoulli draw
+itself, with its exact mean.  What each scheme's control is and the
+tables it is read from are stated in `within_tier`, whose `control`
+computes c and m for a chunk; in regime `all` the stratum of u that holds
+a class edge also takes a term of mean 0 (`_edge_term`).  Analytic mode
+reads no bracket per link: the tables hold what the centres need.
 
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
@@ -214,11 +213,12 @@ class SimEstimate:
     Each chunk of n_c trials is a stratified estimate with S = n_c // 2
     strata of mass 1/S.  The chunk's mean is (1/S) sum_h ybar_h and its
     variance (1/S^2) sum_h s_h^2 / n_h, (t1 - t2)^2 / 4 for a pair.  The
-    cell's mean is sum_c n_c mean_c / trials, and its stderr is
-    sqrt(sum_c n_c^2 var_c) / trials.  One trial has stderr 0.  Every sample
-    has the plain score's mean and is a function of its own trial and its
-    stratum alone, so the stratified stderr holds as it stands; the module
-    docstring states the strata, the control variates and the squeeze.
+    cell's mean is sum_c n_c mean_c / trials, clipped into [0, 11] Mbps,
+    and its stderr is sqrt(sum_c n_c^2 var_c) / trials.  One trial has
+    stderr 0.  Every sample has the plain score's mean and is a function of
+    its own trial and its stratum alone, so the stratified stderr holds as
+    it stands; the module docstring states the strata, the control variates
+    and the squeeze.
     """
 
     mean: float
@@ -692,7 +692,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         chosen = elig[has]
         tier_rate = np.take(TIER_RATES, tier - 1)
         # analytic mode places the helpers of every link with one, sampled mode those the squeeze leaves open
-        placed = slice(None)
+        placed, draw, single = slice(None), None, None
         if v is not None:
             # one bracket read per chunk, through the 3-tier kernel when every link is of class C: sampled
             # mode's sure share and squeeze
@@ -704,6 +704,11 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
             x = lo + span * v[chosen]
             # the upper end bounds G only while log Ps is concave; without it no failure is settled
             placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
+            draw = x, span
+            if scheme == "conventional":
+                # the conventional indicator's model of one helper uniform in the region: the proposed table
+                # at a vanishing density, where a tier's helper count given one is one
+                single = within_tier.control_table(*band, 0.0, None, params)
         g, q, y2 = _best_g(rng, r_e, choice, k, params, placed)
         if v is None:
             t[chosen] = tier_rate * g
@@ -714,7 +719,7 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
             if scheme == "proposed":
                 # the proposed scheme's y^2 term cuts sampled mode's variance by 1-4%, less than it costs
                 y2 = None
-        c, m = within_tier.control(table, scheme, r_e, choice, (rate * ps_r)[elig], q, y2, k, placed)
+        c, m = within_tier.control(table, scheme, r_e, choice, (rate * ps_r)[elig], q, y2, k, placed, draw, single)
         t[elig] = (t[elig] - c) + m
     if table is not None and table.edges.size:
         _edge_term(t, r, columns, table)
@@ -770,7 +775,9 @@ def estimate_throughput(config: ExperimentConfig, workers: int = 1) -> List[SimE
     n = config.trials
     for cell, (density, scheme) in enumerate(cells):
         sums, variances = zip(*results[cell * len(sizes):(cell + 1) * len(sizes)])
-        out.append(SimEstimate(mean=math.fsum(sums) / n, stderr=math.sqrt(math.fsum(variances)) / n, trials=n,
+        # where every score is 0 or the top rate, the control variates' rounding can leave the mean just outside
+        mean = min(max(math.fsum(sums) / n, 0.0), max(BAND_RATES))
+        out.append(SimEstimate(mean=mean, stderr=math.sqrt(math.fsum(variances)) / n, trials=n,
                                density=density, scheme=scheme, regime=config.regime, seed=config.base_seed))
     return out
 

@@ -61,15 +61,33 @@ the least-q one (`_arc_slope`); sampled mode, which gains 1-4% from it,
 leaves it out.  `control_table` tabulates h, phi and gamma once per cell,
 phi at knots in U, read between them linearly in U (`control_term`).
 
-At 0.005 nodes/m^2 in analytic mode, against the bracket midpoint as the
-control, the conventional stderr is 12x (C), 16x (D1), 28x (D2) and 15x
-(the class mix) lower, and the proposed variance without the y^2 term
-5.6-6.2x (C), 22-29x (D1), 7.3-7.9x (D2) and 17-20x (the class mix) lower,
-which that term cuts a further 1.6-2.1x.  Sampled mode, whose variance is
-its Bernoulli draw above the sure share, gains far less: for the proposed
-scheme at 0.001 nodes/m^2, 1.24-1.32x in variance from the part of phi
-linear in U and 1.01-1.05x more from the rest.  The module is loaded by
-the first chunk that needs a table, so that a process that runs only the
+In sampled mode a link with a helper scores lo + (rate - lo) 1{x < rate x
+max G}, with x = lo + (rate - lo) v above its tier's sure share lo
+(`monte_carlo._chunk_throughput`), and most of what the terms above leave
+of its variance is that Bernoulli draw, which no term in the helpers'
+positions reaches.  So both schemes add, at every link with a helper,
+beta_i (rate - lo) (1{x < psi(U)} - p_i(r)), the indicator of the same
+draw against the table's own model of rate x max G,
+psi(U) = min(h_i + phi_i(U), cap_i) at the link's node (`_indicator`).
+Given r and the tier, U is Uniform(0, 1) and independent of v, so the
+indicator's mean is p_i = integral of
+clip((psi(U) - lo) / (rate - lo), 0, 1) over U, which each (tier, node)
+row holds exactly (`_indicator_mean`): psi is linear in U between the
+knots but where the clip starts.  cap_i is rate x G_best at the far end
+of the node's cell, at or below the bracket's upper end for every link
+the row serves, as G_best falls with r; so a link the squeeze settles as
+a failure has an indicator of 0 without a placement, and the term places
+no helper.  beta_i is fixed per tier, the same for both schemes
+(`_INDICATOR_BETA`), and never fitted on a chunk's own samples; at
+beta = 1 the term can add variance.  The proposed scheme reads psi from
+its own table.  The conventional one reads it from the proposed table at
+a vanishing density, where a tier's helper count given one is one: the
+secant model of one helper uniform in the region, at U = B_j(q) / S_j of
+its helper, which is exactly Uniform(0, 1) given r and the region; its q
+and y^2 terms stay.  Dropping those terms and the lens moments in sampled
+mode instead gains less in variance x time in every sampled cell of the
+benchmark (`BENCH_sampled_indicator.json`).  The module is loaded by the
+first chunk that needs a table, so that a process that runs only the
 bounds builds none.
 """
 
@@ -179,9 +197,12 @@ class ControlTable(NamedTuple):
     term.  within is the scheme's own term: for the proposed scheme phi, of
     shape (tiers, nodes, _KNOTS + 1), each tier's term at the knots
     u_j = 1 - (1 - j / _KNOTS)^2 of U (`control_term`), and for the
-    conventional one the slope b of its q term, shaped as h.  edges are the
-    class edges inside the cell's band, edge_u the link-length uniform u at
-    each and jump the step of the link's mean score there
+    conventional one the slope b of its q term, shaped as h.  A proposed
+    table holds two more rows shaped as h for sampled mode's indicator term
+    (`_indicator`): cap, the cap of psi, and hit, the indicator's exact
+    mean (`_indicator_mean`); a conventional table leaves them empty.
+    edges are the class edges inside the cell's band, edge_u the link-length
+    uniform u at each and jump the step of the link's mean score there
     (`monte_carlo._edge_term`).
     """
 
@@ -192,14 +213,18 @@ class ControlTable(NamedTuple):
     h: np.ndarray
     within: np.ndarray
     slope_y: np.ndarray
+    cap: np.ndarray
+    hit: np.ndarray
     edges: np.ndarray
     edge_u: np.ndarray
     jump: np.ndarray
 
 
-# each table builder keeps its 24 most recent tables, one more than a pass over both Monte Carlo bench workloads
-# builds; the largest, regime `all`'s, hold 190,560 B (proposed) and 16,480 B (conventional), 5.0 MB at most together
-@lru_cache(maxsize=24)
+# each table builder keeps one more table than a pass over both Monte Carlo bench workloads builds: 26 proposed ones,
+# the two one-helper tables of the conventional indicator among them (`monte_carlo._chunk_throughput`), and 24
+# conventional ones; the largest, regime `all`'s, hold 201,440 B (proposed) and 16,480 B (conventional), 5.6 MB at
+# most together
+@lru_cache(maxsize=26)
 def control_table(lo, hi, density, k, params):
     """Centre h_i(r), within-tier term phi_i(r; U) and y^2 slope gamma_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
 
@@ -221,7 +246,9 @@ def control_table(lo, hi, density, k, params):
     exactly, as U is Uniform(0, 1) given r and the tier.  h, phi and
     gamma (`_arc_slope`) depend on r, the tier and the cell alone (its band
     lo..hi, density, k and params).  A tier with no area there gets
-    h = rate G_best and phi = gamma = 0.  The nodes are at most _TABLE_STEP
+    h = rate G_best and phi = gamma = 0.  The indicator rows are the module
+    docstring's: cap is rate G_best at the far end of each node's cell, and
+    hit the indicator's exact mean.  The nodes are at most _TABLE_STEP
     m apart, in segments split at 74.7 and 96.4 m within the band's class C
     and D part; the table is built once per cell and is read-only.
     """
@@ -255,8 +282,50 @@ def control_table(lo, hi, density, k, params):
     # helpers per m^2 of the tier
     crowd = density if k is None else (k - 1) * load / area
     slope_y[tier, node] = _arc_slope(r[node], tier + 1, t_best, step, law, b, crowd, params)
-    table = ControlTable(*grid, h, phi, slope_y, *(np.empty(0),) * 3)
+    # each node's cell reaches halfway to the next node of its segment; the last node of a segment is its end
+    right = np.append(0.5 * (r[:-1] + r[1:]), r[-1])
+    cap = tier_bracket("D", right, params)[1][:rows]
+    table = ControlTable(*grid, h, phi, slope_y, cap, _indicator_mean(h, phi, worst[:rows], cap, rows),
+                         *(np.empty(0),) * 3)
     return _with_class_edges(table, band, density, k, params, "proposed")
+
+
+def _indicator_mean(h, phi, lo, cap, rows):
+    """The exact mean of sampled mode's indicator 1{x < min(h + phi(U), cap)}, for each (tier, node) row of a proposed table.
+
+    x = lo + (rate - lo) v is uniform on [lo, rate) and independent of U,
+    which is Uniform(0, 1) given r and the tier, so the mean is the
+    integral over U of w(U) = clip((min(h + phi(U), cap) - lo) / (rate - lo), 0, 1).
+    phi is linear in U between its knots, and so is w but where it crosses
+    0 or the cap, which `_clipped_means` takes exactly in each knot interval.
+    """
+    span = (np.asarray(TIER_RATES[:rows]) - lo)[:, None]
+    w = phi + h[..., None]
+    w -= lo[:, None, None]
+    # a tier whose worst position is a sure success has no draw above its sure share, and an indicator of 0
+    np.divide(w, span[..., None], out=w, where=span[..., None] > 0.0)
+    top = np.divide(cap - lo[:, None], span, out=np.zeros(cap.shape), where=span > 0.0)
+    np.clip(top, 0.0, 1.0, out=top)
+    return (_clipped_means(w[..., :-1], w[..., 1:], top[..., None]) * np.diff(_KNOT_U)).sum(axis=-1)
+
+
+def _clipped_means(a, b, top):
+    """The mean over t in [0, 1] of clip(a + (b - a) t, 0, top), elementwise, for top >= 0.
+
+    The mean is the same with a and b swapped, so it is taken from the
+    larger end y1 down to the smaller y0: a share f_hi of the interval lies
+    above top, a share f_lo below 0, and the rest runs linearly from
+    min(y1, top) to max(y0, 0).
+    """
+    y1, y0 = np.maximum(a, b), np.minimum(a, b)
+    fall = y1 - y0
+    flat = fall == 0.0
+    f_hi = np.divide(y1 - top, fall, out=(y1 > top).astype(float), where=~flat)
+    f_lo = np.divide(-y0, fall, out=(y0 < 0.0).astype(float), where=~flat)
+    np.clip(f_hi, 0.0, 1.0, out=f_hi)
+    np.clip(f_lo, 0.0, 1.0, out=f_lo)
+    middle = 1.0 - f_hi - f_lo
+    return f_hi * top + middle * 0.5 * (np.minimum(y1, top) + np.maximum(y0, 0.0))
 
 
 def _arc_slope(r, tier, t_best, step, law, b, crowd, params):
@@ -294,7 +363,9 @@ def _arc_slope(r, tier, t_best, step, law, b, crowd, params):
     g *= np.take(TIER_RATES, tiers - 1)[:, None]
     # crowd x A per unit of rate x G above a point's, and the chance that no other helper beats each point
     pieces = 2.0 * TIER_BOXES[4, tier - 1]
-    beyond = np.divide(crowd * pieces, 4.0 * np.abs(b), out=np.zeros(b.shape), where=b < 0.0)
+    # at most 1e300, which a secant b of almost 0 would pass, overflowing: exp(-beyond x) is then 0 but at x = 0
+    beyond = np.divide(crowd * pieces, np.maximum(4.0 * np.abs(b), 1e-300 * crowd * pieces), out=np.zeros(b.shape),
+                       where=b < 0.0)
     beyond = np.repeat(beyond, _ARC_GROUPS) * span
     alone = np.stack([np.exp(-beyond * (w * np.maximum(g - g[:, [j]], 0.0)).sum(axis=1)) for j in range(u.size)],
                      axis=1)
@@ -422,7 +493,7 @@ def _region_fit(params):
         for block in np.array_split(at, max(1, -(-at.size // _FIT_BLOCK))):
             h[tier, block], slope_q[tier, block], slope_y[tier, block] = _fit(r[block], box, TIER_RATES[tier],
                                                                               params, *rule)
-    return ControlTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 3)
+    return ControlTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 5)
 
 
 def _fit(r, box, rate, params, u, w):
@@ -551,7 +622,7 @@ def table_nodes(table, r):
     return j
 
 
-def control(table, scheme, r, choice, direct, q, y2, k, which):
+def control(table, scheme, r, choice, direct, q, y2, k, which, draw=None, single=None):
     """(c, m) of the control variate of the module docstring, for links of lengths r scored `direct` = rate x Ps(r) without a helper.
 
     `choice` is the links' tier or region choice (`monte_carlo._TierChoice`):
@@ -565,20 +636,39 @@ def control(table, scheme, r, choice, direct, q, y2, k, which):
     region's exact mean (`_region_means`) for the conventional one.  Both
     add gamma (y^2 - Ybar^2), y^2 about its exact mean over the tier's arc
     through the helper (`stochastic_geometry.tier_arc_y2`) or over the
-    region, which is left out where y2 is None.  m is c's mean given r
-    (`_mixture`).  q and y2 may be overwritten.
+    region, which is left out where y2 is None.  In sampled mode
+    draw = (x, span) holds the links' draws x = lo + span v above their sure
+    share, and c adds the indicator term (`_indicator`): the proposed
+    scheme's psi is h + phi(U) of its own table, the conventional one's that
+    of `single`, the table of one helper uniform in the region, where it is
+    given.  m is c's mean given r (`_mixture`).  q and y2 may be
+    overwritten.
     """
     j = table_nodes(table, r)
     centre = np.take(table.h, j, axis=1)
+    chosen = centre[choice.tier - 1, choice.has]
     at, tier = choice.has[which], choice.tier[which]
     flat = (tier - 1) * table.h.shape[1]
     flat += j[at]
+    link = r[at]
     if scheme == "proposed":
-        link = r[at]
         t = least_q_distance(link, q)
         term = control_term(table, flat, least_q_uniform(link, tier, choice.area[which], choice.load[which], t, k))
         mean_y2 = None if y2 is None else tier_arc_y2(link, tier, t)
+        if draw is not None:
+            chosen += _indicator(table, j[choice.has], choice.tier, which, chosen[which] + term, draw)
     else:
+        if single is not None:
+            # the helper's U = B_j(q) / S_j, Uniform(0, 1) given r and the region, as the one-helper law has it
+            u = tier_area_within(link, tier, least_q_distance(link, q))
+            u /= choice.area[which]
+            np.clip(u, 0.0, 1.0, out=u)
+            nodes = table_nodes(single, r[choice.has])
+            at_single = (tier - 1) * single.h.shape[1]
+            at_single += nodes[which]
+            psi = control_term(single, at_single, u)
+            psi += single.h.take(at_single)
+            chosen += _indicator(single, nodes, choice.tier, which, psi, draw)
         mean_q, mean_y2 = _region_means(choice, r, which)
         term = np.subtract(q, mean_q, out=q)
         term *= table.within.take(flat)
@@ -587,10 +677,38 @@ def control(table, scheme, r, choice, direct, q, y2, k, which):
         y2 *= table.slope_y.take(flat)
         term += y2
     c = direct.copy()
-    chosen = centre[choice.tier - 1, choice.has]
     chosen[which] += term
     c[choice.has] = chosen
     return c, _mixture(choice.law, choice.void, direct, centre)
+
+
+# sampled mode's indicator coefficient beta of tiers 1-5, both schemes (`_indicator`): the least-squares coefficients
+# of the pair differences of the scores on those of each tier's term, over classes C, D1 and D2 under the PPP and
+# k = 10 at 0.001 nodes/m^2, pooled and rounded
+_INDICATOR_BETA = np.array([0.5, 0.55, 0.6, 0.3, 0.4])
+_INDICATOR_BETA.flags.writeable = False
+
+
+def _indicator(table, nodes, tier, which, psi, draw):
+    """beta span (1{x < min(psi, cap)} - hit): sampled mode's indicator term at the links with a helper, of tiers `tier`.
+
+    nodes is each link's nearest node of the proposed-form `table`, whose
+    (tier, node) rows hold cap and hit, the indicator's exact mean
+    (`_indicator_mean`); psi is h + phi(U) at the placed links `which`, and
+    draw = (x, span) each link's draw lo + span v and span rate - lo.  A
+    link the squeeze settled has x at or above its bracket's upper end, and
+    so above cap, and an indicator of 0 without a placement.  beta is fixed
+    per tier (`_INDICATOR_BETA`).  psi is overwritten.
+    """
+    x, span = draw
+    every = (tier - 1) * table.h.shape[1]
+    every += nodes
+    hit = np.zeros(every.size)
+    hit[which] = x[which] < np.minimum(psi, table.cap.take(every[which]), out=psi)
+    hit -= table.hit.take(every)
+    hit *= span
+    hit *= _INDICATOR_BETA.take(tier - 1)
+    return hit
 
 
 def _region_means(choice, r, which):

@@ -3,14 +3,17 @@
 `analytic_bounds._band_plan` keeps, per (parts, conditioning kind,
 ChannelParams, tier-1 split), the density-free part of a band integral: the
 integrator's first level and the kernel rows that depend on the link length
-alone, at its nodes and at those of the deeper levels it met last.  Whatever
+alone, at its nodes, and `analytic_bounds._plan_level` the same at the
+deeper levels the plans met last.  Whatever
 the plans hold, in whatever order they were filled, and with two threads
 filling them at once, every bound must keep its `float.hex`.
 """
 
+import gc
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -35,11 +38,16 @@ CELLS = ([(*cell, PARAMS) for cell in _cells()]
          + [(g, lam, k, OTHER) for lam, k in ((0.002, None), (0.002, 10), (0.5, None)) for g in ("C", "D1", "D2", "total")])
 
 
+def _clear():
+    ab._band_plan.cache_clear()
+    ab._plan_level.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def cold_plans():
-    ab._band_plan.cache_clear()
+    _clear()
     yield
-    ab._band_plan.cache_clear()
+    _clear()
 
 
 def _hex(pair):
@@ -57,7 +65,7 @@ def cold():
     """Each cell's bits with every plan cleared before it."""
     bits = {}
     for cell in CELLS:
-        ab._band_plan.cache_clear()
+        _clear()
         bits[cell] = _pair(*cell)
     return bits
 
@@ -70,10 +78,10 @@ def _plans():
     return [ab._band_plan(p, ppp, PARAMS) for p in parts for ppp in (True, False)]
 
 
-def _held(plan):
-    """Whether `plan` holds at most _PLAN_NODES deeper nodes: at most `maxsize` levels of at most _PLAN_NODES // 16 nodes."""
-    info = plan.levels.cache_info()
-    return info.currsize <= info.maxsize and info.maxsize * (ab._PLAN_NODES // 16) <= ab._PLAN_NODES
+def _held():
+    """Whether the plans hold at most 32 x 2048 deeper nodes: at most `maxsize` levels of at most _LEVEL_NODES nodes."""
+    info = ab._plan_level.cache_info()
+    return info.currsize <= info.maxsize and info.maxsize * ab._LEVEL_NODES <= 32 * 2048
 
 
 def _plain_kernel(regime, r, density, k, params):
@@ -145,22 +153,23 @@ def test_threads_sharing_the_plans_keep_the_bits(cold, n_threads):
     assert set().union(*got) == set(CELLS)
     info = ab._band_plan.cache_info()
     assert info.currsize <= info.maxsize
-    assert all(_held(plan) for plan in _plans())
+    assert _held()
 
 
 def test_a_second_pass_finds_every_plan_and_level_held(monkeypatch):
     _sweep()
     info = ab._band_plan.cache_info()
-    held = [plan.levels.cache_info() for plan in _plans()]
+    _plans()
+    held = ab._plan_level.cache_info()
     assert ab._band_plan.cache_info().misses == info.misses == 8
-    assert 0 < sum(level.currsize for level in held) and all(map(_held, _plans()))
+    assert 0 < held.currsize and _held()
     fresh = []
     monkeypatch.setattr(ab._BandPlan, "_nodes", lambda plan, x, interval: fresh.append(x.size))
     _sweep()
     assert fresh == []
     assert ab._band_plan.cache_info().misses == info.misses
-    again = [plan.levels.cache_info() for plan in _plans()]
-    assert [(level.misses, level.currsize) for level in again] == [(level.misses, level.currsize) for level in held]
+    again = ab._plan_level.cache_info()
+    assert (again.misses, again.currsize) == (held.misses, held.currsize)
 
 
 def test_plans_stay_under_their_cap_over_many_splitting_densities():
@@ -170,8 +179,7 @@ def test_plans_stay_under_their_cap_over_many_splitting_densities():
     info = ab._band_plan.cache_info()
     assert info.misses == 1 + len(lams)  # the unsplit plan, then one per splitting density
     assert info.currsize <= info.maxsize == 32
-    layer = ab._tier1_layer(float(lams[-1]), None)
-    assert _held(ab._band_plan(((*REGIMES["D1"][:2], "D1"),), True, PARAMS, layer))
+    assert _held()
 
 
 def test_off_lattice_lengths_keep_their_bits_after_a_sweep():
@@ -223,9 +231,9 @@ def test_alternating_channel_params_give_each_its_cold_result():
 def test_deeper_levels_are_held_up_to_their_size_and_count_and_keep_the_bits():
     plan = ab._band_plan(((*REGIMES["D2"][:2], "D2"),), True, PARAMS)
     rng = np.random.default_rng(3)
-    small = ab._PLAN_NODES // 16
-    # 17 levels that may be held, one more than the plan holds, then one too large to hold
-    levels = [rng.uniform(96.4, 100.0, size=size) for size in [small, *rng.integers(1, small + 1, size=16)]]
+    small, held = ab._LEVEL_NODES, ab._plan_level.cache_info().maxsize
+    # one more level that may be held than the plans hold, then one too large to hold
+    levels = [rng.uniform(96.4, 100.0, size=size) for size in [small, *rng.integers(1, small + 1, size=held)]]
     large = rng.uniform(96.4, 100.0, size=small + 1)
 
     def values(x):
@@ -236,15 +244,40 @@ def test_deeper_levels_are_held_up_to_their_size_and_count_and_keep_the_bits():
 
     for i, x in enumerate(levels):
         assert values(x) == cold(x)
-        assert plan.levels.cache_info()[1:] == (i + 1, 16, min(i + 1, 16))  # (misses, maxsize, currsize)
-    # a level above _PLAN_NODES // 16 nodes is computed each time and not held
+        assert ab._plan_level.cache_info()[1:] == (i + 1, held, min(i + 1, held))  # (misses, maxsize, currsize)
+    # a level above _LEVEL_NODES nodes is computed each time and not held
     assert values(large) == cold(large) and values(large) == cold(large)
-    assert plan.levels.cache_info() == (0, 17, 16, 16)
-    # the 16 held levels, at most _PLAN_NODES nodes, are found again with their bits
-    assert sum(x.size for x in levels[1:]) <= ab._PLAN_NODES
+    assert ab._plan_level.cache_info() == (0, held + 1, held, held)
+    # the held levels, at most 32 x 2048 nodes, are found again with their bits
+    assert sum(x.size for x in levels[1:]) <= 32 * 2048
     for x in levels[1:]:
         assert values(x) == cold(x)
-    assert plan.levels.cache_info() == (16, 17, 16, 16)
+    assert ab._plan_level.cache_info() == (held, held + 1, held, held)
     # the least recently used level was dropped, and is rebuilt bit for bit
     assert values(levels[0]) == cold(levels[0])
-    assert plan.levels.cache_info() == (16, 18, 16, 16)
+    assert ab._plan_level.cache_info() == (held, held + 2, held, held)
+
+
+def test_a_plan_dropped_from_the_cache_is_freed_without_the_cyclic_collector():
+    # a plan that held deeper levels and is then pushed out of `_band_plan` by 32 others is freed by its
+    # reference count alone; the levels it met stay held under its key, and a rebuilt plan finds them
+    lams = np.geomspace(0.011, 1e6, 33)
+    gc.disable()
+    try:
+        averaged_bounds("D1", float(lams[0]))
+        layer = ab._tier1_layer(float(lams[0]), None)
+        held = ab._band_plan(((*REGIMES["D1"][:2], "D1"),), True, PARAMS, layer)
+        x = layer * np.linspace(0.1, 0.9, 7)
+        held.nodes(x, np.zeros(x.size, dtype=int))
+        plan, key = weakref.ref(held), held.key
+        del held
+        assert plan() is not None and ab._plan_level.cache_info().currsize == 1
+        for lam in lams[1:]:
+            averaged_bounds("D1", float(lam))
+        assert plan() is None
+    finally:
+        gc.enable()
+    before = ab._plan_level.cache_info()
+    ab._band_plan(*key).nodes(x, np.zeros(x.size, dtype=int))
+    after = ab._plan_level.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)

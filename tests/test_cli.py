@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from coopmac import cli
+from coopmac import cli, monte_carlo
 from coopmac.cli import ConfigError, RunConfig, main, parse_config
 
 
@@ -104,6 +104,13 @@ def test_exit_codes(tmp_path):
         config.write_text("trials=10\n%s\n" % line)
         assert main(["simulate", "--class", "C", "--lambda", "0.001", "--config", str(config)]) == 2
         assert main(["bounds", "--class", "C", "--lambda", "0.001", "--config", str(config)]) == 2
+
+
+def test_a_runtime_failure_exits_3(monkeypatch, capsys):
+    # no rejection round may run, so the first placement of a helper fails
+    monkeypatch.setattr(monte_carlo, "_MAX_ROUNDS", 0)
+    assert main(["simulate", "--class", "C", "--lambda", "0.002", "--trials", "100"]) == 3
+    assert capsys.readouterr().err == "error: rejection sampling of helper positions did not finish\n"
 
 
 def test_bounds_csv_shape(tmp_path):

@@ -131,6 +131,12 @@ def test_non_finite_integrand_raises():
         gauss_kronrod(scalar(lambda x: np.array([x, np.where(x > 0.9, np.inf, x)])), [(0.0, 1.0)])
 
 
+@pytest.mark.parametrize("shape", [lambda n: (n + 1,), lambda n: (2, 3, n)], ids=["n+1", "2x3xn"])
+def test_integrand_of_the_wrong_shape_raises(shape):
+    with pytest.raises(ValueError, match=r"integrand must map n nodes to shape \(n,\) or \(c, n\), got"):
+        gauss_kronrod(lambda x, part: np.zeros(shape(x.size)), [(0.0, 1.0)])
+
+
 def _quad_band(regime, density, k):
     """(lower, upper) of one band integral of `_law_integral` by `scipy.integrate.quad` in r.
 

@@ -13,7 +13,8 @@ the hop length; under a loose link budget that fails it, every link with a
 helper is placed.  The conventional control's c is the chosen region's
 centre h, plus b (q - Qbar) + g (y^2 - Ybar^2) where its helper was placed;
 the proposed one's is the chosen tier's centre h, plus phi(U) where its
-helpers were placed (`within_tier_reference`).
+helpers were placed.  Both add the indicator term, whose indicator is 0 at
+every settled link (`within_tier_reference`).
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from coopmac import monte_carlo as mc
 from coopmac import within_tier
 from coopmac.channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from coopmac.stochastic_geometry import BAND_55, REGIMES, TIER_RATES
-from within_tier_reference import nearest_node, region_means, term, uniform
+from within_tier_reference import indicator, nearest_node, region_means, region_uniform, term, uniform
 
 PARAMS = ChannelParams()
 # a loose link budget, under which log Ps is not concave and a helper can beat the best position
@@ -114,18 +115,28 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     # c is the chosen tier's centre h at the link's nearest node of the table; a proposed link whose helpers
     # were placed adds phi(U), U the law of their least d_SH^2 + d_HD^2 at its value, and a
     # conventional one b (q - Qbar) + g (y^2 - Ybar^2), its one helper's q and y^2 against the region's means
+    # each adds beta (rate - lo) (1{x < min(psi, cap)} - hit), psi = h + phi(U) of the proposed table, or of the
+    # one-helper table at a vanishing density for the conventional scheme, where placed and else 0
     settled = np.setdiff1d(np.arange(has.size), placed)
     node = nearest_node(table, r[has])
     moved = c - table.h[tier - 1, node]
-    np.testing.assert_array_equal(moved[settled], 0.0)
     at = tier[placed] - 1, node[placed]
+    link, q = r[has[placed]], seen["q"]
     if scheme == "proposed":
-        u = uniform(r[has[placed]], tier[placed], seen["q"], density, k)
-        np.testing.assert_allclose(moved[placed], term(table, tier[placed], node[placed], u), rtol=0, atol=1e-12)
+        phi = term(table, tier[placed], node[placed], uniform(link, tier[placed], q, density, k))
+        extra = indicator(table, tier, node, x, rate - lo, placed, table.h[at] + phi)
+        np.testing.assert_allclose(moved[placed], phi + extra[placed], rtol=0, atol=1e-12)
     else:
-        mean_q, mean_y2 = region_means(r[has[placed]], tier[placed])
-        np.testing.assert_allclose(moved[placed], table.within[at] * (seen["q"] - mean_q)
-                                   + table.slope_y[at] * (seen["y2"] - mean_y2), rtol=0, atol=1e-12)
+        mean_q, mean_y2 = region_means(link, tier[placed])
+        single = within_tier.control_table(*REGIMES[regime][:2], 0.0, None, params)
+        one = nearest_node(single, r[has])
+        psi = single.h[tier[placed] - 1, one[placed]]
+        psi = psi + term(single, tier[placed], one[placed], region_uniform(link, tier[placed], q))
+        extra = indicator(single, tier, one, x, rate - lo, placed, psi)
+        np.testing.assert_allclose(moved[placed], table.within[at] * (q - mean_q)
+                                   + table.slope_y[at] * (seen["y2"] - mean_y2) + extra[placed], rtol=0, atol=1e-12)
+    # a settled link's indicator is 0 without a placement: it moves by beta (rate - lo) (0 - hit) alone
+    np.testing.assert_allclose(moved[settled], extra[settled], rtol=0, atol=1e-12)
     # place every link's helpers on another stream: each settled draw is a failure of that placement
     g = mc._best_g(np.random.default_rng(seed + 1), r, choice, k, params)[0]
     mismatches = np.count_nonzero(x[settled] < rate[settled] * g[settled])
@@ -139,6 +150,20 @@ def test_settled_draws_are_those_of_full_placement(params, regime, density, k, s
     elif (regime, density, k) in _SPARSE_K:
         # a fallback to full placement fails here
         assert settled.size >= 0.2 * has.size, (settled.size, has.size)
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "conventional"])
+@pytest.mark.parametrize("regime,density,k", _SPARSE_K)
+def test_the_indicator_term_places_no_helper(regime, density, k, scheme, monkeypatch):
+    # the squeeze's settled share is the same with the indicator term and without it (beta = 0)
+    n, seed = 10_000, 82
+    t, seen = _recorded_chunk(regime, density, k, scheme, n, seed, PARAMS, monkeypatch)
+    monkeypatch.setattr(within_tier, "_INDICATOR_BETA", np.zeros(5))
+    plain, without = _recorded_chunk(regime, density, k, scheme, n, seed, PARAMS, monkeypatch)
+    assert np.array_equal(seen["placed"], without["placed"]) and seen["placed"].size < seen["x"].size
+    assert np.array_equal(seen["g"], without["g"])
+    # the term moves the scores
+    assert t.tobytes() != plain.tobytes()
 
 
 def test_squeeze_settles_only_outside_the_margin():

@@ -11,7 +11,10 @@ and for its shape, U for its uniformity given (r, tier) and against its
 closed form (`within_tier_reference.uniform`), the table's h and phi's mean
 of Q against quadrature by `scipy.integrate.quad` and its Q against a
 bisection of F, phi's mean over U and its sign, and all of it next to the
-96.4 m tangency where tier 1 empties.
+96.4 m tangency where tier 1 empties.  Sampled mode's indicator term reads
+two more rows: each row's indicator mean is checked against an integral over
+U by `scipy.integrate.quad`, and its cap against the upper end of the
+bracket of every link length the row serves.
 """
 
 import numpy as np
@@ -37,7 +40,7 @@ from coopmac.stochastic_geometry import (
 )
 from moment_oracle import region_area_within
 from plain_scoring import plain_chunk
-from within_tier_reference import KNOTS, node_lengths, q_range, quantile, uniform
+from within_tier_reference import KNOTS, RATES, nearest_node, node_lengths, q_range, quantile, sure_share, uniform
 
 PARAMS = ChannelParams()
 TANGENCY = 96.4
@@ -191,6 +194,54 @@ def test_phi_has_mean_0_and_falls_in_u(regime, density, k):
     assert np.all(phi[~flat][:, 0] > phi[~flat][:, -1])
 
 
+# the proposed tables of the bench's sampled cells, regime `all`, and a one-helper table of the conventional indicator
+_INDICATOR_TABLES = ([(regime, 0.001, k) for regime in ("C", "D1", "D2") for k in (None, 10)]
+                     + [("all", 0.005, None), ("D1", 0.0, None)])
+
+
+@pytest.mark.parametrize("regime,density,k", _INDICATOR_TABLES)
+def test_indicator_mean_is_an_integral_over_u(regime, density, k):
+    # x is uniform on [lo, rate) and independent of U, so 1{x < min(h + phi(U), cap)} has the mean of
+    # clip((min(h + phi(U), cap) - lo) / (rate - lo), 0, 1) over U, phi linear in U between the knots
+    table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
+    assert table.hit.shape == table.cap.shape == table.h.shape and not table.hit.flags.writeable
+    lo = sure_share(PARAMS)
+    for tier in range(table.h.shape[0]):
+        span = RATES[tier] - lo[tier]
+        for node in range(0, table.h.shape[1], 2):
+            h, phi, cap = table.h[tier, node], table.within[tier, node], table.cap[tier, node]
+
+            def w(u):
+                return min(max((min(h + np.interp(u, KNOTS, phi), cap) - lo[tier]) / span, 0.0), 1.0)
+
+            # quad is told of the knots and of the kinks where the clip starts, between them
+            at_knots = (h + phi - lo[tier]) / span
+            kinks = [a + (c - y0) / (y1 - y0) * (b - a) for c in (0.0, (cap - lo[tier]) / span)
+                     for a, b, y0, y1 in zip(KNOTS[:-1], KNOTS[1:], at_knots[:-1], at_knots[1:]) if (y0 - c) * (y1 - c) < 0]
+            points = sorted({*KNOTS[1:-1], *kinks})
+            want = quad(w, 0.0, 1.0, points=points, limit=400, epsabs=1e-13, epsrel=1e-13)[0]
+            assert abs(table.hit[tier, node] - want) <= 1e-9, (tier + 1, node, table.hit[tier, node], want)
+
+
+@pytest.mark.parametrize("regime,density,k", _INDICATOR_TABLES)
+def test_indicator_cap_settles_every_link_its_row_serves(regime, density, k):
+    # the squeeze settles a link whose x is at or above rate G_best(r) (1 + margin), so the cap of the row the
+    # link reads must lie at or below that, for every link length of the row's cell; G_best falls with r, so the
+    # cap is G_best at the cell's far end
+    table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
+    lo, hi = max(REGIMES[regime][0], 67.1), REGIMES[regime][1]
+    r = np.concatenate((np.linspace(lo, hi, 40_001), node_lengths(table) + 0.125, node_lengths(table) - 0.125))
+    r = r[(r >= lo) & (r <= hi)]
+    node = nearest_node(table, r)
+    best = tier_bracket("D", r, PARAMS)[1][:table.h.shape[0]]
+    assert np.all(table.cap[:, node] <= best * (1 + mc._SQUEEZE_MARGIN))
+    # and it is attained: each cap is the bracket's upper end at a link length the row serves, up to rounding
+    nodes = node_lengths(table)
+    ends = np.minimum(nodes + 0.5 / table.scale[np.searchsorted(table.splits, nodes, side="right")], hi)
+    served = nearest_node(table, np.nextafter(ends, 0.0)) == np.arange(nodes.size)
+    np.testing.assert_allclose(table.cap[:, served], tier_bracket("D", ends, PARAMS)[1][:best.shape[0], served], rtol=1e-9)
+
+
 @pytest.mark.parametrize("k", [None, 3, 10])
 def test_band_uniform_inverts_the_link_length_draw(k):
     # the class edges of regime "all" sit where the link-length draw puts their uniforms
@@ -204,7 +255,7 @@ def test_band_uniform_inverts_the_link_length_draw(k):
 
 
 def test_table_cache_is_bounded_by_count():
-    # a sweep of 70 "all" cells, more than the 24 tables the cache keeps, holds at most 24 tables, at most 24 "all"
+    # a sweep of 70 "all" cells, more than the 26 tables the cache keeps, holds at most 26 tables, at most 26 "all"
     # tables' bytes, keeps the most recent tables and rebuilds an evicted one bit for bit
     within_tier.control_table.cache_clear()
 
@@ -216,8 +267,8 @@ def test_table_cache_is_bounded_by_count():
     for density in densities:
         built.append(table(density))
         info = within_tier.control_table.cache_info()
-        assert info.currsize <= info.maxsize == 24
-    assert info.currsize == 24
+        assert info.currsize <= info.maxsize == 26
+    assert info.currsize == 26
     # newest first, each held table is found again, up to the newest evicted one, which is rebuilt bit for bit
     kept = []
     for density, old in zip(densities[::-1], built[::-1]):
@@ -225,8 +276,8 @@ def test_table_cache_is_bounded_by_count():
         if again is not old:
             break
         kept.append(again)
-    assert len(kept) == 24 and kept[0] is built[-1]
-    assert sum(array.nbytes for held in kept for array in held) <= 24 * sum(array.nbytes for array in built[0])
+    assert len(kept) == 26 and kept[0] is built[-1]
+    assert sum(array.nbytes for held in kept for array in held) <= 26 * sum(array.nbytes for array in built[0])
     assert all(a.tobytes() == b.tobytes() for a, b in zip(old, again))
     again = table(densities[0])
     assert again is not built[0] and all(a.tobytes() == b.tobytes() for a, b in zip(built[0], again))
@@ -241,10 +292,14 @@ def test_table_cache_keeps_a_bench_pass():
     cells = ([(regime, density, k) for density, k in ((0.0005, None), (0.001, None), (0.0005, 10), (0.001, 10),
                                                       (0.0005, 1)) for regime in ("C", "D1", "D2")]
              + [(regime, density, None) for density in (0.004, 0.005) for regime in ("C", "D1", "D2", "all")])
+    # the conventional indicator's one-helper tables of the sampled D1 and D2 cells
+    single = [(regime, 0.0, None) for regime in ("D1", "D2")]
     tables = [make(*REGIMES[regime][:2], density, k, PARAMS) for regime, density, k in cells
               for make in (within_tier.control_table, within_tier.region_table)]
+    tables += [within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS) for regime, density, k in single]
     again = [make(*REGIMES[regime][:2], density, k, PARAMS) for regime, density, k in cells
              for make in (within_tier.control_table, within_tier.region_table)]
+    again += [within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS) for regime, density, k in single]
     assert all(a is b for a, b in zip(tables, again))
 
 

@@ -16,6 +16,10 @@ checks.  A conventional link whose helper was placed adds
 b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about the exact
 means of `region_means`, written here from the region moments of
 `stochastic_geometry.tier_areas`, which `tests/moment_oracle.py` checks too.
+In sampled mode both add beta (rate - lo) (1{x < min(psi, cap)} - hit) at
+every link with a helper (`indicator`), psi = h + phi(U) where its helpers
+were placed; the conventional scheme's psi and U are those of one helper
+uniform in the region (`region_uniform`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
+from coopmac.channel_model import g_joint
 from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas
 
 # each tier's worst position, both hops at the outer edges of its bands, by hand
@@ -32,6 +37,8 @@ _HOP_BOXES = (((0, 48.2), (0, 48.2)), ((48.2, 67.1), (0, 48.2)), ((48.2, 67.1), 
               ((67.1, 74.7), (0, 48.2)), ((67.1, 74.7), (48.2, 67.1)))
 # the knots in U of the proposed control's table
 KNOTS = 1.0 - (1.0 - np.arange(33) / 32) ** 2
+# sampled mode's indicator coefficient of tiers 1-5, both schemes
+BETA = np.array([0.5, 0.55, 0.6, 0.3, 0.4])
 
 
 def node_lengths(table):
@@ -131,3 +138,31 @@ def term(table, tier, node, u):
     """phi at U = u of each link's (tier, node) row of a proposed control table, linear in U between the `KNOTS`."""
     return np.array([np.interp(x, KNOTS, table.within[t - 1, j]) for t, j, x in zip(tier, node, u)])
 
+
+
+def region_uniform(r, tier, q):
+    """U = B(q) / S: the share of each link's region `tier` where d_SH^2 + d_HD^2 lies below q."""
+    area = tier_areas(r)[tier - 1, np.arange(r.size)]
+    t = np.sqrt(np.maximum(q - r * r / 2, 0.0) / 2)
+    return np.clip(tier_area_within(r, tier, t) / area, 0.0, 1.0)
+
+
+def indicator(table, tier, node, x, span, placed, psi):
+    """beta span (1{x < min(psi, cap)} - hit) of links of (tier, node) rows of a proposed-form table.
+
+    psi is given at the links `placed`; every other link's indicator is 0.
+    """
+    at = tier - 1, node
+    hit = np.zeros(tier.size)
+    hit[placed] = x[placed] < np.minimum(psi, table.cap[at][placed])
+    return BETA[tier - 1] * span * (hit - table.hit[at])
+
+
+# each tier's cooperative rate, its hops' rates a and b sharing the airtime: a b / (a + b), by hand
+RATES = np.array([11 * 11 / 22, 11 * 5.5 / 16.5, 5.5 * 5.5 / 11, 11 * 2 / 13, 5.5 * 2 / 7.5])
+
+
+def sure_share(params):
+    """Each tier's rate times G at its worst position, the sure share lo of sampled mode, from the worst hops by hand."""
+    d_sh, d_hd = np.transpose(_WORST_HOPS)
+    return RATES * g_joint(d_sh, d_hd, params)
