@@ -405,10 +405,8 @@ _COMMANDS = {
 
 
 def dispatch(command: str, cfg: RunConfig) -> int:
-    handler = _COMMANDS.get(command)
-    if handler is None:
-        raise UsageError("unknown subcommand %r" % (command,))
-    rows = handler(cfg)
+    # argparse's subcommand choices reject any other command before this
+    rows = _COMMANDS[command](cfg)
     if rows:
         _emit(rows, cfg)
     return 0

@@ -45,21 +45,26 @@ or Binomial given at least one (the void probabilities of Haenggi,
 Stochastic Geometry for Wireless Networks, 2012, ch. 2).  U = F(q_min) at
 the drawn value (`least_q_uniform`) is exactly Uniform(0, 1) given r and
 the tier, so c = h_i(r) + phi_i(r; U) keeps the mean h_i(r) for any phi of
-mean 0 over U.  phi_i = b_i (Q_i(U) - mean) is a model of rate x max G
-linear in q_min, at q_min = Q_i(U), Q_i the inverse of F, and h_i the
-model's mean (`control_table`).  In analytic mode the control has a third
-term, gamma_i(r) (y^2 - Ybar^2_i(r, t)).  y^2 is the squared distance from
-the S-D line of the helper that holds q_min, at
-t = sqrt((q_min - r^2 / 2) / 2) from the S-D midpoint.  Given r, the tier
-and q_min, that helper is uniform on the arc of the circle |H - M| = t
-that lies in the tier (the independence property of the PPP, which holds
-for the Binomial count too), so y^2 has the exact mean Ybar^2_i(r, t) over
-that arc (`stochastic_geometry.tier_arc_y2`), taken per link at its own r
-and t.  gamma_i is the slope of rate x max G on y^2 along the arcs, pooled
-over q_min's law and discounted by the chance that no other helper beats
-the least-q one (`_arc_slope`); sampled mode, which gains 1-4% from it,
-leaves it out.  `control_table` tabulates h, phi and gamma once per cell,
-phi at knots in U, read between them linearly in U (`control_term`).
+mean 0 over U.  The best such phi is E[rate x max G | U] less its mean
+(Glasserman, 4.1), and U fixes q_min = Q_i(U), Q_i the inverse of F, and
+so t = sqrt((q_min - r^2 / 2) / 2), the distance from the S-D midpoint of
+the helper that holds q_min.  Given r, the tier and q_min, that helper is
+uniform on the arc of the circle |H - M| = t that lies in the tier (the
+independence property of the PPP, which holds for the Binomial count too),
+and the other helpers lie in the tier beyond the arc, so the void
+probabilities give E_i(r; t), the conditional mean of rate x max G, up to
+areas (`_conditional_means`).  phi_i is E_i at t(Q_i(U)) less its mean over
+U, and h_i that mean (`control_table`).  In analytic mode the control has
+a third term, gamma_i(r) (y^2 - Ybar^2_i(r, t)).  y^2 is the squared
+distance from the S-D line of the helper that holds q_min, whose exact
+mean over its arc is Ybar^2_i(r, t) (`stochastic_geometry.tier_arc_y2`),
+taken per link at its own r and t.  gamma_i is the slope of rate x max G
+on y^2 along the arcs, pooled over q_min's law and discounted by the
+chance that no other helper beats the least-q one, with G taken linear in
+q along the secant between the tier's best and worst positions
+(`_arc_slope`); sampled mode, which gains 1-4% from it, leaves it out.
+`control_table` tabulates h, phi and gamma once per cell, phi at knots in
+U, read between them linearly in U (`control_term`).
 
 In sampled mode a link with a helper scores lo + (rate - lo) 1{x < rate x
 max G}, with x = lo + (rate - lo) v above its tier's sure share lo
@@ -82,11 +87,11 @@ no helper.  beta_i is fixed per tier, the same for both schemes
 beta = 1 the term can add variance.  The proposed scheme reads psi from
 its own table.  The conventional one reads it from the proposed table at
 a vanishing density, where a tier's helper count given one is one: the
-secant model of one helper uniform in the region, at U = B_j(q) / S_j of
-its helper, which is exactly Uniform(0, 1) given r and the region; its q
-and y^2 terms stay.  Dropping those terms and the lens moments in sampled
-mode instead gains less in variance x time in every sampled cell of the
-benchmark (`BENCH_sampled_indicator.json`).  The module is loaded by the
+mean of rate x G over the region's arc through its one helper, at
+U = B_j(q) / S_j, which is exactly Uniform(0, 1) given r and the region;
+its q and y^2 terms stay.  Dropping those terms and the lens moments in
+sampled mode instead gains less in variance x time in every sampled cell of
+the benchmark (`BENCH_sampled_indicator.json`).  The module is loaded by the
 first chunk that needs a table, so that a process that runs only the
 bounds builds none.
 """
@@ -140,6 +145,10 @@ _KNOT_U.flags.writeable = False
 # along each arc
 _ARC_GROUPS = 4
 _ARC_POINTS = 6
+# the proposed scheme's conditional mean of rate x max G (`_conditional_means`): levels of rate x G per (tier, node),
+# and (tier, node) rows per block
+_LEVELS = 32
+_MEAN_BLOCK = 64
 
 
 def least_q_law(f, load, k):
@@ -228,29 +237,24 @@ class ControlTable(NamedTuple):
 def control_table(lo, hi, density, k, params):
     """Centre h_i(r), within-tier term phi_i(r; U) and y^2 slope gamma_i(r) of the proposed scheme's control, at the nodes of a link-length grid.
 
-    h and phi come from a model of rate x max G linear in q_min through the
-    bracket's best and worst positions: its slope b_i is the secant of
-    rate x G against q = d_SH^2 + d_HD^2 between them
-    (`channel_model.tier_q_bracket`), and with S_i(s) = 1 - F(s) the
-    survival of q_min from q_best on,
-        h_i = rate G_best,i(r) + b_i integral S_i(s) ds,
-        phi_i(r; U) = b_i (Q_i(U) - mean of Q_i),
-    the model's mean and its deviation from it at q_min = Q_i(U), Q_i the
-    inverse of F.  The integral runs over t = |H - M| in
-    s = 2 t^2 + r^2 / 2 by the midpoint rule at _TABLE_POINTS midpoints,
-    whose (F, s) pairs, with the ends (0, q_best) and (1, q_worst), give
-    Q_i at the knots u_j = 1 - (1 - j / 32)^2, j = 0..32, dense near U = 1,
-    where Q_i climbs to q_worst (`_quantiles`).  phi_i is read between the
-    knots linearly in U (`control_term`), and each row has its trapezoid
-    mean over the knots subtracted, so that it integrates to 0 over U
-    exactly, as U is Uniform(0, 1) given r and the tier.  h, phi and
-    gamma (`_arc_slope`) depend on r, the tier and the cell alone (its band
-    lo..hi, density, k and params).  A tier with no area there gets
-    h = rate G_best and phi = gamma = 0.  The indicator rows are the module
-    docstring's: cap is rate G_best at the far end of each node's cell, and
-    hit the indicator's exact mean.  The nodes are at most _TABLE_STEP
-    m apart, in segments split at 74.7 and 96.4 m within the band's class C
-    and D part; the table is built once per cell and is read-only.
+    h and phi come from E_i(r; t), the mean of rate x max G given that the
+    tier's least-q helper lies t = |H - M| from the S-D midpoint
+    (`_conditional_means`), taken at _TABLE_POINTS midpoints in t between
+    the tier's best and worst positions (`channel_model.tier_q_bracket`).
+    Their (F, E) pairs, with the ends (0, rate G_best) and (1, rate G_worst),
+    give E at the knots u_j = 1 - (1 - j / 32)^2, j = 0..32, that is at
+    t(Q_i(u_j)), Q_i the inverse of F, dense near U = 1, where q_min climbs
+    to q_worst (`_quantiles`).  h_i is E's trapezoid mean over the knots and
+    phi_i(r; U) = E - h_i there, read between the knots linearly in U
+    (`control_term`), so that each row integrates to 0 over U exactly, as U
+    is Uniform(0, 1) given r and the tier.  h, phi and gamma (`_arc_slope`)
+    depend on r, the tier and the cell alone (its band lo..hi, density, k
+    and params).  A tier with no area there gets h = rate G_best and
+    phi = gamma = 0.  The indicator rows are the module docstring's: cap is
+    rate G_best at the far end of each node's cell, and hit the indicator's
+    exact mean.  The nodes are at most _TABLE_STEP m apart, in segments
+    split at 74.7 and 96.4 m within the band's class C and D part; the table
+    is built once per cell and is read-only.
     """
     band = lo, hi
     r, grid = _grid(max(lo, BAND_55), hi)
@@ -258,30 +262,28 @@ def control_table(lo, hi, density, k, params):
     areas = tier_areas(r)
     worst, best = tier_bracket("D", r, params)
     q_worst, q_best = tier_q_bracket(r)
-    slope = np.divide(best - worst[:, None], q_best - q_worst[:, None], out=np.zeros(best.shape),
-                      where=q_best < q_worst[:, None])
     # the integrals over t, where the region has an area
     tier, node = np.nonzero(areas[:rows] > 0.0)
-    floor = 0.5 * r[node] ** 2
+    link = r[node]
+    floor = 0.5 * link ** 2
     t_best, t_worst = (np.sqrt(np.maximum(x - floor, 0.0) / 2.0) for x in (q_best[tier, node], q_worst[tier]))
     step = (t_worst - t_best) / _TABLE_POINTS
     t = t_best[:, None] + step[:, None] * (np.arange(_TABLE_POINTS) + 0.5)
-    area, load = tier_load(areas, tier + 1, node, r[node], density, k)
-    points = t.size // max(tier.size, 1)
-    f = tier_area_within(np.repeat(r[node], points), np.repeat(tier + 1, points), t.ravel())
-    f /= np.repeat(area, points)
-    law = least_q_law(f, np.repeat(load, points), k).reshape(t.shape)
-    # ds = 4 t dt
-    weight = 4.0 * t * step[:, None]
+    area, load = tier_load(areas, tier + 1, node, link, density, k)
+    f = tier_area_within(np.repeat(link, _TABLE_POINTS), np.repeat(tier + 1, _TABLE_POINTS), t.ravel())
+    f /= np.repeat(area, _TABLE_POINTS)
+    f = np.clip(f, 0.0, 1.0, out=f).reshape(t.shape)
+    law = least_q_law(f.copy(), load[:, None], k)
     h = best[:rows].copy()
-    b = slope[tier, node]
-    h[tier, node] += b * (weight * (1.0 - law)).sum(axis=1)
     phi = np.zeros((*h.shape, _KNOTS + 1))
-    phi[tier, node] = b[:, None] * _quantiles(law, 2.0 * t * t + floor[:, None], q_best[tier, node], q_worst[tier])
+    means = _conditional_means(link, tier + 1, t, f, load, k, params)
+    h[tier, node], phi[tier, node] = _quantiles(law, means, best[tier, node], worst[tier])
     slope_y = np.zeros(h.shape)
-    # helpers per m^2 of the tier
+    # helpers per m^2 of the tier, and the secant of rate x G in q between the tier's best and worst positions
     crowd = density if k is None else (k - 1) * load / area
-    slope_y[tier, node] = _arc_slope(r[node], tier + 1, t_best, step, law, b, crowd, params)
+    fall = q_best[tier, node] - q_worst[tier]
+    b = np.divide(best[tier, node] - worst[tier], fall, out=np.zeros(tier.size), where=fall < 0.0)
+    slope_y[tier, node] = _arc_slope(link, tier + 1, t_best, step, law, b, crowd, params)
     # each node's cell reaches halfway to the next node of its segment; the last node of a segment is its end
     right = np.append(0.5 * (r[:-1] + r[1:]), r[-1])
     cap = tier_bracket("D", right, params)[1][:rows]
@@ -351,16 +353,8 @@ def _arc_slope(r, tier, t_best, step, law, b, crowd, params):
     rise = np.concatenate((np.zeros((law.shape[0], 1)), 0.5 * (law[:, width - 1:-1:width] + law[:, width::width]),
                            np.ones((law.shape[0], 1))), axis=1)
     t = (t_best[:, None] + step[:, None] * (width * np.arange(_ARC_GROUPS) + 0.5 * width)).ravel()
-    link, tiers = (np.repeat(x, _ARC_GROUPS) for x in (r, tier))
-    lo, hi = tier_arc(link, tiers, t)
-    first = np.arccos(hi)
-    span = np.arccos(lo) - first
     u, w = _gauss_legendre(_ARC_POINTS)
-    cos = np.cos(first[:, None] + span[:, None] * u)
-    base = (t * t + 0.25 * link * link)[:, None]
-    tr = (t * link)[:, None]
-    g = g_joint(np.sqrt(base + tr * cos), np.sqrt(np.maximum(base - tr * cos, 0.0)), params)
-    g *= np.take(TIER_RATES, tiers - 1)[:, None]
+    span, cos, g = _arc_points(np.repeat(r, _ARC_GROUPS), np.repeat(tier, _ARC_GROUPS), t, u, params)
     # crowd x A per unit of rate x G above a point's, and the chance that no other helper beats each point
     pieces = 2.0 * TIER_BOXES[4, tier - 1]
     # at most 1e300, which a secant b of almost 0 would pass, overflowing: exp(-beyond x) is then 0 but at x = 0
@@ -378,15 +372,143 @@ def _arc_slope(r, tier, t_best, step, law, b, crowd, params):
     return np.divide(cov, var, out=np.zeros(r.size), where=var > 0.0)
 
 
-def _quantiles(law, s, first, last):
-    """Q(u_j) less its trapezoid mean over the knots u_j, for rows of a law F: F = law at s, 0 at `first` and 1 at `last`.
+def _arc_points(r, tier, t, u, params):
+    """(span, cos, rate x G) at the points u in [0, 1] of each link's tier arc at t from its S-D midpoint (`stochastic_geometry.tier_arc`).
 
-    Q, the inverse of F, is taken linear between the pairs in the knots'
-    own coordinate x = _KNOTS (1 - sqrt(1 - F)), in which knot j is x = j,
-    and which opens up the square-root rise of Q to `last` near F = 1.
-    Rounding that leaves x a little lower at a larger s is lifted to the
-    running maximum.  The pair at or below knot j is one less than the
-    number of pairs with ceil(x) <= j, counted for every row at once.
+    span is each arc's angle, cos the cosine of the angle w from the S-D
+    axis at each point, one row per arc, and rate x G the tier's rate times
+    G there, with d_SH^2 and d_HD^2 = t^2 + r^2 / 4 +- t r cos w.
+    """
+    lo, hi = tier_arc(r, tier, t)
+    first = np.arccos(hi)
+    span = np.arccos(lo) - first
+    cos = np.cos(first[:, None] + span[:, None] * u)
+    base = (t * t + 0.25 * r * r)[:, None]
+    tr = (t * r)[:, None]
+    g = g_joint(np.sqrt(base + tr * cos), np.sqrt(np.maximum(base - tr * cos, 0.0)), params)
+    g *= np.take(TIER_RATES, tier - 1)[:, None]
+    return span, cos, g
+
+
+def _conditional_means(r, tier, t, f, load, k, params):
+    """E_i(r; t): the mean of rate x max G over a tier's helpers given that the least-q one lies t from the S-D midpoint.
+
+    Rows of links of lengths r and tiers `tier`, at increasing t, with
+    f = B_i(t) / S_i at each and the helper count's `load`
+    (`stochastic_geometry.tier_load`).  Given q_min, the least-q helper H is
+    uniform on the tier's arc at t and the others lie beyond it, so with X
+    its rate x G and Y the largest of theirs,
+        E_i = E max(X, Y) = E X + E integral from X up of (1 - V(g)) dg,
+    V(g) the chance that no other helper lies beyond t where rate x G > g:
+    exp(-load a) under the PPP and (1 - load a / (1 - load f))^(k - 2)
+    under k-nearest conditioning, a the share of the tier's area beyond t
+    where rate x G > g (the void probabilities of the module docstring).
+    Each arc is taken at _ARC_POINTS Gauss-Legendre points in the angle, and
+    the tier's area beyond t as the arcs of the row's points beyond it, each
+    with the share of the tier between the edges of its cell, halfway to the
+    next points, and the part of the arc's own cell beyond t (`_excess`).
+    With no other helper, at a load of 0 or k <= 2, E_i is the arc's mean
+    of rate x G.  Rows are taken in blocks of _MEAN_BLOCK.
+    """
+    n, size = t.shape
+    u, w = _gauss_legendre(_ARC_POINTS)
+    edge = np.concatenate((np.zeros((n, 1)), 0.5 * (f[:, 1:] + f[:, :-1]), np.ones((n, 1))), axis=1)
+    cell = np.maximum(np.diff(edge, axis=1), 0.0)
+    # the own cell's share below t, which a leaves out
+    inner = np.maximum(f - edge[:, :-1], 0.0)
+    # a's factor: the count's load, or the share that a is of the region the k - 2 other nodes lie in
+    scale = np.broadcast_to(load[:, None], f.shape) if k is None else load[:, None] / (1.0 - load[:, None] * f)
+    crowded = (k is None or k > 2) and np.any(load > 0.0)
+    mean = np.empty((n, size))
+    for block in np.array_split(np.arange(n), max(1, -(-n // _MEAN_BLOCK))):
+        value = _arc_points(np.repeat(r[block], size), np.repeat(tier[block], size), t[block].ravel(), u, params)[2]
+        value = value.reshape(block.size, size, _ARC_POINTS)
+        mean[block] = (value * w).sum(axis=2)
+        if crowded:
+            mean[block] += _excess(value, w, *(np.ascontiguousarray(x[block].T) for x in (cell, inner, scale)), k)
+    return mean
+
+
+def _excess(value, w, cell, inner, scale, k):
+    """E of the integral from X up of (1 - V(g)) dg of `_conditional_means`, for a block of rows.
+
+    value holds rate x G at each row's arc points, (rows, arcs, points), and
+    cell, inner and scale the arcs' shares and factors, (arcs, rows).  Level
+    l of a row lies l spacings of (hi - lo) / _LEVELS below its largest
+    value hi, lo its least, and a point x spacings below hi lies above the
+    levels l > x, so the share W of each arc above each level is a count of
+    its points' weights by floor(x), summed from the top level down.  a at
+    an arc is the sum of cell x W over the arcs from it outward, less its
+    inner x W.  With D = 1 - V at each level, 0 at the top, the trapezoid
+    rule's integral from level l to the top is (D_0 + ... + D_l - D_l / 2)
+    spacings, read at each point of the arc linearly between the levels.
+    The running sums go one level or arc at a time, each step a whole
+    (arcs, rows) or (levels, rows) slice.
+    """
+    rows, size, _ = value.shape
+    slab = size * rows
+    hi = value.max(axis=(1, 2))
+    spread = hi - value.min(axis=(1, 2))
+    x = np.subtract(hi[:, None, None], value)
+    np.divide(x, spread[:, None, None], out=x, where=spread[:, None, None] > 0.0)
+    x *= _LEVELS
+    np.clip(x, 0.0, _LEVELS, out=x)
+    # each point's arc and row in an (arcs, rows) slab, and its flat index in (levels, arcs, rows)
+    at = (np.arange(size) * rows + np.arange(rows)[:, None])[..., None]
+    level = np.floor(x).astype(np.intp)
+    index = level * slab
+    index += at
+    counts = np.bincount(index.ravel(), weights=np.broadcast_to(w, index.shape).ravel(),
+                         minlength=(_LEVELS + 1) * slab)
+    # W at levels 1.._LEVELS
+    share = counts.reshape(_LEVELS + 1, size, rows)[:-1]
+    for i in range(1, _LEVELS):
+        share[i] += share[i - 1]
+    a = share * cell
+    for arc in range(size - 2, -1, -1):
+        a[:, arc] += a[:, arc + 1]
+    share *= inner
+    a -= share
+    a *= scale
+    if k is None:
+        np.negative(a, out=a)
+    else:
+        np.log1p(np.negative(a, out=a), out=a)
+        a *= k - 2
+    np.expm1(a, out=a)
+    np.negative(a, out=a)
+    above = np.zeros((_LEVELS + 1, size, rows))
+    above[1:] = a
+    for i in range(2, _LEVELS + 1):
+        above[i] += above[i - 1]
+    a *= 0.5
+    above[1:] -= a
+    np.minimum(level, _LEVELS - 1, out=level)
+    x -= level
+    level *= slab
+    level += at
+    low = above.take(level)
+    high = above.take(level + slab)
+    high -= low
+    high *= x
+    high += low
+    high *= w
+    high = high.sum(axis=2)
+    high *= (spread / _LEVELS)[:, None]
+    return high
+
+
+def _quantiles(law, y, first, last):
+    """(mean, y at the knots less it) for rows of pairs (F, y): y at the quantiles Q(u_j) of a law F, and its trapezoid mean over the knots u_j.
+
+    F = law at the pairs' y, 0 at y = `first` and 1 at y = `last`.  y is
+    taken linear between the pairs in the knots' own coordinate
+    x = _KNOTS (1 - sqrt(1 - F)), in which knot j is x = j, and which opens
+    up the square-root rise of Q to its end near F = 1.  Rounding that
+    leaves x a little lower at a later pair is lifted to the running
+    maximum.  The pair at or below knot j is one less than the number of
+    pairs with ceil(x) <= j, counted for every row at once.  y less `first`
+    is centred, so that rounding is relative to y's spread.
     """
     n, size = law.shape[0], law.shape[1] + 2
     x = np.empty((n, size))
@@ -396,23 +518,24 @@ def _quantiles(law, s, first, last):
     inner *= -_KNOTS
     inner += _KNOTS
     np.maximum.accumulate(x, axis=1, out=x)
-    s = np.concatenate((first[:, None], s, last[:, None]), axis=1)
+    y = np.concatenate((first[:, None], y, last[:, None]), axis=1)
     cell = np.ceil(x).astype(np.intp)
     cell += (_KNOTS + 1) * np.arange(n)[:, None]
     below = np.bincount(cell.ravel(), minlength=n * (_KNOTS + 1)).reshape(n, _KNOTS + 1).cumsum(axis=1)
     pair = np.minimum(below - 1, size - 2)
-    x0, x1, s0, s1 = (np.take_along_axis(z, pair + i, axis=1) for z in (x, s) for i in (0, 1))
+    x0, x1, y0, y1 = (np.take_along_axis(z, pair + i, axis=1) for z in (x, y) for i in (0, 1))
     x1 -= x0
     # x0 <= j < x1 at knot j, but at the last knot, where x0 = x1 = _KNOTS leaves j - x0 = 0 in place
     w = np.subtract(np.arange(_KNOTS + 1), x0, out=x0)
     np.divide(w, x1, out=w, where=x1 > 0.0)
-    # Q - Q(0) at the knots, then less its trapezoid mean
-    s1 -= s0
-    s1 *= w
-    s0 -= first[:, None]
-    s1 += s0
-    s1 -= (0.5 * (s1[:, 1:] + s1[:, :-1]) * np.diff(_KNOT_U)).sum(axis=1, keepdims=True)
-    return s1
+    # y - y(0) at the knots, then less its trapezoid mean
+    y1 -= y0
+    y1 *= w
+    y0 -= first[:, None]
+    y1 += y0
+    mean = (0.5 * (y1[:, 1:] + y1[:, :-1]) * np.diff(_KNOT_U)).sum(axis=1)
+    y1 -= mean[:, None]
+    return first + mean, y1
 
 
 def control_term(table, flat, u):

@@ -412,3 +412,34 @@ def test_emit_holds_the_rows_once(tmp_path, fmt):
     else:
         assert next(csv.DictReader(text.splitlines())) == {k: str(cli._csv_field(k, v)) for k, v in {**rows[0], **meta}.items()}
         assert len(text.splitlines()) == 1 + len(rows)
+
+
+def _exit_and_message(capsys, argv):
+    """main's exit code and the last line it wrote to stderr."""
+    code = main(argv)
+    return code, capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def test_every_error_branch_exits_with_its_code_and_message(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "x.csv")
+    bad_format = tmp_path / "format.cfg"
+    bad_format.write_text("format=xml\n")
+    cases = [
+        (["bounds", "--class", "C", "--lambda", "0.002", "--conditioning", "k=oops"], 2,
+         "config error: conditioning: expected k=<int>, got 'k=oops'"),
+        (["bounds", "--class", "C", "--lambda", "0.002", "--config", str(bad_format)], 2,
+         "config error: format must be csv or json"),
+        (["bounds", "--config", str(tmp_path / "missing.cfg")], 2, "config error: cannot read config file: "),
+        (["bounds", "--class", "A", "--lambda", "0.002", "--out", out], 2,
+         "config error: bounds requires class C, D or all (A/B links have no cooperative bounds)"),
+        (["contour", "--class", "all", "--out", out], 2, "config error: contour requires class C or D"),
+        # argparse's own choices reject an unknown subcommand before any dispatch
+        (["nonsense"], 1, "usage error: argument command: invalid choice: 'nonsense'"),
+    ]
+    for argv, code, message in cases:
+        got_code, got = _exit_and_message(capsys, argv)
+        assert (got_code, got[:len(message)]) == (code, message), argv
+    assert not os.path.exists(out)
+    # a failed selftest check is a runtime failure: exit 3
+    monkeypatch.setattr(cli, "lens_area", lambda *args: 1.0)
+    assert _exit_and_message(capsys, ["selftest"]) == (3, "error: selftest failed")

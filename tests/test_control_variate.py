@@ -154,7 +154,8 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
         np.testing.assert_allclose(c[has] - h[tier - 1, has],
                                    term(table, tier, node[has], uniform(r[has], tier, q, density, k)) + line,
                                    rtol=0, atol=1e-12)
-        assert np.all(np.diff(table.within[tier - 1, node[has]], axis=1) <= 0)
+        # phi falls from U = 0, the tier's best position, to U = 1, its worst, though not at every knot
+        assert np.all(table.within[tier - 1, node[has], 0] > table.within[tier - 1, node[has], -1])
         empty = tier_void_law(tier_areas(r), r, density, k)
         want_m = empty[-1] * direct + ((empty[:-1] - empty[1:])[:len(h)] * h).sum(axis=0)
     else:
@@ -265,7 +266,8 @@ def test_control_cuts_the_proposed_stderr_of_the_midpoint(regime):
 
 
 # the proposed stderr of the cells below (0.005 nodes/m^2, PPP, analytic, 20,000 trials, seed 65) with the
-# within-tier term beta (U - 1/2), the linear-in-U projection of the secant model that phi holds whole
+# within-tier term beta (U - 1/2), the linear-in-U projection of the secant model that phi once held whole; phi is
+# now the conditional mean of rate x max G given U
 _LINEAR_TERM_STDERR = {"C": 0.00028445546705601547, "D1": 0.0002480622277480357, "D2": 0.00023314285991718733}
 
 

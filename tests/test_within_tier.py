@@ -1,21 +1,27 @@
 """The proposed scheme's within-tier control: the area kernel, the uniform U and the table of centres and terms.
 
 A link that chose tier i scores with the control c = h_i(r) + phi_i(r; U),
-phi_i = b_i (Q_i(U) - mean) the secant model at the quantile Q_i of q_min,
 where U = F(q_min) is the law of the least d_SH^2 + d_HD^2 of the tier's
-helpers at its drawn value.  F needs B_i(s; r), the area of the tier's region
-within t = sqrt((s - r^2 / 2) / 2) of the S-D midpoint
+helpers at its drawn value, and h + phi at U is E_i(r; t), the mean of
+rate x max G given that the least-q helper lies at t = t(Q_i(U)) from the
+S-D midpoint, h its mean over U.  F needs B_i(s; r), the area of the tier's
+region within t = sqrt((s - r^2 / 2) / 2) of the S-D midpoint
 (`stochastic_geometry.tier_area_within`).  These tests check B against an
 oracle written from the geometry alone (`moment_oracle.region_area_within`)
 and for its shape, U for its uniformity given (r, tier) and against its
-closed form (`within_tier_reference.uniform`), the table's h and phi's mean
-of Q against quadrature by `scipy.integrate.quad` and its Q against a
-bisection of F, phi's mean over U and its sign, and all of it next to the
-96.4 m tangency where tier 1 empties.  Sampled mode's indicator term reads
-two more rows: each row's indicator mean is checked against an integral over
-U by `scipy.integrate.quad`, and its cap against the upper end of the
-bracket of every link length the row serves.
+closed form (`within_tier_reference.uniform`), E at density 0, where it is
+the mean of rate x G over the tier's arc, against `scipy.integrate.quad`
+over the arc's angle (`within_tier_reference.arc_mean_g`), the table's h and
+h + phi against the same table at a finer quadrature under both
+conditionings and against the mean score of placed helpers in each decile
+of U, phi's mean over U and its fall from U = 0 to U = 1, the table's build
+time, and all of it next to the 96.4 m tangency where tier 1 empties.  Sampled mode's indicator term reads two more rows: each row's
+indicator mean is checked against an integral over U by
+`scipy.integrate.quad`, and its cap against the upper end of the bracket of
+every link length the row serves.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +32,7 @@ from scipy.stats import chi2
 
 from coopmac import monte_carlo as mc
 from coopmac import within_tier
-from coopmac.channel_model import ChannelParams, g_joint, tier_bracket, tier_q_bracket
+from coopmac.channel_model import ChannelParams, g_joint, tier_bracket
 from coopmac.stochastic_geometry import (
     BAND_2,
     BAND_EDGES,
@@ -40,7 +46,8 @@ from coopmac.stochastic_geometry import (
 )
 from moment_oracle import region_area_within
 from plain_scoring import plain_chunk
-from within_tier_reference import KNOTS, RATES, nearest_node, node_lengths, q_range, quantile, sure_share, uniform
+from test_conventional_oracle import _yardstick
+from within_tier_reference import KNOTS, RATES, arc_mean_g, nearest_node, node_lengths, sure_share, uniform
 
 PARAMS = ChannelParams()
 TANGENCY = 96.4
@@ -121,12 +128,11 @@ def test_control_is_finite_next_to_the_tangency(density, k):
             u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load,
                                           within_tier.least_q_distance(links, q), k)
             assert np.all(np.isfinite(u) & (u >= 0) & (u <= 1)), (r, tier)
-    # and phi finite and non-increasing in U at every node there, falling for tiers 2-5, and 0 for tier 1 at
-    # the tangency itself
+    # and phi finite at every node there, falling from U = 0 to U = 1 for tiers 2-5, and 0 for tier 1 at the
+    # tangency itself
     for regime in ("D1", "D2", "all"):
         table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
         assert np.all(np.isfinite(table.h)) and np.all(np.isfinite(table.within))
-        assert np.all(np.diff(table.within, axis=2) <= 0)
         near = np.abs(node_lengths(table) - TANGENCY) <= 0.12
         assert near.any()
         at = np.flatnonzero(node_lengths(table) == TANGENCY)
@@ -134,61 +140,81 @@ def test_control_is_finite_next_to_the_tangency(density, k):
         assert np.all(table.within[1:, near, 0] > table.within[1:, near, -1])
 
 
-def _survival(r, tier, s, density, k):
-    """P{q_min > s} of tier `tier`'s helpers at link length r, for an array s."""
-    links = np.full(s.size, r)
-    return 1.0 - uniform(links, np.full(s.size, tier), s, density, k)
+# (r, tier, t): arcs that straddle cos w = 0 (tiers 1 and 3), arcs clipped at cos w = 1 (an end on the S-D
+# line), whole circles (clipped at both -1 and 1), and arcs of the two-band tiers inside (-1, 1)
+_ARCS = [(70.0, 1, 5.0), (80.0, 1, 10.0), (99.0, 3, 5.0), (85.0, 3, 30.0), (70.0, 3, 45.0), (70.0, 2, 20.0),
+         (85.0, 4, 30.0), (85.0, 2, 15.0), (99.0, 5, 41.0), (85.0, 5, 48.0), (74.8, 4, 40.0), (96.5, 2, 24.0)]
+# arcs within 0.1 m of the 96.4 m tangency: tier 1's, a sliver about cos w = 0, and tier 2's, clipped at cos w = 1
+_TANGENT_ARCS = [(96.3, 1, 1.0), (96.35, 1, 0.5), (96.3, 2, 10.0)]
 
 
-def _secant(r, tier):
-    """b: the secant of rate x G against q between the tier's worst and best positions at link length r."""
-    worst, best = tier_bracket("D", np.array([r]), PARAMS)
-    q_worst, q_best = tier_q_bracket(np.array([r]))
-    lo, hi = q_best[tier - 1, 0], q_worst[tier - 1]
-    return (best[tier - 1, 0] - worst[tier - 1]) / (lo - hi) if lo < hi else 0.0
+@pytest.mark.parametrize("r,tier,t", _ARCS + _TANGENT_ARCS)
+def test_conditional_mean_at_density_0_is_the_arc_mean(r, tier, t):
+    # with no other helper the least-q one holds max G, uniform on its tier's arc: E is the arc's mean of rate x G
+    got = within_tier._conditional_means(np.array([r]), np.array([tier]), np.array([[t]]), np.array([[0.5]]),
+                                         np.zeros(1), None, PARAMS)[0, 0]
+    assert got == pytest.approx(arc_mean_g(r, tier, t, PARAMS), rel=1e-8)
 
 
-@pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.001, None), ("D2", 0.0005, 10)])
-def test_table_matches_quadrature(regime, density, k):
-    # h = rate G_best + b int S ds by quad over s, and phi = b (Q(U) - E q_min) at the knots: Q from
-    # Q(0) = q_best on against a bisection of F's closed form, and E q_min = q_best + int S ds, the table's
-    # trapezoid mean of Q, by quad; the table integrates in t by the midpoint rule and takes Q between its
-    # points, whose errors move the variance cut and not the mean
+@pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.001, None), ("D2", 0.0005, 10),
+                                              ("C", 0.001, 3)])
+def test_table_matches_quadrature(regime, density, k, monkeypatch):
+    # h and h + phi at the knots against the same table at 4x the midpoints in t, 2x the points on each arc
+    # and 4x the levels of rate x G; over these cells they differ by at most 1.34e-2 Mbps at a knot, 2.6e-3 in
+    # the root mean square over U of a row and 1.7e-3 in h, most of it from reading E linearly between the
+    # midpoints in t
     table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
-    nodes = node_lengths(table)
-    for j in (0, nodes.size // 2):
-        r = nodes[j]
-        worst, best = tier_bracket("D", np.array([r]), PARAMS)
-        for tier in _tiers(r):
-            if tier > table.h.shape[0]:
-                continue
-            lo, hi = (x[0] for x in q_range(np.array([r]), np.array([tier])))
-            slope = _secant(r, tier)
-            mean = quad(lambda s: _survival(r, tier, np.array([s]), density, k)[0], lo, hi, limit=200)[0]
-            assert table.h[tier - 1, j] == pytest.approx(best[tier - 1, 0] + slope * mean, abs=2e-4), (r, tier)
-            phi = table.within[tier - 1, j]
-            q = lo + (phi - phi[0]) / slope
-            np.testing.assert_allclose(q, [quantile(r, tier, u, density, k) for u in KNOTS], rtol=2e-3)
-            assert q[0] - phi[0] / slope == pytest.approx(lo + mean, rel=2e-3), (r, tier)
+    for name, factor in (("_TABLE_POINTS", 4), ("_ARC_POINTS", 2), ("_LEVELS", 4)):
+        monkeypatch.setattr(within_tier, name, factor * getattr(within_tier, name))
+    fine = within_tier.control_table.__wrapped__(*REGIMES[regime][:2], density, k, PARAMS)
+    np.testing.assert_allclose(table.h, fine.h, rtol=0, atol=2.5e-3)
+    gap = (table.h[..., None] + table.within) - (fine.h[..., None] + fine.within)
+    assert np.abs(gap).max() <= 1.6e-2
+    rms = np.sqrt((0.5 * (gap[..., 1:] ** 2 + gap[..., :-1] ** 2) * np.diff(KNOTS)).sum(axis=-1))
+    assert rms.max() <= 3e-3
+
+
+@pytest.mark.parametrize("regime,density,k", [("C", 0.005, None), ("D1", 0.004, None), ("D1", 0.001, 10),
+                                              ("C", 0.001, 3), ("D2", 0.002, 10)])
+def test_table_is_the_mean_score_given_u(regime, density, k):
+    # 20,000 links at the table's middle node forced into each tier, their helpers placed as the chunk places
+    # them: in each decile of U from the second on, the mean of rate x max G less h + phi(U) lies within
+    # 2e-3 Mbps plus 4 standard errors (at most 0.55 of that here; a void chance of twice or half the load,
+    # or none, reads 2.5-7.7), and in the first decile, where the table reads E linearly from the tier's best
+    # position to its first midpoint in t, within 0.02 (at most 0.0147)
+    table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
+    j = table.h.shape[1] // 2
+    r = node_lengths(table)[j]
+    n = 20_000
+    for tier in _tiers(r):
+        links = np.full(n, r)
+        choice = _forced_choice(links, np.full(n, tier), density, k)
+        g, q, _ = mc._best_g(np.random.default_rng(tier + 10 * j), links, choice, k, PARAMS)
+        u = within_tier.least_q_uniform(links, choice.tier, choice.area, choice.load,
+                                        within_tier.least_q_distance(links, q), k)
+        gap = RATES[tier - 1] * g - table.h[tier - 1, j] - np.interp(u, KNOTS, table.within[tier - 1, j])
+        decile = np.minimum((u * 10).astype(int), 9)
+        count = np.bincount(decile, minlength=10)
+        mean = np.bincount(decile, gap, 10) / count
+        stderr = np.sqrt((np.bincount(decile, gap * gap, 10) / count - mean ** 2) / count)
+        assert np.all(np.abs(mean[1:]) <= 2e-3 + 4 * stderr[1:]), (tier, mean, stderr)
+        assert abs(mean[0]) <= 0.02, (tier, mean[0])
 
 
 @pytest.mark.parametrize("regime", ["C", "D1", "D2", "all"])
 @pytest.mark.parametrize("density,k", [(0.005, None), (0.0005, 10)])
 def test_phi_has_mean_0_and_falls_in_u(regime, density, k):
     # U is Uniform(0, 1) given r and the tier, and phi is linear in U between the knots, so each row's mean is
-    # its trapezoid sum, 0 up to rounding; Q rises with U and b <= 0, so phi falls
+    # its trapezoid sum, 0 up to rounding; from U = 0, where the least-q helper holds the tier's best
+    # position, to U = 1, where it holds the worst, phi falls, though not at every knot
     table = within_tier.control_table(*REGIMES[regime][:2], density, k, PARAMS)
     phi = table.within
     assert phi.shape == (*table.h.shape, KNOTS.size) and not phi.flags.writeable
     mean = (0.5 * (phi[..., 1:] + phi[..., :-1]) * np.diff(KNOTS)).sum(axis=-1)
     assert np.all(np.abs(mean) <= 1e-12 * np.abs(phi).max(axis=-1))
-    assert np.all(np.diff(phi, axis=-1) <= 0)
-    # 0 where the tier has no area (tier 1 from 96.4 m on, tiers 4 and 5 of class C) or b = 0 (tier 1 at
-    # 96.4 m, where its best and worst positions meet); a tier with an area and b < 0 falls
-    nodes = node_lengths(table)
-    areas = tier_areas(nodes)[:phi.shape[0]]
-    b = np.array([[_secant(r, tier) for r in nodes] for tier in range(1, phi.shape[0] + 1)])
-    flat = (areas == 0.0) | (b == 0.0)
+    # 0 where the tier has no area (tier 1 from 96.4 m on, tiers 4 and 5 of class C)
+    areas = tier_areas(node_lengths(table))[:phi.shape[0]]
+    flat = areas == 0.0
     assert flat.any() == (regime != "C")
     assert np.all(phi[flat] == 0.0)
     assert np.all(phi[~flat][:, 0] > phi[~flat][:, -1])
@@ -252,6 +278,22 @@ def test_band_uniform_inverts_the_link_length_draw(k):
     np.testing.assert_allclose(r, table.edges, rtol=1e-10)
     # the rate halves at 48.2 m, where both sides score their direct links
     assert table.jump[0] < 0
+
+
+def test_table_is_built_quickly():
+    # the best of three builds of the largest table, regime `all` at 0.005 nodes/m^2, each timed beside the numpy
+    # yardstick of the conventional table's build test, so that a slow or busy host slows both; it took 3.1-3.2
+    # yardsticks on 2 cores (28-29 ms), idle or with the other core busy, against 1.3-1.4 (12 ms) for the secant
+    # model it replaced
+    seconds = {"table": [], "yardstick": []}
+    for _ in range(3):
+        for name, run in (("table", lambda: within_tier.control_table.__wrapped__(*REGIMES["all"][:2], 0.005, None,
+                                                                                 PARAMS)),
+                          ("yardstick", _yardstick)):
+            start = time.perf_counter()
+            run()
+            seconds[name].append(time.perf_counter() - start)
+    assert min(seconds["table"]) <= 5.0 * min(seconds["yardstick"]), seconds
 
 
 def test_table_cache_is_bounded_by_count():
@@ -325,12 +367,6 @@ def _arc_oracle(r, tier, t):
             total += quad(y2, w1, w2, epsabs=0.0, epsrel=1e-13)[0]
             length += w2 - w1
     return total / length
-
-
-# (r, tier, t): arcs that straddle cos w = 0 (tiers 1 and 3), arcs clipped at cos w = 1 (an end on the S-D
-# line), whole circles (clipped at both -1 and 1), and arcs of the two-band tiers inside (-1, 1)
-_ARCS = [(70.0, 1, 5.0), (80.0, 1, 10.0), (99.0, 3, 5.0), (85.0, 3, 30.0), (70.0, 3, 45.0), (70.0, 2, 20.0),
-         (85.0, 4, 30.0), (85.0, 2, 15.0), (99.0, 5, 41.0), (85.0, 5, 48.0), (74.8, 4, 40.0), (96.5, 2, 24.0)]
 
 
 @pytest.mark.parametrize("r,tier,t", _ARCS)

@@ -5,14 +5,15 @@ c = h_i(r) + phi_i(r; U), where h is read from a table at the link's nearest
 node, phi from the same node's row of values at the knots
 u_j = 1 - (1 - j / 32)^2 (`KNOTS`), linearly in U between them (`term`), and
 U = F(q_min) is the law of the least d_SH^2 + d_HD^2 of the tier's helpers
-at its drawn value.  phi is b (Q(U) - mean), Q the inverse of F.
+at its drawn value.  h + phi is the mean of rate x max G given q_min, which
+at density 0 is the mean of rate x G over the tier's arc through the
+least-q helper (`arc_mean_g`, by quad over the arc's angle).
 `nearest_node` finds the node from the table's grid alone (`node_lengths`),
 and `uniform` writes F in its plain exponential and power forms, with the
 tier's load taken from the tier areas and the conditioning, not from the
-chunk's tier choice; `quantile` inverts it by bisection.  Only the area of
-the region within reach of the S-D midpoint comes from the package
-(`stochastic_geometry.tier_area_within`), which `tests/moment_oracle.py`
-checks.  A conventional link whose helper was placed adds
+chunk's tier choice.  Only the area of the region within reach of the S-D
+midpoint comes from the package (`stochastic_geometry.tier_area_within`),
+which `tests/moment_oracle.py` checks.  A conventional link whose helper was placed adds
 b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about the exact
 means of `region_means`, written here from the region moments of
 `stochastic_geometry.tier_areas`, which `tests/moment_oracle.py` checks too.
@@ -25,7 +26,7 @@ uniform in the region (`region_uniform`).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.integrate import quad
 
 from coopmac.channel_model import g_joint
 from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas
@@ -105,33 +106,43 @@ def uniform(r, tier, q, density, k):
     return (1 - (1 - p * f) ** (k - 1)) / (1 - (1 - p) ** (k - 1))
 
 
-def quantile(r, tier, u, density, k):
-    """Q(u): the least s in [q_best, q_worst] with F(s) = u (`uniform`) for one link length r and tier, by bisection."""
-    lo, hi = (float(x[0]) for x in q_range(np.array([r]), np.array([tier])))
-    if u <= 0.0 or u >= 1.0:
-        return lo if u <= 0.0 else hi
-    law = lambda s: uniform(np.array([r]), np.array([tier]), np.array([s]), density, k)[0] - u  # noqa: E731
-    return brentq(law, lo, hi, xtol=1e-9, rtol=1e-14)
+def _arc_angles(r, tier, t):
+    """(w1, w2): the angles from the S-D axis that bound a link's tier region on the circle |H - M| = t.
+
+    On that circle d_SH^2 = t^2 + r^2 / 4 + t r cos w and
+    d_HD^2 = t^2 + r^2 / 4 - t r cos w, so the hop bands (`_HOP_BOXES`)
+    bound cos w.
+    """
+    (a, b), (c, d) = _HOP_BOXES[tier - 1]
+    base, cross = t ** 2 + r ** 2 / 4, t * r
+    lo = max(-1.0, (a * a - base) / cross, (base - d * d) / cross)
+    hi = min(1.0, (b * b - base) / cross, (base - c * c) / cross)
+    return np.arccos(hi), np.arccos(lo)
 
 
 def arc_mean_y2(r, tier, t):
     """The mean of y^2 = t^2 sin^2 w over the arc of the circle |H - M| = t that lies in each link's tier region.
 
-    On that circle d_SH^2 = t^2 + r^2 / 4 + t r cos w and
-    d_HD^2 = t^2 + r^2 / 4 - t r cos w, so the hop bands (`_HOP_BOXES`)
-    bound cos w, and with F(w) = w / 2 - sin(2 w) / 4 the mean over
-    [w1, w2] is t^2 (F(w2) - F(w1)) / (w2 - w1).
+    With F(w) = w / 2 - sin(2 w) / 4 the mean over the arc's angles
+    [w1, w2] (`_arc_angles`) is t^2 (F(w2) - F(w1)) / (w2 - w1).
     """
     out = np.empty(r.size)
     for n, (length, i, radius) in enumerate(zip(r, tier, t)):
-        (a, b), (c, d) = _HOP_BOXES[i - 1]
-        base, cross = radius ** 2 + length ** 2 / 4, radius * length
-        lo = max(-1.0, (a * a - base) / cross, (base - d * d) / cross)
-        hi = min(1.0, (b * b - base) / cross, (base - c * c) / cross)
-        w1, w2 = np.arccos(hi), np.arccos(lo)
+        w1, w2 = _arc_angles(length, i, radius)
         area = lambda w: w / 2 - np.sin(2 * w) / 4  # noqa: E731
         out[n] = radius ** 2 * ((area(w2) - area(w1)) / (w2 - w1) if w2 > w1 else np.sin(w1) ** 2)
     return out
+
+
+def arc_mean_g(r, tier, t, params):
+    """The mean of the tier's rate x G over the arc of the circle |H - M| = t that lies in a link's tier region, by quad over the angle."""
+    w1, w2 = _arc_angles(r, tier, t)
+    base, cross = t ** 2 + r ** 2 / 4, t * r
+
+    def g(w):
+        return g_joint(np.sqrt(base + cross * np.cos(w)), np.sqrt(base - cross * np.cos(w)), params)
+
+    return RATES[tier - 1] * quad(g, w1, w2, epsabs=0.0, epsrel=1e-12, limit=200)[0] / (w2 - w1)
 
 
 def term(table, tier, node, u):
