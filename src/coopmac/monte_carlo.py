@@ -682,7 +682,8 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         # the scheme's control table, for a band that reaches class C; its module is loaded by the first chunk
         # that needs one, so that a process that runs none (the bounds) allocates none of it
         from . import within_tier
-        table = within_tier.TABLES[scheme](*band, density, k, params)
+        # with k = 1 no link has a helper (below), and the table holds the class edges alone
+        table = (within_tier.TABLES[scheme] if k != 1 else within_tier.class_edges)(*band, density, k, params)
     elig = np.flatnonzero(r >= BAND_55)  # classes C and D benefit from helpers
     # with k = 1 the destination is the source's nearest node: no helper is nearer
     if elig.size and k != 1:

@@ -12,6 +12,7 @@ below; the other modules derive their tables from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -486,6 +487,253 @@ def tier_area_within(r, tier, t):
     area *= coef
     # a float array also where no lens is evaluated, for which bincount would count in integers
     return np.bincount(link, weights=area, minlength=r.size).astype(float, copy=False)
+
+
+def tier_fourth_moments(r, tier):
+    """(3, n): the integrals of rho^4, rho^2 y^2 and y^4 over each link's tier region, for 1-D arrays r and tier.
+
+    rho = |H - M| is the distance from the S-D midpoint and y from the S-D
+    line.  Each row is the combination of `_regions` of the tier lenses'
+    moments (`_lens_fourth`), which holds as it does for the areas, as a
+    lens's mirror image about the perpendicular bisector of S-D has its
+    moments.  Each lens is evaluated only at the links whose tier's region
+    holds it, and tier 1's not where every such link lies from 96.4 m on,
+    where it is empty: sorted into the tier order `_TIER_ORDER`, each lens's
+    links are one slice.  A helper uniform in region j has the mean rho^4
+    P / S_j, and so on.  No validation: r is a class C or D link length, at
+    least 74.7 m for tiers 4 and 5.
+    """
+    order = np.argsort(_TIER_RANK.take(tier - 1), kind="stable")
+    length = r[order]
+    # each tier's slice of the sorted links
+    counts = np.bincount(tier - 1, minlength=len(TIER_BANDS))[_TIER_ORDER]
+    ends = np.cumsum(counts)
+    start, stop = dict(zip(_TIER_ORDER, (ends - counts).tolist())), dict(zip(_TIER_ORDER, ends.tolist()))
+    moments = np.zeros((3, r.size))
+    for lens, tiers in enumerate(_LENS_TIERS):
+        first, last = start[tiers[0]], stop[tiers[-1]]
+        if first == last or (lens == 0 and length[first:last].min() >= TIER1_MAX_SEPARATION):
+            continue
+        lens_moments = _lens_fourth(_LENS_R1[lens, 0], _LENS_R2[lens, 0], length[first:last])
+        for t in tiers:
+            moments[:, start[t]:stop[t]] += _REGION_COEF[t, lens] * lens_moments[:, start[t] - first:stop[t] - first]
+    out = np.empty((3, r.size))
+    for row, sorted_row in zip(out, moments):
+        row[order] = sorted_row
+    return out
+
+
+# the tiers (0-based) in an order in which those whose regions hold a lens are consecutive, for every lens; each
+# tier's rank in it, as 8-bit keys, which numpy's stable sort takes in one counting pass; and each lens's tiers in it
+_TIER_ORDER = [0, 1, 2, 4, 3]
+_TIER_RANK = np.argsort(_TIER_ORDER).astype(np.int8)
+_LENS_TIERS = tuple(tuple(t for t in _TIER_ORDER if _REGION_COEF[t, lens]) for lens in range(len(TIER_BANDS)))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _lens_fourth(r1, r2, d):
+    """(3, n): the integrals of rho^4, rho^2 y^2 and y^4 over the lenses of circles of radii r1 and r2 whose centres lie d apart (a 1-D array).
+
+    rho is the distance from the centres' midpoint and y from their line.
+    The common chord splits a lens into two circular segments, each its
+    sector less the triangle of its centre and the chord.  The sector of
+    half-angle alpha of a circle of radius R whose centre lies d / 2 from
+    the midpoint adds alpha R^2 (16 R^4 + 24 R^2 d^2 + 3 d^4) / 48,
+    alpha R^4 (8 R^2 + 3 d^2) / 48 and alpha R^6 / 8, and the two triangles
+    sum, with s = r1^2 + r2^2, t = r1^2 - r2^2 and the kite T = d h of the
+    half-chord h, to
+        -T (5 (3 s^2 + 2 t^2) / 36 + 7 s d^2 / 36 + d^4 / 144),
+        -T ((18 s^2 + 11 t^2) / 144 - 5 s d^2 / 288 + d^4 / 288 + s t^2 / (24 d^2)),
+        -T ((33 s^2 + 14 t^2) / 480 - 13 s d^2 / 480 + d^4 / 240 + 9 s t^2 / (160 d^2) - t^4 / (160 d^4)).
+    The half-angles are those of `_lens`, arccos((d^2 +- t) / (2 d r_i)),
+    one for equal radii, whose segments are mirror images.  The terms cancel
+    like alpha^6 as a segment thins, so a lens with a segment of half-angle
+    below _THIN_FOURTH is taken segment by segment (`_segment_fourth`).
+    Apart or tangent circles give 0, and an enclosed one the whole smaller
+    circle, its sector with alpha = pi.  No validation; r1 and r2 are
+    numbers.
+    """
+    r1, r2 = float(r1), float(r2)
+    sq1, sq2 = r1 * r1, r2 * r2
+    s, t = sq1 + sq2, sq1 - sq2
+    dd = d * d
+    kite = 2.0 * s - dd
+    kite *= dd
+    if t:
+        kite -= t * t
+    np.maximum(kite, 0.0, out=kite)
+    np.sqrt(kite, out=kite)
+    kite *= -0.5
+    out = np.empty((3, d.size))
+    p, q, y = out
+    # the triangles: -T times a polynomial in d^2 and, for unequal radii, 1 / d^2
+    for row, (c2, c1, c0) in zip(out, ((1 / 144, 7 * s / 36, 5 * (3 * s * s + 2 * t * t) / 36),
+                                       (1 / 288, -5 * s / 288, (18 * s * s + 11 * t * t) / 144),
+                                       (1 / 240, -13 * s / 480, (33 * s * s + 14 * t * t) / 480))):
+        np.multiply(dd, c2, out=row)
+        row += c1
+        row *= dd
+        row += c0
+    if t:
+        inv = 1.0 / dd
+        q += inv * (s * t * t / 24)
+        low = inv * (-t ** 4 / 160)
+        low += 9 * s * t * t / 160
+        low *= inv
+        y += low
+    out *= kite
+    # the sectors, twice the one for equal radii
+    angles = []
+    for radius, shift in ((r1, t), (r2, -t)) if t else ((r1, 0.0),):
+        # (d^2 + shift) / (2 d r), d / (2 r) for equal radii
+        alpha = np.multiply(d, 0.5 / radius)
+        if shift:
+            alpha += shift * 0.5 / radius / d
+        np.minimum(alpha, 1.0, out=alpha)
+        np.maximum(alpha, -1.0, out=alpha)
+        angles.append(np.arccos(alpha, out=alpha))
+        sq = radius * radius
+        weight = 1.0 if t else 2.0
+        part = dd * (weight * sq / 16)
+        part += weight * sq * sq / 2
+        part *= dd
+        part += weight * sq ** 3 / 3
+        part *= alpha
+        p += part
+        np.multiply(dd, weight * sq * sq / 16, out=part)
+        part += weight * sq ** 3 / 6
+        part *= alpha
+        q += part
+        np.multiply(alpha, weight * sq ** 3 / 8, out=part)
+        y += part
+    alpha1, alpha2 = angles[0], angles[-1]
+    apart = d >= r1 + r2
+    thin = np.flatnonzero((np.minimum(alpha1, alpha2) < _THIN_FOURTH) & ~apart)
+    if thin.size:
+        out[:, thin] = _segment_fourth(r1, r2, d[thin], alpha1[thin], alpha2[thin])
+    np.copyto(out, 0.0, where=apart)
+    inside = d <= abs(r1 - r2)
+    if inside.any():
+        sq = min(r1, r2) ** 2
+        np.copyto(out, np.pi * np.stack((sq * (16 * sq * sq + dd * (24 * sq + 3 * dd)) / 48,
+                                         sq * sq * (8 * sq + 3 * dd) / 48, np.full(dd.shape, sq ** 3 / 8))),
+                  where=inside)
+    return out
+
+
+# `_lens_fourth` takes a lens segment by segment where a segment's half-angle lies below this, and a thin segment
+# from its series (`_thin_segment`), whose terms in eps = sin^2(alpha / 2) < 0.023 run to eps^8, past which they sum
+# to below 3e-18 of the first; above it the closed form keeps about 1e-16 / alpha^6 of itself, 2e-11 or better
+_THIN_FOURTH = 0.3
+_SERIES_TERMS = 9
+# the (k, m) of the integrals of v^k y^m over a segment that `_thin_segment` takes, v the distance from its chord
+_SEGMENT_POWERS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 2), (1, 2), (2, 2), (0, 4))
+
+
+def _series_table():
+    """`_thin_segment`'s coefficients binom(nu, j) (-1)^j B(k + 1, nu + j + 1), nu = (m + 1) / 2, one row per (k, m), j = 0.._SERIES_TERMS - 1."""
+    table = np.zeros((len(_SEGMENT_POWERS), _SERIES_TERMS))
+    for row, (k, m) in enumerate(_SEGMENT_POWERS):
+        nu, binom = (m + 1) / 2.0, 1.0
+        for j in range(_SERIES_TERMS):
+            table[row, j] = binom * math.exp(math.lgamma(k + 1) + math.lgamma(nu + j + 1) - math.lgamma(k + nu + j + 2))
+            binom *= (j - nu) / (j + 1)
+    table.setflags(write=False)
+    return table
+
+
+_SERIES = _series_table()
+
+
+def _segment_fourth(r1, r2, d, alpha1, alpha2):
+    """`_lens_fourth` at lenses of half-angles alpha1 and alpha2, one segment at a time: from its series where its half-angle lies below _THIN_FOURTH (`_thin_segment`), else from its closed form.
+
+    The closed form of a segment of a circle of radius R whose centre lies
+    d / 2 from the midpoint, cut by the chord at the signed distance a from
+    the centre, with the half-chord h and H = h^2, is
+        alpha R^2 (16 R^4 + 24 R^2 d^2 + 3 d^4) / 48
+            - h (a (a^2 (240 a^2 + 360 d^2 + 160 H) + d^2 (45 d^2 - 120 H) + 48 H^2)
+                 + d H (960 a^2 + 240 d^2 + 576 H)) / 720,
+        alpha R^4 (8 R^2 + 3 d^2) / 48
+            - h (a (a^2 (120 a^2 + 45 d^2 + 320 H) + H (75 d^2 + 168 H)) + 96 d H^2) / 720,
+        alpha R^6 / 8 - a h (a^2 (15 a^2 + 40 H) + 33 H^2) / 120.
+    h is taken from the factors of the kite, the small ones as (big - d) +
+    small and (d - big) + small, whose terms lie within a factor 2 of each
+    other next to either tangency, where they are exact.  Equal radii take
+    one segment twice.
+    """
+    big, small = max(r1, r2), min(r1, r2)
+    h = (big - d + small) * (d - big + small) * (d + big - small) * (d + big + small)
+    h = np.sqrt(np.maximum(h, 0.0)) / (2.0 * d)
+    # the chord's position from the midpoint, toward the centre of r2
+    chord = (r1 * r1 - r2 * r2) / (2.0 * d)
+    total = np.zeros((3, d.size))
+    for radius, a, alpha, sign in ((r1, 0.5 * d + chord, alpha1, 1.0), (r2, 0.5 * d - chord, alpha2, -1.0))[:1 + (r1 != r2)]:
+        thin = alpha < _THIN_FOURTH
+        if thin.all():
+            total += _thin_segment(radius, a, h, chord, sign)
+            continue
+        total[:, thin] += _thin_segment(radius, a[thin], h[thin], chord[thin], sign)
+        wide = ~thin
+        sq, a, h_w, d_w, alpha = radius * radius, a[wide], h[wide], d[wide], alpha[wide]
+        aa, hh, dd = a * a, h_w * h_w, d_w * d_w
+        total[:, wide] += np.stack((
+            alpha * sq * (sq * (16 * sq + 24 * dd) + 3 * dd * dd) / 48
+            - h_w * (a * (aa * (240 * aa + 360 * dd + 160 * hh) + dd * (45 * dd - 120 * hh) + 48 * hh * hh)
+                     + d_w * hh * (960 * aa + 240 * dd + 576 * hh)) / 720,
+            alpha * sq * sq * (8 * sq + 3 * dd) / 48
+            - h_w * (a * (aa * (120 * aa + 45 * dd + 320 * hh) + hh * (75 * dd + 168 * hh)) + 96 * d_w * hh * hh) / 720,
+            alpha * sq ** 3 / 8 - a * h_w * (aa * (15 * aa + 40 * hh) + 33 * hh * hh) / 120))
+    if r1 == r2:
+        total *= 2.0
+    return total
+
+
+def _thin_segment(radius, a, h, chord, sign):
+    """(3, n) of `_lens_fourth` for one thin segment of each lens, without cancellation.
+
+    The segment of a circle of radius R beyond its chord, at the distance a
+    from its centre, spans v = 0..w from the chord, w = R - a = h^2 / (R + a),
+    with the half-height sqrt((w - v)(2 R - w + v)), so with v = w (1 - p)
+    the integral of v^k y^m over it is
+        2 / (m + 1) w^(k+1) (2 R w)^nu  integral of (1 - p)^k p^nu (1 - eps p)^nu dp,  nu = (m + 1) / 2,
+    over p in [0, 1], eps = w / (2 R): the sum over j of
+    binom(nu, j) (-eps)^j B(k + 1, nu + j + 1) (`_SERIES`).  The segment's
+    points lie at x = chord + sign v along the line of the centres from
+    their midpoint, and rho^4, rho^2 y^2 and y^4 follow from x^4, x^2 y^2
+    and y^4.
+    """
+    w = h * h / (radius + a)
+    eps = w / (2.0 * radius)
+    # with the chord through the midpoint, as for equal radii, x = v, and only v^4, v^2 y^2 and y^4 are needed
+    centred = not np.any(chord)
+    series = _SERIES[[4, 7, 8]] if centred else _SERIES
+    value = np.multiply.outer(series[:, -1], eps)
+    for column in series[:, -2:0:-1].T:
+        value += column[:, None]
+        value *= eps
+    value += series[:, :1]
+    # 2 / (m + 1) w^(k+1) (2 R w)^nu = 2 w sqrt(2 R w) (2 R)^(m / 2) / (m + 1) w^(k + m / 2)
+    powers = np.empty((5, w.size))
+    powers[0] = 2.0 * w * np.sqrt(2.0 * radius * w)
+    for i in range(1, 5):
+        np.multiply(powers[i - 1], w, out=powers[i])
+    power, half_m = (x[[4, 7, 8]] if centred else x for x in (_SEGMENT_POWER, _SEGMENT_HALF_M))
+    value *= powers.take(power, axis=0)
+    value *= ((2.0 * radius) ** half_m / (2.0 * half_m + 1.0))[:, None]
+    if centred:
+        x4, x2y2, y4 = value
+    else:
+        v0, v1, v2, v3, v4, y0, y1, y2, y4 = value
+        x = sign * chord
+        x4 = (((x * v0 + 4.0 * v1) * x + 6.0 * v2) * x + 4.0 * v3) * x + v4
+        x2y2 = (x * y0 + 2.0 * y1) * x + y2
+    return np.stack((x4 + 2.0 * x2y2 + y4, x2y2 + y4, y4))
+
+
+# each (k, m) of `_SEGMENT_POWERS` as its power k + m / 2 of w and its m / 2
+_SEGMENT_POWER = np.array([k + m // 2 for k, m in _SEGMENT_POWERS])
+_SEGMENT_HALF_M = np.array([m // 2 for _, m in _SEGMENT_POWERS], dtype=float)
 
 
 def _disk_lens(a2, b2, sd, r, t):

@@ -21,17 +21,28 @@ stratum that holds each edge.  Both tables are read at each link's nearest
 node (`table_nodes`) by one function, `control`.
 
 A conventional link has one helper, uniform in the region it chose
-whatever the density or k, and its control is
-c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)) in the
-helper's q = d_SH^2 + d_HD^2 and squared distance y^2 from the S-D line,
-which explain 97.5-100% of the variance of rate x G within a region (q
-alone 73-100%).  Qbar_j = 2 J_j / S_j + r^2 / 2 and Ybar^2_j = I_j / S_j
-are the exact means of both over the region, from its second moments J_j
-and I_j about the S-D midpoint and line, which the lens pass of its area
-gives too (`stochastic_geometry.tier_areas`; `_region_means`).
-`region_table` holds h_j, the region's mean of rate x G, and (b_j, g_j),
-the least-squares fit of rate x G on (q, y^2) over it, which depend on r
-and the ChannelParams alone, so one fit serves every cell.
+whatever the density or k, and rate x G is a smooth function of r, the
+helper's q = d_SH^2 + d_HD^2 and its squared distance y^2 from the S-D
+line.  In analytic mode its control is the quadratic
+c = h_j(r) + b dq + g dy + c_qq (dq^2 - V_qq) + c_qy (dq dy - V_qy)
++ c_yy (dy^2 - V_yy) in dq = q - Qbar_j(r) and dy = y^2 - Ybar^2_j(r)
+(`_quadratic`; multiple control variates, Glasserman, 4.1).
+Qbar_j = 2 J_j / S_j + r^2 / 2 and Ybar^2_j = I_j / S_j are the exact
+means of q and y^2 over the region, from its second moments J_j and I_j
+about the S-D midpoint and line, which the lens pass of its area gives too
+(`stochastic_geometry.tier_areas`; `_region_means`), and the V are its
+exact covariances of q and y^2, from its fourth moments in
+rho = |H - M| and y, taken per placed link at its own r from the closed
+forms of its region's lenses (`stochastic_geometry.tier_fourth_moments`),
+so every term has mean 0 given r whatever its coefficient.  Against the
+linear control in (q, y^2), which the square and product terms extend,
+this cuts the variance of conventional analytic cells 30-50 times at
+0.005 nodes/m^2 (`BENCH_conventional_quadratic.json`).  Sampled mode keeps
+that linear control, c = h_j(r) + b_j(r) dq + g_j(r) dy, whose coefficients
+are a sub-block of the same normal equations.  `region_table` holds h_j,
+the region's mean of rate x G, (b_j, g_j) and the five coefficients of the
+quadratic, least-squares fits of rate x G over the region, which depend on
+r and the ChannelParams alone, so one fit serves every cell.
 
 A proposed link keeps the best of the chosen tier's helpers, and what is
 left of its score's variance is the spread of max G inside the tier, which
@@ -124,6 +135,7 @@ from .stochastic_geometry import (
     tier_arc_y2,
     tier_area_within,
     tier_areas,
+    tier_fourth_moments,
     tier_load,
 )
 
@@ -212,7 +224,9 @@ class ControlTable(NamedTuple):
     mean (`_indicator_mean`); a conventional table leaves them empty.
     edges are the class edges inside the cell's band, edge_u the link-length
     uniform u at each and jump the step of the link's mean score there
-    (`monte_carlo._edge_term`).
+    (`monte_carlo._edge_term`).  quadratic holds, for the conventional
+    scheme, the five coefficients of its analytic-mode term, shaped
+    (5, tiers, nodes) (`_region_fit`); a proposed table leaves it empty.
     """
 
     splits: np.ndarray
@@ -227,11 +241,12 @@ class ControlTable(NamedTuple):
     edges: np.ndarray
     edge_u: np.ndarray
     jump: np.ndarray
+    quadratic: np.ndarray
 
 
 # each table builder keeps one more table than a pass over both Monte Carlo bench workloads builds: 26 proposed ones,
 # the two one-helper tables of the conventional indicator among them (`monte_carlo._chunk_throughput`), and 24
-# conventional ones; the largest, regime `all`'s, hold 201,440 B (proposed) and 16,480 B (conventional), 5.6 MB at
+# conventional ones; the largest, regime `all`'s, hold 201,440 B (proposed) and 43,680 B (conventional), 6.3 MB at
 # most together
 @lru_cache(maxsize=26)
 def control_table(lo, hi, density, k, params):
@@ -288,7 +303,7 @@ def control_table(lo, hi, density, k, params):
     right = np.append(0.5 * (r[:-1] + r[1:]), r[-1])
     cap = tier_bracket("D", right, params)[1][:rows]
     table = ControlTable(*grid, h, phi, slope_y, cap, _indicator_mean(h, phi, worst[:rows], cap, rows),
-                         *(np.empty(0),) * 3)
+                         *(np.empty(0),) * 4)
     return _with_class_edges(table, band, density, k, params, "proposed")
 
 
@@ -583,9 +598,22 @@ def region_table(lo, hi, density, k, params):
 TABLES = {"proposed": control_table, "conventional": region_table}
 
 
+# one more than the k = 1 cells of a pass over both Monte Carlo bench workloads
+@lru_cache(maxsize=4)
+def class_edges(lo, hi, density, k, params):
+    """A table that holds only the class edges of the cell's band lo..hi, for k = 1 (`_with_class_edges`).
+
+    With k = 1 the destination is the source's nearest node, so no link has
+    a helper and no row of a scheme's table is read; the step of the mean
+    score at each edge is that of the direct scores alone (`_mean_score`).
+    """
+    return _with_class_edges(ControlTable(*(np.empty(0),) * len(ControlTable._fields)), (lo, hi), density, k, params,
+                             None)
+
+
 @lru_cache(maxsize=8)
 def _region_fit(params):
-    """`ControlTable` of `params` without class edges: each region's mean of rate x G and its fit in (q, y^2), at every node.
+    """`ControlTable` of `params` without class edges: each region's mean of rate x G and its fits in (q, y^2), at every node.
 
     The nodes are those of `_grid` over [67.1, 100] m.  Each region is
     integrated over one hop order and the upper half-plane, whose mirror
@@ -599,28 +627,31 @@ def _region_fit(params):
     so like the square root of rho's distance from the panel's left end, so
     the rule runs in s with rho = left + (right - left) s^2, which makes the
     integrand smooth there and keeps h within 2e-8 of a quadrature oracle
-    (5e-5 with the rule in rho itself).  h is the rule's mean of rate x G,
-    and (b, g) solve the normal equations of its centred moments.  A region
-    with no area at a node (tier 1 from 96.4 m on, tiers 4 and 5 of class
-    C) gets h = rate G_best, the limit of a region that shrinks to its best
-    position, and b = g = 0.
+    (5e-5 with the rule in rho itself).  h is the rule's mean of rate x G.
+    Sampled mode's (b, g) solve the normal equations of its centred moments
+    in dq = q - Qbar and dy = y^2 - Ybar^2, and analytic mode's five
+    coefficients (`quadratic`) those of dq, dy and the centred dq^2, dq dy
+    and dy^2 (`_solve`), of which (b, g)'s are a sub-block.  A region with
+    no area at a node (tier 1 from 96.4 m on, tiers 4 and 5 of class C)
+    gets h = rate G_best, the limit of a region that shrinks to its best
+    position, and coefficients of 0.
     """
     r, grid = _grid(BAND_55, MAX_RANGE)
     rule = _gauss_legendre(_GAUSS_POINTS)
     areas = tier_areas(r)
     h = tier_bracket("D", r, params)[1]
-    slope_q, slope_y = np.zeros(h.shape), np.zeros(h.shape)
+    slope_q, slope_y, quadratic = np.zeros(h.shape), np.zeros(h.shape), np.zeros((5, *h.shape))
     for tier, box in enumerate(TIER_BOXES.T):
         at = np.flatnonzero(areas[tier] > 0.0)
         # in blocks of nodes, so that the rule's points, about 2k a block, stay small beside a chunk's arrays
         for block in np.array_split(at, max(1, -(-at.size // _FIT_BLOCK))):
-            h[tier, block], slope_q[tier, block], slope_y[tier, block] = _fit(r[block], box, TIER_RATES[tier],
-                                                                              params, *rule)
-    return ControlTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 5)
+            (h[tier, block], slope_q[tier, block], slope_y[tier, block],
+             quadratic[:, tier, block]) = _fit(r[block], box, TIER_RATES[tier], params, *rule)
+    return ControlTable(*grid, h, slope_q, slope_y, *(np.empty(0),) * 5, quadratic)
 
 
 def _fit(r, box, rate, params, u, w):
-    """(h, b, g) of `_region_fit` at link lengths r, for the region of the hop box (a, b, c, d, orders) and tier rate `rate`, by the rule of nodes u and weights w on [0, 1]."""
+    """(h, b, g, quadratic) of `_region_fit` at link lengths r, for the region of the hop box (a, b, c, d, orders) and tier rate `rate`, by the rule of nodes u and weights w on [0, 1]."""
     a, b, c, d, _ = box
     link = r[:, None]
     lo = np.maximum(a, link - d)
@@ -645,7 +676,40 @@ def _fit(r, box, rate, params, u, w):
     fit = det > 1e-12 * qq * yy
     slope_q = np.divide(yy * qf - qy * yf, det, out=np.zeros(r.size), where=fit)
     slope_y = np.divide(qq * yf - qy * qf, det, out=np.zeros(r.size), where=fit)
-    return (weight * f).sum(axis=(1, 2)), slope_q, slope_y
+    # the five terms, flat in the points: dq, dy and the centred squares and product
+    z = np.stack((dq, dy, dq * dq, dq * dy, dy * dy)).reshape(5, r.size, -1)
+    weight = weight.reshape(r.size, -1)
+    z[2:] -= (weight * z[2:]).sum(axis=2, keepdims=True)
+    wz = weight * z
+    return ((weight * f.reshape(r.size, -1)).sum(axis=1), slope_q, slope_y,
+            _solve(np.einsum("inp,jnp->ijn", wz, z), np.einsum("inp,np->in", wz, df.reshape(r.size, -1))))
+
+
+def _solve(a, b):
+    """x with a x = b in each column of the (m, m, n) symmetric positive semi-definite a and the (m, n) b.
+
+    Gaussian elimination without row exchanges, which a positive definite
+    matrix does not need, written out rather than a LAPACK call, whose
+    first call in a process allocates the BLAS buffers (`_gauss_legendre`).
+    An unknown whose pivot, the share of its term's variance that the terms
+    before it leave, falls to 1e-10 or below is a combination of them: it
+    gets 0, and its equation is dropped, so the others fit without it.
+    """
+    a, b = a.copy(), b.copy()
+    m = b.shape[0]
+    kept = np.empty(b.shape, dtype=bool)
+    # each term's variance, the diagonal before elimination, one row per term
+    variance = np.diagonal(a).T.copy()
+    for k in range(m):
+        kept[k] = a[k, k] > 1e-10 * variance[k]
+        factor = a[k + 1:, k] / np.where(kept[k], a[k, k], np.inf)
+        a[k + 1:, k:] -= factor[:, None] * a[k, k:]
+        b[k + 1:] -= factor * b[k]
+    x = np.zeros(b.shape)
+    for k in range(m - 1, -1, -1):
+        rest = b[k] - (a[k, k + 1:] * x[k + 1:]).sum(axis=0)
+        np.divide(rest, a[k, k], out=x[k], where=kept[k])
+    return x
 
 
 def _gauss_legendre(n):
@@ -699,10 +763,10 @@ def _with_class_edges(table, band, density, k, params, scheme):
 
 
 def _mean_score(r, density, k, params, table, scheme):
-    """A scheme's mean score at link lengths r, as its control's centre has it: m(r) of `control` for class C and D, rate x Ps(r) below."""
+    """A scheme's mean score at link lengths r, as its control's centre has it: m(r) of `control` for class C and D, rate x Ps(r) below and at k = 1, where no link has a helper."""
     direct = np.take(BAND_RATES, hop_band(r)) * p_success_direct(r, params)
     helped = r >= BAND_55
-    if np.any(helped):
+    if np.any(helped) and k != 1:
         x = r[helped]
         law, void, _ = choice_law(scheme, tier_areas(x), x, density, k)
         direct[helped] = _mixture(law, void, direct[helped], np.take(table.h, table_nodes(table, x), axis=1))
@@ -759,7 +823,8 @@ def control(table, scheme, r, choice, direct, q, y2, k, which, draw=None, single
     region's exact mean (`_region_means`) for the conventional one.  Both
     add gamma (y^2 - Ybar^2), y^2 about its exact mean over the tier's arc
     through the helper (`stochastic_geometry.tier_arc_y2`) or over the
-    region, which is left out where y2 is None.  In sampled mode
+    region, which is left out where y2 is None; in analytic mode the
+    conventional scheme's term is instead the quadratic of `_quadratic`.  In sampled mode
     draw = (x, span) holds the links' draws x = lo + span v above their sure
     share, and c adds the indicator term (`_indicator`): the proposed
     scheme's psi is h + phi(U) of its own table, the conventional one's that
@@ -794,7 +859,11 @@ def control(table, scheme, r, choice, direct, q, y2, k, which, draw=None, single
             chosen += _indicator(single, nodes, choice.tier, which, psi, draw)
         mean_q, mean_y2 = _region_means(choice, r, which)
         term = np.subtract(q, mean_q, out=q)
-        term *= table.within.take(flat)
+        if draw is None:
+            term = _quadratic(table, flat, choice, link, tier, which, term, np.subtract(y2, mean_y2, out=y2))
+            y2 = None
+        else:
+            term *= table.within.take(flat)
     if y2 is not None:
         y2 -= mean_y2
         y2 *= table.slope_y.take(flat)
@@ -832,6 +901,39 @@ def _indicator(table, nodes, tier, which, psi, draw):
     hit *= span
     hit *= _INDICATOR_BETA.take(tier - 1)
     return hit
+
+
+def _quadratic(table, flat, choice, r, tier, which, dq, dy):
+    """The conventional control's analytic-mode term at the placed links, of lengths r, in dq = q - Qbar and dy = y^2 - Ybar^2.
+
+    b dq + g dy + c_qq (dq^2 - V_qq) + c_qy (dq dy - V_qy) + c_yy (dy^2 - V_yy),
+    with the five coefficients at each link's (region, node) row `flat` of
+    the table's `quadratic`, and V the region's exact central moments at the
+    link's own r: with rho = |H - M|, q = 2 rho^2 + r^2 / 2, so
+    V_qq = 4 var(rho^2), V_qy = 2 cov(rho^2, y^2) and V_yy = var(y^2), from
+    the region's area S, its second moments J and I
+    (`monte_carlo._TierChoice.moments`) and its fourth moments P, Q and Y
+    (`stochastic_geometry.tier_fourth_moments`): var(rho^2) = P / S - (J / S)^2,
+    and so on.  Each term has mean 0 given r and the region whatever the
+    coefficients.  dq and dy may be overwritten.
+    """
+    area = choice.area[which]
+    j, i = choice.moments
+    rho2, y2 = j[which] / area, i[which] / area
+    p4, p2y2, y4 = (x / area for x in tier_fourth_moments(r, tier))
+    b, g, c_qq, c_qy, c_yy = table.quadratic.reshape(5, -1).take(flat, axis=1)
+    term = b * dq
+    term += g * dy
+    p4 -= rho2 * rho2
+    term += c_qq * (dq * dq - 4.0 * p4)
+    p2y2 -= rho2 * y2
+    term += c_qy * (dq * dy - 2.0 * p2y2)
+    y4 -= y2 * y2
+    dy *= dy
+    dy -= y4
+    dy *= c_yy
+    term += dy
+    return term
 
 
 def _region_means(choice, r, which):

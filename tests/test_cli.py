@@ -443,3 +443,9 @@ def test_every_error_branch_exits_with_its_code_and_message(tmp_path, capsys, mo
     # a failed selftest check is a runtime failure: exit 3
     monkeypatch.setattr(cli, "lens_area", lambda *args: 1.0)
     assert _exit_and_message(capsys, ["selftest"]) == (3, "error: selftest failed")
+
+
+def test_unknown_conditioning_is_a_config_error(capsys):
+    # neither ppp nor k=<int>: the last config message that no other test reached
+    assert main(["bounds", "--class", "C", "--lambda", "0.002", "--conditioning", "nn"]) == 2
+    assert "conditioning must be 'ppp' or 'k=<int>', got 'nn'" in capsys.readouterr().err

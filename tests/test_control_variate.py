@@ -45,7 +45,8 @@ from coopmac.stochastic_geometry import (
     void_probability,
 )
 from plain_scoring import cell_seeds, lower_control_chunk, midpoint_control_chunk, plain_estimate
-from within_tier_reference import arc_mean_y2, nearest_node, node_lengths, region_means, term, uniform
+from within_tier_reference import (arc_mean_y2, nearest_node, node_lengths, region_covariances, region_means, term,
+                                   uniform)
 
 PARAMS = ChannelParams()
 # tier t's worst helper position, both hops at the outer edges of its hop
@@ -115,7 +116,7 @@ def test_one_bracket_table(params):
     nodes = node_lengths(table)
     worst, best = tier_bracket("D", nodes, params)
     table = table._replace(h=(best + worst[:, None]) * 0.5, within=np.zeros(table.h.shape),
-                           slope_y=np.zeros(table.h.shape))
+                           slope_y=np.zeros(table.h.shape), quadratic=np.zeros(table.quadratic.shape))
     has, tier = np.arange(nodes.size), np.arange(nodes.size) % 5 + 1
     zeros = np.zeros(nodes.size)
     choice = mc._TierChoice(has, tier, np.ones(nodes.size), None, np.zeros((5, nodes.size)), zeros, (zeros, zeros))
@@ -159,18 +160,23 @@ def test_every_trial_lies_in_its_bracket(regime, density, k, scheme):
         empty = tier_void_law(tier_areas(r), r, density, k)
         want_m = empty[-1] * direct + ((empty[:-1] - empty[1:])[:len(h)] * h).sum(axis=0)
     else:
-        # c is the chosen region's centre h plus b (q - Qbar) + g (y^2 - Ybar^2), with h, b and g read at
-        # the link's nearest node of the parameter set's table and Qbar, Ybar^2 the region's exact means,
-        # clipped into their ranges; m is the region mixture of the centres
+        # c is the chosen region's centre h plus c_q dq + c_y dy + c_qq (dq^2 - V_qq) + c_qy (dq dy - V_qy)
+        # + c_yy (dy^2 - V_yy) in dq = q - Qbar and dy = y^2 - Ybar^2, with h and the five coefficients read at
+        # the link's nearest node of the parameter set's table, Qbar, Ybar^2 the region's exact means, clipped
+        # into their ranges, and V its exact covariances; m is the region mixture of the centres
         table = within_tier.region_table(*REGIMES[regime][:2], density, k, PARAMS)
         node = nearest_node(table, r)
         h = table.h[:, node]
         mean_q, mean_y2 = region_means(r[has], tier)
         at = tier - 1, node[has]
+        dq, dy = q - mean_q, y2 - mean_y2
+        c_q, c_y, c_qq, c_qy, c_yy = table.quadratic[(slice(None), *at)]
+        v_qq, v_qy, v_yy = region_covariances(r[has], tier)
         np.testing.assert_allclose(c[has] - h[tier - 1, has],
-                                   table.within[at] * (q - mean_q) + table.slope_y[at] * (y2 - mean_y2),
-                                   rtol=0, atol=1e-12)
-        # G falls with q at fixed y^2 and rises with y^2 at fixed q, where the hops are more even
+                                   c_q * dq + c_y * dy + c_qq * (dq * dq - v_qq) + c_qy * (dq * dy - v_qy)
+                                   + c_yy * (dy * dy - v_yy), rtol=0, atol=1e-11)
+        # G falls with q at fixed y^2 and rises with y^2 at fixed q, where the hops are more even: so the
+        # two-term fit of sampled mode has it
         assert np.all(table.within[at] < 0) and np.all(table.slope_y[at] > 0)
         # y^2 lies in [0, |H - M|^2], and |H - M|^2 = (q - r^2 / 2) / 2
         assert np.all(y2 >= -1e-9) and np.all(y2 <= (q - r[has] ** 2 / 2) / 2 + 1e-9)

@@ -1,8 +1,11 @@
 """The conventional scheme's control table and estimates against an oracle from the geometry and the channel model alone.
 
 A conventional link that chose region j scores with the control
-c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)), with h, b
-and g read from `within_tier.region_table` at the link's nearest node.
+c = h_j(r) + b_j(r) (q - Qbar_j(r)) + g_j(r) (y^2 - Ybar^2_j(r)) in sampled
+mode, and in analytic mode adds the square and product terms of a
+quadratic in (q, y^2), each centred on the region's exact covariances, with
+h and the coefficients read from `within_tier.region_table` at the link's
+nearest node.
 h_j is E[rate x G | region j, r], which `conventional_oracle.region_mean`
 computes by `scipy.integrate.dblquad`, and the scheme's mean over a band is
 `conventional_oracle.scheme_mean`.  These tests check the table's h against
@@ -10,7 +13,9 @@ the oracle, the oracle against values found by an earlier quadrature,
 `estimate_throughput` against the oracle by z-tests on seeds of each cell's
 own, and that the table is built lazily: within 2.5 times a fixed numpy
 yardstick timed beside it, read-only, and not by a process that runs only
-the bounds.
+the bounds.  The quadratic's stderr is held against the linear control's at
+fixed seeds, and the fit's written-out solver (`within_tier._solve`)
+against numpy's.
 """
 
 import os
@@ -118,3 +123,38 @@ def test_bounds_build_no_conventional_table():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+# conventional analytic estimates at 0.005 nodes/m^2 under the PPP, 20,000 trials, seed 23, at commit 8dbfdb0, whose
+# control was linear in (q, y^2): (mean, stderr)
+_LINEAR_CONTROL = {"C": (3.1778201721710464, 0.00012113124111613447), "D1": (2.1328020531530325, 6.645667829619459e-05),
+                   "D2": (1.7646232532471429, 3.161996300060346e-05), "all": (4.68645719251596, 5.682366770946985e-05)}
+
+
+@pytest.mark.parametrize("regime", sorted(_LINEAR_CONTROL))
+def test_quadratic_control_cuts_the_stderr(regime):
+    # the same cells with the quadratic in (q, y^2): at most 0.35 of the linear control's stderr (it read
+    # 0.13-0.17), and the mean within 4 of the old stderr
+    mean, stderr = _LINEAR_CONTROL[regime]
+    est = estimate_throughput(ExperimentConfig(densities=(0.005,), scheme="conventional", regime=regime, trials=20_000,
+                                               base_seed=23))[0]
+    assert est.stderr <= 0.35 * stderr, (est.stderr, stderr)
+    assert abs(est.mean - mean) <= 4 * stderr, (est.mean, mean)
+
+
+def test_solve_matches_numpy_and_drops_a_dependent_term():
+    # the normal equations of random positive definite systems, against numpy's solver; a term that repeats
+    # another is dropped, and the rest fit as they do without it
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=(6, 5, 200)) * np.array([1.0, 1e3, 1e-2, 1e6, 3.0])[None, :, None]
+    gram = np.einsum("nip,njp->ijn", z, z)
+    rhs = rng.normal(size=(5, 6))
+    want = np.stack([np.linalg.solve(gram[..., n], rhs[:, n]) for n in range(6)], axis=1)
+    np.testing.assert_allclose(within_tier._solve(gram, rhs), want, rtol=1e-9)
+    z[:, 2] = 2.0 * z[:, 0]
+    gram = np.einsum("nip,njp->ijn", z, z)
+    x = within_tier._solve(gram, rhs)
+    assert np.all(x[2] == 0.0)
+    keep = [0, 1, 3, 4]
+    want = np.stack([np.linalg.solve(gram[np.ix_(keep, keep, [n])][..., 0], rhs[keep, n]) for n in range(6)], axis=1)
+    np.testing.assert_allclose(x[keep], want, rtol=1e-8)

@@ -10,7 +10,10 @@ that the bench's span tracer wraps at the module's attribute
 (`bench/tracing.py`'s WRAP_POINTS), which the module holds so that the
 tracer can find them; `__init__` uses what its `__all__` names.  Every
 `functools.lru_cache` has an integer maxsize and `functools.cache` is not
-used, so every memo of the package is bounded.
+used, so every memo of the package is bounded.  No module uses
+`numpy.linalg`: the first LAPACK call of a process allocates the BLAS
+buffers, about a megabyte of resident memory, so small solves are written
+out (`within_tier._solve`).
 """
 
 import ast
@@ -124,3 +127,37 @@ def test_an_unbounded_cache_is_found():
     for bounded in ("@lru_cache(32)", "@functools.lru_cache(maxsize=32)"):
         assert unbounded_caches(source.replace("@lru_cache(maxsize=32)", bounded)) == [], bounded
     assert unbounded_caches("from functools import cache, lru_cache\n") == [1]
+
+
+def linalg_uses(source):
+    """The lines of `source` that import or reach `numpy.linalg`, by any name numpy is bound to."""
+    tree = ast.parse(source)
+    numpy_names = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "numpy"}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("numpy"):
+            if node.module.startswith("numpy.linalg") or any(a.name == "linalg" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name.startswith("numpy.linalg") for a in node.names):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "linalg" and isinstance(node.value, ast.Name)
+              and node.value.id in numpy_names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_module_uses_numpy_linalg(module):
+    assert linalg_uses((SRC / (module + ".py")).read_text()) == []
+
+
+def test_a_linalg_use_is_found():
+    source = (SRC / "within_tier.py").read_text()
+    line = source[:source.index("def _solve(")].count("\n") + 1
+    body = source.replace("    a, b = a.copy(), b.copy()\n", "    return np.linalg.solve(a.T, b.T).T\n", 1)
+    assert linalg_uses(body) == [line + 10]
+    for extra in ("import numpy.linalg\n", "from numpy import linalg\n", "from numpy.linalg import solve\n",
+                  "import numpy as xp\nxp.linalg.norm\n"):
+        assert linalg_uses(extra), extra
+    assert linalg_uses("import numpy as np\nnp.dot\n") == []

@@ -13,7 +13,13 @@ the 96.4 m tangency where the plain lens terms cancel, in the kernel and in
 the scalar views of areas, tier law and bounds; that the Monte Carlo's
 means (`within_tier._region_means`) stay in the region's ranges there
 unclipped; that Ybar^2 is the mean of the y^2 of helpers the package
-places; and that Qbar lies in the region's range of q.
+places; and that Qbar lies in the region's range of q.  The regions' fourth
+moments (`stochastic_geometry.tier_fourth_moments`), from the lens closed
+forms and the thin segments' series of `_lens_fourth`, are pinned against
+the same oracle, to 1e-9, in every table segment and across the 96.4 m
+tangency layer, with their apart, tangent and enclosed limits, and the
+analytic-mode conventional control's square and product terms, centred on
+the covariances they give, have mean 0 over placed helpers.
 """
 
 import hashlib
@@ -28,9 +34,11 @@ from coopmac import monte_carlo as mc
 from coopmac import within_tier
 from coopmac.analytic_bounds import _link_bounds, link_bounds_at_distance, tier_probabilities
 from coopmac.channel_model import ChannelParams, tier_q_bracket
-from coopmac.stochastic_geometry import BAND_2, TIER1_MAX_SEPARATION, _lens, lens_area, tier_areas, tier_region_areas
-from moment_oracle import lens_moments, region_moments
+from coopmac.stochastic_geometry import (BAND_2, TIER1_MAX_SEPARATION, _lens, _lens_fourth, lens_area, tier_areas,
+                                        tier_fourth_moments, tier_region_areas)
+from moment_oracle import lens_fourth_moments, lens_moments, region_fourth_moments, region_moments
 from test_stochastic_geometry import _ulps_around
+from within_tier_reference import region_covariances
 
 PARAMS = ChannelParams()
 # each tier's worst position, both hops at the outer edges of its bands, by hand
@@ -314,3 +322,104 @@ def test_region_mean_q_lies_in_the_region_q_range(x):
     # y^2 is nearly all of it, and the two moments' series agree to rounding
     areas, j, axis = tier_areas(r, moments=True)
     assert np.all(axis[present] <= j[present] * (1 + 1e-9))
+
+
+# link lengths of the fourth-moment checks: the three table segments with their ends 74.7 and 100 m, and the
+# 96.28-96.4 m layer where tier 1's lens is thin
+_FOURTH_LENGTHS = (67.2, 70.9, 74.6, 74.7, 80.0, 85.55, 92.0, 95.0, 96.2, 96.28, 96.3, 96.35, 96.39, 96.399, 96.3999,
+                   96.5, 98.2, 100.0)
+
+
+@pytest.mark.parametrize("r", _FOURTH_LENGTHS)
+def test_fourth_moments_match_polar_oracle(r):
+    # the means of rho^4, rho^2 y^2 and y^4 over every region with an area, rho = |H - M|, against dblquad of the
+    # band table alone, and no warning from the closed forms or their series
+    tiers = [t for t in range(1, 6) if not (t > 3 and r < BAND_2 or t == 1 and r >= TIER1_MAX_SEPARATION)]
+    want = {t: region_fourth_moments(t, r) for t in tiers}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tier_fourth_moments(np.full(len(tiers), r), np.array(tiers))
+    for column, t in enumerate(tiers):
+        area, *means = want[t]
+        np.testing.assert_allclose(got[:, column] / area, means, rtol=1e-9, err_msg="tier %d" % t)
+
+
+def _exact_lens_fourth(r1, r2, d):
+    """The integrals of rho^4, rho^2 y^2 and y^4 over a lens, about the midpoint of its centres, in 50-digit arithmetic.
+
+    Each segment of the circle of radius R beyond the chord, at the distance
+    a from its centre, is integrated over its axis, with the half-height
+    sqrt(R^2 - u^2) at u from the centre.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r1, r2, d = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(d)
+        a1 = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+        total = [0, 0, 0]
+        for radius, a, centre, sign in ((r1, a1, -d / 2, 1), (r2, d - a1, d / 2, -1)):
+            def height(u, radius=radius):
+                return mpmath.sqrt(radius * radius - u * u)
+
+            def x(u, centre=centre, sign=sign):
+                return centre + sign * u
+
+            for i, f in enumerate((lambda u: x(u) ** 4 * 2 * height(u) + x(u) ** 2 * 4 * height(u) ** 3 / 3
+                                   + 2 * height(u) ** 5 / 5,
+                                   lambda u: x(u) ** 2 * 2 * height(u) ** 3 / 3 + 2 * height(u) ** 5 / 5,
+                                   lambda u: 2 * height(u) ** 5 / 5)):
+                total[i] += mpmath.quad(f, [a, radius])
+        return [float(x) for x in total]
+
+
+@pytest.mark.parametrize("radii", [(48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7), (30.0, 74.7)])
+def test_lens_fourth_moments_match_the_oracle(radii):
+    # from nearly enclosed to nearly tangent, through the closed form and the thin segments' series; within
+    # 1e-3 m of either tangency the oracle's own heights cancel, and 50-digit quadrature takes over
+    r1, r2 = radii
+    low, high = abs(r1 - r2), r1 + r2
+    d = np.concatenate([low + np.array([1e-6, 1e-3, 0.1]), np.linspace(low + 1.0, high - 1.0, 7),
+                        high - np.array([0.1, 1e-3, 1e-6])])
+    d = d[d > 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _lens_fourth(r1, r2, d)
+    for column, x in enumerate(d):
+        near = min(x - low, high - x) <= 1e-3
+        want = _exact_lens_fourth(r1, r2, x) if near else lens_fourth_moments(r1, r2, x)
+        np.testing.assert_allclose(got[:, column], want, rtol=1e-9, err_msg=str(x))
+
+
+@pytest.mark.parametrize("radii", [(48.2, 48.2), (10.0, 30.0), (30.0, 10.0)])
+def test_lens_fourth_moment_limits(radii):
+    # apart, tangent, and up to infinity: 0; enclosed, at any separation: the smaller circle about the midpoint
+    r1, r2 = radii
+    tangent, small = r1 + r2, min(radii)
+    apart = np.array([tangent, np.nextafter(tangent, np.inf), tangent + 1.0, 1e100, 1e200, np.inf])
+    inside = np.array([0.0, 0.5 * abs(r1 - r2), abs(r1 - r2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _lens_fourth(r1, r2, apart).tolist() == [[0.0] * apart.size] * 3
+        got = _lens_fourth(r1, r2, inside)
+    # a disk of radius R whose centre lies e = d / 2 from the midpoint: pi R^2 (e^4 + 2 e^2 R^2 + R^4 / 3),
+    # pi R^4 (e^2 / 4 + R^2 / 6) and pi R^6 / 8
+    e, sq = inside / 2, small * small
+    want = np.pi * np.array([sq * (e ** 4 + 2 * e * e * sq + sq * sq / 3), sq * sq * (e * e / 4 + sq / 6),
+                             np.full(e.shape, sq ** 3 / 8)])
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("r,tier", [(70.0, 3), (85.0, 1), (96.3, 2), (98.0, 5)])
+def test_covariances_match_placed_helpers(r, tier):
+    # the analytic-mode control's square and product terms have mean 0 over helpers placed as the conventional
+    # scheme places them: 400k helpers in batches of 100k, each mean within 4 sigma of 0
+    n = 100_000
+    links = np.full(n, r)
+    areas, j, i = (x[tier - 1, :1] for x in tier_areas(links[:1], moments=True))
+    choice = mc._TierChoice(np.arange(n), np.full(n, tier), np.full(n, areas[0]), None, np.zeros((5, n)), np.zeros(n))
+    q, y2 = (np.concatenate(x) for x in zip(*(mc._best_g(np.random.default_rng(seed), links, choice, None, PARAMS)[1:]
+                                              for seed in range(4))))
+    dq, dy = q - (2 * j[0] / areas[0] + r * r / 2), y2 - i[0] / areas[0]
+    v_qq, v_qy, v_yy = region_covariances(links[:1], np.array([tier]))
+    for sample in (dq * dq - v_qq, dq * dy - v_qy, dy * dy - v_yy):
+        z = sample.mean() / (sample.std() / np.sqrt(sample.size))
+        assert abs(z) <= 4, z

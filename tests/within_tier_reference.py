@@ -14,9 +14,12 @@ tier's load taken from the tier areas and the conditioning, not from the
 chunk's tier choice.  Only the area of the region within reach of the S-D
 midpoint comes from the package (`stochastic_geometry.tier_area_within`),
 which `tests/moment_oracle.py` checks.  A conventional link whose helper was placed adds
-b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre, about the exact
-means of `region_means`, written here from the region moments of
-`stochastic_geometry.tier_areas`, which `tests/moment_oracle.py` checks too.
+b (q - Qbar) + g (y^2 - Ybar^2) to its region's centre in sampled mode, about
+the exact means of `region_means`, written here from the region moments of
+`stochastic_geometry.tier_areas`, which `tests/moment_oracle.py` checks too;
+in analytic mode it adds a quadratic in (q - Qbar, y^2 - Ybar^2) whose
+square and product terms are centred on the region's exact covariances
+(`region_covariances`).
 In sampled mode both add beta (rate - lo) (1{x < min(psi, cap)} - hit) at
 every link with a helper (`indicator`), psi = h + phi(U) where its helpers
 were placed; the conventional scheme's psi and U are those of one helper
@@ -29,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from coopmac.channel_model import g_joint
-from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas
+from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas, tier_fourth_moments
 
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
@@ -69,6 +72,21 @@ def region_means(r, tier):
     half = r * r / 2
     mean_q = np.clip(2 * j / areas + half, *q_range(r, tier))
     return mean_q, np.clip(i / areas, 0.0, (mean_q - half) / 2)
+
+
+def region_covariances(r, tier):
+    """(V_qq, V_qy, V_yy): the variances of d_SH^2 + d_HD^2 and of y^2 over the regions `tier` of links of lengths r, and their covariance.
+
+    With rho = |H - M|, q = 2 rho^2 + r^2 / 2, so V_qq = 4 var(rho^2) and
+    V_qy = 2 cov(rho^2, y^2), written from the regions' area S, moments J
+    and I (`stochastic_geometry.tier_areas`) and fourth moments P, Q and Y
+    (`stochastic_geometry.tier_fourth_moments`), which
+    `tests/moment_oracle.py` checks.
+    """
+    areas, j, i = (x[tier - 1, np.arange(r.size)] for x in tier_areas(r, moments=True))
+    p4, p2y2, y4 = tier_fourth_moments(r, tier) / areas
+    rho2, y2 = j / areas, i / areas
+    return 4 * (p4 - rho2 ** 2), 2 * (p2y2 - rho2 * y2), y4 - y2 ** 2
 
 
 def nearest_node(table, r):
