@@ -539,7 +539,8 @@ class _TierChoice(NamedTuple):
     moments holds, for the conventional scheme, the second moments J and I
     of each chosen region about the S-D midpoint and line (`tier_areas`),
     from which `within_tier._region_means` takes the means that centre the
-    terms of its control (None for the proposed scheme).
+    terms of its control, and `within_tier._quadratic` the covariances of
+    its analytic-mode terms (None for the proposed scheme).
     """
 
     has: np.ndarray

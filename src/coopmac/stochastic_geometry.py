@@ -668,7 +668,8 @@ def _segment_fourth(r1, r2, d, alpha1, alpha2):
     # the chord's position from the midpoint, toward the centre of r2
     chord = (r1 * r1 - r2 * r2) / (2.0 * d)
     total = np.zeros((3, d.size))
-    for radius, a, alpha, sign in ((r1, 0.5 * d + chord, alpha1, 1.0), (r2, 0.5 * d - chord, alpha2, -1.0))[:1 + (r1 != r2)]:
+    segments = ((r1, 0.5 * d + chord, alpha1, 1.0), (r2, 0.5 * d - chord, alpha2, -1.0))
+    for radius, a, alpha, sign in segments if r1 != r2 else segments[:1]:
         thin = alpha < _THIN_FOURTH
         if thin.all():
             total += _thin_segment(radius, a, h, chord, sign)
