@@ -6,41 +6,20 @@ provides:
 
 - ``channel_model``: dB-domain link budget, Gaussian Q-function, direct and
   two-hop success probabilities.
-- ``stochastic_geometry``: PPP sampling, circle-lens areas, helper-tier
-  region geometry, nearest-neighbor distance laws.
-- ``protocol``: link classification, tier-priority helper selection, the
-  random-selection baseline, and the rate x success-probability score of
-  the selected helper (the object-level oracle of the simulator).
+- ``stochastic_geometry``: circle-lens areas, helper-tier region
+  geometry, nearest-neighbor distance laws.
 - ``analytic_bounds``: closed-form lower/upper throughput bounds per tier,
   per link distance, and averaged over a link class.
-- ``monte_carlo``: seeded vectorized simulation of both selection schemes
-  and contour grids.
+- ``monte_carlo``: seeded vectorized simulation of both selection schemes,
+  the package's one implementation of helper selection, and contour grids.
 - ``within_tier``: the law of the best helper's least d_SH^2 + d_HD^2, and
   the tables of both schemes' control variates, for ``monte_carlo``.
 - ``cli``: command-line front end emitting CSV/JSON datasets, including the
   ``reproduce`` figure tables; not imported by the package itself.
 """
 
-from .channel_model import ChannelParams, g_joint, p_success_direct, q_function, shadowing_sample
-from .stochastic_geometry import (
-    NetworkRealization,
-    RegionAreas,
-    classify_helper_tier,
-    lens_area,
-    nn_distance_pdf,
-    sample_ppp,
-    tier_region_areas,
-)
-from .protocol import (
-    HelperCandidate,
-    LinkClass,
-    SelectionOutcome,
-    classify_link,
-    enumerate_candidates,
-    run_exchange,
-    select_helper_conventional,
-    select_helper_proposed,
-)
+from .channel_model import ChannelParams, g_joint, p_success_direct, q_function
+from .stochastic_geometry import RegionAreas, lens_area, nn_distance_pdf, tier_region_areas
 from .analytic_bounds import (
     BoundPair,
     TierProbabilityVector,
@@ -60,22 +39,10 @@ __all__ = [
     "q_function",
     "p_success_direct",
     "g_joint",
-    "shadowing_sample",
-    "NetworkRealization",
     "RegionAreas",
-    "sample_ppp",
     "lens_area",
     "tier_region_areas",
-    "classify_helper_tier",
     "nn_distance_pdf",
-    "LinkClass",
-    "HelperCandidate",
-    "SelectionOutcome",
-    "classify_link",
-    "enumerate_candidates",
-    "select_helper_proposed",
-    "select_helper_conventional",
-    "run_exchange",
     "BoundPair",
     "TierProbabilityVector",
     "h_integral",

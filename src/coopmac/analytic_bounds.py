@@ -86,6 +86,7 @@ import numpy as np
 from .channel_model import (  # noqa: F401
     ChannelParams,
     _p_success,
+    check_channel,
     g_joint,
     p_success_direct,
     tier_bracket,
@@ -172,6 +173,7 @@ def h_integral(
     if not 0 <= r_min <= r_max:
         raise ValueError("need 0 <= r_min <= r_max, got %r and %r" % (r_min, r_max))
     check_conditioning(density, k)
+    check_channel(params)
     return float(_law_integral([(r_min, r_max, 1.0)], density, k, params)[0, 0])
 
 
@@ -220,6 +222,7 @@ def tier_bound_pair(regime: str, tier: int, r_k: float, params: ChannelParams = 
     check_integer("tier", tier, 1, CLASS_TIERS[REGIMES[regime][2]])
     if tier == 1 and REGIMES[regime][0] >= TIER1_MAX_SEPARATION:
         raise ValueError("tier 1 is infeasible for %s links (r_k > 96.4)" % regime)
+    check_channel(params)
     worst, best = tier_bracket(REGIMES[regime][2], np.array([float(r_k)]), params)
     return _bound_pair(float(worst[tier - 1]), float(best[tier - 1, 0]))
 
@@ -288,6 +291,7 @@ def link_bounds_at_distance(
     """
     check_band(regime, HELPER_REGIMES, r_k)
     check_conditioning(density, k, density_optional=True)
+    check_channel(params)
     lower, upper = _link_bounds(regime, np.array([float(r_k)]), density, k, params)[:, 0]
     return _bound_pair(float(lower), float(upper))
 
@@ -512,6 +516,7 @@ def averaged_bounds(
     check_band(regime, HELPER_REGIMES)
     a, b, _ = REGIMES[regime]
     mass = band_mass(regime, density, k)
+    check_channel(params)
     share = mass if k is None else 1.0
     lower, upper = _law_integral([(a, b, regime)], density, k, params, tol * mass)[0] / share
     return _bound_pair(lower, upper)
@@ -533,6 +538,7 @@ def total_throughput_bounds(
     parts plus share x `averaged_bounds` of each helper regime.
     """
     band_mass("all", density, k)
+    check_channel(params)
     parts = []
     for regime in DIRECT_CLASSES + HELPER_REGIMES:
         a, b, link_class = REGIMES[regime]

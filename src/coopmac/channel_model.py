@@ -69,9 +69,15 @@ class ChannelParams:
     def mu(self) -> float:
         return 10.0 * self.alpha / self.sigma_sh
 
-    def mean_rx_power(self, distance):
-        """Deterministic part of the received power (dBm) at `distance` m."""
-        return self.pt + self.k_const - 10.0 * self.alpha * np.log10(distance)
+
+def check_channel(params):
+    """Check that `params` is a `ChannelParams`, whose fields its construction checked.
+
+    Every public entry point that takes channel parameters checks them
+    here; anything else, None among it, raises ValueError.
+    """
+    if not isinstance(params, ChannelParams):
+        raise ValueError("channel parameters must be a ChannelParams, got %r" % (params,))
 
 
 def q_function(x):
@@ -95,6 +101,7 @@ def p_success_direct(distance, params: ChannelParams = ChannelParams()):
 
     Equals Q(nu + mu*log10(d)); strictly decreasing in d.
     """
+    check_channel(params)
     return _p_success(_check_distance(distance), params)
 
 
@@ -223,14 +230,3 @@ def tier_q_bracket(r):
     bands allow.  No validation.
     """
     return _WORST_Q, _at_best(r, len(_WORST_Q), np.square, np.add)
-
-
-def shadowing_sample(distance, params: ChannelParams, rng, size=None):
-    """Draw received power(s) in dBm for a hop of length `distance`.
-
-    Path-loss mean plus a fresh zero-mean Gaussian of std sigma_sh per
-    draw.  `rng` is a numpy Generator; `size` follows numpy conventions.
-    """
-    d = _check_distance(distance)
-    mean = params.mean_rx_power(d)
-    return mean + rng.normal(0.0, params.sigma_sh, size=size if size is not None else np.shape(mean) or None)

@@ -114,7 +114,7 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .channel_model import ChannelParams, g_joint, log_ps_concave, p_success_direct, tier_bracket
+from .channel_model import ChannelParams, check_channel, g_joint, log_ps_concave, p_success_direct, tier_bracket
 from .stochastic_geometry import (
     BAND_2,
     BAND_55,
@@ -171,8 +171,9 @@ class ExperimentConfig:
 
     Every field is checked on construction, each density and k by
     `stochastic_geometry.check_conditioning` (a density before it is
-    converted to float), and trials, base_seed and chunk_size by
-    `stochastic_geometry.check_integer`; a failed check raises ValueError.
+    converted to float), trials, base_seed and chunk_size by
+    `stochastic_geometry.check_integer`, and channel by
+    `channel_model.check_channel`; a failed check raises ValueError.
     The CLI runs its experiment fields through this class.
     """
 
@@ -204,6 +205,7 @@ class ExperimentConfig:
         check_band(self.regime, REGIMES)
         if self.estimator_mode not in ("analytic", "sampled"):
             raise ValueError("estimator_mode must be 'analytic' or 'sampled'")
+        check_channel(self.channel)
 
 
 @dataclass(frozen=True)
@@ -800,6 +802,7 @@ def contour_grid(regime: str, r_k: Optional[float] = None, resolution: float = 0
     check_band(regime, HELPER_REGIMES, r_k)
     if not 0 < resolution < np.inf:
         raise ValueError("resolution must be positive and finite, got %r" % (resolution,))
+    check_channel(params)
     link_class = REGIMES[regime][2]
     reach = TIER_REACH[CLASS_TIERS[link_class] - 1]
     axes = (-reach, r_k + reach + resolution), (-reach, reach + resolution)

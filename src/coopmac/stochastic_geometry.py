@@ -1,4 +1,4 @@
-"""Poisson point process sampling and helper-tier geometry.
+"""Helper-tier geometry.
 
 The helper tiers of a source-destination (S-D) link are defined by distance
 bands on the two hop lengths (d_SH, d_HD).  The band edges 48.2 / 67.1 /
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
@@ -138,23 +137,6 @@ def check_conditioning(density, k=None, density_optional=False):
 
 
 @dataclass(frozen=True)
-class NetworkRealization:
-    """One sampled PPP: density, observation window, node coordinates.
-
-    `window` is (xmin, ymin, xmax, ymax) in meters; `nodes` is an (n, 2)
-    float array.  Immutable after construction.
-    """
-
-    density: float
-    window: tuple
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float).reshape(-1, 2))
-        self.nodes.setflags(write=False)
-
-
-@dataclass(frozen=True)
 class RegionAreas:
     """Per-tier region areas (m^2) for one link, indexed by tier."""
 
@@ -166,48 +148,36 @@ class RegionAreas:
         return self.areas[tier - 1]
 
 
-def sample_ppp(density: float, window, seed) -> NetworkRealization:
-    """Sample a homogeneous PPP of the given density on a rectangle.
-
-    Parameters
-    ----------
-    density : nodes per square meter (> 0)
-    window : (xmin, ymin, xmax, ymax) in meters
-    seed : int or numpy Generator
-
-    The node count is Poisson(density * area) and positions are i.i.d.
-    uniform; the draw is deterministic for a fixed integer seed.
-    """
-    check_conditioning(density)
-    xmin, ymin, xmax, ymax = map(float, window)
-    if not (xmax > xmin and ymax > ymin):
-        raise ValueError("window must be a non-degenerate rectangle")
-    rng = np.random.default_rng(seed)
-    area = (xmax - xmin) * (ymax - ymin)
-    n = rng.poisson(density * area)
-    xy = np.column_stack(
-        (rng.uniform(xmin, xmax, n), rng.uniform(ymin, ymax, n))
-    )
-    return NetworkRealization(density=density, window=(xmin, ymin, xmax, ymax), nodes=xy)
-
-
 def lens_area(r1, r2, separation):
     """Intersection area of two circles of radii r1, r2 (m^2).
 
     Uses the standard lens formula, or near external tangency, where its
     terms cancel, the series of `_thin_lens`; separations beyond r1+r2 give
     0 and separations below |r1-r2| give the full smaller circle.
-    `separation` may be an array.
+    `separation` may be an array.  Each radius must lie in _LENS_RADII,
+    1e-60 to 1e75 m, where the formula neither overflows nor underflows, and
+    each separation must be non-negative; a separation so much smaller than
+    equal radii that the formula would give NaN is rejected too.  A failed
+    check raises ValueError.
     """
     r1 = float(r1)
     r2 = float(r2)
-    if not (r1 > 0 and r2 > 0):  # NaN radii fail too
-        raise ValueError("circle radii must be positive")
+    lo, hi = _LENS_RADII
+    if not (lo <= r1 <= hi and lo <= r2 <= hi):  # NaN and infinite radii fail too
+        raise ValueError("circle radii must lie in [%g, %g] m, got %r and %r" % (lo, hi, r1, r2))
     d = np.asarray(separation, dtype=float)
     if not np.all(d >= 0):
         raise ValueError("separation must be non-negative")
     out = _lens(r1, r2, np.atleast_1d(d))
+    if np.isnan(out).any():
+        raise ValueError("the lens formula underflows at radii %r and %r and these separations" % (r1, r2))
     return float(out[0]) if d.ndim == 0 else out
+
+
+# the kite of `_lens`, (r1 + r2 - d)(d + r1 - r2)(d - r1 + r2)(d + r1 + r2), is 16 times the squared area of the
+# triangle of sides r1, r2 and d: at most (r1 + r2)^4 / 4, finite up to r1 + r2 of 1.6e77 m, and at a relative
+# 1e-16 from tangency still a normal float from radii of 1e-73 m on
+_LENS_RADII = (1e-60, 1e75)
 
 
 # the limits overwrite whatever d = 0 (a division by 0) and d = inf (inf - inf) give the formula
@@ -983,18 +953,6 @@ def tier_index(d_sh, d_hd, link_class: str):
     """Vectorized tier lookup; 0 means the helper is not beneficial."""
     check_band(link_class, CLASS_TIERS)
     return _TIER_TABLES[link_class][hop_band(d_sh), hop_band(d_hd)]
-
-
-def classify_helper_tier(d_sh: float, d_hd: float, link_class: str) -> Optional[int]:
-    """Tier of a helper with hop distances (d_sh, d_hd), or None.
-
-    Distance bands are half-open ([0,48.2), [48.2,67.1), [67.1,74.7)), so a
-    hop of exactly 48.2 m falls in the 5.5 Mbps band.
-    """
-    if not (d_sh >= 0 and d_hd >= 0):  # NaN hops fail too
-        raise ValueError("hop distances must be non-negative")
-    t = int(tier_index(d_sh, d_hd, link_class))
-    return t if t else None
 
 
 def nn_distance_band(a, b, density, k):

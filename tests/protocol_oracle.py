@@ -1,4 +1,4 @@
-"""Link classification, helper selection, and the score of one exchange.
+"""The object-level oracle of helper selection: one sampled network, node by node.
 
 A link is classed A/B/C/D by its length, with direct rates 11/5.5/2/1
 Mbps.  For the slow classes (C and D) a helper relays the frame over two
@@ -10,7 +10,16 @@ index) and inside each tier in order of decreasing joint success
 probability; the conventional baseline picks uniformly at random among all
 beneficial helpers.  `run_exchange` scores the first helper of an order
 as rate x success probability, the metric of the simulator's analytic
-mode; it is the object-level oracle of the vectorized kernel.
+mode.  The nodes come from `sample_ppp`, a PPP on a rectangle, or from any
+point set wrapped in a `NetworkRealization`; `shadowing_sample` draws the
+received power of a hop, whose threshold crossing `p_success_direct` gives
+in closed form.
+
+This module is an oracle of the vectorized simulator in `monte_carlo`,
+which does the same selection as a tier-first draw and a max-G reduction.
+It is kept independent of it: it reads only the public names of
+`channel_model` and `stochastic_geometry` (`tests/test_layers.py` checks
+this), and no module of the package imports it.
 """
 
 from __future__ import annotations
@@ -20,18 +29,96 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .channel_model import ChannelParams, g_joint, p_success_direct
-from .stochastic_geometry import (
+from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
+from coopmac.stochastic_geometry import (
     BAND_RATES,
     CLASS_NAMES,
     CLASS_TIERS,
     MAX_RANGE,
     TIER_RATES,
-    NetworkRealization,
+    check_conditioning,
     hop_band,
     tier_index,
 )
 
+
+# ------------------------------------------------------------------ the network
+
+@dataclass(frozen=True)
+class NetworkRealization:
+    """One sampled PPP: density, observation window, node coordinates.
+
+    `window` is (xmin, ymin, xmax, ymax) in meters; `nodes` is an (n, 2)
+    float array.  Immutable after construction.
+    """
+
+    density: float
+    window: tuple
+    nodes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float).reshape(-1, 2))
+        self.nodes.setflags(write=False)
+
+
+def sample_ppp(density: float, window, seed) -> NetworkRealization:
+    """Sample a homogeneous PPP of the given density on a rectangle.
+
+    Parameters
+    ----------
+    density : nodes per square meter (> 0)
+    window : (xmin, ymin, xmax, ymax) in meters
+    seed : int or numpy Generator
+
+    The node count is Poisson(density * area) and positions are i.i.d.
+    uniform; the draw is deterministic for a fixed integer seed.
+    """
+    check_conditioning(density)
+    xmin, ymin, xmax, ymax = map(float, window)
+    if not (xmax > xmin and ymax > ymin):
+        raise ValueError("window must be a non-degenerate rectangle")
+    rng = np.random.default_rng(seed)
+    area = (xmax - xmin) * (ymax - ymin)
+    n = rng.poisson(density * area)
+    xy = np.column_stack(
+        (rng.uniform(xmin, xmax, n), rng.uniform(ymin, ymax, n))
+    )
+    return NetworkRealization(density=density, window=(xmin, ymin, xmax, ymax), nodes=xy)
+
+
+def classify_helper_tier(d_sh: float, d_hd: float, link_class: str) -> Optional[int]:
+    """Tier of a helper with hop distances (d_sh, d_hd), or None.
+
+    Distance bands are half-open ([0,48.2), [48.2,67.1), [67.1,74.7)), so a
+    hop of exactly 48.2 m falls in the 5.5 Mbps band.
+    """
+    if not (d_sh >= 0 and d_hd >= 0):  # NaN hops fail too
+        raise ValueError("hop distances must be non-negative")
+    t = int(tier_index(d_sh, d_hd, link_class))
+    return t if t else None
+
+
+# ------------------------------------------------------------------ the channel
+
+def mean_rx_power(distance, params: ChannelParams):
+    """Deterministic part of the received power (dBm) at `distance` m."""
+    return params.pt + params.k_const - 10.0 * params.alpha * np.log10(distance)
+
+
+def shadowing_sample(distance, params: ChannelParams, rng, size=None):
+    """Draw received power(s) in dBm for a hop of length `distance`.
+
+    Path-loss mean plus a fresh zero-mean Gaussian of std sigma_sh per
+    draw.  `rng` is a numpy Generator; `size` follows numpy conventions.
+    """
+    d = np.asarray(distance, dtype=float)
+    if not np.all(d > 0):  # a NaN distance fails too
+        raise ValueError("distance must be positive")
+    mean = mean_rx_power(d, params)
+    return mean + rng.normal(0.0, params.sigma_sh, size=size if size is not None else np.shape(mean) or None)
+
+
+# ----------------------------------------------------------------- the protocol
 
 @dataclass(frozen=True)
 class LinkClass:

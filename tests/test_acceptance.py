@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 
 from coopmac.analytic_bounds import averaged_bounds, total_throughput_bounds
-from coopmac.channel_model import ChannelParams, g_joint, p_success_direct, shadowing_sample
+from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
 from coopmac.cli import main
 from coopmac.monte_carlo import DENSITY_GRID, ExperimentConfig, contour_grid, estimate_throughput
 from coopmac.stochastic_geometry import lens_area, tier_index, tier_region_areas
+from protocol_oracle import shadowing_sample
 
 PARAMS = ChannelParams()
 

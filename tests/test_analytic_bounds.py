@@ -136,7 +136,8 @@ def test_tier_probs_validation():
 
 def test_tier_probs_match_simulation_frequency():
     # independent oracle: greedy tier-priority selection over PPP draws
-    from coopmac.stochastic_geometry import sample_ppp, tier_index
+    from coopmac.stochastic_geometry import tier_index
+    from protocol_oracle import sample_ppp
 
     lam, r_k = 0.002, 70.0
     hits = np.zeros(4)  # tiers 1..3 plus residual

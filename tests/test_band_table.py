@@ -1,10 +1,11 @@
 """One class-range rule for every public entry point that takes a link length,
-and one density and k rule for every entry point that takes those.
+one density and k rule for every entry point that takes those, and one
+channel rule for every entry point that takes channel parameters.
 
 The link-length band of a class or regime is closed: the band edges
 themselves are accepted, and the nearest doubles outside them are rejected,
-whichever function is called.  A density must be finite and positive, and k
-an integer >= 1 that is not a bool.
+whichever function is called.  A density must be finite and positive, k
+an integer >= 1 that is not a bool, and channel parameters a ChannelParams.
 """
 
 import numpy as np
@@ -20,8 +21,10 @@ from coopmac.analytic_bounds import (
     total_throughput_bounds,
     type_ab_throughput,
 )
+from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
 from coopmac.monte_carlo import ExperimentConfig, contour_grid
-from coopmac.stochastic_geometry import check_band, nn_distance_pdf, sample_ppp, tier_region_areas
+from coopmac.stochastic_geometry import check_band, nn_distance_pdf, tier_region_areas
+from protocol_oracle import sample_ppp
 
 # entry point -> call with (link class, regime, r_k)
 ENTRY_POINTS = {
@@ -116,3 +119,32 @@ def test_k_nearest_integrals_need_a_density(entry):
 @pytest.mark.parametrize("entry", NO_DENSITY_UNDER_K)
 def test_k_nearest_forms_take_no_density(entry):
     CONDITIONING_ENTRIES[entry](None, 10)
+
+
+# entry point -> call with channel parameters
+CHANNEL_ENTRIES = {
+    "p_success_direct": lambda p: p_success_direct(50.0, p),
+    "g_joint": lambda p: g_joint(30.0, 40.0, p),
+    "h_integral": lambda p: h_integral(0.0, 48.2, None, 0.001, p),
+    "type_ab_throughput": lambda p: type_ab_throughput("A", None, 0.001, p),
+    "tier_bound_pair": lambda p: tier_bound_pair("C", 2, 70.0, p),
+    "link_bounds_at_distance": lambda p: link_bounds_at_distance("C", 70.0, density=0.001, params=p),
+    "averaged_bounds": lambda p: averaged_bounds("C", 0.001, params=p),
+    "total_throughput_bounds": lambda p: total_throughput_bounds(0.001, params=p),
+    "contour_grid": lambda p: contour_grid("C", resolution=5.0, params=p),
+    "ExperimentConfig": lambda p: ExperimentConfig(channel=p),
+}
+
+
+# None used to fail later, with an AttributeError from the arithmetic ('NoneType' object has no attribute 'nu')
+@pytest.mark.parametrize("params", [None, ChannelParams, {"sigma_sh": 6.0}, "default"],
+                         ids=["None", "class", "dict", "str"])
+@pytest.mark.parametrize("entry", CHANNEL_ENTRIES)
+def test_channel_parameters_other_than_a_channelparams_rejected(entry, params):
+    with pytest.raises(ValueError, match="channel parameters must be a ChannelParams"):
+        CHANNEL_ENTRIES[entry](params)
+
+
+@pytest.mark.parametrize("entry", CHANNEL_ENTRIES)
+def test_a_channelparams_accepted(entry):
+    CHANNEL_ENTRIES[entry](ChannelParams(sigma_sh=8.0))

@@ -348,14 +348,38 @@ def test_selftest_passes(capsys):
     assert "PASS" in printed
 
 
-def test_python_m_coopmac_runs_the_cli_from_a_checkout(capsys):
-    argv = ["bounds", "--class", "C", "--lambda", "0.001 0.004", "--conditioning", "k=10"]
+def _run_module(module, argv, text=True):
+    """`python -m <module> <argv>` in a subprocess, with the checkout's `src/` on the path."""
     src = str(Path(__file__).parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-m", "coopmac", *argv], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env, capture_output=True, text=text, timeout=120)
+
+
+def test_python_m_coopmac_runs_the_cli_from_a_checkout(capsys):
+    argv = ["bounds", "--class", "C", "--lambda", "0.001 0.004", "--conditioning", "k=10"]
+    done = _run_module("coopmac", argv)
     assert done.returncode == 0, done.stderr
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+# `__main__.py`'s guard and `cli.py`'s own
+@pytest.mark.parametrize("module", ["coopmac", "coopmac.cli"])
+def test_each_main_guard_prints_what_main_prints(module, capsys):
+    argv = ["bounds", "--class", "C", "--lambda", "0.001"]
+    done = _run_module(module, argv, text=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == b""
+    assert main(argv) == 0
+    assert done.stdout == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("module", ["coopmac", "coopmac.cli"])
+def test_each_main_guard_exits_1_without_a_subcommand(module):
+    done = _run_module(module, [])
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "usage error: a subcommand is required (bounds, simulate, contour, reproduce, selftest)\n"
 
 
 @pytest.mark.parametrize("argv", [

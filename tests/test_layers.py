@@ -13,7 +13,10 @@ tracer can find them; `__init__` uses what its `__all__` names.  Every
 used, so every memo of the package is bounded.  No module uses
 `numpy.linalg`: the first LAPACK call of a process allocates the BLAS
 buffers, about a megabyte of resident memory, so small solves are written
-out (`within_tier._solve`).
+out (`within_tier._solve`).  The object-level oracle of helper selection
+(`tests/protocol_oracle.py`) stays independent of the simulator it checks:
+it imports only public names of `channel_model` and `stochastic_geometry`,
+and no package module imports anything under `tests/`.
 """
 
 import ast
@@ -22,6 +25,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "coopmac"
+TESTS = Path(__file__).parent
+ORACLE = TESTS / "protocol_oracle.py"
+ORACLE_READS = {"channel_model", "stochastic_geometry"}
 TRACING = Path(__file__).parents[1] / "bench" / "tracing.py"
 ALLOWED = {
     "monte_carlo": {"channel_model", "stochastic_geometry", "within_tier"},
@@ -89,6 +95,75 @@ def test_a_stale_import_is_found():
     source = (SRC / "analytic_bounds.py").read_text()
     assert unused_imports(source, "analytic_bounds") == []
     assert "nn_distance_pdf" in unused_imports(source, "monte_carlo")
+
+
+def oracle_leaks(source):
+    """What `source` imports of the package beyond the public names of ORACLE_READS, sorted.
+
+    Each other package module, or the package itself, as "coopmac.<module>"
+    or "coopmac", and each `_`-prefixed name as "coopmac.<module>.<name>".
+    """
+    leaks = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coopmac":
+            if node.module == "coopmac":  # from coopmac import <module or name>
+                leaks.update("coopmac." + a.name for a in node.names if a.name not in ORACLE_READS)
+            elif node.module.split(".")[1] in ORACLE_READS:
+                leaks.update(node.module + "." + a.name for a in node.names if a.name.startswith("_"))
+            else:
+                leaks.add(node.module)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, module = alias.name.partition(".")
+                if top == "coopmac" and module.split(".")[0] not in ORACLE_READS:
+                    leaks.add(alias.name)
+    return sorted(leaks)
+
+
+def test_protocol_oracle_reads_only_public_channel_and_geometry_names():
+    assert oracle_leaks(ORACLE.read_text()) == []
+
+
+def test_an_oracle_leak_is_found():
+    source = ORACLE.read_text()
+    block = "from coopmac.stochastic_geometry import (\n"
+    assert block in source
+    # a private kernel of the geometry, and the simulator the oracle checks
+    assert oracle_leaks(source.replace(block, block + "    _lens,\n", 1)) == ["coopmac.stochastic_geometry._lens"]
+    for extra, leak in (("from coopmac.monte_carlo import estimate_throughput\n", "coopmac.monte_carlo"),
+                        ("from coopmac import within_tier\n", "coopmac.within_tier"),
+                        ("import coopmac.monte_carlo as mc\n", "coopmac.monte_carlo"),
+                        ("import coopmac\n", "coopmac"),
+                        ("from coopmac.channel_model import _p_success\n", "coopmac.channel_model._p_success"),
+                        ("from coopmac import lens_area\n", "coopmac.lens_area")):
+        assert oracle_leaks(source + extra) == [leak], extra
+    assert oracle_leaks("from coopmac import channel_model\nimport coopmac.stochastic_geometry as sg\n") == []
+
+
+def imports_from_tests(source):
+    """The modules under `tests/`, or `tests` itself, that `source` imports, sorted."""
+    local = {path.stem for path in TESTS.glob("*.py")} | {"tests"}
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+    return sorted(found & local)
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_package_module_imports_from_tests(module):
+    assert imports_from_tests((SRC / (module + ".py")).read_text()) == []
+
+
+def test_an_import_from_tests_is_found():
+    source = (SRC / "monte_carlo.py").read_text()
+    assert imports_from_tests(source) == []
+    for extra, found in (("from protocol_oracle import run_exchange\n", ["protocol_oracle"]),
+                         ("import box_ppp_oracle\n", ["box_ppp_oracle"]),
+                         ("from tests.protocol_oracle import sample_ppp\n", ["tests"])):
+        assert imports_from_tests(source + extra) == found, extra
 
 
 

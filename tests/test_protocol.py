@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from coopmac.channel_model import ChannelParams, g_joint, p_success_direct
-from coopmac.protocol import (
+from coopmac.stochastic_geometry import TIER_RATES
+from protocol_oracle import (
     HelperCandidate,
+    NetworkRealization,
     classify_link,
     enumerate_candidates,
     run_exchange,
     select_helper_conventional,
     select_helper_proposed,
 )
-from coopmac.stochastic_geometry import TIER_RATES, NetworkRealization
 
 PARAMS = ChannelParams()
 

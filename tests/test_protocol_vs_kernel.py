@@ -14,8 +14,8 @@ import pytest
 
 from box_ppp_oracle import _helper_points, _select_helpers
 from coopmac.channel_model import ChannelParams, p_success_direct
-from coopmac.protocol import enumerate_candidates, run_exchange, select_helper_proposed
-from coopmac.stochastic_geometry import BAND_RATES, TIER_RATES, NetworkRealization, check_band, hop_band
+from coopmac.stochastic_geometry import BAND_RATES, TIER_RATES, check_band, hop_band
+from protocol_oracle import NetworkRealization, enumerate_candidates, run_exchange, select_helper_proposed
 
 PARAMS = ChannelParams()
 N_LINKS = 300

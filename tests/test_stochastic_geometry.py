@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -10,16 +12,15 @@ from coopmac.stochastic_geometry import (
     BAND_EDGES,
     TIER1_MAX_SEPARATION,
     TIER_BANDS,
-    classify_helper_tier,
     cumulative_areas,
     lens_area,
     nn_distance_band,
     nn_distance_pdf,
-    sample_ppp,
     tier_areas,
     tier_index,
     tier_region_areas,
 )
+from protocol_oracle import classify_helper_tier, sample_ppp
 
 
 # ---------------------------------------------------------------- sample_ppp
@@ -210,6 +211,47 @@ def test_lens_rejects_bad_inputs():
     # the limits, with no warning from the formula they replace
     assert lens_area(48.2, 30.0, [0.0, np.inf]).tolist() == [np.pi * 30.0 ** 2, 0.0]
     assert lens_area(48.2, 48.2, [0.0, 1e200]).tolist() == [np.pi * 48.2 ** 2, 0.0]
+
+
+@pytest.mark.parametrize("r1,r2,d", [
+    (np.inf, np.inf, 5.0),  # was a silent NaN
+    (np.inf, 48.2, 10.0),
+    (1e200, 1e200, 1.0),  # was an OverflowError from r1 ** 2
+    (1e150, 1e150, 1e150),  # the kite's product of four lengths overflowed: a silent 0
+    (1e-150, 1e-150, 1e-150),  # ... and underflowed: the sectors alone, 2 pi r^2 / 3 for 1.23 r^2
+])
+def test_lens_rejects_radii_out_of_range(r1, r2, d):
+    with pytest.raises(ValueError, match="circle radii must lie in"):
+        lens_area(r1, r2, d)
+
+
+def test_lens_rejects_a_separation_whose_formula_underflows():
+    # equal radii 1e-60 m apart by 1e-300 m: the arccos argument is 0 / 0
+    with pytest.raises(ValueError, match="underflows"):
+        lens_area(1e-60, 1e-60, 1e-300)
+    # at the ends of the range, the lens of two equal circles a radius apart is r^2 (2 pi / 3 - sqrt(3) / 2)
+    for r in (1e-60, 1e75):
+        assert lens_area(r, r, r) == pytest.approx(r * r * (2 * np.pi / 3 - np.sqrt(3) / 2), rel=1e-12)
+
+
+def _lens_grid():
+    """(r1, r2, separations) over radii from 1 mm to 1000 km: both limits, the formula, and the thin series."""
+    radii = (1e-3, 0.5, 10.0, 30.0, 48.2, 67.1, 74.7, 100.0, 1e3, 1e6)
+    for r1 in radii:
+        for r2 in radii:
+            reach = r1 + r2
+            yield r1, r2, np.concatenate(([0.0, abs(r1 - r2), reach, np.inf], reach * np.linspace(0.02, 1.2, 60),
+                                          reach * (1.0 - np.logspace(-12, -1, 23))))
+
+
+def test_lens_area_keeps_its_bits_in_range():
+    # the range checks move no result: the digest and selftest's three lenses are those from before them
+    digest = hashlib.sha256()
+    for r1, r2, d in _lens_grid():
+        digest.update(lens_area(r1, r2, d).tobytes())
+    assert digest.hexdigest() == "8fb74e538eecd13d0c74367122d0d15b112949057913c89dab6a4021139249e3"
+    assert [lens_area(48.2, 48.2, d).hex() for d in (0.0, 96.4, 70.0)] == [
+        "0x1.c82ac78afadbdp+12", "0x0.0p+0", "0x1.2caf035d0cb28p+10"]
 
 
 # ---------------------------------------------------------- tier region areas

@@ -37,7 +37,6 @@ from coopmac.stochastic_geometry import (
     BAND_2,
     BAND_EDGES,
     REGIMES,
-    classify_helper_tier,
     cumulative_areas,
     tier_arc,
     tier_arc_y2,
@@ -46,6 +45,7 @@ from coopmac.stochastic_geometry import (
 )
 from moment_oracle import region_area_within
 from plain_scoring import plain_chunk
+from protocol_oracle import classify_helper_tier
 from test_conventional_oracle import _yardstick
 from within_tier_reference import KNOTS, RATES, arc_mean_g, nearest_node, node_lengths, sure_share, uniform
 
