@@ -538,11 +538,6 @@ class _TierChoice(NamedTuple):
     probability that a link settles on each tier or region, and void the
     probability that it has no helper (`stochastic_geometry.choice_law`),
     the two that centre the control variate (`within_tier.control`).
-    moments holds, for the conventional scheme, the second moments J and I
-    of each chosen region about the S-D midpoint and line (`tier_areas`),
-    from which `within_tier._region_means` takes the means that centre the
-    terms of its control, and `within_tier._quadratic` the covariances of
-    its analytic-mode terms (None for the proposed scheme).
     """
 
     has: np.ndarray
@@ -551,7 +546,6 @@ class _TierChoice(NamedTuple):
     load: Optional[np.ndarray]
     law: np.ndarray
     void: np.ndarray
-    moments: Optional[tuple] = None
 
 
 def _tier_choice(rng, r, density, k, scheme):
@@ -563,8 +557,7 @@ def _tier_choice(rng, r, density, k, scheme):
     helper uniformly from the union of the regions.  `_best_g` then draws the
     helpers of the chosen tier.
     """
-    # the conventional regions' moments come from the same lens pass as their areas
-    areas, *moments = tier_areas(r, moments=True) if scheme == "conventional" else (tier_areas(r),)
+    areas = tier_areas(r)
     u = rng.random(r.size)
     law, void, cum = choice_law(scheme, areas, r, density, k)
     if scheme == "proposed":
@@ -577,9 +570,7 @@ def _tier_choice(rng, r, density, k, scheme):
     # given a helper, region j with probability S_j / S_total; w < S_total, so S_j > 0
     w = rng.random(has.size) * cum[-1, has]
     tier = 1 + np.sum(cum[:, has] <= w, axis=0)
-    # the chosen regions' moments alone, so that no (5, len(r)) array outlives the choice
-    moments = tuple(x[tier - 1, has] for x in moments)
-    return _TierChoice(has, tier, areas[tier - 1, has], None, law, void, moments)
+    return _TierChoice(has, tier, areas[tier - 1, has], None, law, void)
 
 
 def _best_g(rng, r, choice, k, params, which=slice(None)):

@@ -152,13 +152,15 @@ def lens_area(r1, r2, separation):
     """Intersection area of two circles of radii r1, r2 (m^2).
 
     Uses the standard lens formula, or near external tangency, where its
-    terms cancel, the series of `_thin_lens`; separations beyond r1+r2 give
-    0 and separations below |r1-r2| give the full smaller circle.
-    `separation` may be an array.  Each radius must lie in _LENS_RADII,
-    1e-60 to 1e75 m, where the formula neither overflows nor underflows, and
-    each separation must be non-negative; a separation so much smaller than
-    equal radii that the formula would give NaN is rejected too.  A failed
-    check raises ValueError.
+    terms cancel, and for radii more than _UNEQUAL apart, where the larger
+    circle's arccos loses its thin segment, the segments' own forms
+    (`_lens`); separations beyond r1+r2 give 0 and separations below
+    |r1-r2| give the full smaller circle.  `separation` may be an array.
+    Each radius must lie in _LENS_RADII, 1e-60 to 1e75 m, where the formula
+    neither overflows nor underflows, and each separation must be
+    non-negative; a separation so much smaller than equal radii that the
+    formula would give NaN is rejected too.  A failed check raises
+    ValueError.
     """
     r1 = float(r1)
     r2 = float(r2)
@@ -182,31 +184,25 @@ _LENS_RADII = (1e-60, 1e75)
 
 # the limits overwrite whatever d = 0 (a division by 0) and d = inf (inf - inf) give the formula
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _lens(r1, r2, d, moment=False):
+def _lens(r1, r2, d):
     """Lens areas of circles of radii r1, r2 at separations d >= 0 (an array), broadcast over all three.
 
     The lens formula, then its two limits: 0 from d = r1 + r2 on, where
     arccos(1 - eps) would leave a sliver, and the smaller circle up to
-    d = |r1 - r2|.  With `moment`, returns (area, J, I), J the lens's second
-    moment about the midpoint of the two centres, from the same arcs and
-    chord: J = ((r1^2 + d^2/2) A1 + (r2^2 + d^2/2) A2 - 3/2 (r1^2 + r2^2) T) / 2,
-    with A_i = r_i^2 alpha_i the sectors and T = d h the kite of the
-    half-chord h (each segment's moment about its centre, r^4 alpha / 2 for
-    its sector less a h (3 a^2 + h^2) / 6 for its triangle, moved to the
-    midpoint), and I its second moment about the line through the centres:
-    each arc's segment adds r^4 (alpha / 4 + s c (2 c^2 - 5) / 12), with
-    c = cos alpha the arccos argument and s = sin alpha (the sector's
-    r^4 (alpha - s c) / 4 less the triangle's r^4 s^3 c / 6), which sum,
-    through s r_i = h and c_1 r_1 + c_2 r_2 = d, to
-    I = (r1^2 A1 + r2^2 A2) / 4 + T ((d^2 - 3 (r1^2 + r2^2)) / 8 + h^2 / 3);
-    an enclosed circle gives pi r^4 / 4.  The area's bits do not depend on
-    `moment`.
-    Near external tangency the terms of all three cancel, and arccos near 1
-    loses digits: the formula's area keeps about 1e-16 (r / (r1 + r2 - d))^2
-    of itself, so it would be off by a relative 1e-3 at 2e-5 m from
-    tangency, and J and I by far more.  All three are taken there from
-    `_thin_lens`, which has no cancellation: where 0 < r1 + r2 - d <
-    _THIN min(r1, r2).  Apart or tangent circles have 0 for all three.  No
+    d = |r1 - r2|.  Near external tangency the formula's terms cancel, and
+    arccos near 1 loses digits: its area keeps about
+    1e-16 (r / (r1 + r2 - d))^2 of itself, so it would be off by a relative
+    1e-3 at 2e-5 m from tangency.  The area is taken there from its two
+    segments' series, which have no cancellation (`_segment_area`): where
+    0 < r1 + r2 - d < _THIN min(r1, r2), the segments' chords lying
+    a1 = (d^2 + r1^2 - r2^2) / (2 d) and d - a1 from their centres.  Where
+    one radius exceeds _UNEQUAL times the other, the larger circle's segment
+    is thin at every separation, and its arccos loses it: the formula's
+    error grows like the cube of the radii's ratio, and it gave 46.02 m^2
+    for the 1.5708 m^2 of radii 1 and 1e6 m at 1e6 m.  Those lenses are
+    taken segment by segment (`_unequal_lens`).  No tier lens, whose radii
+    lie within a factor 1.55 of each other, takes that path.  Apart or
+    tangent circles have 0.  No
     validation.
     """
     # a1 + a2 - tri with
@@ -225,18 +221,7 @@ def _lens(r1, r2, d, moment=False):
         x *= sa
         arcs.append(x)
     area, a2 = arcs
-    if moment:
-        # J = (r1^2 A1 + r2^2 A2 + d^2 (A1 + A2) / 2 - 3/2 (r1^2 + r2^2) T) / 2, its halves folded into
-        # the factors and a2's buffer reused for each term: a pass or a live array of a chunk's size
-        # costs more than the arithmetic
-        j = area * (0.5 * sq1)
     area += a2
-    if moment:
-        a2 *= 0.5 * sq2
-        j += a2
-        # I's sectors, (r1^2 A1 + r2^2 A2) / 4
-        axis = j * 0.5
-        j += np.multiply(area, 0.25 * d2, out=a2)
     tri = -d + r1
     tri += r2
     # both segments are thin where the circles are this close to external tangency
@@ -261,81 +246,67 @@ def _lens(r1, r2, d, moment=False):
     if thin.size:
         at = np.unravel_index(thin, area.shape)
         ra, rb, sep, kite = (np.broadcast_to(x, area.shape)[at] for x in (r1, r2, d, tri))
-        thin_area, thin_j, thin_axis = _thin_lens(ra, rb, sep, kite / sep, moment)
-        area[at] = thin_area
-    if not moment:
-        return area
-    # 0 from d = r1 + r2 on, where the arcs and the kite are; not floored, as near tangency `_thin_lens`
-    # gives them their sign
-    j -= np.multiply(tri, 0.75 * (sq1 + sq2), out=a2)
-    # I's triangles, T ((d^2 - 3 (r1^2 + r2^2)) / 8 + h^2 / 3) with h = T / d
-    part = np.multiply(tri, tri, out=a2)
-    part /= 3.0 * d2
-    part += 0.125 * d2
-    part -= 0.375 * (sq1 + sq2)
-    part *= tri
-    axis += part
-    if d2.max(initial=0.0) == np.inf:
-        # apart circles where d^2 overflows, whose terms are 0 x inf: 0, as their area is
-        np.copyto(j, 0.0, where=outside)
-        np.copyto(axis, 0.0, where=outside)
-    if thin.size:
-        j[at] = thin_j
-        axis[at] = thin_axis
-    if np.any(inside):
-        # the smaller circle: its polar moment pi r^4 / 2, moved by d / 2, and half of it about a diameter
-        r_in = np.minimum(r1, r2)
-        np.copyto(j, np.pi * r_in ** 2 * (0.5 * r_in ** 2 + 0.25 * d2), where=inside)
-        np.copyto(axis, 0.25 * np.pi * r_in ** 4, where=inside)
-    return area, j, axis
+        a1 = (sep * sep + ra * ra - rb * rb) / (2.0 * sep)
+        kite /= sep
+        area[at] = _segment_area(ra, a1, kite) + _segment_area(rb, sep - a1, kite)
+    big, small = np.maximum(r1, r2), np.minimum(r1, r2)
+    unequal = big > _UNEQUAL * small
+    if np.any(unequal):
+        at = np.nonzero(np.broadcast_to(unequal, area.shape))
+        area[at] = _unequal_lens(*(np.broadcast_to(x, area.shape)[at] for x in (big, small, d)))
+    return area
 
 
-# `_lens` takes a lens's area and moments from `_thin_lens` where r1 + r2 - d is positive and below this
-# share of the smaller radius; there each segment's half-angle is below sqrt(2 _THIN)
+# `_lens` takes a lens's area from its segments' series where r1 + r2 - d is positive and below this share of the
+# smaller radius, where each segment's half-angle is below sqrt(2 _THIN), and from `_unequal_lens` where one radius is
+# more than _UNEQUAL times the other, where the larger circle's segment has a half-angle below arcsin(1 / _UNEQUAL)
 _THIN = 0.0025
+_UNEQUAL = 4.0
 
 
-def _thin_lens(r1, r2, d, h, moment):
-    """(area, J, I) of `_lens` at lenses near external tangency, without cancellation (1-D arrays).
+def _unequal_lens(big, small, d):
+    """The area of `_lens` at lenses of radii big > _UNEQUAL small, segment by segment (1-D arrays).
 
-    h is the half-chord.  A segment of half-angle alpha has the area
-    r^2 (phi - sin phi) / 2 in phi = 2 alpha, and the moment about the
-    chord's midpoint r^4 (2 phi + phi cos phi - 3 sin phi) / 4; both are
-    summed as their series, exact to rounding for alpha up to 0.1, above the
-    0.071 that _THIN allows.  alpha = arctan2(h, a), with a the centre's
-    distance to the chord, is exact to rounding near 0, where arccos is not.
-    The chord's midpoint lies e = a1 - d / 2 from the centres' midpoint, so
-    J = sum_i (segment moments) + 2 e (F1 - F2) + e^2 (S1 + S2), with
-    F_i = r_i^3 (2 s^3 / 3 - c (alpha - s c)) each segment's first moment
-    about the chord, away from its centre, s and c the sine and cosine of
-    alpha and S_i the segment's area; e is 0 for equal radii.  I is the sum
-    of the segments' moments about the line of the centres, which is their
-    axis, r^4 (phi / 8 - sin phi / 6 + sin 2 phi / 48), also as its series.
-    Without `moment`, J and I are left at 0, for two thirds of the cost.
+    With e = d - big, exact as d lies within a factor 2 of big wherever the
+    circles meet, the circles are apart from e >= small on and the smaller
+    lies inside the larger up to e <= -small, tests that neither radius's
+    rounding can tip.  Between them the half-chord h is taken from the
+    kite's factors (small - e)(small + e)(d + big - small)(d + big + small),
+    and each chord's distance from its centre,
+    ((d - small)(d + small) + big^2) / (2 d) and
+    (e (d + big) + small^2) / (2 d), with no difference of nearly equal
+    terms, so that both segments keep their digits (`_segment_area`).
     """
-    a1 = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    e = a1 - 0.5 * d
-    area, j, axis = np.zeros(d.shape), np.zeros(d.shape), np.zeros(d.shape)
-    for r, a, sign in ((r1, a1, 1.0), (r2, d - a1, -1.0)):
-        phi = 2.0 * np.arctan2(h, a)
-        f2 = phi * phi
-        segment = r * r * phi ** 3 * (1 / 12 - f2 * (1 / 240 - f2 * (1 / 10080 - f2 * (1 / 725760 - f2 / 79833600))))
-        area += segment
-        if not moment:
-            continue
-        j += r ** 4 * phi ** 5 * (1 / 240 - f2 * (1 / 5040 - f2 * (1 / 241920 - f2 * (1 / 19958400 - f2 / 2490808320))))
-        first = (2.0 / 3.0) * h ** 3 - a * segment
-        j += sign * 2.0 * e * first + e * e * segment
-        axis += r ** 4 * phi ** 5 * (1 / 240 - f2 * (1 / 2016 - f2 * (1 / 34560 - f2 * (17 / 15966720
-                                                                                       - f2 * 31 / 1132185600))))
-    return area, j, axis
+    e = d - big
+    area = np.where(e <= -small, np.pi * small * small, 0.0)
+    lens = np.flatnonzero(np.abs(e) < small)
+    big, small, d, e = big[lens], small[lens], d[lens], e[lens]
+    h = np.sqrt((small - e) * (small + e) * (d + big - small) * (d + big + small)) / (2.0 * d)
+    area[lens] = (_segment_area(big, ((d - small) * (d + small) + big * big) / (2.0 * d), h)
+                  + _segment_area(small, (e * (d + big) + small * small) / (2.0 * d), h))
+    return area
+
+
+def _segment_area(r, a, h):
+    """Area of the segments of circles of radii r cut off by chords of half-length h that lie a from their centres (arrays).
+
+    A segment of half-angle alpha = arctan2(h, a), exact to rounding near 0
+    where arccos is not, has the area r^2 (phi - sin phi) / 2 in
+    phi = 2 alpha.  It is taken as its series where alpha lies below 0.1,
+    where the series is exact to rounding and the closed form
+    r^2 alpha - a h would cancel, and as that closed form above.
+    """
+    phi = 2.0 * np.arctan2(h, a)
+    f2 = phi * phi
+    series = r * r * phi ** 3 * (1 / 12 - f2 * (1 / 240 - f2 * (1 / 10080 - f2 * (1 / 725760 - f2 / 79833600))))
+    return np.where(phi < 0.2, series, r * r * (0.5 * phi) - a * h)
 
 
 # the radii of tier t's lens, its outer hop edges, in row t - 1 of two (tiers, 1) columns
 _LENS_R1, _LENS_R2 = (np.array([[BAND_EDGES[b + 1]] for b in bands]) for bands in zip(*TIER_BANDS))
 
 
-def tier_areas(r, moments=False):
+def tier_areas(r):
     """(5, n) tier-1..5 region areas of links of lengths r > 0 (a 1-D array); no validation.
 
     lens[t - 1] is the lens of tier t's outer hop edges.  It holds tier t and
@@ -346,27 +317,15 @@ def tier_areas(r, moments=False):
     tier 1's when a link lies below 96.4 m, tiers 4 and 5's when one lies
     from 74.7 m on.  The choice is for all of r, not per link: on the mixed
     links of a Monte Carlo chunk of the "all" regime, gathering each link's
-    lenses costs more than it saves.
-
-    With `moments`, returns (areas, J, I): J holds each region's second
-    moment about the S-D midpoint and I its second moment about the S-D
-    line, from the same lens pass (`_lens`) and the same combination of
-    lenses, which holds for moments as for areas, as the mirror image of a
-    lens about the perpendicular bisector of S-D has the same moments about
-    the midpoint and the line.  The areas keep their bits.  A helper
-    uniform in region j has a mean d_SH^2 + d_HD^2 of 2 J_j / S_j + r^2 / 2,
-    as d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 about the midpoint M, and a
-    mean squared distance from the S-D line of I_j / S_j.  Near its 96.4 m
-    tangency, for r in (96.28, 96.4) m, the tier-1 lens is thin, and its
-    area and moments are taken without cancellation (`_lens`).
+    lenses costs more than it saves.  Near its 96.4 m tangency, for r in
+    (96.28, 96.4) m, the tier-1 lens is thin, and its area is taken without
+    cancellation (`_lens`).  The areas alone: the moments of a link's own
+    region come from `tier_moments`.
     """
     first = 0 if np.any(r < TIER1_MAX_SEPARATION) else 1
     class_c = r < BAND_2
     last = CLASS_TIERS["C"] if class_c.all() else CLASS_TIERS["D"]
-    out = _lens(_LENS_R1[first:last], _LENS_R2[first:last], r, moment=moments)
-    if not moments:
-        return _regions(out, first, class_c)
-    return tuple(_regions(lens, first, class_c) for lens in out)
+    return _regions(_lens(_LENS_R1[first:last], _LENS_R2[first:last], r), first, class_c)
 
 
 def _regions(lens, first, class_c):
@@ -405,91 +364,36 @@ _REGION_COEF = _regions(np.eye(len(TIER_BANDS)), 0, np.zeros(len(TIER_BANDS), dt
 _REGION_COEF.setflags(write=False)
 
 
-def _lens_lists():
-    """Each tier's lenses of non-zero coefficient, tier 1's lens first where it has one, as a table of (tiers, 4) slots.
+def _own_regions(rows, measure, r, tier, *more):
+    """(rows, n): each link's own tier region's values of an additive measure, for 1-D arrays r and tier (1-based).
 
-    Returns the slots' rows a^2, b^2 and (a^2 - b^2) / 2 of the lens radii
-    and its coefficient, each flat in (tier, slot) order, the number of
-    lenses of each tier, and whether its first lens is tier 1's.
-    """
-    slots = np.zeros((4, len(TIER_BANDS), 4))
-    count = np.count_nonzero(_REGION_COEF, axis=1)
-    for i, row in enumerate(_REGION_COEF):
-        lens = np.flatnonzero(row)
-        a2, b2 = _LENS_R1[lens, 0] ** 2, _LENS_R2[lens, 0] ** 2
-        slots[:, i, :lens.size] = a2, b2, 0.5 * (a2 - b2), row[lens]
-    slots = slots.reshape(4, -1)
-    slots.setflags(write=False)
-    return slots, count, _REGION_COEF[:, 0] != 0.0
-
-
-_LENS_SLOTS, _LENS_COUNT, _HAS_TIER1_LENS = _lens_lists()
-
-
-def tier_area_within(r, tier, t):
-    """Area of each link's tier region within distance t of its S-D midpoint, for 1-D arrays r, tier and t.
-
-    This is B_i(s; r), the area of tier i's region where
-    d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 lies below s = 2 t^2 + r^2 / 2,
-    about the midpoint M.  Each tier lens cut by the disk about M is a
-    triple overlap (`_disk_lens`), and the tier's region is the combination
-    of `_regions` of those overlaps, as the disk is its own mirror image
-    about the perpendicular bisector of S-D.  Only the lenses of each link's
-    own tier are evaluated, and tier 1's lens not from 96.4 m on, where it
-    is empty.  No validation: r is a class C or D link length, at least
-    74.7 m for tiers 4 and 5, and t >= 0.
-    """
-    skip = r >= TIER1_MAX_SEPARATION
-    skip &= _HAS_TIER1_LENS[tier - 1]
-    count = _LENS_COUNT[tier - 1]
-    count -= skip
-    link = np.repeat(np.arange(r.size), count)
-    # the slot of each (link, lens) pair: its tier's first slot, past tier 1's lens where skipped
-    first = tier * 4
-    first -= 4
-    first += skip
-    first -= np.cumsum(count)
-    first += count
-    slot = first[link]
-    slot += np.arange(link.size)
-    a2, b2, sd, coef = np.take(_LENS_SLOTS, slot, axis=1)
-    area = _disk_lens(a2, b2, sd, r[link], t[link])
-    area *= coef
-    # a float array also where no lens is evaluated, for which bincount would count in integers
-    return np.bincount(link, weights=area, minlength=r.size).astype(float, copy=False)
-
-
-def tier_fourth_moments(r, tier):
-    """(3, n): the integrals of rho^4, rho^2 y^2 and y^4 over each link's tier region, for 1-D arrays r and tier.
-
-    rho = |H - M| is the distance from the S-D midpoint and y from the S-D
-    line.  Each row is the combination of `_regions` of the tier lenses'
-    moments (`_lens_fourth`), which holds as it does for the areas, as a
-    lens's mirror image about the perpendicular bisector of S-D has its
-    moments.  Each lens is evaluated only at the links whose tier's region
-    holds it, and tier 1's not where every such link lies from 96.4 m on,
-    where it is empty: sorted into the tier order `_TIER_ORDER`, each lens's
-    links are one slice.  A helper uniform in region j has the mean rho^4
-    P / S_j, and so on.  No validation: r is a class C or D link length, at
-    least 74.7 m for tiers 4 and 5.
+    measure(a, b, r, *more) gives the measure's (rows, m) values on the
+    tier lens of radii a about S and b about D at m links of lengths r, with
+    the matching slices of the per-link arrays `more`.  A region's values are the combination
+    of `_regions` of its lenses', which holds for any additive measure that
+    a lens's mirror image about the perpendicular bisector of S-D shares.
+    Each lens is evaluated only at the links whose tier's region holds it,
+    and tier 1's not where every such link lies from 96.4 m on, where it is
+    empty: sorted into the tier order `_TIER_ORDER`, each lens's links are
+    one slice.  The lenses are added in order, each times its coefficient,
+    to rows of 0.
     """
     order = np.argsort(_TIER_RANK.take(tier - 1), kind="stable")
-    length = r[order]
+    length, *more = (x[order] for x in (r, *more))
     # each tier's slice of the sorted links
     counts = np.bincount(tier - 1, minlength=len(TIER_BANDS))[_TIER_ORDER]
     ends = np.cumsum(counts)
     start, stop = dict(zip(_TIER_ORDER, (ends - counts).tolist())), dict(zip(_TIER_ORDER, ends.tolist()))
-    moments = np.zeros((3, r.size))
+    values = np.zeros((rows, r.size))
     for lens, tiers in enumerate(_LENS_TIERS):
         first, last = start[tiers[0]], stop[tiers[-1]]
         if first == last or (lens == 0 and length[first:last].min() >= TIER1_MAX_SEPARATION):
             continue
-        lens_moments = _lens_fourth(_LENS_R1[lens, 0], _LENS_R2[lens, 0], length[first:last])
+        lens_values = measure(_LENS_R1[lens, 0], _LENS_R2[lens, 0], length[first:last], *(x[first:last] for x in more))
         for t in tiers:
-            moments[:, start[t]:stop[t]] += _REGION_COEF[t, lens] * lens_moments[:, start[t] - first:stop[t] - first]
-    out = np.empty((3, r.size))
-    for row, sorted_row in zip(out, moments):
-        row[order] = sorted_row
+            values[:, start[t]:stop[t]] += _REGION_COEF[t, lens] * lens_values[:, start[t] - first:stop[t] - first]
+    out = np.empty((rows, r.size))
+    out[:, order] = values
     return out
 
 
@@ -500,25 +404,61 @@ _TIER_RANK = np.argsort(_TIER_ORDER).astype(np.int8)
 _LENS_TIERS = tuple(tuple(t for t in _TIER_ORDER if _REGION_COEF[t, lens]) for lens in range(len(TIER_BANDS)))
 
 
+def tier_area_within(r, tier, t):
+    """Area of each link's tier region within distance t of its S-D midpoint, for 1-D arrays r, tier and t.
+
+    This is B_i(s; r), the area of tier i's region where
+    d_SH^2 + d_HD^2 = 2 |H - M|^2 + r^2 / 2 lies below s = 2 t^2 + r^2 / 2,
+    about the midpoint M.  Each tier lens cut by the disk about M is a
+    triple overlap (`_disk_lens`), and the tier's region is the combination
+    of `_regions` of those overlaps, as the disk is its own mirror image
+    about the perpendicular bisector of S-D; only each link's own tier's
+    lenses are evaluated (`_own_regions`).  No validation: r is a class C or
+    D link length, at least 74.7 m for tiers 4 and 5, and t >= 0.
+    """
+    return _own_regions(1, _disk_lens, r, tier, t)[0]
+
+
+def tier_moments(r, tier):
+    """(5, n): the integrals of rho^2, y^2, rho^4, rho^2 y^2 and y^4 over each link's tier region, for 1-D arrays r and tier.
+
+    rho = |H - M| is the distance from the S-D midpoint and y from the S-D
+    line, so the first two are the region's second moments J about M and I
+    about the line.  Each comes from the closed forms and thin segments'
+    series of the region's lenses (`_lens_moments`), evaluated only at each
+    link's own tier (`_own_regions`).  A helper uniform in region j of area
+    S_j has the mean rho^2 J_j / S_j, so the mean d_SH^2 + d_HD^2
+    2 J_j / S_j + r^2 / 2, as d_SH^2 + d_HD^2 = 2 rho^2 + r^2 / 2, the mean
+    y^2 I_j / S_j, and the mean rho^4 P / S_j, and so on.  Tier 1's region,
+    a sliver for r in (96.28, 96.4) m, has its moments without
+    cancellation there.  No validation: r is a class C or D link length, at
+    least 74.7 m for tiers 4 and 5.
+    """
+    return _own_regions(5, _lens_moments, r, tier)
+
+
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _lens_fourth(r1, r2, d):
-    """(3, n): the integrals of rho^4, rho^2 y^2 and y^4 over the lenses of circles of radii r1 and r2 whose centres lie d apart (a 1-D array).
+def _lens_moments(r1, r2, d):
+    """(5, n): the integrals of rho^2, y^2, rho^4, rho^2 y^2 and y^4 over the lenses of circles of radii r1 and r2 whose centres lie d apart (a 1-D array).
 
     rho is the distance from the centres' midpoint and y from their line.
     The common chord splits a lens into two circular segments, each its
     sector less the triangle of its centre and the chord.  The sector of
     half-angle alpha of a circle of radius R whose centre lies d / 2 from
-    the midpoint adds alpha R^2 (16 R^4 + 24 R^2 d^2 + 3 d^4) / 48,
+    the midpoint adds alpha R^2 (2 R^2 + d^2) / 4, alpha R^4 / 4,
+    alpha R^2 (16 R^4 + 24 R^2 d^2 + 3 d^4) / 48,
     alpha R^4 (8 R^2 + 3 d^2) / 48 and alpha R^6 / 8, and the two triangles
     sum, with s = r1^2 + r2^2, t = r1^2 - r2^2 and the kite T = d h of the
     half-chord h, to
+        -T 3 s / 4,
+        -T (5 s / 24 - d^2 / 24 + t^2 / (12 d^2)),
         -T (5 (3 s^2 + 2 t^2) / 36 + 7 s d^2 / 36 + d^4 / 144),
         -T ((18 s^2 + 11 t^2) / 144 - 5 s d^2 / 288 + d^4 / 288 + s t^2 / (24 d^2)),
         -T ((33 s^2 + 14 t^2) / 480 - 13 s d^2 / 480 + d^4 / 240 + 9 s t^2 / (160 d^2) - t^4 / (160 d^4)).
-    The half-angles are those of `_lens`, arccos((d^2 +- t) / (2 d r_i)),
-    one for equal radii, whose segments are mirror images.  The terms cancel
-    like alpha^6 as a segment thins, so a lens with a segment of half-angle
-    below _THIN_FOURTH is taken segment by segment (`_segment_fourth`).
+    The half-angles are arccos((d^2 +- t) / (2 d r_i)), one for equal
+    radii, whose segments are mirror images.  The terms cancel like
+    alpha^6 as a segment thins, so a lens with a segment of half-angle
+    below _THIN_SEGMENT is taken segment by segment (`_segment_moments`).
     Apart or tangent circles give 0, and an enclosed one the whole smaller
     circle, its sector with alpha = pi.  No validation; r1 and r2 are
     numbers.
@@ -534,18 +474,22 @@ def _lens_fourth(r1, r2, d):
     np.maximum(kite, 0.0, out=kite)
     np.sqrt(kite, out=kite)
     kite *= -0.5
-    out = np.empty((3, d.size))
-    p, q, y = out
+    out = np.empty((5, d.size))
+    j, i, p, q, y = out
     # the triangles: -T times a polynomial in d^2 and, for unequal radii, 1 / d^2
-    for row, (c2, c1, c0) in zip(out, ((1 / 144, 7 * s / 36, 5 * (3 * s * s + 2 * t * t) / 36),
-                                       (1 / 288, -5 * s / 288, (18 * s * s + 11 * t * t) / 144),
-                                       (1 / 240, -13 * s / 480, (33 * s * s + 14 * t * t) / 480))):
+    j.fill(0.75 * s)
+    np.multiply(dd, -1 / 24, out=i)
+    i += 5 * s / 24
+    for row, (c2, c1, c0) in zip(out[2:], ((1 / 144, 7 * s / 36, 5 * (3 * s * s + 2 * t * t) / 36),
+                                           (1 / 288, -5 * s / 288, (18 * s * s + 11 * t * t) / 144),
+                                           (1 / 240, -13 * s / 480, (33 * s * s + 14 * t * t) / 480))):
         np.multiply(dd, c2, out=row)
         row += c1
         row *= dd
         row += c0
     if t:
         inv = 1.0 / dd
+        i += inv * (t * t / 12)
         q += inv * (s * t * t / 24)
         low = inv * (-t ** 4 / 160)
         low += 9 * s * t * t / 160
@@ -564,7 +508,13 @@ def _lens_fourth(r1, r2, d):
         angles.append(np.arccos(alpha, out=alpha))
         sq = radius * radius
         weight = 1.0 if t else 2.0
-        part = dd * (weight * sq / 16)
+        part = dd * (weight * sq / 4)
+        part += weight * sq * sq / 2
+        part *= alpha
+        j += part
+        np.multiply(alpha, weight * sq * sq / 4, out=part)
+        i += part
+        np.multiply(dd, weight * sq / 16, out=part)
         part += weight * sq * sq / 2
         part *= dd
         part += weight * sq ** 3 / 3
@@ -578,26 +528,29 @@ def _lens_fourth(r1, r2, d):
         y += part
     alpha1, alpha2 = angles[0], angles[-1]
     apart = d >= r1 + r2
-    thin = np.flatnonzero((np.minimum(alpha1, alpha2) < _THIN_FOURTH) & ~apart)
+    thin = np.flatnonzero((np.minimum(alpha1, alpha2) < _THIN_SEGMENT) & ~apart)
     if thin.size:
-        out[:, thin] = _segment_fourth(r1, r2, d[thin], alpha1[thin], alpha2[thin])
+        out[:, thin] = _segment_moments(r1, r2, d[thin], alpha1[thin], alpha2[thin])
     np.copyto(out, 0.0, where=apart)
     inside = d <= abs(r1 - r2)
     if inside.any():
         sq = min(r1, r2) ** 2
-        np.copyto(out, np.pi * np.stack((sq * (16 * sq * sq + dd * (24 * sq + 3 * dd)) / 48,
+        np.copyto(out, np.pi * np.stack((sq * (0.5 * sq + 0.25 * dd), np.full(dd.shape, 0.25 * sq * sq),
+                                         sq * (16 * sq * sq + dd * (24 * sq + 3 * dd)) / 48,
                                          sq * sq * (8 * sq + 3 * dd) / 48, np.full(dd.shape, sq ** 3 / 8))),
                   where=inside)
     return out
 
 
-# `_lens_fourth` takes a lens segment by segment where a segment's half-angle lies below this, and a thin segment
+# `_lens_moments` takes a lens segment by segment where a segment's half-angle lies below this, and a thin segment
 # from its series (`_thin_segment`), whose terms in eps = sin^2(alpha / 2) < 0.023 run to eps^8, past which they sum
 # to below 3e-18 of the first; above it the closed form keeps about 1e-16 / alpha^6 of itself, 2e-11 or better
-_THIN_FOURTH = 0.3
+_THIN_SEGMENT = 0.3
 _SERIES_TERMS = 9
 # the (k, m) of the integrals of v^k y^m over a segment that `_thin_segment` takes, v the distance from its chord
 _SEGMENT_POWERS = ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (0, 2), (1, 2), (2, 2), (0, 4))
+# the rows of v^2, y^2, v^4, v^2 y^2 and y^4, all that a segment whose chord passes through the midpoint needs
+_CENTRED = [2, 5, 4, 7, 8]
 
 
 def _series_table():
@@ -615,12 +568,14 @@ def _series_table():
 _SERIES = _series_table()
 
 
-def _segment_fourth(r1, r2, d, alpha1, alpha2):
-    """`_lens_fourth` at lenses of half-angles alpha1 and alpha2, one segment at a time: from its series where its half-angle lies below _THIN_FOURTH (`_thin_segment`), else from its closed form.
+def _segment_moments(r1, r2, d, alpha1, alpha2):
+    """`_lens_moments` at lenses of half-angles alpha1 and alpha2, one segment at a time: from its series where its half-angle lies below _THIN_SEGMENT (`_thin_segment`), else from its closed form.
 
     The closed form of a segment of a circle of radius R whose centre lies
     d / 2 from the midpoint, cut by the chord at the signed distance a from
     the centre, with the half-chord h and H = h^2, is
+        alpha R^2 (2 R^2 + d^2) / 4 - h (2 a (3 a^2 + H) + 3 d^2 a + 8 d H) / 12,
+        alpha R^4 / 4 - a h (3 a^2 + 5 H) / 12,
         alpha R^2 (16 R^4 + 24 R^2 d^2 + 3 d^4) / 48
             - h (a (a^2 (240 a^2 + 360 d^2 + 160 H) + d^2 (45 d^2 - 120 H) + 48 H^2)
                  + d H (960 a^2 + 240 d^2 + 576 H)) / 720,
@@ -637,10 +592,10 @@ def _segment_fourth(r1, r2, d, alpha1, alpha2):
     h = np.sqrt(np.maximum(h, 0.0)) / (2.0 * d)
     # the chord's position from the midpoint, toward the centre of r2
     chord = (r1 * r1 - r2 * r2) / (2.0 * d)
-    total = np.zeros((3, d.size))
+    total = np.zeros((5, d.size))
     segments = ((r1, 0.5 * d + chord, alpha1, 1.0), (r2, 0.5 * d - chord, alpha2, -1.0))
     for radius, a, alpha, sign in segments if r1 != r2 else segments[:1]:
-        thin = alpha < _THIN_FOURTH
+        thin = alpha < _THIN_SEGMENT
         if thin.all():
             total += _thin_segment(radius, a, h, chord, sign)
             continue
@@ -649,6 +604,8 @@ def _segment_fourth(r1, r2, d, alpha1, alpha2):
         sq, a, h_w, d_w, alpha = radius * radius, a[wide], h[wide], d[wide], alpha[wide]
         aa, hh, dd = a * a, h_w * h_w, d_w * d_w
         total[:, wide] += np.stack((
+            alpha * sq * (2 * sq + dd) / 4 - h_w * (2 * a * (3 * aa + hh) + 3 * dd * a + 8 * d_w * hh) / 12,
+            alpha * sq * sq / 4 - a * h_w * (3 * aa + 5 * hh) / 12,
             alpha * sq * (sq * (16 * sq + 24 * dd) + 3 * dd * dd) / 48
             - h_w * (a * (aa * (240 * aa + 360 * dd + 160 * hh) + dd * (45 * dd - 120 * hh) + 48 * hh * hh)
                      + d_w * hh * (960 * aa + 240 * dd + 576 * hh)) / 720,
@@ -661,7 +618,7 @@ def _segment_fourth(r1, r2, d, alpha1, alpha2):
 
 
 def _thin_segment(radius, a, h, chord, sign):
-    """(3, n) of `_lens_fourth` for one thin segment of each lens, without cancellation.
+    """(5, n) of `_lens_moments` for one thin segment of each lens, without cancellation.
 
     The segment of a circle of radius R beyond its chord, at the distance a
     from its centre, spans v = 0..w from the chord, w = R - a = h^2 / (R + a),
@@ -671,14 +628,14 @@ def _thin_segment(radius, a, h, chord, sign):
     over p in [0, 1], eps = w / (2 R): the sum over j of
     binom(nu, j) (-eps)^j B(k + 1, nu + j + 1) (`_SERIES`).  The segment's
     points lie at x = chord + sign v along the line of the centres from
-    their midpoint, and rho^4, rho^2 y^2 and y^4 follow from x^4, x^2 y^2
-    and y^4.
+    their midpoint, and rho^2, y^2, rho^4, rho^2 y^2 and y^4 follow from
+    x^2, y^2, x^4, x^2 y^2 and y^4.
     """
     w = h * h / (radius + a)
     eps = w / (2.0 * radius)
-    # with the chord through the midpoint, as for equal radii, x = v, and only v^4, v^2 y^2 and y^4 are needed
+    # with the chord through the midpoint, as for equal radii, x = v, and only the rows of `_CENTRED` are needed
     centred = not np.any(chord)
-    series = _SERIES[[4, 7, 8]] if centred else _SERIES
+    series = _SERIES[_CENTRED] if centred else _SERIES
     value = np.multiply.outer(series[:, -1], eps)
     for column in series[:, -2:0:-1].T:
         value += column[:, None]
@@ -689,17 +646,18 @@ def _thin_segment(radius, a, h, chord, sign):
     powers[0] = 2.0 * w * np.sqrt(2.0 * radius * w)
     for i in range(1, 5):
         np.multiply(powers[i - 1], w, out=powers[i])
-    power, half_m = (x[[4, 7, 8]] if centred else x for x in (_SEGMENT_POWER, _SEGMENT_HALF_M))
+    power, half_m = (x[_CENTRED] if centred else x for x in (_SEGMENT_POWER, _SEGMENT_HALF_M))
     value *= powers.take(power, axis=0)
     value *= ((2.0 * radius) ** half_m / (2.0 * half_m + 1.0))[:, None]
     if centred:
-        x4, x2y2, y4 = value
+        x2, y2, x4, x2y2, y4 = value
     else:
-        v0, v1, v2, v3, v4, y0, y1, y2, y4 = value
+        v0, v1, v2, v3, v4, y2, y1, y2v2, y4 = value
         x = sign * chord
+        x2 = (x * v0 + 2.0 * v1) * x + v2
         x4 = (((x * v0 + 4.0 * v1) * x + 6.0 * v2) * x + 4.0 * v3) * x + v4
-        x2y2 = (x * y0 + 2.0 * y1) * x + y2
-    return np.stack((x4 + 2.0 * x2y2 + y4, x2y2 + y4, y4))
+        x2y2 = (x * y2 + 2.0 * y1) * x + y2v2
+    return np.stack((x2 + y2, y2, x4 + 2.0 * x2y2 + y4, x2y2 + y4, y4))
 
 
 # each (k, m) of `_SEGMENT_POWERS` as its power k + m / 2 of w and its m / 2
@@ -707,13 +665,13 @@ _SEGMENT_POWER = np.array([k + m // 2 for k, m in _SEGMENT_POWERS])
 _SEGMENT_HALF_M = np.array([m // 2 for _, m in _SEGMENT_POWERS], dtype=float)
 
 
-def _disk_lens(a2, b2, sd, r, t):
-    """Area of the overlap of a tier lens, of radii a about S and b about D, with the disk of radius t about M, the S-D midpoint.
+def _disk_lens(a, b, r, t):
+    """(1, n): area of the overlap of a tier lens, of radii a about S and b about D, with the disk of radius t about M, the S-D midpoint.
 
-    a2, b2 and sd hold a^2, b^2 and (a^2 - b^2) / 2, and all five are 1-D
-    arrays of the same length.  Positions x are taken on the S-D axis from
-    M, with S at -r / 2 and D at r / 2.  The overlap's boundary above the
-    axis is the lowest of the three circles.  The squared heights of any two
+    a and b are numbers, and r and t 1-D arrays of the same length.
+    Positions x are taken on the S-D axis from M, with S at -r / 2 and D at
+    r / 2.  The overlap's boundary above the axis is the lowest of the
+    three circles.  The squared heights of any two
     differ by a linear function of x, so the lowest one changes at most
     twice: from D's circle to M's at the radical line x_DM, and from M's to
     S's at x_SM, or, where x_DM >= x_SM, from D's to S's at
@@ -726,11 +684,16 @@ def _disk_lens(a2, b2, sd, r, t):
     they sum to -r / 2 y each.  Angles from atan2 keep their digits where
     arccos near -1 or 1 would not.
 
-    For a <= b and b - a < r < a + b, as for every tier lens that
-    `tier_area_within` evaluates: the span is then [max(r / 2 - b, -t),
-    min(a - r / 2, t)], and D's circle starts it and S's ends it.  Worked in
-    place, as `_lens` is; no validation.
+    For a <= b and b - a < r, as for every tier lens that `tier_area_within`
+    evaluates: the span is then [max(r / 2 - b, -t), min(a - r / 2, t)],
+    and D's circle starts it and S's ends it.  From r >= a + b on, where
+    the circles are apart, the span is empty and the area exactly 0, with
+    no warning; `tier_area_within` relies on it, as it evaluates tier 1's
+    lens at the links from 96.4 m on whose tier holds it, beside those
+    below.  Worked in place, as `_lens` is; no validation.
     """
+    a2, b2 = a * a, b * b
+    sd = 0.5 * (a2 - b2)
     half = 0.5 * r
     t2 = t * t
     lo = half - np.sqrt(b2)
@@ -778,7 +741,7 @@ def _disk_lens(a2, b2, sd, r, t):
     theta *= a2
     area += theta
     np.copyto(area, 0.0, where=hi <= lo)
-    return area
+    return area[None]
 
 
 def tier_arc(r, tier, t):

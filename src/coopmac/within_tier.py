@@ -28,13 +28,15 @@ c = h_j(r) + b dq + g dy + c_qq (dq^2 - V_qq) + c_qy (dq dy - V_qy)
 + c_yy (dy^2 - V_yy) in dq = q - Qbar_j(r) and dy = y^2 - Ybar^2_j(r)
 (`_quadratic`; multiple control variates, Glasserman, 4.1).
 Qbar_j = 2 J_j / S_j + r^2 / 2 and Ybar^2_j = I_j / S_j are the exact
-means of q and y^2 over the region, from its second moments J_j and I_j
-about the S-D midpoint and line, which the lens pass of its area gives too
-(`stochastic_geometry.tier_areas`; `_region_means`), and the V are its
-exact covariances of q and y^2, from its fourth moments in
-rho = |H - M| and y, taken per placed link at its own r from the closed
-forms of its region's lenses (`stochastic_geometry.tier_fourth_moments`),
-so every term has mean 0 given r whatever its coefficient.  Against the
+means of q and y^2 over the region (`_region_means`), from its second
+moments J_j and I_j about the S-D midpoint and line, and the V are its
+exact covariances of q and y^2 (`_quadratic`), from its fourth moments in
+rho = |H - M| and y.  All five moments are taken in one pass per placed
+link, at its own r and region, from the closed forms and thin segments'
+series of the region's lenses (`stochastic_geometry.tier_moments`), and
+the area S_j from the lens pass of the choice
+(`stochastic_geometry.tier_areas`), so every term has mean 0 given r
+whatever its coefficient.  Against the
 linear control in (q, y^2), which the square and product terms extend,
 this cuts the variance of conventional analytic cells 30-50 times at
 0.005 nodes/m^2 (`BENCH_conventional_quadratic.json`).  Sampled mode keeps
@@ -135,8 +137,8 @@ from .stochastic_geometry import (
     tier_arc_y2,
     tier_area_within,
     tier_areas,
-    tier_fourth_moments,
     tier_load,
+    tier_moments,
 )
 
 # both control tables: link-length nodes at most _TABLE_STEP m apart, in segments split where tiers 4 and 5
@@ -820,7 +822,9 @@ def control(table, scheme, r, choice, direct, q, y2, k, which, draw=None, single
     that holds it, and add the scheme's term: phi(U), U = F(q)
     (`least_q_uniform`) read between the knots of its node's row
     (`control_term`), for the proposed scheme, and b (q - Qbar) about the
-    region's exact mean (`_region_means`) for the conventional one.  Both
+    region's exact mean (`_region_means`) for the conventional one, whose
+    placed links take their regions' moments in one pass
+    (`stochastic_geometry.tier_moments`).  Both
     add gamma (y^2 - Ybar^2), y^2 about its exact mean over the tier's arc
     through the helper (`stochastic_geometry.tier_arc_y2`) or over the
     region, which is left out where y2 is None; in analytic mode the
@@ -857,10 +861,13 @@ def control(table, scheme, r, choice, direct, q, y2, k, which, draw=None, single
             psi = control_term(single, at_single, u)
             psi += single.h.take(at_single)
             chosen += _indicator(single, nodes, choice.tier, which, psi, draw)
-        mean_q, mean_y2 = _region_means(choice, r, which)
+        # the chosen regions' means of rho^2, y^2, rho^4, rho^2 y^2 and y^4, rho = |H - M|
+        means = tier_moments(link, tier)
+        means /= choice.area[which]
+        mean_q, mean_y2 = _region_means(link, means)
         term = np.subtract(q, mean_q, out=q)
         if draw is None:
-            term = _quadratic(table, flat, choice, link, tier, which, term, np.subtract(y2, mean_y2, out=y2))
+            term = _quadratic(table, flat, means, term, np.subtract(y2, mean_y2, out=y2))
             y2 = None
         else:
             term *= table.within.take(flat)
@@ -903,24 +910,21 @@ def _indicator(table, nodes, tier, which, psi, draw):
     return hit
 
 
-def _quadratic(table, flat, choice, r, tier, which, dq, dy):
-    """The conventional control's analytic-mode term at the placed links, of lengths r, in dq = q - Qbar and dy = y^2 - Ybar^2.
+def _quadratic(table, flat, means, dq, dy):
+    """The conventional control's analytic-mode term at the placed links, in dq = q - Qbar and dy = y^2 - Ybar^2.
 
     b dq + g dy + c_qq (dq^2 - V_qq) + c_qy (dq dy - V_qy) + c_yy (dy^2 - V_yy),
     with the five coefficients at each link's (region, node) row `flat` of
     the table's `quadratic`, and V the region's exact central moments at the
     link's own r: with rho = |H - M|, q = 2 rho^2 + r^2 / 2, so
     V_qq = 4 var(rho^2), V_qy = 2 cov(rho^2, y^2) and V_yy = var(y^2), from
-    the region's area S, its second moments J and I
-    (`monte_carlo._TierChoice.moments`) and its fourth moments P, Q and Y
-    (`stochastic_geometry.tier_fourth_moments`): var(rho^2) = P / S - (J / S)^2,
-    and so on.  Each term has mean 0 given r and the region whatever the
-    coefficients.  dq and dy may be overwritten.
+    `means`, the region's means of rho^2, y^2, rho^4, rho^2 y^2 and y^4
+    (`stochastic_geometry.tier_moments` over its area):
+    var(rho^2) = E rho^4 - (E rho^2)^2, and so on.  Each term has mean 0
+    given r and the region whatever the coefficients.  means, dq and dy may
+    be overwritten.
     """
-    area = choice.area[which]
-    j, i = choice.moments
-    rho2, y2 = j[which] / area, i[which] / area
-    p4, p2y2, y4 = (x / area for x in tier_fourth_moments(r, tier))
+    rho2, y2, p4, p2y2, y4 = means
     b, g, c_qq, c_qy, c_yy = table.quadratic.reshape(5, -1).take(flat, axis=1)
     term = b * dq
     term += g * dy
@@ -936,19 +940,16 @@ def _quadratic(table, flat, choice, r, tier, which, dq, dy):
     return term
 
 
-def _region_means(choice, r, which):
-    """(Qbar, Ybar^2): the exact means of d_SH^2 + d_HD^2 and of y^2 over the regions chosen by the conventional links choice.has[which], of lengths r.
+def _region_means(r, means):
+    """(Qbar, Ybar^2): the exact means of d_SH^2 + d_HD^2 and of y^2 over the regions of conventional links of lengths r.
 
-    Qbar = 2 J / S + r^2 / 2 and Ybar^2 = I / S, from the region's area S
-    and its moments J and I about the S-D midpoint and line
-    (`monte_carlo._TierChoice.moments`).  Where tier 1's region is a sliver,
-    near its 96.4 m tangency, the three come without cancellation
-    (`stochastic_geometry._lens`), so both means lie in the region's ranges
-    unclipped.
+    means holds the regions' means of rho^2 and y^2 in its first two rows,
+    J / S and I / S from their second moments about the S-D midpoint and
+    line (`stochastic_geometry.tier_moments`) over their areas, and
+    Qbar = 2 J / S + r^2 / 2.  Where tier 1's region is a sliver, near its
+    96.4 m tangency, both moments and the area come without cancellation,
+    so both means lie in the region's ranges unclipped.
     """
-    at, area = choice.has[which], choice.area[which]
-    j, i = choice.moments
-    mean_q = j[which] * 2.0
-    mean_q /= area
-    mean_q += 0.5 * r[at] ** 2
-    return mean_q, i[which] / area
+    mean_q = means[0] * 2.0
+    mean_q += 0.5 * r ** 2
+    return mean_q, means[1]

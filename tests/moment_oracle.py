@@ -12,15 +12,17 @@ theta between the angles at which d_HD crosses the edges of the other band.
 mirror image) and returns the area and the means.  `lens_moments` is the
 area and the second moment about the line of the centres of one lens of two
 circles, in Cartesian coordinates.  Both read the band table and nothing
-else of the package, so they check the lens moments of
-`stochastic_geometry.tier_areas` and `_lens` independently.
+else of the package, so they check the areas of
+`stochastic_geometry.tier_areas` and the moments J and I of
+`stochastic_geometry.tier_moments` and `_lens_moments` independently.
 
 `region_fourth_moments` integrates rho^4, rho^2 y^2 and y^4 over the same
 set in the same way, rho = |H - M| the distance from the S-D midpoint M,
 with rho^2 = d_SH^2 - r d_SH cos theta + r^2 / 4, and returns their means;
 `lens_fourth_moments` is the same three integrals over one lens about the
 midpoint of its centres and their line, in Cartesian coordinates.  Both
-check `stochastic_geometry.tier_fourth_moments` and `_lens_fourth`.
+check the fourth moments of `stochastic_geometry.tier_moments` and
+`_lens_moments`.
 
 `region_area_within` is the area of the same region within distance t of the
 S-D midpoint M: at distance rho from S, the points nearer than t to M are

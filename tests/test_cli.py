@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopmac import cli, monte_carlo
 from coopmac.cli import ConfigError, RunConfig, main, parse_config
@@ -473,3 +478,27 @@ def test_unknown_conditioning_is_a_config_error(capsys):
     # neither ppp nor k=<int>: the last config message that no other test reached
     assert main(["bounds", "--class", "C", "--lambda", "0.002", "--conditioning", "nn"]) == 2
     assert "conditioning must be 'ppp' or 'k=<int>', got 'nn'" in capsys.readouterr().err
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(link_class=st.sampled_from(["C", "D", "all"]), log_density=st.floats(-9.0, 6.0),
+       log_k=st.none() | st.floats(0.0, 6.0))
+def test_bounds_over_its_whole_domain(link_class, log_density, log_k):
+    # lambda log-uniform in [1e-9, 1e6] m^-2 under the PPP or k log-uniform in [1, 1e6]: each call prints finite
+    # rows with 0 <= lower <= upper <= 11 and a band mass in [0, 1], or is a config error (exit 2)
+    argv = ["bounds", "--class", link_class, "--lambda", repr(10.0 ** log_density)]
+    if log_k is not None:
+        argv += ["--conditioning", "k=%d" % round(10.0 ** log_k)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("config error: ") and out.getvalue() == "", argv
+        return
+    assert code == 0 and err.getvalue() == "", (argv, err.getvalue())
+    rows = list(csv.DictReader(out.getvalue().splitlines()))
+    assert rows, argv
+    for row in rows:
+        lower, upper, mass = (float(row[key]) for key in ("lower", "upper", "band_mass"))
+        assert all(map(math.isfinite, (lower, upper, mass))), (argv, row)
+        assert 0.0 <= lower <= upper <= 11.0 and 0.0 <= mass <= 1.0, (argv, row)

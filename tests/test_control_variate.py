@@ -119,7 +119,7 @@ def test_one_bracket_table(params):
                            slope_y=np.zeros(table.h.shape), quadratic=np.zeros(table.quadratic.shape))
     has, tier = np.arange(nodes.size), np.arange(nodes.size) % 5 + 1
     zeros = np.zeros(nodes.size)
-    choice = mc._TierChoice(has, tier, np.ones(nodes.size), None, np.zeros((5, nodes.size)), zeros, (zeros, zeros))
+    choice = mc._TierChoice(has, tier, np.ones(nodes.size), None, np.zeros((5, nodes.size)), zeros)
     c, _ = within_tier.control(table, "conventional", nodes, choice, zeros, zeros.copy(), zeros.copy(), None,
                                slice(None))
     assert c.tobytes() == (0.5 * (terms[tier - 1] + best[tier - 1, has])).tobytes()

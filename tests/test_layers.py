@@ -9,6 +9,9 @@ name a module imports and never uses is a stale import, but for the names
 that the bench's span tracer wraps at the module's attribute
 (`bench/tracing.py`'s WRAP_POINTS), which the module holds so that the
 tracer can find them; `__init__` uses what its `__all__` names.  Every
+module-level `_` name of the package is read somewhere in the package
+outside the statement that defines it, so no private table or helper is
+left behind when its last reader goes.  Every
 `functools.lru_cache` has an integer maxsize and `functools.cache` is not
 used, so every memo of the package is bounded.  No module uses
 `numpy.linalg`: the first LAPACK call of a process allocates the BLAS
@@ -95,6 +98,60 @@ def test_a_stale_import_is_found():
     source = (SRC / "analytic_bounds.py").read_text()
     assert unused_imports(source, "analytic_bounds") == []
     assert "nn_distance_pdf" in unused_imports(source, "monte_carlo")
+
+
+def unused_private_names(sources, module):
+    """The module-level `_` names that `sources[module]` defines and no module of `sources` uses, sorted.
+
+    `sources` maps each module of the package to its source.  A name is used
+    where a top-level statement other than one that defines it reads it as
+    a name, an attribute or an imported name; a dunder is not private.
+    """
+    defined, read = {}, []
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            targets = set()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    targets.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            read.append((targets, names))
+            if name == module:
+                defined.update((t, None) for t in targets if t.startswith("_") and not t.startswith("__"))
+    return sorted(n for n in defined if not any(n in names and n not in targets for targets, names in read))
+
+
+def _package_sources():
+    """Each module of the package, by name, and its source."""
+    return {path.stem: path.read_text() for path in SRC.glob("*.py")}
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_every_private_name_is_used(module):
+    assert unused_private_names(_package_sources(), module) == []
+
+
+def test_a_leftover_private_name_is_found():
+    sources = _package_sources()
+    # a table that nothing reads any more, and a function that only calls itself
+    sources["stochastic_geometry"] += "\n_LENS_SLOTS = np.zeros(4)\n\n\ndef _again(n):\n    return _again(n - 1)\n"
+    assert unused_private_names(sources, "stochastic_geometry") == ["_LENS_SLOTS", "_again"]
+    # a name read in another module is used, through an import or an attribute
+    assert "_TIER_RANK" not in unused_private_names(sources, "stochastic_geometry")
+    sources["stochastic_geometry"] = sources["stochastic_geometry"].replace(
+        "_TIER_RANK = np.argsort", "_TIER_RANKS = np.argsort")
+    assert unused_private_names(sources, "stochastic_geometry") == ["_LENS_SLOTS", "_TIER_RANKS", "_again"]
+    sources["monte_carlo"] += "\nfrom .stochastic_geometry import _TIER_RANKS\n"
+    assert unused_private_names(sources, "stochastic_geometry") == ["_LENS_SLOTS", "_again"]
 
 
 def oracle_leaks(source):

@@ -1,25 +1,25 @@
-"""The tier regions' second moments about the S-D midpoint and the S-D line, and the conventional control's means.
+"""The tier regions' moments about the S-D midpoint and the S-D line, and the conventional control's means.
 
-`stochastic_geometry.tier_areas(r, moments=True)` returns each region's
-moments J about the midpoint and I about the S-D line from the lens pass of
-its area, and a helper uniform in region j has the mean d_SH^2 + d_HD^2
-Qbar_j = 2 J_j / S_j + r^2 / 2 and the mean squared distance from the S-D
-line Ybar^2_j = I_j / S_j.  These tests pin Qbar and Ybar^2 against a
-quadrature of the geometry alone (`moment_oracle`), and the lens's I
-itself; check the limits of I and that 0 <= I <= J; that the moment pass
-keeps the areas' and J's bits and warns of nothing; that apart and tangent
-circles have no lens; that the thin-lens series is exact to rounding near
-the 96.4 m tangency where the plain lens terms cancel, in the kernel and in
-the scalar views of areas, tier law and bounds; that the Monte Carlo's
-means (`within_tier._region_means`) stay in the region's ranges there
-unclipped; that Ybar^2 is the mean of the y^2 of helpers the package
-places; and that Qbar lies in the region's range of q.  The regions' fourth
-moments (`stochastic_geometry.tier_fourth_moments`), from the lens closed
-forms and the thin segments' series of `_lens_fourth`, are pinned against
-the same oracle, to 1e-9, in every table segment and across the 96.4 m
-tangency layer, with their apart, tangent and enclosed limits, and the
-analytic-mode conventional control's square and product terms, centred on
-the covariances they give, have mean 0 over placed helpers.
+`stochastic_geometry.tier_moments` returns, for each link's own region, its
+moments J about the midpoint and I about the S-D line, and its fourth
+moments, from the lens closed forms and the thin segments' series of
+`_lens_moments`; a helper uniform in region j has the mean
+d_SH^2 + d_HD^2 Qbar_j = 2 J_j / S_j + r^2 / 2 and the mean squared
+distance from the S-D line Ybar^2_j = I_j / S_j.  These tests pin Qbar and
+Ybar^2 against a quadrature of the geometry alone (`moment_oracle`), and
+the lens's I itself; check the limits of I and that 0 <= I <= J; that the
+areas keep their bits and the moments warn of nothing; that apart and
+tangent circles have no lens; that the thin-lens series of the areas and
+the lens moments are exact to rounding near the 96.4 m tangency where the
+plain lens terms cancel, in the kernel and in the scalar views of areas,
+tier law and bounds; that the Monte Carlo's means
+(`within_tier._region_means`) stay in the region's ranges there unclipped;
+that Ybar^2 is the mean of the y^2 of helpers the package places; and that
+Qbar lies in the region's range of q.  The regions' fourth moments are
+pinned against the same oracle, to 1e-9, in every table segment and across
+the 96.4 m tangency layer, with their apart, tangent and enclosed limits,
+and the analytic-mode conventional control's square and product terms,
+centred on the covariances they give, have mean 0 over placed helpers.
 """
 
 import hashlib
@@ -34,8 +34,8 @@ from coopmac import monte_carlo as mc
 from coopmac import within_tier
 from coopmac.analytic_bounds import _link_bounds, link_bounds_at_distance, tier_probabilities
 from coopmac.channel_model import ChannelParams, tier_q_bracket
-from coopmac.stochastic_geometry import (BAND_2, TIER1_MAX_SEPARATION, _lens, _lens_fourth, lens_area, tier_areas,
-                                        tier_fourth_moments, tier_region_areas)
+from coopmac.stochastic_geometry import (BAND_2, TIER1_MAX_SEPARATION, _lens, _lens_moments, lens_area, tier_areas,
+                                        tier_moments, tier_region_areas)
 from moment_oracle import lens_fourth_moments, lens_moments, region_fourth_moments, region_moments
 from test_stochastic_geometry import _ulps_around
 from within_tier_reference import region_covariances
@@ -43,13 +43,22 @@ from within_tier_reference import region_covariances
 PARAMS = ChannelParams()
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
-# sha256 of the areas and J of `_area_and_j_digest`, which a change to the moment pass keeps
-_AREA_AND_J_DIGEST = "550d8ad19e372deddc37bcb1b8720bfc077ea02018c9e62b382fb822c5870e63"
+# sha256 of the areas of `_area_digest`, which the moments' move out of the lens pass of the areas kept
+_AREA_DIGEST = "144fd850fa0086c836751c618cc7c2c20e304e475ea1c7a8bf20aaf41231c09c"
+
+
+def _moments(r):
+    """(areas, J, I) of the five regions at link lengths r, (5, len(r)) each, J and I 0 where a region has no area."""
+    areas = tier_areas(r)
+    j, i = np.zeros(areas.shape), np.zeros(areas.shape)
+    tier, link = np.nonzero(areas)
+    j[tier, link], i[tier, link] = tier_moments(r[link], tier + 1)[:2]
+    return areas, j, i
 
 
 def _means(r):
     """(areas, Qbar, Ybar^2) of the five regions at link lengths r, from the package's kernel."""
-    areas, j, i = tier_areas(r, moments=True)
+    areas, j, i = _moments(r)
     with np.errstate(divide="ignore", invalid="ignore"):
         return areas, 2.0 * j / areas + 0.5 * r * r, i / areas
 
@@ -80,19 +89,17 @@ def _exact_lens(r1, r2, d):
         return float(area), float(moment), float(axis)
 
 
-def _area_and_j_digest():
-    """sha256 of the areas and J of `tier_areas` and `_lens` over link lengths and separations of every kind."""
+def _area_digest():
+    """sha256 of the areas of `tier_areas` and `_lens` over link lengths and separations of every kind."""
     r = np.concatenate([np.linspace(67.1, 100.0, 3291)]
                        + [_ulps_around(x, 32) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
     r = r[(r >= 67.1) & (r <= 100.0)]
     digest = hashlib.sha256()
     for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
-        for x in tier_areas(links, moments=True)[:2]:
-            digest.update(x.tobytes())
+        digest.update(tier_areas(links).tobytes())
     r1, r2 = np.array([[48.2], [67.1], [74.7], [30.0]]), np.array([[48.2], [48.2], [67.1], [74.7]])
     d = np.concatenate([np.linspace(0.0, 150.0, 1501), 96.4 - np.logspace(-12, 0, 25)])
-    for x in _lens(r1, r2, d, moment=True)[:2]:
-        digest.update(x.tobytes())
+    digest.update(_lens(r1, r2, d).tobytes())
     return digest.hexdigest()
 
 
@@ -116,7 +123,8 @@ def test_lens_axis_moment_matches_the_oracle(radii):
     # tangency the plain terms cancel (`test_thin_lens_is_exact_near_tangency`)
     r1, r2 = radii
     d = np.linspace(abs(r1 - r2) + 0.5, r1 + r2 - 2.0, 9)
-    area, j, axis = _lens(r1, r2, d, moment=True)
+    area = _lens(r1, r2, d)
+    j, axis = _lens_moments(r1, r2, d)[:2]
     for x, got_area, got in zip(d, area, axis):
         want_area, want = lens_moments(r1, r2, x)
         assert got_area == pytest.approx(want_area, rel=1e-11)
@@ -128,17 +136,17 @@ def test_lens_axis_moment_matches_the_oracle(radii):
 def test_lens_axis_moment_limits():
     # an enclosed circle has pi r^4 / 4 about a diameter, wherever it sits; apart or tangent, 0
     d = np.array([0.0, 5.0, 20.0, 39.0, 40.0, 50.0])
-    _, j, axis = _lens(10.0, 30.0, d, moment=True)
+    j, axis = _lens_moments(10.0, 30.0, d)[:2]
     np.testing.assert_allclose(axis[:3], np.pi * 10.0 ** 4 / 4, rtol=1e-15)
     assert axis[4:].tolist() == [0.0, 0.0]
     assert 0.0 <= axis[3] <= j[3]
     # equal circles at d = 0 are one circle
-    assert _lens(48.2, 48.2, np.array([0.0]), moment=True)[2][0] == pytest.approx(np.pi * 48.2 ** 4 / 4, rel=1e-15)
+    assert _lens_moments(48.2, 48.2, np.array([0.0]))[1][0] == pytest.approx(np.pi * 48.2 ** 4 / 4, rel=1e-15)
 
 
 def test_region_moments_lie_between_0_and_j():
     r = np.concatenate([np.linspace(67.1, 100.0, 3301)] + [_ulps_around(x, 64) for x in (BAND_2, TIER1_MAX_SEPARATION)])
-    areas, j, axis = tier_areas(r, moments=True)
+    areas, j, axis = _moments(r)
     # up to the rounding of the lens combination, 1e-12 of the region's J
     slack = 1e-12 * np.abs(j) + 1e-9
     assert np.all(axis >= -slack) and np.all(axis <= j + slack)
@@ -146,15 +154,8 @@ def test_region_moments_lie_between_0_and_j():
 
 
 def test_moment_pass_keeps_the_area_bits():
-    r = np.concatenate([np.random.default_rng(21).uniform(67.1, 100.0, 20_000)]
-                       + [_ulps_around(x, 32) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
-    r = r[(r >= 67.1) & (r <= 100.0)]
-    for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
-        assert tier_areas(links, moments=True)[0].tobytes() == tier_areas(links).tobytes()
-    r1, r2 = np.array([[48.2], [67.1], [74.7]]), np.array([[48.2], [48.2], [67.1]])
-    assert _lens(r1, r2, r, moment=True)[0].tobytes() == _lens(r1, r2, r).tobytes()
-    # and the areas and J have the bits they had before the pass took I too
-    assert _area_and_j_digest() == _AREA_AND_J_DIGEST
+    # the areas have the bits they had when the lens pass of the areas took J and I too
+    assert _area_digest() == _AREA_DIGEST
 
 
 def test_moment_kernel_emits_no_runtime_warning():
@@ -162,12 +163,12 @@ def test_moment_kernel_emits_no_runtime_warning():
                        + [_ulps_around(x, 64) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        areas, j, axis = tier_areas(r, moments=True)
+        areas, j, axis = _moments(r)
         assert np.isfinite(j).all() and np.isfinite(axis).all()
         # near tangency the thin-lens series gives the moments their sign
         assert (j >= 0).all() and (axis >= 0).all()
         # the limits: apart, tangent, one circle inside the other, and d = 0
-        area, moment, axis = _lens(10.0, 30.0, np.array([0.0, 5.0, 20.0, 39.0, 40.0, 50.0]), moment=True)
+        moment, axis = _lens_moments(10.0, 30.0, np.array([0.0, 5.0, 20.0, 39.0, 40.0, 50.0]))[:2]
     assert np.isfinite(moment).all() and np.isfinite(axis).all()
     np.testing.assert_allclose(moment[:3], np.pi * 100 * (50 + np.array([0.0, 5.0, 20.0]) ** 2 / 4), rtol=1e-15)
     assert moment[4:].tolist() == [0.0, 0.0]
@@ -183,13 +184,13 @@ def test_apart_and_tangent_lenses_are_exactly_0(radii):
                   tangent + 1e-9, tangent + 1.0, 1e100, 1e200, 1e300, np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in _lens(r1, r2, d, moment=True):
+        for x in (_lens(r1, r2, d), *_lens_moments(r1, r2, d)[:2]):
             assert x.tolist() == [0.0] * d.size
     assert lens_area(r1, r2, d).tolist() == [0.0] * d.size
     # tier 1's region from 96.4 m on, evaluated beside links that have one
     r = np.array([80.0, TIER1_MAX_SEPARATION, np.nextafter(TIER1_MAX_SEPARATION, np.inf), 97.0, 100.0])
-    for x in tier_areas(r, moments=True):
-        assert x[0, 1:].tolist() == [0.0] * 4 and x[0, 0] > 0.0
+    for x in (tier_areas(r)[0], *tier_moments(r, np.ones(r.size, dtype=int))[:2]):
+        assert x[1:].tolist() == [0.0] * 4 and x[0] > 0.0
 
 
 @pytest.mark.parametrize("radii", [(48.2, 48.2), (48.2, 67.1), (30.0, 74.7)])
@@ -198,14 +199,15 @@ def test_thin_lens_is_exact_near_tangency(radii):
     r1, r2 = radii
     gaps = np.array([1e-12, 1e-9, 1e-6, 2e-5, 1e-3, 0.05, 0.1, 1.0, 10.0])
     d = r1 + r2 - gaps
-    got_all = _lens(r1, r2, d, moment=True)
+    got_all = (_lens(r1, r2, d), *_lens_moments(r1, r2, d)[:2])
     want = np.array([_exact_lens(r1, r2, x) for x in d])
-    # exact to rounding where the circles are this close to tangency; just outside that zone the lens formula's
-    # I, whose terms cancel to the fifth power of the segment's angle, keeps 1e-6
+    # the area exact to rounding where the circles are this close to tangency, and the lens formula's outside; the
+    # moments, from the thin segments' series and the closed forms, at every gap
     thin = gaps < 0.0025 * min(radii)
-    for got, exact, rtol in zip(got_all, want.T, (1e-8, 1e-8, 1e-6)):
-        np.testing.assert_allclose(got[thin], exact[thin], rtol=1e-13)
-        np.testing.assert_allclose(got[~thin], exact[~thin], rtol=rtol)
+    np.testing.assert_allclose(got_all[0][thin], want[thin, 0], rtol=1e-13)
+    np.testing.assert_allclose(got_all[0][~thin], want[~thin, 0], rtol=1e-8)
+    for got, exact in zip(got_all[1:], want.T[1:]):
+        np.testing.assert_allclose(got, exact, rtol=1e-12)
     # the public view has the kernel's bits
     assert lens_area(r1, r2, d).tobytes() == got_all[0].tobytes()
 
@@ -226,11 +228,9 @@ def test_scalar_views_take_the_thin_lens_at_the_tangency(gap):
         assert [pair.lower, pair.upper] == row.tolist()
 
 
-def _tier1_choice(r):
-    """A conventional `_TierChoice` whose every link of length r chose tier 1, with its moments."""
-    areas, j, i = tier_areas(r, moments=True)
-    links = np.arange(r.size)
-    return mc._TierChoice(links, np.ones(r.size, dtype=int), areas[0], None, areas, np.zeros(r.size), (j[0], i[0]))
+def _tier1_means(r):
+    """The means over tier 1's region of the moments of `tier_moments`, at every link of length r."""
+    return tier_moments(r, np.ones(r.size, dtype=int)) / tier_areas(r)[0]
 
 
 def test_tier1_means_near_tangency():
@@ -244,7 +244,7 @@ def test_tier1_means_near_tangency():
     # the tangency, where the region holds 1e-20 m^2, too
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got_q, got_y2 = within_tier._region_means(_tier1_choice(r), r, slice(None))
+        got_q, got_y2 = within_tier._region_means(r, _tier1_means(r))
     np.testing.assert_allclose(got_q, mean_q[0], rtol=1e-15)
     np.testing.assert_allclose(got_y2, mean_y2[0], rtol=1e-15)
     assert np.all((got_q >= r * r / 2) & (got_q <= 2 * 48.2 ** 2))
@@ -261,16 +261,15 @@ def test_means_are_finite_and_in_range_at_every_link_length():
                         TIER1_MAX_SEPARATION - np.logspace(-14, 0, 6000)]
                        + [_ulps_around(x, 64) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
     r = r[(r >= 67.1) & (r <= 100.0)]
-    areas, *moments = tier_areas(r, moments=True)
+    areas = tier_areas(r)
     q_worst, q_best = tier_q_bracket(r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for tier in range(1, 6):
             links = np.flatnonzero(areas[tier - 1] > 0.0)
-            j, i = (x[tier - 1, links] for x in moments)
-            choice = mc._TierChoice(links, np.full(links.size, tier), areas[tier - 1, links], None, areas,
-                                    np.zeros(r.size), (j, i))
-            mean_q, mean_y2 = within_tier._region_means(choice, r, slice(None))
+            moments = tier_moments(r[links], np.full(links.size, tier))
+            j, i = moments[:2]
+            mean_q, mean_y2 = within_tier._region_means(r[links], moments / areas[tier - 1, links])
             assert np.isfinite(mean_q).all() and np.isfinite(mean_y2).all(), tier
             assert np.all((mean_q >= q_best[tier - 1, links]) & (mean_q <= q_worst[tier - 1])), tier
             # 0 <= I <= J; y^2 <= |H - M|^2 = (q - r^2 / 2) / 2 at every point, up to Qbar's rounding, half an
@@ -320,7 +319,7 @@ def test_region_mean_q_lies_in_the_region_q_range(x):
     assert np.all(mean_q[present] <= np.broadcast_to(q_worst[:, None], present.shape)[present])
     # Ybar^2 <= J / S, the mean of |H - M|^2; next to the tangency tier 1's sliver lies across the axis, where
     # y^2 is nearly all of it, and the two moments' series agree to rounding
-    areas, j, axis = tier_areas(r, moments=True)
+    areas, j, axis = _moments(r)
     assert np.all(axis[present] <= j[present] * (1 + 1e-9))
 
 
@@ -338,7 +337,7 @@ def test_fourth_moments_match_polar_oracle(r):
     want = {t: region_fourth_moments(t, r) for t in tiers}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = tier_fourth_moments(np.full(len(tiers), r), np.array(tiers))
+        got = tier_moments(np.full(len(tiers), r), np.array(tiers))[2:]
     for column, t in enumerate(tiers):
         area, *means = want[t]
         np.testing.assert_allclose(got[:, column] / area, means, rtol=1e-9, err_msg="tier %d" % t)
@@ -382,7 +381,7 @@ def test_lens_fourth_moments_match_the_oracle(radii):
     d = d[d > 0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _lens_fourth(r1, r2, d)
+        got = _lens_moments(r1, r2, d)[2:]
     for column, x in enumerate(d):
         near = min(x - low, high - x) <= 1e-3
         want = _exact_lens_fourth(r1, r2, x) if near else lens_fourth_moments(r1, r2, x)
@@ -398,8 +397,8 @@ def test_lens_fourth_moment_limits(radii):
     inside = np.array([0.0, 0.5 * abs(r1 - r2), abs(r1 - r2)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert _lens_fourth(r1, r2, apart).tolist() == [[0.0] * apart.size] * 3
-        got = _lens_fourth(r1, r2, inside)
+        assert _lens_moments(r1, r2, apart)[2:].tolist() == [[0.0] * apart.size] * 3
+        got = _lens_moments(r1, r2, inside)[2:]
     # a disk of radius R whose centre lies e = d / 2 from the midpoint: pi R^2 (e^4 + 2 e^2 R^2 + R^4 / 3),
     # pi R^4 (e^2 / 4 + R^2 / 6) and pi R^6 / 8
     e, sq = inside / 2, small * small
@@ -414,7 +413,7 @@ def test_covariances_match_placed_helpers(r, tier):
     # scheme places them: 400k helpers in batches of 100k, each mean within 4 sigma of 0
     n = 100_000
     links = np.full(n, r)
-    areas, j, i = (x[tier - 1, :1] for x in tier_areas(links[:1], moments=True))
+    areas, j, i = (x[tier - 1, :1] for x in _moments(links[:1]))
     choice = mc._TierChoice(np.arange(n), np.full(n, tier), np.full(n, areas[0]), None, np.zeros((5, n)), np.zeros(n))
     q, y2 = (np.concatenate(x) for x in zip(*(mc._best_g(np.random.default_rng(seed), links, choice, None, PARAMS)[1:]
                                               for seed in range(4))))

@@ -8,7 +8,6 @@ from scipy.stats import gamma
 from coopmac.analytic_bounds import tier_probabilities
 from coopmac.stochastic_geometry import (
     BAND_2,
-    _lens,
     BAND_EDGES,
     TIER1_MAX_SEPARATION,
     TIER_BANDS,
@@ -146,22 +145,11 @@ def geometric_tier_areas(r):
     return _tier_regions(*(lens_area(BAND_EDGES[i + 1], BAND_EDGES[j + 1], r) for i, j in TIER_BANDS))
 
 
-def class_tier_areas(r, moments=False):
-    """`geometric_tier_areas` of a 1-D r with tiers 4 and 5 of the class C lengths set to 0.
-
-    With `moments`, also the regions' second moments about the S-D midpoint
-    and about the S-D line, from one `_lens` call per tier, trimmed the same
-    way: the reference of `tier_areas(r, moments=True)`.
-    """
+def class_tier_areas(r):
+    """`geometric_tier_areas` of a 1-D r with tiers 4 and 5 of the class C lengths set to 0."""
     areas = geometric_tier_areas(r)
     areas[3:, r < BAND_2] = 0.0
-    if not moments:
-        return areas
-    lenses = [_lens(BAND_EDGES[i + 1], BAND_EDGES[k + 1], r, moment=True) for i, k in TIER_BANDS]
-    out = [_tier_regions(*(lens[m] for lens in lenses)) for m in (1, 2)]
-    for x in out:
-        x[3:, r < BAND_2] = 0.0
-    return (areas, *out)
+    return areas
 
 
 def test_tier_areas_are_lens_area_bit_for_bit():
@@ -244,12 +232,40 @@ def _lens_grid():
                                           reach * (1.0 - np.logspace(-12, -1, 23))))
 
 
+def _exact_lens_area(r1, r2, d):
+    """The lens area in 60-digit arithmetic, r1^2 alpha1 + r2^2 alpha2 - d h with the half-angles alpha_i = atan2(h, a_i)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        r1, r2, d = mpmath.mpf(r1), mpmath.mpf(r2), mpmath.mpf(d)
+        if d >= r1 + r2:
+            return 0.0
+        if d <= abs(r1 - r2):
+            return float(mpmath.pi * min(r1, r2) ** 2)
+        a1 = (d * d + r1 * r1 - r2 * r2) / (2 * d)
+        h = mpmath.sqrt(r1 * r1 - a1 * a1)
+        return float(r1 * r1 * mpmath.atan2(h, a1) + r2 * r2 * mpmath.atan2(h, d - a1) - d * h)
+
+
+def test_lens_area_matches_the_exact_lens_over_the_grid():
+    # every finite separation of the grid, radii up to 1e9 apart among them, within 1e-9 of the 60-digit area or
+    # 1e-12 of the smaller circle; a lens of very unequal radii, whose larger circle's segment is thin, too
+    for r1, r2, d in _lens_grid():
+        d = d[np.isfinite(d)]
+        got = lens_area(r1, r2, d)
+        want = np.array([_exact_lens_area(r1, r2, x) for x in d])
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.pi * min(r1, r2) ** 2,
+                                   err_msg="radii %r and %r" % (r1, r2))
+    # one radius below the rounding of the other: half the small circle, not all of it
+    assert lens_area(1e-60, 1e75, 1e75) == pytest.approx(np.pi * 1e-120 / 2, rel=1e-12)
+
+
 def test_lens_area_keeps_its_bits_in_range():
-    # the range checks move no result: the digest and selftest's three lenses are those from before them
+    # the range checks move no result: the digest and selftest's three lenses are those from before them; the
+    # digest is that of the lenses of radii more than `_UNEQUAL` apart taken segment by segment
     digest = hashlib.sha256()
     for r1, r2, d in _lens_grid():
         digest.update(lens_area(r1, r2, d).tobytes())
-    assert digest.hexdigest() == "8fb74e538eecd13d0c74367122d0d15b112949057913c89dab6a4021139249e3"
+    assert digest.hexdigest() == "8f76d55d2ef6963482128027d190855a404387d2a3d5ea654bd263fe8af200ad"
     assert [lens_area(48.2, 48.2, d).hex() for d in (0.0, 96.4, 70.0)] == [
         "0x1.c82ac78afadbdp+12", "0x0.0p+0", "0x1.2caf035d0cb28p+10"]
 

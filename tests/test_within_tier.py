@@ -21,7 +21,9 @@ indicator mean is checked against an integral over U by
 every link length the row serves.
 """
 
+import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from moment_oracle import region_area_within
 from plain_scoring import plain_chunk
 from protocol_oracle import classify_helper_tier
 from test_conventional_oracle import _yardstick
+from test_stochastic_geometry import _ulps_around
 from within_tier_reference import KNOTS, RATES, arc_mean_g, nearest_node, node_lengths, sure_share, uniform
 
 PARAMS = ChannelParams()
@@ -72,6 +75,29 @@ def test_area_within_matches_the_geometry_oracle(r):
         np.testing.assert_allclose(got[1:], want[1:], rtol=1e-9, atol=1e-12 * area)
         # past the region the disk holds all of it
         assert got[-1] == pytest.approx(area, rel=1e-9)
+
+
+def _area_within_digest():
+    """sha256 of `tier_area_within` at every tier with an area, over link lengths and disk radii of every kind."""
+    rng = np.random.default_rng(40)
+    r = np.concatenate([rng.uniform(67.1, 100.0, 4000)] + [_ulps_around(x, 20) for x in (BAND_2, TANGENCY)])
+    areas = tier_areas(r)
+    tier, link = np.nonzero(areas)
+    order = rng.permutation(tier.size)
+    tier, link = tier[order] + 1, link[order]
+    digest = hashlib.sha256()
+    for t in (np.zeros(link.size), rng.uniform(0.0, 60.0, link.size), np.full(link.size, 200.0)):
+        digest.update(tier_area_within(r[link], tier, t).tobytes())
+    return digest.hexdigest()
+
+
+def test_area_within_keeps_its_bits():
+    # each link's own lenses, in a shuffled mix of tiers, on both sides of 74.7 and 96.4 m, where tier 1's lens
+    # is evaluated at links from 96.4 m on beside those below; the digest is the one of the slot table of lenses
+    # that took each link's own lenses before
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _area_within_digest() == "1269734418d4e0efd2eccd7b3b1a91369a0e7727de5669363e42525811e15e5c"
 
 
 @settings(max_examples=200, deadline=None)

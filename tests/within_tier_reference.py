@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from coopmac.channel_model import g_joint
-from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas, tier_fourth_moments
+from coopmac.stochastic_geometry import cumulative_areas, tier_area_within, tier_areas, tier_moments
 
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
@@ -68,7 +68,8 @@ def region_means(r, tier):
     region's range of q, [q_best, q_worst] (`q_range`), and into
     [0, (Qbar - r^2 / 2) / 2].
     """
-    areas, j, i = (x[tier - 1, np.arange(r.size)] for x in tier_areas(r, moments=True))
+    areas = tier_areas(r)[tier - 1, np.arange(r.size)]
+    j, i = tier_moments(r, tier)[:2]
     half = r * r / 2
     mean_q = np.clip(2 * j / areas + half, *q_range(r, tier))
     return mean_q, np.clip(i / areas, 0.0, (mean_q - half) / 2)
@@ -78,14 +79,13 @@ def region_covariances(r, tier):
     """(V_qq, V_qy, V_yy): the variances of d_SH^2 + d_HD^2 and of y^2 over the regions `tier` of links of lengths r, and their covariance.
 
     With rho = |H - M|, q = 2 rho^2 + r^2 / 2, so V_qq = 4 var(rho^2) and
-    V_qy = 2 cov(rho^2, y^2), written from the regions' area S, moments J
-    and I (`stochastic_geometry.tier_areas`) and fourth moments P, Q and Y
-    (`stochastic_geometry.tier_fourth_moments`), which
+    V_qy = 2 cov(rho^2, y^2), written from the regions' area S
+    (`stochastic_geometry.tier_areas`), moments J and I and fourth moments
+    P, Q and Y (`stochastic_geometry.tier_moments`), which
     `tests/moment_oracle.py` checks.
     """
-    areas, j, i = (x[tier - 1, np.arange(r.size)] for x in tier_areas(r, moments=True))
-    p4, p2y2, y4 = tier_fourth_moments(r, tier) / areas
-    rho2, y2 = j / areas, i / areas
+    areas = tier_areas(r)[tier - 1, np.arange(r.size)]
+    rho2, y2, p4, p2y2, y4 = tier_moments(r, tier) / areas
     return 4 * (p4 - rho2 ** 2), 2 * (p2y2 - rho2 * y2), y4 - y2 ** 2
 
 
