@@ -15,8 +15,12 @@ once per parameter set (`worst_tier_g`).  `tier_bracket` adds G at each
 tier's best position, which moves with the link length, and returns both
 times the tier rate: the per-tier bracket that the bounds reduce with the
 tier law and that the Monte Carlo's sampled mode and control tables read,
-one kernel for both.  The best positions are G's maxima only while log Ps is concave in
+one kernel for both; `tier_best` reads the upper end at each link's own
+tier alone.  The best positions are G's maxima only while log Ps is concave in
 the hop length, which `log_ps_concave` checks once per parameter set.
+`g_bracket` bounds G at any two hops by products of a per-parameter-set
+table of Ps on a grid of 1/32 m, so that the Monte Carlo takes G only at
+the helpers that can hold a link's largest.
 """
 
 from __future__ import annotations
@@ -117,7 +121,52 @@ def g_joint(l1, l2, params: ChannelParams = ChannelParams()):
     the product of the per-hop success probabilities.  Symmetric in
     (l1, l2).
     """
-    return p_success_direct(l1, params) * p_success_direct(l2, params)
+    check_channel(params)
+    # both hops' Ps in one evaluation
+    ps = _p_success(_check_distance(np.stack(np.broadcast_arrays(l1, l2))), params)
+    return ps[0] * ps[1]
+
+
+# hop lengths of `g_bracket`'s table are multiples of this power of two (m), so that a length's interval is exact
+_PS_STEP = 2.0 ** -5
+# a table entry below this is read as 0 in the lower ends, so that a product of two is 0 or a normal float
+_PS_FLOOR = 1e-150
+
+
+@lru_cache(maxsize=64)
+def _ps_table(params: ChannelParams):
+    """(upper, lower): Ps at i _PS_STEP and at (i + 1) _PS_STEP for i = 0 .. 100 m / _PS_STEP, once per ChannelParams.
+
+    Ps falls with the hop length, so a hop in [i _PS_STEP, (i + 1) _PS_STEP)
+    succeeds with a probability between lower[i] and upper[i]; lower is 0
+    where Ps lies below _PS_FLOOR.  Both are read-only.
+    """
+    with np.errstate(divide="ignore"):  # Ps(0) = Q(-inf) = 1
+        ps = _p_success(np.arange(int(BAND_EDGES[-1] / _PS_STEP) + 2) * _PS_STEP, params)
+    upper, lower = ps[:-1], np.where(ps[1:] >= _PS_FLOOR, ps[1:], 0.0)
+    for table in (upper, lower):
+        table.setflags(write=False)
+    return upper, lower
+
+
+def g_bracket(l1, l2, params: ChannelParams):
+    """(upper, lower) ends of G at hop lengths l1 and l2 in [0, 100] m (arrays of one shape), from a table of Ps.
+
+    The ends are products of `_ps_table`'s entries at each hop's interval of
+    1/32 m, up to the rounding of Ps: a relative margin far above it makes
+    either a sure bound.  No validation.
+    """
+    upper, lower = _ps_table(params)
+    i, j = (np.multiply(x, 1.0 / _PS_STEP).astype(np.intp) for x in (l1, l2))
+    return upper.take(i) * upper.take(j), lower.take(i) * lower.take(j)
+
+
+@lru_cache(maxsize=64)
+def _edge_ps(params: ChannelParams):
+    """Ps at the outer edges of the hop bands, 48.2, 67.1, 74.7 and 100 m, once per ChannelParams: a read-only (4,) array."""
+    ps = _p_success(np.array(BAND_EDGES[1:]), params)
+    ps.setflags(write=False)
+    return ps
 
 
 @lru_cache(maxsize=64)
@@ -130,7 +179,7 @@ def worst_tier_g(params: ChannelParams = ChannelParams()):
     arrays, tier 1 first: G, and rate x G, the lower end of each tier's
     bracket (`tier_bracket`).
     """
-    g = g_joint(*np.take(BAND_EDGES[1:], np.transpose(TIER_BANDS)), params)
+    g = np.multiply(*_edge_ps(params).take(np.transpose(TIER_BANDS)))
     terms = g * np.array(TIER_RATES)
     for table in (g, terms):
         table.setflags(write=False)
@@ -166,27 +215,44 @@ def log_ps_concave(params: ChannelParams = ChannelParams()) -> bool:
     return bool(gap >= 1.0 / c)
 
 
-def _at_best(r, n, hop, pair):
-    """pair(hop(d_SH), hop(d_HD)) at each of the first n tiers' best helper positions, for link lengths r: an (n, len(r)) array.
+def _at_best(r, tier, hop, pair, edges):
+    """pair(hop(d_SH), hop(d_HD)) at each link's tier's best helper position, for 1-D arrays r and tier (1-based).
 
     The tiers' best (d_SH, d_HD) are declared here alone: tier 1 at the S-D
     midpoint (r / 2, r / 2), tiers 2 and 4 with the hop of the higher band
     at its inner edge and the other closing the gap to r, (48.2, r - 48.2)
     and (67.1, r - 67.1), tier 3 at its inner corner (48.2, 48.2) while S
     and D are within 96.4 m of each other and at the midpoint beyond, and
-    tier 5 at its inner corner (48.2, 67.1).  hop maps a hop length, a band
-    edge or an array like r, and is taken once per distinct hop.
+    tier 5 at its inner corner (48.2, 67.1).  hop maps an array of hop
+    lengths and is taken once per link whose position moves with r; edges
+    holds hop at the edges 48.2 and 67.1 m, which the caller keeps.
     """
-    mid, edge_11 = hop(0.5 * r), hop(BAND_11)
-    best = np.empty((n, len(r)))
-    best[0] = pair(mid, mid)
-    best[1] = pair(edge_11, hop(r - BAND_11))
-    best[2] = np.where(r > TIER1_MAX_SEPARATION, best[0], pair(edge_11, edge_11))
-    if n == 5:
-        edge_55 = hop(BAND_55)
-        best[3] = pair(edge_55, hop(r - BAND_55))
-        best[4] = pair(edge_11, edge_55)
+    edge_11, edge_55 = edges[0], edges[1]
+    mid = (tier == 1) | ((tier == 3) & (r > TIER1_MAX_SEPARATION))
+    closing = (tier == 2) | (tier == 4)
+    moves = np.flatnonzero(mid | closing)
+    x = np.where(mid, 0.5 * r, r - np.where(tier == 2, BAND_11, BAND_55))[moves]
+    h = hop(x)
+    best = np.where(tier == 5, pair(edge_11, edge_55), pair(edge_11, edge_11))
+    best[moves] = pair(np.where(mid[moves], h, np.where(tier[moves] == 2, edge_11, edge_55)), h)
     return best
+
+
+def tier_best(r, tier, params: ChannelParams):
+    """Each link's tier's rate times G at its best helper position (`_at_best`), for 1-D arrays r and tier (1-based).
+
+    The upper end of `tier_bracket` at the link's own tier alone, for the
+    sampled Monte Carlo's squeeze.  No validation, as `tier_bracket`.
+    """
+    with np.errstate(divide="ignore"):
+        best = _at_best(r, tier, lambda d: _p_success(d, params), np.multiply, _edge_ps(params))
+    best *= np.take(TIER_RATES, tier - 1)
+    return best
+
+
+def _every_tier(r, n):
+    """(r, tier) of every link of the 1-D array r at each of the first n tiers, tier by tier."""
+    return np.tile(r, n), np.repeat(np.arange(1, n + 1), len(r))
 
 
 def tier_bracket(link_class: str, r, params: ChannelParams):
@@ -196,7 +262,7 @@ def tier_bracket(link_class: str, r, params: ChannelParams):
     best positions (`_at_best`), the upper end while log Ps is concave
     (below).  worst is the read-only (n,) table of `worst_tier_g`, which r
     does not move; best is an (n, len(r)) array for the n tiers of the link
-    class (`CLASS_TIERS`) at the 1-D array r.
+    class (`CLASS_TIERS`) at the 1-D array r (`tier_best` at every tier).
     Ps falls with the hop length, so for any ChannelParams worst is G's
     least value over its tier, and the inner corners of tier 3 (r <= 96.4 m)
     and tier 5 are its greatest.  The other best positions split r between
@@ -208,11 +274,7 @@ def tier_bracket(link_class: str, r, params: ChannelParams):
     and tier-5 entries, a hop of 0 m succeeding with probability 1.
     """
     n = CLASS_TIERS[link_class]
-    with np.errstate(divide="ignore"):
-        best = _at_best(r, n, lambda d: _p_success(d, params), np.multiply)
-    for row, rate in zip(best, TIER_RATES):
-        row *= rate
-    return worst_tier_g(params)[1][:n], best
+    return worst_tier_g(params)[1][:n], tier_best(*_every_tier(r, n), params).reshape(n, len(r))
 
 
 # d_SH^2 + d_HD^2 at each tier's worst position of `worst_tier_g`, both hops at the outer edges of its bands
@@ -229,4 +291,5 @@ def tier_q_bracket(r):
     least at the best one (`_at_best`), the evenest split of r that the
     bands allow.  No validation.
     """
-    return _WORST_Q, _at_best(r, len(_WORST_Q), np.square, np.add)
+    n = len(_WORST_Q)
+    return _WORST_Q, _at_best(*_every_tier(r, n), np.square, np.add, np.square((BAND_11, BAND_55))).reshape(n, len(r))

@@ -114,9 +114,9 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammaln
 
-from .channel_model import ChannelParams, check_channel, g_joint, log_ps_concave, p_success_direct, tier_bracket
+from .channel_model import (ChannelParams, check_channel, g_bracket, g_joint, log_ps_concave, p_success_direct,
+                            tier_best, worst_tier_g)
 from .stochastic_geometry import (
-    BAND_2,
     BAND_55,
     BAND_RATES,
     CLASS_TIERS,
@@ -163,6 +163,10 @@ _BELOW_ONE = 1.0 - 2.0 ** -53
 # relative margin by which sampled mode's draw x must clear the upper end of a
 # link's rate x G bracket for the squeeze to settle it as a failure (`_squeeze`)
 _SQUEEZE_MARGIN = 1e-9
+
+# relative margin by which the upper end of a helper's G bracket must reach the
+# largest lower end of its link's for `_best_g` to take its G
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -581,7 +585,13 @@ def _best_g(rng, r, choice, k, params, which=slice(None)):
     conventional scheme) and places the helpers (`_place_in_tier`), each
     with the index of its link.  One scatter by that index gives each
     link's largest G and least q, for both schemes and over every rejection
-    round; a conventional link's one helper gives its own.  y2 is the
+    round; a conventional link's one helper gives its own.  G is taken only
+    where it can be the largest: a helper's G lies between the products of
+    a table of Ps at the ends of each hop's 1/32 m interval
+    (`channel_model.g_bracket`), and a helper whose upper end, times
+    1 + _PRUNE_MARGIN, stays below the largest lower end of its link's is
+    passed over; at the reference parameters about one helper per link is
+    left, and the largest G is the scatter over all of them.  y2 is the
     least-q helper's squared distance from the S-D line, d_SH^2 - x^2 with
     x = (d_SH^2 + r^2 - d_HD^2) / (2 r) its position along it
     (`_line_distance2`); of helpers tied at the least q, the last placed
@@ -596,12 +606,21 @@ def _best_g(rng, r, choice, k, params, which=slice(None)):
         count = _zero_truncated_binomial(rng, k - 1, choice.load[which])
     link = r[choice.has[which]]
     tid, d_sh, d_hd = _place_in_tier(rng, link, tier, area, count)
-    g = g_joint(d_sh, d_hd, params)
+    g_max, q_min, y2 = np.zeros(count.size), np.full(count.size, np.inf), np.zeros(count.size)
+    if choice.load is None:
+        # one helper per link
+        g_max[tid] = g_joint(d_sh, d_hd, params)
+    else:
+        # G only where the upper end of a helper's bracket reaches the largest lower end of its link's
+        upper, lower = g_bracket(d_sh, d_hd, params)
+        floor = np.zeros(count.size)
+        np.maximum.at(floor, tid, lower)
+        upper *= 1.0 + _PRUNE_MARGIN
+        keep = np.flatnonzero(upper >= floor[tid])
+        np.maximum.at(g_max, tid[keep], g_joint(d_sh[keep], d_hd[keep], params))
     d_sh *= d_sh
     d_hd *= d_hd
     q = d_sh + d_hd
-    g_max, q_min, y2 = np.zeros(count.size), np.full(count.size, np.inf), np.zeros(count.size)
-    np.maximum.at(g_max, tid, g)
     np.minimum.at(q_min, tid, q)
     least = np.flatnonzero(q == q_min[tid])
     owner = tid[least]
@@ -689,16 +708,14 @@ def _chunk_throughput(regime, density, scheme, n, params, estimator_mode, k, rng
         # analytic mode places the helpers of every link with one, sampled mode those the squeeze leaves open
         placed, draw, single = slice(None), None, None
         if v is not None:
-            # one bracket read per chunk, through the 3-tier kernel when every link is of class C: sampled
-            # mode's sure share and squeeze
-            worst, best = tier_bracket("C" if np.all(r_e < BAND_2) else "D", r_e, params)
             # rate x G_worst of the chosen tier is a sure success: score it exactly
             # and draw x uniform above it, a success while x < rate x max G
-            lo = worst[tier - 1]
+            lo = worst_tier_g(params)[1][tier - 1]
             span = tier_rate - lo
             x = lo + span * v[chosen]
-            # the upper end bounds G only while log Ps is concave; without it no failure is settled
-            placed = _squeeze(x, best[tier - 1, has] if log_ps_concave(params) else np.inf)
+            # the upper end of the chosen tier's bracket bounds G only while log Ps is concave; without it no
+            # failure is settled
+            placed = _squeeze(x, tier_best(r_e[has], tier, params) if log_ps_concave(params) else np.inf)
             draw = x, span
             if scheme == "conventional":
                 # the conventional indicator's model of one helper uniform in the region: the proposed table

@@ -582,3 +582,46 @@ def test_k1_builds_no_control_table():
     assert [cache.cache_info()[1:] for cache in caches] == before
     edges = within_tier.class_edges(*REGIMES["all"][:2], 0.0005, 1, ChannelParams())
     assert edges.edges.tolist() == [48.2, 67.1, 74.7] and edges.h.size == 0
+
+
+
+@pytest.mark.parametrize("channel", [{}, dict(alpha=2.0, pt=-30.0), dict(alpha=7.0), dict(sigma_sh=12.0), dict(pt=-10.0)],
+                         ids=["reference", "loose", "alpha7", "sigma12", "pt-10"])
+def test_pruned_best_g_is_the_full_max(monkeypatch, channel):
+    # `_best_g` takes G only at helpers whose bracket reaches their link's best; its largest G per link is the
+    # scatter of G over every placed helper, bit for bit, also where log Ps is not concave
+    params = ChannelParams(**channel)
+    placed, counts = [], np.zeros(2, dtype=np.int64)
+    place, best_g = monte_carlo._place_in_tier, monte_carlo._best_g
+
+    def recording(*args):
+        points = place(*args)
+        placed.append([x.copy() for x in points])
+        return points
+
+    def checking(rng, r, choice, k, params, which=slice(None)):
+        placed.clear()
+        out = best_g(rng, r, choice, k, params, which)
+        tid, d_sh, d_hd = placed[0]
+        full = np.zeros(out[0].size)
+        np.maximum.at(full, tid, g_joint(d_sh, d_hd, params))
+        assert out[0].tobytes() == full.tobytes()
+        if choice.load is not None:
+            upper, lower = monte_carlo.g_bracket(d_sh, d_hd, params)
+            floor = np.zeros(full.size)
+            np.maximum.at(floor, tid, lower)
+            counts[:] += np.count_nonzero(upper * (1 + monte_carlo._PRUNE_MARGIN) >= floor[tid]), tid.size
+        return out
+
+    monkeypatch.setattr(monte_carlo, "_place_in_tier", recording)
+    monkeypatch.setattr(monte_carlo, "_best_g", checking)
+    for regime in ("C", "D1", "D2", "all"):
+        for k in (None, 10):
+            for density in (0.001, 0.005):
+                for scheme in ("proposed", "conventional"):
+                    for mode in ("analytic", "sampled"):
+                        for seed in range(3):
+                            monte_carlo._chunk_throughput(regime, density, scheme, 1000, params, mode, k,
+                                                          np.random.default_rng(seed))
+    # most proposed helpers are pruned
+    assert counts[0] < 0.5 * counts[1]
