@@ -90,10 +90,17 @@ computes c and m for a chunk; in regime `all` the stratum of u that holds
 a class edge also takes a term of mean 0 (`_edge_term`).  Analytic mode
 reads no bracket per link: the tables hold what the centres need.
 
+The largest G of a proposed link's helpers is taken from G at those
+helpers alone whose bracket from a table of Ps (`channel_model.g_bracket`)
+reaches the link's best lower end, about one helper per link, and equals
+the largest over all of them bit for bit (`_best_g`).
+
 A kth-NN link length inverts the Gamma(k, 1) law of `nn_distance_band`
 through a per-chunk table of its exact inverse, a cubic Hermite and one
 Newton step on the forward law (`_gamma_quantiles`), not one scipy inverse
-per trial, and agrees with the exact inverse to 1e-12 relative.
+per trial, and agrees with the exact inverse to 1e-12 relative.  scipy's
+gamma family is imported inside those functions, so that a run under the
+PPP never loads scipy.
 
 The `reproduce` figure tables, which set these estimates beside the
 bounds, are built by the `cli` module; this module imports no other layer
@@ -112,7 +119,6 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .channel_model import (ChannelParams, check_channel, g_bracket, g_joint, log_ps_concave, p_success_direct,
                             tier_best, worst_tier_g)
@@ -340,6 +346,8 @@ def _gamma_table(k, lo, hi, inverse):
     and coef the (4, _TABLE_INTERVALS) coefficients of each interval's cubic
     in its position t.  Both are read-only; a run's chunks share one band.
     """
+    from scipy.special import gammaln
+
     n = _TABLE_INTERVALS
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nodes = inverse(k, lo + np.arange(n + 1) / n * (hi - lo))
@@ -371,6 +379,8 @@ def _gamma_quantiles(u, k, lo, hi, inverse):
     start, and a tail that decays like exp(-x).  About ten intervals next to
     such an end fall back; a band without one has next to no fallbacks.
     """
+    from scipy.special import gammainc, gammaincc, gammaln
+
     v = lo + u * (hi - lo)
     upper = hi < lo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln
 
 # Distance band edges shared by link classification and tier geometry (m).
 BAND_11 = 48.2   # below: 11 Mbps hop
@@ -152,9 +151,9 @@ def lens_area(r1, r2, separation):
     """Intersection area of two circles of radii r1, r2 (m^2).
 
     Uses the standard lens formula, or near external tangency, where its
-    terms cancel, and for radii more than _UNEQUAL apart, where the larger
-    circle's arccos loses its thin segment, the segments' own forms
-    (`_lens`); separations beyond r1+r2 give 0 and separations below
+    terms cancel, and near internal tangency and for radii more than
+    _UNEQUAL apart, where the larger circle's arccos loses its thin segment,
+    the segments' own forms (`_lens`); separations beyond r1+r2 give 0 and separations below
     |r1-r2| give the full smaller circle.  `separation` may be an array.
     Each radius must lie in _LENS_RADII, 1e-60 to 1e75 m, where the formula
     neither overflows nor underflows, and each separation must be
@@ -199,11 +198,14 @@ def _lens(r1, r2, d):
     one radius exceeds _UNEQUAL times the other, the larger circle's segment
     is thin at every separation, and its arccos loses it: the formula's
     error grows like the cube of the radii's ratio, and it gave 46.02 m^2
-    for the 1.5708 m^2 of radii 1 and 1e6 m at 1e6 m.  Those lenses are
-    taken segment by segment (`_unequal_lens`).  No tier lens, whose radii
-    lie within a factor 1.55 of each other, takes that path.  Apart or
-    tangent circles have 0.  No
-    validation.
+    for the 1.5708 m^2 of radii 1 and 1e6 m at 1e6 m.  So is it next to
+    internal tangency, where 0 < d - |r1 - r2| < _THIN min(r1, r2) for
+    unequal radii: radii 74.7 and 30 m at 44.700000000001 m gave 1.4e-9 more
+    than the smaller circle.  Those lenses are taken segment by segment
+    (`_unequal_lens`), which never gives more than the smaller circle.  No
+    tier lens at a link length, whose radii lie within a factor 1.55 of
+    each other and whose centres lie at least 67.1 m apart, takes that path.  Apart or
+    tangent circles have 0.  No validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -227,12 +229,16 @@ def _lens(r1, r2, d):
     # both segments are thin where the circles are this close to external tangency
     thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
     side = d + r1
-    tri *= side - r2
+    inner = side - r2
+    tri *= inner
     side += r2
     gap = d - r1
     gap += r2
     tri *= gap
     tri *= side
+    # d - |r1 - r2|: the larger circle's segment is thin where the circles are this close to internal tangency
+    np.minimum(inner, gap, out=inner)
+    tangent = np.flatnonzero(inner < _THIN * np.minimum(r1, r2))
     np.sqrt(np.maximum(tri, 0.0, out=tri), out=tri)
     tri *= 0.5
     area -= tri
@@ -250,40 +256,48 @@ def _lens(r1, r2, d):
         kite /= sep
         area[at] = _segment_area(ra, a1, kite) + _segment_area(rb, sep - a1, kite)
     big, small = np.maximum(r1, r2), np.minimum(r1, r2)
-    unequal = big > _UNEQUAL * small
-    if np.any(unequal):
-        at = np.nonzero(np.broadcast_to(unequal, area.shape))
+    segments = np.flatnonzero(np.broadcast_to(big > _UNEQUAL * small, area.shape))
+    # circles of equal radii have no internal tangency: their segments are half-discs as d -> 0
+    tangent = tangent[~inside.ravel()[tangent] & np.broadcast_to(r1 != r2, area.shape).ravel()[tangent]]
+    if tangent.size:
+        segments = np.union1d(segments, tangent)
+    if segments.size:
+        at = np.unravel_index(segments, area.shape)
         area[at] = _unequal_lens(*(np.broadcast_to(x, area.shape)[at] for x in (big, small, d)))
     return area
 
 
 # `_lens` takes a lens's area from its segments' series where r1 + r2 - d is positive and below this share of the
-# smaller radius, where each segment's half-angle is below sqrt(2 _THIN), and from `_unequal_lens` where one radius is
-# more than _UNEQUAL times the other, where the larger circle's segment has a half-angle below arcsin(1 / _UNEQUAL)
+# smaller radius, where each segment's half-angle is below sqrt(2 _THIN), and from `_unequal_lens` where
+# d - |r1 - r2| is, and where one radius is more than _UNEQUAL times the other, where the larger circle's segment has
+# a half-angle below arcsin(1 / _UNEQUAL)
 _THIN = 0.0025
 _UNEQUAL = 4.0
 
 
 def _unequal_lens(big, small, d):
-    """The area of `_lens` at lenses of radii big > _UNEQUAL small, segment by segment (1-D arrays).
+    """The area of `_lens` at lenses of radii big > small whose larger circle's segment is thin, segment by segment (1-D arrays).
 
-    With e = d - big, exact as d lies within a factor 2 of big wherever the
-    circles meet, the circles are apart from e >= small on and the smaller
-    lies inside the larger up to e <= -small, tests that neither radius's
-    rounding can tip.  Between them the half-chord h is taken from the
+    With e = d - big, exact where big > _UNEQUAL small, as d lies within a
+    factor 2 of big wherever the circles meet, the circles are apart from
+    e >= small on and the smaller lies inside the larger up to e <= -small,
+    tests that neither radius's rounding can tip.  Next to internal
+    tangency of closer radii, e can carry the rounding of d - big, which
+    moves the area by far less than its own rounding.  Between them the half-chord h is taken from the
     kite's factors (small - e)(small + e)(d + big - small)(d + big + small),
     and each chord's distance from its centre,
     ((d - small)(d + small) + big^2) / (2 d) and
     (e (d + big) + small^2) / (2 d), with no difference of nearly equal
-    terms, so that both segments keep their digits (`_segment_area`).
+    terms, so that both segments keep their digits (`_segment_area`), and
+    the sum is capped at the smaller circle.
     """
     e = d - big
     area = np.where(e <= -small, np.pi * small * small, 0.0)
     lens = np.flatnonzero(np.abs(e) < small)
     big, small, d, e = big[lens], small[lens], d[lens], e[lens]
     h = np.sqrt((small - e) * (small + e) * (d + big - small) * (d + big + small)) / (2.0 * d)
-    area[lens] = (_segment_area(big, ((d - small) * (d + small) + big * big) / (2.0 * d), h)
-                  + _segment_area(small, (e * (d + big) + small * small) / (2.0 * d), h))
+    area[lens] = np.minimum(_segment_area(big, ((d - small) * (d + small) + big * big) / (2.0 * d), h)
+                            + _segment_area(small, (e * (d + big) + small * small) / (2.0 * d), h), np.pi * small * small)
     return area
 
 
@@ -419,8 +433,8 @@ def tier_area_within(r, tier, t):
     return _own_regions(1, _disk_lens, r, tier, t)[0]
 
 
-def tier_moments(r, tier):
-    """(5, n): the integrals of rho^2, y^2, rho^4, rho^2 y^2 and y^4 over each link's tier region, for 1-D arrays r and tier.
+def tier_moments(r, tier, rows=5):
+    """(rows, n): the integrals of rho^2, y^2, rho^4, rho^2 y^2 and y^4 over each link's tier region, for 1-D arrays r and tier.
 
     rho = |H - M| is the distance from the S-D midpoint and y from the S-D
     line, so the first two are the region's second moments J about M and I
@@ -431,15 +445,16 @@ def tier_moments(r, tier):
     2 J_j / S_j + r^2 / 2, as d_SH^2 + d_HD^2 = 2 rho^2 + r^2 / 2, the mean
     y^2 I_j / S_j, and the mean rho^4 P / S_j, and so on.  Tier 1's region,
     a sliver for r in (96.28, 96.4) m, has its moments without
-    cancellation there.  No validation: r is a class C or D link length, at
-    least 74.7 m for tiers 4 and 5.
+    cancellation there.  rows = 2 takes J and I alone, with the same bits.
+    No validation: r is a class C or D link length, at least 74.7 m for
+    tiers 4 and 5.
     """
-    return _own_regions(5, _lens_moments, r, tier)
+    return _own_regions(rows, lambda r1, r2, d: _lens_moments(r1, r2, d, rows), r, tier)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _lens_moments(r1, r2, d):
-    """(5, n): the integrals of rho^2, y^2, rho^4, rho^2 y^2 and y^4 over the lenses of circles of radii r1 and r2 whose centres lie d apart (a 1-D array).
+def _lens_moments(r1, r2, d, rows=5):
+    """(rows, n): the first rows of the integrals of rho^2, y^2, rho^4, rho^2 y^2 and y^4 over the lenses of circles of radii r1 and r2 whose centres lie d apart (a 1-D array).
 
     rho is the distance from the centres' midpoint and y from their line.
     The common chord splits a lens into two circular segments, each its
@@ -460,8 +475,9 @@ def _lens_moments(r1, r2, d):
     alpha^6 as a segment thins, so a lens with a segment of half-angle
     below _THIN_SEGMENT is taken segment by segment (`_segment_moments`).
     Apart or tangent circles give 0, and an enclosed one the whole smaller
-    circle, its sector with alpha = pi.  No validation; r1 and r2 are
-    numbers.
+    circle, its sector with alpha = pi.  Each row is taken by its own
+    arithmetic, so rows = 2 gives J and I the bits of rows = 5.  No
+    validation; r1 and r2 are numbers.
     """
     r1, r2 = float(r1), float(r2)
     sq1, sq2 = r1 * r1, r2 * r2
@@ -474,8 +490,9 @@ def _lens_moments(r1, r2, d):
     np.maximum(kite, 0.0, out=kite)
     np.sqrt(kite, out=kite)
     kite *= -0.5
-    out = np.empty((5, d.size))
-    j, i, p, q, y = out
+    out = np.empty((rows, d.size))
+    fourth = rows > 2
+    j, i, p, q, y = out if fourth else (*out, None, None, None)
     # the triangles: -T times a polynomial in d^2 and, for unequal radii, 1 / d^2
     j.fill(0.75 * s)
     np.multiply(dd, -1 / 24, out=i)
@@ -490,11 +507,12 @@ def _lens_moments(r1, r2, d):
     if t:
         inv = 1.0 / dd
         i += inv * (t * t / 12)
-        q += inv * (s * t * t / 24)
-        low = inv * (-t ** 4 / 160)
-        low += 9 * s * t * t / 160
-        low *= inv
-        y += low
+        if fourth:
+            q += inv * (s * t * t / 24)
+            low = inv * (-t ** 4 / 160)
+            low += 9 * s * t * t / 160
+            low *= inv
+            y += low
     out *= kite
     # the sectors, twice the one for equal radii
     angles = []
@@ -514,6 +532,8 @@ def _lens_moments(r1, r2, d):
         j += part
         np.multiply(alpha, weight * sq * sq / 4, out=part)
         i += part
+        if not fourth:
+            continue
         np.multiply(dd, weight * sq / 16, out=part)
         part += weight * sq * sq / 2
         part *= dd
@@ -530,14 +550,14 @@ def _lens_moments(r1, r2, d):
     apart = d >= r1 + r2
     thin = np.flatnonzero((np.minimum(alpha1, alpha2) < _THIN_SEGMENT) & ~apart)
     if thin.size:
-        out[:, thin] = _segment_moments(r1, r2, d[thin], alpha1[thin], alpha2[thin])
+        out[:, thin] = _segment_moments(r1, r2, d[thin], alpha1[thin], alpha2[thin])[:rows]
     np.copyto(out, 0.0, where=apart)
     inside = d <= abs(r1 - r2)
     if inside.any():
         sq = min(r1, r2) ** 2
         np.copyto(out, np.pi * np.stack((sq * (0.5 * sq + 0.25 * dd), np.full(dd.shape, 0.25 * sq * sq),
                                          sq * (16 * sq * sq + dd * (24 * sq + 3 * dd)) / 48,
-                                         sq * sq * (8 * sq + 3 * dd) / 48, np.full(dd.shape, sq ** 3 / 8))),
+                                         sq * sq * (8 * sq + 3 * dd) / 48, np.full(dd.shape, sq ** 3 / 8))[:rows]),
                   where=inside)
     return out
 
@@ -928,6 +948,8 @@ def nn_distance_band(a, b, density, k):
     density*pi*R^2 on the band.  A band whose mass is 0 in double precision
     raises ValueError; no other validation.
     """
+    from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
+
     x = density * np.pi * np.array([a * a, b * b])
     upper = gammaincc(k, x[0]) < 0.5
     lo, hi = gammaincc(k, x) if upper else gammainc(k, x)
@@ -965,6 +987,8 @@ def nn_distance_law(k: int, density: float):
     log Gamma(k) and density*pi are computed once, so a caller that takes
     the pdf at many nodes builds this once.  No validation.
     """
+    from scipy.special import gammaln
+
     lam_pi, log_gamma_k = density * np.pi, gammaln(k)
 
     def pdf(r):

@@ -116,7 +116,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, gammaincc
 
 from .channel_model import g_joint, p_success_direct, tier_bracket, tier_q_bracket
 from .stochastic_geometry import (
@@ -793,6 +792,8 @@ def _band_uniform(r, band, density, k):
     a, b = band
     if k is None:
         return (r * r - a * a) / (b * b - a * a)
+    from scipy.special import gammainc, gammaincc
+
     lo, hi, _ = nn_distance_band(a, b, density, k)
     x = density * np.pi * r * r
     return ((gammaincc if hi < lo else gammainc)(k, x) - lo) / (hi - lo)
@@ -861,8 +862,9 @@ def control(table, scheme, r, choice, direct, q, y2, k, which, draw=None, single
             psi = control_term(single, at_single, u)
             psi += single.h.take(at_single)
             chosen += _indicator(single, nodes, choice.tier, which, psi, draw)
-        # the chosen regions' means of rho^2, y^2, rho^4, rho^2 y^2 and y^4, rho = |H - M|
-        means = tier_moments(link, tier)
+        # the chosen regions' means of rho^2, y^2, rho^4, rho^2 y^2 and y^4, rho = |H - M|; sampled mode reads the
+        # first two alone
+        means = tier_moments(link, tier, 5 if draw is None else 2)
         means /= choice.area[which]
         mean_q, mean_y2 = _region_means(link, means)
         term = np.subtract(q, mean_q, out=q)

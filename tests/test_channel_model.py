@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from coopmac.channel_model import ChannelParams, g_joint, p_success_direct, q_function
+from coopmac.channel_model import ChannelParams, erfc, erfcx, g_joint, log_ps_concave, p_success_direct, q_function
 from protocol_oracle import mean_rx_power, shadowing_sample
 
 PARAMS = ChannelParams()
@@ -50,6 +52,79 @@ def test_q_function_symmetry():
 def test_q_function_reference_value():
     # frozen high-precision erfc reference
     assert q_function(-1.25143) == pytest.approx(0.89461118113843372, abs=1e-12)
+
+
+def _ulps(got, exact):
+    """|got - exact| in units of the spacing of doubles at exact, 0 where both are equal (the infinities too)."""
+    with np.errstate(invalid="ignore"):
+        return np.where(got == exact, 0.0, np.abs(got - exact) / np.spacing(np.abs(exact)))
+
+
+def _exact(f, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return np.array([float(f(mpmath, mpmath.mpf(float(v)))) for v in x])
+
+
+# every branch of Cody's forms and their edges, both signs, and the deep tail where erfc is subnormal
+_ERFC_ARGS = np.concatenate([np.linspace(-30.0, 30.0, 2401), np.random.default_rng(5).uniform(-6.0, 27.0, 1500),
+                             np.linspace(26.5, 26.7, 101),
+                             *(np.nextafter(e, [-np.inf, np.inf]) for e in (0.46875, -0.46875, 4.0, -4.0)),
+                             [0.46875, -0.46875, 4.0, -4.0, 0.0, -0.0, 1e-300, -1e-300, 5e-324]])
+
+
+def test_erfc_is_within_6_ulps_of_the_exact_value():
+    exact = _exact(lambda mp, x: mp.erfc(x), _ERFC_ARGS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erfc(_ERFC_ARGS)
+    normal = exact >= np.finfo(float).tiny
+    assert _ulps(got, exact)[normal].max() <= 6
+    # below the smallest normal, down to where it returns 0, within two of the smallest subnormal
+    subnormal = ~normal & (got > 0)
+    assert subnormal.any() and np.abs(got - exact)[subnormal].max() <= 2 * 5e-324
+
+
+def test_erfcx_is_within_6_ulps_of_the_exact_value():
+    x = np.concatenate([_ERFC_ARGS[_ERFC_ARGS > -26.6], 10.0 ** np.linspace(1.0, 12.0, 300)])
+    exact = _exact(lambda mp, x: mp.exp(x * x) * mp.erfc(x), x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = erfcx(x)
+    assert _ulps(got, exact).max() <= 6
+
+
+def test_q_function_within_its_ulp_bound():
+    # erfc's 6 ulps, and the rounding of x / sqrt(2), which Q magnifies about x^2-fold in its tail
+    x = np.concatenate([np.linspace(-40.0, 37.6, 3001), [0.0, 1.0, -1.0, 37.67]])
+    exact = _exact(lambda mp, x: mp.erfc(x / mp.sqrt(2)) / 2, x)
+    got = q_function(x)
+    normal = exact >= np.finfo(float).tiny
+    assert np.all(_ulps(got, exact)[normal] <= 6 + 1.5 * x[normal] ** 2)
+
+
+def test_erfc_ends():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ends = erfc(np.array([-np.inf, np.inf, np.nan, -1e300, 1e300]))
+        assert ends[[0, 1, 3, 4]].tolist() == [2.0, 0.0, 2.0, 0.0] and np.isnan(ends[2])
+        scaled = erfcx(np.array([-np.inf, np.inf, np.nan, -27.0, 1e300]))
+        assert scaled[[0, 1, 3]].tolist() == [np.inf, 0.0, np.inf] and np.isnan(scaled[2])
+        assert scaled[4] == pytest.approx(1e-300 / np.sqrt(np.pi), rel=1e-15)
+        # 0 exactly from where exp(-x^2) underflows, sqrt(log(largest double)), on, and nonzero below
+        edge = np.sqrt(np.log(np.finfo(float).max))
+        around = edge + np.arange(-3, 4) * np.spacing(edge)
+        assert (erfc(around) == 0).tolist() == [False] * 4 + [True] * 3
+        assert (erfc(-around) == 2).all()
+        # scalars give scalars, arrays keep their shape
+        assert isinstance(erfc(0.5), np.floating) and erfc(np.zeros((2, 3))).shape == (2, 3)
+        assert erfc(np.empty(0)).shape == (0,)
+
+
+def test_log_ps_concave_verdicts():
+    # the reference set passes; a loose link budget, a steep or a deep fade, a louder transmitter do not
+    sets = [{}, dict(alpha=2.0, pt=-30.0), dict(alpha=7.0), dict(sigma_sh=12.0), dict(pt=-10.0)]
+    assert [log_ps_concave(ChannelParams(**kw)) for kw in sets] == [True, False, False, False, False]
 
 
 def test_p_success_frozen_values():

@@ -16,13 +16,19 @@ left behind when its last reader goes.  Every
 used, so every memo of the package is bounded.  No module uses
 `numpy.linalg`: the first LAPACK call of a process allocates the BLAS
 buffers, about a megabyte of resident memory, so small solves are written
-out (`within_tier._solve`).  The object-level oracle of helper selection
+out (`within_tier._solve`).  No module imports scipy when it is loaded:
+every scipy import sits inside a function, so that a process that stays
+under the PPP never loads it (`channel_model.erfc` serves the PPP), which
+a fresh interpreter checks too.  The object-level oracle of helper selection
 (`tests/protocol_oracle.py`) stays independent of the simulator it checks:
 it imports only public names of `channel_model` and `stochastic_geometry`,
 and no package module imports anything under `tests/`.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -293,3 +299,63 @@ def test_a_linalg_use_is_found():
                   "import numpy as xp\nxp.linalg.norm\n"):
         assert linalg_uses(extra), extra
     assert linalg_uses("import numpy as np\nnp.dot\n") == []
+
+
+def load_time_scipy_imports(source):
+    """The lines of `source` that import scipy outside every function body: at module level, in a class body or under a module-level `if` or `try`."""
+    tree = ast.parse(source)
+    in_function = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            in_function.update(id(sub) for sub in ast.walk(node) if sub is not node)
+    lines = []
+    for node in ast.walk(tree):
+        if id(node) in in_function:
+            continue
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "scipy" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "scipy":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module", sorted(path.stem for path in SRC.glob("*.py")))
+def test_no_module_imports_scipy_at_load(module):
+    assert load_time_scipy_imports((SRC / (module + ".py")).read_text()) == []
+
+
+def test_a_load_time_scipy_import_is_found():
+    # the gamma family imported at module level again, as the k-nearest functions once had it
+    source = (SRC / "monte_carlo.py").read_text()
+    assert "    from scipy.special import gammaln\n" in source and load_time_scipy_imports(source) == []
+    line = source[:source.index("import numpy as np\n")].count("\n") + 2
+    edited = source.replace("import numpy as np\n", "import numpy as np\nfrom scipy.special import gammaln\n", 1)
+    assert load_time_scipy_imports(edited) == [line]
+    for extra in ("import scipy\n", "import scipy.special as sc\n", "from scipy import special\n",
+                  "try:\n    from scipy.special import erfc\nexcept ImportError:\n    pass\n", "class A:\n    import scipy\n"):
+        assert load_time_scipy_imports(source + extra), extra
+    for clean in ("def f():\n    import scipy\n", "def f():\n    def g():\n        from scipy import special\n",
+                  "from . import scipy_free\n", "import numpy\n"):
+        assert load_time_scipy_imports(clean) == [], clean
+
+
+_PPP_RUN = """
+import sys
+import coopmac
+from coopmac import analytic_bounds, monte_carlo
+for mode in ("analytic", "sampled"):
+    monte_carlo.estimate_throughput(monte_carlo.ExperimentConfig(
+        densities=(0.0005, 0.005), scheme="both", regime="all", trials=2000, estimator_mode=mode))
+analytic_bounds.averaged_bounds("D1", 0.001)
+analytic_bounds.total_throughput_bounds(0.002)
+print("scipy.special" in sys.modules)
+monte_carlo.estimate_throughput(monte_carlo.ExperimentConfig(densities=(0.001,), regime="C", trials=2000, k=10))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_a_ppp_process_never_loads_scipy():
+    # a fresh interpreter: the PPP's Monte Carlo and bounds leave scipy.special unloaded, and a k = 10 run loads it
+    out = subprocess.run([sys.executable, "-c", _PPP_RUN], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)}).stdout.split()
+    assert out == ["False", "True"]

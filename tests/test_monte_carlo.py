@@ -545,22 +545,23 @@ def test_k_conditioned_bounds_over_band_mass_bracket_simulation(regime):
 
 
 # every k = 1 estimate of `test_k1_builds_no_control_table`, both schemes at 0.0005 nodes/m^2, 3000 trials in chunks of
-# 1000, seed 17, as float.hex of (mean, stderr), recorded at commit 8dbfdb0, which built each cell's control tables
+# 1000, seed 17, as float.hex of (mean, stderr), recorded at commit 8dbfdb0, which built each cell's control tables;
+# seven analytic stderrs re-recorded with `channel_model.erfc`, which moved their last bits, and every mean the same
 _K1_ESTIMATES = {
-    ("C", "analytic", "proposed"): ("0x1.579f53463ab8fp+0", "0x1.10922c567874fp-19"),
-    ("C", "analytic", "conventional"): ("0x1.579f5054c8b08p+0", "0x1.0f4233f1b73e7p-19"),
+    ("C", "analytic", "proposed"): ("0x1.579f53463ab8fp+0", "0x1.10922c567874ap-19"),
+    ("C", "analytic", "conventional"): ("0x1.579f5054c8b08p+0", "0x1.0f4233f1b7477p-19"),
     ("C", "sampled", "proposed"): ("0x1.5867c3ece2a53p+0", "0x1.86c7fce4b0868p-9"),
     ("C", "sampled", "conventional"): ("0x1.58ead65b7a328p+0", "0x1.68484fc28dbdbp-9"),
     ("D1", "analytic", "proposed"): ("0x1.264da4a86d1dfp-1", "0x1.b4e3772f991c9p-18"),
-    ("D1", "analytic", "conventional"): ("0x1.264f1c03178d0p-1", "0x1.d9e3245932faep-18"),
+    ("D1", "analytic", "conventional"): ("0x1.264f1c03178d0p-1", "0x1.d9e3245932fa0p-18"),
     ("D1", "sampled", "proposed"): ("0x1.2508dfea27984p-1", "0x1.c60bf64b487dap-10"),
     ("D1", "sampled", "conventional"): ("0x1.26bdc8057619fp-1", "0x1.c60bf64b487dap-10"),
-    ("D2", "analytic", "proposed"): ("0x1.8c75864ea1683p-2", "0x1.6c234351fe7dfp-22"),
-    ("D2", "analytic", "conventional"): ("0x1.8c7584cd1e78dp-2", "0x1.6dcb75b3e3880p-22"),
+    ("D2", "analytic", "proposed"): ("0x1.8c75864ea1683p-2", "0x1.6c234351fe8e3p-22"),
+    ("D2", "analytic", "conventional"): ("0x1.8c7584cd1e78dp-2", "0x1.6dcb75b3e36d4p-22"),
     ("D2", "sampled", "proposed"): ("0x1.8b9af72015d86p-2", "0x1.e684c7ccdd559p-10"),
     ("D2", "sampled", "conventional"): ("0x1.8dfea27983c13p-2", "0x1.ce60e8f1eaea5p-10"),
-    ("all", "analytic", "proposed"): ("0x1.575f54db02ea8p+3", "0x1.6476f6ec403b1p-13"),
-    ("all", "analytic", "conventional"): ("0x1.5762a2e0995d9p+3", "0x1.56d0bcf2342dap-13"),
+    ("all", "analytic", "proposed"): ("0x1.575f54db02ea8p+3", "0x1.6476f6ec403abp-13"),
+    ("all", "analytic", "conventional"): ("0x1.5762a2e0995d9p+3", "0x1.56d0bcf2342cap-13"),
     ("all", "sampled", "proposed"): ("0x1.575e88f7920a9p+3", "0x1.940e773628e61p-7"),
     ("all", "sampled", "conventional"): ("0x1.57067fe14c8b6p+3", "0x1.c47a8ec039c55p-7"),
 }

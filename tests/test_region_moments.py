@@ -43,8 +43,10 @@ from within_tier_reference import region_covariances
 PARAMS = ChannelParams()
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
-# sha256 of the areas of `_area_digest`, which the moments' move out of the lens pass of the areas kept
-_AREA_DIGEST = "144fd850fa0086c836751c618cc7c2c20e304e475ea1c7a8bf20aaf41231c09c"
+# sha256 of the areas of `_area_digest`, which the moments' move out of the lens pass of the areas kept; every tier
+# area has those bits, and two lenses of radii 67.1 and 48.2 m at 18.9 and 19 m, next to internal tangency, are
+# taken segment by segment since (the first was 1.4e-9 above the smaller circle)
+_AREA_DIGEST = "71b82acad110bb0dbda15851b7029cdae68c754bf4c5143edc4817dd6dcdf052"
 
 
 def _moments(r):
@@ -156,6 +158,21 @@ def test_region_moments_lie_between_0_and_j():
 def test_moment_pass_keeps_the_area_bits():
     # the areas have the bits they had when the lens pass of the areas took J and I too
     assert _area_digest() == _AREA_DIGEST
+
+
+def test_second_moments_alone_keep_their_bits():
+    # J and I taken without the fourth moments, as sampled conventional chunks take them, have the bits of all five:
+    # every tier over the class C and D lengths, the thin tier-1 sliver near 96.4 m included, and lenses apart,
+    # thin, enclosed and at d = 0
+    r = np.concatenate([np.linspace(67.1, 100.0, 2001)] + [_ulps_around(x, 16) for x in (BAND_2, TIER1_MAX_SEPARATION)])
+    r = r[(r >= 67.1) & (r <= 100.0)]
+    for tier in range(1, 6):
+        links = r[r >= BAND_2] if tier > 3 else r
+        tiers = np.full(links.size, tier)
+        assert tier_moments(links, tiers, 2).tobytes() == tier_moments(links, tiers)[:2].tobytes()
+    d = np.concatenate([np.linspace(0.0, 150.0, 1501), 96.4 - np.logspace(-12, 0, 25)])
+    for r1, r2 in ((48.2, 48.2), (48.2, 67.1), (30.0, 74.7), (10.0, 30.0)):
+        assert _lens_moments(r1, r2, d, 2).tobytes() == _lens_moments(r1, r2, d)[:2].tobytes()
 
 
 def test_moment_kernel_emits_no_runtime_warning():

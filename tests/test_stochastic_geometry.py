@@ -257,15 +257,31 @@ def test_lens_area_matches_the_exact_lens_over_the_grid():
                                    err_msg="radii %r and %r" % (r1, r2))
     # one radius below the rounding of the other: half the small circle, not all of it
     assert lens_area(1e-60, 1e75, 1e75) == pytest.approx(np.pi * 1e-120 / 2, rel=1e-12)
+    # next to internal tangency, where the larger circle's segment is thin: within rounding of the 60-digit area,
+    # and never above the smaller circle
+    radii = (0.5, 10.0, 30.0, 44.7, 48.2, 67.1, 74.7, 100.0)
+    for r1 in radii:
+        for r2 in radii:
+            if r1 != r2:
+                small = min(r1, r2)
+                d = abs(r1 - r2) + small * np.concatenate((np.logspace(-14, -1, 27), [0.00249, 0.00251]))
+                got = lens_area(r1, r2, d)
+                want = np.array([_exact_lens_area(r1, r2, x) for x in d])
+                np.testing.assert_allclose(got, want, rtol=1e-13, err_msg="radii %r and %r" % (r1, r2))
+                assert np.all(got <= np.pi * small * small)
+    for r1, r2, d in ((74.7, 30.0, 44.700000000001005), (74.7, 48.2, 26.500000000001)):
+        assert lens_area(r1, r2, d) == pytest.approx(_exact_lens_area(r1, r2, d), rel=2e-16)
+        assert lens_area(r1, r2, d) <= np.pi * min(r1, r2) ** 2
 
 
 def test_lens_area_keeps_its_bits_in_range():
     # the range checks move no result: the digest and selftest's three lenses are those from before them; the
-    # digest is that of the lenses of radii more than `_UNEQUAL` apart taken segment by segment
+    # digest is that of the lenses of radii more than `_UNEQUAL` apart taken segment by segment, none of them above
+    # the smaller circle
     digest = hashlib.sha256()
     for r1, r2, d in _lens_grid():
         digest.update(lens_area(r1, r2, d).tobytes())
-    assert digest.hexdigest() == "8f76d55d2ef6963482128027d190855a404387d2a3d5ea654bd263fe8af200ad"
+    assert digest.hexdigest() == "c3b29108a7a7b35b6c48a5cbb433195b26f28388eedd73dd01bad18bdb4dda9d"
     assert [lens_area(48.2, 48.2, d).hex() for d in (0.0, 96.4, 70.0)] == [
         "0x1.c82ac78afadbdp+12", "0x0.0p+0", "0x1.2caf035d0cb28p+10"]
 
