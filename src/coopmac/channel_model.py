@@ -98,106 +98,113 @@ def q_function(x):
     exactly at -inf, and 0 from x = 37.68 on, where erfc underflows.
     Accepts scalars or arrays.
     """
-    return 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+    q = erfc(np.asarray(x, dtype=float) / _SQRT2)
+    q *= 0.5
+    return q
 
 
 # W. J. Cody, Rational Chebyshev approximations for the error function, Math. Comp. 23 (1969) 631-637, the three
 # forms of his CALERF: erf on |x| <= 0.46875 (A / B in x^2), exp(x^2) erfc(x) on (0.46875, 4] (C / D in x) and
-# beyond (P / Q in 1 / x^2), each a Horner pair of numerator and denominator, leading coefficient first, that of
-# the denominator 1
+# beyond (P / Q in 1 / x^2), each a pair of numerator and denominator coefficients, leading one first, that of the
+# denominator 1 and left out
 _THRESH, _MID_TOP = 0.46875, 4.0
-_ERF_SMALL = np.array([[1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
-                        3.77485237685302021e02, 3.20937758913846947e03],
-                       [1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-                        2.84423683343917062e03]]).T[:, :, None]
-_ERFC_MID = np.array([[2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
-                       6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
-                       1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03],
-                      [1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-                       1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-                       3.43936767414372164e03, 1.23033935480374942e03]]).T[:, :, None]
-_ERFC_TAIL = np.array([[1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-                        1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4],
-                       [1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-                        6.05183413124413191e-2, 2.33520497626869185e-3]]).T[:, :, None]
+_ERF_SMALL = ((1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+               3.20937758913846947e03),
+              (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03, 2.84423683343917062e03))
+_ERFC_MID = ((2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+              2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03, 2.05107837782607147e03,
+              1.23033935479799725e03),
+             (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02, 1.62138957456669019e03,
+              3.29079923573345963e03, 4.36261909014324716e03, 3.43936767414372164e03, 1.23033935480374942e03))
+_ERFC_TAIL = ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+               1.60837851487422766e-2, 6.58749161529837803e-4),
+              (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1, 6.05183413124413191e-2,
+               2.33520497626869185e-3))
 _SQRPI = 5.6418958354775628695e-1  # 1 / sqrt(pi)
 # erfc is 0 above sqrt(log(largest double)), where exp(-x^2) underflows; exp(x^2) erfc(x) is 1 / (x sqrt(pi)) to
 # rounding from _XHUGE on, and overflows below _XNEG
 _ERFC_ZERO = float(np.sqrt(np.log(np.finfo(float).max)))
 _XHUGE, _XNEG = 6.71e7, -26.628
-# exp(-s^2) at s = i / 16, the steps of the split of exp(-x^2) below _ERFC_ZERO
-_EXP_STEPS = np.exp(-np.square(np.arange(int(_ERFC_ZERO * 16) + 1) / 16.0))
-_EXP_STEPS.setflags(write=False)
 
-
-def _rational(coef, t):
-    """The Horner pair `coef` at t (a 1-D array): its numerator over its denominator, both in one (2, n) pass."""
-    acc = np.multiply.outer(coef[0, :, 0], t)
-    for c in coef[1:-1]:
-        acc += c
-        acc *= t
-    acc += coef[-1]
-    num, den = acc
-    num /= den
-    return num
+def _rational(form, t):
+    """num(t) / den(t) of the coefficient pair `form` at t (a 1-D array), each by Horner's rule, in place."""
+    (lead, *num), den = form
+    p = t * lead
+    q = t + den[0]
+    p += num[0]
+    for a, b in zip(num[1:], den[1:]):
+        p *= t
+        p += a
+        q *= t
+        q += b
+    p /= q
+    return p
 
 
 def _exp_square(y, sign):
     """exp(sign y^2) for y >= 0 below _ERFC_ZERO, as exp(sign s^2) exp(sign (y - s)(y + s)) with s = y cut to 1/16.
 
     s^2 is exact, so the split loses none of the digits that exp(-y^2) would
-    lose to the rounding of y^2; exp(-s^2) is read from _EXP_STEPS.
+    lose to the rounding of y^2.
     """
-    i = np.multiply(y, 16.0).astype(np.intp)
-    s = i * 0.0625
+    s = np.multiply(y, 16.0)
+    np.floor(s, out=s)
+    s *= 0.0625
+    head = s * s
     if sign < 0:
-        d = s - y
-        s += y
-        d *= s
-        np.exp(d, out=d)
-        d *= _EXP_STEPS.take(i)
-        return d
+        np.negative(head, out=head)
+    np.exp(head, out=head)
     d = y - s
-    d *= y + s
+    s += y
+    d *= s
+    if sign < 0:
+        np.negative(d, out=d)
     np.exp(d, out=d)
-    d *= np.exp(s * s)
+    d *= head
     return d
+
+
+def _tail(t):
+    """exp(t^2) erfc(t) for t > 4 by Cody's third form, (1 / sqrt(pi) - w P(w) / Q(w)) / t with w = 1 / t^2."""
+    w = 1.0 / (t * t)
+    value = _rational(_ERFC_TAIL, w)
+    value *= w
+    return (_SQRPI - value) / t
 
 
 def _calerf(x, scaled):
     """erfc(x), or exp(x^2) erfc(x) if scaled, elementwise, by Cody's three forms, each taken only where it occurs.
 
-    The arguments of the package's Ps lie in the middle form's range, which
-    is read without a gather.  erfc is 2 at -inf and 0 above _ERFC_ZERO and
-    at +inf; the scaled form is inf below _XNEG and 0 at +inf; NaN gives NaN.
+    Where every |x| lies in the middle form's range, as at most of the
+    package's arguments, it is read without a gather.  erfc is 2 at -inf and
+    0 above _ERFC_ZERO and at +inf; the scaled form is inf below _XNEG and 0
+    at +inf; NaN gives NaN.
     """
     x = np.asarray(x, dtype=float)
     z = x.reshape(-1)
     y = np.abs(z)
-    if y.size and _THRESH < y.min() and y.max() <= _MID_TOP:
+    small = y <= _THRESH
+    if y.size and not small.any() and y.max() <= _MID_TOP:  # False at NaN
         out = _rational(_ERFC_MID, y)
         if not scaled:
             out *= _exp_square(y, -1)
     else:
         out = np.where(y > (np.inf if scaled else _ERFC_ZERO), 0.0, y)  # NaN stays NaN
-        rows = np.flatnonzero(y <= _THRESH)
+        rows = np.flatnonzero(small)
         if rows.size:
-            small = z[rows]
-            square = small * small
+            t = z[rows]
+            square = t * t
             erf = _rational(_ERF_SMALL, square)
-            erf *= small
+            erf *= t
             out[rows] = np.exp(square) * (1.0 - erf) if scaled else 1.0 - erf
-        for rows, form in ((np.flatnonzero((y > _THRESH) & (y <= _MID_TOP)), _ERFC_MID),
-                           (np.flatnonzero((y > _MID_TOP) & (y <= (_XHUGE if scaled else _ERFC_ZERO))), _ERFC_TAIL)):
+        mid = y <= _MID_TOP
+        mid &= ~small
+        top = _XHUGE if scaled else _ERFC_ZERO
+        for rows, form in ((np.flatnonzero(mid), lambda t: _rational(_ERFC_MID, t)),
+                           (np.flatnonzero((y > _MID_TOP) & (y <= top)), _tail)):
             if rows.size:
                 t = y[rows]
-                if form is _ERFC_TAIL:
-                    w = 1.0 / (t * t)
-                    value = _rational(form, w)
-                    value *= w
-                    value = (_SQRPI - value) / t
-                else:
-                    value = _rational(form, t)
+                value = form(t)
                 if not scaled:
                     with np.errstate(under="ignore"):
                         value *= _exp_square(t, -1)
@@ -209,6 +216,7 @@ def _calerf(x, scaled):
     if not scaled:
         np.subtract(2.0, out, out=out, where=negative)
     elif negative.any():
+        # exp(x^2) erfc(x) = 2 exp(x^2) - exp(x^2) erfc(-x), which overflows below _XNEG
         rows = np.flatnonzero(negative)
         twice = np.full(rows.size, np.inf)
         inside = np.flatnonzero(z[rows] >= _XNEG)

@@ -229,16 +229,12 @@ def _lens(r1, r2, d):
     # both segments are thin where the circles are this close to external tangency
     thin = np.flatnonzero(tri < _THIN * np.minimum(r1, r2))
     side = d + r1
-    inner = side - r2
-    tri *= inner
+    tri *= side - r2
     side += r2
     gap = d - r1
     gap += r2
     tri *= gap
     tri *= side
-    # d - |r1 - r2|: the larger circle's segment is thin where the circles are this close to internal tangency
-    np.minimum(inner, gap, out=inner)
-    tangent = np.flatnonzero(inner < _THIN * np.minimum(r1, r2))
     np.sqrt(np.maximum(tri, 0.0, out=tri), out=tri)
     tri *= 0.5
     area -= tri
@@ -256,13 +252,15 @@ def _lens(r1, r2, d):
         kite /= sep
         area[at] = _segment_area(ra, a1, kite) + _segment_area(rb, sep - a1, kite)
     big, small = np.maximum(r1, r2), np.minimum(r1, r2)
-    segments = np.flatnonzero(np.broadcast_to(big > _UNEQUAL * small, area.shape))
-    # circles of equal radii have no internal tangency: their segments are half-discs as d -> 0
-    tangent = tangent[~inside.ravel()[tangent] & np.broadcast_to(r1 != r2, area.shape).ravel()[tangent]]
-    if tangent.size:
-        segments = np.union1d(segments, tangent)
-    if segments.size:
-        at = np.unravel_index(segments, area.shape)
+    segments = big > _UNEQUAL * small
+    # and the lenses next to internal tangency, 0 < d - (big - small) < _THIN small, where the larger circle's segment
+    # is thin too; circles of equal radii have none, their segments being half-discs as d -> 0.  The tier lenses lie
+    # far from it, which one comparison of the least d shows
+    ring = big - small
+    if np.size(d) and np.min(d) < np.max(ring + _THIN * small):
+        segments = segments | ((d > ring) & (d - ring < _THIN * small) & (ring > 0))
+    if np.any(segments):
+        at = np.nonzero(np.broadcast_to(segments, area.shape))
         area[at] = _unequal_lens(*(np.broadcast_to(x, area.shape)[at] for x in (big, small, d)))
     return area
 
