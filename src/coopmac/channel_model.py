@@ -126,6 +126,7 @@ _SQRPI = 5.6418958354775628695e-1  # 1 / sqrt(pi)
 _ERFC_ZERO = float(np.sqrt(np.log(np.finfo(float).max)))
 _XHUGE, _XNEG = 6.71e7, -26.628
 
+
 def _rational(form, t):
     """num(t) / den(t) of the coefficient pair `form` at t (a 1-D array), each by Horner's rule, in place."""
     (lead, *num), den = form
@@ -175,8 +176,8 @@ def _tail(t):
 def _calerf(x, scaled):
     """erfc(x), or exp(x^2) erfc(x) if scaled, elementwise, by Cody's three forms, each taken only where it occurs.
 
-    Where every |x| lies in the middle form's range, as at most of the
-    package's arguments, it is read without a gather.  erfc is 2 at -inf and
+    Where every |x| lies in the middle form's range, as at most hops of the
+    Monte Carlo's helpers, it is read without a gather.  erfc is 2 at -inf and
     0 above _ERFC_ZERO and at +inf; the scaled form is inf below _XNEG and 0
     at +inf; NaN gives NaN.
     """

@@ -153,8 +153,9 @@ def lens_area(r1, r2, separation):
     Uses the standard lens formula, or near external tangency, where its
     terms cancel, and near internal tangency and for radii more than
     _UNEQUAL apart, where the larger circle's arccos loses its thin segment,
-    the segments' own forms (`_lens`); separations beyond r1+r2 give 0 and separations below
-    |r1-r2| give the full smaller circle.  `separation` may be an array.
+    the segments' own forms (`_lens`); separations beyond r1+r2 give 0 and
+    separations below |r1-r2| give the full smaller circle.  `separation`
+    may be an array.
     Each radius must lie in _LENS_RADII, 1e-60 to 1e75 m, where the formula
     neither overflows nor underflows, and each separation must be
     non-negative; a separation so much smaller than equal radii that the
@@ -204,8 +205,8 @@ def _lens(r1, r2, d):
     than the smaller circle.  Those lenses are taken segment by segment
     (`_unequal_lens`), which never gives more than the smaller circle.  No
     tier lens at a link length, whose radii lie within a factor 1.55 of
-    each other and whose centres lie at least 67.1 m apart, takes that path.  Apart or
-    tangent circles have 0.  No validation.
+    each other and whose centres lie at least 67.1 m apart, takes that
+    path.  Apart or tangent circles have 0.  No validation.
     """
     # a1 + a2 - tri with
     #   a1 = r1^2 arccos((d^2 + r1^2 - r2^2) / (2 d r1)), a2 the same with r1, r2 swapped,
@@ -267,8 +268,8 @@ def _lens(r1, r2, d):
 
 # `_lens` takes a lens's area from its segments' series where r1 + r2 - d is positive and below this share of the
 # smaller radius, where each segment's half-angle is below sqrt(2 _THIN), and from `_unequal_lens` where
-# d - |r1 - r2| is, and where one radius is more than _UNEQUAL times the other, where the larger circle's segment has
-# a half-angle below arcsin(1 / _UNEQUAL)
+# d - |r1 - r2| is so for unequal radii, and where one radius is more than _UNEQUAL times the other, where the larger
+# circle's segment has a half-angle below arcsin(1 / _UNEQUAL)
 _THIN = 0.0025
 _UNEQUAL = 4.0
 
@@ -281,8 +282,9 @@ def _unequal_lens(big, small, d):
     e >= small on and the smaller lies inside the larger up to e <= -small,
     tests that neither radius's rounding can tip.  Next to internal
     tangency of closer radii, e can carry the rounding of d - big, which
-    moves the area by far less than its own rounding.  Between them the half-chord h is taken from the
-    kite's factors (small - e)(small + e)(d + big - small)(d + big + small),
+    moves the area by far less than its own rounding.  Between them the
+    half-chord h is taken from the kite's factors
+    (small - e)(small + e)(d + big - small)(d + big + small),
     and each chord's distance from its centre,
     ((d - small)(d + small) + big^2) / (2 d) and
     (e (d + big) + small^2) / (2 d), with no difference of nearly equal
