@@ -122,9 +122,9 @@ _ERFC_TAIL = ((1.63153871373020978e-2, 3.05326634961232344e-1, 3.603448999498044
                2.33520497626869185e-3))
 _SQRPI = 5.6418958354775628695e-1  # 1 / sqrt(pi)
 # erfc is 0 above sqrt(log(largest double)), where exp(-x^2) underflows; exp(x^2) erfc(x) is 1 / (x sqrt(pi)) to
-# rounding from _XHUGE on, and overflows below _XNEG
+# rounding from _XHUGE on
 _ERFC_ZERO = float(np.sqrt(np.log(np.finfo(float).max)))
-_XHUGE, _XNEG = 6.71e7, -26.628
+_XHUGE = 6.71e7
 
 
 def _rational(form, t):
@@ -142,8 +142,8 @@ def _rational(form, t):
     return p
 
 
-def _exp_square(y, sign):
-    """exp(sign y^2) for y >= 0 below _ERFC_ZERO, as exp(sign s^2) exp(sign (y - s)(y + s)) with s = y cut to 1/16.
+def _exp_square(y):
+    """exp(-y^2) for y >= 0 below _ERFC_ZERO, as exp(-s^2) exp(-(y - s)(y + s)) with s = y cut to 1/16.
 
     s^2 is exact, so the split loses none of the digits that exp(-y^2) would
     lose to the rounding of y^2.
@@ -152,14 +152,12 @@ def _exp_square(y, sign):
     np.floor(s, out=s)
     s *= 0.0625
     head = s * s
-    if sign < 0:
-        np.negative(head, out=head)
+    np.negative(head, out=head)
     np.exp(head, out=head)
     d = y - s
     s += y
     d *= s
-    if sign < 0:
-        np.negative(d, out=d)
+    np.negative(d, out=d)
     np.exp(d, out=d)
     d *= head
     return d
@@ -174,55 +172,41 @@ def _tail(t):
 
 
 def _calerf(x, scaled):
-    """erfc(x), or exp(x^2) erfc(x) if scaled, elementwise, by Cody's three forms, each taken only where it occurs.
+    """erfc(x), or exp(x^2) erfc(x) for x >= 0 if scaled, elementwise, by Cody's three forms, each where it occurs.
 
-    Where every |x| lies in the middle form's range, as at most hops of the
-    Monte Carlo's helpers, it is read without a gather.  erfc is 2 at -inf and
-    0 above _ERFC_ZERO and at +inf; the scaled form is inf below _XNEG and 0
-    at +inf; NaN gives NaN.
+    erfc is 2 at -inf and 0 above _ERFC_ZERO and at +inf; the scaled form is
+    0 at +inf and NaN below 0; NaN gives NaN.
     """
     x = np.asarray(x, dtype=float)
     z = x.reshape(-1)
     y = np.abs(z)
+    out = np.where(y > (np.inf if scaled else _ERFC_ZERO), 0.0, y)  # NaN stays NaN
     small = y <= _THRESH
-    if y.size and not small.any() and y.max() <= _MID_TOP:  # False at NaN
-        out = _rational(_ERFC_MID, y)
-        if not scaled:
-            out *= _exp_square(y, -1)
-    else:
-        out = np.where(y > (np.inf if scaled else _ERFC_ZERO), 0.0, y)  # NaN stays NaN
-        rows = np.flatnonzero(small)
+    rows = np.flatnonzero(small)
+    if rows.size:
+        t = z[rows]
+        square = t * t
+        erf = _rational(_ERF_SMALL, square)
+        erf *= t
+        out[rows] = np.exp(square) * (1.0 - erf) if scaled else 1.0 - erf
+    mid = y <= _MID_TOP
+    mid &= ~small
+    top = _XHUGE if scaled else _ERFC_ZERO
+    for rows, form in ((np.flatnonzero(mid), lambda t: _rational(_ERFC_MID, t)),
+                       (np.flatnonzero((y > _MID_TOP) & (y <= top)), _tail)):
         if rows.size:
-            t = z[rows]
-            square = t * t
-            erf = _rational(_ERF_SMALL, square)
-            erf *= t
-            out[rows] = np.exp(square) * (1.0 - erf) if scaled else 1.0 - erf
-        mid = y <= _MID_TOP
-        mid &= ~small
-        top = _XHUGE if scaled else _ERFC_ZERO
-        for rows, form in ((np.flatnonzero(mid), lambda t: _rational(_ERFC_MID, t)),
-                           (np.flatnonzero((y > _MID_TOP) & (y <= top)), _tail)):
-            if rows.size:
-                t = y[rows]
-                value = form(t)
-                if not scaled:
-                    with np.errstate(under="ignore"):
-                        value *= _exp_square(t, -1)
-                out[rows] = value
-        if scaled:
-            rows = np.flatnonzero(y > _XHUGE)
-            out[rows] = _SQRPI / y[rows]
-    negative = z < -_THRESH
-    if not scaled:
-        np.subtract(2.0, out, out=out, where=negative)
-    elif negative.any():
-        # exp(x^2) erfc(x) = 2 exp(x^2) - exp(x^2) erfc(-x), which overflows below _XNEG
-        rows = np.flatnonzero(negative)
-        twice = np.full(rows.size, np.inf)
-        inside = np.flatnonzero(z[rows] >= _XNEG)
-        twice[inside] = 2.0 * _exp_square(y[rows[inside]], 1)
-        out[rows] = twice - out[rows]
+            t = y[rows]
+            value = form(t)
+            if not scaled:
+                with np.errstate(under="ignore"):
+                    value *= _exp_square(t)
+            out[rows] = value
+    if scaled:
+        rows = np.flatnonzero(y > _XHUGE)
+        out[rows] = _SQRPI / y[rows]
+        out[z < 0] = np.nan  # the package takes it at positive arguments alone
+    else:
+        np.subtract(2.0, out, out=out, where=z < -_THRESH)
     return out.reshape(x.shape)[()]
 
 
@@ -232,7 +216,7 @@ def erfc(x):
 
 
 def erfcx(x):
-    """The scaled complementary error function exp(x^2) erfc(x), elementwise (`_calerf`)."""
+    """The scaled complementary error function exp(x^2) erfc(x), elementwise, for x >= 0 (`_calerf`): within 6 ulps."""
     return _calerf(x, True)
 
 
@@ -342,8 +326,10 @@ def log_ps_concave(params: ChannelParams = ChannelParams()) -> bool:
     difference, which cancels for large x: from x = 1e4 on it is taken from
     its series 1/x - 2/x^3 + 10/x^5, whose next term is below the rounding,
     and it is compared with 1 / c, which a tiny sigma_sh cannot overflow.
-    An x that overflows fails.  The reference parameters pass; a loose link
-    budget (alpha = 2 with pt = -30 dBm, or sigma_sh = 12 dB) does not.
+    Below, lambda is sqrt(2 / pi) / erfcx(x / sqrt(2)) for x > 0 and phi / Q
+    from erfc for x <= 0.  An x that overflows fails.  The reference
+    parameters pass; a loose link budget (alpha = 2 with pt = -30 dBm, or
+    sigma_sh = 12 dB) does not.
     """
     with np.errstate(over="ignore"):
         x = params.nu + params.mu * np.log10(BAND_EDGES[-1])
@@ -353,8 +339,12 @@ def log_ps_concave(params: ChannelParams = ChannelParams()) -> bool:
     if x > 1e4:
         z = 1.0 / x
         gap = z * (1.0 - z * z * (2.0 - 10.0 * z * z))
-    else:
+    elif x > 0:
         gap = np.sqrt(2.0 / np.pi) / erfcx(x / _SQRT2) - x
+    else:
+        # Q(x) = erfc(x / sqrt(2)) / 2 lies in [1/2, 1], and where phi underflows the gap is -x
+        with np.errstate(over="ignore"):
+            gap = np.sqrt(2.0 / np.pi) * np.exp(-0.5 * x * x) / erfc(x / _SQRT2) - x
     return bool(gap >= 1.0 / c)
 
 

@@ -86,7 +86,8 @@ def test_erfc_is_within_6_ulps_of_the_exact_value():
 
 
 def test_erfcx_is_within_6_ulps_of_the_exact_value():
-    x = np.concatenate([_ERFC_ARGS[_ERFC_ARGS > -26.6], 10.0 ** np.linspace(1.0, 12.0, 300)])
+    # its domain, x >= 0: `log_ps_concave` takes it at x / sqrt(2) for x in (0, 1e4]
+    x = np.concatenate([_ERFC_ARGS[_ERFC_ARGS >= 0], 10.0 ** np.linspace(1.0, 12.0, 300)])
     exact = _exact(lambda mp, x: mp.exp(x * x) * mp.erfc(x), x)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -108,9 +109,9 @@ def test_erfc_ends():
         warnings.simplefilter("error")
         ends = erfc(np.array([-np.inf, np.inf, np.nan, -1e300, 1e300]))
         assert ends[[0, 1, 3, 4]].tolist() == [2.0, 0.0, 2.0, 0.0] and np.isnan(ends[2])
-        scaled = erfcx(np.array([-np.inf, np.inf, np.nan, -27.0, 1e300]))
-        assert scaled[[0, 1, 3]].tolist() == [np.inf, 0.0, np.inf] and np.isnan(scaled[2])
-        assert scaled[4] == pytest.approx(1e-300 / np.sqrt(np.pi), rel=1e-15)
+        scaled = erfcx(np.array([np.inf, np.nan, 1e300, 0.0, -0.0, -np.inf, -27.0, -1.0, -0.2, -5e-324]))
+        assert scaled[[0, 3, 4]].tolist() == [0.0, 1.0, 1.0] and np.isnan(scaled[[1, 5, 6, 7, 8, 9]]).all()
+        assert scaled[2] == pytest.approx(1e-300 / np.sqrt(np.pi), rel=1e-15)
         # 0 exactly from where exp(-x^2) underflows, sqrt(log(largest double)), on, and nonzero below
         edge = np.sqrt(np.log(np.finfo(float).max))
         around = edge + np.arange(-3, 4) * np.spacing(edge)
@@ -125,6 +126,25 @@ def test_log_ps_concave_verdicts():
     # the reference set passes; a loose link budget, a steep or a deep fade, a louder transmitter do not
     sets = [{}, dict(alpha=2.0, pt=-30.0), dict(alpha=7.0), dict(sigma_sh=12.0), dict(pt=-10.0)]
     assert [log_ps_concave(ChannelParams(**kw)) for kw in sets] == [True, False, False, False, False]
+
+
+def test_log_ps_concave_matches_the_exact_hazard():
+    # the verdict c (lambda(x) - x) >= 1 at x = nu + 2 mu on both sides of 0, where it reads erfc and where erfcx,
+    # against 50-digit phi / Q, each verdict on each side
+    mpmath = pytest.importorskip("mpmath")
+    seen = set()
+    for alpha, sigma in ((2.0, 12.0), (3.0, 6.0)):
+        for pt in np.linspace(-60.0, 60.0, 121):
+            params = ChannelParams(pt=pt, alpha=alpha, sigma_sh=sigma)
+            x, c = params.nu + 2.0 * params.mu, params.mu / np.log(10.0)
+            with mpmath.workdps(50):
+                xm = mpmath.mpf(x)
+                hazard = mpmath.npdf(xm) / (mpmath.erfc(xm / mpmath.sqrt(2)) / 2)
+                margin = float(c * (hazard - xm) - 1)
+            if abs(margin) > 1e-9:
+                assert log_ps_concave(params) == (margin > 0), (alpha, sigma, pt)
+                seen.add((x > 0, margin > 0))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_p_success_frozen_values():

@@ -43,10 +43,11 @@ from within_tier_reference import region_covariances
 PARAMS = ChannelParams()
 # each tier's worst position, both hops at the outer edges of its bands, by hand
 _WORST_HOPS = ((48.2, 48.2), (48.2, 67.1), (67.1, 67.1), (48.2, 74.7), (67.1, 74.7))
-# sha256 of the areas of `_area_digest`, which the moments' move out of the lens pass of the areas kept; every tier
-# area has those bits, and two lenses of radii 67.1 and 48.2 m at 18.9 and 19 m, next to internal tangency, are
-# taken segment by segment since (the first was 1.4e-9 above the smaller circle)
-_AREA_DIGEST = "71b82acad110bb0dbda15851b7029cdae68c754bf4c5143edc4817dd6dcdf052"
+# sha256 of `_area_digests`' tier areas, which the moments' move out of the lens pass of the areas kept, and of its
+# lenses, re-recorded when two lenses of radii 67.1 and 48.2 m at 18.9 and 19 m, next to internal tangency, were
+# taken segment by segment (the first was 1.4e-9 above the smaller circle)
+_TIER_AREA_DIGEST = "a45b9947fc56d319105f0f2c527d82e16b7cf2a023fd5029437576666d16aa61"
+_LENS_AREA_DIGEST = "b27065e3f1facf52df0aa14614d43324bdf84cc0f76e812883b5ed203df82b5d"
 
 
 def _moments(r):
@@ -91,18 +92,17 @@ def _exact_lens(r1, r2, d):
         return float(area), float(moment), float(axis)
 
 
-def _area_digest():
-    """sha256 of the areas of `tier_areas` and `_lens` over link lengths and separations of every kind."""
+def _area_digests():
+    """sha256 of the areas of `tier_areas`, and of `_lens`, over link lengths and separations of every kind."""
     r = np.concatenate([np.linspace(67.1, 100.0, 3291)]
                        + [_ulps_around(x, 32) for x in (67.1, BAND_2, TIER1_MAX_SEPARATION, 100.0)])
     r = r[(r >= 67.1) & (r <= 100.0)]
-    digest = hashlib.sha256()
+    tiers = hashlib.sha256()
     for links in (r, r[r < BAND_2], r[(r >= BAND_2) & (r < TIER1_MAX_SEPARATION)], r[r >= TIER1_MAX_SEPARATION]):
-        digest.update(tier_areas(links).tobytes())
+        tiers.update(tier_areas(links).tobytes())
     r1, r2 = np.array([[48.2], [67.1], [74.7], [30.0]]), np.array([[48.2], [48.2], [67.1], [74.7]])
     d = np.concatenate([np.linspace(0.0, 150.0, 1501), 96.4 - np.logspace(-12, 0, 25)])
-    digest.update(_lens(r1, r2, d).tobytes())
-    return digest.hexdigest()
+    return tiers.hexdigest(), hashlib.sha256(_lens(r1, r2, d).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("r", [67.2, 70.0, 74.6, 74.8, 85.0, 96.3, 96.5, 99.9])
@@ -157,7 +157,7 @@ def test_region_moments_lie_between_0_and_j():
 
 def test_moment_pass_keeps_the_area_bits():
     # the areas have the bits they had when the lens pass of the areas took J and I too
-    assert _area_digest() == _AREA_DIGEST
+    assert _area_digests() == (_TIER_AREA_DIGEST, _LENS_AREA_DIGEST)
 
 
 def test_second_moments_alone_keep_their_bits():
